@@ -30,11 +30,10 @@ traversal by >= 30% against both.
 rebalancer is quiet, while the cut phase has real work.
 
 Writes ``ext_affinity.txt`` (report table) and
-``affinity_snapshot.json`` / repo-root ``BENCH_affinity.json``
-(headline mirror, uploaded by CI's ext-affinity job).
+repo-root ``BENCH_affinity.json`` (uploaded by CI's ext-affinity job).
 """
 
-from conftest import RESULTS_DIR, save_table, scale_requests
+from conftest import save_table, scale_requests
 
 from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table
@@ -203,9 +202,7 @@ def test_ext_affinity(once):
             "btree_fanout": BTREE_FANOUT,
         },
         metrics=results,
-        derived=derived,
-        results_dir=RESULTS_DIR,
-        filename="affinity_snapshot.json")
+        derived=derived)
 
     for workload in ("graph", "btree"):
         cut = results[workload]["cut"]

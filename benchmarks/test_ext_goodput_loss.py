@@ -8,12 +8,17 @@ are repaired hop-by-hop, never surfacing to the application -- so the
 cost of loss shows up as latency/goodput degradation, not failures.
 The degradation is bounded: one lost frame costs one hop timeout, not
 an end-to-end restart of the traversal.
+
+Writes ``ext_goodput_loss.txt`` (report table) and repo-root
+``BENCH_goodput_loss.json`` (raw numbers, uploaded by CI's lossy-fabric
+job).
 """
 
 from conftest import save_table, scale_requests
 
 from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table, make_system
+from repro.bench.report import write_snapshot
 from repro.sim.network import LinkProfile
 from repro.workloads import build_upc
 
@@ -68,6 +73,12 @@ def test_ext_goodput_loss(once):
     save_table("ext_goodput_loss", format_table(
         ["system", "drop", "goodput_req_s", "delivered/offered",
          "hop_retx", "ckpt_resumes", "dup_drops"], rows))
+    write_snapshot(
+        "goodput_loss",
+        params={"systems": list(SYSTEMS), "drops": list(DROPS),
+                "requests": scale_requests(8), "concurrency": 2},
+        metrics={"rows": [dict(r, system=system, drop_probability=drop)
+                          for (system, drop), r in sorted(results.items())]})
 
     for system in SYSTEMS:
         clean = results[(system, 0.0)]

@@ -14,11 +14,11 @@ Two claims, both beyond the paper (which fixes placement at build time):
    three accelerators than on two.
 
 Writes ``ext_migration.txt`` (report table) and
-``migration_snapshot.json`` (raw numbers, uploaded by CI's
+repo-root ``BENCH_migration.json`` (raw numbers, uploaded by CI's
 migration-soak job).
 """
 
-from conftest import RESULTS_DIR, save_table, scale_requests
+from conftest import save_table, scale_requests
 
 from repro.bench.driver import run_workload
 from repro.bench.report import write_snapshot
@@ -105,8 +105,9 @@ def run_scaleout_experiment(requests: int):
         if proc.value == 0 or max(fills) - min(fills) < 0.02:
             break
     after = run_workload(cluster, operations, concurrency=CONCURRENCY)
-    new_acc = cluster.accelerators[new_node]
-    return before, after, moved, new_acc.stats.bytes_loaded
+    new_bytes = cluster.metrics_snapshot()["counters"][
+        f"mem{new_node}.acc.bytes_loaded"]
+    return before, after, moved, new_bytes
 
 
 def test_ext_migration(once):
@@ -147,7 +148,8 @@ def test_ext_migration(once):
                 "storm_throughput_per_s": storm.throughput_per_s,
                 "migrations": engine.completed,
                 "bytes_migrated": engine.bytes_migrated,
-                "moved_redirects": stormy_cluster.switch.moved_redirects,
+                "moved_redirects": stormy_cluster.metrics_snapshot()[
+                    "counters"]["switch.moved_redirects"],
                 "faults": storm.faults,
             },
             "scale_out": {
@@ -156,9 +158,7 @@ def test_ext_migration(once):
                 "bytes_rebalanced": moved,
                 "new_node_bytes_loaded": new_bytes,
             },
-        },
-        results_dir=RESULTS_DIR,
-        filename="migration_snapshot.json")
+        })
 
     # -- migration storm: transparent and bounded -------------------------
     assert quiet.faults == 0 and storm.faults == 0

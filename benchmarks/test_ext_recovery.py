@@ -19,12 +19,11 @@ Claims gated here:
    factor of the quiet rack's p99.
 
 Writes ``ext_recovery.txt`` (report table) and
-``recovery_snapshot.json`` (raw numbers; mirrored to
-``BENCH_recovery.json`` at the repo root and uploaded by CI's
+repo-root ``BENCH_recovery.json`` (raw numbers, uploaded by CI's
 ext-recovery job).
 """
 
-from conftest import RESULTS_DIR, save_table, scale_requests
+from conftest import save_table, scale_requests
 
 from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table
@@ -161,9 +160,7 @@ def test_ext_recovery(once):
                 v for name, v in counters.items()
                 if name.endswith(".dur.restored_records")),
         },
-        derived={"p99_ratio": crash_p99 / quiet_p99},
-        results_dir=RESULTS_DIR,
-        filename="recovery_snapshot.json")
+        derived={"p99_ratio": crash_p99 / quiet_p99})
 
     # -- zero lost acknowledged writes -------------------------------------
     assert quiet_updates.faults == 0 and crash_updates.faults == 0

@@ -18,13 +18,13 @@ index.  Claims:
    bytes are fetched, never which bytes.
 
 Writes ``ext_split_index.txt`` (report table) and
-``split_index_snapshot.json`` (raw numbers, uploaded by CI's
+repo-root ``BENCH_split_index.json`` (raw numbers, uploaded by CI's
 split-index job).
 """
 
 import random
 
-from conftest import RESULTS_DIR, save_table, scale_requests
+from conftest import save_table, scale_requests
 
 from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table
@@ -124,9 +124,7 @@ def test_ext_split_index(once):
             "p50_traversal_ns": base_p50,
             "p50_hit09_ns": by_rate[0.9]["p50_ns"],
             "speedup_at_hit09": base_p50 / by_rate[0.9]["p50_ns"],
-        },
-        results_dir=RESULTS_DIR,
-        filename="split_index_snapshot.json")
+        })
 
     # -- correctness: the index never changes what reads observe ----------
     assert base_stats.faults == 0

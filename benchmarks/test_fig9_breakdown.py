@@ -13,6 +13,7 @@ from conftest import RESULTS_DIR, save_table, scale_requests
 
 from repro.bench.experiments import format_table, make_system
 from repro.bench.driver import run_workload
+from repro.bench.report import span_breakdown
 from repro.workloads import build_upc
 
 
@@ -25,13 +26,15 @@ def _measure():
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "metrics_snapshot.json").write_text(
         json.dumps({"pulse": run.metrics}, indent=2) + "\n")
-    stats = system.accelerators[0].stats
+    spans = span_breakdown(run.metrics)
+    counters = run.metrics["counters"]
     return {
-        "netstack_ns": stats.per_message_netstack_ns(),
-        "scheduler_ns": stats.per_request_dispatch_ns(),
-        "memory_ns": stats.per_iteration_memory_ns(),
-        "logic_ns": stats.per_iteration_logic_ns(),
-        "iterations": stats.iterations / max(1, stats.requests),
+        "netstack_ns": spans["netstack"]["mean_ns"],
+        "scheduler_ns": spans["scheduler"]["mean_ns"],
+        "memory_ns": spans["memory"]["mean_ns"],
+        "logic_ns": spans["logic"]["mean_ns"],
+        "iterations": (counters["mem0.acc.iterations"]
+                       / max(1, counters["mem0.acc.requests"])),
     }
 
 

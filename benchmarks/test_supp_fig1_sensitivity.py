@@ -46,8 +46,9 @@ def _bandwidth_vs_cores():
             walker = lst.walk_iterator()
             ops = [(walker, (64,))] * scale_requests(220)
             stats = run_workload(cluster, ops, concurrency=64)
-            bytes_per_ns = (cluster.accelerators[0].stats.bytes_loaded
-                            / stats.duration_ns)
+            bytes_per_ns = (
+                stats.metrics["counters"]["mem0.acc.bytes_loaded"]
+                / stats.duration_ns)
             results.append((cores, interconnect, bytes_per_ns))
     return results
 

@@ -31,11 +31,10 @@ Two further measurements ride on the batch cell:
   done-event, so a million requests is a routine bench rather than an
   O(N^2) all-of stall.  Honors ``REPRO_BENCH_SCALE``.
 
-Results land in ``benchmarks/results/BENCH_wallclock.json`` (mirrored
-to the repo root by ``write_snapshot``).  The ISSUE acceptance bars --
-compiled >= 3x interpreted on the microbench, and batch >= 3x scalar
-compiled end to end at 32 lanes -- are asserted, so CI fails on an
-execution-tier performance regression.
+Results land in the repo-root ``BENCH_wallclock.json``.  The ISSUE
+acceptance bars -- compiled >= 3x interpreted on the microbench, and
+batch >= 3x scalar compiled end to end at 32 lanes -- are asserted, so
+CI fails on an execution-tier performance regression.
 
 Every measurement runs after an explicit warmup pass (module import
 costs, numpy kernel compilation, allocator pools), so the first timed
@@ -49,11 +48,11 @@ import random
 import time
 from pathlib import Path
 
-from conftest import RESULTS_DIR, SCALE, scale_requests
+from conftest import SCALE, scale_requests
 
 from repro.bench.driver import run_open_loop
 from repro.bench.experiments import run_open_loop_cell
-from repro.bench.report import write_snapshot
+from repro.bench.report import REPO_ROOT, write_snapshot
 from repro.core import PulseCluster
 from repro.isa import IteratorMachine, assemble
 from repro.structures import BPlusTree, LinkedList
@@ -205,10 +204,9 @@ def merge_wallclock_snapshot(metrics: dict, derived: dict,
     The compiled-tier, sharded-tier, and million-request tests each
     contribute sections to the same headline snapshot; whichever runs
     later must not clobber the earlier sections, so this reads the
-    current file, merges, and rewrites through ``write_snapshot`` (which
-    also refreshes the repo-root mirror).
+    current file, merges, and rewrites through ``write_snapshot``.
     """
-    path = RESULTS_DIR / "BENCH_wallclock.json"
+    path = REPO_ROOT / "BENCH_wallclock.json"
     existing = {"params": {}, "metrics": {}, "derived": {}}
     if path.exists():
         existing.update(json.loads(path.read_text()))
@@ -217,9 +215,7 @@ def merge_wallclock_snapshot(metrics: dict, derived: dict,
     existing["derived"].update(derived)
     return write_snapshot("wallclock", params=existing["params"],
                           metrics=existing["metrics"],
-                          derived=existing["derived"],
-                          results_dir=RESULTS_DIR,
-                          filename="BENCH_wallclock.json")
+                          derived=existing["derived"])
 
 
 def measure_e2e_seconds(interpreted: bool) -> float:

@@ -53,13 +53,13 @@ def main() -> None:
                 assert count >= SCAN
                 latencies.append(result.latency_ns / 1000)
                 hops.append(result.hops)
-            switch = cluster.switch
+            switch = cluster.metrics_snapshot()["counters"]
             print(f"  {policy:12s} avg latency "
                   f"{sum(latencies)/len(latencies):8.1f} us | "
                   f"hops/scan {sum(hops)/len(hops):5.1f} | switch: "
-                  f"{switch.routed_to_memory} routed, "
-                  f"{switch.rerouted_node_to_node} re-routed, "
-                  f"{switch.returned_to_client} returned")
+                  f"{switch['switch.routed_to_memory']} routed, "
+                  f"{switch['switch.rerouted_node_to_node']} re-routed, "
+                  f"{switch['switch.returned_to_client']} returned")
         print()
 
     print("Takeaways (matching Fig 8 and Supp Fig 2):")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tracing a distributed traversal, event by event.
 
-Enables the cluster's tracer and prints the full timeline of one
+Enables the registry's event log and prints the full timeline of one
 request that hops across two memory nodes -- the simulated counterpart
 of the measurements behind the paper's Fig 9.
 
@@ -27,12 +27,13 @@ def main() -> None:
 
     request_id = (0, 1)
     print("timeline:")
-    print(cluster.tracer.render(request_id))
+    print(cluster.registry.events.render(request_id))
 
+    switch = cluster.metrics_snapshot()["counters"]
     print("\nswitch counters:",
-          f"{cluster.switch.routed_to_memory} routed,",
-          f"{cluster.switch.rerouted_node_to_node} re-routed,",
-          f"{cluster.switch.returned_to_client} returned")
+          f"{switch['switch.routed_to_memory']} routed,",
+          f"{switch['switch.rerouted_node_to_node']} re-routed,",
+          f"{switch['switch.returned_to_client']} returned")
 
 
 if __name__ == "__main__":

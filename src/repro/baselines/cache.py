@@ -216,12 +216,6 @@ class CacheSystem(BaselineSystem):
                     for s in self.servers]
         return sum(per_node) / len(per_node)
 
-    def network_bandwidth_utilization(self, duration_ns: float) -> float:
-        if duration_ns <= 0:
-            return 0.0
-        peak = max(self.client.tx_bytes, self.client.rx_bytes)
-        return peak / (duration_ns * self.params.network.link_bytes_per_ns)
-
 
 class _PagingServer:
     """Memory node side of a page fetch: DRAM read + page send."""
@@ -231,7 +225,6 @@ class _PagingServer:
         self.env = system.env
         self.node = node
         self.session = system.make_session(node.name)
-        self.endpoint = self.session.endpoint
         self.bandwidth_gate = Resource(self.env, capacity=1)
         self.bytes_served = 0
         self.env.process(self._serve_loop())

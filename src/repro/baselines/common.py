@@ -156,6 +156,16 @@ class BaselineSystem:
         from repro.bench.driver import run_workload
         return run_workload(self, operations, concurrency, warmup)
 
+    def network_bandwidth_utilization(self, duration_ns: float) -> float:
+        """The client link's utilization (``self.client`` is the CPU
+        node's endpoint, set by each baseline), for Fig 6."""
+        if duration_ns <= 0:
+            return 0.0
+        counter = self.registry.counter
+        peak = max(counter(f"net.{self.client.name}.tx_bytes").value,
+                   counter(f"net.{self.client.name}.rx_bytes").value)
+        return peak / (duration_ns * self.params.network.link_bytes_per_ns)
+
     def begin_measurement(self) -> None:
         """Reset metrics + byte windows for the post-warmup window."""
         self.registry.reset()

@@ -33,36 +33,6 @@ from repro.sim.resources import Resource
 RPC_KIND = "rpc"
 
 
-class RpcServerStats:
-    """Registry-backed view of one RPC server's counters."""
-
-    def __init__(self, registry=None, prefix: str = "rpc"):
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-            registry = MetricsRegistry()
-        self.registry = registry
-        self.prefix = prefix
-
-    def _counter(self, name: str):
-        return self.registry.counter(f"{self.prefix}.{name}")
-
-    @property
-    def requests(self) -> int:
-        return self._counter("requests").value
-
-    @property
-    def iterations(self) -> int:
-        return self._counter("iterations").value
-
-    @property
-    def bytes_loaded(self) -> int:
-        return self._counter("bytes_loaded").value
-
-    @property
-    def busy_ns(self) -> float:
-        return self._counter("busy_ns").value
-
-
 class _RpcServer:
     """One memory node's RPC service."""
 
@@ -71,7 +41,6 @@ class _RpcServer:
         self.env = system.env
         self.node = node
         self.session = system.make_session(node.name)
-        self.endpoint = self.session.endpoint
         self.workers = Resource(self.env, capacity=workers)
         self.worker_count = workers
         #: serialized DRAM bandwidth share (the RDT cap of section 7)
@@ -81,7 +50,6 @@ class _RpcServer:
         self.stack = Resource(self.env, capacity=workers)
         registry = system.registry
         prefix = f"{node.name}.rpc"
-        self.stats = RpcServerStats(registry, prefix)
         self._m_requests = registry.counter(f"{prefix}.requests")
         self._m_iterations = registry.counter(f"{prefix}.iterations")
         self._m_bytes = registry.counter(f"{prefix}.bytes_loaded")
@@ -296,12 +264,6 @@ class RpcSystem(BaselineSystem):
         if duration_ns <= 0:
             return 0.0
         cap = self.params.memory.bandwidth_bytes_per_ns
-        per_node = [s.stats.bytes_loaded / duration_ns / cap
+        per_node = [s._m_bytes.value / duration_ns / cap
                     for s in self.servers]
         return sum(per_node) / len(per_node)
-
-    def network_bandwidth_utilization(self, duration_ns: float) -> float:
-        if duration_ns <= 0:
-            return 0.0
-        peak = max(self.client.tx_bytes, self.client.rx_bytes)
-        return peak / (duration_ns * self.params.network.link_bytes_per_ns)

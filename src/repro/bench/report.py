@@ -22,11 +22,6 @@ METRICS_SNAPSHOT_FILE = "metrics_snapshot.json"
 #: jobs, dashboards) key their parsers off this field
 SCHEMA_VERSION = 1
 
-#: headline snapshots also mirrored to ``BENCH_<name>.json`` at the
-#: repo root, where CI uploads and readers expect the latest numbers
-HEADLINE_SNAPSHOTS = ("wallclock", "goodput_loss", "migration",
-                      "split_index", "affinity", "recovery")
-
 #: repo root (this file lives at src/repro/bench/report.py)
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
@@ -100,8 +95,7 @@ SECTIONS: List[Tuple[str, str, str]] = [
 
 def write_snapshot(name: str, params: Dict, metrics: Dict,
                    derived: Optional[Dict] = None,
-                   results_dir: Optional[Path] = None,
-                   filename: Optional[str] = None) -> Path:
+                   results_dir: Optional[Path] = None) -> Path:
     """Write one bench snapshot JSON with the repo-wide stable schema.
 
     Every benchmark that leaves a machine-readable artifact (CI uploads,
@@ -112,18 +106,12 @@ def write_snapshot(name: str, params: Dict, metrics: Dict,
 
     ``params`` holds the knobs the run was configured with, ``metrics``
     the raw measurements, and ``derived`` any computed summary figures
-    (speedups, percentile picks).  The default artifact name is
-    ``<name>_snapshot.json`` under ``benchmarks/results``; pass
-    ``filename`` for legacy artifact names CI already tracks (e.g.
-    ``BENCH_wallclock.json``).
-
-    :data:`HEADLINE_SNAPSHOTS` are additionally mirrored to
-    ``BENCH_<name>.json`` at the repo root so the latest headline
-    numbers live next to the README rather than buried in the results
-    tree.
+    (speedups, percentile picks).  The one file written is
+    ``BENCH_<name>.json`` at the repo root, next to the README, where
+    ROADMAP, CI's gates and the upload steps read it; ``results_dir``
+    redirects it (tests write under ``tmp_path``).
     """
-    directory = (Path(results_dir) if results_dir is not None
-                 else Path("benchmarks") / "results")
+    directory = Path(results_dir) if results_dir is not None else REPO_ROOT
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -132,11 +120,8 @@ def write_snapshot(name: str, params: Dict, metrics: Dict,
         "metrics": metrics,
         "derived": derived if derived is not None else {},
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path = directory / (filename if filename else f"{name}_snapshot.json")
-    path.write_text(text)
-    if name in HEADLINE_SNAPSHOTS:
-        (REPO_ROOT / f"BENCH_{name}.json").write_text(text)
+    path = directory / f"BENCH_{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

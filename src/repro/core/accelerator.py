@@ -47,7 +47,6 @@ from repro.params import SystemParams
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, Message
 from repro.sim.resources import Resource
-from repro.sim.trace import NullTracer
 from repro.transport import TransportSession
 
 #: message kind tag for pulse traversal traffic
@@ -55,86 +54,6 @@ PULSE_KIND = "pulse"
 
 #: per-stage span suffixes recorded under ``<node>.acc.span.<stage>``
 SPAN_STAGES = ("netstack", "scheduler", "memory", "logic")
-
-
-class AcceleratorStats:
-    """Compatibility view over one accelerator's registry metrics.
-
-    Older code (and the Fig 9 benchmark) reads aggregate phase times
-    here; the storage now lives in the
-    :class:`~repro.obs.metrics.MetricsRegistry` as counters and span
-    histograms, so one ``registry.snapshot()`` carries the same data.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "acc"):
-        if registry is None:
-            registry = MetricsRegistry()
-        self.registry = registry
-        self.prefix = prefix
-
-    def _counter(self, name: str):
-        return self.registry.counter(f"{self.prefix}.{name}")
-
-    def _span(self, stage: str):
-        return self.registry.histogram(f"{self.prefix}.span.{stage}")
-
-    @property
-    def requests(self) -> int:
-        return self._counter("requests").value
-
-    @property
-    def responses(self) -> int:
-        return self._counter("responses").value
-
-    @property
-    def iterations(self) -> int:
-        return self._counter("iterations").value
-
-    @property
-    def rerouted(self) -> int:
-        return self._counter("rerouted").value
-
-    @property
-    def faults(self) -> int:
-        return self._counter("faults").value
-
-    @property
-    def bytes_loaded(self) -> int:
-        return self._counter("bytes_loaded").value
-
-    @property
-    def instructions(self) -> int:
-        return self._counter("instructions").value
-
-    @property
-    def netstack_ns(self) -> float:
-        return self._span("netstack").sum
-
-    @property
-    def dispatch_ns(self) -> float:
-        return self._span("scheduler").sum
-
-    @property
-    def memory_ns(self) -> float:
-        return self._span("memory").sum
-
-    @property
-    def logic_ns(self) -> float:
-        return self._span("logic").sum
-
-    def per_iteration_memory_ns(self) -> float:
-        return self.memory_ns / self.iterations if self.iterations else 0.0
-
-    def per_iteration_logic_ns(self) -> float:
-        return self.logic_ns / self.iterations if self.iterations else 0.0
-
-    def per_message_netstack_ns(self) -> float:
-        messages = self.requests + self.responses
-        return self.netstack_ns / messages if messages else 0.0
-
-    def per_request_dispatch_ns(self) -> float:
-        return self.dispatch_ns / self.requests if self.requests else 0.0
 
 
 class AcceleratorCore:
@@ -165,7 +84,6 @@ class Accelerator:
                  split_loads: bool = False,
                  scheduler_policy: str = "fifo",
                  batch_lanes: Optional[int] = None,
-                 tracer=None,
                  registry: Optional[MetricsRegistry] = None):
         self.env = env
         self.node = node
@@ -182,7 +100,6 @@ class Accelerator:
                                         params=params.transport,
                                         registry=registry,
                                         default_segments=1)
-        self.endpoint = self.session.endpoint
         self.cores: List[AcceleratorCore] = [
             AcceleratorCore(env, i, acc.logic_pipelines_per_core)
             for i in range(core_count)
@@ -216,12 +133,11 @@ class Accelerator:
         #: instead of the offload engine's single aggregated LOAD (§4.1)
         self.split_loads = split_loads
 
-        self.tracer = tracer if tracer is not None else NullTracer()
         if registry is None:
             registry = MetricsRegistry(clock=lambda: env.now)
         self.registry = registry
+        self._events = registry.events
         prefix = f"{self.name}.acc"
-        self.stats = AcceleratorStats(registry, prefix)
         self._m_requests = registry.counter(f"{prefix}.requests")
         self._m_responses = registry.counter(f"{prefix}.responses")
         self._m_iterations = registry.counter(f"{prefix}.iterations")
@@ -346,14 +262,17 @@ class Accelerator:
             yield from self._hold(self.scheduler_unit,
                                   acc.scheduler_dispatch_ns)
             self._span_scheduler.record(acc.scheduler_dispatch_ns)
-            self.tracer.record(self.name, "rx", request.request_id,
-                               cur_ptr=hex(request.cur_ptr))
+            if self._events is not None:
+                self._events.record(self.name, "rx", request.request_id,
+                                    cur_ptr=hex(request.cur_ptr))
             # Admission control: the queue of parked requests is bounded;
             # past the bound the scheduler NACKs instead of queueing.
             if self.workspaces.queue_length() >= self.admission_limit:
                 self._m_nacks.inc()
-                self.tracer.record(self.name, "nack", request.request_id,
-                                   queue=self.workspaces.queue_length())
+                if self._events is not None:
+                    self._events.record(
+                        self.name, "nack", request.request_id,
+                        queue=self.workspaces.queue_length())
                 nack = request.advanced(request.cur_ptr, request.scratch,
                                         0, RequestStatus.RETRY)
                 self.env.process(self._respond(nack))
@@ -411,8 +330,10 @@ class Accelerator:
         yield from self._hold(self.scheduler_unit,
                               acc.scheduler_dispatch_ns)
         self._span_scheduler.record(acc.scheduler_dispatch_ns)
-        self.tracer.record(self.name, "direct_read", request.request_id,
-                           vaddr=hex(request.vaddr))
+        if self._events is not None:
+            self._events.record(self.name, "direct_read",
+                                request.request_id,
+                                vaddr=hex(request.vaddr))
 
         live_owner = (self.placement_map.node_of(request.vaddr)
                       if self.placement_map is not None
@@ -474,11 +395,8 @@ class Accelerator:
             wait = self.durability.wait_durable(max(dirty))
             if wait is not None:
                 yield wait
-        self.tracer.record(self.name, "execute", request.request_id,
-                           core=core_id,
-                           iterations=(response.iterations_done
-                                       - request.iterations_done),
-                           status=response.status.value)
+        if self._events is not None:
+            self._trace_execute(core_id, request, response)
         yield from self._respond(response)
 
     def _serve_batch(self, requests: List[TraversalRequest]):
@@ -826,12 +744,17 @@ class Accelerator:
                      request: TraversalRequest,
                      response: TraversalRequest) -> None:
         """Trace + transmit one retired lane (tx_unit serializes)."""
-        self.tracer.record(self.name, "execute", request.request_id,
-                           core=core.core_id,
-                           iterations=(response.iterations_done
-                                       - request.iterations_done),
-                           status=response.status.value)
+        if self._events is not None:
+            self._trace_execute(core.core_id, request, response)
         self.env.process(self._respond(response))
+
+    def _trace_execute(self, core_id: int, request: TraversalRequest,
+                       response: TraversalRequest) -> None:
+        self._events.record(self.name, "execute", request.request_id,
+                            core=core_id,
+                            iterations=(response.iterations_done
+                                        - request.iterations_done),
+                            status=response.status.value)
 
     def _miss_response(self, cur_ptr: int, scratch: bytes,
                        request: TraversalRequest, iterations: int,
@@ -937,4 +860,4 @@ class Accelerator:
         window = elapsed if elapsed is not None else self.env.now
         if window <= 0:
             return 0.0
-        return self.stats.bytes_loaded / window
+        return self._m_bytes.value / window

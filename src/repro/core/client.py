@@ -37,7 +37,6 @@ from repro.params import SystemParams
 from repro.sim.engine import Environment, Event, Process
 from repro.sim.network import Fabric, Message
 from repro.sim.resources import Resource
-from repro.sim.trace import NullTracer
 from repro.transport import TransportSession
 
 #: give up after this many retransmissions of one request
@@ -170,7 +169,6 @@ class PulseClient:
                  memory: GlobalMemory, name: str = "client0",
                  switch_name: str = "switch", stack_cores: int = 8,
                  batch_size: int = 1, flush_ns: Optional[float] = None,
-                 tracer=None,
                  registry: Optional[MetricsRegistry] = None,
                  index=None):
         self.env = env
@@ -187,16 +185,15 @@ class PulseClient:
                                         params=params.transport,
                                         registry=registry,
                                         default_segments=1)
-        self.endpoint = self.session.endpoint
         #: DPDK stack cores: every message send/receive occupies one
         self.stack_unit = Resource(env, capacity=stack_cores)
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._waiters: Dict[tuple, Event] = {}
         #: jitter source for retry backoff (deterministic per client name)
         self._rng = random.Random(name)
         if registry is None:
             registry = fabric.registry
         self.registry = registry
+        self._events = registry.events
         prefix = f"{name}.client"
         self._m_retransmissions = registry.counter(
             f"{prefix}.retransmissions")
@@ -222,28 +219,6 @@ class PulseClient:
                                        flush_ns=flush_ns)
         self.completed: List[TraversalResult] = []
         env.process(self._rx_loop())
-
-    # Compatibility properties over the registry-backed counters.
-    @property
-    def retransmissions(self) -> int:
-        return self._m_retransmissions.value
-
-    @property
-    def duplicates_dropped(self) -> int:
-        return self._m_duplicates.value
-
-    @property
-    def requests_lost(self) -> int:
-        return self._m_requests_lost.value
-
-    @property
-    def admission_retries(self) -> int:
-        return self._m_admission_retries.value
-
-    @property
-    def in_flight(self) -> int:
-        """Submitted traversals that have not completed yet."""
-        return self._in_flight
 
     # -- receive path ---------------------------------------------------------
     def _rx_loop(self):
@@ -325,8 +300,9 @@ class PulseClient:
 
         request = self.engine.make_request(iterator, *args,
                                            issued_at_ns=start)
-        self.tracer.record(self.name, "issue", request.request_id,
-                           program=request.program.name)
+        if self._events is not None:
+            self._events.record(self.name, "issue", request.request_id,
+                                program=request.program.name)
         response = yield from self._dispatch(request)
         while response.status in (RequestStatus.ITER_LIMIT,
                                   RequestStatus.RUNNING,
@@ -350,10 +326,11 @@ class PulseClient:
             fault=(FaultInfo(reason=response.fault_reason, kind="remote")
                    if faulted else None),
         )
-        self.tracer.record(self.name, "complete", response.request_id,
-                           status=response.status.value,
-                           iterations=response.iterations_done,
-                           hops=response.node_hops)
+        if self._events is not None:
+            self._events.record(self.name, "complete", response.request_id,
+                                status=response.status.value,
+                                iterations=response.iterations_done,
+                                hops=response.node_hops)
         if (self.index is not None and iterator.indexable
                 and response.status is RequestStatus.DONE):
             self._learn_from_traversal(iterator, args, response)
@@ -409,8 +386,9 @@ class PulseClient:
             return None
         reply = waiter.value
         if not reply.ok:
-            self.tracer.record(self.name, "direct_read_nack", rid,
-                               reason=reply.nack_reason)
+            if self._events is not None:
+                self._events.record(self.name, "direct_read_nack", rid,
+                                    reason=reply.nack_reason)
             self.index.stale_nacks.inc()
             self.index.invalidate(key)
             return None
@@ -426,8 +404,9 @@ class PulseClient:
             # epoch; refresh the entry in place.
             self.index.learn(key, entry.node_id, entry.vaddr,
                              reply.map_version)
-        self.tracer.record(self.name, "direct_read_hit", rid,
-                           vaddr=hex(entry.vaddr))
+        if self._events is not None:
+            self._events.record(self.name, "direct_read_hit", rid,
+                                vaddr=hex(entry.vaddr))
         return TraversalResult(
             value=value, iterations=1,
             latency_ns=self.env.now - start, offloaded=True, hops=0)
@@ -460,8 +439,9 @@ class PulseClient:
                     f"request {request.request_id} rejected by admission "
                     f"control {retries} times")
             self._m_admission_retries.inc()
-            self.tracer.record(self.name, "admission_retry",
-                               request.request_id, attempt=retries)
+            if self._events is not None:
+                self._events.record(self.name, "admission_retry",
+                                    request.request_id, attempt=retries)
             yield self.env.timeout(backoff * self._rng.uniform(0.5, 1.5))
             backoff = min(backoff * 2.0, net.retry_backoff_cap_ns)
             request = self.engine.continuation(response, self.env.now)
@@ -498,8 +478,9 @@ class PulseClient:
                     f"request {request.request_id} lost after "
                     f"{attempts} attempts")
             self._m_retransmissions.inc()
-            self.tracer.record(self.name, "retransmit",
-                               request.request_id, attempt=attempts)
+            if self._events is not None:
+                self._events.record(self.name, "retransmit",
+                                    request.request_id, attempt=attempts)
             request.attempt = attempts
 
     # -- local fallback -----------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.placement.service import PlacementService
 from repro.shard.runtime import ShardError, ShardedRuntime, resolve_workers
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric
-from repro.sim.trace import NullTracer, Tracer
 
 
 class PulseCluster:
@@ -66,6 +65,8 @@ class PulseCluster:
         #: one registry carries every metric in the rack; snapshot() is
         #: the single observability export (see docs/architecture.md)
         self.registry = MetricsRegistry(clock=lambda: self.env.now)
+        if trace:
+            self.registry.enable_events()
         self.fabric = Fabric(self.env, self.params.network, seed=seed,
                              registry=self.registry)
         capacity = (node_capacity if node_capacity is not None
@@ -75,15 +76,12 @@ class PulseCluster:
         self.memory.allocator.attach_metrics(self.registry)
         for node in self.memory.nodes:
             node.attach_metrics(self.registry, clock=lambda: self.env.now)
-        self.tracer = (Tracer(self.env) if trace
-                       else NullTracer())
         switch_kwargs = {}
         if client_table_capacity is not None:
             switch_kwargs["client_table_capacity"] = client_table_capacity
         self.switch = PulseSwitch(self.env, self.fabric,
                                   self.memory.addrspace, self.params,
                                   bounce_to_client=bounce_to_client,
-                                  tracer=self.tracer,
                                   registry=self.registry,
                                   rangemap=self.memory.placement,
                                   **switch_kwargs)
@@ -96,7 +94,6 @@ class PulseCluster:
                                  batch_lanes=batch_lanes)
         self.accelerators: List[Accelerator] = [
             Accelerator(self.env, node, self.fabric, self.params,
-                        tracer=self.tracer,
                         registry=self.registry,
                         **self._acc_options)
             for node in self.memory.nodes
@@ -105,7 +102,7 @@ class PulseCluster:
         #: rebalancer control loop (see docs/architecture.md)
         self.placement = PlacementService(self.env, self.memory,
                                           self.params, self.registry,
-                                          tracer=self.tracer, seed=seed)
+                                          seed=seed)
         for acc in self.accelerators:
             self.placement.attach_accelerator(acc)
         #: replicated redo logging + crash recovery (None when the
@@ -140,8 +137,7 @@ class PulseCluster:
             PulseClient(self.env, self.fabric, self.params,
                         self.engines[i], self.memory,
                         name=f"client{i}", batch_size=batch_size,
-                        flush_ns=flush_ns, tracer=self.tracer,
-                        registry=self.registry,
+                        flush_ns=flush_ns, registry=self.registry,
                         index=(self.indexes[i] if split_index else None))
             for i in range(client_count)
         ]
@@ -213,8 +209,7 @@ class PulseCluster:
         node = self.memory.add_node()
         node.attach_metrics(self.registry, clock=lambda: self.env.now)
         acc = Accelerator(self.env, node, self.fabric, self.params,
-                          tracer=self.tracer, registry=self.registry,
-                          **self._acc_options)
+                          registry=self.registry, **self._acc_options)
         self.accelerators.append(acc)
         self.placement.on_node_added(node.node_id)
         self.placement.attach_accelerator(acc)
@@ -375,8 +370,9 @@ class PulseCluster:
         if duration_ns <= 0:
             return 0.0
         cap = self.params.memory.bandwidth_bytes_per_ns
+        counter = self.registry.counter
         per_node = [
-            acc.stats.bytes_loaded / duration_ns / cap
+            counter(f"{acc.name}.acc.bytes_loaded").value / duration_ns / cap
             for acc in self.accelerators
         ]
         return sum(per_node) / len(per_node)
@@ -385,8 +381,10 @@ class PulseCluster:
         """Busiest client link's utilization, for Fig 6."""
         if duration_ns <= 0:
             return 0.0
+        counter = self.registry.counter
         peak_bytes = max(
-            max(c.endpoint.tx_bytes, c.endpoint.rx_bytes)
+            max(counter(f"net.{c.name}.tx_bytes").value,
+                counter(f"net.{c.name}.rx_bytes").value)
             for c in self.clients)
         return peak_bytes / (duration_ns
                              * self.params.network.link_bytes_per_ns)

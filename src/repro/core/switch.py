@@ -30,7 +30,6 @@ from repro.placement.rangemap import PlacementMap
 from repro.params import SystemParams
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, Message
-from repro.sim.trace import NullTracer
 from repro.transport import TransportSession
 
 #: default bound on the request-id -> client table (switch SRAM is finite)
@@ -60,7 +59,6 @@ class PulseSwitch:
     def __init__(self, env: Environment, fabric: Fabric,
                  addrspace: AddressSpace, params: SystemParams,
                  name: str = "switch", bounce_to_client: bool = False,
-                 tracer=None,
                  client_table_capacity: int = CLIENT_TABLE_CAPACITY,
                  registry: Optional[MetricsRegistry] = None,
                  rangemap: Optional[PlacementMap] = None):
@@ -78,12 +76,10 @@ class PulseSwitch:
         self.params = params
         self.name = name
         self.bounce_to_client = bounce_to_client
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.session = TransportSession(env, fabric, name,
                                         params=params.transport,
                                         registry=registry,
                                         default_segments=1)
-        self.endpoint = self.session.endpoint
         #: request id -> :class:`_ClientEntry`, learned from requests;
         #: the hardware encodes the client in the packet's source
         #: fields.  Insertion-ordered and bounded: entries whose
@@ -97,6 +93,7 @@ class PulseSwitch:
         if registry is None:
             registry = fabric.registry
         self.registry = registry
+        self._events = registry.events
         self._m_routed = registry.counter("switch.routed_to_memory")
         self._m_rerouted = registry.counter(
             "switch.rerouted_node_to_node")
@@ -127,43 +124,6 @@ class PulseSwitch:
         if not returned:
             return 0.0
         return self._m_rerouted.value / returned
-
-    # Compatibility properties over the registry-backed counters.
-    @property
-    def routed_to_memory(self) -> int:
-        return self._m_routed.value
-
-    @property
-    def rerouted_node_to_node(self) -> int:
-        return self._m_rerouted.value
-
-    @property
-    def returned_to_client(self) -> int:
-        return self._m_returned.value
-
-    @property
-    def dropped_stale(self) -> int:
-        return self._m_dropped_stale.value
-
-    @property
-    def stale_epoch_drops(self) -> int:
-        return self._m_stale_epoch.value
-
-    @property
-    def evicted_entries(self) -> int:
-        return self._m_evicted.value
-
-    @property
-    def client_evict_inflight_avoided(self) -> int:
-        return self._m_evict_avoided.value
-
-    @property
-    def client_table_occupancy(self) -> int:
-        return len(self._table)
-
-    @property
-    def moved_redirects(self) -> int:
-        return self._m_moved.value
 
     @property
     def rule_count(self) -> int:
@@ -229,8 +189,9 @@ class PulseSwitch:
                 return
             request.status = RequestStatus.RUNNING
             self._m_moved.inc()
-            self.tracer.record(self.name, "moved_redirect",
-                               request.request_id, dst=f"mem{owner}")
+            if self._events is not None:
+                self._events.record(self.name, "moved_redirect",
+                                    request.request_id, dst=f"mem{owner}")
             self._forward(message, f"mem{owner}")
             return
 
@@ -257,14 +218,14 @@ class PulseSwitch:
                 return
             if from_memory:
                 self._m_rerouted.inc()
-                self.tracer.record(self.name, "reroute",
-                                   request.request_id,
-                                   dst=f"mem{owner}")
+                if self._events is not None:
+                    self._events.record(self.name, "reroute",
+                                        request.request_id, dst=f"mem{owner}")
             else:
                 self._m_routed.inc()
-                self.tracer.record(self.name, "route_to_memory",
-                                   request.request_id,
-                                   dst=f"mem{owner}")
+                if self._events is not None:
+                    self._events.record(self.name, "route_to_memory",
+                                        request.request_id, dst=f"mem{owner}")
             self._forward(message, f"mem{owner}")
             return
 
@@ -275,8 +236,9 @@ class PulseSwitch:
             self._m_dropped_stale.inc()
             return
         self._m_returned.inc()
-        self.tracer.record(self.name, "return_to_client",
-                           request.request_id, dst=client)
+        if self._events is not None:
+            self._events.record(self.name, "return_to_client",
+                                request.request_id, dst=client)
         self._table.pop(request.request_id, None)
         self._forward(message, client)
 
@@ -366,8 +328,9 @@ class PulseSwitch:
                 self._send(request, request.wire_bytes(), client)
                 continue
             self._m_routed.inc()
-            self.tracer.record(self.name, "route_to_memory",
-                               request.request_id, dst=f"mem{owner}")
+            if self._events is not None:
+                self._events.record(self.name, "route_to_memory",
+                                    request.request_id, dst=f"mem{owner}")
             per_owner.setdefault(owner, []).append(request)
         if len(per_owner) > 1:
             self._m_batch_splits.inc()
@@ -424,8 +387,9 @@ class PulseSwitch:
                     self._send(request, request.wire_bytes(), entry.client)
                     continue
                 self._m_reinjected.inc()
-                self.tracer.record(self.name, "failover_reinject",
-                                   request.request_id, dst=f"mem{owner}")
+                if self._events is not None:
+                    self._events.record(self.name, "failover_reinject",
+                                        request.request_id, dst=f"mem{owner}")
                 self._send(request, request.wire_bytes(), f"mem{owner}")
                 reinjected += 1
         return reinjected

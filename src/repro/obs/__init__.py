@@ -1,24 +1,26 @@
-"""Observability: metrics registry, spans, and snapshots.
+"""Observability: metrics registry, event log, and snapshots.
 
-See :mod:`repro.obs.metrics` for the registry and metric kinds and
-:mod:`repro.obs.span` for per-stage request timing.  The snapshot schema
-is documented in ``docs/architecture.md`` (Observability section).
+See :mod:`repro.obs.metrics` for the registry, the metric kinds and the
+per-request event log.  The snapshot schema is documented in
+``docs/architecture.md`` (Observability section).
 """
 
 from repro.obs.metrics import (
     Counter,
+    EventLog,
     Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
+    TraceEvent,
 )
-from repro.obs.span import Span
 
 __all__ = [
     "Counter",
+    "EventLog",
     "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "Span",
+    "TraceEvent",
 ]

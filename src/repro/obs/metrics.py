@@ -20,6 +20,19 @@ Three metric kinds cover what the benchmarks report:
   are clamped into ``[min, max]`` so degenerate distributions (all
   samples equal) report exact values.
 
+The registry also owns the rack's per-request :class:`EventLog`, the
+kind of timeline Fig 9 was measured from::
+
+    t=     0.000us  client0    issue              req=(0, 1) program=list_find
+    t=     1.198us  switch     route_to_memory    req=(0, 1) dst=mem0
+    t=     2.130us  mem0       rx                 req=(0, 1) cur_ptr=0x10000000
+    t=     2.231us  mem0       execute            req=(0, 1) core=0 iterations=1
+
+It is off by default -- ``registry.events`` is None, so a call site
+costs one attribute test -- and ``PulseCluster(trace=True)`` turns it on
+through :meth:`MetricsRegistry.enable_events`.  Events are not part of
+:meth:`MetricsRegistry.snapshot`.
+
 Time is supplied by a ``clock`` callable (usually ``lambda: env.now``)
 so the registry stays independent of the simulation kernel.
 """
@@ -27,14 +40,17 @@ so the registry stays independent of the simulation kernel.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
+    "EventLog",
     "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
+    "TraceEvent",
 ]
 
 
@@ -178,12 +194,81 @@ class Histogram:
         }
 
 
+@dataclass(frozen=True)
+class TraceEvent:
+    time_ns: float
+    component: str
+    event: str
+    request_id: Optional[Tuple[int, int]]
+    detail: Dict[str, Any] = field(default_factory=dict)
+
+    def render(self) -> str:
+        extras = " ".join(f"{k}={v}" for k, v in self.detail.items())
+        req = f"req={self.request_id}" if self.request_id else ""
+        return (f"t={self.time_ns/1000:10.3f}us  {self.component:10s} "
+                f"{self.event:18s} {req} {extras}").rstrip()
+
+
+class EventLog:
+    """Timestamped per-request events from every component of a rack.
+
+    Bounded: past ``capacity`` events are counted in ``dropped`` instead
+    of stored.
+    """
+
+    def __init__(self, clock: Callable[[], float],
+                 capacity: int = 100_000):
+        self._clock = clock
+        self.capacity = capacity
+        self.events: List[TraceEvent] = []
+        self.dropped = 0
+
+    def record(self, component: str, event: str,
+               request_id: Optional[Tuple[int, int]] = None,
+               **detail) -> None:
+        if len(self.events) >= self.capacity:
+            self.dropped += 1
+            return
+        self.events.append(TraceEvent(
+            time_ns=self._clock(),
+            component=component,
+            event=event,
+            request_id=request_id,
+            detail=detail,
+        ))
+
+    def timeline(self, request_id: Tuple[int, int]) -> List[TraceEvent]:
+        """All events of one request, in time order."""
+        return [e for e in self.events if e.request_id == request_id]
+
+    def render(self, request_id: Optional[Tuple[int, int]] = None) -> str:
+        events = (self.timeline(request_id) if request_id is not None
+                  else self.events)
+        return "\n".join(e.render() for e in events)
+
+    def span_ns(self, request_id: Tuple[int, int]) -> float:
+        """Simulated time between a request's first and last event."""
+        events = self.timeline(request_id)
+        if len(events) < 2:
+            return 0.0
+        return events[-1].time_ns - events[0].time_ns
+
+
 class MetricsRegistry:
-    """Name-keyed counters, gauges, histograms, and spans for one rack."""
+    """Name-keyed counters, gauges and histograms, plus the event log."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._metrics: Dict[str, Any] = {}
+        #: the per-request event log; None until :meth:`enable_events`.
+        #: Components read it once at construction, so enable it first.
+        self.events: Optional[EventLog] = None
+
+    def enable_events(self) -> EventLog:
+        """Turn on per-request event recording (idempotent)."""
+        if self.events is None:
+            self.events = EventLog(self._clock)
+        return self.events
 
     @property
     def now(self) -> float:
@@ -215,10 +300,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def span(self, name: str) -> "Span":
-        from repro.obs.span import Span
-        return Span(self.histogram(name), self._clock)
 
     def names(self, prefix: str = "") -> list:
         return sorted(n for n in self._metrics if n.startswith(prefix))

@@ -160,8 +160,6 @@ class NetworkParams:
     tcp_stack_ns: float = 2_500.0
     #: link bandwidth (100 Gbps NICs)
     link_bytes_per_ns: float = gbps_to_bytes_per_ns(100.0)
-    #: probability a request/response message is dropped (fault injection)
-    drop_probability: float = 0.0
     #: client retransmission timeout -- must exceed the longest
     #: legitimate traversal (hundreds of microseconds for many-hop
     #: distributed scans), or duplicates pile load onto the accelerators

@@ -30,7 +30,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.mem.allocator import AllocationError
 from repro.mem.translation import RangeEntry
-from repro.sim.trace import NullTracer
 
 
 class MigrationError(Exception):
@@ -40,12 +39,11 @@ class MigrationError(Exception):
 class MigrationEngine:
     """Copies segments between nodes under live traffic."""
 
-    def __init__(self, env, memory, params, registry=None, tracer=None):
+    def __init__(self, env, memory, params, registry=None):
         self.env = env
         self.memory = memory
         self.rangemap = memory.placement
         self.params = params
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.in_flight = 0
         self.completed = 0
         self.bytes_migrated = 0
@@ -53,7 +51,7 @@ class MigrationEngine:
         #: rebalancer's fill arithmetic works in live bytes, not mapped
         #: bytes, which also count freed-but-still-mapped blocks)
         self.last_live_bytes = 0
-        self._registry = registry
+        self._events = registry.events if registry is not None else None
         if registry is not None:
             self._m_migrations = registry.counter("placement.migrations")
             self._m_bytes = registry.counter("placement.bytes_migrated")
@@ -121,9 +119,10 @@ class MigrationEngine:
 
         started = self.env.now
         self.in_flight += 1
-        self.tracer.record("placement", "migrate_start", (src, dst),
-                           start=hex(virt_start), end=hex(virt_end),
-                           bytes=total)
+        if self._events is not None:
+            self._events.record("placement", "migrate_start", (src, dst),
+                                start=hex(virt_start), end=hex(virt_end),
+                                bytes=total)
         try:
             # Phase 1: bandwidth-limited background copy.  Traversals
             # keep hitting the source; only the *time* is charged here --
@@ -169,8 +168,9 @@ class MigrationEngine:
             self._m_migrations.inc()
             self._m_bytes.inc(total)
             self._hist_ns.record(self.env.now - started)
-        self.tracer.record("placement", "migrate_done", (src, dst),
-                           duration_ns=self.env.now - started)
+        if self._events is not None:
+            self._events.record("placement", "migrate_done", (src, dst),
+                                duration_ns=self.env.now - started)
         return total
 
     def drain(self, node_id: int,

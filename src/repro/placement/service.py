@@ -16,8 +16,7 @@ from repro.placement.rebalancer import Rebalancer
 class PlacementService:
     """One rack's elastic-placement stack."""
 
-    def __init__(self, env, memory, params, registry, tracer=None,
-                 seed: int = 0):
+    def __init__(self, env, memory, params, registry, seed: int = 0):
         placement = params.placement  # SystemParams -> PlacementParams
         self.env = env
         self.memory = memory
@@ -31,7 +30,7 @@ class PlacementService:
             sample_period=placement.sample_period,
             seed=seed)
         self.engine = MigrationEngine(env, memory, placement,
-                                      registry=registry, tracer=tracer)
+                                      registry=registry)
         self.rebalancer = Rebalancer(env, self.engine, self.tracker,
                                      placement, registry=registry)
         self.tracker.attach_metrics(registry)

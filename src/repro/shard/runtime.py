@@ -199,11 +199,6 @@ class ShardedRuntime:
             raise ShardError(
                 "sharded execution needs the fork start method "
                 "(replicas are copy-on-write images of the built cluster)")
-        if cluster.params.network.drop_probability > 0.0:
-            raise ShardError(
-                "the fabric-wide drop_probability knob shares one RNG "
-                "across all links and cannot shard deterministically; "
-                "use per-link LinkProfiles instead")
         node_ids = [node.node_id for node in cluster.memory.nodes]
         self.workers = min(count, len(node_ids))
         #: worker index -> node ids it serves (round-robin)

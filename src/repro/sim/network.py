@@ -4,7 +4,8 @@ The rack in the paper is a star: every CPU node and memory node hangs off
 one programmable switch over 100 Gbps links.  The fabric models, per
 message: (i) serialization at the sender's NIC (size / link bandwidth,
 egress is a shared resource so concurrent sends queue), (ii) one-way wire
-propagation, and (iii) optional drop injection.  Software stack costs
+propagation, and (iii) optional per-link drop/jitter injection
+(:class:`LinkProfile`, the only loss injector).  Software stack costs
 (DPDK, kernel paging, TCP) are charged by the *endpoints*, not the fabric,
 because they differ per system -- that difference is exactly what Figs 4-6
 measure.
@@ -12,8 +13,7 @@ measure.
 Per-endpoint rx/tx byte counters feed Fig 6's network-bandwidth
 utilization numbers.  They live in the fabric's
 :class:`~repro.obs.metrics.MetricsRegistry` (``net.<name>.tx_bytes``
-etc., plus bandwidth gauges); the endpoint attributes are thin
-compatibility properties over the registry.
+etc., plus bandwidth gauges).
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ class LinkProfile:
     ``drop_probability`` and delays it by a uniform draw from
     ``[0, jitter_ns]`` (jitter reorders messages relative to other
     links, and relative to this link's own later sends when large).
-    The legacy fabric-wide ``NetworkParams.drop_probability`` knob is
-    separate and deliberately invisible to the transport layer -- it
-    exercises the client's end-to-end fallback path.
+    With ``TransportParams(mode="never")`` nothing arms, so the same
+    profile exercises the client's end-to-end fallback path instead.
     """
 
     drop_probability: float = 0.0
@@ -106,34 +105,19 @@ class Endpoint:
         self._window_tx_base = 0
         self._window_rx_base = 0
 
-    # Compatibility properties over the registry-backed counters.
-    @property
-    def tx_bytes(self) -> int:
-        return self._tx_bytes.value
-
-    @property
-    def rx_bytes(self) -> int:
-        return self._rx_bytes.value
-
-    @property
-    def tx_messages(self) -> int:
-        return self._tx_messages.value
-
-    @property
-    def rx_messages(self) -> int:
-        return self._rx_messages.value
-
     def _tx_bandwidth(self) -> float:
-        return self.tx_bytes / self.env.now if self.env.now > 0 else 0.0
+        now = self.env.now
+        return self._tx_bytes.value / now if now > 0 else 0.0
 
     def _rx_bandwidth(self) -> float:
-        return self.rx_bytes / self.env.now if self.env.now > 0 else 0.0
+        now = self.env.now
+        return self._rx_bytes.value / now if now > 0 else 0.0
 
     def begin_window(self) -> None:
         """Start a fresh byte-accounting window at the current time."""
         self._window_start = self.env.now
-        self._window_tx_base = self.tx_bytes
-        self._window_rx_base = self.rx_bytes
+        self._window_tx_base = self._tx_bytes.value
+        self._window_rx_base = self._rx_bytes.value
 
     def network_utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of link bandwidth used (max of rx/tx directions).
@@ -148,8 +132,8 @@ class Endpoint:
                   else self.env.now - self._window_start)
         if window <= 0:
             return 0.0
-        peak = max(self.tx_bytes - self._window_tx_base,
-                   self.rx_bytes - self._window_rx_base)
+        peak = max(self._tx_bytes.value - self._window_tx_base,
+                   self._rx_bytes.value - self._window_rx_base)
         value = peak / (window * self.link_bytes_per_ns)
         if elapsed is not None and value > 1.0 + 1e-9:
             raise SimulationError(
@@ -170,11 +154,13 @@ class Fabric:
         self.params = params
         self.seed = seed
         self._endpoints: Dict[str, Endpoint] = {}
-        self._rng = random.Random(seed)
         #: per-link fault injection: (src, dst) -> LinkProfile, with one
         #: deterministic RNG per link seeded from (link name, run seed)
-        #: so lossy-fabric runs reproduce regardless of test ordering
+        #: so lossy-fabric runs reproduce regardless of test ordering.
+        #: Links without an entry fall back to ``_default_link``, so an
+        #: endpoint registered later inherits the rack-wide profile.
         self._links: Dict[Tuple[str, str], LinkProfile] = {}
+        self._default_link: Optional[LinkProfile] = None
         self._link_rngs: Dict[Tuple[str, str], random.Random] = {}
         if registry is None:
             registry = MetricsRegistry(clock=lambda: env.now)
@@ -191,14 +177,6 @@ class Fabric:
         #: and the owning process finishes delivery at arrival time
         self.shard_router = None
 
-    @property
-    def dropped_messages(self) -> int:
-        return self._dropped.value
-
-    @property
-    def delivered_messages(self) -> int:
-        return self._delivered.value
-
     def _delivery_ratio(self) -> float:
         offered = self._delivered.value + self._dropped.value
         return self._delivered.value / offered if offered else 1.0
@@ -213,15 +191,13 @@ class Fabric:
             self._links[(src, dst)] = profile
 
     def configure_all_links(self, profile: Optional[LinkProfile]) -> None:
-        """Apply ``profile`` to every directed pair of known endpoints."""
-        names = list(self._endpoints)
-        for src in names:
-            for dst in names:
-                if src != dst:
-                    self.configure_link(src, dst, profile)
+        """Make ``profile`` the default of every link without its own
+        :meth:`configure_link` entry, present or future (``None`` clears
+        it)."""
+        self._default_link = profile
 
     def link_profile(self, src: str, dst: str) -> Optional[LinkProfile]:
-        return self._links.get((src, dst))
+        return self._links.get((src, dst), self._default_link)
 
     def _link_rng(self, src: str, dst: str) -> random.Random:
         key = (src, dst)
@@ -289,7 +265,8 @@ class Fabric:
         propagation = (self.params.segment_ns * segments
                        + self.params.switch_process_ns
                        + extra_latency_ns)
-        profile = self._links.get((message.src, message.dst))
+        profile = self._links.get((message.src, message.dst),
+                                  self._default_link)
 
         router = self.shard_router
         if router is not None and not router.owns(message.dst):
@@ -320,11 +297,6 @@ class Fabric:
             if rng.random() < profile.drop_probability:
                 self._dropped.inc()
                 return
-
-        if (self.params.drop_probability > 0.0
-                and self._rng.random() < self.params.drop_probability):
-            self._dropped.inc()
-            return
 
         self._finish_delivery(message)
 

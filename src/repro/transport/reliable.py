@@ -14,9 +14,9 @@ reliable exactly when the link toward its destination has a
 :class:`~repro.sim.network.LinkProfile` (loss or jitter injected through
 the channel interface).  Unarmed sends bypass this layer entirely -- no
 header bytes, no ACK traffic, no extra latency -- so a lossless fabric
-behaves exactly as it did before the transport stack existed, and the
-legacy fabric-wide ``drop_probability`` knob keeps exercising the
-client's end-to-end fallback path.
+behaves exactly as it did before the transport stack existed.  In
+``mode="never"`` nothing arms even on a lossy link, which leaves the
+client's end-to-end retry as the only recovery and so exercises it.
 """
 
 from __future__ import annotations
@@ -116,19 +116,6 @@ class ReliableChannel:
             f"{prefix}.checkpoint_resumes")
         registry.gauge(f"{prefix}.outstanding", fn=self._outstanding)
         env.process(self._demux_loop())
-
-    # Compatibility properties over the registry-backed counters.
-    @property
-    def retransmits(self) -> int:
-        return self._m_retransmits.value
-
-    @property
-    def duplicates_dropped(self) -> int:
-        return self._m_duplicates.value
-
-    @property
-    def checkpoint_resumes(self) -> int:
-        return self._m_checkpoint_resumes.value
 
     def _outstanding(self) -> float:
         return float(sum(len(f.outstanding) for f in self._tx.values()))

@@ -1,0 +1,25 @@
+"""Helpers shared by the test modules."""
+
+from repro.core import PulseCluster
+from repro.params import NetworkParams, SystemParams, TransportParams
+from repro.sim.network import LinkProfile
+
+
+def counter_value(component, name):
+    """One counter of ``component.registry``; unknown names raise."""
+    return component.registry.snapshot()["counters"][name]
+
+
+def lossy_cluster(drop, timeout_ns=40_000.0, **cluster_kwargs):
+    """A rack losing packets the transport does not see.
+
+    Every link drops with probability ``drop`` while per-hop
+    reliability never arms (``mode="never"``), so the client's
+    end-to-end retry (after ``timeout_ns``) is the only recovery.
+    """
+    params = SystemParams(
+        network=NetworkParams(retransmit_timeout_ns=timeout_ns),
+        transport=TransportParams(mode="never"))
+    cluster = PulseCluster(params=params, **cluster_kwargs)
+    cluster.fabric.configure_all_links(LinkProfile(drop_probability=drop))
+    return cluster

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.bench.report import span_breakdown
 from repro.core import PulseCluster
 from repro.core.messages import RequestStatus
 from repro.params import AcceleratorParams, SystemParams
 from repro.structures import LinkedList
+
+from tests.helpers import counter_value, lossy_cluster
 
 
 def make_list_cluster(n=40, nodes=1, **cluster_kwargs):
@@ -19,25 +22,27 @@ class TestAcceleratorStats:
     def test_phase_accounting_matches_fig9_constants(self):
         cluster, lst = make_list_cluster()
         cluster.run_traversal(lst.find_iterator(), 20)
-        stats = cluster.accelerators[0].stats
+        snapshot = cluster.metrics_snapshot()
+        spans = span_breakdown(snapshot)
         acc = cluster.params.accelerator
-        assert stats.per_message_netstack_ns() == acc.netstack_ns
-        assert stats.per_request_dispatch_ns() == \
-            acc.scheduler_dispatch_ns
+        # one request in, one response out: two netstack passes
+        assert spans["netstack"]["count"] == 2
+        assert spans["netstack"]["mean_ns"] == acc.netstack_ns
+        assert spans["scheduler"]["mean_ns"] == acc.scheduler_dispatch_ns
         # 24-byte window: occupancy + interconnect + latency tail.
         expected_mem = (acc.occupancy_ns(24) + 24 / 25.0
                         + acc.dram_latency_ns)
-        assert stats.per_iteration_memory_ns() == \
+        assert spans["memory"]["mean_ns"] == \
             pytest.approx(expected_mem, rel=0.01)
-        assert stats.iterations == 20
-        assert stats.requests == 1
-        assert stats.responses == 1
+        counters = snapshot["counters"]
+        assert counters["mem0.acc.iterations"] == 20
+        assert counters["mem0.acc.requests"] == 1
+        assert counters["mem0.acc.responses"] == 1
 
     def test_bytes_loaded_counts_window(self):
         cluster, lst = make_list_cluster()
         cluster.run_traversal(lst.find_iterator(), 10)
-        stats = cluster.accelerators[0].stats
-        assert stats.bytes_loaded == 10 * 24
+        assert counter_value(cluster, "mem0.acc.bytes_loaded") == 10 * 24
 
     def test_memory_bandwidth_used(self):
         cluster, lst = make_list_cluster()
@@ -88,10 +93,7 @@ class TestSwitchBehaviour:
         assert "unroutable" in result.fault.reason
 
     def test_stale_duplicate_responses_dropped(self):
-        from repro.params import NetworkParams
-        params = SystemParams(network=NetworkParams(
-            drop_probability=0.3, retransmit_timeout_ns=30_000.0))
-        cluster = PulseCluster(node_count=1, params=params, seed=3)
+        cluster = lossy_cluster(0.3, 30_000.0, node_count=1, seed=3)
         lst = LinkedList(cluster.memory)
         lst.extend((k, k) for k in range(1, 30))
         finder = lst.find_iterator()
@@ -100,7 +102,7 @@ class TestSwitchBehaviour:
             assert result.value == key
         # With duplicates in flight, the switch dropped the stale ones
         # rather than misrouting them.
-        assert cluster.clients[0].retransmissions > 0
+        assert counter_value(cluster, "client0.client.retransmissions") > 0
 
 
 class TestProtectionPath:

@@ -9,6 +9,8 @@ from repro.core import PulseCluster
 from repro.params import DEFAULT_PARAMS
 from repro.structures import HashTable, LinkedList
 
+from tests.helpers import counter_value
+
 
 def populate_list(system, n=30):
     lst = LinkedList(system.memory)
@@ -54,7 +56,8 @@ class TestRpcSystem:
         assert result.value == 10
         assert result.hops == 9
         # Each hop crossed the client: 1 initial + 9 continuations.
-        assert rpc.client.rx_messages == 10
+        assert counter_value(
+            rpc, f"net.{rpc.client.name}.rx_messages") == 10
 
     def test_worker_autosizing_saturates(self):
         workers = workers_to_saturate(

@@ -14,9 +14,10 @@ from repro.isa import Opcode
 from repro.mem import Field, StructLayout
 from repro.params import (
     AcceleratorParams,
-    NetworkParams,
     SystemParams,
 )
+
+from tests.helpers import counter_value, lossy_cluster
 
 LIST_NODE = StructLayout("list_node", [
     Field("key", "u64"),
@@ -256,7 +257,7 @@ class TestSingleNodeTraversal:
         assert result.value == 30
         assert result.iterations == 30
         # 30 iterations at 8 per visit => at least 3 continuations.
-        assert cluster.switch.routed_to_memory >= 4
+        assert counter_value(cluster, "switch.routed_to_memory") >= 4
 
 
 class TestDistributedTraversal:
@@ -273,17 +274,19 @@ class TestDistributedTraversal:
         result = cluster.run_traversal(ListFind(addrs[0]), 10)
         assert result.value == 100
         assert result.hops == 9
-        assert cluster.switch.rerouted_node_to_node == 9
+        assert counter_value(
+            cluster, "switch.rerouted_node_to_node") == 9
         # In-switch mode: the client saw exactly one response.
-        assert cluster.clients[0].endpoint.rx_messages == 1
+        assert counter_value(cluster, "net.client0.rx_messages") == 1
 
     def test_acc_mode_bounces_through_client(self):
         cluster, addrs = self._two_node_cluster(bounce=True)
         result = cluster.run_traversal(ListFind(addrs[0]), 10)
         assert result.value == 100
-        assert cluster.switch.rerouted_node_to_node == 0
+        assert counter_value(
+            cluster, "switch.rerouted_node_to_node") == 0
         # Every hop produced a client round trip.
-        assert cluster.clients[0].endpoint.rx_messages == 10
+        assert counter_value(cluster, "net.client0.rx_messages") == 10
 
     def test_acc_mode_slower_than_in_switch(self):
         in_switch, addrs_a = self._two_node_cluster(bounce=False)
@@ -314,17 +317,15 @@ class TestDistributedTraversal:
 
 class TestRetransmission:
     def test_lossy_network_still_completes(self):
-        params = SystemParams(network=NetworkParams(
-            drop_probability=0.2, retransmit_timeout_ns=50_000.0))
-        cluster = PulseCluster(node_count=1, params=params, seed=7)
+        cluster = lossy_cluster(0.2, 50_000.0, node_count=1, seed=7)
         addrs = build_list(cluster.memory,
                            [(k, k) for k in range(1, 11)])
         finder = ListFind(addrs[0])
         for key in range(1, 11):
             result = cluster.run_traversal(finder, key)
             assert result.value == key
-        assert cluster.fabric.dropped_messages > 0
-        assert cluster.clients[0].retransmissions > 0
+        assert counter_value(cluster, "net.dropped_messages") > 0
+        assert counter_value(cluster, "client0.client.retransmissions") > 0
 
 
 class TestWorkloadDriver:

@@ -15,6 +15,8 @@ from repro.params import (
 )
 from repro.structures import LinkedList
 
+from tests.helpers import counter_value
+
 
 class TestDriver:
     def _cluster_with_list(self, n=40):
@@ -102,9 +104,9 @@ class TestClusterHousekeeping:
         lst = LinkedList(cluster.memory)
         lst.extend((k, k) for k in range(1, 6))
         cluster.run_traversal(lst.find_iterator(), 5)
-        assert cluster.accelerators[0].stats.requests == 1
+        assert counter_value(cluster, "mem0.acc.requests") == 1
         cluster.reset_counters()
-        assert cluster.accelerators[0].stats.requests == 0
+        assert counter_value(cluster, "mem0.acc.requests") == 0
         assert cluster.memory.nodes[0].bytes_served == 0
 
     def test_node_count_property(self):

@@ -6,45 +6,40 @@ import pytest
 from repro.baselines import CacheSystem, RpcSystem
 from repro.core import PulseCluster
 from repro.mem import AllocationError, GlobalMemory
-from repro.params import NetworkParams, SystemParams
+from repro.params import SystemParams
 from repro.structures import HashTable, LinkedList
+
+from tests.helpers import counter_value, lossy_cluster
 
 
 class TestLossyNetworks:
-    def _lossy_params(self, p):
-        return SystemParams(network=NetworkParams(
-            drop_probability=p, retransmit_timeout_ns=40_000.0))
-
     def test_multi_node_traversal_survives_light_loss(self):
         # A 20-hop inter-node traversal crosses the fabric ~22 times per
         # attempt, so only light loss is end-to-end recoverable --
         # that is a *property* of retry-from-the-client reliability, not
         # a bug (per-hop reliability would be a switch extension).
-        cluster = PulseCluster(node_count=2,
-                               params=self._lossy_params(0.02), seed=1)
+        cluster = lossy_cluster(0.02, node_count=2, seed=1)
         lst = LinkedList(cluster.memory,
                          placement=lambda o: o % 2)
         lst.extend((k, k * 5) for k in range(1, 21))
         finder = lst.find_iterator()
         for key in range(1, 21):
             assert cluster.run_traversal(finder, key).value == key * 5
-        assert cluster.fabric.dropped_messages > 0
+        assert counter_value(cluster, "net.dropped_messages") > 0
 
     def test_single_node_traversal_survives_heavy_loss(self):
-        cluster = PulseCluster(node_count=1,
-                               params=self._lossy_params(0.2), seed=2)
+        cluster = lossy_cluster(0.2, node_count=1, seed=2)
         lst = LinkedList(cluster.memory)
         lst.extend((k, k * 5) for k in range(1, 21))
         finder = lst.find_iterator()
         for key in range(1, 21):
             assert cluster.run_traversal(finder, key).value == key * 5
-        assert cluster.clients[0].retransmissions > 0
+        assert counter_value(cluster, "client0.client.retransmissions") > 0
 
     def test_duplicate_responses_do_not_corrupt_results(self):
         # Loss forces retransmissions whose duplicates race the
         # originals; every result must still be exact.
-        cluster = PulseCluster(node_count=1,
-                               params=self._lossy_params(0.15), seed=9)
+        cluster = lossy_cluster(0.15, node_count=1, seed=9)
         table = HashTable(cluster.memory, buckets=4, value_bytes=8)
         for key in range(50):
             table.insert(key, (key + 7).to_bytes(8, "little"))
@@ -60,8 +55,8 @@ class TestLossyNetworks:
         finder = lst.find_iterator()
         for key in range(1, 11):
             cluster.run_traversal(finder, key)
-        assert cluster.clients[0].retransmissions == 0
-        assert cluster.fabric.dropped_messages == 0
+        assert counter_value(cluster, "client0.client.retransmissions") == 0
+        assert counter_value(cluster, "net.dropped_messages") == 0
 
 
 class TestCorruptPointers:

@@ -10,7 +10,6 @@ the client's end-to-end retry budget.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.params import SystemParams, TransportParams
 from repro.sim.network import LinkProfile
 from repro.structures import LinkedList
 
-RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+from tests.helpers import counter_value
 
 
 def make_chain_cluster(hops, mode="auto", seed=0):
@@ -68,7 +67,7 @@ class TestThirtyTwoHopChainAtTenPercentLoss:
         assert result.ok
         # The client's last-resort timer never fired: every loss was
         # repaired by the hop that suffered it.
-        assert cluster.clients[0].retransmissions == 0
+        assert counter_value(cluster, "client0.client.retransmissions") == 0
         assert tp_sum(cluster, "checkpoint_resumes") >= 1
 
     def test_counters_present_in_snapshot(self):
@@ -115,7 +114,8 @@ class TestLossSweep:
         assert result.hops == lossless.hops
 
     def test_goodput_snapshot_artifact(self, tmp_path):
-        """Write the goodput-vs-loss snapshot CI uploads as an artifact."""
+        """The goodput-vs-loss rows round-trip through the snapshot schema
+        (the committed artifact is written by the ext_goodput_loss bench)."""
         rows = []
         for drop in (0.0, 0.02, 0.05, 0.1):
             cluster, lst = make_chain_cluster(self.HOPS)
@@ -135,7 +135,8 @@ class TestLossSweep:
                                                 "duplicates_dropped"),
                 "tp_checkpoint_resumes": tp_sum(cluster,
                                                 "checkpoint_resumes"),
-                "client_e2e_retries": cluster.clients[0].retransmissions,
+                "client_e2e_retries": snap["counters"][
+                    "client0.client.retransmissions"],
             })
         assert all(r["ok"] for r in rows)
         # Latency should not explode across the sweep: bounded recovery.
@@ -143,6 +144,6 @@ class TestLossSweep:
         out = write_snapshot("goodput_loss",
                              params={"hops": self.HOPS},
                              metrics={"rows": rows},
-                             results_dir=RESULTS_DIR,
-                             filename="goodput_loss_snapshot.json")
+                             results_dir=tmp_path)
+        assert out == tmp_path / "BENCH_goodput_loss.json"
         assert json.loads(out.read_text())["metrics"]["rows"]

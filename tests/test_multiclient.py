@@ -5,6 +5,8 @@ import pytest
 from repro.core import PulseCluster
 from repro.structures import HashTable, LinkedList
 
+from tests.helpers import counter_value
+
 
 def build_table(cluster, n=500):
     table = HashTable(cluster.memory, buckets=8, value_bytes=8)
@@ -33,7 +35,8 @@ class TestMultiClient:
             assert int.from_bytes(result.value, "little") == index * 11
         # Work spread across all client NICs.
         for client in cluster.clients:
-            assert client.endpoint.rx_messages > 0
+            assert counter_value(
+                cluster, f"net.{client.name}.rx_messages") > 0
 
     def test_more_clients_raise_throughput_when_client_bound(self):
         from repro.params import NetworkParams, SystemParams

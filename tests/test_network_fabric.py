@@ -4,7 +4,9 @@ import pytest
 
 from repro.params import NetworkParams
 from repro.sim import Environment
-from repro.sim.network import Fabric, Message
+from repro.sim.network import Fabric, LinkProfile, Message
+
+from tests.helpers import counter_value
 
 
 def make_fabric(env, **overrides):
@@ -58,9 +60,12 @@ class TestFabricDelivery:
         fabric.send(Message("x", "a", "b", 500))
         fabric.send(Message("x", "b", "a", 300))
         env.run()
-        assert a.tx_bytes == 500 and a.rx_bytes == 300
-        assert b.tx_bytes == 300 and b.rx_bytes == 500
-        assert fabric.delivered_messages == 2
+        counters = fabric.registry.snapshot()["counters"]
+        assert counters["net.a.tx_bytes"] == 500
+        assert counters["net.a.rx_bytes"] == 300
+        assert counters["net.b.tx_bytes"] == 300
+        assert counters["net.b.rx_bytes"] == 500
+        assert counters["net.delivered_messages"] == 2
 
     def test_network_utilization(self):
         env = Environment()
@@ -75,14 +80,15 @@ class TestFabricDelivery:
 
     def test_drops_respect_probability(self):
         env = Environment()
-        fabric, _ = make_fabric(env, drop_probability=1.0)
+        fabric, _ = make_fabric(env)
+        fabric.configure_all_links(LinkProfile(drop_probability=1.0))
         fabric.register("a")
         b = fabric.register("b")
         for _ in range(5):
             fabric.send(Message("x", "a", "b", 64))
         env.run()
         assert len(b.inbox) == 0
-        assert fabric.dropped_messages == 5
+        assert counter_value(fabric, "net.dropped_messages") == 5
 
     def test_unknown_endpoints_rejected(self):
         env = Environment()

@@ -176,38 +176,3 @@ class TestRegistry:
         assert snap["gauges"]["g"] == 1.5
         assert snap["histograms"]["h"]["count"] == 1
 
-
-class TestSpan:
-    def test_measured_span_records_clock_delta(self):
-        clock = {"t": 100.0}
-        r = MetricsRegistry(clock=lambda: clock["t"])
-        with r.span("stage"):
-            clock["t"] = 130.0
-        assert r.histogram("stage").sum == 30.0
-
-    def test_annotated_span_records_given_duration(self):
-        r = MetricsRegistry()
-        r.span("netstack").finish(430.0)
-        assert r.histogram("netstack").sum == 430.0
-
-    def test_double_finish_rejected(self):
-        r = MetricsRegistry()
-        span = r.span("s").start()
-        span.finish()
-        with pytest.raises(MetricError):
-            span.finish()
-
-    def test_finish_without_start_rejected(self):
-        r = MetricsRegistry()
-        with pytest.raises(MetricError):
-            r.span("s").finish()
-
-    def test_records_on_exception(self):
-        clock = {"t": 0.0}
-        r = MetricsRegistry(clock=lambda: clock["t"])
-        with pytest.raises(RuntimeError):
-            with r.span("s"):
-                clock["t"] = 5.0
-                raise RuntimeError("boom")
-        assert r.histogram("s").count == 1
-        assert r.histogram("s").sum == 5.0

@@ -15,6 +15,8 @@ from repro.sim import Environment
 from repro.sim.network import Fabric, Message
 from repro.structures import HashTable, LinkedList
 
+from tests.helpers import counter_value
+
 PROGRAM = assemble("LOAD 0 8\nRETURN")
 
 
@@ -277,7 +279,7 @@ class TestSwitchMoved:
                              space.range_of(0)[0] + 0x1000, 1)
         bounced = req.advanced(ptr, b"", 0, RequestStatus.MOVED)
         send(env, fabric, "mem0", bounced)
-        assert switch.moved_redirects == 1
+        assert counter_value(switch, "switch.moved_redirects") == 1
         assert len(nodes[1].inbox) == 1
         delivered = nodes[1].inbox._items[0].payload
         assert delivered.status is RequestStatus.RUNNING
@@ -292,7 +294,7 @@ class TestSwitchMoved:
         # pointer has no other home -- a genuine fault, not a race.
         bounced = req.advanced(ptr, b"", 0, RequestStatus.MOVED)
         send(env, fabric, "mem1", bounced)
-        assert switch.moved_redirects == 0
+        assert counter_value(switch, "switch.moved_redirects") == 0
         assert len(client.inbox) == 1
         delivered = client.inbox._items[0].payload
         assert delivered.status is RequestStatus.FAULT

@@ -1,8 +1,10 @@
 """Tests for the markdown report generator."""
 
+import json
 from pathlib import Path
 
-from repro.bench.report import SECTIONS, collect, main, render
+from repro.bench.report import (SECTIONS, collect, main, render,
+                                write_snapshot)
 
 
 def _fake_results(tmp_path: Path, keys):
@@ -54,3 +56,15 @@ class TestReport:
                          "Fig 8", "Fig 9", "Supp Fig 1a", "Supp Fig 1b",
                          "Supp Fig 2"):
             assert artifact in titles
+
+    def test_write_snapshot_writes_exactly_one_file(self, tmp_path):
+        # One artifact per bench: BENCH_<name>.json, nowhere else (a
+        # headline name used to be mirrored to the repo root as well).
+        out = write_snapshot("goodput_loss", params={"p": 1},
+                             metrics={"m": 2}, results_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.name == "BENCH_goodput_loss.json"
+        payload = json.loads(out.read_text())
+        assert payload["params"] == {"p": 1}
+        assert payload["metrics"] == {"m": 2}
+        assert payload["derived"] == {}

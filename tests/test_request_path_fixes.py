@@ -21,17 +21,14 @@ from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace
-from repro.params import DEFAULT_PARAMS, NetworkParams, SystemParams
+from repro.params import DEFAULT_PARAMS, NetworkParams
 from repro.sim import Environment
 from repro.sim.engine import SimulationError
 from repro.sim.network import Fabric, Message
 from repro.sim.resources import Resource
 from repro.structures import LinkedList
 
-
-def lossy_params(p, timeout_ns=40_000.0):
-    return SystemParams(network=NetworkParams(
-        drop_probability=p, retransmit_timeout_ns=timeout_ns))
+from tests.helpers import counter_value, lossy_cluster
 
 
 class TestOffloadDigestKeying:
@@ -122,9 +119,9 @@ class TestSwitchClientTableBound:
             fabric.send(Message("pulse", "client0", "switch", 128,
                                 self.request(space, (0, i))), segments=1)
         env.run()
-        assert switch.client_table_occupancy <= 8
-        assert switch.evicted_entries == 100 - 8
-        assert switch.routed_to_memory == 100
+        assert len(switch._table) <= 8
+        assert counter_value(switch, "switch.evicted_entries") == 100 - 8
+        assert counter_value(switch, "switch.routed_to_memory") == 100
 
     def test_eviction_is_oldest_first(self):
         env, fabric, space, switch = self.make_switch(capacity=2)
@@ -138,14 +135,14 @@ class TestSwitchClientTableBound:
         fabric.send(Message("pulse", "mem0", "switch", 128, done),
                     segments=1)
         env.run()
-        assert switch.dropped_stale == 1
+        assert counter_value(switch, "switch.dropped_stale") == 1
         # (0, 2) survived: its response still goes home.
         done2 = self.request(space, (0, 2)).advanced(
             space.range_of(0)[0], b"", 1, RequestStatus.DONE)
         fabric.send(Message("pulse", "mem0", "switch", 128, done2),
                     segments=1)
         env.run()
-        assert switch.returned_to_client == 1
+        assert counter_value(switch, "switch.returned_to_client") == 1
 
     def test_eviction_skips_inflight_entries(self):
         # Insertion order alone is the wrong eviction key: the oldest
@@ -175,8 +172,9 @@ class TestSwitchClientTableBound:
         fabric.send(Message("pulse", "client0", "switch", 128,
                             self.request(space, (0, 3))), segments=1)
         env.run()
-        assert switch.client_evict_inflight_avoided == 1
-        assert switch.evicted_entries == 1
+        assert counter_value(
+            switch, "switch.client_evict_inflight_avoided") == 1
+        assert counter_value(switch, "switch.evicted_entries") == 1
 
         # The in-flight traversal's terminal response still goes home;
         # the evicted idle entry's does not.
@@ -185,13 +183,13 @@ class TestSwitchClientTableBound:
         fabric.send(Message("pulse", "mem0", "switch", 128, done1),
                     segments=1)
         env.run()
-        assert switch.returned_to_client == 1
+        assert counter_value(switch, "switch.returned_to_client") == 1
         done2 = self.request(space, (0, 2)).advanced(
             space.range_of(0)[0], b"", 1, RequestStatus.DONE)
         fabric.send(Message("pulse", "mem0", "switch", 128, done2),
                     segments=1)
         env.run()
-        assert switch.dropped_stale == 1
+        assert counter_value(switch, "switch.dropped_stale") == 1
 
     def test_all_inflight_forces_oldest_activity_eviction(self):
         # When every entry is active the bound still holds: the scan
@@ -202,9 +200,10 @@ class TestSwitchClientTableBound:
             fabric.send(Message("pulse", "client0", "switch", 128,
                                 self.request(space, (0, i))), segments=1)
         env.run()
-        assert switch.client_table_occupancy == 2
-        assert switch.evicted_entries == 1
-        assert switch.client_evict_inflight_avoided == 0
+        assert len(switch._table) == 2
+        assert counter_value(switch, "switch.evicted_entries") == 1
+        assert counter_value(
+            switch, "switch.client_evict_inflight_avoided") == 0
 
     def test_retransmission_does_not_evict(self):
         # Re-learning an existing id must not consume capacity.
@@ -213,8 +212,8 @@ class TestSwitchClientTableBound:
             fabric.send(Message("pulse", "client0", "switch", 128,
                                 self.request(space, (0, 1))), segments=1)
         env.run()
-        assert switch.client_table_occupancy == 1
-        assert switch.evicted_entries == 0
+        assert len(switch._table) == 1
+        assert counter_value(switch, "switch.evicted_entries") == 0
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -226,24 +225,25 @@ class TestRetransmitAccounting:
         # With 100 % loss the client sends the original plus MAX_RETRIES
         # retransmissions, then gives up.  Pre-fix it counted one extra
         # "retransmission" that was never put on the wire.
-        cluster = PulseCluster(node_count=1,
-                               params=lossy_params(1.0, 5_000.0))
+        cluster = lossy_cluster(1.0, 5_000.0, node_count=1)
         lst = LinkedList(cluster.memory)
         lst.extend([(1, 10)])
         with pytest.raises(RequestLost):
             cluster.run_traversal(lst.find_iterator(), 1)
-        assert cluster.clients[0].retransmissions == MAX_RETRIES
+        assert counter_value(
+            cluster, "client0.client.retransmissions") == MAX_RETRIES
         # Original + retransmissions, each one message to the switch.
-        assert cluster.clients[0].endpoint.tx_messages == MAX_RETRIES + 1
-        assert cluster.clients[0].requests_lost == 1
+        assert counter_value(
+            cluster, "net.client0.tx_messages") == MAX_RETRIES + 1
+        assert counter_value(cluster, "client0.client.requests_lost") == 1
 
     def test_zero_loss_zero_retransmissions(self):
         cluster = PulseCluster(node_count=1)
         lst = LinkedList(cluster.memory)
         lst.extend([(1, 10)])
         assert cluster.run_traversal(lst.find_iterator(), 1).value == 10
-        assert cluster.clients[0].retransmissions == 0
-        assert cluster.clients[0].requests_lost == 0
+        assert counter_value(cluster, "client0.client.retransmissions") == 0
+        assert counter_value(cluster, "client0.client.requests_lost") == 0
 
 
 class TestUtilizationWindows:
@@ -323,19 +323,13 @@ class TestDuplicateDeliveryDedup:
         # request that re-learns the entry can still let a second copy
         # through, which the client drops (no waiter).  Every result
         # stays exact either way.
-        cluster = PulseCluster(node_count=1,
-                               params=lossy_params(0.05, 2_500.0),
-                               seed=5)
+        cluster = lossy_cluster(0.05, 2_500.0, node_count=1, seed=5)
         lst = LinkedList(cluster.memory)
         lst.extend((k, k * 3) for k in range(1, 31))
         finder = lst.find_iterator()
         for key in range(1, 31):
             assert cluster.run_traversal(finder, key).value == key * 3
-        assert cluster.clients[0].retransmissions > 0
-        assert cluster.switch.dropped_stale > 0
-        assert cluster.clients[0].duplicates_dropped > 0
-        snapshot = cluster.metrics_snapshot()
-        assert (snapshot["counters"]["switch.dropped_stale"]
-                == cluster.switch.dropped_stale)
-        assert (snapshot["counters"]["client0.client.duplicates_dropped"]
-                == cluster.clients[0].duplicates_dropped)
+        counters = cluster.metrics_snapshot()["counters"]
+        assert counters["client0.client.retransmissions"] > 0
+        assert counters["switch.dropped_stale"] > 0
+        assert counters["client0.client.duplicates_dropped"] > 0

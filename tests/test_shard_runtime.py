@@ -183,13 +183,6 @@ class TestClusterGuards:
         finally:
             runtime.stop()
 
-    def test_global_drop_knob_rejected(self):
-        params = SystemParams().with_overrides(
-            network=NetworkParams(drop_probability=0.01))
-        cluster = PulseCluster(node_count=2, params=params, seed=3)
-        with pytest.raises(ShardError):
-            cluster.shard(workers=2)
-
     def test_workers_clamped_to_node_count(self):
         cluster = PulseCluster(node_count=2, seed=3)
         runtime = cluster.shard(workers=8)

@@ -13,11 +13,12 @@ from repro.core.client import PendingTraversal
 from repro.core.iterator import FaultInfo, TraversalResult
 from repro.params import (
     AcceleratorParams,
-    NetworkParams,
     SystemParams,
     US,
 )
 from repro.structures import HashTable, LinkedList
+
+from tests.helpers import counter_value, lossy_cluster
 
 
 def build_table(cluster, n=200):
@@ -25,10 +26,6 @@ def build_table(cluster, n=200):
     for key in range(n):
         table.insert(key, (key * 7).to_bytes(8, "little"))
     return table
-
-
-def counter_value(system, name):
-    return system.registry.counter(name).value
 
 
 class TestPendingTraversal:
@@ -55,10 +52,14 @@ class TestPendingTraversal:
         finder = table.find_iterator()
         pendings = [cluster.submit(finder, key) for key in range(64)]
         # Submission processes start at the next simulation step.
+        def in_flight():
+            gauges = cluster.metrics_snapshot()["gauges"]
+            return gauges["client0.client.in_flight"]
+
         cluster.env.run(until=1.0)
-        assert cluster.clients[0].in_flight == 64
+        assert in_flight() == 64
         cluster.env.run()
-        assert cluster.clients[0].in_flight == 0
+        assert in_flight() == 0
         for key, pending in enumerate(pendings):
             assert int.from_bytes(pending.result.value,
                                   "little") == key * 7
@@ -98,7 +99,7 @@ class TestDoorbellBatching:
         assert hist.count >= 4
         assert hist.max == 8.0
         # Far fewer frames than requests left the client NIC.
-        assert cluster.clients[0].endpoint.tx_messages < 32
+        assert counter_value(cluster, "net.client0.tx_messages") < 32
 
     def test_batch_size_one_sends_plain_requests(self):
         cluster = PulseCluster(node_count=1, batch_size=1)
@@ -155,11 +156,8 @@ class TestDoorbellBatching:
             cluster, "client0.client.batch_timer_flushes") == 0
 
     def test_lost_batch_recovers_via_retransmission(self):
-        params = SystemParams(network=NetworkParams(
-            drop_probability=0.3,
-            retransmit_timeout_ns=300.0 * US))
-        cluster = PulseCluster(node_count=1, batch_size=4, params=params,
-                               seed=7)
+        cluster = lossy_cluster(0.3, 300.0 * US, node_count=1,
+                                batch_size=4, seed=7)
         table = build_table(cluster)
         finder = table.find_iterator()
         pendings = [cluster.submit(finder, key) for key in range(16)]
@@ -167,7 +165,7 @@ class TestDoorbellBatching:
         for key, pending in enumerate(pendings):
             assert int.from_bytes(pending.result.value,
                                   "little") == key * 7
-        assert cluster.clients[0].retransmissions > 0
+        assert counter_value(cluster, "client0.client.retransmissions") > 0
 
 
 class TestAdmissionControl:
@@ -189,7 +187,8 @@ class TestAdmissionControl:
         for pending in pendings:
             assert pending.result.value == 48
         assert counter_value(cluster, "mem0.acc.admission_nacks") > 0
-        assert cluster.clients[0].admission_retries > 0
+        assert counter_value(
+            cluster, "client0.client.admission_retries") > 0
 
     def test_no_nacks_under_serial_load(self):
         cluster = self.overload_cluster()
@@ -198,7 +197,8 @@ class TestAdmissionControl:
             result = cluster.run_traversal(table.find_iterator(), key)
             assert result.ok
         assert counter_value(cluster, "mem0.acc.admission_nacks") == 0
-        assert cluster.clients[0].admission_retries == 0
+        assert counter_value(
+            cluster, "client0.client.admission_retries") == 0
 
     def test_queue_depth_histogram_sampled(self):
         cluster = self.overload_cluster()

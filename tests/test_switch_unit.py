@@ -9,6 +9,8 @@ from repro.params import DEFAULT_PARAMS
 from repro.sim import Environment
 from repro.sim.network import Fabric, Message
 
+from tests.helpers import counter_value
+
 PROGRAM = assemble("LOAD 0 8\nRETURN")
 
 
@@ -39,7 +41,7 @@ class TestSwitchRouting:
         start1, _ = space.range_of(1)
         send(env, fabric, "client0", request(start1))
         assert len(nodes[1].inbox) == 1
-        assert switch.routed_to_memory == 1
+        assert counter_value(switch, "switch.routed_to_memory") == 1
 
     def test_memory_running_response_rerouted(self):
         env, fabric, space, switch, client, nodes = make_switch()
@@ -48,7 +50,7 @@ class TestSwitchRouting:
         continuation = req.advanced(space.range_of(1)[0], b"", 1,
                                     RequestStatus.RUNNING)
         send(env, fabric, "mem0", continuation)
-        assert switch.rerouted_node_to_node == 1
+        assert counter_value(switch, "switch.rerouted_node_to_node") == 1
         assert len(nodes[1].inbox) == 1
 
     def test_done_response_returns_to_issuing_client(self):
@@ -58,7 +60,7 @@ class TestSwitchRouting:
         done = req.advanced(req.cur_ptr, b"", 1, RequestStatus.DONE)
         send(env, fabric, "mem0", done)
         assert len(client.inbox) == 1
-        assert switch.returned_to_client == 1
+        assert counter_value(switch, "switch.returned_to_client") == 1
 
     def test_unroutable_pointer_becomes_fault(self):
         env, fabric, space, switch, client, nodes = make_switch()
@@ -76,7 +78,7 @@ class TestSwitchRouting:
         continuation = req.advanced(space.range_of(1)[0], b"", 1,
                                     RequestStatus.RUNNING)
         send(env, fabric, "mem0", continuation)
-        assert switch.rerouted_node_to_node == 0
+        assert counter_value(switch, "switch.rerouted_node_to_node") == 0
         assert len(client.inbox) == 1
 
     def test_stale_terminal_response_dropped(self):
@@ -88,7 +90,7 @@ class TestSwitchRouting:
         # A duplicate of the same terminal response: dropped, not
         # bounced around.
         send(env, fabric, "mem0", done)
-        assert switch.dropped_stale == 1
+        assert counter_value(switch, "switch.dropped_stale") == 1
         assert len(client.inbox) == 1
 
     def test_non_pulse_traffic_ignored(self):
@@ -96,7 +98,7 @@ class TestSwitchRouting:
         fabric.send(Message("rpc", "client0", "switch", 64, None),
                     segments=1)
         env.run()
-        assert switch.routed_to_memory == 0
+        assert counter_value(switch, "switch.routed_to_memory") == 0
 
 
 class TestMessageLifecycle:

@@ -1,47 +1,45 @@
-"""Tests for request tracing."""
+"""Tests for the registry-owned per-request event log."""
 
 from repro.core import PulseCluster
+from repro.obs import EventLog, MetricsRegistry
 from repro.sim import Environment
-from repro.sim.trace import NullTracer, Tracer
 from repro.structures import LinkedList
+
+
+def make_log(**kwargs):
+    env = Environment()
+    return env, EventLog(lambda: env.now, **kwargs)
 
 
 class TestTracerUnit:
     def test_records_in_time_order(self):
-        env = Environment()
-        tracer = Tracer(env)
-        tracer.record("a", "first", (0, 1))
+        env, log = make_log()
+        log.record("a", "first", (0, 1))
         env.run(until=100)
-        tracer.record("b", "second", (0, 1))
-        events = tracer.timeline((0, 1))
+        log.record("b", "second", (0, 1))
+        events = log.timeline((0, 1))
         assert [e.event for e in events] == ["first", "second"]
         assert events[0].time_ns < events[1].time_ns
 
     def test_capacity_drops_extras(self):
-        env = Environment()
-        tracer = Tracer(env, capacity=2)
+        _, log = make_log(capacity=2)
         for i in range(5):
-            tracer.record("x", "e", (0, i))
-        assert len(tracer.events) == 2
-        assert tracer.dropped == 3
+            log.record("x", "e", (0, i))
+        assert len(log.events) == 2
+        assert log.dropped == 3
 
     def test_disabled_tracer_records_nothing(self):
-        env = Environment()
-        tracer = Tracer(env, enabled=False)
-        tracer.record("x", "e", (0, 1))
-        assert tracer.events == []
-
-    def test_null_tracer_is_inert(self):
-        null = NullTracer()
-        null.record("x", "e", (0, 1), anything="goes")
-        assert null.timeline((0, 1)) == []
-        assert null.render() == ""
+        # Off is the absence of a log -- there is no null object.
+        registry = MetricsRegistry()
+        assert registry.events is None
+        log = registry.enable_events()
+        assert registry.events is log
+        assert registry.enable_events() is log  # idempotent
 
     def test_render_mentions_components(self):
-        env = Environment()
-        tracer = Tracer(env)
-        tracer.record("client0", "issue", (0, 1), program="hash_find")
-        text = tracer.render((0, 1))
+        _, log = make_log()
+        log.record("client0", "issue", (0, 1), program="hash_find")
+        text = log.render((0, 1))
         assert "client0" in text and "hash_find" in text
 
 
@@ -54,7 +52,8 @@ class TestClusterTracing:
         assert result.value == 5
 
         request_id = (0, 1)
-        events = [e.event for e in cluster.tracer.timeline(request_id)]
+        log = cluster.registry.events
+        events = [e.event for e in log.timeline(request_id)]
         assert events[0] == "issue"
         assert "route_to_memory" in events
         assert "reroute" in events          # crossed nodes 4 times
@@ -63,16 +62,19 @@ class TestClusterTracing:
         assert events[-1] == "complete"
         # The span matches the measured latency to within the client's
         # final stack hold.
-        span = cluster.tracer.span_ns(request_id)
+        span = log.span_ns(request_id)
         assert span <= result.latency_ns
         assert span > 0.5 * result.latency_ns
+        # The log rides beside the metrics, not inside the snapshot.
+        assert set(cluster.metrics_snapshot()) == {
+            "now_ns", "counters", "gauges", "histograms"}
 
     def test_tracing_off_by_default(self):
         cluster = PulseCluster(node_count=1)
         lst = LinkedList(cluster.memory)
         lst.extend([(1, 1)])
         cluster.run_traversal(lst.find_iterator(), 1)
-        assert cluster.tracer.timeline((0, 1)) == []
+        assert cluster.registry.events is None
 
     def test_tracing_does_not_change_timing(self):
         def latency(trace):

@@ -14,6 +14,8 @@ from repro.structures import LinkedList
 from repro.transport import Segment, TransportSession
 from repro.transport.reliable import TP_ACK_KIND
 
+from tests.helpers import counter_value
+
 
 def make_pair(mode="auto", tp_kwargs=None, net_seed=0):
     """Two sessions (a, b) on a fresh fabric."""
@@ -43,7 +45,7 @@ class TestCutThrough:
         # Cut-through: no segments, no acks, no header bytes.
         assert counter(a, "tx_segments") == 0
         assert counter(b, "acks_tx") == 0
-        assert b.endpoint.rx_bytes == 128
+        assert counter_value(fabric, "net.b.rx_bytes") == 128
 
     def test_never_mode_is_unarmed_even_on_lossy_links(self):
         env, fabric, a, b = make_pair(mode="never")
@@ -66,8 +68,9 @@ class TestReliableDelivery:
         assert counter(a, "retransmits") == 0
         # The armed frame carried the transport header on the wire.
         tp = TransportParams()
-        assert b.endpoint.rx_bytes == 256 + tp.header_bytes
-        assert a.endpoint.rx_bytes == tp.ack_bytes
+        assert counter_value(
+            fabric, "net.b.rx_bytes") == 256 + tp.header_bytes
+        assert counter_value(fabric, "net.a.rx_bytes") == tp.ack_bytes
 
     def test_duplicate_segments_are_suppressed_and_reacked(self):
         env, fabric, a, b = make_pair(mode="always")
@@ -152,7 +155,7 @@ class TestDeterministicLinkRngs:
                 a.send("b", "test", i, 128)
             env.run()
             results.append((counter(a, "retransmits"),
-                            fabric.dropped_messages,
+                            counter_value(fabric, "net.dropped_messages"),
                             env.now))
         assert results[0] == results[1]
 
@@ -216,13 +219,13 @@ class TestSwitchHopEpoch:
         switch._route(Message(kind="pulse", src="mem0", dst="switch",
                               size_bytes=256,
                               payload=self._running(lst, node_hops=2)))
-        assert switch.stale_epoch_drops == 0
-        before = switch.rerouted_node_to_node
+        assert counter_value(switch, "switch.stale_epoch_drops") == 0
+        before = counter_value(switch, "switch.rerouted_node_to_node")
         switch._route(Message(kind="pulse", src="mem1", dst="switch",
                               size_bytes=256,
                               payload=self._running(lst, node_hops=1)))
-        assert switch.stale_epoch_drops == 1
-        assert switch.rerouted_node_to_node == before
+        assert counter_value(switch, "switch.stale_epoch_drops") == 1
+        assert counter_value(switch, "switch.rerouted_node_to_node") == before
 
     def test_equal_epoch_is_not_stale(self):
         cluster, lst = self._cluster()
@@ -233,7 +236,7 @@ class TestSwitchHopEpoch:
         switch._route(Message(kind="pulse", src="mem0", dst="switch",
                               size_bytes=256,
                               payload=self._running(lst, node_hops=3)))
-        assert switch.stale_epoch_drops == 0
+        assert counter_value(switch, "switch.stale_epoch_drops") == 0
 
     def test_client_resubmission_resets_epoch(self):
         cluster, lst = self._cluster()
@@ -243,12 +246,12 @@ class TestSwitchHopEpoch:
                               payload=self._running(lst, node_hops=4)))
         # End-to-end retry restarts the chain at epoch 0 -- it must
         # route, not be treated as stale.
-        before = switch.routed_to_memory
+        before = counter_value(switch, "switch.routed_to_memory")
         switch._route(Message(kind="pulse", src="client0", dst="switch",
                               size_bytes=256,
                               payload=self._running(lst, node_hops=0)))
-        assert switch.routed_to_memory == before + 1
-        assert switch.stale_epoch_drops == 0
+        assert counter_value(switch, "switch.routed_to_memory") == before + 1
+        assert counter_value(switch, "switch.stale_epoch_drops") == 0
 
 
 class TestCheckpointResume:
@@ -276,7 +279,7 @@ class TestCheckpointResume:
         retransmits = sum(v for k, v in snap.items()
                           if k.endswith(".tp.retransmits"))
         assert retransmits > 0
-        assert cluster.clients[0].retransmissions == 0
+        assert snap["client0.client.retransmissions"] == 0
 
     def test_checkpoint_frames_flagged_by_session(self):
         cluster, result = self._run(0.12)
@@ -308,3 +311,26 @@ class TestAckWireFormat:
         assert ack.header.is_ack
         assert ack.header.ack == 1
         assert TP_ACK_KIND == "tp.ack"
+
+
+class TestScaleOutUnderLoss:
+    def test_late_node_inherits_the_all_links_profile(self):
+        # configure_all_links used to walk only the endpoints registered
+        # so far, leaving a node added afterwards lossless and unarmed.
+        cluster = PulseCluster(node_count=1)
+        lossy = LinkProfile(drop_probability=0.1)
+        cluster.fabric.configure_all_links(lossy)
+        name = f"mem{cluster.add_node()}"
+        new_session = cluster.accelerators[-1].session
+        assert cluster.fabric.link_profile("switch", name) == lossy
+        assert cluster.fabric.link_profile(name, "switch") == lossy
+        assert cluster.switch.session.armed_to(name)
+        assert new_session.armed_to("switch")
+        # An explicit per-link entry still wins over the default ...
+        quiet = LinkProfile(jitter_ns=5.0)
+        cluster.fabric.configure_link("switch", name, quiet)
+        assert cluster.fabric.link_profile("switch", name) == quiet
+        # ... and None clears the default for every link without one.
+        cluster.fabric.configure_all_links(None)
+        assert cluster.fabric.link_profile(name, "switch") is None
+        assert not new_session.armed_to("switch")
