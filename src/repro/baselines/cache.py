@@ -157,8 +157,7 @@ class CacheSystem(BaselineSystem):
                 break
 
             iterations += 1
-            yield from self._hold(
-                self.cpu_unit,
+            yield self.cpu_unit.hold(
                 step.instructions_executed * cpu.instruction_ns())
             if step.outcome is IterationOutcome.DONE:
                 break
@@ -239,8 +238,8 @@ class _PagingServer:
         waiter, _page = message.payload
         page_bytes = system.page_bytes
         bw = system.params.memory.bandwidth_bytes_per_ns
-        yield from system._hold(self.bandwidth_gate, page_bytes / bw)
-        yield self.env.timeout(system.params.cpu.dram_access_ns)
+        yield self.bandwidth_gate.hold(page_bytes / bw,
+                                       system.params.cpu.dram_access_ns)
         self.bytes_served += page_bytes
         self.session.send("client0", PAGE_KIND, waiter,
                           page_bytes + 128)

@@ -20,7 +20,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS, CpuParams, SystemParams
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric
-from repro.sim.resources import Resource
 from repro.transport import TransportSession
 
 
@@ -190,14 +189,6 @@ class BaselineSystem:
             self._m_result_faults.inc()
         self._latency.record(result.latency_ns)
         self.completed.append(result)
-
-    def _hold(self, resource: Resource, duration: float):
-        grant = resource.request()
-        yield grant
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            resource.release(grant)
 
 
 def workers_to_saturate(cpu: CpuParams, bandwidth_bytes_per_ns: float,

@@ -72,7 +72,7 @@ class _RpcServer:
         net = system.params.network
         request: TraversalRequest = message.payload
 
-        yield from system._hold(self.stack, net.dpdk_stack_ns)
+        yield self.stack.hold(net.dpdk_stack_ns)
         grant = self.workers.request()
         yield grant
         started = self.env.now
@@ -82,7 +82,7 @@ class _RpcServer:
         finally:
             self._m_busy.inc(self.env.now - started)
             self.workers.release(grant)
-        yield from system._hold(self.stack, net.dpdk_stack_ns)
+        yield self.stack.hold(net.dpdk_stack_ns)
         self.session.send(message.src, RPC_KIND, response,
                           response.wire_bytes())
 
@@ -126,9 +126,8 @@ class _RpcServer:
 
             # DRAM access through the shared bandwidth cap.
             bw = system.params.memory.bandwidth_bytes_per_ns
-            yield from system._hold(self.bandwidth_gate,
-                                    window_size / bw)
-            yield self.env.timeout(cpu.memory_access_ns(window_size))
+            yield self.bandwidth_gate.hold(
+                window_size / bw, cpu.memory_access_ns(window_size))
 
             memory = self.node.memory
 
@@ -195,8 +194,7 @@ class RpcSystem(BaselineSystem):
             self.env.process(self._deliver(message))
 
     def _deliver(self, message: Message):
-        yield from self._hold(self.client_stack,
-                              self.params.network.dpdk_stack_ns)
+        yield self.client_stack.hold(self.params.network.dpdk_stack_ns)
         response: TraversalRequest = message.payload
         waiter = self._waiters.pop(response.request_id, None)
         if waiter is not None:
@@ -252,8 +250,7 @@ class RpcSystem(BaselineSystem):
                 f"client: unroutable pointer {request.cur_ptr:#x}")
         waiter = self.env.event()
         self._waiters[request.request_id] = waiter
-        yield from self._hold(self.client_stack,
-                              self.params.network.dpdk_stack_ns)
+        yield self.client_stack.hold(self.params.network.dpdk_stack_ns)
         self.session.send(f"mem{owner}", RPC_KIND, request,
                           request.wire_bytes())
         response = yield waiter

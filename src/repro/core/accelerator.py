@@ -232,8 +232,7 @@ class Accelerator:
 
         # The netstack parses the *message* once; a batch amortizes the
         # parse across its constituent requests.
-        yield from self._hold(self.rx_unit, acc.netstack_occupancy_ns)
-        yield self.env.timeout(acc.netstack_ns - acc.netstack_occupancy_ns)
+        yield self._netstack(self.rx_unit)
         self._span_netstack.record(acc.netstack_ns)
 
         if isinstance(payload, DirectReadRequest):
@@ -259,8 +258,7 @@ class Accelerator:
         admitted: List[TraversalRequest] = []
         for request in requests:
             self._m_requests.inc()
-            yield from self._hold(self.scheduler_unit,
-                                  acc.scheduler_dispatch_ns)
+            yield self.scheduler_unit.hold(acc.scheduler_dispatch_ns)
             self._span_scheduler.record(acc.scheduler_dispatch_ns)
             if self._events is not None:
                 self._events.record(self.name, "rx", request.request_id,
@@ -327,8 +325,7 @@ class Accelerator:
         """
         acc = self.params.accelerator
         self._m_direct_reads.inc()
-        yield from self._hold(self.scheduler_unit,
-                              acc.scheduler_dispatch_ns)
+        yield self.scheduler_unit.hold(acc.scheduler_dispatch_ns)
         self._span_scheduler.record(acc.scheduler_dispatch_ns)
         if self._events is not None:
             self._events.record(self.name, "direct_read",
@@ -345,12 +342,8 @@ class Accelerator:
             core = self.cores[self._dr_core % len(self.cores)]
             self._dr_core += 1
             occupancy = acc.occupancy_ns(request.size)
-            yield from self._hold(core.memory_pipeline, occupancy)
-            interconnect_ns = 0.0
-            if self.interconnect is not None:
-                interconnect_ns = request.size / self.node_bandwidth
-                yield from self._hold(self.interconnect, interconnect_ns)
-            yield self.env.timeout(acc.dram_latency_ns)
+            interconnect_ns = yield from self._memory_phase(
+                core, occupancy, request.size)
             self._span_memory.record(occupancy + interconnect_ns
                                      + acc.dram_latency_ns)
             try:
@@ -371,8 +364,7 @@ class Accelerator:
         reply = DirectReadReply(
             request_id=request.request_id, vaddr=request.vaddr, ok=ok,
             data=data, map_version=map_version, nack_reason=reason)
-        yield from self._hold(self.tx_unit, acc.netstack_occupancy_ns)
-        yield self.env.timeout(acc.netstack_ns - acc.netstack_occupancy_ns)
+        yield self._netstack(self.tx_unit)
         self._span_netstack.record(acc.netstack_ns)
         # Straight back to the issuing client -- no switch traversal.
         self.session.send(request.reply_to, DIRECT_READ_KIND, reply,
@@ -420,8 +412,7 @@ class Accelerator:
             self.durability.apply_replica(message)
         ack = ReplicateAck(src_node=self.node.node_id,
                            flush_id=message.flush_id)
-        yield from self._hold(self.tx_unit, acc.netstack_occupancy_ns)
-        yield self.env.timeout(acc.netstack_ns - acc.netstack_occupancy_ns)
+        yield self._netstack(self.tx_unit)
         self._span_netstack.record(acc.netstack_ns)
         self.session.send(f"mem{message.src_node}", DURABILITY_KIND, ack,
                           ack.wire_bytes(), segments=1)
@@ -434,8 +425,7 @@ class Accelerator:
             # the client's end-to-end retry re-executes) the request.
             return
         acc = self.params.accelerator
-        yield from self._hold(self.tx_unit, acc.netstack_occupancy_ns)
-        yield self.env.timeout(acc.netstack_ns - acc.netstack_occupancy_ns)
+        yield self._netstack(self.tx_unit)
         self._span_netstack.record(acc.netstack_ns)
         self._m_responses.inc()
         # A RUNNING continuation here is a hop checkpoint: the session
@@ -499,13 +489,8 @@ class Accelerator:
             mem_phase_ns = 0.0
             for _offset, load_bytes in loads:
                 occupancy = acc.occupancy_ns(load_bytes)
-                yield from self._hold(core.memory_pipeline, occupancy)
-                interconnect_ns = 0.0
-                if self.interconnect is not None:
-                    interconnect_ns = load_bytes / self.node_bandwidth
-                    yield from self._hold(self.interconnect,
-                                          interconnect_ns)
-                yield self.env.timeout(acc.dram_latency_ns)
+                interconnect_ns = yield from self._memory_phase(
+                    core, occupancy, load_bytes)
                 mem_phase_ns += (occupancy + interconnect_ns
                                  + acc.dram_latency_ns)
             self._span_memory.record(mem_phase_ns)
@@ -546,8 +531,7 @@ class Accelerator:
             # this request still waits out the full t_c latency.
             logic_ns = (step.instructions_executed - 1) * acc.instruction_ns
             occupancy = logic_ns / acc.logic_pipeline_depth
-            yield from self._hold(core.logic_pipeline, occupancy)
-            yield self.env.timeout(logic_ns - occupancy)
+            yield core.logic_pipeline.hold(occupancy, logic_ns - occupancy)
             self._span_logic.record(logic_ns)
 
             if step.outcome is IterationOutcome.DONE:
@@ -635,14 +619,8 @@ class Accelerator:
                 # latency tail once -- the whole point of batching.
                 width = len(lanes)
                 occupancy = width * acc.occupancy_ns(window_size)
-                yield from self._hold(core.memory_pipeline, occupancy)
-                interconnect_ns = 0.0
-                if self.interconnect is not None:
-                    interconnect_ns = (width * window_size
-                                       / self.node_bandwidth)
-                    yield from self._hold(self.interconnect,
-                                          interconnect_ns)
-                yield self.env.timeout(acc.dram_latency_ns)
+                interconnect_ns = yield from self._memory_phase(
+                    core, occupancy, width * window_size)
                 self._span_memory.record(occupancy + interconnect_ns
                                          + acc.dram_latency_ns)
 
@@ -698,8 +676,8 @@ class Accelerator:
                     self._m_bytes.inc(finished.size * window_size)
                     self._m_instructions.inc(int(executed.sum()))
                     occupancy = logic_sum / acc.logic_pipeline_depth
-                    yield from self._hold(core.logic_pipeline, occupancy)
-                    yield self.env.timeout(
+                    yield core.logic_pipeline.hold(
+                        occupancy,
                         max(0.0, float(lane_ns.max()) - occupancy))
                     self._span_logic.record(logic_sum)
 
@@ -838,13 +816,26 @@ class Accelerator:
 
         return write
 
-    def _hold(self, resource: Resource, duration: float):
-        grant = resource.request()
-        yield grant
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            resource.release(grant)
+    def _netstack(self, unit: Resource):
+        """One parse/deparse: the pipelined unit is occupied for a few
+        cycles, the message waits out the full netstack latency."""
+        acc = self.params.accelerator
+        return unit.hold(acc.netstack_occupancy_ns,
+                         acc.netstack_ns - acc.netstack_occupancy_ns)
+
+    def _memory_phase(self, core: AcceleratorCore, occupancy: float,
+                      load_bytes: int):
+        """One LOAD's timed stages: memory-pipeline occupancy, the
+        interconnect's share of node bandwidth (unless bypassed), then
+        the DRAM latency tail.  Returns the interconnect time."""
+        dram_ns = self.params.accelerator.dram_latency_ns
+        if self.interconnect is None:
+            yield core.memory_pipeline.hold(occupancy, dram_ns)
+            return 0.0
+        yield core.memory_pipeline.hold(occupancy)
+        interconnect_ns = load_bytes / self.node_bandwidth
+        yield self.interconnect.hold(interconnect_ns, dram_ns)
+        return interconnect_ns
 
     # -- observability ---------------------------------------------------------
     def memory_pipeline_utilization(self, elapsed: Optional[float] = None
@@ -856,8 +847,14 @@ class Accelerator:
 
     def memory_bandwidth_used(self, elapsed: Optional[float] = None
                               ) -> float:
-        """Bytes/ns of DRAM traffic served by this accelerator."""
-        window = elapsed if elapsed is not None else self.env.now
+        """Bytes/ns of DRAM traffic served in the measurement window.
+
+        ``bytes_loaded`` restarts with ``begin_measurement()``, which
+        also re-bases the memory pipelines' windows; the default divisor
+        is that window, not the time since t = 0.
+        """
+        window = (elapsed if elapsed is not None else
+                  self.env.now - self.cores[0].memory_pipeline.window_start)
         if window <= 0:
             return 0.0
         return self._m_bytes.value / window

@@ -150,7 +150,8 @@ class DoorbellBatcher:
         self._m_occupancy.record(len(batch))
         client = self.client
         # One doorbell write / stack span covers the whole batch.
-        yield from client._hold_stack()
+        yield client.stack_unit.hold(
+            client.params.network.dpdk_stack_ns)
         if len(batch) == 1:
             payload: object = batch[0]
             size = batch[0].wire_bytes()
@@ -227,7 +228,7 @@ class PulseClient:
             self.env.process(self._deliver(message))
 
     def _deliver(self, message: Message):
-        yield from self._hold_stack()
+        yield self.stack_unit.hold(self.params.network.dpdk_stack_ns)
         response: TraversalRequest = message.payload
         waiter = self._waiters.pop(response.request_id, None)
         if waiter is not None:
@@ -371,7 +372,7 @@ class PulseClient:
             epoch=entry.epoch, reply_to=self.name, issued_at_ns=start)
         waiter = self.env.event()
         self._waiters[rid] = waiter
-        yield from self._hold_stack()
+        yield self.stack_unit.hold(self.params.network.dpdk_stack_ns)
         # Straight to the owning node: one RTT, no switch traversal.
         self.session.send(f"mem{entry.node_id}", DIRECT_READ_KIND,
                           request, request.wire_bytes(), segments=2)
@@ -505,14 +506,13 @@ class PulseClient:
         fault: Optional[FaultInfo] = None
         while True:
             # Remote read round trip for this iteration's window.
-            yield from self._hold_stack()
             round_trip = (4 * net.segment_ns
                           + 2 * net.switch_process_ns
                           + 2 * acc.netstack_ns
                           + acc.memory_access_ns(window_size)
                           + window_size / net.link_bytes_per_ns)
-            yield self.env.timeout(round_trip)
-            yield from self._hold_stack()
+            yield self.stack_unit.hold(net.dpdk_stack_ns, round_trip)
+            yield self.stack_unit.hold(net.dpdk_stack_ns)
 
             try:
                 read_addr = wrap64(machine.cur_ptr + window_offset)
@@ -544,11 +544,3 @@ class PulseClient:
             offloaded=False,
             fault=fault,
         )
-
-    def _hold_stack(self):
-        grant = self.stack_unit.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.params.network.dpdk_stack_ns)
-        finally:
-            self.stack_unit.release(grant)

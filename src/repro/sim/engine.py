@@ -21,7 +21,8 @@ enough to reason about and test exhaustively:
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -54,6 +55,10 @@ class Event:
     schedules it.  Once the environment pops it from the queue it is
     *processed*: its callbacks run exactly once.
     """
+
+    # Millions of these live and die per run; slots keep them small and
+    # their attribute access cheap.  Subclasses declare their own.
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -117,14 +122,19 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        heappush(env._queue,
+                 (env._now + delay, NORMAL, next(env._sequence), self))
 
 
 class Process(Event):
@@ -134,6 +144,8 @@ class Process(Event):
     its value is the generator's return value.  Other processes may yield a
     process to join on it.
     """
+
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
@@ -173,9 +185,10 @@ class Process(Event):
         self.env.schedule(interrupt_event, priority=URGENT)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        if self._ok is not None:
             return
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -186,24 +199,26 @@ class Process(Event):
             self._target = None
             self._ok = True
             self._value = exc.value
-            self.env.schedule(self)
+            env.schedule(self)
             return
         except BaseException as exc:
             self._target = None
             self._ok = False
             self._value = exc
-            self.env.schedule(self)
+            env.schedule(self)
             return
         finally:
-            self.env._active_process = None
+            env._active_process = None
 
-        if not isinstance(next_event, Event):
+        try:
+            callbacks = next_event.callbacks
+        except AttributeError:
             raise SimulationError(
                 f"process yielded a non-event: {next_event!r}"
-            )
-        if next_event.processed:
+            ) from None
+        if callbacks is None:
             # Already fired: resume immediately (same timestamp).
-            immediate = Event(self.env)
+            immediate = Event(env)
             immediate._ok = next_event._ok
             immediate._value = next_event._value
             if not next_event._ok:
@@ -211,14 +226,16 @@ class Process(Event):
                 immediate._defused = True
             immediate.callbacks.append(self._resume)
             self._target = immediate
-            self.env.schedule(immediate, priority=URGENT)
+            env.schedule(immediate, priority=URGENT)
         else:
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             self._target = next_event
 
 
 class _Condition(Event):
     """Base for AnyOf / AllOf over a fixed set of events."""
+
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -252,6 +269,8 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Fires as soon as any constituent event fires."""
 
+    __slots__ = ()
+
     def _observe(self, event: Event) -> None:
         if self._ok is not None:
             return
@@ -268,6 +287,8 @@ class AnyOf(_Condition):
 
 class AllOf(_Condition):
     """Fires when all constituent events have fired."""
+
+    __slots__ = ()
 
     def _observe(self, event: Event) -> None:
         if self._ok is not None:
@@ -332,7 +353,7 @@ class Environment:
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,
                  priority: int = NORMAL) -> None:
-        heapq.heappush(
+        heappush(
             self._queue,
             (self._now + delay, priority, next(self._sequence), event),
         )
@@ -348,7 +369,7 @@ class Environment:
         if when < self._now:
             raise SimulationError(
                 f"schedule_at({when}) is in the past (now={self._now})")
-        heapq.heappush(
+        heappush(
             self._queue, (when, priority, next(self._sequence), event))
 
     def peek(self) -> float:
@@ -412,14 +433,34 @@ class Environment:
         lookahead rule) that no frame arriving before ``horizon`` is
         still in flight, so everything below it can run locally.
         """
-        while self._queue and self._queue[0][0] < horizon:
-            self.step()
+        # strictly before ``horizon`` == at or before the float below it
+        self._run_unhooked(None, math.nextafter(horizon, -math.inf))
 
     def step(self) -> None:
         """Process the next event; raises IndexError if the queue is empty."""
-        when, _prio, _seq, event = heapq.heappop(self._queue)
+        when, _prio, _seq, event = heappop(self._queue)
         self._now = when
         event._process()
+
+    def _run_unhooked(self, stop: Optional[Event], horizon: float) -> None:
+        """The hot loop: every event at time <= ``horizon``, or up to and
+        including ``stop``, popped and dispatched inline (``step()`` and
+        ``Event._process()`` without the two calls per event).
+
+        Ignores the window hook: :meth:`run` takes this path only when
+        none is installed (hooks are installed between runs, never from
+        inside an event), and shard workers never have one.
+        """
+        queue = self._queue
+        while queue and queue[0][0] <= horizon:
+            self._now, _prio, _seq, event = heappop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if event._ok is False and not event._defused:
+                raise event._value
+            if event is stop:
+                return
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or exhaustion).
@@ -429,31 +470,38 @@ class Environment:
         * ``until`` is an :class:`Event`: run until it is processed and
           return its value (raising its exception if it failed).
         """
+        stop: Optional[Event] = None
+        horizon = float("inf")
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
-                if not self._window_gate():
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event fired (deadlock?)"
-                    )
-                self.step()
-            if not stop._ok:
-                stop._defused = True
-                raise stop._value
-            return stop._value
-
-        if until is not None:
+        elif until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
-            while self._window_gate(horizon) and self._queue[0][0] <= horizon:
-                self.step()
-            self._now = horizon
-            return None
 
-        while self._window_gate():
-            self.step()
+        if stop is not None and stop.callbacks is None:
+            pass  # already processed: nothing to run
+        elif self._window_hook is None:
+            self._run_unhooked(stop, horizon)
+        else:
+            while (self._window_gate(horizon)
+                   and self._queue[0][0] <= horizon):
+                self.step()
+                if stop is not None and stop.callbacks is None:
+                    break
+
+        if stop is not None:
+            if stop.callbacks is not None:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited "
+                    "event fired (deadlock?)"
+                )
+            if not stop._ok:
+                stop._defused = True
+                raise stop._value
+            return stop._value
+        if until is not None:
+            self._now = horizon
         return None

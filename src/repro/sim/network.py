@@ -251,16 +251,10 @@ class Fabric:
         src = self._endpoints[message.src]
         dst = self._endpoints[message.dst]
 
-        grant = src.egress.request()
-        yield grant
-        try:
-            serialization = message.size_bytes / src.link_bytes_per_ns
-            yield self.env.timeout(serialization)
-            src._tx_bytes.inc(message.size_bytes)
-            src._tx_messages.inc()
-            src._tx_message_bytes.record(message.size_bytes)
-        finally:
-            src.egress.release(grant)
+        yield src.egress.hold(message.size_bytes / src.link_bytes_per_ns)
+        src._tx_bytes.inc(message.size_bytes)
+        src._tx_messages.inc()
+        src._tx_message_bytes.record(message.size_bytes)
 
         propagation = (self.params.segment_ns * segments
                        + self.params.switch_process_ns

@@ -3,7 +3,9 @@
 Three primitives cover everything pulse models:
 
 * :class:`Resource` -- ``capacity`` interchangeable servers with a FIFO
-  grant queue; used for pipelines, NIC processing units, and CPU workers.
+  queue; used for pipelines, NIC processing units, and CPU workers.  A
+  fixed-duration stage is one :meth:`Resource.hold` call; only
+  variable-length critical sections spell out ``request``/``release``.
 * :class:`Store` / :class:`PriorityStore` -- unbounded (or bounded)
   buffers of items with blocking ``get``; used for rx/tx queues and
   scheduler mailboxes.
@@ -14,14 +16,17 @@ Three primitives cover everything pulse models:
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
-from typing import Any, List, Optional
+from typing import Any, Deque, List, Optional, Union
 
 from repro.sim.engine import Environment, Event, SimulationError
 
 
 class Request(Event):
     """Grant event for one unit of a :class:`Resource`."""
+
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
@@ -33,10 +38,41 @@ class Request(Event):
             self.resource._waiting.remove(self)
 
 
+class Hold(Event):
+    """One timed stage on a :class:`Resource`: its hold-end heap entry.
+
+    Scheduled when the hold *starts* (a server is free), ``duration``
+    ahead; processing it frees the server.  ``done`` is what the caller
+    waits on: this event itself, or the follow-on delay's own entry.
+    """
+
+    __slots__ = ("duration", "then", "done")
+
+    def __init__(self, resource: "Resource", duration: float,
+                 then: Optional[float]):
+        super().__init__(resource.env)
+        self._ok = True
+        # First callback: free the server and start the next waiter
+        # *before* anything waiting on the hold runs.
+        self.callbacks.append(resource._finish_hold)
+        self.duration = duration
+        self.then = then
+        self.done: Event = self
+        if then is not None:
+            self.done = Event(resource.env)
+            self.done._ok = True
+
+
 class Resource:
     """``capacity`` servers granted FIFO.
 
-    Usage from a process::
+    A stage of fixed length is one call, driven by heap callbacks rather
+    than process resumes::
+
+        yield resource.hold(duration)         # occupy, then continue
+        yield resource.hold(occupancy, tail)  # ... then wait ``tail`` more
+
+    A critical section whose length is not known up front spells it out::
 
         req = resource.request()
         yield req
@@ -44,6 +80,8 @@ class Resource:
             ... hold the resource ...
         finally:
             resource.release(req)
+
+    Both kinds of waiter share one FIFO queue.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -51,8 +89,8 @@ class Resource:
             raise SimulationError("resource capacity must be >= 1")
         self.env = env
         self.capacity = capacity
-        self._users: List[Request] = []
-        self._waiting: List[Request] = []
+        self._users: List[Union[Request, Hold]] = []
+        self._waiting: Deque[Union[Request, Hold]] = deque()
         # Utilization accounting.
         self._busy_time = 0.0
         self._last_change = env.now
@@ -69,10 +107,15 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
+    @property
+    def window_start(self) -> float:
+        """When the measurement window began (see :meth:`begin_window`)."""
+        return self._window_start
+
     def request(self) -> Request:
         req = Request(self)
         if len(self._users) < self.capacity:
-            self._grant(req)
+            self._start(req)
         else:
             self._waiting.append(req)
         return req
@@ -81,16 +124,60 @@ class Resource:
         if request not in self._users:
             raise SimulationError("releasing a request that does not hold "
                                   "this resource")
-        self._account()
-        self._users.remove(request)
-        while self._waiting and len(self._users) < self.capacity:
-            self._grant(self._waiting.pop(0))
+        self._free(request)
 
-    def _grant(self, req: Request) -> None:
+    def hold(self, duration: float, then: Optional[float] = None) -> Event:
+        """Occupy one server FIFO for ``duration``; the returned event
+        fires ``then`` ns after the server is freed.
+
+        The timed-stage primitive: one FIFO server plus a delay, with no
+        process resume in between.  Three ordering rules make it behave
+        exactly like ``request -> yield grant -> yield timeout(duration)
+        -> release -> yield timeout(then)`` (events at equal timestamps
+        run in push order, so each rule is observable):
+
+        1. the hold-end entry is pushed when the hold *starts* -- here if
+           a server is free, else while the predecessor's hold end is
+           processed -- never precomputed at arrival;
+        2. ``then`` is its own heap entry, pushed when the hold ends,
+           even when it is ``0.0``; ``None`` means no delay stage, and
+           the returned event *is* the hold-end entry;
+        3. at hold end the server is freed and the next waiter started
+           first, then the holder continues (resume, or ``then`` entry).
+
+        A hold is not a critical section: once queued it runs to its
+        end, and interrupting the waiting process does not cut it short.
+        """
+        if duration < 0 or (then is not None and then < 0):
+            raise SimulationError(
+                f"negative hold: duration={duration}, then={then}")
+        hold = Hold(self, duration, then)
+        if len(self._users) < self.capacity:
+            self._start(hold)
+        else:
+            self._waiting.append(hold)
+        return hold.done
+
+    def _start(self, waiter: Union[Request, Hold]) -> None:
+        """Give ``waiter`` a server (the caller checked one is free)."""
         self._account()
-        self._users.append(req)
+        self._users.append(waiter)
         self._granted_total += 1
-        req.succeed(req)
+        if type(waiter) is Hold:
+            self.env.schedule(waiter, waiter.duration)
+        else:
+            waiter.succeed(waiter)
+
+    def _free(self, holder: Union[Request, Hold]) -> None:
+        self._account()
+        self._users.remove(holder)
+        while self._waiting and len(self._users) < self.capacity:
+            self._start(self._waiting.popleft())
+
+    def _finish_hold(self, hold: Hold) -> None:
+        self._free(hold)
+        if hold.then is not None:
+            self.env.schedule(hold.done, hold.then)
 
     def _account(self) -> None:
         now = self.env.now
@@ -134,6 +221,8 @@ class Resource:
 
 
 class StoreGet(Event):
+    __slots__ = ("store",)
+
     def __init__(self, store: "Store"):
         super().__init__(store.env)
         self.store = store
@@ -155,8 +244,8 @@ class Store:
     def __init__(self, env: Environment, capacity: float = float("inf")):
         self.env = env
         self.capacity = capacity
-        self._items: List[Any] = []
-        self._getters: List[StoreGet] = []
+        self._items: Deque[Any] = deque()
+        self._getters: Deque[StoreGet] = deque()
         self.put_total = 0
 
     def __len__(self) -> int:
@@ -176,11 +265,11 @@ class Store:
         return getter
 
     def _pop_item(self) -> Any:
-        return self._items.pop(0)
+        return self._items.popleft()
 
     def _dispatch(self) -> None:
         while self._items and self._getters:
-            getter = self._getters.pop(0)
+            getter = self._getters.popleft()
             getter.succeed(self._pop_item())
 
 
@@ -193,6 +282,7 @@ class PriorityStore(Store):
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
         super().__init__(env, capacity)
+        self._items: List[Any] = []  # a heap, not the base class's deque
         self._seq = count()
 
     def put(self, item: Any) -> None:
@@ -210,6 +300,8 @@ class PriorityStore(Store):
 
 
 class ContainerGet(Event):
+    __slots__ = ("container", "amount")
+
     def __init__(self, container: "Container", amount: float):
         super().__init__(container.env)
         self.container = container
@@ -226,7 +318,7 @@ class Container:
         self.env = env
         self.capacity = capacity
         self._level = init
-        self._getters: List[ContainerGet] = []
+        self._getters: Deque[ContainerGet] = deque()
 
     @property
     def level(self) -> float:
@@ -248,6 +340,6 @@ class Container:
 
     def _dispatch(self) -> None:
         while self._getters and self._getters[0].amount <= self._level:
-            getter = self._getters.pop(0)
+            getter = self._getters.popleft()
             self._level -= getter.amount
             getter.succeed(getter.amount)

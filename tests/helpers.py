@@ -23,3 +23,22 @@ def lossy_cluster(drop, timeout_ns=40_000.0, **cluster_kwargs):
     cluster = PulseCluster(params=params, **cluster_kwargs)
     cluster.fabric.configure_all_links(LinkProfile(drop_probability=drop))
     return cluster
+
+
+def reference_hold(env, resource, duration, then=None):
+    """A timed stage as it was spelled before ``Resource.hold``.
+
+    The ``_hold`` generator the accelerator, the client, the fabric and
+    the baselines each carried (request, wait for the grant, wait out the
+    duration, release), followed by the stage's latency tail as one more
+    timeout.  Kept only as the oracle ``tests/test_sim_hold.py`` runs
+    ``Resource.hold`` against.
+    """
+    grant = resource.request()
+    yield grant
+    try:
+        yield env.timeout(duration)
+    finally:
+        resource.release(grant)
+    if then is not None:
+        yield env.timeout(then)

@@ -50,6 +50,24 @@ class TestAcceleratorStats:
         acc = cluster.accelerators[0]
         assert 0 < acc.memory_bandwidth_used() < 25.0
 
+    def test_memory_bandwidth_gauge_covers_the_measurement_window(self):
+        """Bytes counted since begin_measurement() are divided by the
+        time since begin_measurement(), not since t = 0: the same
+        traversal reads the same bandwidth before and after a warm-up."""
+        cluster, lst = make_list_cluster()
+        gauge = "mem0.acc.memory_bandwidth_bytes_per_ns"
+        cluster.run_traversal(lst.find_iterator(), 40)
+        cold = cluster.metrics_snapshot()["gauges"][gauge]
+        first_ns = cluster.env.now
+
+        cluster.begin_measurement()
+        cluster.run_traversal(lst.find_iterator(), 40)
+        window_ns = cluster.env.now - first_ns
+        warm = cluster.metrics_snapshot()["gauges"][gauge]
+        assert warm == pytest.approx(40 * 24 / window_ns)
+        # the TLB is warm, so the second run is no slower than the first
+        assert warm >= cold
+
 
 class TestWorkspaceLimits:
     def test_requests_queue_beyond_workspace_capacity(self):

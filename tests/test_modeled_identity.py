@@ -1,0 +1,154 @@
+"""Simulator-only changes leave every simulated statistic identical.
+
+Two small racks are driven with fixed seeds and the sha256 of ``repr`` of
+the per-request completion times (simulated ns, floats, in stream order)
+is compared with a digest pinned from the commit *before* the event
+engine was touched (parent of the ``Resource.hold`` PR).  A change that
+is meant only to speed the simulator up -- fewer heap entries, fewer
+generator resumes, a different container -- must keep both digests; a
+change that reorders two events at one timestamp, anywhere on the
+request path, moves them (checked when they were pinned: scheduling a
+queued hold's end at arrival instead of at its start moves the TC
+digest, skipping a zero-length follow-on entry moves the mix digest).
+A PR that changes the *model* on purpose re-pins the digests and says
+so.
+
+The drivers are local (Poisson open loop, then closed-loop callers) so
+that edits to ``repro.bench.driver`` cannot move what is pinned.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from repro.core import PulseCluster
+from repro.structures import BPlusTree, LinkedList
+from repro.workloads import build_tc
+
+RACK_SEED = 7
+
+#: pinned at 0d8758c (the parent of the Resource.hold PR)
+TC_DIGEST = (
+    "482af2a66829eabefc9dd700c96bb04d2c52ce5e478466974e8efeac2096abee")
+MIX_DIGEST = (
+    "a87ec72ae5c913494bb41f2d8afa89d7e5f91bff8f1cbd60440beddc6831ded8")
+
+
+def _open_loop(rack, operations, rate_per_s, burst, rng):
+    """Completion time per request of a Poisson open-loop drive."""
+    env = rack.env
+    done_ns = [None] * len(operations)
+    state = {"outstanding": 0, "generated": False}
+    finished = env.event()
+
+    def collect(index, pending):
+        yield from pending.wait()
+        done_ns[index] = env.now
+        state["outstanding"] -= 1
+        if state["generated"] and state["outstanding"] == 0:
+            finished.succeed()
+
+    def generate():
+        for begin in range(0, len(operations), burst):
+            chunk = operations[begin:begin + burst]
+            yield env.timeout(
+                rng.gammavariate(len(chunk), 1.0) * 1e9 / rate_per_s)
+            for offset, pending in enumerate(rack.submit_many(chunk)):
+                state["outstanding"] += 1
+                env.process(collect(begin + offset, pending))
+        state["generated"] = True
+
+    env.process(generate())
+    env.run(until=finished)
+    return done_ns
+
+
+def _closed_loop(rack, operations, clients):
+    """Completion time per request with ``clients`` back-to-back callers."""
+    env = rack.env
+    done_ns = [None] * len(operations)
+    cursor = {"next": 0}
+
+    def client():
+        while cursor["next"] < len(operations):
+            index = cursor["next"]
+            cursor["next"] = index + 1
+            if index == clients:
+                # mid-run, like every measured drive: must not perturb
+                rack.begin_measurement()
+            iterator, args = operations[index]
+            yield from rack.traverse(iterator, *args)
+            done_ns[index] = env.now
+
+    env.run(until=env.all_of([env.process(client())
+                              for _ in range(clients)]))
+    return done_ns
+
+
+def _digest(times) -> str:
+    assert all(t is not None for t in times)
+    return hashlib.sha256(repr(times).encode()).hexdigest()
+
+
+def tc_completion_times():
+    """4-node TC scans: 200 open loop at 500 kops, then 200 by 64 callers.
+
+    Every scan crosses nodes several times, so the switch, the fabric's
+    egress queues, the transport sessions and the scalar serve path are
+    all on the pinned path, with closed-loop callers producing exact
+    timestamp ties.
+    """
+    rack = PulseCluster(node_count=4, seed=RACK_SEED)
+    tc = build_tc(rack.memory, 4, num_pairs=20000, scan_limit=400,
+                  requests=400, seed=1)
+    ops = tc.operations
+    times = _open_loop(rack, ops[:200], 500e3, 1, random.Random("1:tc"))
+    times += _closed_loop(rack, ops[200:], 64)
+    return times
+
+
+def mix_completion_times():
+    """1-node chain finds + B+Tree lookups at 32 lanes: 20 doorbell
+    bursts of 64 at 3 Mops, then 1024 requests by 64 callers on
+    timer-flushed doorbells.  Lane groups of every width retire lanes
+    one by one, so the logic stage's follow-on delay is often exactly
+    0.0 -- dropping that zero-length heap entry moves this digest."""
+    rack = PulseCluster(node_count=1, batch_size=64, batch_lanes=32,
+                        seed=RACK_SEED)
+    chain = LinkedList(rack.memory)
+    for key in range(128):
+        chain.append(key, key * 3)
+    tree = BPlusTree(rack.memory, fanout=8)
+    for key in range(1024):
+        tree.insert(key, key * 5)
+    finder, lookup = chain.find_iterator(), tree.lookup_iterator()
+    rng = random.Random("3:mix")
+    ops = []
+    for _ in range(36):
+        is_chain = [True] * 24 + [False] * 40
+        rng.shuffle(is_chain)
+        ops += [(finder, (rng.randrange(120, 128),)) if chain_find
+                else (lookup, (rng.randrange(1024),))
+                for chain_find in is_chain]
+    times = _open_loop(rack, ops[:1280], 3e6, 64, random.Random("3:g"))
+    times += _closed_loop(rack, ops[1280:], 64)
+    return times
+
+
+@pytest.fixture(autouse=True)
+def default_tiers(monkeypatch):
+    """The digests pin the default execution tiers: CI legs that force
+    the interpreter, the scalar tier or sharding through ``PULSE_*``
+    run different (individually tested) timing paths."""
+    for knob in ("PULSE_BATCH", "PULSE_INTERP", "PULSE_WORKERS"):
+        monkeypatch.delenv(knob, raising=False)
+
+
+def test_tc_rack_completion_times_are_pinned():
+    assert _digest(tc_completion_times()) == TC_DIGEST
+
+
+def test_mix_batch_completion_times_are_pinned():
+    pytest.importorskip("numpy")  # without it the batch tier is off
+    assert _digest(mix_completion_times()) == MIX_DIGEST
