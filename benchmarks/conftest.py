@@ -18,15 +18,6 @@ e.g. ``REPRO_BENCH_SCALE=0.5`` halves request counts.
 import os
 from pathlib import Path
 
-# Pin the BLAS/OpenMP thread pools to one thread BEFORE numpy loads
-# anywhere in this process: the wall-clock gates compare execution
-# tiers, and surprise library-level thread fan-out (which varies with
-# host core count) adds variance the CI gate then trips over.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-             "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"

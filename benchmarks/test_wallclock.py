@@ -1,9 +1,9 @@
-"""Simulator wall-clock benchmark: interpreted vs compiled vs batched.
+"""Simulator wall-clock benchmark: interpreted vs compiled vs grouped.
 
 Unlike every other file in this directory, which measures *simulated*
 time, this one measures the *simulator's own* speed -- the reason the
-threaded-code compile tier (``repro.isa.compiler``) and the vectorized
-batch machine (``repro.isa.batchmachine``) exist.  Three measurements:
+threaded-code compile tier (``repro.isa.compiler``) exists and the
+host-side payoff of lane groups.  Three measurements:
 
 * **Microbench**: raw ``IteratorMachine`` iterations/sec chasing a ring
   of list nodes in a flat byte image, interpreted vs compiled.  This
@@ -12,12 +12,13 @@ batch machine (``repro.isa.batchmachine``) exist.  Three measurements:
   with ``PULSE_INTERP=1`` vs the compiled default.  The event engine
   dominates here, so the win is smaller, but compiled mode must never
   be meaningfully slower.
-* **Batch tier**: the chain/B-tree mix driven open loop in bursts of
-  64 through the doorbell batcher, ``PULSE_BATCH=0`` (scalar compiled)
-  vs ``PULSE_BATCH=32`` (each burst splits into a 32-lane chain group
-  and a 32-lane tree group).  Both the per-lane ISA work *and* the
-  event-engine work collapse to one vectorized step per LOAD, so the
-  wall-clock win is large.
+* **Lane groups**: the chain/B-tree mix driven open loop in bursts of
+  64 through the doorbell batcher, ``PULSE_BATCH=0`` (every request a
+  group of one lane) vs ``PULSE_BATCH=32`` (each burst splits into a
+  32-lane chain group and a 32-lane tree group).  The ISA work per lane
+  is the same compiled frame either way; the event-engine work
+  collapses to one memory phase and one logic hold per *step* instead
+  of per lane, so the wall-clock win is large.
 
 Two further measurements ride on the batch cell:
 
@@ -33,15 +34,14 @@ Two further measurements ride on the batch cell:
 
 Results land in the repo-root ``BENCH_wallclock.json``.  The
 acceptance bars -- compiled >= 3x interpreted on the microbench, and
-batch >= 2x scalar compiled end to end at 32 lanes -- are asserted, so
-CI fails on an execution-tier performance regression.  The batch bar is
-a ratio whose denominator is the scalar path; both legs' absolute wall
-clocks are recorded next to it so it is never read alone.
+32 lanes >= 3x lane width 1 end to end -- are asserted, so CI
+fails on a performance regression of either.  The group bar is a ratio
+whose denominator is the width-1 run; both legs' absolute wall clocks
+are recorded next to it so it is never read alone.
 
 Every measurement runs after an explicit warmup pass (module import
-costs, numpy kernel compilation, allocator pools), so the first timed
-round does not pay one-time setup -- that, plus the BLAS thread pinning
-in ``conftest.py``, is what keeps the CI gate stable.
+costs, kernel compilation, allocator pools), so the first timed round
+does not pay one-time setup.
 """
 
 import json
@@ -79,10 +79,10 @@ done:
 
 UPC_KW = {"num_pairs": 2000, "chain_length": 4}
 
-#: batch-tier cell: deep chain walks + B+Tree lookups, 32 lockstep lanes
+#: lane-group cell: deep chain walks + B+Tree lookups, 32 lockstep lanes
 BATCH_LANES = 32
 #: doorbell burst size; each burst splits into one chain group and one
-#: tree group, so every group fills a 32-lane machine
+#: tree group, so every group is 32 lanes wide
 BATCH_BURST = 64
 BATCH_CHAIN_NODES = 128
 #: chain lookups target the last few keys, so every lane walks nearly
@@ -90,6 +90,8 @@ BATCH_CHAIN_NODES = 128
 BATCH_CHAIN_TAIL = 8
 BATCH_TREE_KEYS = 1024
 BATCH_LOAD_PER_S = 8e6
+#: asserted floor of width-1 wall clock / 32-lane wall clock
+BATCH_BAR = 3.0
 
 #: sharded tier: one worker process per memory node on a 4-node rack
 SHARD_NODES = 4
@@ -123,10 +125,9 @@ _WARMED = False
 def warm_up():
     """One untimed pass over every code path the timers cover.
 
-    Primes bytecode caches, the compile tier's threaded-code assembly,
-    numpy's kernel dispatch, and the cluster/allocator pools, so the
-    first timed measurement in this module is not also the first
-    execution of anything.
+    Primes bytecode caches, the compile tier's threaded-code assembly
+    and the cluster/allocator pools, so the first timed measurement in
+    this module is not also the first execution of anything.
     """
     global _WARMED
     if _WARMED:
@@ -321,17 +322,17 @@ def test_compiled_tier_wallclock():
     # The event engine dominates end to end; compiled mode must at the
     # very least not regress wall clock (small slack for timer noise).
     assert e2e_speedup >= 0.85, report
-    # The acceptance bar for the batch tier: vectorizing both the lane
-    # logic and the per-iteration event-engine work must pay >= 2x at
-    # 32 lanes on the chain/B-tree mix.
-    assert batch_speedup >= 2.0, (
-        "batch tier below 2x scalar compiled.  The bar was 3x while a "
-        "scalar iteration cost 8 heap events; Resource.hold cut that to "
-        "5, which speeds the scalar leg (this ratio's denominator) more "
-        "than the batch leg: at REPRO_BENCH_SCALE=0.25 the ratio went "
-        "3.49 (0.764 s / 0.219 s) -> 2.1-2.6 (0.43-0.53 s / 0.18-0.22 s) "
-        "with both wall clocks down.  Read scalar_wallclock_s and "
-        "batch_wallclock_s, not the ratio alone.", report)
+    # The acceptance bar for lane groups: amortising the per-iteration
+    # event-engine work over 32 lanes must pay >= 3x over lane width 1
+    # on the chain/B-tree mix.
+    assert batch_speedup >= BATCH_BAR, (
+        f"32 lanes below {BATCH_BAR}x lane width 1.  Both legs run the "
+        "same compiled frames; the ratio is heap events per request "
+        "(one memory phase and one logic hold per step instead of per "
+        "lane).  Five runs at REPRO_BENCH_SCALE=0.25 read 3.92-4.23 "
+        "(0.44-0.47 s / 0.108-0.114 s) when the bar was set.  Read "
+        "scalar_wallclock_s and batch_wallclock_s, not the ratio "
+        "alone.", report)
 
 
 def measure_sharded_e2e_seconds(workers: int, requests: int) -> float:

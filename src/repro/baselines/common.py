@@ -45,7 +45,7 @@ class TraversalBackend(Protocol):
         """Issue a burst of traversals in one call (the batch seam).
 
         The primary submission path: systems with a batching front end
-        (pulse's doorbell batcher feeding the lockstep batch machine)
+        (pulse's doorbell batcher feeding the accelerator's lane groups)
         coalesce the whole burst; systems without one fall back to a
         scalar loop over :meth:`submit`.
         """

@@ -26,7 +26,6 @@ re-routes (section 5).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.messages import (DIRECT_READ_KIND, DURABILITY_KIND,
@@ -35,8 +34,8 @@ from repro.core.messages import (DIRECT_READ_KIND, DURABILITY_KIND,
                                  RequestStatus, TraversalBatch,
                                  TraversalRequest)
 from repro.core.scheduling import FairWorkspacePool, FifoWorkspacePool
-from repro.core.workspace import BatchMachinePool, MachinePool
-from repro.isa.batchmachine import get_batch_plan, np, resolve_batch_lanes
+from repro.core.workspace import MachinePool
+from repro.isa.batchmachine import resolve_batch_lanes
 from repro.isa.instructions import ExecutionFault, wrap64
 from repro.isa.interpreter import IterationOutcome, IteratorMachine
 from repro.mem.node import MemoryNode
@@ -56,6 +55,49 @@ PULSE_KIND = "pulse"
 SPAN_STAGES = ("netstack", "scheduler", "memory", "logic")
 
 
+class _Lane:
+    """One lane of a group: a request, its workspace frame, and the
+    traversal state a reply or continuation carries."""
+
+    __slots__ = ("request", "frame", "iterations", "prev_load", "dirty",
+                 "addr", "entry", "returned", "_node", "_durability")
+
+    def __init__(self, request: TraversalRequest, frame: IteratorMachine,
+                 node: MemoryNode, durability):
+        self.request = request
+        self.frame = frame
+        self._node = node
+        self._durability = durability
+        self.iterations = 0
+        #: the previous load in *this traversal* (carried across reroute
+        #: continuations): seeds the successor-edge sampling chain
+        self.prev_load = request.last_load_vaddr
+        #: redo-log LSNs of this lane's STOREs (durable racks only)
+        self.dirty: List[int] = []
+        #: this step's load address and the TLB entry held for it
+        self.addr = 0
+        self.entry = None
+        self.returned = False
+
+    def read(self, vaddr: int, size: int) -> bytes:
+        return self._node.memory.read(self.entry.translate(vaddr), size)
+
+    def write(self, vaddr: int, data: bytes) -> None:
+        # The STORE applies to DRAM and journals into the redo log in
+        # one step; the reply commit-waits on the dirty LSNs before
+        # acknowledging (group commit).
+        self._node.write_virt(vaddr, data)
+        if self._durability is not None:
+            self.dirty.append(self._durability.journal(vaddr, data))
+
+    def response(self, status: RequestStatus,
+                 fault_reason: str = "") -> TraversalRequest:
+        frame = self.frame
+        return self.request.advanced(
+            frame.cur_ptr, bytes(frame.scratch), self.iterations, status,
+            fault_reason, last_load_vaddr=self.prev_load)
+
+
 class AcceleratorCore:
     """One core: memory access pipeline, logic pipelines, TLB, frames.
 
@@ -71,7 +113,6 @@ class AcceleratorCore:
         self.logic_pipeline = Resource(env, capacity=logic_pipelines)
         self.tlb: Optional[TranslationCache] = None
         self.workspace: Optional[MachinePool] = None
-        self.batch: Optional[BatchMachinePool] = None
 
 
 class Accelerator:
@@ -152,8 +193,8 @@ class Accelerator:
         self._span_logic = registry.histogram(f"{prefix}.span.logic")
         self._m_batches = registry.counter(f"{prefix}.batches")
         self._batch_size_hist = registry.histogram(f"{prefix}.batch_size")
-        #: batch tier: lanes stepped per lockstep iteration, scalar-path
-        #: demotions, and lane groups formed from doorbell frames
+        #: multi-lane groups only: lanes stepped per lockstep step, lanes
+        #: that left early (miss, MOVED, fault), groups formed and steps
         self._batch_lanes_hist = registry.histogram(
             f"{prefix}.batch.lanes_active")
         self._m_batch_demotions = registry.counter(
@@ -189,26 +230,19 @@ class Accelerator:
         tlb_misses = registry.counter(f"{prefix}.tlb.misses")
         ws_reused = registry.counter(f"{prefix}.workspace.reused")
         ws_allocated = registry.counter(f"{prefix}.workspace.allocated")
-        #: effective SIMT width: PULSE_BATCH env over the configured
-        #: ``batch_lanes`` (0 = the scalar compiled tier; also forced
-        #: off when PULSE_INTERP selects the oracle or numpy is absent)
+        #: modeled SIMT width: PULSE_BATCH env over the configured
+        #: ``batch_lanes`` (0 = every request is a group of one lane)
         requested_lanes = (batch_lanes if batch_lanes is not None
                            else acc.batch_lanes)
         self.batch_lanes = resolve_batch_lanes(requested_lanes)
-        bm_reused = registry.counter(f"{prefix}.batch.machines_reused")
-        bm_allocated = registry.counter(
-            f"{prefix}.batch.machines_allocated")
         for core in self.cores:
             core.tlb = TranslationCache(
                 node.table, capacity=acc.tlb_entries_per_core,
                 hit_counter=tlb_hits, miss_counter=tlb_misses)
+            # A full-width group checks out one frame per lane at once.
             core.workspace = MachinePool(
-                capacity=acc.workspaces_per_core,
+                capacity=max(acc.workspaces_per_core, self.batch_lanes),
                 reused=ws_reused, allocated=ws_allocated)
-            if self.batch_lanes >= 2:
-                core.batch = BatchMachinePool(
-                    self.batch_lanes, reused=bm_reused,
-                    allocated=bm_allocated)
         registry.gauge(f"{prefix}.admission_queue_depth",
                        fn=lambda: float(self.workspaces.queue_length()))
         self.workspaces.attach_metrics(registry, prefix)
@@ -279,39 +313,37 @@ class Accelerator:
         self._dispatch_admitted(admitted)
 
     def _dispatch_admitted(self, admitted: List[TraversalRequest]) -> None:
-        """Route admitted requests to the batch or scalar tier.
+        """Form lane groups out of one doorbell frame's admitted requests.
 
-        Requests from one doorbell frame sharing a kernel (same program
-        digest, with a supported lane plan) run as one lockstep lane
-        group on a single core; everything else -- batch tier off,
-        unsupported programs, oversized initial scratch (a reset fault
-        the scalar path reports exactly), or groups of one -- takes the
-        per-request scalar path unchanged.
+        Requests sharing a kernel (same program digest) run as one
+        lockstep group of up to ``batch_lanes`` lanes on a single core.
+        Kernels with a STORE never share a group (a lane's write would
+        land between its neighbours' loads), and whatever is left over
+        runs as groups of one.  Multi-lane groups start first, in
+        digest-insertion order, then the singles.
         """
-        lanes = self.batch_lanes
-        if lanes < 2 or len(admitted) < 2:
-            for request in admitted:
-                self.env.process(self._serve(request))
-            return
+        width = self.batch_lanes
         singles: List[TraversalRequest] = []
         groups: dict = {}
-        for request in admitted:
-            plan = get_batch_plan(request.program)
-            if (plan is None or not plan.supported
-                    or len(request.scratch) > plan.scratch_bytes):
-                singles.append(request)
-                continue
-            groups.setdefault(request.program.digest(), []).append(request)
+        if width < 2 or len(admitted) < 2:
+            singles = admitted
+        else:
+            for request in admitted:
+                if request.program.has_store:
+                    singles.append(request)
+                else:
+                    groups.setdefault(request.program.digest(),
+                                      []).append(request)
         for group in groups.values():
-            for start in range(0, len(group), lanes):
-                chunk = group[start:start + lanes]
+            for start in range(0, len(group), width):
+                chunk = group[start:start + width]
                 if len(chunk) < 2:
                     singles.extend(chunk)
                     continue
                 self._m_batch_groups.inc()
-                self.env.process(self._serve_batch(chunk))
+                self.env.process(self._serve_group(chunk))
         for request in singles:
-            self.env.process(self._serve(request))
+            self.env.process(self._serve_group([request]))
 
     def _serve_direct_read(self, request: DirectReadRequest):
         """The split-index fast path: validate, one DRAM burst, reply.
@@ -370,38 +402,16 @@ class Accelerator:
         self.session.send(request.reply_to, DIRECT_READ_KIND, reply,
                           reply.wire_bytes(), segments=2)
 
-    def _serve(self, request: TraversalRequest):
-        """One request's life after admission: workspace, execute, reply."""
-        core_id = yield self.workspaces.acquire(request.tenant)
-        core = self.cores[core_id]
-        dirty: List[int] = []
-        try:
-            response = yield from self._execute(core, request, dirty)
-        finally:
-            self.workspaces.release(core_id)
-        if dirty:
-            # Commit-wait: the response -- whatever its status -- must
-            # not acknowledge STOREs that could still be lost with this
-            # node.  The workspace is already released; only the reply
-            # is parked until the group commit replicates.
-            wait = self.durability.wait_durable(max(dirty))
-            if wait is not None:
-                yield wait
-        if self._events is not None:
-            self._trace_execute(core_id, request, response)
-        yield from self._respond(response)
+    def _serve_group(self, requests: List[TraversalRequest]):
+        """One lane group's life after admission: a single workspace
+        grant, then lockstep execution; lanes reply as they retire.
 
-    def _serve_batch(self, requests: List[TraversalRequest]):
-        """One lane group's life: a single workspace grant, then lockstep.
-
-        The group occupies one core like one scalar request would (the
-        lane-major machine *is* the workspace); retired lanes respond
-        individually as they halt, fault, or demote.
+        A group occupies one core exactly like one request does -- a
+        request on its own is the group of one lane.
         """
         core_id = yield self.workspaces.acquire(requests[0].tenant)
-        core = self.cores[core_id]
         try:
-            yield from self._execute_batch(core, requests)
+            yield from self._execute_group(self.cores[core_id], requests)
         finally:
             self.workspaces.release(core_id)
 
@@ -433,311 +443,185 @@ class Accelerator:
         self.session.send(self.switch_name, PULSE_KIND, response,
                           response.wire_bytes(), segments=1)
 
-    def _execute(self, core: AcceleratorCore, request: TraversalRequest,
-                 dirty: Optional[List[int]] = None):
-        """Run iterations until done, rerouted, faulted, or out of budget."""
-        acc = self.params.accelerator
-        program = request.program
-        window_offset, window_size = program.load_window
-
-        # Check out a reusable frame for this kernel instead of building
-        # a machine per request; reset() zero-fills its scratch in place.
-        machine = core.workspace.acquire(program)
-        try:
-            try:
-                machine.reset(request.cur_ptr, request.scratch)
-            except ExecutionFault as exc:
-                return request.advanced(request.cur_ptr, request.scratch,
-                                        0, RequestStatus.FAULT, str(exc))
-            response = yield from self._iterate(core, machine, request,
-                                                window_offset, window_size,
-                                                acc, dirty)
-            return response
-        finally:
-            core.workspace.release(machine)
-
-    def _iterate(self, core: AcceleratorCore, machine: IteratorMachine,
-                 request: TraversalRequest, window_offset: int,
-                 window_size: int, acc,
-                 dirty: Optional[List[int]] = None):
-        """The per-iteration memory/logic loop of one admitted request."""
-        program = request.program
-        iterations = 0
-        # The previous load in *this traversal* (carried across reroute
-        # continuations) seeds the successor-edge sampling chain.
-        prev_load = request.last_load_vaddr
-        while True:
-            load_addr = wrap64(machine.cur_ptr + window_offset)
-            # Translation stage: the per-core TLB absorbs the full TCAM
-            # walk on range-local iterations (the common case).
-            entry = core.tlb.lookup(load_addr, window_size)
-            if entry is None:
-                return self._miss_response(machine.cur_ptr,
-                                           bytes(machine.scratch),
-                                           request, iterations, load_addr,
-                                           last_load=prev_load)
-            if self.hotness is not None:
-                self.hotness.sample(load_addr, prev=prev_load)
-            prev_load = load_addr
-
-            # Memory phase: pipeline occupancy, interconnect share, then
-            # the latency tail (overlapped with other workspaces).
-            if self.split_loads:
-                loads = program.naive_load_runs()
-            else:
-                loads = [(0, window_size)]
-            mem_phase_ns = 0.0
-            for _offset, load_bytes in loads:
-                occupancy = acc.occupancy_ns(load_bytes)
-                interconnect_ns = yield from self._memory_phase(
-                    core, occupancy, load_bytes)
-                mem_phase_ns += (occupancy + interconnect_ns
-                                 + acc.dram_latency_ns)
-            self._span_memory.record(mem_phase_ns)
-
-            # Simulated time passed during the memory phase; a migration
-            # fence may have remapped the node's table.  Revalidate the
-            # held entry (zero additional time -- hardware replays the
-            # access against the updated TCAM) so the functional load
-            # never reads through a stale translation.
-            entry = core.tlb.revalidate(entry, load_addr, window_size)
-            if entry is None:
-                # prev_load already advanced to load_addr: this load's
-                # edge was sampled at lookup, so the continuation must
-                # not re-record it at the new owner.
-                return self._miss_response(machine.cur_ptr,
-                                           bytes(machine.scratch),
-                                           request, iterations, load_addr,
-                                           last_load=prev_load)
-
-            try:
-                step = machine.run_iteration(
-                    self._read_fn(entry), self._write_fn(dirty))
-            except (ExecutionFault, ProtectionFault,
-                    TranslationFault) as exc:
-                self._m_faults.inc()
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.FAULT, str(exc))
-
-            iterations += 1
-            self._m_iterations.inc()
-            self._m_bytes.inc(step.load_bytes)
-            self._m_instructions.inc(step.instructions_executed)
-
-            # Logic phase: one FPGA cycle per executed logic instruction.
-            # The datapath is pipelined: it is *occupied* for only
-            # t_c/depth (another workspace's iteration can enter), while
-            # this request still waits out the full t_c latency.
-            logic_ns = (step.instructions_executed - 1) * acc.instruction_ns
-            occupancy = logic_ns / acc.logic_pipeline_depth
-            yield core.logic_pipeline.hold(occupancy, logic_ns - occupancy)
-            self._span_logic.record(logic_ns)
-
-            if step.outcome is IterationOutcome.DONE:
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.DONE, last_load_vaddr=prev_load)
-            if request.iterations_done + iterations >= acc.max_iterations:
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.ITER_LIMIT, last_load_vaddr=prev_load)
-
-    def _execute_batch(self, core: AcceleratorCore,
+    def _execute_group(self, core: AcceleratorCore,
                        requests: List[TraversalRequest]):
-        """Step a lane group in lockstep through one compiled kernel.
+        """Step a lane group through one kernel until every lane retired.
 
-        Per lockstep iteration: one *vectorized* translation + TLB probe
-        over every active lane, one gathered DRAM read for all the
-        record windows, then one linear sweep of the program body with
-        numpy ops over the lane subsets.  Lanes retire individually --
-        DONE and ITER_LIMIT respond directly; translation misses take
-        the scalar miss classification (reroute / MOVED / fault); lanes
-        the vector tier demotes (div-by-zero, indirect out-of-bounds,
-        statically faulting ops) roll back to their pre-iteration state
-        and re-run that iteration on the scalar path for exact fault
-        semantics.
+        Each lane is a pooled workspace frame.  Per lockstep step, in
+        lane order: translate (TLB, then hotness sampling), one gathered
+        memory phase for all lanes' bytes that pays the DRAM latency
+        tail once, then every lane's logic pass.  Lanes retire
+        individually -- RETURN, iteration budget, translation miss
+        (reroute / MOVED / fault) or the frame's own fault -- and reply
+        from their own process while the rest of the group runs on.
         """
         acc = self.params.accelerator
         program = requests[0].program
-        plan = get_batch_plan(program)
-        window_size = plan.window_size
-        instruction_ns = acc.instruction_ns
-        table = core.tlb.table
-        machine = core.batch.acquire(program, plan)
-        try:
-            lane_iters = np.zeros(len(requests), dtype=np.int64)
-            iters_done = np.fromiter(
-                (request.iterations_done for request in requests),
-                dtype=np.int64, count=len(requests))
-            # Per-lane previous load, seeded from the request (carried
-            # across reroutes) -- the batch-tier successor-edge chain.
-            lane_prev = np.fromiter(
-                (request.last_load_vaddr for request in requests),
-                dtype=np.uint64, count=len(requests))
-            for lane, request in enumerate(requests):
-                machine.seed(lane, request.cur_ptr, request.scratch)
-            active = list(range(len(requests)))
-            while active:
-                self._batch_lanes_hist.record(len(active))
+        window_offset, window_size = program.load_window
+        # Ablation: a non-aggregating compiler's loads, each its own
+        # memory phase, instead of the single aggregated LOAD (§4.1).
+        loads = (program.naive_load_runs() if self.split_loads
+                 else [(0, window_size)])
+        grouped = len(requests) > 1
+        tlb = core.tlb
+        table = tlb.table
+        hotness = self.hotness
+        lanes: List[_Lane] = []
+        for request in requests:
+            # Check out a reusable frame for this kernel instead of
+            # building a machine per request; reset() zero-fills its
+            # scratch in place.
+            lane = _Lane(request, core.workspace.acquire(program),
+                         self.node, self.durability)
+            try:
+                lane.frame.reset(request.cur_ptr, request.scratch)
+            except ExecutionFault as exc:
+                self._retire(core, lane, request.advanced(
+                    request.cur_ptr, request.scratch, 0,
+                    RequestStatus.FAULT, str(exc)), early=grouped)
+                continue
+            lanes.append(lane)
+
+        while lanes:
+            if grouped:
+                self._batch_lanes_hist.record(len(lanes))
                 self._m_batch_steps.inc()
-                addrs = machine.load_addresses(active)
-                entries = core.tlb.lookup_many(addrs, window_size)
-                if None in entries:
-                    lanes, held, kept = [], [], []
-                    for index, entry in enumerate(entries):
-                        if entry is None:
-                            # lane leaves the batch with the scalar miss
-                            # classification (reroute / MOVED / fault)
-                            lane = active[index]
-                            self._m_batch_demotions.inc()
-                            self._finish_lane(
-                                core, requests[lane],
-                                self._miss_response(
-                                    machine.lane_cur_ptr(lane),
-                                    machine.lane_scratch(lane),
-                                    requests[lane],
-                                    int(lane_iters[lane]),
-                                    int(addrs[index]),
-                                    last_load=int(lane_prev[lane])))
-                        else:
-                            lanes.append(active[index])
-                            held.append(entry)
-                            kept.append(index)
-                    if not lanes:
-                        break
-                    addrs = addrs[kept]
-                else:
-                    lanes, held = active, entries
-                if self.hotness is not None:
-                    self.hotness.sample_many(addrs, prevs=lane_prev[lanes])
-                lane_prev[lanes] = addrs
-                version = table.version
+            # Translation stage: the per-core TLB absorbs the full TCAM
+            # walk on range-local iterations (the common case).
+            held: List[_Lane] = []
+            for lane in lanes:
+                addr = wrap64(lane.frame.cur_ptr + window_offset)
+                lane.entry = tlb.lookup(addr, window_size)
+                if lane.entry is None:
+                    self._retire(core, lane,
+                                 self._miss_response(lane, addr),
+                                 early=grouped)
+                    continue
+                if hotness is not None:
+                    hotness.sample(addr, prev=lane.prev_load)
+                lane.prev_load = lane.addr = addr
+                held.append(lane)
+            if not held:
+                return
+            version = table.version
 
-                # Memory phase: the gathered LOAD holds the pipeline and
-                # interconnect for all lanes' bytes but pays the DRAM
-                # latency tail once -- the whole point of batching.
-                width = len(lanes)
-                occupancy = width * acc.occupancy_ns(window_size)
+            # Memory phase: the gathered LOAD holds the pipeline and
+            # interconnect for all lanes' bytes but pays the DRAM
+            # latency tail (overlapped with other workspaces) once.
+            width = len(held)
+            memory_ns = 0.0
+            for _offset, load_bytes in loads:
+                occupancy = width * acc.occupancy_ns(load_bytes)
                 interconnect_ns = yield from self._memory_phase(
-                    core, occupancy, width * window_size)
-                self._span_memory.record(occupancy + interconnect_ns
-                                         + acc.dram_latency_ns)
+                    core, occupancy, width * load_bytes)
+                memory_ns += (occupancy + interconnect_ns
+                              + acc.dram_latency_ns)
+            self._span_memory.record(memory_ns)
 
-                if table.version != version:
-                    # A migration fence remapped the table while we
-                    # waited: revalidate each held entry and classify
-                    # lanes whose mapping is gone via the miss path.
-                    survivors, paddrs = [], []
-                    for index, lane in enumerate(lanes):
-                        addr = int(addrs[index])
-                        fresh = core.tlb.revalidate(held[index], addr,
-                                                    window_size)
-                        if fresh is None:
-                            self._m_batch_demotions.inc()
-                            self._finish_lane(
-                                core, requests[lane],
-                                self._miss_response(
-                                    machine.lane_cur_ptr(lane),
-                                    machine.lane_scratch(lane),
-                                    requests[lane],
-                                    int(lane_iters[lane]), addr,
-                                    last_load=int(lane_prev[lane])))
-                        else:
-                            survivors.append(lane)
-                            paddrs.append(fresh.translate(addr))
-                    lanes = survivors
-                    if not lanes:
-                        break
+            if table.version != version:
+                # Simulated time passed: a migration fence remapped the
+                # node's table.  Revalidate each held entry (zero time
+                # -- hardware replays the access against the updated
+                # TCAM) so no lane reads through a stale translation.
+                # A lane's prev_load already names this load: its edge
+                # was sampled above, so the continuation must not
+                # re-record it at the new owner.
+                stale, held = held, []
+                for lane in stale:
+                    lane.entry = tlb.revalidate(lane.entry, lane.addr,
+                                                window_size)
+                    if lane.entry is None:
+                        self._retire(core, lane,
+                                     self._miss_response(lane, lane.addr),
+                                     early=grouped)
+                    else:
+                        held.append(lane)
+
+            # Logic pass: one FPGA cycle per executed logic instruction.
+            stepped: List[_Lane] = []
+            work = slowest = 0
+            for lane in held:
+                try:
+                    step = lane.frame.run_iteration(lane.read, lane.write)
+                except (ExecutionFault, ProtectionFault,
+                        TranslationFault) as exc:
+                    self._m_faults.inc()
+                    self._retire(core, lane, lane.response(
+                        RequestStatus.FAULT, str(exc)), early=grouped)
+                    continue
+                lane.iterations += 1
+                lane.returned = step.outcome is IterationOutcome.DONE
+                cycles = step.instructions_executed - 1
+                work += cycles
+                if cycles > slowest:
+                    slowest = cycles
+                stepped.append(lane)
+            if not stepped:
+                return
+            self._m_iterations.inc(len(stepped))
+            self._m_bytes.inc(len(stepped) * window_size)
+            self._m_instructions.inc(work + len(stepped))
+
+            # The datapath is pipelined: it is *occupied* for only the
+            # summed work / depth (another workspace's iteration can
+            # enter), while the group waits out its slowest lane's full
+            # latency (the SIMT convoy).
+            logic_ns = work * acc.instruction_ns
+            occupancy = logic_ns / acc.logic_pipeline_depth
+            yield core.logic_pipeline.hold(
+                occupancy,
+                max(0.0, slowest * acc.instruction_ns - occupancy))
+            self._span_logic.record(logic_ns)
+
+            lanes = []
+            for lane in stepped:
+                if lane.returned:
+                    status = RequestStatus.DONE
+                elif (lane.request.iterations_done + lane.iterations
+                      >= acc.max_iterations):
+                    status = RequestStatus.ITER_LIMIT
                 else:
-                    # Fast path: the table did not move, so every held
-                    # entry is still authoritative (what revalidate
-                    # would conclude lane by lane).
-                    paddrs = (addrs.view(np.int64)
-                              + np.fromiter(
-                                  (e.phys_start - e.virt_start
-                                   for e in held),
-                                  dtype=np.int64, count=width))
-                rows = self.node.memory.gather_rows(paddrs, window_size)
-                done, cont, demoted = machine.run_logic(lanes, rows)
+                    lanes.append(lane)
+                    continue
+                self._retire(core, lane, lane.response(status))
 
-                # Logic phase: the pipelines are occupied for the summed
-                # instruction work / depth; the lockstep group then waits
-                # out the slowest lane's latency (the SIMT convoy).
-                finished = (np.concatenate((done, cont))
-                            if done.size and cont.size
-                            else (done if done.size else cont))
-                if finished.size:
-                    lane_iters[finished] += 1
-                    executed = machine.step_instr[finished]
-                    lane_ns = (executed - 1) * instruction_ns
-                    logic_sum = float(lane_ns.sum())
-                    self._m_iterations.inc(finished.size)
-                    self._m_bytes.inc(finished.size * window_size)
-                    self._m_instructions.inc(int(executed.sum()))
-                    occupancy = logic_sum / acc.logic_pipeline_depth
-                    yield core.logic_pipeline.hold(
-                        occupancy,
-                        max(0.0, float(lane_ns.max()) - occupancy))
-                    self._span_logic.record(logic_sum)
+    def _retire(self, core: AcceleratorCore, lane: "_Lane",
+                response: TraversalRequest, early: bool = False) -> None:
+        """Return the lane's frame and start its reply process.
 
-                for lane in map(int, done):
-                    request = requests[lane]
-                    self._finish_lane(core, request, request.advanced(
-                        machine.lane_cur_ptr(lane),
-                        machine.lane_scratch(lane),
-                        int(lane_iters[lane]), RequestStatus.DONE,
-                        last_load_vaddr=int(lane_prev[lane])))
-                if cont.size:
-                    limited = (iters_done[cont] + lane_iters[cont]
-                               >= acc.max_iterations)
-                    for lane in map(int, cont[limited]):
-                        request = requests[lane]
-                        self._finish_lane(core, request, request.advanced(
-                            machine.lane_cur_ptr(lane),
-                            machine.lane_scratch(lane),
-                            int(lane_iters[lane]),
-                            RequestStatus.ITER_LIMIT,
-                            last_load_vaddr=int(lane_prev[lane])))
-                    active = cont[~limited].tolist()
-                else:
-                    active = []
-                for lane in map(int, demoted):
-                    # Rolled back to the pre-iteration state; the scalar
-                    # path re-runs the iteration with exact semantics.
-                    self._m_batch_demotions.inc()
-                    request = requests[lane]
-                    resumed = replace(
-                        request,
-                        cur_ptr=machine.lane_cur_ptr(lane),
-                        scratch=machine.lane_scratch(lane),
-                        iterations_done=(request.iterations_done
-                                         + int(lane_iters[lane])),
-                        last_load_vaddr=int(lane_prev[lane]))
-                    self.env.process(self._serve(resumed))
-        finally:
-            core.batch.release(machine)
+        ``early`` marks a lane leaving a multi-lane group before RETURN
+        or the iteration budget (miss, MOVED, fault).
+        """
+        core.workspace.release(lane.frame)
+        if early:
+            self._m_batch_demotions.inc()
+        self.env.process(self._reply(core.core_id, lane, response))
 
-    def _finish_lane(self, core: AcceleratorCore,
-                     request: TraversalRequest,
-                     response: TraversalRequest) -> None:
-        """Trace + transmit one retired lane (tx_unit serializes)."""
+    def _reply(self, core_id: int, lane: "_Lane",
+               response: TraversalRequest):
+        """Commit-wait, trace, transmit (the tx unit serializes).
+
+        A process of its own, so neither the group nor its workspace
+        token waits on a parked reply.
+        """
+        if lane.dirty:
+            # The response -- whatever its status -- must not
+            # acknowledge STOREs that could still be lost with this
+            # node: park it until the group commit replicates.
+            wait = self.durability.wait_durable(max(lane.dirty))
+            if wait is not None:
+                yield wait
         if self._events is not None:
-            self._trace_execute(core.core_id, request, response)
-        self.env.process(self._respond(response))
+            request = lane.request
+            self._events.record(self.name, "execute", request.request_id,
+                                core=core_id,
+                                iterations=(response.iterations_done
+                                            - request.iterations_done),
+                                status=response.status.value)
+        yield from self._respond(response)
 
-    def _trace_execute(self, core_id: int, request: TraversalRequest,
-                       response: TraversalRequest) -> None:
-        self._events.record(self.name, "execute", request.request_id,
-                            core=core_id,
-                            iterations=(response.iterations_done
-                                        - request.iterations_done),
-                            status=response.status.value)
-
-    def _miss_response(self, cur_ptr: int, scratch: bytes,
-                       request: TraversalRequest, iterations: int,
-                       load_addr: int,
-                       last_load: Optional[int] = None) -> TraversalRequest:
+    def _miss_response(self, lane: "_Lane",
+                       load_addr: int) -> TraversalRequest:
         """Translation miss: re-route, redirect (migrated), or fault.
 
         A pointer arithmetically *foreign* is the paper's distributed
@@ -763,14 +647,11 @@ class Accelerator:
                           if self.placement_map is not None else owner)
             if live_owner is not None and live_owner != self.node.node_id:
                 self._m_rerouted.inc()
-                response = request.advanced(
-                    cur_ptr, scratch, iterations,
-                    RequestStatus.RUNNING, last_load_vaddr=last_load)
-                response.node_hops = request.node_hops + 1
+                response = lane.response(RequestStatus.RUNNING)
+                response.node_hops += 1
                 return response
             self._m_faults.inc()
-            return request.advanced(
-                cur_ptr, scratch, iterations,
+            return lane.response(
                 RequestStatus.FAULT,
                 f"invalid pointer {load_addr:#x}: unmapped on its live "
                 f"owner")
@@ -781,41 +662,14 @@ class Accelerator:
                      and live_owner != self.node.node_id)
         if moved:
             self._m_moved.inc()
-            response = request.advanced(
-                cur_ptr, scratch, iterations,
-                RequestStatus.MOVED, last_load_vaddr=last_load)
-            response.node_hops = request.node_hops + 1
+            response = lane.response(RequestStatus.MOVED)
+            response.node_hops += 1
             return response
         self._m_faults.inc()
-        return request.advanced(
-            cur_ptr, scratch, iterations,
-            RequestStatus.FAULT,
-            f"invalid pointer {load_addr:#x}")
+        return lane.response(RequestStatus.FAULT,
+                             f"invalid pointer {load_addr:#x}")
 
     # -- helpers -------------------------------------------------------------
-    def _read_fn(self, entry):
-        memory = self.node.memory
-
-        def read(vaddr: int, size: int) -> bytes:
-            return memory.read(entry.translate(vaddr), size)
-
-        return read
-
-    def _write_fn(self, dirty: Optional[List[int]] = None):
-        write_virt = self.node.write_virt
-        durability = self.durability
-        if durability is None or dirty is None:
-            return write_virt
-
-        def write(vaddr: int, data: bytes) -> None:
-            # The STORE applies to DRAM and journals into the redo log
-            # in one step; the response path commit-waits on the dirty
-            # LSNs before acknowledging (group commit).
-            write_virt(vaddr, data)
-            dirty.append(durability.journal(vaddr, data))
-
-        return write
-
     def _netstack(self, unit: Resource):
         """One parse/deparse: the pipelined unit is occupied for a few
         cycles, the message waits out the full netstack latency."""

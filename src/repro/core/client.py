@@ -258,8 +258,8 @@ class PulseClient:
         Each ``(iterator, args)`` pair becomes its own traversal
         process, all created at the same simulated instant -- so the
         burst coalesces in this client's doorbell batcher into
-        multi-request frames, which the accelerator's batch machine
-        steps in lockstep.  Returns one :class:`PendingTraversal` per
+        multi-request frames, which the accelerator steps as lockstep
+        lane groups.  Returns one :class:`PendingTraversal` per
         request, in order.
         """
         return [self.submit(iterator, *args)

@@ -333,8 +333,8 @@ class PulseCluster:
         The whole burst lands on *one* client (round-robin advances per
         burst, not per request) so the submissions coalesce in that
         client's doorbell batcher and arrive at the accelerators as
-        multi-request frames -- the unit the batch machine steps in
-        lockstep.  Scalar :meth:`submit` remains the one-off fallback.
+        multi-request frames -- the unit the accelerator forms its
+        lockstep lane groups from.  Scalar :meth:`submit` remains the one-off fallback.
         """
         if not requests:
             return []

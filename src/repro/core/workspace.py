@@ -4,8 +4,8 @@ The hardware does not fabricate a workspace per request -- each core owns
 a fixed set of them and the scheduler hands requests to whichever is
 free (section 4.2.3).  The simulator used to re-allocate a fresh
 :class:`~repro.isa.interpreter.IteratorMachine` (scratch pad, register
-file, compiled frame) for every ``_execute``; at millions of requests
-that allocation churn, not the modeled hardware, dominated wall clock.
+file, compiled frame) for every request; at millions of requests that
+allocation churn, not the modeled hardware, dominated wall clock.
 
 :class:`MachinePool` is a free list of machines keyed by program content
 digest.  ``acquire`` hands out an idle machine for the program (building
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.batchmachine import BatchMachine, BatchPlan
 from repro.isa.interpreter import IteratorMachine
 from repro.isa.program import Program
 
@@ -66,51 +65,6 @@ class MachinePool:
 
     def release(self, machine: IteratorMachine) -> None:
         """Return a machine for reuse (dropped once the pool is full)."""
-        if self._retained >= self.capacity:
-            return
-        digest = machine.program.digest()
-        self._free.setdefault(digest, []).append(machine)
-        self._retained += 1
-
-
-class BatchMachinePool:
-    """Bounded free list of lane-major :class:`BatchMachine` frames.
-
-    The batch tier's analogue of :class:`MachinePool`: one entry holds
-    ``lanes`` workspace frames worth of numpy arrays, so reuse matters
-    even more here -- a 32-lane machine over a 4 KB scratch pad is
-    128 KB of state per kernel.  Keyed by (program digest, lane count);
-    callers re-``seed`` every lane they use, so no state leaks.
-    """
-
-    def __init__(self, lanes: int, capacity: int = 8,
-                 reused=None, allocated=None):
-        if capacity < 0:
-            raise ValueError("pool capacity must be non-negative")
-        if lanes < 2:
-            raise ValueError("a batch machine needs at least 2 lanes")
-        self.lanes = lanes
-        self.capacity = capacity
-        self._free: Dict[bytes, List[BatchMachine]] = {}
-        self._retained = 0
-        self._reused = reused
-        self._allocated = allocated
-
-    def __len__(self) -> int:
-        return self._retained
-
-    def acquire(self, program: Program, plan: BatchPlan) -> BatchMachine:
-        stack = self._free.get(program.digest())
-        if stack:
-            self._retained -= 1
-            if self._reused is not None:
-                self._reused.inc()
-            return stack.pop()
-        if self._allocated is not None:
-            self._allocated.inc()
-        return BatchMachine(program, plan, self.lanes)
-
-    def release(self, machine: BatchMachine) -> None:
         if self._retained >= self.capacity:
             return
         digest = machine.program.digest()

@@ -31,8 +31,6 @@ from repro.isa.compiler import (
 )
 from repro.isa.batchmachine import (
     BatchMachine,
-    BatchPlan,
-    batch_supported,
     get_batch_plan,
     resolve_batch_lanes,
 )
@@ -46,7 +44,6 @@ from repro.isa.analysis import ProgramAnalysis, analyze
 __all__ = [
     "ALU_OPCODES",
     "BatchMachine",
-    "BatchPlan",
     "CONDITIONS",
     "CompiledProgram",
     "ExecutionFault",
@@ -61,7 +58,6 @@ __all__ = [
     "StepResult",
     "analyze",
     "assemble",
-    "batch_supported",
     "compile_program",
     "cur_ptr",
     "data",

@@ -1,710 +1,80 @@
-"""SIMT-style batch execution of one compiled kernel over N lanes.
+"""Lane groups outside the accelerator: N frames of one kernel in lockstep.
 
-The threaded-code tier (:mod:`repro.isa.compiler`) made one workspace
-frame fast; this module makes a *doorbell batch* of frames fast.  A
-:class:`BatchMachine` holds the state of up to ``lanes`` workspace
-frames in lane-major numpy arrays (``cur_ptr[L]``, ``regs[L, 8]``,
-``scratch[L, S]``, ``data[L, W]``) and steps all of them through one
-compiled program in lockstep:
+The accelerator steps a doorbell batch as a *lane group*: up to
+``batch_lanes`` workspace frames of one kernel sharing a gathered LOAD
+per step (``Accelerator._execute_group``).  :class:`BatchMachine` is that
+loop with the memory side handed in by the caller, for the differential
+tests and the perfbench probe.  A lane is an ordinary ``IteratorMachine``
+(compiled, or the oracle under ``PULSE_INTERP=1``), so a faulting lane
+reports the fault a request on its own would; its neighbours run on.
 
-* every iteration starts with a single *gathered* LOAD -- the host
-  translates all active lanes' load addresses in one vectorized TLB
-  probe and gathers the ``[L, W]`` record windows in one numpy fancy
-  index -- then
-
-* one linear sweep over the program body executes each instruction for
-  exactly the subset of lanes whose pc sits on it.  Forward-only jumps
-  (enforced by :meth:`Instruction.validate`) make this sound: a lane's
-  pc only moves forward, so visiting pc = 1..n-1 once visits every
-  lane's whole path.  ALU, COMPARE, and branch-mask updates are numpy
-  kernels over the lane subset (the Bodo array-kernel idiom).
-
-Lanes *retire* from the batch as they RETURN (halt), hit NEXT_ITER (next
-pointer hop), or *demote*.  Demotion is the scalar-path escape hatch:
-anything the vector tier cannot (or should not) reproduce bit-exactly --
-division by zero, indirect scratch accesses out of bounds, statically
-faulting instructions, a translation miss on the gathered LOAD -- rolls
-the lane back to its pre-iteration state and re-runs that iteration on
-the scalar compiled tier, which produces the exact fault semantics and
-messages.  The interpreter remains the oracle above both.
-
-``PULSE_BATCH`` (environment) overrides the configured lane count;
-``PULSE_BATCH=0`` (or 1) forces the scalar compiled tier.  The batch
-tier also steps aside whenever ``PULSE_INTERP`` forces the interpreter
-or numpy is unavailable.
+``PULSE_BATCH`` (environment) overrides the configured lane width: a
+parameter of the *model* (how many lanes share a memory phase), unlike
+the tier that executes the frames.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import Sequence
 
-try:  # numpy is the vector substrate; without it the tier disables itself
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+from repro.isa.compiler import compile_program
+from repro.isa.instructions import ExecutionFault, wrap64
+from repro.isa.interpreter import IterationOutcome, IteratorMachine
 
-from repro.isa.compiler import (
-    PC_NEXT_ITER,
-    PC_RETURN,
-    compile_program,
-    interpreter_forced,
-)
-from repro.isa.instructions import (
-    ALU_OPCODES,
-    JUMP_OPCODES,
-    Bank,
-    ExecutionFault,
-    Instruction,
-    Opcode,
-    Operand,
-)
-from repro.isa.program import Program
+__all__ = ["BatchMachine", "get_batch_plan", "resolve_batch_lanes"]
 
-__all__ = [
-    "BatchMachine",
-    "BatchPlan",
-    "PC_DEMOTE",
-    "batch_supported",
-    "get_batch_plan",
-    "resolve_batch_lanes",
-]
-
-#: sentinel pc for a lane kicked back to the scalar path this iteration
-PC_DEMOTE = -3
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-_UINT64_MAX = (1 << 64) - 1
-
-
-class _Unsupported(Exception):
-    """Raised at plan-compile time: program can never run on the batch tier."""
-
-
-class _StaticFault(Exception):
-    """Raised at plan-compile time: this instruction always faults.
-
-    The interpreter and scalar tier fault at *runtime* with a precise
-    message; the batch tier lowers the instruction to a demote-all op so
-    the scalar re-run produces that exact fault.
-    """
-
-
-class BatchPlan:
-    """The lane-parallel lowering of one program (or why there isn't one).
-
-    ``ops[pc](machine, idx)`` executes instruction ``pc`` for the lane
-    subset ``idx`` (an int64 index array).  ``can_demote`` is the static
-    answer to "can any lane ever leave the lockstep sweep other than
-    via RETURN/NEXT_ITER?" -- when False the per-step state snapshot
-    (rollback insurance) is skipped entirely.
-    """
-
-    __slots__ = ("supported", "reason", "can_demote", "ops",
-                 "window_offset", "window_size", "scratch_bytes",
-                 "length")
-
-    def __init__(self, program: Program):
-        self.supported = True
-        self.reason = ""
-        self.can_demote = False
-        self.window_offset, self.window_size = program.load_window
-        self.scratch_bytes = program.scratch_bytes
-        self.length = len(program.instructions)
-        self.ops: List[Optional[Callable]] = [None] * self.length
-
-    def _reject(self, reason: str) -> "BatchPlan":
-        self.supported = False
-        self.reason = reason
-        self.ops = []
-        return self
-
-
-# ---------------------------------------------------------------------------
-# operand readers
-#
-# A reader is ``fn(bm, idx) -> (vals, keep)``: ``vals`` is an int64 or
-# uint64 array of *math* values for the surviving lanes; ``keep`` is
-# None when every lane survived, else a bool mask over the input ``idx``
-# (lanes already marked PC_DEMOTE by the reader).  ``vals`` is always
-# a fresh array (or a view of one) the caller may reinterpret in place.
-# ---------------------------------------------------------------------------
-
-def _compile_read(operand: Operand, window_size: int,
-                  scratch_bytes: int) -> Tuple[str, Callable, bool]:
-    """Returns (kind, reader, demotable); kind is 'i' or 'u'."""
-    bank = operand.bank
-    if bank is Bank.IMM:
-        value = operand.value
-        if _INT64_MIN <= value <= _INT64_MAX:
-            const = np.int64(value)
-
-            def read(bm, idx, _c=const):
-                return np.full(idx.shape, _c, dtype=np.int64), None
-
-            return "i", read, False
-        if 0 <= value <= _UINT64_MAX:
-            const = np.uint64(value)
-
-            def read(bm, idx, _c=const):
-                return np.full(idx.shape, _c, dtype=np.uint64), None
-
-            return "u", read, False
-        raise _Unsupported(f"immediate {value} outside the 64-bit range")
-    if bank is Bank.CUR_PTR:
-
-        def read(bm, idx):
-            return bm.cur_ptr[idx], None
-
-        return "u", read, False
-    if bank is Bank.REG:
-        reg = operand.value
-        if operand.signed:
-
-            def read(bm, idx, _r=reg):
-                return bm.regs[idx, _r].view(np.int64), None
-
-            return "i", read, False
-
-        def read(bm, idx, _r=reg):
-            return bm.regs[idx, _r], None
-
-        return "u", read, False
-
-    width = operand.width
-    kind = "i" if operand.signed else "u"
-    out_dtype = np.int64 if operand.signed else np.uint64
-    narrow = np.dtype(f"<i{width}" if operand.signed else f"<u{width}")
-
-    if bank is Bank.SP_IND:
-        reg = operand.value
-        limit = scratch_bytes - width  # python int; negative = always bad
-
-        def read(bm, idx, _r=reg, _w=width, _limit=limit, _nd=narrow,
-                 _od=out_dtype, _S=scratch_bytes):
-            offsets = bm.regs[idx, _r]
-            if _limit < 0:
-                bad = np.ones(idx.shape, dtype=bool)
-            else:
-                bad = offsets > np.uint64(_limit)
-            keep = None
-            if bad.any():
-                bm.lane_pc[idx[bad]] = PC_DEMOTE
-                keep = ~bad
-                idx = idx[keep]
-                offsets = offsets[keep]
-                if idx.size == 0:
-                    return None, keep
-            flat = (idx.astype(np.int64) * _S
-                    + offsets.astype(np.int64))[:, None] + np.arange(_w)
-            raw = bm.scratch.reshape(-1)[flat]
-            vals = np.ascontiguousarray(raw).view(_nd).ravel().astype(_od)
-            return vals, keep
-
-        return kind, read, True
-
-    # static DATA / SP window
-    offset = operand.value
-    end = offset + width
-    size = window_size if bank is Bank.DATA else scratch_bytes
-    if end > size:
-        raise _StaticFault()
-    attr = "data" if bank is Bank.DATA else "scratch"
-
-    def read(bm, idx, _a=attr, _o=offset, _e=end, _nd=narrow,
-             _od=out_dtype):
-        raw = getattr(bm, _a)[idx, _o:_e]
-        vals = np.ascontiguousarray(raw).view(_nd).ravel().astype(_od)
-        return vals, None
-
-    return kind, read, False
-
-
-# ---------------------------------------------------------------------------
-# operand writers
-#
-# A writer is ``fn(bm, idx, pattern) -> surviving_idx`` where ``pattern``
-# is the uint64 two's-complement bit pattern of the value (wrap64) --
-# exactly what the scalar tier stores.  SP_IND writers may demote.
-# ---------------------------------------------------------------------------
-
-def _compile_write(operand: Operand,
-                   scratch_bytes: int) -> Tuple[Callable, bool]:
-    bank = operand.bank
-    if bank is Bank.CUR_PTR:
-
-        def write(bm, idx, pattern):
-            bm.cur_ptr[idx] = pattern
-            return idx
-
-        return write, False
-    if bank is Bank.REG:
-        reg = operand.value
-
-        def write(bm, idx, pattern, _r=reg):
-            bm.regs[idx, _r] = pattern
-            return idx
-
-        return write, False
-
-    width = operand.width
-    if bank is Bank.SP:
-        offset = operand.value
-        end = offset + width
-        if end > scratch_bytes:
-            raise _StaticFault()
-
-        def write(bm, idx, pattern, _o=offset, _e=end, _w=width):
-            low = pattern.astype("<u8", copy=False).view(
-                np.uint8).reshape(-1, 8)[:, :_w]
-            bm.scratch[idx, _o:_e] = low
-            return idx
-
-        return write, False
-    if bank is Bank.SP_IND:
-        reg = operand.value
-        limit = scratch_bytes - width
-
-        def write(bm, idx, pattern, _r=reg, _w=width, _limit=limit,
-                  _S=scratch_bytes):
-            offsets = bm.regs[idx, _r]
-            if _limit < 0:
-                bad = np.ones(idx.shape, dtype=bool)
-            else:
-                bad = offsets > np.uint64(_limit)
-            if bad.any():
-                bm.lane_pc[idx[bad]] = PC_DEMOTE
-                keep = ~bad
-                idx = idx[keep]
-                offsets = offsets[keep]
-                pattern = pattern[keep]
-                if idx.size == 0:
-                    return idx
-            flat = (idx.astype(np.int64) * _S
-                    + offsets.astype(np.int64))[:, None] + np.arange(_w)
-            low = pattern.astype("<u8", copy=False).view(
-                np.uint8).reshape(-1, 8)[:, :_w]
-            bm.scratch.reshape(-1)[flat] = low
-            return idx
-
-        return write, True
-    # DATA is read-only; nothing else is writable -- always a runtime
-    # fault on the scalar tiers, so lower to demote-all.
-    raise _StaticFault()
-
-
-def _pattern(vals):
-    """uint64 two's-complement bit pattern of a math-value array."""
-    if vals.dtype == np.uint64:
-        return vals
-    return vals.view(np.uint64)
-
-
-def _read2(bm, idx, read_a, read_b):
-    """Read two operands, compounding per-reader lane demotions."""
-    a, keep = read_a(bm, idx)
-    if keep is not None:
-        idx = idx[keep]
-        if idx.size == 0:
-            return None, None, idx
-    b, keep = read_b(bm, idx)
-    if keep is not None:
-        idx = idx[keep]
-        a = a[keep]
-        if idx.size == 0:
-            return None, None, idx
-    return a, b, idx
-
-
-def _vec_compare(a, kind_a, b, kind_b):
-    """(eq, lt) bool arrays under the scalar tier's *math* comparison.
-
-    Mixed signedness never goes through numpy's int64+uint64 float64
-    promotion: the unsigned side is compared against the signed side's
-    bit pattern, masked by the signed side's sign.
-    """
-    if kind_a == kind_b:
-        return a == b, a < b
-    if kind_a == "u":  # a unsigned, b signed
-        pb = b.view(np.uint64)
-        nonneg = b >= 0
-        return nonneg & (a == pb), nonneg & (a < pb)
-    pa = a.view(np.uint64)  # a signed, b unsigned
-    neg = a < 0
-    return (~neg) & (pa == b), neg | ((~neg) & (pa < b))
-
-
-def _negate(pattern):
-    """Two's-complement negation of a uint64 pattern array."""
-    return (~pattern) + np.uint64(1)
-
-
-_ALU_PATTERN_FNS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-}
-
-_JUMP_TAKEN_FNS = {
-    Opcode.JUMP_EQ: lambda eq, lt: eq,
-    Opcode.JUMP_NEQ: lambda eq, lt: ~eq,
-    Opcode.JUMP_LT: lambda eq, lt: lt,
-    Opcode.JUMP_GT: lambda eq, lt: ~(lt | eq),
-    Opcode.JUMP_LE: lambda eq, lt: lt | eq,
-    Opcode.JUMP_GE: lambda eq, lt: ~lt,
-}
-
-
-# ---------------------------------------------------------------------------
-# per-instruction lowering
-# ---------------------------------------------------------------------------
-
-def _static_fault_op(bm, idx):
-    bm.step_instr[idx] += 1
-    bm.lane_pc[idx] = PC_DEMOTE
-
-
-def _compile_instruction(instr: Instruction, pc: int, window_size: int,
-                         scratch_bytes: int) -> Tuple[Callable, bool]:
-    """Returns (op, demotable) for one instruction."""
-    opcode = instr.opcode
-    nxt = pc + 1
-
-    if opcode is Opcode.RETURN:
-
-        def op(bm, idx):
-            bm.step_instr[idx] += 1
-            bm.lane_pc[idx] = PC_RETURN
-
-        return op, False
-
-    if opcode is Opcode.NEXT_ITER:
-
-        def op(bm, idx):
-            bm.step_instr[idx] += 1
-            bm.lane_pc[idx] = PC_NEXT_ITER
-
-        return op, False
-
-    if opcode in JUMP_OPCODES:
-        taken_fn = _JUMP_TAKEN_FNS[opcode]
-        target = instr.target
-
-        def op(bm, idx, _t=target, _n=nxt, _fn=taken_fn):
-            bm.step_instr[idx] += 1
-            taken = _fn(bm.flag_eq[idx], bm.flag_lt[idx])
-            bm.lane_pc[idx] = np.where(taken, _t, _n)
-
-        return op, False
-
-    if opcode is Opcode.LOAD:
-        # a LOAD at pc > 0 is a scalar-tier runtime fault
-        raise _StaticFault()
-
-    if opcode is Opcode.STORE:
-        # STOREs mutate remote memory mid-iteration; the batch tier
-        # cannot roll that back on a later lane demotion, so programs
-        # with STORE stay on the scalar path entirely.
-        raise _Unsupported("STORE has side effects outside the lane state")
-
-    if opcode is Opcode.COMPARE:
-        kind_a, read_a, dem_a = _compile_read(instr.a, window_size,
-                                              scratch_bytes)
-        kind_b, read_b, dem_b = _compile_read(instr.b, window_size,
-                                              scratch_bytes)
-
-        def op(bm, idx, _ra=read_a, _rb=read_b, _ka=kind_a, _kb=kind_b,
-               _n=nxt):
-            bm.step_instr[idx] += 1
-            a, b, idx = _read2(bm, idx, _ra, _rb)
-            if idx.size == 0:
-                return
-            eq, lt = _vec_compare(a, _ka, b, _kb)
-            bm.flag_eq[idx] = eq
-            bm.flag_lt[idx] = lt
-            bm.lane_pc[idx] = _n
-
-        return op, dem_a or dem_b
-
-    if opcode is Opcode.MOVE:
-        _kind, read_a, dem_a = _compile_read(instr.a, window_size,
-                                             scratch_bytes)
-        write, dem_w = _compile_write(instr.dst, scratch_bytes)
-
-        def op(bm, idx, _ra=read_a, _w=write, _n=nxt):
-            bm.step_instr[idx] += 1
-            a, keep = _ra(bm, idx)
-            if keep is not None:
-                idx = idx[keep]
-                if idx.size == 0:
-                    return
-            idx = _w(bm, idx, _pattern(a))
-            if idx.size:
-                bm.lane_pc[idx] = _n
-
-        return op, dem_a or dem_w
-
-    if opcode is Opcode.NOT:
-        _kind, read_a, dem_a = _compile_read(instr.a, window_size,
-                                             scratch_bytes)
-        write, dem_w = _compile_write(instr.dst, scratch_bytes)
-
-        def op(bm, idx, _ra=read_a, _w=write, _n=nxt):
-            bm.step_instr[idx] += 1
-            a, keep = _ra(bm, idx)
-            if keep is not None:
-                idx = idx[keep]
-                if idx.size == 0:
-                    return
-            idx = _w(bm, idx, ~_pattern(a))
-            if idx.size:
-                bm.lane_pc[idx] = _n
-
-        return op, dem_a or dem_w
-
-    if opcode is Opcode.DIV:
-        kind_a, read_a, dem_a = _compile_read(instr.a, window_size,
-                                              scratch_bytes)
-        kind_b, read_b, dem_b = _compile_read(instr.b, window_size,
-                                              scratch_bytes)
-        write, dem_w = _compile_write(instr.dst, scratch_bytes)
-
-        def op(bm, idx, _ra=read_a, _rb=read_b, _ka=kind_a, _kb=kind_b,
-               _w=write, _n=nxt):
-            bm.step_instr[idx] += 1
-            a, b, idx = _read2(bm, idx, _ra, _rb)
-            if idx.size == 0:
-                return
-            pa, pb = _pattern(a), _pattern(b)
-            neg_a = (a < 0) if _ka == "i" else np.zeros(idx.shape, bool)
-            neg_b = (b < 0) if _kb == "i" else np.zeros(idx.shape, bool)
-            zero = pb == np.uint64(0)
-            if zero.any():
-                # division by zero -> scalar path raises the exact fault
-                bm.lane_pc[idx[zero]] = PC_DEMOTE
-                keep = ~zero
-                idx, pa, pb = idx[keep], pa[keep], pb[keep]
-                neg_a, neg_b = neg_a[keep], neg_b[keep]
-                if idx.size == 0:
-                    return
-            mag_a = np.where(neg_a, _negate(pa), pa)
-            mag_b = np.where(neg_b, _negate(pb), pb)
-            quotient = mag_a // mag_b
-            result = np.where(neg_a ^ neg_b, _negate(quotient), quotient)
-            idx = _w(bm, idx, result)
-            if idx.size:
-                bm.lane_pc[idx] = _n
-
-        return op, True
-
-    if opcode in ALU_OPCODES:
-        fn = _ALU_PATTERN_FNS[opcode]
-        _ka, read_a, dem_a = _compile_read(instr.a, window_size,
-                                           scratch_bytes)
-        _kb, read_b, dem_b = _compile_read(instr.b, window_size,
-                                           scratch_bytes)
-        write, dem_w = _compile_write(instr.dst, scratch_bytes)
-
-        def op(bm, idx, _ra=read_a, _rb=read_b, _fn=fn, _w=write, _n=nxt):
-            bm.step_instr[idx] += 1
-            a, b, idx = _read2(bm, idx, _ra, _rb)
-            if idx.size == 0:
-                return
-            idx = _w(bm, idx, _fn(_pattern(a), _pattern(b)))
-            if idx.size:
-                bm.lane_pc[idx] = _n
-
-        return op, dem_a or dem_b or dem_w
-
-    raise _Unsupported(f"opcode {opcode.value} has no lane lowering")
-
-
-# ---------------------------------------------------------------------------
-# plan compilation (cached on the CompiledProgram)
-# ---------------------------------------------------------------------------
-
-def _compile_plan(program: Program) -> BatchPlan:
-    plan = BatchPlan(program)
-    window_size = plan.window_size
-    scratch_bytes = plan.scratch_bytes
-    instructions = program.instructions
-    demotable = False
-    for pc in range(1, plan.length):
-        try:
-            op, dem = _compile_instruction(instructions[pc], pc,
-                                           window_size, scratch_bytes)
-        except _Unsupported as exc:
-            return plan._reject(str(exc))
-        except _StaticFault:
-            op, dem = _static_fault_op, True
-        plan.ops[pc] = op
-        demotable = demotable or dem
-    last = instructions[-1].opcode
-    falls_off = last not in (Opcode.RETURN, Opcode.NEXT_ITER)
-    plan.can_demote = demotable or falls_off
-    return plan
-
-
-def get_batch_plan(program: Program) -> Optional[BatchPlan]:
-    """The (cached) lane-parallel plan for ``program``, or None.
-
-    Cached on the shared :class:`CompiledProgram` so two requests with
-    the same content digest share one plan, like the scalar tier.
-    """
-    if np is None:
-        return None
-    compiled = compile_program(program)
-    plan = compiled.lane_plan
-    if plan is None:
-        plan = _compile_plan(program)
-        compiled.lane_plan = plan
-    return plan
-
-
-def batch_supported(program: Program) -> bool:
-    plan = get_batch_plan(program)
-    return plan is not None and plan.supported
+#: a group's plan is its kernel's compiled form (the shared LOAD window)
+get_batch_plan = compile_program
 
 
 def resolve_batch_lanes(default: int) -> int:
-    """Effective batch width: ``PULSE_BATCH`` env over the configured
-    default, 0 when the batch tier is disabled (env 0/1, interpreter
-    forced, or numpy missing)."""
-    if np is None or interpreter_forced():
-        return 0
-    raw = os.environ.get("PULSE_BATCH", "").strip()
-    if raw:
-        try:
-            lanes = int(raw)
-        except ValueError:
-            lanes = default
-    else:
+    """Effective lane width: ``PULSE_BATCH`` over the configured default;
+    0 (for a width of 0 or 1) means requests are never grouped."""
+    try:
+        lanes = int(os.environ.get("PULSE_BATCH", "").strip() or default)
+    except ValueError:
         lanes = default
     return lanes if lanes > 1 else 0
 
 
-# ---------------------------------------------------------------------------
-# the machine
-# ---------------------------------------------------------------------------
-
 class BatchMachine:
-    """Lane-major workspace state for one compiled kernel.
+    """``lanes`` frames of one kernel, stepped together by the caller:
+    :meth:`load_addresses`, fetch the rows, :meth:`run_logic`."""
 
-    The host (accelerator) drives the memory side: it asks for
-    :meth:`load_addresses`, performs the vectorized translation + gather
-    itself, and hands the record rows to :meth:`run_logic`, which runs
-    one full iteration of the program body for every lane in lockstep.
-    """
-
-    def __init__(self, program: Program, plan: BatchPlan, lanes: int):
-        if np is None:  # pragma: no cover - guarded by resolve_batch_lanes
-            raise RuntimeError("numpy is required for the batch tier")
-        if not plan.supported:
-            raise ValueError(
-                f"program {program.name!r} has no batch plan: {plan.reason}")
-        self.program = program
+    def __init__(self, program, plan, lanes: int):
         self.plan = plan
-        self.lanes = lanes
-        scratch_bytes = plan.scratch_bytes
-        window = plan.window_size
-        self.cur_ptr = np.zeros(lanes, dtype=np.uint64)
-        self.regs = np.zeros((lanes, 8), dtype=np.uint64)
-        self.scratch = np.zeros((lanes, scratch_bytes), dtype=np.uint8)
-        self.data = np.zeros((lanes, window), dtype=np.uint8)
-        self.flag_eq = np.zeros(lanes, dtype=bool)
-        self.flag_lt = np.zeros(lanes, dtype=bool)
-        self.lane_pc = np.zeros(lanes, dtype=np.int64)
-        self.step_instr = np.zeros(lanes, dtype=np.int64)
-        if plan.can_demote:
-            self._shadow_cur = np.zeros_like(self.cur_ptr)
-            self._shadow_regs = np.zeros_like(self.regs)
-            self._shadow_scratch = np.zeros_like(self.scratch)
-            self._shadow_eq = np.zeros_like(self.flag_eq)
-            self._shadow_lt = np.zeros_like(self.flag_lt)
+        self.frames = [IteratorMachine(program) for _ in range(lanes)]
+        self.faults = {}  # lane -> message of the fault that retired it
 
     def seed(self, lane: int, cur_ptr: int, scratch: bytes) -> None:
-        """Reset one lane to a fresh frame (mirrors ``reset()``)."""
-        if len(scratch) > self.plan.scratch_bytes:
-            raise ExecutionFault(
-                f"initial scratch {len(scratch)} B exceeds the "
-                f"{self.plan.scratch_bytes} B scratch pad")
-        self.cur_ptr[lane] = np.uint64(cur_ptr)
-        self.regs[lane] = 0
-        row = self.scratch[lane]
-        row[:] = 0
-        if scratch:
-            row[:len(scratch)] = np.frombuffer(scratch, dtype=np.uint8)
-        self.flag_eq[lane] = False
-        self.flag_lt[lane] = False
-        self.step_instr[lane] = 0
+        self.frames[lane].reset(cur_ptr, scratch)
 
-    def load_addresses(self, lanes) -> "np.ndarray":
-        """Per-lane virtual LOAD address (cur_ptr + window offset)."""
-        offset = np.uint64(self.plan.window_offset & _UINT64_MAX)
-        return self.cur_ptr[np.asarray(lanes, dtype=np.int64)] + offset
+    def load_addresses(self, lanes: Sequence[int]):
+        """Per-lane virtual LOAD address, as a uint64 ndarray."""
+        import numpy  # callers index byte images with the result
+        offset = self.plan.window_offset
+        return numpy.array([wrap64(self.frames[lane].cur_ptr + offset)
+                            for lane in lanes], dtype=numpy.uint64)
 
-    def run_logic(self, lanes, rows) -> Tuple["np.ndarray", "np.ndarray",
-                                              "np.ndarray"]:
-        """One lockstep iteration of the program body.
-
-        ``lanes`` is the active lane index array, ``rows`` the gathered
-        ``[len(lanes), window]`` record bytes.  Returns index arrays
-        ``(done, cont, demoted)``: lanes that RETURNed, lanes that hit
-        NEXT_ITER (cur_ptr already advanced), and lanes rolled back to
-        their pre-iteration state for the scalar path.
-        """
-        lanes = np.asarray(lanes, dtype=np.int64)
-        plan = self.plan
-        if plan.can_demote:
-            np.copyto(self._shadow_cur, self.cur_ptr)
-            np.copyto(self._shadow_regs, self.regs)
-            np.copyto(self._shadow_scratch, self.scratch)
-            np.copyto(self._shadow_eq, self.flag_eq)
-            np.copyto(self._shadow_lt, self.flag_lt)
-        self.data[lanes] = rows
-        self.step_instr[lanes] = 1  # the LOAD counts as one instruction
-        self.lane_pc[lanes] = 1
-
-        active = lanes
-        ops = plan.ops
-        for pc in range(1, plan.length):
-            if active.size == 0:
-                break
-            pcs = self.lane_pc[active]
-            here = pcs == pc
-            if here.any():
-                ops[pc](self, active[here])
-                pcs = self.lane_pc[active]
-            active = active[pcs > pc]
-
-        pcs = self.lane_pc[lanes]
-        fell_off = lanes[pcs >= plan.length]
-        if fell_off.size:
-            # "fell off the end of the program" on the scalar tiers
-            self.lane_pc[fell_off] = PC_DEMOTE
-            pcs = self.lane_pc[lanes]
-        demoted = lanes[pcs == PC_DEMOTE]
-        if demoted.size:
-            self.cur_ptr[demoted] = self._shadow_cur[demoted]
-            self.regs[demoted] = self._shadow_regs[demoted]
-            self.scratch[demoted] = self._shadow_scratch[demoted]
-            self.flag_eq[demoted] = self._shadow_eq[demoted]
-            self.flag_lt[demoted] = self._shadow_lt[demoted]
-        done = lanes[pcs == PC_RETURN]
-        cont = lanes[pcs == PC_NEXT_ITER]
-        return done, cont, demoted
-
-    # -- per-lane state export (for responses / scalar hand-off) ----------
+    def run_logic(self, lanes: Sequence[int], rows):
+        """One iteration per lane over its row of record bytes (any
+        buffer); returns the lanes that ``(returned, continue, faulted)``."""
+        done, cont, faulted = [], [], []
+        for lane, row in zip(map(int, lanes), rows):
+            try:
+                step = self.frames[lane].run_iteration(
+                    lambda _vaddr, _size, _row=row: _row)
+            except ExecutionFault as exc:
+                self.faults[lane] = str(exc)
+                faulted.append(lane)
+                continue
+            (done if step.outcome is IterationOutcome.DONE
+             else cont).append(lane)
+        return done, cont, faulted
 
     def lane_cur_ptr(self, lane: int) -> int:
-        return int(self.cur_ptr[lane])
+        return self.frames[lane].cur_ptr
 
     def lane_scratch(self, lane: int) -> bytes:
-        return self.scratch[lane].tobytes()
-
-    def lane_instructions(self, lane: int) -> int:
-        """Instructions executed by ``lane`` in the last iteration."""
-        return int(self.step_instr[lane])
+        return bytes(self.frames[lane].scratch)

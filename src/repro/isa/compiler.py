@@ -283,14 +283,10 @@ class CompiledProgram:
     """
 
     __slots__ = ("name", "window_offset", "window_size", "scratch_bytes",
-                 "ops", "source", "lane_plan")
+                 "ops", "source")
 
     def __init__(self, program: Program):
         self.name = program.name
-        #: lazily-built :class:`repro.isa.batchmachine.BatchPlan` (the
-        #: lane-specialized lowering for the batch tier), cached here so
-        #: digest-equal programs share it like the threaded code itself
-        self.lane_plan = None
         self.window_offset, self.window_size = program.load_window
         self.scratch_bytes = program.scratch_bytes
         lines: List[str] = []

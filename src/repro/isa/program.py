@@ -42,6 +42,10 @@ class Program:
         if scratch_bytes < 0:
             raise IsaError("scratch_bytes must be non-negative")
         self._validate(max_load_bytes)
+        #: a STORE mutates memory mid-iteration, so the accelerator never
+        #: steps such a kernel in a lane group with neighbours
+        self.has_store = any(instr.opcode is Opcode.STORE
+                             for instr in self.instructions)
         self._wire_bytes: Optional[int] = None
         self._digest: Optional[bytes] = None
 

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-try:  # used only by the batch tier's gathered LOAD
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
 
 class MemoryFault(Exception):
     """Out-of-bounds or malformed physical memory access."""
@@ -49,30 +44,6 @@ class PhysicalMemory:
         self._check(addr, len(data))
         self.bytes_written += len(data)
         self._data[addr:addr + len(data)] = data
-
-    def gather_rows(self, addrs, width: int):
-        """Vectorized multi-row read: ``[len(addrs), width]`` uint8.
-
-        The batch machine's single gathered LOAD per lockstep iteration
-        -- one fancy index instead of N ``read()`` calls.  Counts the
-        same ``bytes_read`` the scalar path would.
-        """
-        if _np is None:  # pragma: no cover - guarded by the batch tier
-            raise MemoryFault("gather_rows requires numpy")
-        if width < 0:
-            raise MemoryFault(f"negative access length: {width}")
-        index = _np.asarray(addrs, dtype=_np.int64)
-        if index.size:
-            low = int(index.min())
-            high = int(index.max())
-            if low < 0 or high + width > self.size:
-                raise MemoryFault(
-                    f"access [{low:#x}, {high + width:#x}) outside "
-                    f"[0, {self.size:#x})"
-                )
-        self.bytes_read += index.size * width
-        flat = _np.frombuffer(self._data, dtype=_np.uint8)
-        return flat[index[:, None] + _np.arange(width)]
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")

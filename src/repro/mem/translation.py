@@ -13,11 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-try:  # used only by the batch tier's vectorized TLB probe
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
 PERM_READ = 0x1
 PERM_WRITE = 0x2
 
@@ -267,47 +262,6 @@ class TranslationCache:
             if len(entries) > self.capacity:
                 entries.pop()
         return entry
-
-    def lookup_many(self, vaddrs, size: int = 1) -> List[Optional[RangeEntry]]:
-        """One vectorized TLB probe over a whole batch of lane addresses.
-
-        Containment against each cached entry is checked for *all*
-        addresses at once (one numpy compare per cached entry -- the
-        hardware analogue is the lanes sharing one ported TLB lookup);
-        addresses no cached entry covers fall back to the scalar
-        :meth:`lookup`, which consults the authoritative table, counts
-        the miss, and inserts on a table hit.  Hit/miss accounting
-        matches N scalar lookups exactly.
-        """
-        if self._version != self.table.version:
-            self.flush()
-        count = len(vaddrs)
-        results: List[Optional[RangeEntry]] = [None] * count
-        entries = self._entries
-        if _np is not None and entries and count > 1:
-            addrs = _np.asarray(vaddrs, dtype=_np.uint64)
-            ends = addrs + _np.uint64(size)
-            unresolved = _np.ones(count, dtype=bool)
-            hits = 0
-            for entry in list(entries):
-                covered = (unresolved
-                           & (addrs >= _np.uint64(entry.virt_start))
-                           & (ends <= _np.uint64(entry.virt_end)))
-                if covered.any():
-                    for index in _np.flatnonzero(covered):
-                        results[index] = entry
-                    hits += int(covered.sum())
-                    unresolved &= ~covered
-                    if not unresolved.any():
-                        break
-            if hits:
-                self.hits += hits
-                if self._hit_counter is not None:
-                    self._hit_counter.inc(hits)
-            for index in _np.flatnonzero(unresolved):
-                results[index] = self.lookup(int(vaddrs[index]), size)
-            return results
-        return [self.lookup(int(vaddr), size) for vaddr in vaddrs]
 
     def revalidate(self, entry: RangeEntry, vaddr: int,
                    size: int = 1) -> Optional[RangeEntry]:

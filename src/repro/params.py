@@ -109,10 +109,10 @@ class AcceleratorParams:
     #: successive iterations usually stay within one allocation range --
     #: so a handful of cached entries absorbs nearly all lookups
     tlb_entries_per_core: int = 8
-    #: lanes per batch machine: how many workspace frames one core steps
-    #: in lockstep through a shared kernel when a doorbell batch lands
-    #: (the SIMT batch tier).  ``PULSE_BATCH`` overrides at runtime;
-    #: 0 or 1 forces the scalar compiled tier
+    #: lane-group width: how many workspace frames one core steps in
+    #: lockstep through a shared kernel when a doorbell batch lands (the
+    #: modeled SIMT width).  ``PULSE_BATCH`` overrides at runtime; 0 or
+    #: 1 means every request is a group of one
     batch_lanes: int = 32
 
     def occupancy_ns(self, size_bytes: int) -> float:

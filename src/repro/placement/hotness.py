@@ -164,29 +164,6 @@ class HotnessTracker:
         if prev:
             self.record_edge(prev, vaddr, weight=float(self.sample_period))
 
-    def sample_many(self, vaddrs, prevs=None) -> None:
-        """Advance the geometric-skip countdown across a whole batch.
-
-        Exactly equivalent to calling :meth:`sample` once per address in
-        order (same skips from the same RNG stream), but O(samples
-        taken) instead of O(addresses) -- the batch tier touches one
-        lane-address vector per lockstep LOAD.  ``prevs``, if given, is
-        the per-lane previous load address aligned with ``vaddrs``.
-        """
-        remaining = len(vaddrs)
-        position = 0
-        while 0 < self._countdown <= remaining:
-            position += self._countdown
-            remaining -= self._countdown
-            self._countdown = self._draw_skip()
-            self.record(int(vaddrs[position - 1]),
-                        weight=float(self.sample_period))
-            prev = int(prevs[position - 1]) if prevs is not None else 0
-            if prev:
-                self.record_edge(prev, int(vaddrs[position - 1]),
-                                 weight=float(self.sample_period))
-        self._countdown -= remaining
-
     def record(self, vaddr: int, weight: float = 1.0) -> None:
         """Unconditionally add ``weight`` accesses to vaddr's segment."""
         now = self.clock()

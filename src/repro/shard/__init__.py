@@ -1,11 +1,10 @@
 """Sharded multiprocess execution: one worker process per memory node.
 
-The single-process cluster serializes every memory node's batch-machine
-numpy passes on one core.  This package splits the rack across OS
-processes following the spawner/worker idiom: the *coordinator* process
-keeps the client(s), the switch, placement, and the authoritative
-discrete-event clock; each *worker* process serves one or more memory
-nodes (accelerator + memory pipeline + allocator + ``BatchMachinePool``).
+The single-process cluster steps every memory node's lane groups on one
+core.  This package splits the rack across OS processes following the
+spawner/worker idiom: the *coordinator* process keeps the client(s),
+the switch, placement, and the authoritative discrete-event clock; each *worker* process serves one or more memory
+nodes (accelerator + memory pipeline + allocator + frame pools).
 Transport frames cross process boundaries over ``multiprocessing``
 pipes; determinism is preserved by conservative lookahead
 synchronization (see :mod:`repro.shard.runtime`), so a sharded run is

@@ -13,21 +13,17 @@ from repro.sim.engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
-    "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "SimulationError",

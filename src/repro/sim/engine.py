@@ -16,7 +16,6 @@ enough to reason about and test exhaustively:
 * :class:`Process` -- also usable as an event (fires when the process
   terminates), enabling fork/join.
 * :class:`AnyOf` / :class:`AllOf` -- condition events over several events.
-* :meth:`Process.interrupt` -- used to model retransmission timers.
 """
 
 from __future__ import annotations
@@ -27,25 +26,15 @@ from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 #: Event priorities: URGENT events scheduled at the same timestamp run
-#: before NORMAL ones.  Interrupts use URGENT so that an interrupted
-#: process observes the interrupt before the event it was waiting on.
+#: before NORMAL ones.  A process's start, and its resume on an event
+#: that already fired, are URGENT: both happen "now", ahead of whatever
+#: else is queued at this timestamp.
 URGENT = 0
 NORMAL = 1
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (not for modeled faults)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt()``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -145,14 +134,13 @@ class Process(Event):
     process to join on it.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         # Kick off the process at the current time.
         init = Event(env)
         init._ok = True
@@ -162,27 +150,6 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return self._ok is None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever the process was waiting on so the original
-        # event does not resume it a second time when it eventually fires.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=URGENT)
 
     def _resume(self, event: Event) -> None:
         if self._ok is not None:
@@ -196,13 +163,11 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as exc:
-            self._target = None
             self._ok = True
             self._value = exc.value
             env.schedule(self)
             return
         except BaseException as exc:
-            self._target = None
             self._ok = False
             self._value = exc
             env.schedule(self)
@@ -225,11 +190,9 @@ class Process(Event):
                 next_event._defused = True
                 immediate._defused = True
             immediate.callbacks.append(self._resume)
-            self._target = immediate
             env.schedule(immediate, priority=URGENT)
         else:
             callbacks.append(self._resume)
-            self._target = next_event
 
 
 class _Condition(Event):

@@ -106,12 +106,17 @@ class Endpoint:
         self._window_rx_base = 0
 
     def _tx_bandwidth(self) -> float:
-        now = self.env.now
-        return self._tx_bytes.value / now if now > 0 else 0.0
+        return self._window_rate(self._tx_bytes.value
+                                 - self._window_tx_base)
 
     def _rx_bandwidth(self) -> float:
-        now = self.env.now
-        return self._rx_bytes.value / now if now > 0 else 0.0
+        return self._window_rate(self._rx_bytes.value
+                                 - self._window_rx_base)
+
+    def _window_rate(self, window_bytes: float) -> float:
+        """Bytes/ns over the window since :meth:`begin_window`."""
+        window = self.env.now - self._window_start
+        return window_bytes / window if window > 0 else 0.0
 
     def begin_window(self) -> None:
         """Start a fresh byte-accounting window at the current time."""

@@ -1,23 +1,18 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three primitives cover everything pulse models:
+Two primitives cover everything pulse models:
 
 * :class:`Resource` -- ``capacity`` interchangeable servers with a FIFO
   queue; used for pipelines, NIC processing units, and CPU workers.  A
   fixed-duration stage is one :meth:`Resource.hold` call; only
   variable-length critical sections spell out ``request``/``release``.
-* :class:`Store` / :class:`PriorityStore` -- unbounded (or bounded)
-  buffers of items with blocking ``get``; used for rx/tx queues and
-  scheduler mailboxes.
-* :class:`Container` -- a continuous quantity with blocking ``get``;
-  used for token-bucket style bandwidth accounting.
+* :class:`Store` -- an unbounded (or bounded) buffer of items with
+  blocking ``get``; used for rx/tx queues and scheduler mailboxes.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import count
 from typing import Any, Deque, List, Optional, Union
 
 from repro.sim.engine import Environment, Event, SimulationError
@@ -31,11 +26,6 @@ class Request(Event):
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (e.g. after an interrupt)."""
-        if self in self.resource._waiting:
-            self.resource._waiting.remove(self)
 
 
 class Hold(Event):
@@ -146,7 +136,7 @@ class Resource:
            first, then the holder continues (resume, or ``then`` entry).
 
         A hold is not a critical section: once queued it runs to its
-        end, and interrupting the waiting process does not cut it short.
+        end whatever becomes of the process waiting on it.
         """
         if duration < 0 or (then is not None and then < 0):
             raise SimulationError(
@@ -227,10 +217,6 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.store = store
 
-    def cancel(self) -> None:
-        if self in self.store._getters:
-            self.store._getters.remove(self)
-
 
 class Store:
     """A buffer of items with blocking ``get`` and non-blocking ``put``.
@@ -264,82 +250,6 @@ class Store:
         self._dispatch()
         return getter
 
-    def _pop_item(self) -> Any:
-        return self._items.popleft()
-
     def _dispatch(self) -> None:
         while self._items and self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(self._pop_item())
-
-
-class PriorityStore(Store):
-    """A :class:`Store` that hands out the smallest item first.
-
-    Items must be orderable; pulse wraps payloads in ``(priority, seq,
-    payload)`` tuples via :meth:`put_prioritized`.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._items: List[Any] = []  # a heap, not the base class's deque
-        self._seq = count()
-
-    def put(self, item: Any) -> None:
-        if len(self._items) >= self.capacity:
-            raise SimulationError("store overflow")
-        self.put_total += 1
-        heapq.heappush(self._items, item)
-        self._dispatch()
-
-    def put_prioritized(self, priority: float, payload: Any) -> None:
-        self.put((priority, next(self._seq), payload))
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self._items)
-
-
-class ContainerGet(Event):
-    __slots__ = ("container", "amount")
-
-    def __init__(self, container: "Container", amount: float):
-        super().__init__(container.env)
-        self.container = container
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity (e.g. bytes of credit) with blocking get."""
-
-    def __init__(self, env: Environment, init: float = 0.0,
-                 capacity: float = float("inf")):
-        if init < 0 or init > capacity:
-            raise SimulationError("invalid container init/capacity")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._getters: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise SimulationError("container put must be non-negative")
-        self._level = min(self.capacity, self._level + amount)
-        self._dispatch()
-
-    def get(self, amount: float) -> ContainerGet:
-        if amount < 0:
-            raise SimulationError("container get must be non-negative")
-        getter = ContainerGet(self, amount)
-        self._getters.append(getter)
-        self._dispatch()
-        return getter
-
-    def _dispatch(self) -> None:
-        while self._getters and self._getters[0].amount <= self._level:
-            getter = self._getters.popleft()
-            self._level -= getter.amount
-            getter.succeed(getter.amount)
+            self._getters.popleft().succeed(self._items.popleft())

@@ -68,6 +68,25 @@ class TestAcceleratorStats:
         # the TLB is warm, so the second run is no slower than the first
         assert warm >= cold
 
+    def test_network_bandwidth_gauges_cover_the_measurement_window(self):
+        """The sibling ``net.<ep>`` gauges: bytes since
+        begin_measurement() over the time since begin_measurement()."""
+        cluster, lst = make_list_cluster()
+        cluster.run_traversal(lst.find_iterator(), 40)
+        first_ns = cluster.env.now
+
+        cluster.begin_measurement()
+        cluster.run_traversal(lst.find_iterator(), 40)
+        window_ns = cluster.env.now - first_ns
+        snapshot = cluster.metrics_snapshot()
+        for endpoint in ("client0", "mem0"):
+            for way in ("tx", "rx"):
+                moved = snapshot["counters"][f"net.{endpoint}.{way}_bytes"]
+                rate = snapshot["gauges"][
+                    f"net.{endpoint}.{way}_bandwidth_bytes_per_ns"]
+                assert moved > 0
+                assert rate == pytest.approx(moved / window_ns)
+
 
 class TestWorkspaceLimits:
     def test_requests_queue_beyond_workspace_capacity(self):

@@ -218,18 +218,6 @@ class TestEdgeSampling:
         assert t.external_weight(0x1000, FakeMap()) == 5.0
         assert t.external_weight(0x2000, FakeMap()) == 0.0
 
-    def test_sample_many_matches_scalar_sampling(self):
-        vaddrs = [(0x1000 + 0x1000 * (i % 7)) for i in range(200)]
-        prevs = [0] + vaddrs[:-1]
-        scalar, batched = tracker(sample_period=4), tracker(sample_period=4)
-        for vaddr, prev in zip(vaddrs, prevs):
-            scalar.sample(vaddr, prev=prev)
-        for lo in range(0, len(vaddrs), 32):
-            batched.sample_many(vaddrs[lo:lo + 32], prevs=prevs[lo:lo + 32])
-        assert batched._segments == scalar._segments
-        assert batched._edges == scalar._edges
-        assert batched.edge_samples == scalar.edge_samples
-
     def test_edge_sampling_unbiased_under_strided_workload(self):
         """E[total edge weight] = true cross-segment step count, even
         when the workload's stride matches the sampling period.

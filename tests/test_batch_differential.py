@@ -1,19 +1,18 @@
-"""Differential tests: the lockstep batch tier against the oracles.
+"""Differential tests: lane groups against the oracles.
 
 Two layers, mirroring ``test_compiler_differential.py``:
 
 * **Unit**: :class:`~repro.isa.batchmachine.BatchMachine` stepping many
   lanes of one kernel over a flat byte image must produce, per lane,
-  exactly the interpreter's ``cur_ptr``/scratch/iteration state --
-  including lanes it *demotes* (div-by-zero, indirect out-of-bounds),
-  which must roll back to their pre-iteration state so the scalar
-  re-run faults with the exact interpreter message.
+  exactly the interpreter's ``cur_ptr``/scratch/iteration state; a lane
+  that faults (div-by-zero, indirect out-of-bounds) reports the
+  interpreter's exact message while its neighbours retire bit-exact.
 * **End to end**: one doorbell burst mixing chains, a B+Tree, and a
   skip list at mixed depths -- with a corrupted pointer faulting some
-  lanes mid-batch -- must return byte-identical values and identical
-  fault classifications across all three execution tiers: interpreter
-  (``PULSE_INTERP=1``), scalar compiled (``PULSE_BATCH=0``), and the
-  vectorized batch machine (``PULSE_BATCH=16/32``).
+  lanes mid-group -- must return byte-identical values and identical
+  fault classifications at every lane width (``PULSE_BATCH=0/16/32``)
+  on either execution tier (``PULSE_INTERP=0/1``), and at one width the
+  tier must not move a single completion time.
 """
 
 import pytest
@@ -22,10 +21,10 @@ np = pytest.importorskip("numpy")
 
 from repro.core import PulseCluster
 from repro.isa import IteratorMachine, assemble
-from repro.isa.batchmachine import (BatchMachine, batch_supported,
-                                    get_batch_plan, resolve_batch_lanes)
+from repro.isa.batchmachine import (BatchMachine, get_batch_plan,
+                                    resolve_batch_lanes)
 from repro.isa.interpreter import ExecutionFault
-from repro.structures import BPlusTree, LinkedList, SkipList
+from repro.structures import BPlusTree, HashTable, LinkedList, SkipList
 
 # -- unit layer: BatchMachine vs the interpreter ------------------------------
 
@@ -117,37 +116,34 @@ def scalar_run(program, cur_ptr, scratch, max_iters=100):
 
 
 def batch_run(program, seeds, max_iters=100):
-    """Lockstep all lanes to retirement; returns per-lane state dicts.
+    """Lockstep all lanes to retirement; returns per-lane state.
 
     Each entry is ``(status, cur_ptr, scratch, iterations)`` where
-    status is ``done`` or ``demoted`` (state rolled back to the start
-    of the faulting iteration).
+    status is ``done`` or the message of the fault that retired the lane.
     """
     plan = get_batch_plan(program)
-    assert plan is not None and plan.supported, plan.reason
     machine = BatchMachine(program, plan, len(seeds))
     for lane, (cur_ptr, scratch) in enumerate(seeds):
         machine.seed(lane, cur_ptr, scratch)
     state = {}
     active = np.arange(len(seeds))
-    iters = np.zeros(len(seeds), dtype=int)
+    iters = [0] * len(seeds)
     for _ in range(max_iters):
-        if active.size == 0:
+        if len(active) == 0:
             break
         addrs = machine.load_addresses(active)
-        width = plan.window_size
-        rows = FLAT[np.asarray(addrs, dtype=np.int64)[:, None]
-                    + np.arange(width)]
-        done, cont, demoted = machine.run_logic(active, rows)
-        iters[done] += 1
-        iters[cont] += 1
-        for lane in map(int, done):
+        rows = FLAT[addrs.astype(np.int64)[:, None]
+                    + np.arange(plan.window_size)]
+        done, cont, faulted = machine.run_logic(active, rows)
+        for lane in done + cont:
+            iters[lane] += 1
+        for lane in done:
             state[lane] = ("done", machine.lane_cur_ptr(lane),
-                           machine.lane_scratch(lane), int(iters[lane]))
-        for lane in map(int, demoted):
-            state[lane] = ("demoted", machine.lane_cur_ptr(lane),
-                           machine.lane_scratch(lane), int(iters[lane]))
-        active = cont
+                           machine.lane_scratch(lane), iters[lane])
+        for lane in faulted:
+            state[lane] = (machine.faults[lane], machine.lane_cur_ptr(lane),
+                           machine.lane_scratch(lane), iters[lane])
+        active = np.asarray(cont, dtype=np.int64)
     return state
 
 
@@ -169,8 +165,8 @@ def test_lockstep_walk_matches_interpreter_lane_by_lane():
 
 
 def test_div_by_zero_demotes_only_the_faulting_lane():
-    """The zero-divisor lane rolls back; its scalar re-run faults
-    with the interpreter's exact message; all other lanes retire."""
+    """The zero-divisor lane leaves with the interpreter's exact fault
+    and state; all other lanes retire bit-exact."""
     program = assemble(DIV_ASM)
     seeds = []
     for lane in range(11):
@@ -179,42 +175,37 @@ def test_div_by_zero_demotes_only_the_faulting_lane():
                       (divisor % (1 << 64)).to_bytes(8, "little")))
     state = batch_run(program, seeds)
     for lane, (cur_ptr, scratch) in enumerate(seeds):
-        status, got_ptr, got_scratch, _iters = state[lane]
-        if lane == 4:
-            assert status == "demoted"
-            # Rolled back: re-running scalar from the demoted state
-            # reproduces the interpreter fault exactly.
-            _p, _s, _i, fault = scalar_run(program, got_ptr,
-                                           got_scratch[:8])
-            assert fault == "division by zero"
-        else:
-            ref_ptr, ref_scratch, _ri, fault = scalar_run(
-                program, cur_ptr, scratch)
-            assert fault is None
-            assert status == "done"
-            assert (got_ptr, got_scratch) == (ref_ptr, ref_scratch)
+        ref_ptr, ref_scratch, ref_iters, fault = scalar_run(
+            program, cur_ptr, scratch)
+        assert (fault == "division by zero") == (lane == 4)
+        assert state[lane] == (fault or "done", ref_ptr, ref_scratch,
+                               ref_iters), f"lane {lane}"
 
 
 def test_indirect_scratch_cursor_matches_interpreter():
-    """SP_IND reads/writes through a moving cursor stay bit-exact."""
+    """SP_IND reads/writes through a moving cursor stay bit-exact; a
+    cursor seeded past the pad faults that lane alone, message-exact."""
     program = assemble(IND_ASM)
     seeds = [(RING_BASE + (lane * 3 % RING_NODES) * NODE_STRIDE,
-              (8).to_bytes(8, "little")) for lane in range(10)]
+              (40 if lane == 6 else 8).to_bytes(8, "little"))
+             for lane in range(10)]
     state = batch_run(program, seeds)
     for lane, (cur_ptr, scratch) in enumerate(seeds):
-        ref = scalar_run(program, cur_ptr, scratch)
-        status, got_ptr, got_scratch, got_iters = state[lane]
-        assert status == "done"
-        assert (got_ptr, got_scratch, got_iters) == ref[:3]
+        ref_ptr, ref_scratch, ref_iters, fault = scalar_run(
+            program, cur_ptr, scratch)
+        assert (fault is not None) == (lane == 6)
+        if fault:
+            assert "scratch pad write [40:44] beyond 32 B" in fault
+        assert state[lane] == (fault or "done", ref_ptr, ref_scratch,
+                               ref_iters), f"lane {lane}"
 
 
-def test_store_kernels_stay_on_the_scalar_tier():
-    """STORE has side effects outside the lane state: never batched."""
-    program = assemble("LOAD 0 16\nSTORE 8 sp[0]\nRETURN")
-    plan = get_batch_plan(program)
-    assert not plan.supported
-    assert "STORE" in plan.reason
-    assert not batch_supported(program)
+def test_oversized_seed_faults_like_reset():
+    """Seeding a lane reports reset()'s fault, whatever the width."""
+    program = assemble(WALK_ASM)
+    machine = BatchMachine(program, get_batch_plan(program), 2)
+    with pytest.raises(ExecutionFault, match="initial scratch 17 B"):
+        machine.seed(1, RING_BASE, bytes(17))
 
 
 def test_resolve_batch_lanes_env_and_interp_gates(monkeypatch):
@@ -226,10 +217,10 @@ def test_resolve_batch_lanes_env_and_interp_gates(monkeypatch):
     monkeypatch.setenv("PULSE_BATCH", "0")
     assert resolve_batch_lanes(32) == 0
     monkeypatch.setenv("PULSE_BATCH", "1")
-    assert resolve_batch_lanes(32) == 0      # one lane is scalar
+    assert resolve_batch_lanes(32) == 0      # one lane is never a group
     monkeypatch.delenv("PULSE_BATCH")
-    monkeypatch.setenv("PULSE_INTERP", "1")  # oracle mode: no batching
-    assert resolve_batch_lanes(32) == 0
+    monkeypatch.setenv("PULSE_INTERP", "1")  # the tier is not the model's
+    assert resolve_batch_lanes(32) == 32     # business: width unchanged
 
 
 # -- end-to-end layer: mixed-structure bursts across all three tiers ----------
@@ -242,9 +233,10 @@ SKIP_KEYS = range(1, 120, 2)
 CORRUPT_DEPTH = 24
 
 
-def build_world(seed=5):
+def build_world(seed=5, **rack_options):
     """One rack + a mixed-structure, mixed-depth operation burst."""
-    cluster = PulseCluster(node_count=2, batch_size=32, seed=seed)
+    cluster = PulseCluster(node_count=2, batch_size=32, seed=seed,
+                           **rack_options)
     chain = LinkedList(cluster.memory)
     for key in range(CHAIN_KEYS):
         chain.append(key, key * 7)
@@ -277,10 +269,11 @@ def build_world(seed=5):
     return cluster, operations
 
 
-def run_tier(monkeypatch, interp: bool, batch: int):
+def run_tier(monkeypatch, interp: bool, batch: int, **rack_options):
+    """(outcomes, snapshot, latencies) of the burst on one tier/width."""
     monkeypatch.setenv("PULSE_INTERP", "1" if interp else "0")
     monkeypatch.setenv("PULSE_BATCH", str(batch))
-    cluster, operations = build_world()
+    cluster, operations = build_world(**rack_options)
     pendings = cluster.submit_many(operations)
     cluster.env.run()
     outcomes = []
@@ -294,31 +287,89 @@ def run_tier(monkeypatch, interp: bool, batch: int):
             result.fault.reason if result.fault else None,
         ))
     snapshot = cluster.metrics_snapshot()
-    return outcomes, snapshot
+    return outcomes, snapshot, [p.result.latency_ns for p in pendings]
+
+
+def batch_steps(snapshot):
+    return sum(v for k, v in snapshot["counters"].items()
+               if k.endswith(".batch.steps"))
 
 
 @pytest.mark.parametrize("lanes", [16, 32])
 def test_mixed_structure_burst_three_tier_parity(monkeypatch, lanes):
-    interp, _ = run_tier(monkeypatch, interp=True, batch=0)
-    scalar, scalar_snap = run_tier(monkeypatch, interp=False, batch=0)
-    batch, batch_snap = run_tier(monkeypatch, interp=False, batch=lanes)
+    interp, _, _ = run_tier(monkeypatch, interp=True, batch=0)
+    scalar, scalar_snap, _ = run_tier(monkeypatch, interp=False, batch=0)
+    batch, batch_snap, batch_ns = run_tier(monkeypatch, interp=False,
+                                           batch=lanes)
+    oracle, oracle_snap, oracle_ns = run_tier(monkeypatch, interp=True,
+                                              batch=lanes)
 
     assert interp == scalar
     assert scalar == batch
+    assert batch == oracle
 
-    # Some lanes really faulted mid-batch (the corrupted chain tail),
+    # Some lanes really faulted mid-group (the corrupted chain tail),
     # and plenty completed -- the burst genuinely mixed outcomes.
     faulted = [o for o in batch if not o[0]]
     assert faulted, "corruption should fault the deep chain lookups"
     assert all(kind == "remote" for *_a, kind, _r in faulted)
     assert sum(1 for o in batch if o[0]) > len(faulted)
 
-    # The batch tier actually ran vectorized (and the scalar run not).
-    def batch_steps(snapshot):
-        return sum(v for k, v in snapshot["counters"].items()
-                   if k.endswith(".batch.steps"))
+    # Requests really ran as multi-lane groups (and at width 0 none did).
     assert batch_steps(batch_snap) > 0
     assert batch_steps(scalar_snap) == 0
+
+    # The execution tier is invisible to the model: at one lane width
+    # the oracle groups, steps and times every request identically.
+    assert batch_steps(oracle_snap) == batch_steps(batch_snap)
+    assert oracle_ns == batch_ns
+
+
+def test_split_loads_charges_every_group_step_per_load_run(monkeypatch):
+    """The load-aggregation ablation applies to groups too: same values
+    and steps, every step's memory phase pays one DRAM tail per load
+    run, and the burst takes at least as long as with the single LOAD."""
+    single, single_snap, single_ns = run_tier(monkeypatch, interp=False,
+                                              batch=32)
+    split, split_snap, split_ns = run_tier(monkeypatch, interp=False,
+                                           batch=32, split_loads=True)
+    assert split == single
+    assert batch_steps(split_snap) == batch_steps(single_snap) > 0
+    for node in ("mem0", "mem1"):
+        one = single_snap["histograms"][f"{node}.acc.span.memory"]
+        many = split_snap["histograms"][f"{node}.acc.span.memory"]
+        assert many["count"] == one["count"]
+        assert many["mean"] > one["mean"]
+    assert max(split_ns) >= max(single_ns)
+
+
+def test_store_kernels_are_never_grouped(monkeypatch):
+    """A STORE lands mid-step, so an update kernel runs one lane wide
+    even when a whole doorbell burst shares it; the finds beside it
+    still group."""
+    monkeypatch.delenv("PULSE_INTERP", raising=False)
+    monkeypatch.setenv("PULSE_BATCH", "32")
+    cluster = PulseCluster(node_count=1, batch_size=32)
+    table = HashTable(cluster.memory, buckets=4, value_bytes=8)
+    for key in range(64):
+        table.insert(key, key.to_bytes(8, "little"))
+    updater, finder = table.update_iterator(), table.find_iterator()
+    assert updater.program.has_store and not finder.program.has_store
+
+    def groups_after(operations):
+        before = cluster.metrics_snapshot()["counters"].get(
+            "mem0.acc.batch.groups", 0)
+        pendings = cluster.submit_many(operations)
+        cluster.env.run()
+        assert all(p.result.ok for p in pendings)
+        return cluster.metrics_snapshot()["counters"][
+            "mem0.acc.batch.groups"] - before
+
+    assert groups_after([(updater, (key, key + 100))
+                         for key in range(16)]) == 0
+    assert groups_after([(finder, (key,)) for key in range(16)]) == 1
+    assert cluster.run_traversal(finder, 3).value == (103).to_bytes(
+        8, "little")
 
 
 def test_batch_tier_default_on_matches_scalar(monkeypatch):
@@ -329,5 +380,5 @@ def test_batch_tier_default_on_matches_scalar(monkeypatch):
     pendings = cluster.submit_many(operations)
     cluster.env.run()
     defaults = [(p.result.ok, p.result.value) for p in pendings]
-    scalar, _ = run_tier(monkeypatch, interp=False, batch=0)
+    scalar, _, _ = run_tier(monkeypatch, interp=False, batch=0)
     assert defaults == [(ok, value) for ok, value, *_ in scalar]

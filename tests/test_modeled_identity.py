@@ -1,11 +1,12 @@
 """Simulator-only changes leave every simulated statistic identical.
 
-Two small racks are driven with fixed seeds and the sha256 of ``repr`` of
+Three small racks are driven with fixed seeds and the sha256 of ``repr`` of
 the per-request completion times (simulated ns, floats, in stream order)
-is compared with a digest pinned from the commit *before* the event
-engine was touched (parent of the ``Resource.hold`` PR).  A change that
+is compared with a digest pinned from the commit *before* the code it
+guards was touched (the parent of the ``Resource.hold`` PR; for the
+durable rack, the parent of the single-serve-path PR).  A change that
 is meant only to speed the simulator up -- fewer heap entries, fewer
-generator resumes, a different container -- must keep both digests; a
+generator resumes, a different container -- must keep every digest; a
 change that reorders two events at one timestamp, anywhere on the
 request path, moves them (checked when they were pinned: scheduling a
 queued hold's end at arrival instead of at its start moves the TC
@@ -23,7 +24,8 @@ import random
 import pytest
 
 from repro.core import PulseCluster
-from repro.structures import BPlusTree, LinkedList
+from repro.params import DEFAULT_PARAMS, DurabilityParams, TransportParams
+from repro.structures import BPlusTree, HashTable, LinkedList
 from repro.workloads import build_tc
 
 RACK_SEED = 7
@@ -33,6 +35,10 @@ TC_DIGEST = (
     "482af2a66829eabefc9dd700c96bb04d2c52ce5e478466974e8efeac2096abee")
 MIX_DIGEST = (
     "a87ec72ae5c913494bb41f2d8afa89d7e5f91bff8f1cbd60440beddc6831ded8")
+#: pinned at ece4534 (the parent of the single-serve-path PR, which moved
+#: the commit-wait from the serve process into the reply process)
+KV_DIGEST = (
+    "c6afb4520d640fb3ee8c4ee23a8536339fc2c51dd6c4d039c6d6038971bb0c0b")
 
 
 def _open_loop(rack, operations, rate_per_s, burst, rng):
@@ -95,8 +101,8 @@ def tc_completion_times():
     """4-node TC scans: 200 open loop at 500 kops, then 200 by 64 callers.
 
     Every scan crosses nodes several times, so the switch, the fabric's
-    egress queues, the transport sessions and the scalar serve path are
-    all on the pinned path, with closed-loop callers producing exact
+    egress queues, the transport sessions and one-lane groups are all
+    on the pinned path, with closed-loop callers producing exact
     timestamp ties.
     """
     rack = PulseCluster(node_count=4, seed=RACK_SEED)
@@ -136,11 +142,35 @@ def mix_completion_times():
     return times
 
 
+def kv_durable_completion_times():
+    """3-node durable rack, 50/50 HashFind / HashUpdate with replicated
+    redo logs and always-on per-hop ACKs: 320 open loop at 3 Mops, then
+    320 by 64 callers.  Every update's reply is parked on its group
+    commit after the workspace token is released, so the order of
+    commit-wait, token release and reply transmission is pinned."""
+    params = DEFAULT_PARAMS.with_overrides(
+        durability=DurabilityParams(enabled=True),
+        transport=TransportParams(mode="always"))
+    rack = PulseCluster(node_count=3, params=params, seed=RACK_SEED)
+    table = HashTable(rack.memory, buckets=50, value_bytes=8,
+                      partition_nodes=3)
+    for key in range(2000):
+        table.insert(key, key.to_bytes(8, "little"))
+    finder, updater = table.find_iterator(), table.update_iterator()
+    rng = random.Random("4:kv")
+    ops = [(updater, (rng.randrange(2000), rng.getrandbits(64)))
+           if rng.random() < 0.5 else (finder, (rng.randrange(2000),))
+           for _ in range(640)]
+    times = _open_loop(rack, ops[:320], 3e6, 1, random.Random("4:g"))
+    times += _closed_loop(rack, ops[320:], 64)
+    return times
+
+
 @pytest.fixture(autouse=True)
 def default_tiers(monkeypatch):
-    """The digests pin the default execution tiers: CI legs that force
-    the interpreter, the scalar tier or sharding through ``PULSE_*``
-    run different (individually tested) timing paths."""
+    """The digests pin the default lane width, in process: CI legs set
+    ``PULSE_BATCH`` (a different model) or ``PULSE_WORKERS``;
+    ``PULSE_INTERP`` moves no time but is cleared with them."""
     for knob in ("PULSE_BATCH", "PULSE_INTERP", "PULSE_WORKERS"):
         monkeypatch.delenv(knob, raising=False)
 
@@ -150,5 +180,8 @@ def test_tc_rack_completion_times_are_pinned():
 
 
 def test_mix_batch_completion_times_are_pinned():
-    pytest.importorskip("numpy")  # without it the batch tier is off
     assert _digest(mix_completion_times()) == MIX_DIGEST
+
+
+def test_kv_durable_completion_times_are_pinned():
+    assert _digest(kv_durable_completion_times()) == KV_DIGEST

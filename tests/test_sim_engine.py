@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -163,64 +159,6 @@ def test_yield_already_processed_event_resumes_immediately():
     env.process(waiter())
     env.run()
     assert log == [(5, "early")]
-
-
-def test_interrupt_wakes_process_with_cause():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-            log.append("slept-through")
-        except Interrupt as interrupt:
-            log.append(("interrupted", env.now, interrupt.cause))
-
-    def interrupter(target):
-        yield env.timeout(10)
-        target.interrupt("wake up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [("interrupted", 10, "wake up")]
-
-
-def test_interrupted_process_can_wait_again():
-    env = Environment()
-    log = []
-    signal = env.event()
-
-    def sleeper():
-        try:
-            yield signal
-        except Interrupt:
-            log.append("first-interrupt")
-        value = yield signal
-        log.append(value)
-
-    def driver(target):
-        yield env.timeout(5)
-        target.interrupt()
-        yield env.timeout(5)
-        signal.succeed("finally")
-
-    target = env.process(sleeper())
-    env.process(driver(target))
-    env.run()
-    assert log == ["first-interrupt", "finally"]
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_run_until_time_stops_clock_exactly():

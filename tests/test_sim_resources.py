@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, PriorityStore, and Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Resource, Store
 from repro.sim.engine import SimulationError
 
 
@@ -181,80 +181,3 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
-
-
-class TestPriorityStore:
-    def test_smallest_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        store.put_prioritized(5, "low")
-        store.put_prioritized(1, "high")
-        store.put_prioritized(3, "mid")
-        got = []
-
-        def getter():
-            for _ in range(3):
-                priority, _seq, payload = yield store.get()
-                got.append(payload)
-
-        env.process(getter())
-        env.run()
-        assert got == ["high", "mid", "low"]
-
-    def test_equal_priority_fifo(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for name in ("a", "b", "c"):
-            store.put_prioritized(1, name)
-        got = []
-
-        def getter():
-            for _ in range(3):
-                _p, _s, payload = yield store.get()
-                got.append(payload)
-
-        env.process(getter())
-        env.run()
-        assert got == ["a", "b", "c"]
-
-
-class TestContainer:
-    def test_get_blocks_until_level_sufficient(self):
-        env = Environment()
-        bucket = Container(env, init=0)
-        got = []
-
-        def getter():
-            yield bucket.get(10)
-            got.append(env.now)
-
-        def filler():
-            yield env.timeout(5)
-            bucket.put(4)
-            yield env.timeout(5)
-            bucket.put(6)
-
-        env.process(getter())
-        env.process(filler())
-        env.run()
-        assert got == [10]
-        assert bucket.level == 0
-
-    def test_capacity_clamps_level(self):
-        env = Environment()
-        bucket = Container(env, init=0, capacity=10)
-        bucket.put(100)
-        assert bucket.level == 10
-
-    def test_negative_amounts_rejected(self):
-        env = Environment()
-        bucket = Container(env, init=5)
-        with pytest.raises(SimulationError):
-            bucket.put(-1)
-        with pytest.raises(SimulationError):
-            bucket.get(-1)
-
-    def test_invalid_init_rejected(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            Container(env, init=5, capacity=1)

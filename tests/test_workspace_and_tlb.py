@@ -172,3 +172,23 @@ class TestRackIntegration:
         # rest reuse it.
         assert counters["mem0.acc.workspace.allocated"] == 1
         assert counters["mem0.acc.workspace.reused"] == 2
+
+    def test_full_width_group_reuses_every_frame(self, monkeypatch):
+        """The pool retains a whole lane group's frames even when the
+        group is wider than ``workspaces_per_core`` (16): the second
+        32-lane burst allocates nothing."""
+        monkeypatch.delenv("PULSE_BATCH", raising=False)
+        cluster = PulseCluster(node_count=1, batch_size=32,
+                               cores_per_accelerator=1)
+        lst = LinkedList(cluster.memory)
+        lst.extend((k, k * 2) for k in range(1, 33))
+        finder = lst.find_iterator()
+        for _ in range(2):
+            pendings = cluster.submit_many(
+                [(finder, (key,)) for key in range(1, 33)])
+            cluster.env.run()
+            assert all(p.result.ok for p in pendings)
+        counters = cluster.registry.snapshot()["counters"]
+        assert counters["mem0.acc.batch.groups"] == 2
+        assert counters["mem0.acc.workspace.allocated"] == 32
+        assert counters["mem0.acc.workspace.reused"] == 32
