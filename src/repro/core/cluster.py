@@ -251,7 +251,7 @@ class PulseCluster:
         if acc.dead:
             return
         acc.dead = True
-        acc.session.channel.powered_off = True
+        acc.session.powered_off = True
         self.memory.allocator.set_allocatable(node_id, False)
         self.durability.on_node_dead(node_id)
         self.env.process(self.durability.recovery.recover(node_id))

@@ -13,12 +13,14 @@ recovery schedule:
    cursor cost, sized from the dead node's *mapped* TCAM coverage
    (pure metadata, so every process in a sharded run charges the
    identical time).
-3. **Fence** -- zero simulated time, mirroring the migration fence: for
-   each home-aligned segment the dead node owned, the elected replica
-   owner adopts physical memory, maps the segment, restores content
-   from the bootstrap store plus its replica store (never from the dead
-   DRAM), and the allocator + placement map retarget the range -- the
-   switch-rule update.
+3. **Fence** -- zero simulated time, the migration fence's own
+   switch-over (:func:`~repro.placement.migration.switch_ownership`)
+   with a dead source: for each home-aligned segment the dead node
+   owned, the elected replica owner adopts physical memory and maps
+   the segment zero-filled, the allocator + placement map retarget the
+   range -- the switch-rule update -- and content is restored from the
+   bootstrap store plus the owner's replica store (never from the dead
+   DRAM).
 4. **Resume** -- the switch reclaims every unacked frame it ever sent
    toward the dead node (checkpointed mid-traversal continuations *and*
    fresh submissions still retrying into the black hole), re-resolves
@@ -36,8 +38,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.durability.replication import elect_owner
-from repro.mem.translation import RangeEntry
-from repro.placement.migration import MigrationEngine
+from repro.placement.migration import (MigrationError, mapped_pieces,
+                                       switch_ownership)
 
 
 class RecoveryError(Exception):
@@ -70,8 +72,8 @@ class RecoveryManager:
             segments.extend(self._split_homes(start, end))
         pieces = []
         for start, end in segments:
-            pieces.extend(MigrationEngine._mapped_pieces(
-                dead_node.table.entries, start, end))
+            pieces.extend(mapped_pieces(dead_node.table.entries,
+                                        start, end))
         replay_bytes = sum(end - start for start, end in pieces)
         replay_ns = (len(pieces) * self.params.replay_range_ns
                      + replay_bytes
@@ -113,8 +115,6 @@ class RecoveryManager:
     def _rehome(self, dead: int, virt_start: int, virt_end: int) -> None:
         """Adopt one home-aligned segment on the elected replica owner."""
         memory = self.memory
-        allocator = memory.allocator
-        dead_node = memory.nodes[dead]
         home = memory.addrspace.node_of(virt_start)
         owner = elect_owner(home, dead, memory.node_count,
                             self.service.live)
@@ -122,44 +122,16 @@ class RecoveryManager:
             raise RecoveryError(
                 f"no live node can adopt [{virt_start:#x},{virt_end:#x}) "
                 f"from dead node {dead}")
-        dst_node = memory.nodes[owner]
-        pieces = MigrationEngine._mapped_pieces(dead_node.table.entries,
-                                                virt_start, virt_end)
-        total = sum(end - start for start, end in pieces)
-        if total and allocator.phys_available(owner) < total:
-            raise RecoveryError(
-                f"node {owner} lacks {total} physical bytes to adopt "
-                f"[{virt_start:#x},{virt_end:#x})")
-        if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
-            raise RecoveryError(
-                f"node {owner} TCAM cannot hold {len(pieces)} more "
-                "entries")
-        if total:
-            dst_phys = allocator.adopt_physical(owner, total)
+        # The dead DRAM is gone: the switch-over zero-fills the adopted
+        # spans and content is rebuilt purely from the logged images.
         try:
-            removed = dead_node.table.remove_range(virt_start, virt_end)
-        except ValueError as exc:
-            if total:
-                allocator.release_physical(owner, dst_phys, total)
+            _total, _live, inserted = switch_ownership(
+                memory, dead, owner, virt_start, virt_end,
+                source_alive=False)
+        except MigrationError as exc:
             raise RecoveryError(str(exc)) from exc
-        inserted: List[RangeEntry] = []
-        offset = 0
-        for piece in removed:
-            size = piece.virt_end - piece.virt_start
-            # The dead DRAM is gone: zero-fill the adopted span (the
-            # allocator may hand back a previously-used hole) and
-            # rebuild content purely from the logged images below.
-            dst_node.memory.write(dst_phys + offset, bytes(size))
-            entry = RangeEntry(virt_start=piece.virt_start,
-                               virt_end=piece.virt_end,
-                               phys_start=dst_phys + offset,
-                               perms=piece.perms)
-            dst_node.table.insert(entry)
-            inserted.append(entry)
-            offset += size
-        self._restore(dst_node, owner, inserted, virt_start, virt_end)
-        allocator.transfer_ownership(virt_start, virt_end, dead, owner)
-        memory.placement.move(virt_start, virt_end, owner)
+        self._restore(memory.nodes[owner], owner, inserted, virt_start,
+                      virt_end)
 
     def _restore(self, dst_node, owner: int, inserted, virt_start: int,
                  virt_end: int) -> None:

@@ -180,8 +180,8 @@ class TransportParams:
 
     The stack arms per-hop ack/retransmit *per destination link*: in the
     default ``"auto"`` mode a send is reliable exactly when the link it
-    crosses has a :class:`~repro.sim.network.LinkProfile` (loss/jitter
-    injected through the channel interface).  ``"always"`` arms every
+    crosses has a lossy :class:`~repro.sim.network.LinkProfile`
+    (``Fabric.configure_link``).  ``"always"`` arms every
     send; ``"never"`` degrades to cut-through delivery, leaving the
     client's end-to-end retransmission as the only recovery mechanism
     (the pre-transport behaviour, kept for A/B comparison).

@@ -36,6 +36,83 @@ class MigrationError(Exception):
     """Invalid or unsatisfiable migration request."""
 
 
+def mapped_pieces(entries, virt_start: int,
+                  virt_end: int) -> List[Tuple[int, int]]:
+    """TCAM entry coverage clipped to [virt_start, virt_end)."""
+    pieces = []
+    for entry in entries:
+        if entry.virt_end <= virt_start or virt_end <= entry.virt_start:
+            continue
+        pieces.append((max(entry.virt_start, virt_start),
+                       min(entry.virt_end, virt_end)))
+    return pieces
+
+
+def switch_ownership(memory, src: int, dst: int, virt_start: int,
+                     virt_end: int, source_alive: bool = True
+                     ) -> Tuple[int, int, List[RangeEntry]]:
+    """Atomic switch-over of [virt_start, virt_end) from ``src`` to
+    ``dst``: bytes, TCAMs, allocator, placement map.
+
+    The one ownership change in the system -- a live migration's fence
+    and a crash recovery's re-homing are both this.  ``source_alive``
+    says where the bytes come from: a live source's DRAM is copied and
+    its physical spans released; a crashed one has neither, so the
+    adopted spans are zero-filled (the allocator may hand back a used
+    hole) for the caller to replay logged content onto.
+
+    Returns ``(mapped_bytes, live_bytes, inserted_entries)``.
+    Failure-atomic: the caller lets no simulated time pass, all
+    validation happens before the first destructive step, and the one
+    resource acquired early (the destination's physical reservation) is
+    released on any later failure -- a switch-over that raises leaves
+    the cluster exactly as it was.
+    """
+    allocator = memory.allocator
+    src_node = memory.nodes[src]
+    dst_node = memory.nodes[dst]
+    pieces = mapped_pieces(src_node.table.entries, virt_start, virt_end)
+    total = sum(end - start for start, end in pieces)
+    if total and allocator.phys_available(dst) < total:
+        raise MigrationError(
+            f"node {dst} lacks {total} physical bytes for "
+            f"[{virt_start:#x},{virt_end:#x})")
+    if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
+        raise MigrationError(
+            f"node {dst} TCAM cannot hold {len(pieces)} more entries")
+    if total:
+        dst_phys = allocator.adopt_physical(dst, total)
+    try:
+        removed = src_node.table.remove_range(virt_start, virt_end)
+    except ValueError as exc:
+        # Splitting partially covered source entries would overflow
+        # the source TCAM; remove_range mutated nothing, so only the
+        # reservation needs unwinding.
+        if total:
+            allocator.release_physical(dst, dst_phys, total)
+        raise MigrationError(str(exc)) from exc
+    inserted: List[RangeEntry] = []
+    offset = 0
+    for piece in removed:
+        size = piece.virt_end - piece.virt_start
+        if source_alive:
+            data = src_node.memory.read(piece.phys_start, size)
+            allocator.release_physical(src, piece.phys_start, size)
+        else:
+            data = bytes(size)
+        dst_node.memory.write(dst_phys + offset, data)
+        entry = RangeEntry(virt_start=piece.virt_start,
+                           virt_end=piece.virt_end,
+                           phys_start=dst_phys + offset,
+                           perms=piece.perms)
+        dst_node.table.insert(entry)
+        inserted.append(entry)
+        offset += size
+    live = allocator.transfer_ownership(virt_start, virt_end, src, dst)
+    memory.placement.move(virt_start, virt_end, dst)
+    return total, live, inserted
+
+
 class MigrationEngine:
     """Copies segments between nodes under live traffic."""
 
@@ -99,8 +176,8 @@ class MigrationEngine:
 
         src_node = self.memory.nodes[src]
         dst_node = self.memory.nodes[dst]
-        pieces = self._mapped_pieces(src_node.table.entries,
-                                     virt_start, virt_end)
+        pieces = mapped_pieces(src_node.table.entries, virt_start,
+                               virt_end)
         if not include_unmapped:
             if not pieces:
                 return 0
@@ -202,63 +279,21 @@ class MigrationEngine:
     # -- internals ----------------------------------------------------------
     def _fence(self, src: int, dst: int, virt_start: int,
                virt_end: int) -> Tuple[int, int, int]:
-        """Atomic switch-over: bytes, TCAMs, allocator, map, hint.
+        """The switch-over plus the old owner's forwarding hint.
 
-        Returns ``(mapped_bytes, live_bytes, hint_id)``.  Failure-atomic:
-        no simulated time passes inside the fence, so every check re-run
-        at entry holds for the whole switch-over, all validation happens
-        before the first destructive step, and the one resource acquired
-        early (the destination's physical reservation) is released on
-        any later failure -- a fence that raises leaves the cluster
-        exactly as it was.
+        Returns ``(mapped_bytes, live_bytes, hint_id)``.  No simulated
+        time passes inside the fence, so every check
+        :func:`switch_ownership` re-runs holds for the whole of it.
         """
-        allocator = self.memory.allocator
-        src_node = self.memory.nodes[src]
-        dst_node = self.memory.nodes[dst]
         # Frees during the copy can merge blocks across the snapped
         # boundary; re-snap so nothing straddles the ownership edge
-        # (this is what lets transfer_ownership below never fail).
-        virt_start, virt_end = allocator.snap_range(src, virt_start,
-                                                    virt_end)
-        pieces = self._mapped_pieces(src_node.table.entries,
-                                     virt_start, virt_end)
-        total = sum(end - start for start, end in pieces)
-        if total and allocator.phys_available(dst) < total:
-            raise MigrationError(
-                f"node {dst} filled up during copy: lacks {total} "
-                f"physical bytes for [{virt_start:#x},{virt_end:#x})")
-        if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
-            raise MigrationError(
-                f"node {dst} TCAM cannot hold {len(pieces)} more entries")
-        if total:
-            dst_phys = allocator.adopt_physical(dst, total)
-        try:
-            removed = src_node.table.remove_range(virt_start, virt_end)
-        except ValueError as exc:
-            # Splitting partially covered source entries would overflow
-            # the source TCAM; remove_range mutated nothing, so only the
-            # reservation needs unwinding.
-            if total:
-                allocator.release_physical(dst, dst_phys, total)
-            raise MigrationError(str(exc)) from exc
-        if total:
-            offset = 0
-            for piece in removed:
-                size = piece.virt_end - piece.virt_start
-                data = src_node.memory.read(piece.phys_start, size)
-                dst_node.memory.write(dst_phys + offset, data)
-                dst_node.table.insert(RangeEntry(
-                    virt_start=piece.virt_start,
-                    virt_end=piece.virt_end,
-                    phys_start=dst_phys + offset,
-                    perms=piece.perms))
-                allocator.release_physical(src, piece.phys_start, size)
-                offset += size
-        live = allocator.transfer_ownership(virt_start, virt_end, src,
-                                            dst)
-        self.rangemap.move(virt_start, virt_end, dst)
-        hint_id = src_node.forwarding.install(virt_start, virt_end, dst,
-                                              self.env.now)
+        # (this is what lets transfer_ownership never fail).
+        virt_start, virt_end = self.memory.allocator.snap_range(
+            src, virt_start, virt_end)
+        total, live, _entries = switch_ownership(
+            self.memory, src, dst, virt_start, virt_end)
+        hint_id = self.memory.nodes[src].forwarding.install(
+            virt_start, virt_end, dst, self.env.now)
         return total, live, hint_id
 
     def _expire_hints(self, node, hint_id: int):
@@ -278,18 +313,6 @@ class MigrationEngine:
         fills = allocator.node_fill_fractions()
         candidates.sort(key=lambda n: fills[n])
         return candidates[0] if candidates else None
-
-    @staticmethod
-    def _mapped_pieces(entries, virt_start: int,
-                       virt_end: int) -> List[Tuple[int, int]]:
-        """Entry coverage clipped to [virt_start, virt_end)."""
-        pieces = []
-        for entry in entries:
-            if entry.virt_end <= virt_start or virt_end <= entry.virt_start:
-                continue
-            pieces.append((max(entry.virt_start, virt_start),
-                           min(entry.virt_end, virt_end)))
-        return pieces
 
     def _count_failed(self) -> None:
         if self._m_failed is not None:

@@ -20,8 +20,9 @@ Determinism argument (the sharded differential suite pins it):
 * Concurrent exports are merged in ``(arrival time, source process,
   export sequence)`` order before injection, so the receiver's event
   queue is populated identically run-to-run -- and identically to the
-  in-process cluster, where the fabric's delivery processes schedule
-  arrivals in the same time/priority/sequence order.
+  in-process cluster, whose fabric resolves every message at tx-end
+  the same way (jitter, drop verdict, arrival time) and differs only
+  in injecting the arrival itself instead of exporting it.
 
 Windows are adaptive: when every process is idle until some far-off
 timer, the window jumps straight to ``t_min + L``, so synchronization

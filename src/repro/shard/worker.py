@@ -2,7 +2,7 @@
 
 Each worker is a copy-on-write fork of the fully built cluster.  It
 owns the ``mem{i}`` endpoints for its assigned nodes (accelerator,
-memory pipeline, allocator, batch-machine pool) and stays inert for
+memory pipeline, allocator, frame pool) and stays inert for
 everything else -- the coordinator never routes frames to non-owned
 inboxes, so those replicas simply block forever.  The main loop is
 purely reactive: inject the frames and control records that arrived
@@ -18,25 +18,6 @@ import traceback
 from repro.shard.runtime import ShardError, ShardRouter, apply_ctl
 from repro.shard.transport import (ADVANCE, DONE, ERROR, SNAPSHOT, STOP,
                                    STOPPED)
-
-
-def seed_worker_rngs(cluster, owned_nodes, worker_index: int,
-                     seed) -> None:
-    """Reseed this process's RNGs from ``(cluster seed, node ids)``.
-
-    The forked replica inherits the parent's global ``random`` state;
-    without reseeding, two workers would share one stream and any
-    worker-local draw would depend on fork timing.  Each owned
-    accelerator also gets a dedicated ``shard_rng`` handle so future
-    node-local randomness has a stable, per-node stream.
-    """
-    random.seed(f"{seed}:shard:{worker_index}:{tuple(owned_nodes)}")
-    owned = {f"mem{i}": i for i in owned_nodes}
-    for accelerator in cluster.accelerators:
-        node_id = owned.get(accelerator.name)
-        if node_id is not None:
-            accelerator.shard_rng = random.Random(
-                f"{seed}:shard-node:{node_id}")
 
 
 def _snapshot_at(cluster, at_ns: float) -> dict:
@@ -59,7 +40,9 @@ def worker_main(conn, cluster, owned_nodes, worker_index: int, seed,
                 replicated) -> None:
     """Entry point run inside each forked worker process."""
     try:
-        seed_worker_rngs(cluster, owned_nodes, worker_index, seed)
+        # The replica inherits the parent's global ``random`` state;
+        # reseed so no worker-local draw depends on fork timing.
+        random.seed(f"{seed}:shard:{worker_index}:{tuple(owned_nodes)}")
         env = cluster.env
         owned_names = frozenset(f"mem{i}" for i in owned_nodes)
         router = ShardRouter(lambda name: name in owned_names,

@@ -355,6 +355,10 @@ class Environment:
         ``hook(limit)``, which must either extend the window (returning
         True) or report that no event anywhere in the sharded cluster
         exists at time <= ``limit`` (returning False).
+
+        May be called from inside an event (a cluster that shards lazily
+        on its first submission): the drain in progress ends before its
+        next pop and :meth:`run` asks the new hook for a window.
         """
         self._window_hook = hook
         self._window_end = (window_end if window_end is not None
@@ -372,23 +376,6 @@ class Environment:
                 f"({end} < {self._window_end})")
         self._window_end = end
 
-    def _window_gate(self, limit: float = float("inf")) -> bool:
-        """True when the head event may be stepped right now.
-
-        Without a hook this is simply queue non-emptiness.  With one,
-        events at or beyond the window trigger sync rounds until either
-        the window covers the head event or the hook reports that no
-        progress at time <= ``limit`` is possible anywhere.
-        """
-        while True:
-            if self._queue and self._queue[0][0] < self._window_end:
-                return True
-            if self._window_hook is None:
-                return bool(self._queue)
-            if not self._window_hook(limit):
-                return bool(self._queue) and (self._queue[0][0]
-                                              < self._window_end)
-
     def run_window(self, horizon: float) -> None:
         """Process every event strictly before ``horizon``.
 
@@ -397,25 +384,18 @@ class Environment:
         still in flight, so everything below it can run locally.
         """
         # strictly before ``horizon`` == at or before the float below it
-        self._run_unhooked(None, math.nextafter(horizon, -math.inf))
+        self._drain(None, math.nextafter(horizon, -math.inf))
 
-    def step(self) -> None:
-        """Process the next event; raises IndexError if the queue is empty."""
-        when, _prio, _seq, event = heappop(self._queue)
-        self._now = when
-        event._process()
+    def _drain(self, stop: Optional[Event], horizon: float) -> None:
+        """The one pop/dispatch loop: every event at time <= ``horizon``
+        and strictly before the window end, or up to and including
+        ``stop`` (``Event._process()`` inlined).
 
-    def _run_unhooked(self, stop: Optional[Event], horizon: float) -> None:
-        """The hot loop: every event at time <= ``horizon``, or up to and
-        including ``stop``, popped and dispatched inline (``step()`` and
-        ``Event._process()`` without the two calls per event).
-
-        Ignores the window hook: :meth:`run` takes this path only when
-        none is installed (hooks are installed between runs, never from
-        inside an event), and shard workers never have one.
+        The window end is re-read per pop because an event may install
+        a window hook, which must take effect before the next one.
         """
         queue = self._queue
-        while queue and queue[0][0] <= horizon:
+        while queue and horizon >= queue[0][0] < self._window_end:
             self._now, _prio, _seq, event = heappop(queue)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
@@ -432,6 +412,10 @@ class Environment:
         * ``until`` is a number: run until simulated time reaches it.
         * ``until`` is an :class:`Event`: run until it is processed and
           return its value (raising its exception if it failed).
+
+        Drain the current window, ask the hook (if any) for the next
+        one, repeat; without a hook the window never ends and the first
+        drain is the whole run.
         """
         stop: Optional[Event] = None
         horizon = float("inf")
@@ -444,16 +428,17 @@ class Environment:
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
 
-        if stop is not None and stop.callbacks is None:
-            pass  # already processed: nothing to run
-        elif self._window_hook is None:
-            self._run_unhooked(stop, horizon)
-        else:
-            while (self._window_gate(horizon)
-                   and self._queue[0][0] <= horizon):
-                self.step()
-                if stop is not None and stop.callbacks is None:
+        queue = self._queue
+        while stop is None or stop.callbacks is not None:
+            head = queue[0][0] if queue else float("inf")
+            if head >= self._window_end:  # or nothing queued at all
+                if (self._window_hook is None
+                        or not self._window_hook(horizon)):
                     break
+            elif head > horizon:
+                break
+            else:
+                self._drain(stop, horizon)
 
         if stop is not None:
             if stop.callbacks is not None:

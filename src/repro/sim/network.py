@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.params import NetworkParams
@@ -50,8 +50,8 @@ class Message:
 class LinkProfile:
     """Fault/jitter injection for one directed link (src -> dst).
 
-    This is the channel interface the reliable-transport layer arms
-    against: a link with a profile drops each message independently with
+    This is what the transport session arms against: a link with a
+    profile drops each message independently with
     ``drop_probability`` and delays it by a uniform draw from
     ``[0, jitter_ns]`` (jitter reorders messages relative to other
     links, and relative to this link's own later sends when large).
@@ -74,7 +74,13 @@ class LinkProfile:
 
 
 class Endpoint:
-    """A NIC attachment point: an inbox plus egress serialization."""
+    """A NIC attachment point: an inbox plus egress serialization.
+
+    ``receive`` is the receive filter the fabric hands every arriving
+    message to.  A bare endpoint queues them all in ``inbox``; a
+    :class:`~repro.transport.TransportSession` installs its own, which
+    consumes ACKs and duplicates and queues the rest.
+    """
 
     def __init__(self, env: Environment, name: str,
                  link_bytes_per_ns: float,
@@ -82,6 +88,7 @@ class Endpoint:
         self.env = env
         self.name = name
         self.inbox: Store = Store(env)
+        self.receive: Callable[[Message], None] = self.inbox.put
         self.egress = Resource(env, capacity=1)
         self.link_bytes_per_ns = link_bytes_per_ns
         if registry is None:
@@ -176,10 +183,9 @@ class Fabric:
         #: denominator the loss-sweep report reads
         registry.gauge("net.delivery_ratio", fn=self._delivery_ratio)
         #: sharded-execution seam (see ``repro.shard``): when set,
-        #: messages to endpoints owned by another process are exported
-        #: at tx-end -- with propagation, jitter, and the drop verdict
-        #: computed eagerly, since the sender owns this link's RNG --
-        #: and the owning process finishes delivery at arrival time
+        #: arrivals at endpoints owned by another process are exported
+        #: at tx-end instead of scheduled here; the owning process
+        #: injects them.  Unset, this process owns every endpoint.
         self.shard_router = None
 
     def _delivery_ratio(self) -> float:
@@ -238,86 +244,73 @@ class Fabric:
              extra_latency_ns: float = 0.0) -> None:
         """Start delivery of ``message``; returns immediately.
 
-        Delivery runs as its own process: serialize at the sender's
-        egress, propagate over ``segments`` wire segments (2 = through the
-        switch, host->switch->host; the switch itself uses 1 for each leg
-        it handles explicitly), then (unless dropped) appear in the
-        destination inbox.
+        Serialize at the sender's egress, propagate over ``segments``
+        wire segments (2 = through the switch, host->switch->host; the
+        switch itself uses 1 for each leg it handles explicitly), then
+        (unless dropped) arrive at the destination endpoint.
         """
-        if message.src not in self._endpoints:
+        src = self._endpoints.get(message.src)
+        if src is None:
             raise ValueError(f"unknown source endpoint {message.src!r}")
         if message.dst not in self._endpoints:
             raise ValueError(f"unknown destination endpoint {message.dst!r}")
-        self.env.process(
-            self._deliver(message, segments, extra_latency_ns))
+        propagation = (self.params.segment_ns * segments
+                       + self.params.switch_process_ns
+                       + extra_latency_ns)
+        tx_end = src.egress.hold(message.size_bytes / src.link_bytes_per_ns)
+        tx_end.callbacks.append(
+            lambda _hold: self._transmitted(src, message, propagation))
 
-    def _deliver(self, message: Message, segments: int,
-                 extra_latency_ns: float):
-        src = self._endpoints[message.src]
-        dst = self._endpoints[message.dst]
+    def _transmitted(self, src: Endpoint, message: Message,
+                     propagation: float) -> None:
+        """Tx-end, the one tail: the sender settles the message's fate.
 
-        yield src.egress.hold(message.size_bytes / src.link_bytes_per_ns)
+        Jitter and the drop verdict are drawn here, once, from the
+        link's RNG (only the sender ever draws from it), and the
+        arrival becomes one heap entry -- in this process, or, past a
+        shard boundary, in the one that owns the destination.
+        """
         src._tx_bytes.inc(message.size_bytes)
         src._tx_messages.inc()
         src._tx_message_bytes.record(message.size_bytes)
 
-        propagation = (self.params.segment_ns * segments
-                       + self.params.switch_process_ns
-                       + extra_latency_ns)
         profile = self._links.get((message.src, message.dst),
                                   self._default_link)
-
-        router = self.shard_router
-        if router is not None and not router.owns(message.dst):
-            # Shard boundary: resolve the whole arrival verdict now.
-            # Jitter and drop come from the same per-link RNG as the
-            # in-process path; only this process ever draws from it, so
-            # sharded runs are reproducible (the draw *interleaving*
-            # differs from in-process only on lossy links, where jitter
-            # and drop were previously drawn at different sim times).
-            if profile is not None and profile.jitter_ns > 0.0:
-                rng = self._link_rng(message.src, message.dst)
+        if profile is not None:
+            rng = self._link_rng(message.src, message.dst)
+            if profile.jitter_ns > 0.0:
                 propagation += rng.uniform(0.0, profile.jitter_ns)
-            if profile is not None and profile.drop_probability > 0.0:
-                rng = self._link_rng(message.src, message.dst)
-                if rng.random() < profile.drop_probability:
-                    self._dropped.inc()
-                    return
-            router.export(message, self.env.now + propagation)
-            return
-
-        if profile is not None and profile.jitter_ns > 0.0:
-            rng = self._link_rng(message.src, message.dst)
-            propagation += rng.uniform(0.0, profile.jitter_ns)
-        yield self.env.timeout(propagation)
-
-        if profile is not None and profile.drop_probability > 0.0:
-            rng = self._link_rng(message.src, message.dst)
-            if rng.random() < profile.drop_probability:
+            if (profile.drop_probability > 0.0
+                    and rng.random() < profile.drop_probability):
                 self._dropped.inc()
                 return
 
-        self._finish_delivery(message)
+        arrival_ns = self.env.now + propagation
+        router = self.shard_router
+        if router is not None and not router.owns(message.dst):
+            router.export(message, arrival_ns)
+        else:
+            self.inject(message, arrival_ns)
 
-    def _finish_delivery(self, message: Message) -> None:
-        """Receive-side accounting + inbox delivery (one code path for
-        the in-process tail and sharded frame import)."""
+    def inject(self, message: Message, arrival_ns: float) -> None:
+        """Schedule ``message``'s arrival at the absolute ``arrival_ns``.
+
+        The sender -- this process's tx-end or another shard's -- already
+        charged serialization and decided propagation, jitter and drop;
+        what is left is the receive side.
+        """
+        event = Event(self.env)
+        event._ok = True
+        event._value = message
+        event.callbacks.append(self._arrive)
+        self.env.schedule_at(event, arrival_ns)
+
+    def _arrive(self, event: Event) -> None:
+        """Receive-side accounting, then the endpoint's receive filter."""
+        message = event._value
         dst = self._endpoints[message.dst]
         message.hops += 1
         dst._rx_bytes.inc(message.size_bytes)
         dst._rx_messages.inc()
         self._delivered.inc()
-        dst.inbox.put(message)
-
-    def inject(self, message: Message, arrival_ns: float) -> None:
-        """Deliver a frame exported by another shard at ``arrival_ns``.
-
-        The exporting process already charged serialization and
-        computed propagation/jitter/drop; this schedules only the
-        receive side, at the absolute arrival time it computed.
-        """
-        event = Event(self.env)
-        event._ok = True
-        event.callbacks.append(
-            lambda _e, m=message: self._finish_delivery(m))
-        self.env.schedule_at(event, arrival_ns)
+        dst.receive(message)

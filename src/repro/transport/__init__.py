@@ -1,36 +1,24 @@
-"""Layered reliable-transport stack (channel -> reliable -> session).
+"""Reliable transport: one class, :class:`TransportSession`.
 
 Every component that talks on the fabric -- the pulse client, switch,
 and accelerators, and the RPC/cache/AIFM baselines -- sends and receives
 through a :class:`~repro.transport.session.TransportSession` instead of
-touching its :class:`~repro.sim.network.Endpoint` directly.  The stack
-owns sequencing, per-hop ACKs, timeout-driven retransmission with capped
-exponential backoff + jitter, and duplicate suppression; the session
-layer additionally understands traversal frames well enough to stamp
-hop epochs and account checkpoint retransmissions (resuming a dropped
-traversal from hop k instead of restarting it end-to-end).
-
-Layering (bottom up):
-
-* :class:`~repro.transport.channel.Channel` -- binds a name to a fabric
-  endpoint and exposes raw sends plus the per-link loss/jitter
-  configuration surface (:class:`~repro.sim.network.LinkProfile`).
-* :class:`~repro.transport.reliable.ReliableChannel` -- per-destination
-  sequencing and ack/retransmit, per-source dedup.  A send is *armed*
-  (reliable) when :class:`~repro.params.TransportParams` says so for
-  that link; unarmed sends cut through with zero added cost or traffic.
-* :class:`~repro.transport.session.TransportSession` -- the application
-  face: traversal-aware framing and the ``inbox`` components consume.
+touching its :class:`~repro.sim.network.Endpoint` directly.  The session
+registers the endpoint, installs itself as its receive filter, and owns
+sequencing, per-hop ACKs, timeout-driven retransmission with capped
+exponential backoff + jitter, and duplicate suppression; it understands
+traversal frames well enough to stamp hop epochs and account checkpoint
+retransmissions (resuming a dropped traversal from hop k instead of
+restarting it end-to-end).  A send is *armed* (reliable) when
+:class:`~repro.params.TransportParams` says so for that link; unarmed
+sends cut through with zero added cost or traffic.  :class:`Segment`
+and :class:`Ack` are the two wire records armed traffic travels as.
 """
 
-from repro.transport.channel import Channel
-from repro.transport.reliable import Ack, ReliableChannel, Segment
-from repro.transport.session import TransportSession
+from repro.transport.session import Ack, Segment, TransportSession
 
 __all__ = [
     "Ack",
-    "Channel",
-    "ReliableChannel",
     "Segment",
     "TransportSession",
 ]

@@ -1,9 +1,28 @@
-"""Transport layer 3: the traversal-aware session components talk to.
+"""The transport session: one component's reliable face on the fabric.
 
-A :class:`TransportSession` composes a :class:`~repro.transport.channel.
-Channel` and a :class:`~repro.transport.reliable.ReliableChannel` and is
-the single send/receive surface for a component: ``session.send(...)``
-on the way out, ``yield session.inbox.get()`` on the way in.
+``session.send(...)`` on the way out, ``yield session.inbox.get()`` on
+the way in.  The session registers the component's fabric endpoint and
+installs itself as that endpoint's receive filter, so ACK handling and
+duplicate suppression run inside the fabric's arrival callback and
+whatever survives lands in the endpoint's own inbox -- there is no
+second queue and no process between the wire and the component.
+
+Per directed flow (this endpoint -> one destination) the sender assigns
+monotonically increasing sequence numbers, keeps every unacknowledged
+segment in an outstanding table, and runs a retransmission timer per
+segment: capped exponential backoff with +/-20% jitter so synchronized
+losses do not retransmit in lockstep.  The receiver ACKs every data
+segment -- including duplicates, whose original ACK may itself have been
+lost -- and suppresses duplicates with a per-source (floor, seen-set)
+window before anything reaches the component.
+
+Arming is per-link: in ``TransportParams.mode="auto"`` a send is
+reliable exactly when the link toward its destination has a lossy
+:class:`~repro.sim.network.LinkProfile`.  Unarmed sends cut through --
+no header bytes, no ACK traffic, no extra latency -- so a lossless
+fabric behaves exactly as it would without a transport.  In
+``mode="never"`` nothing arms even on a lossy link, which leaves the
+client's end-to-end retry as the only recovery and so exercises it.
 
 The session understands just enough about traversal frames to make
 per-hop reliability meaningful: a :class:`~repro.core.messages.
@@ -11,29 +30,74 @@ TraversalRequest` in flight between memory nodes carries the serialized
 (cur_ptr, scratch pad, iteration count) state -- a *checkpoint* -- so
 the session stamps its hop count into the transport header's hop-epoch
 field and flags in-progress RUNNING frames as checkpoints.  When such a
-frame is lost and retransmitted by the reliable layer, the traversal
-resumes from hop k's checkpoint instead of restarting end-to-end from
-``init()``; the client's ``PendingTraversal`` retry remains only as the
-last resort when a hop exhausts its own retransmission budget.
+frame is lost and retransmitted, the traversal resumes from hop k's
+checkpoint instead of restarting end-to-end from ``init()``; the
+client's ``PendingTraversal`` retry remains only as the last resort
+when a hop exhausts its own retransmission budget.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Set
 
-from repro.core.messages import RequestStatus, TraversalRequest
+from repro.core.messages import (TP_FLAG_ACK, TP_FLAG_CHECKPOINT,
+                                 TRANSPORT_VERSION, RequestStatus,
+                                 TransportHeader, TraversalRequest)
 from repro.obs.metrics import MetricsRegistry
 from repro.params import TransportParams
 from repro.sim.engine import Environment
-from repro.sim.network import Endpoint, Fabric
+from repro.sim.network import Endpoint, Fabric, Message
 from repro.sim.resources import Store
-from repro.transport.channel import Channel
-from repro.transport.reliable import ReliableChannel
+
+#: message kind of standalone ACK segments (never seen by components;
+#: the receive filter consumes them)
+TP_ACK_KIND = "tp.ack"
+
+
+@dataclass
+class Segment:
+    """An armed data segment: transport header + the original message."""
+
+    header: TransportHeader
+    kind: str
+    payload: Any
+    size_bytes: int
+    segments: int = 2
+    extra_latency_ns: float = 0.0
+
+
+@dataclass(frozen=True)
+class Ack:
+    """A standalone acknowledgment for one data segment."""
+
+    header: TransportHeader
+
+
+@dataclass
+class _TxEntry:
+    segment: Segment
+    dst: str
+    acked: bool = False
+    attempts: int = 0
+
+
+@dataclass
+class _TxFlow:
+    next_seq: int = 1
+    outstanding: Dict[int, _TxEntry] = field(default_factory=dict)
+
+
+@dataclass
+class _RxFlow:
+    #: every sequence number <= floor has been seen (window compaction)
+    floor: int = 0
+    seen: Set[int] = field(default_factory=set)
 
 
 class TransportSession:
-    """One component's full protocol stack instance."""
+    """Sequencing, ack/retransmit and dedup for one named component."""
 
     def __init__(self, env: Environment, fabric: Fabric, name: str,
                  params: Optional[TransportParams] = None,
@@ -42,47 +106,77 @@ class TransportSession:
                  default_segments: int = 2):
         if params is None:
             params = TransportParams()
+        if params.mode not in ("auto", "always", "never"):
+            raise ValueError(f"unknown transport mode {params.mode!r}")
         if seed is None:
             seed = fabric.seed
         self.env = env
+        self.fabric = fabric
         self.name = name
         self.params = params
-        self.channel = Channel(env, fabric, name, registry=registry)
+        self.default_segments = default_segments
+        #: the NIC endpoint (byte/message counters live here); its inbox
+        #: is what the component consumes, post-dedup
+        self.endpoint: Endpoint = fabric.register(name)
+        self.endpoint.receive = self._receive
+        #: crash flag: a powered-off component's transmissions vanish at
+        #: the NIC (retransmit timers, acks, and responses all go dark)
+        self.powered_off = False
         #: timer-jitter source, deterministic per (run seed, session name)
         self._rng = random.Random(f"{seed}:tp:{name}")
-        self.reliable = ReliableChannel(
-            env, self.channel, params, self._rng,
-            registry=registry, default_segments=default_segments)
-
-    @property
-    def endpoint(self) -> Endpoint:
-        """The underlying NIC endpoint (byte/message counters live here)."""
-        return self.channel.endpoint
+        self._tx: Dict[str, _TxFlow] = {}
+        self._rx: Dict[str, _RxFlow] = {}
+        if registry is None:
+            registry = fabric.registry
+        self.registry = registry
+        prefix = f"{name}.tp"
+        self._m_tx_segments = registry.counter(f"{prefix}.tx_segments")
+        self._m_rx_segments = registry.counter(f"{prefix}.rx_segments")
+        self._m_retransmits = registry.counter(f"{prefix}.retransmits")
+        self._m_duplicates = registry.counter(
+            f"{prefix}.duplicates_dropped")
+        self._m_acks_tx = registry.counter(f"{prefix}.acks_tx")
+        self._m_acks_rx = registry.counter(f"{prefix}.acks_rx")
+        self._m_gave_up = registry.counter(f"{prefix}.gave_up")
+        self._m_version_drops = registry.counter(f"{prefix}.version_drops")
+        self._m_checkpoint_frames = registry.counter(
+            f"{prefix}.checkpoint_frames")
+        self._m_checkpoint_resumes = registry.counter(
+            f"{prefix}.checkpoint_resumes")
+        registry.gauge(f"{prefix}.outstanding", fn=self._outstanding)
 
     @property
     def inbox(self) -> Store:
-        """Deduplicated, demultiplexed receive queue for the component."""
-        return self.reliable.inbox
+        """Deduplicated receive queue for the component."""
+        return self.endpoint.inbox
 
+    def _outstanding(self) -> float:
+        return float(sum(len(f.outstanding) for f in self._tx.values()))
+
+    # -- sending -------------------------------------------------------------
     def armed_to(self, dst: str) -> bool:
-        return self.reliable.armed_to(dst)
-
-    def take_over(self, dst: str, include_all: bool = False) -> list:
-        """Reclaim unacked checkpoint payloads toward a dead ``dst``.
-
-        See :meth:`~repro.transport.reliable.ReliableChannel.take_over`;
-        recovery re-injects the returned frames at the new range owner.
-        ``include_all`` reclaims non-checkpoint frames too (permanent
-        node death rather than a transient loss).
-        """
-        return self.reliable.take_over(dst, include_all=include_all)
+        """Whether sends toward ``dst`` get per-hop reliability."""
+        mode = self.params.mode
+        if mode == "never":
+            return False
+        if mode == "always":
+            return True
+        profile = self.fabric.link_profile(self.name, dst)
+        return profile is not None and profile.lossy
 
     def send(self, dst: str, kind: str, payload: Any, size_bytes: int,
              segments: Optional[int] = None,
              extra_latency_ns: float = 0.0) -> None:
-        """Send one message, deriving transport metadata from the payload."""
+        """Send one message; reliable iff the link toward ``dst`` is
+        armed, with transport metadata derived from the payload."""
+        if segments is None:
+            segments = self.default_segments
+        if not self.armed_to(dst):
+            self._wire(dst, kind, payload, size_bytes, segments,
+                       extra_latency_ns)
+            return
         hop_epoch = 0
-        checkpoint = False
+        flags = 0
         if isinstance(payload, TraversalRequest):
             hop_epoch = payload.node_hops
             # An in-progress RUNNING frame carries resumable traversal
@@ -91,11 +185,141 @@ class TransportSession:
             # redirects carry the same resumable state (the traversal
             # continues at the segment's new owner), so they checkpoint
             # identically.
-            checkpoint = (payload.status in (RequestStatus.RUNNING,
-                                             RequestStatus.MOVED)
-                          and (payload.node_hops > 0
-                               or payload.iterations_done > 0))
-        self.reliable.send(dst, kind, payload, size_bytes,
-                           segments=segments,
-                           extra_latency_ns=extra_latency_ns,
-                           hop_epoch=hop_epoch, checkpoint=checkpoint)
+            if (payload.status in (RequestStatus.RUNNING,
+                                   RequestStatus.MOVED)
+                    and (payload.node_hops > 0
+                         or payload.iterations_done > 0)):
+                flags = TP_FLAG_CHECKPOINT
+                self._m_checkpoint_frames.inc()
+        flow = self._tx.setdefault(dst, _TxFlow())
+        seq = flow.next_seq
+        flow.next_seq += 1
+        entry = _TxEntry(dst=dst, segment=Segment(
+            header=TransportHeader(seq=seq, flags=flags,
+                                   hop_epoch=hop_epoch),
+            kind=kind, payload=payload, size_bytes=size_bytes,
+            segments=segments, extra_latency_ns=extra_latency_ns))
+        flow.outstanding[seq] = entry
+        self._m_tx_segments.inc()
+        self._transmit(entry)
+        self.env.process(self._retransmit_loop(flow, seq, entry))
+
+    def _wire(self, dst: str, kind: str, payload: Any, size_bytes: int,
+              segments: int, extra_latency_ns: float = 0.0) -> None:
+        """Fire-and-forget delivery through the fabric."""
+        if self.powered_off:
+            return
+        self.fabric.send(Message(
+            kind=kind, src=self.name, dst=dst, size_bytes=size_bytes,
+            payload=payload,
+        ), segments=segments, extra_latency_ns=extra_latency_ns)
+
+    def _transmit(self, entry: _TxEntry) -> None:
+        segment = entry.segment
+        self._wire(entry.dst, segment.kind, segment,
+                   segment.size_bytes + self.params.header_bytes,
+                   segment.segments, segment.extra_latency_ns)
+
+    def _retransmit_loop(self, flow: _TxFlow, seq: int, entry: _TxEntry):
+        """Process: retransmit ``seq`` until acked or out of budget."""
+        timeout = self.params.hop_timeout_ns
+        while True:
+            yield self.env.timeout(timeout * self._rng.uniform(0.8, 1.2))
+            if entry.acked:
+                return
+            if entry.attempts >= self.params.max_hop_retries:
+                # Out of per-hop budget: surface the loss to the layer
+                # above by silence -- the client's end-to-end retry is
+                # the last resort.
+                flow.outstanding.pop(seq, None)
+                self._m_gave_up.inc()
+                return
+            entry.attempts += 1
+            self._m_retransmits.inc()
+            if entry.segment.header.is_checkpoint:
+                # A retransmitted checkpoint frame *is* the hop-level
+                # resume: the traversal continues from hop k's
+                # serialized state instead of restarting from init().
+                self._m_checkpoint_resumes.inc()
+            self._transmit(entry)
+            timeout = min(timeout * 2.0, self.params.hop_backoff_cap_ns)
+
+    def take_over(self, dst: str, include_all: bool = False) -> list:
+        """Cancel and return every unacked *checkpointed* payload to ``dst``.
+
+        Recovery calls this when ``dst`` is declared dead: checkpoint
+        frames carry the traversal's serialized mid-flight state, so
+        instead of letting the per-hop timers retry into a black hole
+        (and eventually give up into the client's end-to-end timeout),
+        the caller re-injects the payloads at the range's new owner.
+        Non-checkpoint frames keep their timers and take the normal
+        give-up path -- they carry no resumable state -- unless
+        ``include_all`` is set: a *permanently* dead destination never
+        acks, so even fresh submissions are reclaimed and re-resolved
+        instead of burning their whole retry budget into the black
+        hole.  Returned in sequence order (the order originally sent).
+        """
+        flow = self._tx.get(dst)
+        if flow is None:
+            return []
+        resumed = []
+        for seq in sorted(flow.outstanding):
+            entry = flow.outstanding[seq]
+            if include_all or entry.segment.header.is_checkpoint:
+                entry.acked = True  # parks the retransmit loop
+                del flow.outstanding[seq]
+                resumed.append(entry.segment.payload)
+                if entry.segment.header.is_checkpoint:
+                    self._m_checkpoint_resumes.inc()
+        return resumed
+
+    # -- receiving -----------------------------------------------------------
+    def _receive(self, message: Message) -> None:
+        """The endpoint's receive filter (runs in the arrival callback)."""
+        payload = message.payload
+        if isinstance(payload, Ack):
+            self._handle_ack(message.src, payload)
+        elif isinstance(payload, Segment):
+            self._handle_data(message, payload)
+        else:
+            # Unarmed (cut-through) traffic goes straight up.
+            self.inbox.put(message)
+
+    def _handle_ack(self, src: str, ack: Ack) -> None:
+        self._m_acks_rx.inc()
+        if ack.header.version != TRANSPORT_VERSION:
+            self._m_version_drops.inc()
+            return
+        flow = self._tx.get(src)
+        if flow is None:
+            return
+        entry = flow.outstanding.pop(ack.header.ack, None)
+        if entry is not None:
+            entry.acked = True
+
+    def _handle_data(self, message: Message, segment: Segment) -> None:
+        if segment.header.version != TRANSPORT_VERSION:
+            self._m_version_drops.inc()
+            return
+        self._m_rx_segments.inc()
+        # Always ack -- a duplicate means our previous ACK (or the
+        # sender's timer) raced a loss, and silence would only provoke
+        # more retransmissions.
+        self._m_acks_tx.inc()
+        self._wire(message.src, TP_ACK_KIND, Ack(header=TransportHeader(
+            seq=0, flags=TP_FLAG_ACK, ack=segment.header.seq,
+            hop_epoch=segment.header.hop_epoch)),
+            self.params.ack_bytes, segment.segments)
+        flow = self._rx.setdefault(message.src, _RxFlow())
+        seq = segment.header.seq
+        if seq <= flow.floor or seq in flow.seen:
+            self._m_duplicates.inc()
+            return
+        flow.seen.add(seq)
+        while len(flow.seen) > self.params.dedup_window:
+            flow.floor += 1
+            flow.seen.discard(flow.floor)
+        self.inbox.put(Message(
+            kind=segment.kind, src=message.src, dst=message.dst,
+            size_bytes=segment.size_bytes, payload=segment.payload,
+            hops=message.hops))

@@ -21,6 +21,7 @@ import pytest
 from repro.core import PulseCluster
 from repro.durability import CrashInjector
 from repro.params import DurabilityParams, PlacementParams, SystemParams
+from repro.sim.network import LinkProfile
 from repro.structures import BPlusTree, HashTable, LinkedList, SkipList
 
 KEYS = 48
@@ -144,6 +145,27 @@ def assert_identical(baseline, sharded, workers):
 def test_sharded_stream_is_byte_identical(structure, workers):
     baseline = run_stream(*build_cluster(structure))
     sharded = run_stream(*build_cluster(structure), workers=workers)
+    assert_identical(baseline, sharded, workers)
+
+
+@pytest.mark.parametrize("structure", ["chain", "bplustree"])
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_sharded_lossy_stream_is_byte_identical(structure, workers):
+    """Loss composes with sharding: jitter and drop are decided by the
+    sender at tx-end in either mode, so every link RNG is drawn in the
+    same order and retransmissions fire at the same nanosecond."""
+    def build():
+        cluster, iterator = build_cluster(structure)
+        cluster.fabric.configure_all_links(
+            LinkProfile(drop_probability=0.05, jitter_ns=300.0))
+        return cluster, iterator
+
+    baseline = run_stream(*build())
+    sharded = run_stream(*build(), workers=workers)
+    counters = baseline[1]["counters"]
+    assert counters["net.dropped_messages"] > 0
+    assert sum(v for k, v in counters.items()
+               if k.endswith(".tp.retransmits")) > 0
     assert_identical(baseline, sharded, workers)
 
 

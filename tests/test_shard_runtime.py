@@ -87,6 +87,34 @@ class TestWindowBarrier:
         env.clear_window_hook()
         assert env.window_end == float("inf")
 
+    def test_hook_installed_by_an_event_stops_the_drain(self):
+        """A hook set from inside a callback gates the very next pop."""
+        env = Environment()
+        fired = []
+        asked = []
+
+        def hook(limit=float("inf")):
+            # The event at t=10 is still queued when the hook is first
+            # asked for a window; refuse the second time.
+            asked.append((env.now, env.peek(), list(fired)))
+            if len(asked) > 1:
+                return False
+            env.advance_window(15.0)
+            return True
+
+        def install(_event):
+            fired.append(env.now)
+            env.set_window_hook(hook)
+
+        env.timeout(5.0).callbacks.append(install)
+        for delay in (10.0, 20.0):
+            env.timeout(delay).callbacks.append(
+                lambda _event: fired.append(env.now))
+        env.run()
+        assert asked == [(5.0, 10.0, [5.0]), (10.0, 20.0, [5.0, 10.0])]
+        assert fired == [5.0, 10.0]
+        assert env.peek() == 20.0
+
 
 class TestShardRouter:
     def test_export_order_and_ownership(self):
@@ -204,3 +232,36 @@ class TestClusterGuards:
         cluster.shutdown()
         cluster.shutdown()
         assert not cluster.sharded
+
+
+def test_lazy_shard_from_inside_a_running_process(monkeypatch):
+    """``PULSE_WORKERS`` shards on the first submission, which an
+    open-loop driver makes from inside a process that ``env.run`` is
+    already draining: the window hook has to take effect mid-run."""
+    from repro.bench.driver import run_open_loop
+    from repro.structures import HashTable
+
+    def run():
+        cluster = PulseCluster(node_count=2, seed=3)
+        table = HashTable(cluster.memory, buckets=16, partition_nodes=2)
+        for k in range(50):
+            table.insert(k, (1_000 + k).to_bytes(8, "little"))
+        ops = [(table.find_iterator(), (k,)) for k in range(50)]
+        try:
+            stats = run_open_loop(cluster, ops, 1e6)
+            return stats, cluster.sharded
+        finally:
+            cluster.shutdown()
+
+    # CI runs this under PULSE_WORKERS=1/2/4; standalone it forces 2
+    workers = str(resolve_workers() or 2)
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    baseline, sharded = run()
+    assert not sharded
+    monkeypatch.setenv("PULSE_WORKERS", workers)
+    stats, sharded = run()
+    assert sharded
+    assert stats.completed == 50 and stats.lost == 0
+    assert [r.value for r in stats.results] == \
+        [r.value for r in baseline.results]
+    assert all(r.ok for r in stats.results)

@@ -12,7 +12,7 @@ from repro.sim.engine import Environment
 from repro.sim.network import Fabric, LinkProfile, Message
 from repro.structures import LinkedList
 from repro.transport import Segment, TransportSession
-from repro.transport.reliable import TP_ACK_KIND
+from repro.transport.session import TP_ACK_KIND
 
 from tests.helpers import counter_value
 
@@ -29,7 +29,7 @@ def make_pair(mode="auto", tp_kwargs=None, net_seed=0):
 
 
 def counter(session, name):
-    return session.channel.registry.counter(
+    return session.registry.counter(
         f"{session.name}.tp.{name}").value
 
 
@@ -78,8 +78,8 @@ class TestReliableDelivery:
                           payload="dup", size_bytes=64)
         message = Message(kind="test", src="a", dst="b",
                           size_bytes=64, payload=segment)
-        b.reliable._handle_data(message, segment)
-        b.reliable._handle_data(message, segment)
+        b._handle_data(message, segment)
+        b._handle_data(message, segment)
         assert len(b.inbox._items) == 1
         assert counter(b, "duplicates_dropped") == 1
         # Duplicates are re-ACKed: the first ACK may have been lost.
@@ -92,7 +92,7 @@ class TestReliableDelivery:
                               kind="test", payload=seq, size_bytes=64)
             message = Message(kind="test", src="a", dst="b",
                               size_bytes=64, payload=segment)
-            b.reliable._handle_data(message, segment)
+            b._handle_data(message, segment)
         assert [m.payload for m in b.inbox._items] == [3, 1, 2]
         assert counter(b, "duplicates_dropped") == 0
 
@@ -102,7 +102,7 @@ class TestReliableDelivery:
                           kind="test", payload="future", size_bytes=64)
         message = Message(kind="test", src="a", dst="b",
                           size_bytes=64, payload=segment)
-        b.reliable._handle_data(message, segment)
+        b._handle_data(message, segment)
         assert not b.inbox._items
         assert counter(b, "version_drops") == 1
 
@@ -296,13 +296,13 @@ class TestAckWireFormat:
     def test_acks_are_standalone_kind(self):
         env, fabric, a, b = make_pair(mode="always")
         seen = []
-        original = a.reliable._handle_ack
+        original = a._handle_ack
 
         def spy(src, ack):
             seen.append((src, ack))
             original(src, ack)
 
-        a.reliable._handle_ack = spy
+        a._handle_ack = spy
         a.send("b", "test", "x", 128)
         env.run()
         assert len(seen) == 1
