@@ -101,21 +101,17 @@ class CacheSystem(BaselineSystem):
                 "client0.cache.workspace.reused"),
             allocated=self.registry.counter(
                 "client0.cache.workspace.allocated"))
-        self.env.process(self._drain_client_inbox())
+        self.session.on_message = self._on_message
 
     @property
     def pages_fetched(self) -> int:
         return self._m_pages_fetched.value
 
-    def _drain_client_inbox(self):
-        # Page payloads are delivered to fault processes via events keyed
-        # in the message; the inbox itself just needs draining.  The
+    def _on_message(self, message: Message) -> None:
+        # The page reply carries the faulting process's own event.  The
         # transport session's dedup matters here: a duplicate delivery
         # would re-trigger an already-succeeded event.
-        while True:
-            message = yield self.session.inbox.get()
-            waiter = message.payload
-            waiter.succeed(message)
+        message.payload.succeed(message)
 
     # -- the traversal, executed at the CPU node ------------------------------
     def traverse(self, iterator: PulseIterator, *args):
@@ -226,20 +222,20 @@ class _PagingServer:
         self.session = system.make_session(node.name)
         self.bandwidth_gate = Resource(self.env, capacity=1)
         self.bytes_served = 0
-        self.env.process(self._serve_loop())
+        self.session.on_message = self._on_message
 
-    def _serve_loop(self):
-        while True:
-            message = yield self.session.inbox.get()
-            self.env.process(self._handle(message))
-
-    def _handle(self, message: Message):
+    def _on_message(self, message: Message) -> None:
+        """One DRAM page read, then the page goes back."""
         system = self.system
         waiter, _page = message.payload
         page_bytes = system.page_bytes
         bw = system.params.memory.bandwidth_bytes_per_ns
-        yield self.bandwidth_gate.hold(page_bytes / bw,
-                                       system.params.cpu.dram_access_ns)
-        self.bytes_served += page_bytes
-        self.session.send("client0", PAGE_KIND, waiter,
-                          page_bytes + 128)
+
+        def reply(_hold) -> None:
+            self.bytes_served += page_bytes
+            self.session.send("client0", PAGE_KIND, waiter,
+                              page_bytes + 128)
+
+        self.bandwidth_gate.hold(
+            page_bytes / bw,
+            system.params.cpu.dram_access_ns).callbacks.append(reply)

@@ -60,12 +60,10 @@ class _RpcServer:
             capacity=workers,
             reused=registry.counter(f"{prefix}.workspace.reused"),
             allocated=registry.counter(f"{prefix}.workspace.allocated"))
-        self.env.process(self._serve_loop())
+        self.session.on_message = self._on_message
 
-    def _serve_loop(self):
-        while True:
-            message = yield self.session.inbox.get()
-            self.env.process(self._handle(message))
+    def _on_message(self, message: Message) -> None:
+        self.env.process(self._handle(message))
 
     def _handle(self, message: Message):
         system = self.system
@@ -181,20 +179,20 @@ class RpcSystem(BaselineSystem):
         self._waiters: Dict[tuple, object] = {}
         self._counter = 0
         self.completed: List[TraversalResult] = []
-        self.env.process(self._client_rx_loop())
+        self.session.on_message = self._on_message
 
     @property
     def name(self) -> str:
         return "RPC-W" if self.wimpy else "RPC"
 
     # -- client ----------------------------------------------------------------
-    def _client_rx_loop(self):
-        while True:
-            message = yield self.session.inbox.get()
-            self.env.process(self._deliver(message))
+    def _on_message(self, message: Message) -> None:
+        """One DPDK stack span, then the response wakes its waiter."""
+        self.client_stack.hold(
+            self.params.network.dpdk_stack_ns).callbacks.append(
+                lambda _hold: self._deliver(message))
 
-    def _deliver(self, message: Message):
-        yield self.client_stack.hold(self.params.network.dpdk_stack_ns)
+    def _deliver(self, message: Message) -> None:
         response: TraversalRequest = message.payload
         waiter = self._waiters.pop(response.request_id, None)
         if waiter is not None:

@@ -217,7 +217,8 @@ class Accelerator:
         #: optional durability hooks, attached by
         #: :class:`~repro.durability.service.DurabilityService`: this
         #: node's redo log / group-commit state.  ``dead`` is the crash
-        #: flag -- a powered-off node receives and transmits nothing.
+        #: flag: serves already in flight finish without replying (the
+        #: session's ``powered_off`` keeps new arrivals out).
         self.durability = None
         self.dead = False
         #: round-robin core cursor for split-index direct reads (they
@@ -250,15 +251,11 @@ class Accelerator:
                        fn=self.memory_pipeline_utilization)
         registry.gauge(f"{prefix}.memory_bandwidth_bytes_per_ns",
                        fn=self.memory_bandwidth_used)
-        env.process(self._rx_loop())
+        self.session.on_message = self._on_message
 
     # -- processes ----------------------------------------------------------
-    def _rx_loop(self):
-        while True:
-            message = yield self.session.inbox.get()
-            if self.dead:
-                continue
-            self.env.process(self._handle(message))
+    def _on_message(self, message: Message) -> None:
+        self.env.process(self._handle(message))
 
     def _handle(self, message: Message):
         payload = message.payload

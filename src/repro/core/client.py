@@ -219,16 +219,16 @@ class PulseClient:
         self.batcher = DoorbellBatcher(self, batch_size=batch_size,
                                        flush_ns=flush_ns)
         self.completed: List[TraversalResult] = []
-        env.process(self._rx_loop())
+        self.session.on_message = self._on_message
 
     # -- receive path ---------------------------------------------------------
-    def _rx_loop(self):
-        while True:
-            message = yield self.session.inbox.get()
-            self.env.process(self._deliver(message))
+    def _on_message(self, message: Message) -> None:
+        """One DPDK stack span, then the response wakes its waiter."""
+        self.stack_unit.hold(
+            self.params.network.dpdk_stack_ns).callbacks.append(
+                lambda _hold: self._deliver(message))
 
-    def _deliver(self, message: Message):
-        yield self.stack_unit.hold(self.params.network.dpdk_stack_ns)
+    def _deliver(self, message: Message) -> None:
         response: TraversalRequest = message.payload
         waiter = self._waiters.pop(response.request_id, None)
         if waiter is not None:

@@ -116,7 +116,7 @@ class PulseSwitch:
         # rebalancer exists to remove.  0.0 until a traversal returns.
         registry.gauge("placement.hops_per_traversal",
                        fn=self.hops_per_traversal)
-        env.process(self._route_loop())
+        self.session.on_message = self._on_message
 
     def hops_per_traversal(self) -> float:
         """switch.rerouted_node_to_node / switch.returned_to_client."""
@@ -135,13 +135,10 @@ class PulseSwitch:
         """
         return self.rangemap.rule_count
 
-    def _route_loop(self):
-        while True:
-            message = yield self.session.inbox.get()
-            if message.kind != PULSE_KIND:
-                # Non-pulse traffic never targets the switch endpoint;
-                # baselines talk host-to-host through the fabric directly.
-                continue
+    def _on_message(self, message: Message) -> None:
+        # Non-pulse traffic never targets the switch endpoint;
+        # baselines talk host-to-host through the fabric directly.
+        if message.kind == PULSE_KIND:
             self._route(message)
 
     def _route(self, message: Message) -> None:

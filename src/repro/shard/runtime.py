@@ -7,7 +7,7 @@ Determinism argument (the sharded differential suite pins it):
   process delivers fabric frames to an endpoint: the coordinator owns
   the clients and the switch, worker ``w`` owns ``mem{i}`` for its
   assigned nodes.  Non-owned components simply never receive traffic
-  and stay inert (blocked on their inboxes).
+  and stay inert: a message handler nobody calls, and no process.
 * All processes advance in windows ``[start, end)`` with
   ``end = t_min + L``, where ``t_min`` is the earliest pending event
   anywhere and ``L`` is the *lookahead*: the minimum cross-process

@@ -4,7 +4,8 @@ Each worker is a copy-on-write fork of the fully built cluster.  It
 owns the ``mem{i}`` endpoints for its assigned nodes (accelerator,
 memory pipeline, allocator, frame pool) and stays inert for
 everything else -- the coordinator never routes frames to non-owned
-inboxes, so those replicas simply block forever.  The main loop is
+endpoints, so those replicas' message handlers are never called and
+they run no process.  The main loop is
 purely reactive: inject the frames and control records that arrived
 with an ``ADVANCE``, run every local event strictly before the window
 end, then report exports and the next pending event time back.

@@ -79,7 +79,8 @@ class Endpoint:
     ``receive`` is the receive filter the fabric hands every arriving
     message to.  A bare endpoint queues them all in ``inbox``; a
     :class:`~repro.transport.TransportSession` installs its own, which
-    consumes ACKs and duplicates and queues the rest.
+    consumes ACKs and duplicates and hands the rest to its component's
+    ``on_message`` handler (``inbox`` again, if nobody assigned one).
     """
 
     def __init__(self, env: Environment, name: str,

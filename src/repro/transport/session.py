@@ -1,11 +1,13 @@
 """The transport session: one component's reliable face on the fabric.
 
-``session.send(...)`` on the way out, ``yield session.inbox.get()`` on
-the way in.  The session registers the component's fabric endpoint and
+``session.send(...)`` on the way out, ``session.on_message`` on the
+way in.  The session registers the component's fabric endpoint and
 installs itself as that endpoint's receive filter, so ACK handling and
 duplicate suppression run inside the fabric's arrival callback and
-whatever survives lands in the endpoint's own inbox -- there is no
-second queue and no process between the wire and the component.
+whatever survives is handed to the component's ``on_message`` handler
+from that same callback -- no queue, no heap entry and no process
+between the wire and the component.  A session nobody assigned a
+handler to keeps the endpoint's ``inbox`` as its sink.
 
 Per directed flow (this endpoint -> one destination) the sender assigns
 monotonically increasing sequence numbers, keeps every unacknowledged
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.core.messages import (TP_FLAG_ACK, TP_FLAG_CHECKPOINT,
                                  TRANSPORT_VERSION, RequestStatus,
@@ -115,12 +117,15 @@ class TransportSession:
         self.name = name
         self.params = params
         self.default_segments = default_segments
-        #: the NIC endpoint (byte/message counters live here); its inbox
-        #: is what the component consumes, post-dedup
+        #: the NIC endpoint (byte/message counters live here)
         self.endpoint: Endpoint = fabric.register(name)
         self.endpoint.receive = self._receive
-        #: crash flag: a powered-off component's transmissions vanish at
-        #: the NIC (retransmit timers, acks, and responses all go dark)
+        #: where deduplicated messages go, called from the arrival
+        #: callback; the owning component assigns its handler
+        self.on_message: Callable[[Message], None] = self.endpoint.inbox.put
+        #: crash flag: a powered-off component's NIC is dark both ways --
+        #: arrivals are discarded unseen and transmissions (retransmit
+        #: timers, acks, responses) vanish
         self.powered_off = False
         #: timer-jitter source, deterministic per (run seed, session name)
         self._rng = random.Random(f"{seed}:tp:{name}")
@@ -147,7 +152,7 @@ class TransportSession:
 
     @property
     def inbox(self) -> Store:
-        """Deduplicated receive queue for the component."""
+        """Where a handler-less session queues what it receives."""
         return self.endpoint.inbox
 
     def _outstanding(self) -> float:
@@ -276,6 +281,8 @@ class TransportSession:
     # -- receiving -----------------------------------------------------------
     def _receive(self, message: Message) -> None:
         """The endpoint's receive filter (runs in the arrival callback)."""
+        if self.powered_off:
+            return
         payload = message.payload
         if isinstance(payload, Ack):
             self._handle_ack(message.src, payload)
@@ -283,7 +290,7 @@ class TransportSession:
             self._handle_data(message, payload)
         else:
             # Unarmed (cut-through) traffic goes straight up.
-            self.inbox.put(message)
+            self.on_message(message)
 
     def _handle_ack(self, src: str, ack: Ack) -> None:
         self._m_acks_rx.inc()
@@ -319,7 +326,7 @@ class TransportSession:
         while len(flow.seen) > self.params.dedup_window:
             flow.floor += 1
             flow.seen.discard(flow.floor)
-        self.inbox.put(Message(
+        self.on_message(Message(
             kind=segment.kind, src=message.src, dst=message.dst,
             size_bytes=segment.size_bytes, payload=segment.payload,
             hops=message.hops))

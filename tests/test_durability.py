@@ -219,3 +219,39 @@ def test_kill_is_idempotent_and_counts_one_crash():
     snap = cluster.metrics_snapshot()["counters"]
     assert snap["recovery.crashes"] == 1
     assert snap["recovery.completed"] == 1
+
+
+def test_a_crashed_nodes_nic_is_dark_on_receive_too():
+    # Power-off is decided once, at the session's receive filter: frames
+    # still in flight toward the dead node (and the retransmissions the
+    # senders keep trying until takeover) are discarded unseen -- not
+    # counted as received and "acked" with ACKs the NIC then drops.
+    params = durable_params().with_overrides(
+        transport=TransportParams(mode="always"))
+    cluster, table = build_rack(params=params, node_count=3)
+    pending = [cluster.submit(table.update_iterator(), k, 7_000 + k)
+               for k in range(KEYS)]
+    at_kill = {}
+
+    def rx_counters():
+        snap = cluster.metrics_snapshot()["counters"]
+        return {name: snap[name]
+                for name in ("mem1.tp.rx_segments", "mem1.tp.acks_tx")}
+
+    def schedule():
+        yield cluster.env.timeout(4_000.0)
+        cluster._kill_node_local(1)
+        at_kill.update(rx_counters())
+
+    cluster.env.process(schedule())
+    results = drain(cluster, pending)
+    cluster.env.run(until=cluster.env.timeout(2_000_000.0))
+    assert at_kill["mem1.tp.rx_segments"] > 0  # the kill was mid-stream
+    assert rx_counters() == at_kill
+    # Every update was acknowledged, so every one must read back.
+    assert all(r.ok for r in results), [r.fault for r in results
+                                        if not r.ok]
+    for k in range(KEYS):
+        result = cluster.run_traversal(table.find_iterator(), k)
+        assert result.ok, (k, result.fault)
+        assert int.from_bytes(result.value[:8], "little") == 7_000 + k

@@ -1,10 +1,11 @@
 """Simulator-only changes leave every simulated statistic identical.
 
-Three small racks are driven with fixed seeds and the sha256 of ``repr`` of
+Five small racks (three pulse, the RPC and Cache baselines) are driven with fixed seeds and the sha256 of ``repr`` of
 the per-request completion times (simulated ns, floats, in stream order)
 is compared with a digest pinned from the commit *before* the code it
 guards was touched (the parent of the ``Resource.hold`` PR; for the
-durable rack, the parent of the single-serve-path PR).  A change that
+durable rack, the parent of the single-serve-path PR; for the
+baselines, the parent of the one-receive-path PR).  A change that
 is meant only to speed the simulator up -- fewer heap entries, fewer
 generator resumes, a different container -- must keep every digest; a
 change that reorders two events at one timestamp, anywhere on the
@@ -23,6 +24,7 @@ import random
 
 import pytest
 
+from repro.baselines import CacheSystem, RpcSystem
 from repro.core import PulseCluster
 from repro.params import DEFAULT_PARAMS, DurabilityParams, TransportParams
 from repro.structures import BPlusTree, HashTable, LinkedList
@@ -39,6 +41,12 @@ MIX_DIGEST = (
 #: the commit-wait from the serve process into the reply process)
 KV_DIGEST = (
     "c6afb4520d640fb3ee8c4ee23a8536339fc2c51dd6c4d039c6d6038971bb0c0b")
+#: pinned at 8658dbe (the parent of the one-receive-path PR, which
+#: replaced the baselines' four inbox-polling loops with handlers)
+RPC_DIGEST = (
+    "06e7108e6fbd15b6c8511ee476bf73ae9b85a75a477e23854c24a08172646298")
+CACHE_DIGEST = (
+    "372fda74f8e05f88931da6db6ed554191bc6830a0a244b794f448a1c22781d2b")
 
 
 def _open_loop(rack, operations, rate_per_s, burst, rng):
@@ -166,22 +174,62 @@ def kv_durable_completion_times():
     return times
 
 
+def _baseline_completion_times(system_cls, tag):
+    """2-node baseline rack, B+Tree lookups: 200 open loop at 200 kops,
+    then 200 by 64 callers.  Lookups cross nodes, so the server's
+    handler, the client's response path and (RPC) the client-driven
+    inter-node continuation are all on the pinned path."""
+    rack = system_cls(node_count=2, seed=RACK_SEED)
+    tree = BPlusTree(rack.memory, fanout=8)
+    for key in range(1024):
+        tree.insert(key, key * 5)
+    lookup = tree.lookup_iterator()
+    rng = random.Random(f"5:{tag}")
+    ops = [(lookup, (rng.randrange(1024),)) for _ in range(400)]
+    times = _open_loop(rack, ops[:200], 200e3, 1,
+                       random.Random(f"5:{tag}:g"))
+    times += _closed_loop(rack, ops[200:], 64)
+    return times
+
+
 @pytest.fixture(autouse=True)
 def default_tiers(monkeypatch):
     """The digests pin the default lane width, in process: CI legs set
-    ``PULSE_BATCH`` (a different model) or ``PULSE_WORKERS``;
-    ``PULSE_INTERP`` moves no time but is cleared with them."""
-    for knob in ("PULSE_BATCH", "PULSE_INTERP", "PULSE_WORKERS"):
+    ``PULSE_BATCH`` (a different model) or ``PULSE_WORKERS``."""
+    for knob in ("PULSE_BATCH", "PULSE_WORKERS"):
         monkeypatch.delenv(knob, raising=False)
 
 
-def test_tc_rack_completion_times_are_pinned():
-    assert _digest(tc_completion_times()) == TC_DIGEST
+def _assert_pinned(monkeypatch, completion_times, digest):
+    """``PULSE_INTERP`` is read at run time and must move no time, so
+    every digest is checked under both kernel tiers -- set, not
+    cleared: compiled frames, then the interpreter."""
+    for interp in ("", "1"):
+        monkeypatch.setenv("PULSE_INTERP", interp)
+        assert _digest(completion_times()) == digest, (
+            f"PULSE_INTERP={interp!r}")
 
 
-def test_mix_batch_completion_times_are_pinned():
-    assert _digest(mix_completion_times()) == MIX_DIGEST
+def test_tc_rack_completion_times_are_pinned(monkeypatch):
+    _assert_pinned(monkeypatch, tc_completion_times, TC_DIGEST)
 
 
-def test_kv_durable_completion_times_are_pinned():
-    assert _digest(kv_durable_completion_times()) == KV_DIGEST
+def test_mix_batch_completion_times_are_pinned(monkeypatch):
+    _assert_pinned(monkeypatch, mix_completion_times, MIX_DIGEST)
+
+
+def test_kv_durable_completion_times_are_pinned(monkeypatch):
+    _assert_pinned(monkeypatch, kv_durable_completion_times, KV_DIGEST)
+
+
+def test_rpc_completion_times_are_pinned(monkeypatch):
+    _assert_pinned(
+        monkeypatch,
+        lambda: _baseline_completion_times(RpcSystem, "rpc"), RPC_DIGEST)
+
+
+def test_cache_completion_times_are_pinned(monkeypatch):
+    _assert_pinned(
+        monkeypatch,
+        lambda: _baseline_completion_times(CacheSystem, "cache"),
+        CACHE_DIGEST)

@@ -36,6 +36,15 @@ def send(env, fabric, src, req):
 
 
 class TestSwitchRouting:
+    def test_the_switch_is_a_handler_and_owns_no_process(self):
+        env, fabric, space, switch, client, nodes = make_switch()
+        assert env.peek() == float("inf")  # nothing was started
+        start1, _ = space.range_of(1)
+        fabric.send(Message("other", "client0", "switch", 128,
+                            request(start1)), segments=1)
+        env.run()
+        assert not nodes[1].inbox  # non-pulse traffic is ignored
+
     def test_client_request_routed_by_cur_ptr(self):
         env, fabric, space, switch, client, nodes = make_switch()
         start1, _ = space.range_of(1)

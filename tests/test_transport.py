@@ -3,7 +3,9 @@ capped backoff, deterministic per-link fault injection, hop-epoch stale
 suppression at the switch, and checkpoint-resume equivalence."""
 
 import random
+from heapq import heappop
 
+import repro.sim.engine
 from repro.core import PulseCluster
 from repro.core.messages import (RequestStatus, TransportHeader,
                                  TraversalRequest)
@@ -142,6 +144,72 @@ class TestReliableDelivery:
         env.run()
         assert sorted(m.payload for m in b.inbox._items) == list(range(10))
         assert counter(b, "duplicates_dropped") > 0
+
+
+class TestMessageHandler:
+    """``on_message`` is the session's upward seam: the component's
+    handler runs inside the fabric's arrival callback; ``inbox`` is only
+    the sink of a session nobody gave a handler."""
+
+    def _lossy_stream(self, with_handler):
+        """20 armed sends a -> b with both directions dropping; returns
+        what b delivered upward and the first arrival time of each
+        payload's data segment at b's NIC."""
+        env, fabric, a, b = make_pair(mode="auto", net_seed=3)
+        fabric.configure_link("a", "b", LinkProfile(drop_probability=0.3))
+        fabric.configure_link("b", "a", LinkProfile(drop_probability=0.6))
+        first_arrival = {}
+        arrive = fabric._arrive
+
+        def spy(event):
+            message = event._value
+            if message.dst == "b":
+                first_arrival.setdefault(message.payload.payload, env.now)
+            arrive(event)
+
+        fabric._arrive = spy
+        handled, stray = [], []
+        if with_handler:
+            b.on_message = lambda m: handled.append((m.payload, env.now))
+            a.on_message = stray.append
+        for i in range(20):
+            a.send("b", "test", i, 128)
+        env.run()
+        # The stream exercised what the filter must hide.
+        assert counter(b, "duplicates_dropped") > 0
+        assert counter(a, "acks_rx") > 0
+        assert not stray  # ACKs never reach a handler
+        return b, handled, first_arrival
+
+    def test_handler_sees_each_payload_once_at_its_arrival_instant(self):
+        b, handled, first_arrival = self._lossy_stream(with_handler=True)
+        assert sorted(payload for payload, _ in handled) == list(range(20))
+        assert all(at == first_arrival[payload] for payload, at in handled)
+        assert not b.inbox._items
+
+    def test_without_a_handler_the_same_stream_lands_in_the_inbox(self):
+        _, handled, _ = self._lossy_stream(with_handler=True)
+        b, nothing, _ = self._lossy_stream(with_handler=False)
+        assert not nothing
+        assert ([m.payload for m in b.inbox._items]
+                == [payload for payload, _ in handled])
+
+    def test_cut_through_reaches_the_handler_in_two_heap_pops(
+            self, monkeypatch):
+        # Egress hold end, arrival -- no Store hop, no process start.
+        pops = []
+
+        def counting_pop(queue):
+            pops.append(queue[0])
+            return heappop(queue)
+
+        monkeypatch.setattr(repro.sim.engine, "heappop", counting_pop)
+        env, fabric, a, b = make_pair(mode="auto")
+        at_entry = []
+        b.on_message = lambda m: at_entry.append(len(pops))
+        a.send("b", "test", "x", 128)
+        env.run()
+        assert at_entry == [2]
 
 
 class TestDeterministicLinkRngs:
