@@ -36,7 +36,7 @@ from repro.core.messages import (DIRECT_READ_KIND, DURABILITY_KIND,
 from repro.core.scheduling import FairWorkspacePool, FifoWorkspacePool
 from repro.core.workspace import MachinePool
 from repro.isa.batchmachine import resolve_batch_lanes
-from repro.isa.instructions import ExecutionFault, wrap64
+from repro.isa.instructions import MASK64, ExecutionFault
 from repro.isa.interpreter import IterationOutcome, IteratorMachine
 from repro.mem.node import MemoryNode
 from repro.mem.translation import (ProtectionFault, TranslationCache,
@@ -371,8 +371,18 @@ class Accelerator:
             core = self.cores[self._dr_core % len(self.cores)]
             self._dr_core += 1
             occupancy = acc.occupancy_ns(request.size)
-            interconnect_ns = yield from self._memory_phase(
-                core, occupancy, request.size)
+            # One LOAD, one wait: the memory pipeline, chained into the
+            # interconnect's share of node bandwidth (unless bypassed),
+            # then the DRAM latency tail.
+            if self.interconnect is None:
+                interconnect_ns = 0.0
+                yield core.memory_pipeline.hold(occupancy,
+                                                acc.dram_latency_ns)
+            else:
+                interconnect_ns = request.size / self.node_bandwidth
+                yield core.memory_pipeline.hold(
+                    occupancy, chain=(self.interconnect, interconnect_ns,
+                                      acc.dram_latency_ns))
             self._span_memory.record(occupancy + interconnect_ns
                                      + acc.dram_latency_ns)
             try:
@@ -457,8 +467,20 @@ class Accelerator:
         window_offset, window_size = program.load_window
         # Ablation: a non-aggregating compiler's loads, each its own
         # memory phase, instead of the single aggregated LOAD (§4.1).
-        loads = (program.naive_load_runs() if self.split_loads
-                 else [(0, window_size)])
+        # Per load: its bytes and one lane's pipeline occupancy.
+        loads = [(load_bytes, acc.occupancy_ns(load_bytes))
+                 for _offset, load_bytes in (
+                     program.naive_load_runs() if self.split_loads
+                     else [(0, window_size)])]
+        dram_ns = acc.dram_latency_ns
+        instruction_ns = acc.instruction_ns
+        pipeline_depth = acc.logic_pipeline_depth
+        memory_pipeline = core.memory_pipeline
+        logic_pipeline = core.logic_pipeline
+        interconnect = self.interconnect
+        node_bandwidth = self.node_bandwidth
+        record_memory = self._span_memory.record
+        record_logic = self._span_logic.record
         grouped = len(requests) > 1
         tlb = core.tlb
         table = tlb.table
@@ -487,7 +509,7 @@ class Accelerator:
             # walk on range-local iterations (the common case).
             held: List[_Lane] = []
             for lane in lanes:
-                addr = wrap64(lane.frame.cur_ptr + window_offset)
+                addr = (lane.frame.cur_ptr + window_offset) & MASK64
                 lane.entry = tlb.lookup(addr, window_size)
                 if lane.entry is None:
                     self._retire(core, lane,
@@ -507,13 +529,18 @@ class Accelerator:
             # latency tail (overlapped with other workspaces) once.
             width = len(held)
             memory_ns = 0.0
-            for _offset, load_bytes in loads:
-                occupancy = width * acc.occupancy_ns(load_bytes)
-                interconnect_ns = yield from self._memory_phase(
-                    core, occupancy, width * load_bytes)
-                memory_ns += (occupancy + interconnect_ns
-                              + acc.dram_latency_ns)
-            self._span_memory.record(memory_ns)
+            for load_bytes, lane_occupancy in loads:
+                occupancy = width * lane_occupancy
+                if interconnect is None:
+                    interconnect_ns = 0.0
+                    yield memory_pipeline.hold(occupancy, dram_ns)
+                else:
+                    interconnect_ns = width * load_bytes / node_bandwidth
+                    yield memory_pipeline.hold(
+                        occupancy,
+                        chain=(interconnect, interconnect_ns, dram_ns))
+                memory_ns += occupancy + interconnect_ns + dram_ns
+            record_memory(memory_ns)
 
             if table.version != version:
                 # Simulated time passed: a migration fence remapped the
@@ -563,12 +590,11 @@ class Accelerator:
             # summed work / depth (another workspace's iteration can
             # enter), while the group waits out its slowest lane's full
             # latency (the SIMT convoy).
-            logic_ns = work * acc.instruction_ns
-            occupancy = logic_ns / acc.logic_pipeline_depth
-            yield core.logic_pipeline.hold(
-                occupancy,
-                max(0.0, slowest * acc.instruction_ns - occupancy))
-            self._span_logic.record(logic_ns)
+            logic_ns = work * instruction_ns
+            occupancy = logic_ns / pipeline_depth
+            yield logic_pipeline.hold(
+                occupancy, max(0.0, slowest * instruction_ns - occupancy))
+            record_logic(logic_ns)
 
             lanes = []
             for lane in stepped:
@@ -673,20 +699,6 @@ class Accelerator:
         acc = self.params.accelerator
         return unit.hold(acc.netstack_occupancy_ns,
                          acc.netstack_ns - acc.netstack_occupancy_ns)
-
-    def _memory_phase(self, core: AcceleratorCore, occupancy: float,
-                      load_bytes: int):
-        """One LOAD's timed stages: memory-pipeline occupancy, the
-        interconnect's share of node bandwidth (unless bypassed), then
-        the DRAM latency tail.  Returns the interconnect time."""
-        dram_ns = self.params.accelerator.dram_latency_ns
-        if self.interconnect is None:
-            yield core.memory_pipeline.hold(occupancy, dram_ns)
-            return 0.0
-        yield core.memory_pipeline.hold(occupancy)
-        interconnect_ns = load_bytes / self.node_bandwidth
-        yield self.interconnect.hold(interconnect_ns, dram_ns)
-        return interconnect_ns
 
     # -- observability ---------------------------------------------------------
     def memory_pipeline_utilization(self, elapsed: Optional[float] = None

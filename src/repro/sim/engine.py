@@ -33,6 +33,11 @@ URGENT = 0
 NORMAL = 1
 
 
+#: allocation without a Python-level ``__init__``, for ``Process``,
+#: which fills its start event's fields inline
+_new = object.__new__
+
+
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (not for modeled faults)."""
 
@@ -139,13 +144,21 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._defused = False
         self._generator = generator
-        # Kick off the process at the current time.
-        init = Event(env)
+        # Kick off the process at the current time: an already-fired
+        # event of its own, pushed here like Timeout pushes itself.
+        init = _new(Event)
+        init.env = env
+        init.callbacks = [self._resume]
+        init._value = None
         init._ok = True
-        init.callbacks.append(self._resume)
-        env.schedule(init, priority=URGENT)
+        init._defused = False
+        heappush(env._queue, (env._now, URGENT, next(env._sequence), init))
 
     @property
     def is_alive(self) -> bool:
@@ -155,7 +168,6 @@ class Process(Event):
         if self._ok is not None:
             return
         env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -165,15 +177,14 @@ class Process(Event):
         except StopIteration as exc:
             self._ok = True
             self._value = exc.value
-            env.schedule(self)
+            heappush(env._queue,
+                     (env._now, NORMAL, next(env._sequence), self))
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
             env.schedule(self)
             return
-        finally:
-            env._active_process = None
 
         try:
             callbacks = next_event.callbacks
@@ -278,7 +289,6 @@ class Environment:
         self._now = initial_time
         self._queue: List = []
         self._sequence = count()
-        self._active_process: Optional[Process] = None
         #: conservative-lookahead window (sharded execution): events at
         #: or beyond this time may not be processed until the window
         #: hook has synchronized with the other shard processes
@@ -292,10 +302,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (pulse convention: nanoseconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:

@@ -2,14 +2,16 @@
 
 A schedule is a set of processes; each arrives at an integer time and
 runs a list of stages, each on one of a few shared resources.  A stage is
-either a timed stage (duration, optional follow-on delay) or a critical
-section (``request`` / wait / ``release``, spelled out in both runs).
+a timed stage (duration, optional follow-on delay), a chained pair of
+timed stages on two resources (one ``hold(..., chain=...)`` against two
+reference stages back to back), or a critical section (``request`` /
+wait / ``release``, spelled out in both runs).
 The same schedule runs twice -- timed stages through ``Resource.hold``,
 then through :func:`tests.helpers.reference_hold` -- and must produce the
 same log of (process, stage, completion time) *in the same global order*
 and the same ``utilization()`` of every resource.  Integer times make
 ties the norm: events at one timestamp run in push order, so the log
-order is exactly what the three ordering rules of ``Resource.hold``
+order is exactly what the four ordering rules of ``Resource.hold``
 protect.
 
 The one thing ``hold`` changes is *when* its hold-end entry is pushed:
@@ -27,6 +29,8 @@ spelling`` pins the excluded case).  None of the modeled stage constants
 coincide like that, which ``tests/test_modeled_identity.py`` holds end
 to end.
 """
+
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,8 +50,9 @@ def run_schedule(capacities, processes, use_hold):
     """Run one schedule; returns (completion log, utilizations, end time).
 
     ``processes`` is a list of ``(arrival, stages)``; a stage is
-    ``("hold", resource, duration, then)`` or ``("section", resource,
-    length)``.
+    ``("hold", resource, duration, then)``, ``("chain", resource,
+    duration, second resource, second duration, then)`` or ``("section",
+    resource, length)``.
     """
     env = Environment()
     resources = [Resource(env, capacity) for capacity in capacities]
@@ -62,6 +67,15 @@ def run_schedule(capacities, processes, use_hold):
                 yield grant
                 yield env.timeout(stage[2])
                 resource.release(grant)
+            elif stage[0] == "chain":
+                second = resources[stage[3]]
+                if use_hold:
+                    yield resource.hold(
+                        stage[2], chain=(second, stage[4], stage[5]))
+                else:
+                    yield from reference_hold(env, resource, stage[2])
+                    yield from reference_hold(env, second, stage[4],
+                                              stage[5])
             elif use_hold:
                 yield resource.hold(stage[2], stage[3])
             else:
@@ -82,7 +96,8 @@ def schedules(draw):
     other.  Even holds (0, 2, 4) meet odd tails and no sections; odd
     holds meet even tails (0, 2, 4) and sections of even length sharing
     the holds' queues -- so zero-length holds, zero-length ``then`` and
-    mixed queues all occur.
+    mixed queues all occur.  Both stages of a chained pair are holds:
+    hold parity for the two durations, the other for the tail.
     """
     hold_parity = draw(st.integers(0, 1))
     hold_ns = st.integers(0, 2).map(lambda k: 2 * k + hold_parity)
@@ -90,7 +105,9 @@ def schedules(draw):
     capacities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     resource = st.integers(0, len(capacities) - 1)
     stages = [st.tuples(st.just("hold"), resource, hold_ns,
-                        st.one_of(st.none(), other_ns))]
+                        st.one_of(st.none(), other_ns)),
+              st.tuples(st.just("chain"), resource, hold_ns, resource,
+                        hold_ns, st.one_of(st.none(), other_ns))]
     if hold_parity == 1:
         stages.append(st.tuples(st.just("section"), resource, other_ns))
     processes = draw(st.lists(
@@ -112,7 +129,7 @@ class TestDifferential:
     def test_the_strategy_produces_ties_queues_and_zero_lengths(self):
         """The differential is only as good as its schedules."""
         seen = {"tie": False, "queued": False, "zero_hold": False,
-                "zero_then": False, "mixed": False}
+                "zero_then": False, "mixed": False, "chained": False}
 
         @settings(max_examples=200, deadline=None, database=None,
                   suppress_health_check=list(HealthCheck))
@@ -125,11 +142,13 @@ class TestDifferential:
             seen["tie"] |= len(set(times)) < len(times)
             stages = [s for _arrival, ss in processes for s in ss]
             holds = [s for s in stages if s[0] == "hold"]
-            seen["zero_hold"] |= any(s[2] == 0 for s in holds)
-            seen["zero_then"] |= any(s[3] == 0 for s in holds)
+            chains = [s for s in stages if s[0] == "chain"]
+            seen["zero_hold"] |= any(s[2] == 0 for s in holds + chains)
+            seen["zero_then"] |= any(s[-1] == 0 for s in holds + chains)
+            seen["chained"] |= any(s[1] != s[3] for s in chains)
             for index in range(len(capacities)):
                 kinds = {s[0] for s in stages if s[1] == index}
-                seen["mixed"] |= len(kinds) == 2
+                seen["mixed"] |= "section" in kinds and len(kinds) > 1
             seen["queued"] |= any(u == 1.0 for u in utilizations)
 
         scan()
@@ -139,19 +158,21 @@ class TestDifferential:
 def run_named(build):
     """Run ``build(env, start)`` once per spelling; returns the two logs.
 
-    ``start(name, resource, duration, then)`` is the timed stage under
+    ``start(resource, duration, then, chain)`` is the timed stage under
     test, to be yielded from; ``build`` returns the log it appends to.
     """
     logs = []
     for use_hold in (True, False):
         env = Environment()
 
-        def stage(resource, duration, then=None, use_hold=use_hold,
-                  env=env):
+        def stage(resource, duration, then=None, chain=None,
+                  use_hold=use_hold, env=env):
             if use_hold:
-                yield resource.hold(duration, then)
+                yield resource.hold(duration, then, chain)
             else:
                 yield from reference_hold(env, resource, duration, then)
+                if chain is not None:
+                    yield from reference_hold(env, *chain)
 
         log = build(env, stage)
         env.run()
@@ -275,6 +296,40 @@ class TestOrderingRules:
         assert held == ["waiter granted", "holder"]
         assert held == reference
 
+    def test_rule_4_chained_stage_joins_in_the_holders_resume_slot(self):
+        """The chained stage is enqueued while the first stage's hold
+        end is processed: after the queued waiter was started (whose end,
+        due at the same instant, therefore comes first) and ahead of
+        ``late``, whose own entry at that timestamp was pushed later and
+        so finds the second resource already taken."""
+        def build(env, stage):
+            log = []
+            first, second = Resource(env), Resource(env)
+
+            def holder():
+                yield from stage(first, 1, chain=(second, 1, None))
+                log.append(("holder", env.now))
+
+            def waiter():
+                yield from stage(first, 1)
+                log.append(("waiter", env.now))
+
+            def late():
+                yield env.timeout(0.5)
+                yield env.timeout(0.5)   # pushed after every t = 0 push
+                log.append(("late arrives", second.in_use))
+                yield from stage(second, 1)
+                log.append(("late", env.now))
+
+            for body in (holder, waiter, late):
+                env.process(body())
+            return log
+
+        held, reference = run_named(build)
+        assert held == [("late arrives", 1), ("waiter", 2), ("holder", 2),
+                        ("late", 3)]
+        assert held == reference
+
     def test_known_difference_from_the_generator_spelling(self):
         """The boundary of the equivalence: ``late`` starts a zero-length
         hold in the same instant in which ``early``'s hold ends with a
@@ -349,3 +404,95 @@ class TestHoldApi:
             resource.hold(-1.0)
         with pytest.raises(SimulationError):
             resource.hold(1.0, then=-0.5)
+        with pytest.raises(SimulationError):
+            resource.hold(1.0, chain=(resource, -1.0, None))
+        with pytest.raises(SimulationError):
+            resource.hold(1.0, chain=(resource, 1.0, -0.5))
+
+    def test_a_chained_hold_takes_no_then_of_its_own(self):
+        resource = Resource(Environment())
+        with pytest.raises(SimulationError):
+            resource.hold(1.0, then=0.0, chain=(resource, 1.0, None))
+        assert resource.in_use == 0 and resource.queue_length == 0
+
+    def test_chain_returns_the_second_stages_event(self):
+        """Both stages queue FIFO on their own resource; the caller is
+        resumed once, ``then`` after the *second* stage ends."""
+        env = Environment()
+        first, second = Resource(env), Resource(env)
+        done = []
+
+        def holder(name):
+            yield first.hold(2, chain=(second, 3, 1))
+            done.append((name, env.now))
+
+        for name in "ab":
+            env.process(holder(name))
+        env.run(until=4.5)   # b's second stage waits behind a's
+        assert (first.in_use, second.in_use) == (0, 1)
+        assert second.queue_length == 1
+        env.run()
+        assert done == [("a", 6), ("b", 9)]
+        assert first.utilization() == 4 / 9
+        assert second.utilization() == 6 / 9
+
+
+class TestCallBudget:
+    """The hold path is two straight-line functions; a refactor that
+    re-grows it (a constructor, an accounting helper, ``schedule``) shows
+    up here as Python-level calls, not just in a benchmark."""
+
+    KERNEL_FILES = ("repro/sim/resources.py", "repro/sim/engine.py")
+    #: the loop itself and the process resume are not the hold path
+    EXCLUDED = {"run", "_drain", "_resume"}
+
+    def kernel_calls(self, capacity, stages, processes):
+        """Python-level calls inside the kernel's two files while
+        ``processes`` processes each run ``stages`` holds (given as
+        ``hold`` argument tuples, ``"second"`` standing for the second
+        resource) on one shared resource."""
+        env = Environment()
+        shared, second = Resource(env, capacity), Resource(env, capacity)
+
+        def body():
+            for duration, then, chain in stages:
+                if chain is not None:
+                    chain = (second,) + chain
+                yield shared.hold(duration, then, chain)
+
+        for _ in range(processes):
+            env.process(body())
+        calls = []
+
+        def profiler(frame, event, _arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name not in self.EXCLUDED
+                    and code.co_filename.endswith(self.KERNEL_FILES)):
+                calls.append(code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            env.run()
+        finally:
+            sys.setprofile(None)
+        assert shared.in_use == 0 and shared.queue_length == 0
+        return calls
+
+    def test_uncontended_hold_is_two_calls(self):
+        stages = [(1.0, None, None), (2.0, 0.5, None), (0.0, 0.0, None)]
+        calls = self.kernel_calls(4, stages * 5, processes=4)
+        assert len(calls) <= 2 * 15 * 4, sorted(set(calls))
+        assert set(calls) == {"hold", "_finish_hold"}
+
+    def test_queued_hold_is_at_most_three_calls(self):
+        stages = [(1.0, None, None), (2.0, 0.5, None)]
+        calls = self.kernel_calls(1, stages * 5, processes=4)
+        assert len(calls) <= 3 * 10 * 4, sorted(set(calls))
+        assert set(calls) == {"hold", "_finish_hold"}
+
+    def test_chained_pair_is_three_calls(self):
+        stages = [(1.0, None, (2.0, None)), (1.0, None, (0.0, 0.5))]
+        for capacity in (1, 4):   # second stage queued / uncontended
+            calls = self.kernel_calls(capacity, stages * 5, processes=4)
+            assert len(calls) <= 3 * 10 * 4, sorted(set(calls))
+            assert set(calls) == {"hold", "_finish_hold"}
