@@ -216,11 +216,10 @@ class Accelerator:
         self.placement_map = None
         #: optional durability hooks, attached by
         #: :class:`~repro.durability.service.DurabilityService`: this
-        #: node's redo log / group-commit state.  ``dead`` is the crash
-        #: flag: serves already in flight finish without replying (the
-        #: session's ``powered_off`` keeps new arrivals out).
+        #: node's redo log / group-commit state.  The crash flag is the
+        #: session's ``powered_off``: it keeps new arrivals out, and
+        #: serves already in flight finish without replying.
         self.durability = None
-        self.dead = False
         #: round-robin core cursor for split-index direct reads (they
         #: use a core's memory pipeline but never need a workspace)
         self._dr_core = 0
@@ -253,32 +252,33 @@ class Accelerator:
                        fn=self.memory_bandwidth_used)
         self.session.on_message = self._on_message
 
-    # -- processes ----------------------------------------------------------
+    # -- receive ------------------------------------------------------------
     def _on_message(self, message: Message) -> None:
-        self.env.process(self._handle(message))
-
-    def _handle(self, message: Message):
-        payload = message.payload
-        acc = self.params.accelerator
-
         # The netstack parses the *message* once; a batch amortizes the
         # parse across its constituent requests.
-        yield self._netstack(self.rx_unit)
-        self._span_netstack.record(acc.netstack_ns)
+        self._netstack(self.rx_unit).callbacks.append(
+            lambda _parsed: self._on_parsed(message.payload))
 
-        if isinstance(payload, DirectReadRequest):
-            yield from self._serve_direct_read(payload)
-            return
-
-        if isinstance(payload, ReplicateRecords):
-            yield from self._serve_replication(payload)
-            return
-
+    def _on_parsed(self, payload) -> None:
+        """Parse end: dispatch on payload kind.  Replication frames are
+        served here; only a coroutine that waits more than once
+        (admission, a direct read) gets a process."""
+        self._span_netstack.record(self.params.accelerator.netstack_ns)
         if isinstance(payload, ReplicateAck):
             if self.durability is not None:
                 self.durability.on_ack(payload)
-            return
+        elif isinstance(payload, ReplicateRecords):
+            self._serve_replication(payload)
+        elif isinstance(payload, DirectReadRequest):
+            self.env.process(self._serve_direct_read(payload))
+        else:
+            self.env.process(self._admit(payload))
 
+    # -- processes ----------------------------------------------------------
+    def _admit(self, payload):
+        """Admission over one doorbell frame: a scheduler dispatch per
+        request, then lane groups out of whatever was admitted."""
+        acc = self.params.accelerator
         if isinstance(payload, TraversalBatch):
             requests = list(payload.requests)
             self._m_batches.inc()
@@ -302,9 +302,9 @@ class Accelerator:
                     self._events.record(
                         self.name, "nack", request.request_id,
                         queue=self.workspaces.queue_length())
-                nack = request.advanced(request.cur_ptr, request.scratch,
-                                        0, RequestStatus.RETRY)
-                self.env.process(self._respond(nack))
+                self._respond(request.advanced(
+                    request.cur_ptr, request.scratch, 0,
+                    RequestStatus.RETRY))
                 continue
             admitted.append(request)
         self._dispatch_admitted(admitted)
@@ -403,11 +403,9 @@ class Accelerator:
         reply = DirectReadReply(
             request_id=request.request_id, vaddr=request.vaddr, ok=ok,
             data=data, map_version=map_version, nack_reason=reason)
-        yield self._netstack(self.tx_unit)
-        self._span_netstack.record(acc.netstack_ns)
         # Straight back to the issuing client -- no switch traversal.
-        self.session.send(request.reply_to, DIRECT_READ_KIND, reply,
-                          reply.wire_bytes(), segments=2)
+        self._transmit(request.reply_to, DIRECT_READ_KIND, reply,
+                       segments=2)
 
     def _serve_group(self, requests: List[TraversalRequest]):
         """One lane group's life after admission: a single workspace
@@ -422,33 +420,39 @@ class Accelerator:
         finally:
             self.workspaces.release(core_id)
 
-    def _serve_replication(self, message: ReplicateRecords):
+    def _serve_replication(self, message: ReplicateRecords) -> None:
         """Apply a peer's redo-log flush and ack it (timed tx)."""
-        acc = self.params.accelerator
         if self.durability is not None:
             self.durability.apply_replica(message)
         ack = ReplicateAck(src_node=self.node.node_id,
                            flush_id=message.flush_id)
-        yield self._netstack(self.tx_unit)
-        self._span_netstack.record(acc.netstack_ns)
-        self.session.send(f"mem{message.src_node}", DURABILITY_KIND, ack,
-                          ack.wire_bytes(), segments=1)
+        self._transmit(f"mem{message.src_node}", DURABILITY_KIND, ack,
+                       segments=1)
 
-    def _respond(self, response: TraversalRequest):
-        """Deparse and transmit one response (responses never batch)."""
-        if self.dead:
+    def _respond(self, response: TraversalRequest) -> None:
+        """Transmit one response (responses never batch)."""
+        if self.session.powered_off:
             # A powered-off node transmits nothing; in-flight serves
             # finish silently and the switch-side takeover resumes (or
             # the client's end-to-end retry re-executes) the request.
             return
-        acc = self.params.accelerator
-        yield self._netstack(self.tx_unit)
-        self._span_netstack.record(acc.netstack_ns)
-        self._m_responses.inc()
         # A RUNNING continuation here is a hop checkpoint: the session
         # flags it so a drop on the next leg resumes from this state.
-        self.session.send(self.switch_name, PULSE_KIND, response,
-                          response.wire_bytes(), segments=1)
+        self._transmit(self.switch_name, PULSE_KIND, response, segments=1,
+                       sent=self._m_responses)
+
+    def _transmit(self, dst: str, kind: str, payload, segments: int,
+                  sent=None) -> None:
+        """Deparse and send one message: the tx netstack stage, with the
+        span record, the ``sent`` counter and the send in its end
+        callback (the tx unit serializes)."""
+        def send(_deparsed) -> None:
+            self._span_netstack.record(self.params.accelerator.netstack_ns)
+            if sent is not None:
+                sent.inc()
+            self.session.send(dst, kind, payload, payload.wire_bytes(),
+                              segments=segments)
+        self._netstack(self.tx_unit).callbacks.append(send)
 
     def _execute_group(self, core: AcceleratorCore,
                        requests: List[TraversalRequest]):
@@ -460,7 +464,7 @@ class Accelerator:
         tail once, then every lane's logic pass.  Lanes retire
         individually -- RETURN, iteration budget, translation miss
         (reroute / MOVED / fault) or the frame's own fault -- and reply
-        from their own process while the rest of the group runs on.
+        from :meth:`_retire` while the rest of the group runs on.
         """
         acc = self.params.accelerator
         program = requests[0].program
@@ -610,38 +614,38 @@ class Accelerator:
 
     def _retire(self, core: AcceleratorCore, lane: "_Lane",
                 response: TraversalRequest, early: bool = False) -> None:
-        """Return the lane's frame and start its reply process.
+        """Return the lane's frame and reply -- at once, or when the
+        lane's STOREs are durable.
 
         ``early`` marks a lane leaving a multi-lane group before RETURN
-        or the iteration budget (miss, MOVED, fault).
+        or the iteration budget (miss, MOVED, fault).  A commit-wait
+        parks only the reply callback: the group steps on and its
+        workspace token is released without it.
         """
         core.workspace.release(lane.frame)
         if early:
             self._m_batch_demotions.inc()
-        self.env.process(self._reply(core.core_id, lane, response))
 
-    def _reply(self, core_id: int, lane: "_Lane",
-               response: TraversalRequest):
-        """Commit-wait, trace, transmit (the tx unit serializes).
+        def reply(_durable=None) -> None:
+            if self._events is not None:
+                request = lane.request
+                self._events.record(
+                    self.name, "execute", request.request_id,
+                    core=core.core_id,
+                    iterations=(response.iterations_done
+                                - request.iterations_done),
+                    status=response.status.value)
+            self._respond(response)
 
-        A process of its own, so neither the group nor its workspace
-        token waits on a parked reply.
-        """
-        if lane.dirty:
-            # The response -- whatever its status -- must not
-            # acknowledge STOREs that could still be lost with this
-            # node: park it until the group commit replicates.
-            wait = self.durability.wait_durable(max(lane.dirty))
-            if wait is not None:
-                yield wait
-        if self._events is not None:
-            request = lane.request
-            self._events.record(self.name, "execute", request.request_id,
-                                core=core_id,
-                                iterations=(response.iterations_done
-                                            - request.iterations_done),
-                                status=response.status.value)
-        yield from self._respond(response)
+        # The response -- whatever its status -- must not acknowledge
+        # STOREs that could still be lost with this node: park it until
+        # the group commit replicates.
+        wait = (self.durability.wait_durable(max(lane.dirty))
+                if lane.dirty else None)
+        if wait is None:
+            reply()
+        else:
+            wait.callbacks.append(reply)
 
     def _miss_response(self, lane: "_Lane",
                        load_addr: int) -> TraversalRequest:

@@ -248,9 +248,8 @@ class PulseCluster:
                 "kill_node requires params.durability.enabled: without "
                 "replicated redo logs a crash loses acknowledged writes")
         acc = self.accelerators[node_id]
-        if acc.dead:
+        if acc.session.powered_off:
             return
-        acc.dead = True
         acc.session.powered_off = True
         self.memory.allocator.set_allocatable(node_id, False)
         self.durability.on_node_dead(node_id)

@@ -76,7 +76,8 @@ class NodeDurability:
             self._kick_flush()
         elif not self._timer_armed:
             self._timer_armed = True
-            self.env.process(self._commit_timer())
+            self.env.timeout(self.params.group_commit_ns).callbacks.append(
+                self._commit_timer)
         return record.lsn
 
     def wait_durable(self, lsn: int) -> Optional[Event]:
@@ -88,8 +89,7 @@ class NodeDurability:
         self._waiters.append((lsn, event))
         return event
 
-    def _commit_timer(self):
-        yield self.env.timeout(self.params.group_commit_ns)
+    def _commit_timer(self, _timeout) -> None:
         self._timer_armed = False
         self._kick_flush()
 
@@ -177,7 +177,7 @@ class NodeDurability:
     def on_node_dead(self, dead: int) -> None:
         if dead == self.node_id:
             # Our own death: nothing we promised can be re-acknowledged
-            # (the accelerator's dead flag suppresses every response),
+            # (its powered-off session suppresses every response),
             # so release blocked processes instead of leaking them.
             self.dead = True
             if self._pending is not None and not self._pending[2].triggered:

@@ -237,7 +237,8 @@ class MigrationEngine:
         # installed by the fence); schedule the expiry of exactly *this*
         # migration's hint.  Expiring by age would let this window's
         # sweep drop a younger overlapping migration's still-live hint.
-        self.env.process(self._expire_hints(src_node, hint_id))
+        self.env.timeout(self.params.forward_window_ns).callbacks.append(
+            lambda _expired: src_node.forwarding.remove(hint_id))
 
         self.completed += 1
         self.bytes_migrated += total
@@ -295,10 +296,6 @@ class MigrationEngine:
         hint_id = self.memory.nodes[src].forwarding.install(
             virt_start, virt_end, dst, self.env.now)
         return total, live, hint_id
-
-    def _expire_hints(self, node, hint_id: int):
-        yield self.env.timeout(self.params.forward_window_ns)
-        node.forwarding.remove(hint_id)
 
     def _pick_target(self, node_id: int,
                      targets: Optional[Iterable[int]]) -> Optional[int]:

@@ -275,8 +275,7 @@ class Fabric:
         src._tx_messages.inc()
         src._tx_message_bytes.record(message.size_bytes)
 
-        profile = self._links.get((message.src, message.dst),
-                                  self._default_link)
+        profile = self.link_profile(message.src, message.dst)
         if profile is not None:
             rng = self._link_rng(message.src, message.dst)
             if profile.jitter_ns > 0.0:

@@ -4,8 +4,8 @@ Two primitives cover everything pulse models:
 
 * :class:`Resource` -- ``capacity`` interchangeable servers with a FIFO
   queue; used for pipelines, NIC processing units, and CPU workers.  A
-  fixed-duration stage is one :meth:`Resource.hold` call; only
-  variable-length critical sections spell out ``request``/``release``.
+  fixed-duration stage is one :meth:`Resource.hold` call; an
+  open-ended critical section is the ``request``/``release`` pair.
 * :class:`Store` -- an unbounded (or bounded) buffer of items with
   blocking ``get``; used for rx/tx queues and scheduler mailboxes.
 """
@@ -14,23 +14,13 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, List, Optional, Tuple, Union
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.sim.engine import NORMAL, Environment, Event, SimulationError
 
 #: allocation without a Python-level ``__init__``: ``Resource.hold``
 #: fills its ``Hold`` and ``done`` event field by field
 _new = object.__new__
-
-
-class Request(Event):
-    """Grant event for one unit of a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
 
 
 class Hold(Event):
@@ -57,7 +47,8 @@ class Resource:
         yield resource.hold(occupancy, tail)  # ... then wait ``tail`` more
         yield first.hold(a, chain=(second, b, tail))  # two stages, one wait
 
-    A critical section whose length is not known up front spells it out::
+    ``request``/``release`` is *the* open-ended form, for a critical
+    section whose length is only known once it has run::
 
         req = resource.request()
         yield req
@@ -66,7 +57,11 @@ class Resource:
         finally:
             resource.release(req)
 
-    Both kinds of waiter share one FIFO queue.
+    It is kept on purpose, not pending conversion: the RPC server's
+    worker section spans per-iteration holds on a contended bandwidth
+    gate and the paging client's fault unit spans a network round trip,
+    so neither has a duration to hand to ``hold``.  Both kinds of waiter
+    share one FIFO queue.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -74,8 +69,9 @@ class Resource:
             raise SimulationError("resource capacity must be >= 1")
         self.env = env
         self.capacity = capacity
-        self._users: List[Union[Request, Hold]] = []
-        self._waiting: Deque[Union[Request, Hold]] = deque()
+        #: grant events (``request``) and :class:`Hold` s, one FIFO
+        self._users: List[Event] = []
+        self._waiting: Deque[Event] = deque()
         # Utilization accounting.
         self._busy_time = 0.0
         self._last_change = env.now
@@ -96,15 +92,15 @@ class Resource:
         """When the measurement window began (see :meth:`begin_window`)."""
         return self._window_start
 
-    def request(self) -> Request:
-        req = Request(self)
+    def request(self) -> Event:
+        req = Event(self.env)
         if len(self._users) < self.capacity:
             self._start(req)
         else:
             self._waiting.append(req)
         return req
 
-    def release(self, request: Request) -> None:
+    def release(self, request: Event) -> None:
         if request not in self._users:
             raise SimulationError("releasing a request that does not hold "
                                   "this resource")
@@ -233,7 +229,7 @@ class Resource:
             else:
                 follower._waiting.append(chained)
 
-    def _start(self, waiter: Union[Request, Hold]) -> None:
+    def _start(self, waiter: Event) -> None:
         """Give ``waiter`` a server (the caller checked one is free)."""
         self._account()
         self._users.append(waiter)
@@ -242,7 +238,7 @@ class Resource:
         else:
             waiter.succeed(waiter)
 
-    def _free(self, holder: Request) -> None:
+    def _free(self, holder: Event) -> None:
         self._account()
         self._users.remove(holder)
         while self._waiting and len(self._users) < self.capacity:
@@ -289,14 +285,6 @@ class Resource:
         return value
 
 
-class StoreGet(Event):
-    __slots__ = ("store",)
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        self.store = store
-
-
 class Store:
     """A buffer of items with blocking ``get`` and non-blocking ``put``.
 
@@ -310,7 +298,7 @@ class Store:
         self.env = env
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
+        self._getters: Deque[Event] = deque()
         self.put_total = 0
 
     def __len__(self) -> int:
@@ -323,8 +311,8 @@ class Store:
         self._items.append(item)
         self._dispatch()
 
-    def get(self) -> StoreGet:
-        getter = StoreGet(self)
+    def get(self) -> Event:
+        getter = Event(self.env)
         self._getters.append(getter)
         self._dispatch()
         return getter

@@ -1,7 +1,10 @@
 """Helpers shared by the test modules."""
 
+from collections import Counter
+
 from repro.core import PulseCluster
 from repro.params import NetworkParams, SystemParams, TransportParams
+from repro.sim.engine import Process
 from repro.sim.network import LinkProfile
 
 
@@ -42,3 +45,18 @@ def reference_hold(env, resource, duration, then=None):
         resource.release(grant)
     if then is not None:
         yield env.timeout(then)
+
+
+def count_process_starts(monkeypatch):
+    """Count every ``Process`` started from here on, by the generator's
+    ``__qualname__`` (``"Accelerator._admit"``); returns the live
+    :class:`collections.Counter`."""
+    started = Counter()
+    init = Process.__init__
+
+    def counting_init(self, env, generator):
+        started[generator.__qualname__] += 1
+        init(self, env, generator)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return started

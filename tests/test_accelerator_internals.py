@@ -6,9 +6,11 @@ from repro.bench.report import span_breakdown
 from repro.core import PulseCluster
 from repro.core.messages import RequestStatus
 from repro.params import AcceleratorParams, SystemParams
+from repro.sim.engine import AllOf
 from repro.structures import LinkedList
 
-from tests.helpers import counter_value, lossy_cluster
+from tests.helpers import (count_process_starts, counter_value,
+                           lossy_cluster)
 
 
 def make_list_cluster(n=40, nodes=1, **cluster_kwargs):
@@ -249,3 +251,47 @@ class TestLocalFallback:
         fast = cluster.run_traversal(lst.sum_iterator())
         assert fast.offloaded
         assert result.latency_ns > 5 * fast.latency_ns
+
+
+class TestProcessBudget:
+    """A process exists only where a coroutine waits more than once:
+    an accelerator hop is admission plus one lane group; parse, reply,
+    control frames and one-shot timers are callbacks."""
+
+    ONE_SHOT = ("_reply", "_respond", "_commit_timer", "_expire_hints")
+
+    def accelerator_starts(self, started):
+        """The accelerator's share of ``started``, having checked that
+        no one-shot generator was started anywhere."""
+        assert not [name for name in started
+                    if name.rsplit(".", 1)[-1] in self.ONE_SHOT]
+        return {name: n for name, n in started.items()
+                if name.startswith("Accelerator.")}
+
+    def test_scalar_hop_starts_admission_and_one_lane_group(
+            self, monkeypatch):
+        cluster, lst = make_list_cluster()
+        started = count_process_starts(monkeypatch)
+        result = cluster.run_traversal(lst.find_iterator(), 20)
+        assert result.ok and result.value == 40
+        assert counter_value(cluster, "mem0.acc.requests") == 1  # one hop
+        assert self.accelerator_starts(started) == {
+            "Accelerator._admit": 1, "Accelerator._serve_group": 1}
+
+    def test_doorbell_starts_one_process_per_group_none_per_lane(
+            self, monkeypatch):
+        monkeypatch.delenv("PULSE_BATCH", raising=False)
+        cluster, lst = make_list_cluster(batch_size=64, batch_lanes=32)
+        started = count_process_starts(monkeypatch)
+        pending = cluster.submit_many(
+            [(lst.find_iterator(), (1 + k % 40,)) for k in range(64)])
+        cluster.env.run(until=AllOf(cluster.env,
+                                    [p._process for p in pending]))
+        assert [p.result.value for p in pending] == \
+            [2 * (1 + k % 40) for k in range(64)]
+        snap = cluster.metrics_snapshot()["counters"]
+        assert snap["mem0.acc.batches"] == 1  # one 64-request frame
+        assert snap["mem0.acc.batch.groups"] == 2
+        assert snap["mem0.acc.responses"] == 64
+        assert self.accelerator_starts(started) == {
+            "Accelerator._admit": 1, "Accelerator._serve_group": 2}

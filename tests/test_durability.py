@@ -17,6 +17,8 @@ from repro.params import DurabilityParams, SystemParams, TransportParams
 from repro.sim.engine import AllOf
 from repro.structures import HashTable
 
+from tests.helpers import count_process_starts
+
 KEYS = 48
 
 
@@ -251,6 +253,72 @@ def test_a_crashed_nodes_nic_is_dark_on_receive_too():
     # Every update was acknowledged, so every one must read back.
     assert all(r.ok for r in results), [r.fault for r in results
                                         if not r.ok]
+    for k in range(KEYS):
+        result = cluster.run_traversal(table.find_iterator(), k)
+        assert result.ok, (k, result.fault)
+        assert int.from_bytes(result.value[:8], "little") == 7_000 + k
+
+
+def test_a_crashed_nodes_nic_is_dark_on_transmit_too():
+    # The transmit-side twin: replies parked on the commit-wait when the
+    # node dies are released into a powered-off session and vanish --
+    # no response is counted, no segment is sent, and the requests
+    # complete through recovery instead of hanging.
+    params = durable_params().with_overrides(
+        transport=TransportParams(mode="always"))
+    cluster, table = build_rack(params=params, node_count=3)
+    pending = [cluster.submit(table.update_iterator(), k, 7_000 + k)
+               for k in range(KEYS)]
+    at_kill = {}
+
+    def counters(*names):
+        snap = cluster.metrics_snapshot()["counters"]
+        return {name: snap[name] for name in names}
+
+    def tx_counters():
+        return counters("mem1.acc.responses", "mem1.tp.tx_segments")
+
+    def schedule():
+        # Before the first group commit: every update node 1 has
+        # finished so far is waiting for it.
+        yield cluster.env.timeout(6_000.0)
+        at_kill.update(tx_counters(),
+                       **counters("mem1.dur.commit_waits"))
+        cluster._kill_node_local(1)
+
+    cluster.env.process(schedule())
+    results = drain(cluster, pending)
+    cluster.env.run(until=cluster.env.timeout(2_000_000.0))
+    parked = at_kill.pop("mem1.dur.commit_waits")
+    assert parked > 0 and at_kill["mem1.acc.responses"] == 0
+    assert tx_counters() == at_kill
+    assert all(r.ok for r in results), [r.fault for r in results
+                                        if not r.ok]
+    for k in range(KEYS):
+        result = cluster.run_traversal(table.find_iterator(), k)
+        assert result.ok, (k, result.fault)
+        assert int.from_bytes(result.value[:8], "little") == 7_000 + k
+
+
+def test_replication_traffic_starts_no_accelerator_process(monkeypatch):
+    # ReplicateRecords and ReplicateAck are served inside the parse-end
+    # callback: on a rack doing nothing but durable updates the only
+    # accelerator processes are the traversal frames' own two per hop
+    # (admission, lane group).
+    cluster, table = build_rack(node_count=3)
+    started = count_process_starts(monkeypatch)
+    pending = [cluster.submit(table.update_iterator(), k, 7_000 + k)
+               for k in range(KEYS)]
+    results = drain(cluster, pending)
+    assert all(r.ok for r in results)
+    snap = cluster.metrics_snapshot()["counters"]
+    hops = sum(snap[f"mem{n}.acc.requests"] for n in range(3))
+    assert sum(snap[f"mem{n}.dur.replica_tx_records"]
+               for n in range(3)) >= KEYS
+    assert sum(snap[f"mem{n}.dur.acks_rx"] for n in range(3)) > 0
+    assert sum(snap[f"mem{n}.acc.admission_nacks"] for n in range(3)) == 0
+    assert sum(n for name, n in started.items()
+               if name.startswith("Accelerator.")) == 2 * hops
     for k in range(KEYS):
         result = cluster.run_traversal(table.find_iterator(), k)
         assert result.ok, (k, result.fault)

@@ -38,7 +38,8 @@ TC_DIGEST = (
 MIX_DIGEST = (
     "a87ec72ae5c913494bb41f2d8afa89d7e5f91bff8f1cbd60440beddc6831ded8")
 #: pinned at ece4534 (the parent of the single-serve-path PR, which moved
-#: the commit-wait from the serve process into the reply process)
+#: the commit-wait from the serve process into the reply -- a callback
+#: parked on the ``wait_durable`` event, no longer a process of its own)
 KV_DIGEST = (
     "c6afb4520d640fb3ee8c4ee23a8536339fc2c51dd6c4d039c6d6038971bb0c0b")
 #: pinned at 8658dbe (the parent of the one-receive-path PR, which
