@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+
 
 class MemoryFault(Exception):
     """Out-of-bounds or malformed physical memory access."""
@@ -14,13 +16,30 @@ class PhysicalMemory:
     addresses are resolved through :class:`~repro.mem.translation.
     RangeTranslationTable` before reaching this layer.  Byte counters feed
     the memory-bandwidth utilization numbers in Fig 6.
+
+    The backing is a private, anonymous, demand-zero mapping: ``size``
+    reserves address space, not pages.  A range nothing has written reads
+    as zeros and costs no resident memory; the host pays one page the
+    first time a byte in it is written, so a node's RSS and construction
+    time follow what structures stored there, not its capacity.
+
+    The mapping is ``MAP_PRIVATE`` because sharded execution forks the
+    built rack: each worker must see the pre-fork bytes and keep its own
+    STOREs to itself (copy-on-write), exactly as a forked ``bytearray``
+    did.  Python's default for ``mmap.mmap(-1, n)`` is ``MAP_SHARED``,
+    under which a worker's writes would land in the coordinator's copy.
+
+    There is no ``close``: the mapping is released when the last
+    reference to this object goes, so memory stays readable after
+    ``PulseCluster.shutdown()`` for as long as the caller holds the rack.
     """
 
     def __init__(self, size: int):
         if size <= 0:
             raise MemoryFault(f"invalid memory size: {size}")
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(
+            -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -34,10 +53,14 @@ class PhysicalMemory:
             )
 
     def read(self, addr: int, length: int) -> bytes:
-        """Read ``length`` bytes at physical ``addr``."""
+        """Read ``length`` bytes at physical ``addr``.
+
+        The result is an immutable snapshot (the mapping's slice is
+        already ``bytes``), never a view a later write shows through.
+        """
         self._check(addr, length)
         self.bytes_read += length
-        return bytes(self._data[addr:addr + length])
+        return self._data[addr:addr + length]
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at physical ``addr``."""

@@ -1,6 +1,11 @@
 """Tests for physical memory and struct layouts."""
 
+import os
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.mem import Field, MemoryFault, PhysicalMemory, StructLayout
 from repro.mem.layout import LayoutError
@@ -53,6 +58,169 @@ class TestPhysicalMemory:
     def test_invalid_size_rejected(self):
         with pytest.raises(MemoryFault):
             PhysicalMemory(0)
+
+
+class _BytearrayMemory:
+    """The eagerly zero-filled backing ``PhysicalMemory`` replaced, kept
+    here as the reference the model-based test compares against."""
+
+    def __init__(self, size: int):
+        if size <= 0:
+            raise MemoryFault(f"invalid memory size: {size}")
+        self.size = size
+        self._data = bytearray(size)
+        self.bytes_read = 0
+        self.bytes_written = 0
+
+    def _check(self, addr: int, length: int) -> None:
+        if length < 0:
+            raise MemoryFault(f"negative access length: {length}")
+        if addr < 0 or addr + length > self.size:
+            raise MemoryFault(
+                f"access [{addr:#x}, {addr + length:#x}) outside "
+                f"[0, {self.size:#x})"
+            )
+
+    def read(self, addr: int, length: int) -> bytes:
+        self._check(addr, length)
+        self.bytes_read += length
+        return bytes(self._data[addr:addr + length])
+
+    def write(self, addr: int, data: bytes) -> None:
+        self._check(addr, len(data))
+        self.bytes_written += len(data)
+        self._data[addr:addr + len(data)] = data
+
+    def read_u64(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_u64(self, addr: int, value: int) -> None:
+        self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except MemoryFault as fault:
+        return "fault", str(fault)
+
+
+PAGE = 4096
+#: three pages and a ragged tail, so the last byte is not page-aligned
+MODEL_SIZE = 3 * PAGE + 17
+
+#: anywhere (a little outside on both ends), or within 9 bytes of a
+#: page boundary so 8-byte accesses straddle it
+_addrs = st.one_of(
+    st.integers(-16, MODEL_SIZE + 16),
+    st.builds(lambda page, off: page * PAGE + off,
+              st.integers(0, 4), st.integers(-9, 9)),
+    st.integers(MODEL_SIZE - 9, MODEL_SIZE + 1),
+)
+_lengths = st.one_of(st.integers(-2, 64), st.integers(0, 2 * PAGE + 32))
+#: short arbitrary bytes, or a one-byte fill long enough to cross pages
+_payloads = st.one_of(
+    st.binary(max_size=48),
+    st.builds(lambda fill, length: bytes([fill]) * length,
+              st.integers(0, 255), st.integers(0, 2 * PAGE + 32)),
+)
+
+
+@settings(max_examples=60, stateful_step_count=30, deadline=None)
+class PhysicalMemoryMatchesBytearray(RuleBasedStateMachine):
+    """Random accessor sequences against the old backing: results, byte
+    counters and every fault message must agree, including zero-length
+    accesses, the last byte, page-straddling ranges and ranges nothing
+    has written."""
+
+    def __init__(self):
+        super().__init__()
+        self.mem = PhysicalMemory(MODEL_SIZE)
+        self.model = _BytearrayMemory(MODEL_SIZE)
+
+    @rule(addr=_addrs, length=_lengths)
+    def read(self, addr, length):
+        got = _outcome(self.mem.read, addr, length)
+        assert got == _outcome(self.model.read, addr, length)
+        if got[0] == "ok":
+            assert type(got[1]) is bytes
+
+    @rule(addr=_addrs, data=_payloads)
+    def write(self, addr, data):
+        assert (_outcome(self.mem.write, addr, data)
+                == _outcome(self.model.write, addr, data))
+
+    @rule(addr=_addrs)
+    def read_u64(self, addr):
+        assert (_outcome(self.mem.read_u64, addr)
+                == _outcome(self.model.read_u64, addr))
+
+    @rule(addr=_addrs, value=st.integers(-2**64, 2**65))
+    def write_u64(self, addr, value):
+        assert (_outcome(self.mem.write_u64, addr, value)
+                == _outcome(self.model.write_u64, addr, value))
+
+    @invariant()
+    def counters_agree(self):
+        assert self.mem.bytes_read == self.model.bytes_read
+        assert self.mem.bytes_written == self.model.bytes_written
+
+    def teardown(self):
+        assert (self.mem.read(0, MODEL_SIZE)
+                == self.model.read(0, MODEL_SIZE))
+
+
+TestPhysicalMemoryMatchesBytearray = PhysicalMemoryMatchesBytearray.TestCase
+
+
+@pytest.mark.parametrize("size", [0, -1, -PAGE])
+def test_invalid_size_message_matches_bytearray_backing(size):
+    assert (_outcome(PhysicalMemory, size)
+            == _outcome(_BytearrayMemory, size)
+            == ("fault", f"invalid memory size: {size}"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_gives_the_child_a_private_copy():
+    """Sharded workers are forks of the built rack: a worker sees the
+    pre-fork bytes, and STOREs on either side of the fork stay there.
+    A ``MAP_SHARED`` mapping (Python's default) fails the middle two."""
+    mem = PhysicalMemory(4 * PAGE)
+    mem.write(100, b"before")
+    child_wrote_r, child_wrote_w = os.pipe()
+    parent_wrote_r, parent_wrote_w = os.pipe()
+    report_r, report_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            inherited = mem.read(100, 6)
+            mem.write(100, b"child!")
+            mem.write_u64(PAGE, 0xC0FFEE)
+            os.write(child_wrote_w, b"c")
+            os.read(parent_wrote_r, 1)
+            os.write(report_w, inherited + mem.read(100, 6)
+                     + mem.read(2 * PAGE, 8))
+        finally:
+            os._exit(0)
+    try:
+        assert os.read(child_wrote_r, 1) == b"c"
+        assert mem.read(100, 6) == b"before"
+        assert mem.read_u64(PAGE) == 0
+        mem.write_u64(2 * PAGE, 0xDAD)
+        mem.write(100, b"parent")
+    finally:
+        # here, not after the asserts: the child is released and reaped
+        # even when one of them fired
+        os.write(parent_wrote_w, b"p")
+        os.waitpid(pid, 0)
+        os.close(report_w)
+        report = os.read(report_r, 64)
+        for fd in (child_wrote_r, child_wrote_w, parent_wrote_r,
+                   parent_wrote_w, report_r):
+            os.close(fd)
+    assert report[:6] == b"before"
+    assert report[6:12] == b"child!"
+    assert report[12:] == bytes(8)
 
 
 class TestStructLayout:

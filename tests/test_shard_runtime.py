@@ -234,6 +234,34 @@ class TestClusterGuards:
         assert not cluster.sharded
 
 
+def test_worker_stores_stay_out_of_the_coordinators_copy():
+    """Workers are copy-on-write forks of the built rack: a STORE runs
+    in the worker that owns the node, so later requests see it while
+    the coordinator's own replica of that node keeps the pre-fork
+    bytes.  A node backing shared across the fork would fail the last
+    assertion."""
+    from repro.structures import HashTable
+    keys = range(32)
+    cluster = PulseCluster(node_count=2, seed=3)
+    table = HashTable(cluster.memory, buckets=16, value_bytes=8,
+                      partition_nodes=2)
+    for k in keys:
+        table.insert(k, k.to_bytes(8, "little"))
+    cluster.shard(workers=2)
+    try:
+        for k in keys:
+            assert cluster.run_traversal(
+                table.update_iterator(), k, 9_000 + k).value is True
+        found = [cluster.run_traversal(table.find_iterator(), k).value
+                 for k in keys]
+    finally:
+        cluster.shutdown()
+    assert [int.from_bytes(v, "little") for v in found] == \
+        [9_000 + k for k in keys]
+    assert [int.from_bytes(table.find_reference(k), "little")
+            for k in keys] == list(keys)
+
+
 def test_lazy_shard_from_inside_a_running_process(monkeypatch):
     """``PULSE_WORKERS`` shards on the first submission, which an
     open-loop driver makes from inside a process that ``env.run`` is
