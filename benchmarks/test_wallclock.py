@@ -13,8 +13,8 @@ host-side payoff of lane groups.  Three measurements:
   dominates here, so the win is smaller, but compiled mode must never
   be meaningfully slower.
 * **Lane groups**: the chain/B-tree mix driven open loop in bursts of
-  64 through the doorbell batcher, ``PULSE_BATCH=0`` (every request a
-  group of one lane) vs ``PULSE_BATCH=32`` (each burst splits into a
+  64 through the doorbell batcher, ``batch_lanes=0`` (every request a
+  group of one lane) vs ``batch_lanes=32`` (each burst splits into a
   32-lane chain group and a 32-lane tree group).  The ISA work per lane
   is the same compiled frame either way; the event-engine work
   collapses to one memory phase and one logic hold per *step* instead
@@ -242,25 +242,18 @@ def measure_e2e_seconds(interpreted: bool) -> float:
 
 
 def measure_batch_e2e_seconds(batch_lanes: int, requests: int) -> float:
-    """Wall clock of the chain/B-tree mix at one ``PULSE_BATCH`` level.
+    """Wall clock of the chain/B-tree mix at one ``batch_lanes`` width.
 
     Structure build and operation-list prep run untimed (identical in
     both tiers); the timer covers only the open-loop drive.
     """
     warm_up()
-    previous = os.environ.get("PULSE_BATCH")
-    os.environ["PULSE_BATCH"] = str(batch_lanes)
-    try:
-        cluster, operations = build_batch_cell(requests)
-        start = time.perf_counter()
-        stats = run_open_loop(cluster, operations, BATCH_LOAD_PER_S,
-                              seed=7, burst=BATCH_BURST)
-        elapsed = time.perf_counter() - start
-    finally:
-        if previous is None:
-            del os.environ["PULSE_BATCH"]
-        else:
-            os.environ["PULSE_BATCH"] = previous
+    cluster, operations = build_batch_cell(requests,
+                                           batch_lanes=batch_lanes)
+    start = time.perf_counter()
+    stats = run_open_loop(cluster, operations, BATCH_LOAD_PER_S,
+                          seed=7, burst=BATCH_BURST)
+    elapsed = time.perf_counter() - start
     assert stats.completed == requests
     assert stats.faults == 0
     return elapsed

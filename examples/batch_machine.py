@@ -10,7 +10,7 @@ retires on its own -- with exactly the response it would have produced
 alone -- while the rest of the group runs on.  A request on its own is
 simply the group of one lane.
 
-``PULSE_BATCH`` picks the lane width at cluster build time (0 = never
+``PulseCluster(batch_lanes=...)`` picks the lane width (0 = never
 group; the default is 32).  This example runs the same deep-chain
 workload at both widths and prints the modeled latency, the simulator's
 wall clock, and the counters that tell you how full the groups ran.
@@ -18,7 +18,6 @@ wall clock, and the counters that tell you how full the groups ran.
 Run:  python examples/batch_machine.py
 """
 
-import os
 import random
 import time
 
@@ -32,26 +31,21 @@ CHAIN_NODES = 128
 
 
 def run_tier(batch_lanes: int):
-    """Drive deep chain walks open loop at one PULSE_BATCH setting."""
-    os.environ["PULSE_BATCH"] = str(batch_lanes)
-    try:
-        cluster = PulseCluster(node_count=1, batch_size=BURST, seed=7)
-        chain = LinkedList(cluster.memory)
-        for key in range(CHAIN_NODES):
-            chain.append(key, key * 3)
-        finder = chain.find_iterator()
-        rng = random.Random(13)
-        # Target the chain tail so every lane walks nearly the whole
-        # chain: deep lockstep traversals with no straggler tail.
-        operations = [(finder, (rng.randrange(CHAIN_NODES - 8,
-                                              CHAIN_NODES),))
-                      for _ in range(REQUESTS)]
-        start = time.perf_counter()
-        stats = run_open_loop(cluster, operations, 8e6, seed=7,
-                              burst=BURST)
-        elapsed = time.perf_counter() - start
-    finally:
-        del os.environ["PULSE_BATCH"]
+    """Drive deep chain walks open loop at one lane width."""
+    cluster = PulseCluster(node_count=1, batch_size=BURST, seed=7,
+                           batch_lanes=batch_lanes)
+    chain = LinkedList(cluster.memory)
+    for key in range(CHAIN_NODES):
+        chain.append(key, key * 3)
+    finder = chain.find_iterator()
+    rng = random.Random(13)
+    # Target the chain tail so every lane walks nearly the whole
+    # chain: deep lockstep traversals with no straggler tail.
+    operations = [(finder, (rng.randrange(CHAIN_NODES - 8, CHAIN_NODES),))
+                  for _ in range(REQUESTS)]
+    start = time.perf_counter()
+    stats = run_open_loop(cluster, operations, 8e6, seed=7, burst=BURST)
+    elapsed = time.perf_counter() - start
     assert stats.completed == REQUESTS and stats.faults == 0
     snapshot = cluster.metrics_snapshot()
     return elapsed, stats, snapshot["counters"], snapshot["histograms"]
@@ -70,8 +64,8 @@ def main() -> None:
     occupancy = histograms.get("mem0.acc.batch.lanes_active", {})
 
     print("lane width            modeled mean latency   simulator wall clock")
-    for label, stats, seconds in (("1  (PULSE_BATCH=0) ", single, single_s),
-                                  ("32 (PULSE_BATCH=32)", grouped, group_s)):
+    for label, stats, seconds in (("1  (batch_lanes=0) ", single, single_s),
+                                  ("32 (batch_lanes=32)", grouped, group_s)):
         print(f"{label}   {stats.avg_latency_ns / 1e3:17.1f} us"
               f"   {seconds:18.2f} s")
     print(f"wall-clock speedup:   {single_s / group_s:.2f}x\n")

@@ -50,7 +50,7 @@ def main() -> None:
     print()
     print("accelerator stats (node 0):")
     # The metrics snapshot works in every execution mode -- including
-    # PULSE_WORKERS=<n> sharding, where node 0 lives in a worker
+    # after cluster.shard(workers=<n>), where node 0 lives in a worker
     # process and the snapshot merges its counters back in.
     counters = cluster.metrics_snapshot()["counters"]
     print(f"  requests handled : {counters['mem0.acc.requests']}")

@@ -10,8 +10,10 @@ same final simulated nanosecond; the per-node counters in the merged
 metrics snapshot come from the worker processes that actually simulated
 those nodes.
 
+``cluster.shard(workers=N)`` is the one way to shard: build every
+structure first, then fork.
+
 Run:  python examples/sharded_cluster.py
-      PULSE_WORKERS=2 python examples/quickstart.py   # env-knob route
 """
 
 from repro import PulseCluster

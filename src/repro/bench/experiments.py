@@ -127,12 +127,12 @@ class CellResult:
         return self.stats.throughput_per_s / 1_000.0
 
 
-def run_cell(system_name: str, workload_name: str, node_count: int = 1,
-             requests: int = 50, concurrency: int = 4, seed: int = 0,
-             params: Optional[SystemParams] = None,
-             system_kwargs: Optional[dict] = None,
-             workload_kwargs: Optional[dict] = None) -> CellResult:
-    """Run one experiment cell end to end."""
+def _run_cell(drive, system_name: str, workload_name: str,
+              node_count: int, requests: int, seed: int,
+              params: Optional[SystemParams],
+              system_kwargs: Optional[dict],
+              workload_kwargs: Optional[dict]) -> CellResult:
+    """Build one cell, ``drive(system, operations)`` it, measure it."""
     parameters = params if params is not None else DEFAULT_PARAMS
     system_kwargs = dict(system_kwargs or {})
     if (system_name.lower() in ("rpc", "rpc-w", "cache+rpc")
@@ -143,8 +143,7 @@ def run_cell(system_name: str, workload_name: str, node_count: int = 1,
                          **system_kwargs)
     workload = build_workload(system, workload_name, node_count,
                               requests, seed, **(workload_kwargs or {}))
-    stats = run_workload(system, workload.operations,
-                         concurrency=concurrency)
+    stats = drive(system, workload.operations)
     mem_util = _utilization(system, "memory_bandwidth_utilization",
                             stats.duration_ns)
     net_util = _utilization(system, "network_bandwidth_utilization",
@@ -165,6 +164,19 @@ def run_cell(system_name: str, workload_name: str, node_count: int = 1,
         workers_per_node=workers,
         energy=energy,
     )
+
+
+def run_cell(system_name: str, workload_name: str, node_count: int = 1,
+             requests: int = 50, concurrency: int = 4, seed: int = 0,
+             params: Optional[SystemParams] = None,
+             system_kwargs: Optional[dict] = None,
+             workload_kwargs: Optional[dict] = None) -> CellResult:
+    """Run one experiment cell end to end."""
+    return _run_cell(
+        lambda system, ops: run_workload(system, ops,
+                                         concurrency=concurrency),
+        system_name, workload_name, node_count, requests, seed, params,
+        system_kwargs, workload_kwargs)
 
 
 def run_open_loop_cell(system_name: str, workload_name: str,
@@ -181,38 +193,11 @@ def run_open_loop_cell(system_name: str, workload_name: str,
     measured throughput saturates (and in-flight work piles up into the
     doorbell batchers / admission queues) once the load exceeds capacity.
     """
-    parameters = params if params is not None else DEFAULT_PARAMS
-    system_kwargs = dict(system_kwargs or {})
-    if (system_name.lower() in ("rpc", "rpc-w", "cache+rpc")
-            and "workers_per_node" not in system_kwargs):
-        system_kwargs["workers_per_node"] = saturating_workers(
-            system_name, workload_name, parameters)
-    system = make_system(system_name, node_count, parameters, seed,
-                         **system_kwargs)
-    workload = build_workload(system, workload_name, node_count,
-                              requests, seed, **(workload_kwargs or {}))
-    stats = run_open_loop(system, workload.operations,
-                          offered_load_per_s, seed=seed)
-    mem_util = _utilization(system, "memory_bandwidth_utilization",
-                            stats.duration_ns)
-    net_util = _utilization(system, "network_bandwidth_utilization",
-                            stats.duration_ns)
-    workers = getattr(system, "workers_per_node", 1)
-    if system_name.lower() in ("cache", "cache-based"):
-        workers = system.fault_unit.capacity
-    energy = measure_energy(system_name, parameters,
-                            stats.throughput_per_s, nodes=node_count,
-                            workers_per_node=workers)
-    return CellResult(
-        system=system_name,
-        workload=workload_name,
-        nodes=node_count,
-        stats=stats,
-        memory_utilization=mem_util,
-        network_utilization=net_util,
-        workers_per_node=workers,
-        energy=energy,
-    )
+    return _run_cell(
+        lambda system, ops: run_open_loop(system, ops, offered_load_per_s,
+                                          seed=seed),
+        system_name, workload_name, node_count, requests, seed, params,
+        system_kwargs, workload_kwargs)
 
 
 def _utilization(system, method: str, duration_ns: float) -> float:

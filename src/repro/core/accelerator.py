@@ -35,7 +35,6 @@ from repro.core.messages import (DIRECT_READ_KIND, DURABILITY_KIND,
                                  TraversalRequest)
 from repro.core.scheduling import FairWorkspacePool, FifoWorkspacePool
 from repro.core.workspace import MachinePool
-from repro.isa.batchmachine import resolve_batch_lanes
 from repro.isa.instructions import MASK64, ExecutionFault
 from repro.isa.interpreter import IterationOutcome, IteratorMachine
 from repro.mem.node import MemoryNode
@@ -230,11 +229,11 @@ class Accelerator:
         tlb_misses = registry.counter(f"{prefix}.tlb.misses")
         ws_reused = registry.counter(f"{prefix}.workspace.reused")
         ws_allocated = registry.counter(f"{prefix}.workspace.allocated")
-        #: modeled SIMT width: PULSE_BATCH env over the configured
-        #: ``batch_lanes`` (0 = every request is a group of one lane)
-        requested_lanes = (batch_lanes if batch_lanes is not None
-                           else acc.batch_lanes)
-        self.batch_lanes = resolve_batch_lanes(requested_lanes)
+        #: modeled SIMT width: the ``batch_lanes`` argument over the
+        #: configured one (0 = every request is a group of one lane; a
+        #: width of 1 is never a group)
+        lanes = batch_lanes if batch_lanes is not None else acc.batch_lanes
+        self.batch_lanes = lanes if lanes > 1 else 0
         for core in self.cores:
             core.tlb = TranslationCache(
                 node.table, capacity=acc.tlb_entries_per_core,

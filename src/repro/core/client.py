@@ -306,14 +306,12 @@ class PulseClient:
                                 program=request.program.name)
         response = yield from self._dispatch(request)
         while response.status in (RequestStatus.ITER_LIMIT,
-                                  RequestStatus.RUNNING,
-                                  RequestStatus.MOVED):
+                                  RequestStatus.RUNNING):
             # ITER_LIMIT: section 3.1 continuation after the accelerator's
             # per-request budget.  RUNNING: only in pulse-ACC mode, where
             # inter-node hops bounce through this CPU node (Fig 8).
-            # MOVED: defensive -- the switch normally absorbs migration
-            # redirects; resubmitting from the carried state is always
-            # safe because the switch re-resolves ownership on entry.
+            # MOVED never gets here: the switch re-routes a migration
+            # redirect to the live owner or FAULTs it.
             request = self.engine.continuation(response, self.env.now)
             response = yield from self._dispatch(request)
 

@@ -31,7 +31,7 @@ from repro.mem.node import GlobalMemory
 from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.placement.service import PlacementService
-from repro.shard.runtime import ShardError, ShardedRuntime, resolve_workers
+from repro.shard.runtime import ShardError, ShardedRuntime
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric
 
@@ -58,8 +58,7 @@ class PulseCluster:
                  seed: int = 0,
                  split_index: bool = False,
                  split_index_capacity: int = 1 << 20,
-                 split_index_invalidate: bool = True,
-                 workers: Optional[int] = None):
+                 split_index_invalidate: bool = True):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.env = Environment()
         #: one registry carries every metric in the rack; snapshot() is
@@ -142,11 +141,8 @@ class PulseCluster:
             for i in range(client_count)
         ]
         self._next_client = 0
-        #: requested shard count (``workers=`` arg, else ``PULSE_WORKERS``
-        #: env, else 0 = classic in-process execution); the fork happens
-        #: lazily on the first submission so structures built after
-        #: construction still replicate into every worker
-        self._workers = resolve_workers(workers)
+        #: worker processes attached by :meth:`shard` (None = classic
+        #: in-process execution)
         self.runtime: Optional[ShardedRuntime] = None
 
     @property
@@ -174,14 +170,8 @@ class PulseCluster:
         """
         if self.sharded:
             raise ShardError("cluster is already sharded")
-        self.runtime = ShardedRuntime(
-            self, workers if workers is not None else (self._workers or None),
-            replicated=replicated)
+        self.runtime = ShardedRuntime(self, workers, replicated=replicated)
         return self.runtime.start()
-
-    def _ensure_sharded(self) -> None:
-        if self._workers > 0 and self.runtime is None:
-            self.shard(self._workers)
 
     def shutdown(self) -> None:
         """Stop worker processes (no-op for in-process clusters)."""
@@ -322,7 +312,6 @@ class PulseCluster:
         them, so many in-flight submissions naturally spread over the
         clients (and their doorbell batchers).
         """
-        self._ensure_sharded()
         return self._pick_client().submit(iterator, *args)
 
     def submit_many(self, requests: Sequence[Tuple[PulseIterator, tuple]]
@@ -337,7 +326,6 @@ class PulseCluster:
         """
         if not requests:
             return []
-        self._ensure_sharded()
         client = self._pick_client()
         return client.submit_many(requests)
 
@@ -352,7 +340,6 @@ class PulseCluster:
     def run_traversal(self, iterator: PulseIterator,
                       *args) -> TraversalResult:
         """Convenience: run one traversal to completion synchronously."""
-        self._ensure_sharded()
         process = self.env.process(
             self.clients[0].traverse(iterator, *args))
         return self.env.run(until=process)
@@ -360,7 +347,6 @@ class PulseCluster:
     def run_workload(self, operations: Sequence[Tuple[PulseIterator, tuple]],
                      concurrency: int = 8,
                      warmup: int = 0) -> WorkloadStats:
-        self._ensure_sharded()
         return run_workload(self, operations, concurrency, warmup)
 
     # -- observability ------------------------------------------------------------

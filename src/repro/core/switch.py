@@ -211,6 +211,7 @@ class PulseSwitch:
                 request.fault_reason = (
                     f"switch: unroutable pointer {request.cur_ptr:#x}")
                 self._m_returned.inc()
+                self._table.pop(request.request_id, None)
                 self._forward(message, client)
                 return
             if from_memory:

@@ -32,7 +32,6 @@ from repro.isa.compiler import (
 from repro.isa.batchmachine import (
     BatchMachine,
     get_batch_plan,
-    resolve_batch_lanes,
 )
 from repro.isa.interpreter import (
     IterationOutcome,
@@ -66,6 +65,5 @@ __all__ = [
     "imm",
     "interpreter_forced",
     "reg",
-    "resolve_batch_lanes",
     "sp",
 ]

@@ -7,35 +7,20 @@ loop with the memory side handed in by the caller, for the differential
 tests and the perfbench probe.  A lane is an ordinary ``IteratorMachine``
 (compiled, or the oracle under ``PULSE_INTERP=1``), so a faulting lane
 reports the fault a request on its own would; its neighbours run on.
-
-``PULSE_BATCH`` (environment) overrides the configured lane width: a
-parameter of the *model* (how many lanes share a memory phase), unlike
-the tier that executes the frames.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from repro.isa.compiler import compile_program
 from repro.isa.instructions import ExecutionFault, wrap64
 from repro.isa.interpreter import IterationOutcome, IteratorMachine
 
-__all__ = ["BatchMachine", "get_batch_plan", "resolve_batch_lanes"]
+__all__ = ["BatchMachine", "get_batch_plan"]
 
 #: a group's plan is its kernel's compiled form (the shared LOAD window)
 get_batch_plan = compile_program
-
-
-def resolve_batch_lanes(default: int) -> int:
-    """Effective lane width: ``PULSE_BATCH`` over the configured default;
-    0 (for a width of 0 or 1) means requests are never grouped."""
-    try:
-        lanes = int(os.environ.get("PULSE_BATCH", "").strip() or default)
-    except ValueError:
-        lanes = default
-    return lanes if lanes > 1 else 0
 
 
 class BatchMachine:

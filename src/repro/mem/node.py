@@ -80,18 +80,6 @@ class ForwardingTable:
         """Drop one specific hint (a migration's own expiry timer)."""
         return self._hints.pop(hint_id, None) is not None
 
-    def expire(self, now: float, window_ns: float) -> int:
-        """Age sweep: drop hints older than the window; returns #dropped.
-
-        Kept for administrative cleanup; live migrations remove their
-        own hint by id via :meth:`remove` instead.
-        """
-        stale = [hint_id for hint_id, (_s, _e, _o, t) in
-                 self._hints.items() if now - t > window_ns]
-        for hint_id in stale:
-            del self._hints[hint_id]
-        return len(stale)
-
 
 class MemoryNode:
     """One disaggregated memory node: DRAM + local translation state."""

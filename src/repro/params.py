@@ -111,8 +111,8 @@ class AcceleratorParams:
     tlb_entries_per_core: int = 8
     #: lane-group width: how many workspace frames one core steps in
     #: lockstep through a shared kernel when a doorbell batch lands (the
-    #: modeled SIMT width).  ``PULSE_BATCH`` overrides at runtime; 0 or
-    #: 1 means every request is a group of one
+    #: modeled SIMT width).  ``PulseCluster(batch_lanes=...)`` overrides
+    #: it per rack; 0 or 1 means every request is a group of one
     batch_lanes: int = 32
 
     def occupancy_ns(self, size_bytes: int) -> float:

@@ -125,7 +125,7 @@ class Rebalancer:
                         prefer_cold=False)
                     return moved
 
-        if getattr(self.params, "cut_edge_objective", False):
+        if self.params.cut_edge_objective:
             moved = yield from self._cut_phase(active, fills)
             return moved
         return 0

@@ -52,10 +52,8 @@ class ShardError(RuntimeError):
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``PULSE_WORKERS``, else 0."""
-    if explicit is not None:
-        return int(explicit)
-    return int(os.environ.get("PULSE_WORKERS", "0") or 0)
+    """Worker count: the explicit argument, else 0 (in process)."""
+    return int(explicit) if explicit is not None else 0
 
 
 def lookahead_ns(params) -> float:

@@ -280,7 +280,6 @@ class TestProcessBudget:
 
     def test_doorbell_starts_one_process_per_group_none_per_lane(
             self, monkeypatch):
-        monkeypatch.delenv("PULSE_BATCH", raising=False)
         cluster, lst = make_list_cluster(batch_size=64, batch_lanes=32)
         started = count_process_starts(monkeypatch)
         pending = cluster.submit_many(

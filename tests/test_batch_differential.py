@@ -10,9 +10,10 @@ Two layers, mirroring ``test_compiler_differential.py``:
 * **End to end**: one doorbell burst mixing chains, a B+Tree, and a
   skip list at mixed depths -- with a corrupted pointer faulting some
   lanes mid-group -- must return byte-identical values and identical
-  fault classifications at every lane width (``PULSE_BATCH=0/16/32``)
+  fault classifications at every lane width (``batch_lanes=0/16/32``)
   on either execution tier (``PULSE_INTERP=0/1``), and at one width the
-  tier must not move a single completion time.
+  tier must not move a single completion time.  The bursts run through
+  :mod:`tests.scenario`; width 1 is ``batch_lanes=0`` of the same run.
 """
 
 import pytest
@@ -21,10 +22,11 @@ np = pytest.importorskip("numpy")
 
 from repro.core import PulseCluster
 from repro.isa import IteratorMachine, assemble
-from repro.isa.batchmachine import (BatchMachine, get_batch_plan,
-                                    resolve_batch_lanes)
+from repro.isa.batchmachine import BatchMachine, get_batch_plan
 from repro.isa.interpreter import ExecutionFault
 from repro.structures import BPlusTree, HashTable, LinkedList, SkipList
+
+from tests.scenario import corrupt_chain, run, total
 
 # -- unit layer: BatchMachine vs the interpreter ------------------------------
 
@@ -208,21 +210,6 @@ def test_oversized_seed_faults_like_reset():
         machine.seed(1, RING_BASE, bytes(17))
 
 
-def test_resolve_batch_lanes_env_and_interp_gates(monkeypatch):
-    monkeypatch.delenv("PULSE_BATCH", raising=False)
-    monkeypatch.delenv("PULSE_INTERP", raising=False)
-    assert resolve_batch_lanes(32) == 32
-    monkeypatch.setenv("PULSE_BATCH", "16")
-    assert resolve_batch_lanes(32) == 16
-    monkeypatch.setenv("PULSE_BATCH", "0")
-    assert resolve_batch_lanes(32) == 0
-    monkeypatch.setenv("PULSE_BATCH", "1")
-    assert resolve_batch_lanes(32) == 0      # one lane is never a group
-    monkeypatch.delenv("PULSE_BATCH")
-    monkeypatch.setenv("PULSE_INTERP", "1")  # the tier is not the model's
-    assert resolve_batch_lanes(32) == 32     # business: width unchanged
-
-
 # -- end-to-end layer: mixed-structure bursts across all three tiers ----------
 
 CHAIN_KEYS = 48
@@ -248,13 +235,7 @@ def build_world(seed=5, **rack_options):
 
     # Corrupt the next pointer at CORRUPT_DEPTH: traversals that walk
     # past it hit an unmapped address and fault mid-batch.
-    addr = chain.head
-    for _ in range(CORRUPT_DEPTH):
-        addr = int.from_bytes(cluster.memory.read(addr + 16, 8),
-                              "little")
-    node = cluster.memory.read(addr, 24)
-    cluster.memory.write(addr, node[:16]
-                         + (0xDEAD_BEEF_0000).to_bytes(8, "little"))
+    corrupt_chain(cluster, chain, CORRUPT_DEPTH, 0xDEAD_BEEF_0000)
 
     operations = []
     for i in range(24):
@@ -272,27 +253,19 @@ def build_world(seed=5, **rack_options):
 def run_tier(monkeypatch, interp: bool, batch: int, **rack_options):
     """(outcomes, snapshot, latencies) of the burst on one tier/width."""
     monkeypatch.setenv("PULSE_INTERP", "1" if interp else "0")
-    monkeypatch.setenv("PULSE_BATCH", str(batch))
-    cluster, operations = build_world(**rack_options)
-    pendings = cluster.submit_many(operations)
-    cluster.env.run()
-    outcomes = []
-    for pending in pendings:
-        result = pending.result
-        outcomes.append((
-            result.ok,
-            result.value,
-            result.iterations,
-            result.fault.kind if result.fault else None,
-            result.fault.reason if result.fault else None,
-        ))
-    snapshot = cluster.metrics_snapshot()
-    return outcomes, snapshot, [p.result.latency_ns for p in pendings]
+    cluster, operations = build_world(batch_lanes=batch, **rack_options)
+    results, snapshot, _end = run(cluster, [operations], batch=True)
+    outcomes = [(result.ok,
+                 result.value,
+                 result.iterations,
+                 result.fault.kind if result.fault else None,
+                 result.fault.reason if result.fault else None)
+                for result in results]
+    return outcomes, snapshot, [r.latency_ns for r in results]
 
 
 def batch_steps(snapshot):
-    return sum(v for k, v in snapshot["counters"].items()
-               if k.endswith(".batch.steps"))
+    return total(snapshot, ".batch.steps")
 
 
 @pytest.mark.parametrize("lanes", [16, 32])
@@ -348,8 +321,7 @@ def test_store_kernels_are_never_grouped(monkeypatch):
     even when a whole doorbell burst shares it; the finds beside it
     still group."""
     monkeypatch.delenv("PULSE_INTERP", raising=False)
-    monkeypatch.setenv("PULSE_BATCH", "32")
-    cluster = PulseCluster(node_count=1, batch_size=32)
+    cluster = PulseCluster(node_count=1, batch_size=32, batch_lanes=32)
     table = HashTable(cluster.memory, buckets=4, value_bytes=8)
     for key in range(64):
         table.insert(key, key.to_bytes(8, "little"))
@@ -373,12 +345,10 @@ def test_store_kernels_are_never_grouped(monkeypatch):
 
 
 def test_batch_tier_default_on_matches_scalar(monkeypatch):
-    """No env overrides: the params default (32 lanes) stays correct."""
+    """No overrides: the params default (32 lanes) stays correct."""
     monkeypatch.delenv("PULSE_INTERP", raising=False)
-    monkeypatch.delenv("PULSE_BATCH", raising=False)
     cluster, operations = build_world()
-    pendings = cluster.submit_many(operations)
-    cluster.env.run()
-    defaults = [(p.result.ok, p.result.value) for p in pendings]
+    defaults, _snapshot, _end = run(cluster, [operations], batch=True)
     scalar, _, _ = run_tier(monkeypatch, interp=False, batch=0)
-    assert defaults == [(ok, value) for ok, value, *_ in scalar]
+    assert [(r.ok, r.value) for r in defaults] == \
+        [(ok, value) for ok, value, *_ in scalar]

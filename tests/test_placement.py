@@ -220,15 +220,6 @@ class TestForwardingTable:
         assert table.lookup(0x2000) is None
         assert table.redirects == 1
 
-    def test_expire_drops_only_stale_hints(self):
-        table = ForwardingTable()
-        table.install(0x1000, 0x2000, new_owner=1, now=0.0)
-        table.install(0x3000, 0x4000, new_owner=2, now=900.0)
-        dropped = table.expire(now=1000.0, window_ns=500.0)
-        assert dropped == 1
-        assert table.lookup(0x1800) is None
-        assert table.lookup(0x3800) == 2
-
     def test_remove_drops_exactly_one_hint_by_id(self):
         # Two hints for the same range (the range migrated away, came
         # back, and left again): each migration's expiry must remove

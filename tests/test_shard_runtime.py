@@ -172,13 +172,9 @@ class TestMergeSnapshots:
 
 
 class TestConfig:
-    def test_resolve_workers_precedence(self, monkeypatch):
-        monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    def test_resolve_workers_precedence(self):
         assert resolve_workers() == 0
         assert resolve_workers(3) == 3
-        monkeypatch.setenv("PULSE_WORKERS", "2")
-        assert resolve_workers() == 2
-        assert resolve_workers(5) == 5
 
     def test_lookahead_is_min_link_latency(self):
         params = SystemParams()
@@ -262,34 +258,39 @@ def test_worker_stores_stay_out_of_the_coordinators_copy():
             for k in keys] == list(keys)
 
 
-def test_lazy_shard_from_inside_a_running_process(monkeypatch):
-    """``PULSE_WORKERS`` shards on the first submission, which an
-    open-loop driver makes from inside a process that ``env.run`` is
-    already draining: the window hook has to take effect mid-run."""
-    from repro.bench.driver import run_open_loop
+def test_lazy_shard_from_inside_a_running_process():
+    """``cluster.shard`` called from inside a process that ``env.run``
+    is already draining: the window hook has to take effect mid-run."""
     from repro.structures import HashTable
 
-    def run():
+    def run(workers):
         cluster = PulseCluster(node_count=2, seed=3)
         table = HashTable(cluster.memory, buckets=16, partition_nodes=2)
         for k in range(50):
             table.insert(k, (1_000 + k).to_bytes(8, "little"))
-        ops = [(table.find_iterator(), (k,)) for k in range(50)]
+
+        def driver():
+            yield cluster.env.timeout(100.0)
+            if workers:
+                cluster.shard(workers)
+            results = []
+            for k in range(50):
+                results.append((yield from cluster.traverse(
+                    table.find_iterator(), k)))
+            return results
+
         try:
-            stats = run_open_loop(cluster, ops, 1e6)
-            return stats, cluster.sharded
+            results = cluster.env.run(
+                until=cluster.env.process(driver()))
+            return results, cluster.sharded
         finally:
             cluster.shutdown()
 
-    # CI runs this under PULSE_WORKERS=1/2/4; standalone it forces 2
-    workers = str(resolve_workers() or 2)
-    monkeypatch.delenv("PULSE_WORKERS", raising=False)
-    baseline, sharded = run()
+    baseline, sharded = run(0)
     assert not sharded
-    monkeypatch.setenv("PULSE_WORKERS", workers)
-    stats, sharded = run()
+    results, sharded = run(2)
     assert sharded
-    assert stats.completed == 50 and stats.lost == 0
-    assert [r.value for r in stats.results] == \
-        [r.value for r in baseline.results]
-    assert all(r.ok for r in stats.results)
+    assert all(r.ok for r in results)
+    assert [r.value for r in results] == [r.value for r in baseline]
+    assert [r.latency_ns for r in results] == \
+        [r.latency_ns for r in baseline]

@@ -1,5 +1,7 @@
 """Unit tests for switch routing logic and message lifecycle details."""
 
+import pytest
+
 from repro.core import PulseCluster, RequestStatus
 from repro.core.messages import TraversalRequest
 from repro.core.switch import PulseSwitch
@@ -78,6 +80,22 @@ class TestSwitchRouting:
         delivered = client.inbox._items[0].payload
         assert delivered.status is RequestStatus.FAULT
         assert "unroutable" in delivered.fault_reason
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_unroutable_pointer_leaves_no_client_entry(self, batch_size):
+        """Single-request and doorbell-batch routing agree: a request
+        FAULTed as unroutable takes its learned client entry with it."""
+        from repro.structures import LinkedList
+        cluster = PulseCluster(node_count=1, batch_size=batch_size)
+        chain = LinkedList(cluster.memory)
+        chain.extend([(1, 1), (2, 2)])
+        chain.head = 0x10  # below any range
+        pendings = cluster.submit_many(
+            [(chain.find_iterator(), (2,))] * batch_size)
+        cluster.env.run()
+        assert all("unroutable" in p.result.fault.reason for p in pendings)
+        gauges = cluster.metrics_snapshot()["gauges"]
+        assert gauges["switch.client_table_occupancy"] == 0
 
     def test_bounce_mode_returns_running_to_client(self):
         env, fabric, space, switch, client, nodes = make_switch(

@@ -173,11 +173,10 @@ class TestRackIntegration:
         assert counters["mem0.acc.workspace.allocated"] == 1
         assert counters["mem0.acc.workspace.reused"] == 2
 
-    def test_full_width_group_reuses_every_frame(self, monkeypatch):
+    def test_full_width_group_reuses_every_frame(self):
         """The pool retains a whole lane group's frames even when the
         group is wider than ``workspaces_per_core`` (16): the second
         32-lane burst allocates nothing."""
-        monkeypatch.delenv("PULSE_BATCH", raising=False)
         cluster = PulseCluster(node_count=1, batch_size=32,
                                cores_per_accelerator=1)
         lst = LinkedList(cluster.memory)
