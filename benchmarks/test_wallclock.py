@@ -2,7 +2,8 @@
 
 Unlike every other file in this directory, which measures *simulated*
 time, this one measures the *simulator's own* speed -- the reason the
-threaded-code compile tier (``repro.isa.compiler``) exists and the
+compile tier (``repro.isa.compiler``: one Python function per iteration
+body) exists and the
 host-side payoff of lane groups.  Three measurements:
 
 * **Microbench**: raw ``IteratorMachine`` iterations/sec chasing a ring
@@ -125,8 +126,8 @@ _WARMED = False
 def warm_up():
     """One untimed pass over every code path the timers cover.
 
-    Primes bytecode caches, the compile tier's threaded-code assembly
-    and the cluster/allocator pools, so the first timed measurement in
+    Primes bytecode caches, the compile tier's per-kernel code
+    generation and the cluster/allocator pools, so the first timed measurement in
     this module is not also the first execution of anything.
     """
     global _WARMED

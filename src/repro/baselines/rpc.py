@@ -26,7 +26,7 @@ from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import ExecutionFault, wrap64
 from repro.isa.interpreter import IterationOutcome
-from repro.mem.translation import ProtectionFault
+from repro.mem.translation import PERM_READ, ProtectionFault
 from repro.sim.network import Message
 from repro.sim.resources import Resource
 
@@ -130,7 +130,7 @@ class _RpcServer:
             memory = self.node.memory
 
             def read(vaddr: int, size: int) -> bytes:
-                return memory.read(entry.translate(vaddr), size)
+                return memory.read(entry.translate(vaddr, PERM_READ), size)
 
             try:
                 step = machine.run_iteration(read, self.node.write_virt)

@@ -36,10 +36,10 @@ from repro.core.messages import (DIRECT_READ_KIND, DURABILITY_KIND,
 from repro.core.scheduling import FairWorkspacePool, FifoWorkspacePool
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import MASK64, ExecutionFault
-from repro.isa.interpreter import IterationOutcome, IteratorMachine
+from repro.isa.interpreter import IteratorMachine
 from repro.mem.node import MemoryNode
-from repro.mem.translation import (ProtectionFault, TranslationCache,
-                                   TranslationFault)
+from repro.mem.translation import (PERM_READ, ProtectionFault,
+                                   TranslationCache, TranslationFault)
 from repro.obs.metrics import MetricsRegistry
 from repro.params import SystemParams
 from repro.sim.engine import Environment
@@ -77,9 +77,6 @@ class _Lane:
         self.addr = 0
         self.entry = None
         self.returned = False
-
-    def read(self, vaddr: int, size: int) -> bytes:
-        return self._node.memory.read(self.entry.translate(vaddr), size)
 
     def write(self, vaddr: int, data: bytes) -> None:
         # The STORE applies to DRAM and journals into the redo log in
@@ -487,6 +484,7 @@ class Accelerator:
         grouped = len(requests) > 1
         tlb = core.tlb
         table = tlb.table
+        read_dram = self.node.memory.read
         hotness = self.hotness
         lanes: List[_Lane] = []
         for request in requests:
@@ -565,11 +563,21 @@ class Accelerator:
                         held.append(lane)
 
             # Logic pass: one FPGA cycle per executed logic instruction.
+            # The frame is handed the window's bytes straight through
+            # the entry its lane holds (translation + protection, §4.2).
             stepped: List[_Lane] = []
             work = slowest = 0
             for lane in held:
+                entry = lane.entry
                 try:
-                    step = lane.frame.run_iteration(lane.read, lane.write)
+                    if not entry.perms & PERM_READ:
+                        raise ProtectionFault(lane.addr, PERM_READ,
+                                              entry.perms)
+                    lane.returned, executed = lane.frame.step(
+                        read_dram(entry.phys_start
+                                  + (lane.addr - entry.virt_start),
+                                  window_size),
+                        lane.write)
                 except (ExecutionFault, ProtectionFault,
                         TranslationFault) as exc:
                     self._m_faults.inc()
@@ -577,8 +585,7 @@ class Accelerator:
                         RequestStatus.FAULT, str(exc)), early=grouped)
                     continue
                 lane.iterations += 1
-                lane.returned = step.outcome is IterationOutcome.DONE
-                cycles = step.instructions_executed - 1
+                cycles = executed - 1
                 work += cycles
                 if cycles > slowest:
                     slowest = cycles

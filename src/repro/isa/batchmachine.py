@@ -15,7 +15,7 @@ from typing import Sequence
 
 from repro.isa.compiler import compile_program
 from repro.isa.instructions import ExecutionFault, wrap64
-from repro.isa.interpreter import IterationOutcome, IteratorMachine
+from repro.isa.interpreter import IteratorMachine
 
 __all__ = ["BatchMachine", "get_batch_plan"]
 
@@ -48,14 +48,12 @@ class BatchMachine:
         done, cont, faulted = [], [], []
         for lane, row in zip(map(int, lanes), rows):
             try:
-                step = self.frames[lane].run_iteration(
-                    lambda _vaddr, _size, _row=row: _row)
+                returned, _executed = self.frames[lane].step(row)
             except ExecutionFault as exc:
                 self.faults[lane] = str(exc)
                 faulted.append(lane)
                 continue
-            (done if step.outcome is IterationOutcome.DONE
-             else cont).append(lane)
+            (done if returned else cont).append(lane)
         return done, cont, faulted
 
     def lane_cur_ptr(self, lane: int) -> int:

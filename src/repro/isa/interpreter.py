@@ -23,29 +23,31 @@ Two execution tiers share this machine's state and interface:
 * the **interpreted** tier below -- the semantic oracle, selected by
   constructing with ``compiled=False`` or by setting ``PULSE_INTERP=1``
   in the environment;
-* the **compiled** tier (the default) -- threaded code produced once per
-  program content by :func:`~repro.isa.compiler.compile_program`, with
-  operand access specialized at compile time.  Same faults, same
-  counters, byte-identical scratch results.
+* the **compiled** tier (the default) -- one Python function per
+  iteration body, produced once per program content by
+  :func:`~repro.isa.compiler.compile_program`, with control flow,
+  operand access and the instruction count resolved at compile time.
+  Same faults, same counters, byte-identical scratch results.
+
+Both run behind one call shape: :meth:`IteratorMachine.step` takes the
+bytes of the iteration's LOAD (a host that already holds them -- the
+accelerator, through its TLB entry -- calls it directly), and
+:meth:`IteratorMachine.run_iteration` is ``read_fn`` + ``step``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from repro.isa.compiler import (
-    PC_RETURN,
-    CompiledProgram,
-    compile_program,
-    interpreter_forced,
-)
+from repro.isa.compiler import compile_program, interpreter_forced
 from repro.isa.instructions import (
     Bank,
     ExecutionFault,
     Instruction,
     JUMP_OPCODES,
+    MASK64,
     Opcode,
     Operand,
     to_signed,
@@ -69,13 +71,12 @@ class StepResult:
     outcome: IterationOutcome
     instructions_executed: int
     load_bytes: int
-    stored_bytes: int = 0
 
 
 class IteratorMachine:
     """Workspace state + single-iteration executor for one program.
 
-    ``compiled=None`` (the default) selects the threaded-code tier
+    ``compiled=None`` (the default) selects the compiled tier
     unless ``PULSE_INTERP=1`` is set; pass ``compiled=False`` to pin the
     interpreted oracle, ``compiled=True`` to pin the fast path.
     """
@@ -85,8 +86,9 @@ class IteratorMachine:
         self.program = program
         if compiled is None:
             compiled = not interpreter_forced()
-        self._compiled: Optional[CompiledProgram] = (
-            compile_program(program) if compiled else None)
+        self._window_offset, self._window_size = program.load_window
+        #: the compiled iteration body, or None on the interpreted tier
+        self._kernel = compile_program(program).kernel if compiled else None
         self.cur_ptr = 0
         # One allocation for the life of the machine: reset() zero-fills
         # in place, so pooled workspaces reuse this buffer across
@@ -97,16 +99,14 @@ class IteratorMachine:
         self.regs = [0] * 8
         self._flag_eq = False
         self._flag_lt = False
-        self._store_fn: Optional[WriteFn] = None
-        self._stored = 0
         self.total_instructions = 0
         self.total_load_bytes = 0
         self.iterations = 0
 
     @property
     def compiled(self) -> bool:
-        """True when this machine runs the threaded-code tier."""
-        return self._compiled is not None
+        """True when this machine runs the compiled tier."""
+        return self._kernel is not None
 
     def reset(self, cur_ptr: int, scratch: Optional[bytes] = None) -> None:
         """Initialize for a traversal (or resume one mid-flight).
@@ -128,8 +128,6 @@ class IteratorMachine:
         self.regs = [0] * 8
         self._flag_eq = False
         self._flag_lt = False
-        self._store_fn = None
-        self._stored = 0
         self.total_instructions = 0
         self.total_load_bytes = 0
         self.iterations = 0
@@ -138,18 +136,40 @@ class IteratorMachine:
     def run_iteration(self, read_fn: ReadFn,
                       write_fn: Optional[WriteFn] = None) -> StepResult:
         """Memory phase + logic phase for the current cur_ptr."""
-        frame = self._compiled
-        if frame is not None:
-            return self._run_compiled(frame, read_fn, write_fn)
-        offset, size = self.program.load_window
-        self.data = read_fn(wrap64(self.cur_ptr + offset), size)
-        if len(self.data) != size:
-            raise ExecutionFault(
-                f"short read: wanted {size} B, got {len(self.data)} B")
-        self.total_load_bytes += size
-        executed = 1  # the LOAD itself
-        stored = 0
+        size = self._window_size
+        done, executed = self.step(
+            read_fn((self.cur_ptr + self._window_offset) & MASK64, size),
+            write_fn)
+        return StepResult(
+            IterationOutcome.DONE if done else IterationOutcome.CONTINUE,
+            executed, size)
 
+    def step(self, data, write_fn: Optional[WriteFn] = None
+             ) -> Tuple[bool, int]:
+        """Logic phase over ``data``, the bytes (any buffer) of this
+        iteration's LOAD window, already read by the caller.
+
+        Returns ``(done, instructions_executed)``: whether RETURN was
+        reached, and the count -- the LOAD included -- the host charges
+        logic time for.
+        """
+        size = self._window_size
+        if len(data) != size:
+            raise ExecutionFault(
+                f"short read: wanted {size} B, got {len(data)} B")
+        self.total_load_bytes += size
+        kernel = self._kernel
+        done, executed = (kernel(self, data, write_fn) if kernel is not None
+                          else self._interpret(data, write_fn))
+        self.iterations += 1
+        self.total_instructions += executed
+        return done, executed
+
+    def _interpret(self, data, write_fn: Optional[WriteFn]
+                   ) -> Tuple[bool, int]:
+        """The oracle's logic phase: decode and dispatch per instruction."""
+        self.data = data
+        executed = 1  # the LOAD itself
         pc = 1
         instructions = self.program.instructions
         while True:
@@ -160,15 +180,9 @@ class IteratorMachine:
             op = instr.opcode
 
             if op is Opcode.RETURN:
-                self.iterations += 1
-                self.total_instructions += executed
-                return StepResult(IterationOutcome.DONE, executed,
-                                  size, stored)
+                return True, executed
             if op is Opcode.NEXT_ITER:
-                self.iterations += 1
-                self.total_instructions += executed
-                return StepResult(IterationOutcome.CONTINUE, executed,
-                                  size, stored)
+                return False, executed
             if op is Opcode.COMPARE:
                 a = self._read(instr.a)
                 b = self._read(instr.b)
@@ -195,44 +209,11 @@ class IteratorMachine:
                 write_fn(wrap64(self.cur_ptr + instr.mem_offset),
                          (value & ((1 << (8 * width)) - 1))
                          .to_bytes(width, "little"))
-                stored += width
                 pc += 1
                 continue
             # ALU
             self._alu(instr)
             pc += 1
-
-    def _run_compiled(self, frame: CompiledProgram, read_fn: ReadFn,
-                      write_fn: Optional[WriteFn]) -> StepResult:
-        """Threaded-code iteration: same phases, same faults, no dispatch.
-
-        The memory phase mirrors the interpreted path exactly; the logic
-        phase then indexes straight into the compiled callable table --
-        each callable returns the next pc, terminals return negative
-        sentinels.
-        """
-        size = frame.window_size
-        data = read_fn(wrap64(self.cur_ptr + frame.window_offset), size)
-        self.data = data
-        if len(data) != size:
-            raise ExecutionFault(
-                f"short read: wanted {size} B, got {len(data)} B")
-        self.total_load_bytes += size
-        self._store_fn = write_fn
-        self._stored = 0
-
-        ops = frame.ops
-        pc = 1
-        executed = 1  # the LOAD itself
-        while pc >= 0:
-            executed += 1
-            pc = ops[pc](self)
-
-        self.iterations += 1
-        self.total_instructions += executed
-        outcome = (IterationOutcome.DONE if pc == PC_RETURN
-                   else IterationOutcome.CONTINUE)
-        return StepResult(outcome, executed, size, self._stored)
 
     def _branch_taken(self, op: Opcode) -> bool:
         eq, lt = self._flag_eq, self._flag_lt
@@ -352,9 +333,10 @@ class IteratorMachine:
         callers that want the continuation behaviour should loop over
         :meth:`run_iteration` themselves.
         """
+        offset, size = self._window_offset, self._window_size
         for _ in range(max_iterations):
-            result = self.run_iteration(read_fn, write_fn)
-            if result.outcome is IterationOutcome.DONE:
+            data = read_fn((self.cur_ptr + offset) & MASK64, size)
+            if self.step(data, write_fn)[0]:
                 return bytes(self.scratch)
         raise ExecutionFault(
             f"traversal exceeded {max_iterations} iterations")

@@ -49,7 +49,11 @@ class RangeEntry:
     def covers(self, vaddr: int, size: int) -> bool:
         return self.virt_start <= vaddr and vaddr + size <= self.virt_end
 
-    def translate(self, vaddr: int) -> int:
+    def translate(self, vaddr: int, access: int = 0) -> int:
+        """Physical address of ``vaddr``; raises ProtectionFault when the
+        entry does not grant every ``access`` bit."""
+        if (self.perms & access) != access:
+            raise ProtectionFault(vaddr, access, self.perms)
         return self.phys_start + (vaddr - self.virt_start)
 
 
@@ -145,9 +149,7 @@ class RangeTranslationTable:
         entry = self.lookup(vaddr, size)
         if entry is None:
             raise TranslationFault(vaddr)
-        if (entry.perms & access) != access:
-            raise ProtectionFault(vaddr, access, entry.perms)
-        return entry.translate(vaddr)
+        return entry.translate(vaddr, access)
 
     def remove_range(self, virt_start: int, virt_end: int
                      ) -> List[RangeEntry]:

@@ -160,6 +160,27 @@ class TestProtectionPath:
         assert not result.ok
         assert "protection" in result.fault.reason.lower()
 
+    def test_unreadable_range_faults_on_load(self):
+        """The memory pipeline is translation *and* protection (§4.2): a
+        LOAD through a range without PERM_READ faults exactly as
+        ``MemoryNode.read_virt`` does, it does not return the bytes."""
+        from repro.mem.translation import PERM_WRITE, ProtectionFault
+        from repro.structures import HashTable
+
+        cluster = PulseCluster(node_count=1)
+        table = HashTable(cluster.memory, buckets=2, value_bytes=8)
+        table.insert(5, (1).to_bytes(8, "little"))
+        node = cluster.memory.nodes[0]
+        for entry in node.table.entries:
+            node.table.set_permissions(entry.virt_start, PERM_WRITE)
+        finder = table.find_iterator()
+        with pytest.raises(ProtectionFault) as functional:
+            node.read_virt(finder.init(5)[0], 8)
+        result = cluster.run_traversal(finder, 5)
+        assert not result.ok
+        assert result.fault.reason == str(functional.value)
+        assert counter_value(cluster, "mem0.acc.faults") == 1
+
     def test_store_through_accelerator_persists(self):
         from repro.structures import HashTable
 

@@ -77,6 +77,19 @@ class TestRpcSystem:
         result = run(rpc, finder, 1)
         assert not result.ok
 
+    def test_unreadable_range_faults_on_load(self):
+        """The worker's LOAD honours PERM_READ like ``read_virt`` does."""
+        from repro.mem.translation import PERM_WRITE
+
+        rpc = RpcSystem(node_count=1)
+        lst = populate_list(rpc)
+        node = rpc.memory.nodes[0]
+        for entry in node.table.entries:
+            node.table.set_permissions(entry.virt_start, PERM_WRITE)
+        result = run(rpc, lst.find_iterator(), 17)
+        assert not result.ok
+        assert "protection fault" in result.fault.reason
+
 
 class TestPageCache:
     def test_hit_after_fill(self):

@@ -10,12 +10,20 @@ two independently-built (but deterministic, hence identical) worlds so
 each mode observes its own STOREs only.
 """
 
+import hashlib
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.isa import (
     ExecutionFault,
+    Instruction,
     IterationOutcome,
     IteratorMachine,
+    Opcode,
+    Operand,
+    Program,
     assemble,
     compile_program,
 )
@@ -24,7 +32,9 @@ from repro.isa.compiler import (
     compile_cache_size,
     interpreter_forced,
 )
+from repro.isa.instructions import ALU_OPCODES, JUMP_OPCODES, Bank
 from repro.mem import GlobalMemory
+from repro.mem.translation import ProtectionFault, TranslationFault
 from repro.structures import (
     AvlTree,
     BPlusTree,
@@ -303,3 +313,209 @@ def test_reset_preserves_scratch_when_asked():
         assert int.from_bytes(bytes(machine.scratch[:8]), "little") == 7
         machine.reset(addr, b"")              # fresh request: zeroed
         assert bytes(machine.scratch) == bytes(len(machine.scratch))
+
+
+# -- generated programs -------------------------------------------------------
+#
+# The catalog kernels never jump before their first COMPARE, carry a
+# register across iterations, read one scratch word at two widths or alias
+# a directly addressed word through sp[rN] -- the cases state-in-locals and
+# word promotion can get wrong.  Draw them.
+
+GEN_WINDOW = 32
+GEN_PAD = 24
+GEN_ITERATIONS = 4
+GENERATED = settings(max_examples=1000, derandomize=True, deadline=None,
+                     database=None, suppress_health_check=list(HealthCheck))
+
+# Small operand universes, so that accesses collide: the same scratch word
+# read at several sites (promotion), at two shapes (aliasing), through
+# sp[rN] with rN a small constant, and one word past the pad's end.
+_IMMEDIATES = (0, 1, 8, 16, -1, 2, 23, 255, -256, 1 << 40,
+               (1 << 63) - 1, -(1 << 63))
+_DATA_FIELDS = ((0, 8, True), (8, 8, True), (16, 8, False), (4, 4, False),
+                (0, 4, True), (6, 4, True), (24, 1, False), (25, 2, True),
+                (24, 8, True))
+_PAD_WORDS = ((0, 8, True), (8, 8, True), (16, 8, True), (0, 8, False),
+              (8, 8, True), (16, 8, True), (8, 8, False), (0, 4, True),
+              (12, 8, True), (23, 1, False), (20, 8, True))
+_SOURCE_BANKS = (Bank.IMM, Bank.IMM, Bank.CUR_PTR, Bank.REG, Bank.REG,
+                 Bank.DATA, Bank.DATA, Bank.SP, Bank.SP, Bank.SP,
+                 Bank.SP_IND)
+_DESTINATION_BANKS = (Bank.SP, Bank.SP, Bank.SP, Bank.REG, Bank.REG,
+                      Bank.CUR_PTR, Bank.SP_IND)
+_KINDS = ("alu", "alu", "move", "move", "compare", "compare", "jump",
+          "jump", "jump", "index", "store", "terminal")
+_ALU = sorted(ALU_OPCODES, key=lambda op: op.value)
+_JUMPS = sorted(JUMP_OPCODES, key=lambda op: op.value)
+_TERMINALS = (Opcode.NEXT_ITER, Opcode.NEXT_ITER, Opcode.RETURN)
+
+
+def _program_from(genome: bytes) -> Program:
+    """Decode a byte string into a valid forward-jump program: each
+    decision indexes a table with the next byte (so an all-zero genome is
+    the simplest program, and shrinking heads there)."""
+    genes = iter(genome)
+
+    def pick(options):
+        return options[next(genes, 0) % len(options)]
+
+    # "all" uses every addressing form and shape; "direct" never goes
+    # through sp[rN]; "aligned" also keeps to whole aligned words, whose
+    # scratch words can then live in locals; "indirect" is "aligned" plus
+    # sp[rN], which must stop them from doing so.
+    profile = pick(("all", "direct", "aligned", "indirect"))
+    words = _PAD_WORDS if profile in ("all", "direct") else _PAD_WORDS[:7]
+
+    def operand(banks):
+        bank = pick(banks)
+        if bank is Bank.SP_IND and profile in ("direct", "aligned"):
+            bank = Bank.SP
+        if bank is Bank.IMM:
+            return Operand(bank, pick(_IMMEDIATES), 8, True)
+        if bank is Bank.CUR_PTR:
+            return Operand(bank, 0, 8, False)
+        if bank in (Bank.REG, Bank.SP_IND):
+            return Operand(bank, pick((0, 1)), pick((8, 8, 4, 1)),
+                           pick((True, False)))
+        return Operand(bank, *pick(_DATA_FIELDS if bank is Bank.DATA
+                                   else words))
+
+    length = 3 + next(genes, 0) % 18
+    kinds = [None] + [pick(_KINDS) for _ in range(1, length - 1)]
+    instructions = [Instruction(Opcode.LOAD, mem_offset=0,
+                                mem_size=GEN_WINDOW)]
+    for pc in range(1, length - 1):
+        kind = kinds[pc]
+        if kind == "alu":
+            op = pick(_ALU)
+            instructions.append(Instruction(
+                op, dst=operand(_DESTINATION_BANKS), a=operand(_SOURCE_BANKS),
+                b=None if op is Opcode.NOT else operand(_SOURCE_BANKS)))
+        elif kind == "move":
+            instructions.append(Instruction(
+                Opcode.MOVE, dst=operand(_DESTINATION_BANKS),
+                a=operand(_SOURCE_BANKS)))
+        elif kind == "index":   # a register that points into the pad
+            instructions.append(Instruction(
+                Opcode.MOVE, dst=Operand(Bank.REG, pick((0, 1))),
+                a=Operand(Bank.IMM, pick((0, 8, 16, 12, 17)), 8, True)))
+        elif kind == "compare":
+            instructions.append(Instruction(
+                Opcode.COMPARE, a=operand(_SOURCE_BANKS),
+                b=operand(_SOURCE_BANKS)))
+        elif kind == "jump":
+            # Anywhere ahead, but landing on another JUMP (a join whose
+            # flags come from two places) twice as often.
+            ahead = list(range(pc + 1, length))
+            ahead += [t for t in ahead[:-1] if kinds[t] == "jump"]
+            instructions.append(Instruction(pick(_JUMPS),
+                                            target=pick(ahead)))
+        elif kind == "store":
+            instructions.append(Instruction(
+                Opcode.STORE, a=operand(_SOURCE_BANKS),
+                mem_offset=pick((0, 8, 64))))
+        else:
+            instructions.append(Instruction(pick(_TERMINALS)))
+    instructions.append(Instruction(pick(_TERMINALS)))
+    return Program("generated", instructions, scratch_bytes=GEN_PAD)
+
+
+generated_programs = st.binary(min_size=160, max_size=160).map(_program_from)
+
+
+def _window(vaddr, size):
+    """Deterministic bytes at any address, so every cur_ptr loads."""
+    return hashlib.blake2b(vaddr.to_bytes(8, "little"),
+                           digest_size=size).digest()
+
+
+def trace_tier(program, cur_ptr, scratch, store_fault, compiled):
+    """Observable state after every iteration, and at the fault.
+
+    ``store_fault`` is ``(call number, exception class)``: the write
+    substrate raises on that STORE, as a read-only range would.
+    """
+    machine = IteratorMachine(program, compiled=compiled)
+    machine.reset(cur_ptr, scratch)
+    stores = []
+
+    def write_fn(vaddr, data):
+        if len(stores) == store_fault[0]:
+            raise (ProtectionFault(vaddr, 2, 1)
+                   if store_fault[1] is ProtectionFault
+                   else TranslationFault(vaddr))
+        stores.append((vaddr, bytes(data)))
+
+    def state():
+        return (bytes(machine.scratch), machine.cur_ptr, machine.iterations,
+                machine.total_instructions, machine.total_load_bytes,
+                tuple(stores))
+
+    trace = []
+    for _ in range(GEN_ITERATIONS):
+        try:
+            step = machine.run_iteration(_window, write_fn)
+        except (ExecutionFault, ProtectionFault, TranslationFault) as exc:
+            trace.append((type(exc).__name__, str(exc), state()))
+            break
+        trace.append((step.outcome, step.instructions_executed,
+                      step.load_bytes, state()))
+    return trace
+
+
+def test_generated_program_differential():
+    """Both tiers agree on every drawn program -- and the draw covers the
+    cases it exists for (the differential is only as good as its
+    programs)."""
+    seen = dict.fromkeys(
+        ("jump_before_compare", "register_live_across_iterations",
+         "two_widths_one_word", "indirect_and_direct_scratch",
+         "promoted_word", "jump_onto_jump", "div_by_data", "store_fault",
+         "static_fault", "execution_fault", "many_iterations"), False)
+
+    @GENERATED
+    @given(generated_programs,
+           st.integers(0, (1 << 64) - 1),
+           st.binary(min_size=GEN_PAD, max_size=GEN_PAD),
+           st.tuples(st.integers(0, 3),
+                     st.sampled_from((ProtectionFault, TranslationFault))))
+    def check(program, cur_ptr, scratch, store_fault):
+        interp = trace_tier(program, cur_ptr, scratch, store_fault, False)
+        comp = trace_tier(program, cur_ptr, scratch, store_fault, True)
+        source = compile_program(program).source
+        assert interp == comp, (program.describe(), source)
+
+        body = program.instructions[1:]
+        ops = [instr.opcode for instr in body]
+        first_compare = (ops.index(Opcode.COMPARE)
+                         if Opcode.COMPARE in ops else len(ops))
+        seen["jump_before_compare"] |= any(
+            op in JUMP_OPCODES for op in ops[:first_compare])
+        seen["register_live_across_iterations"] |= " = regs[" in source
+        direct = {(o.value, o.width) for instr in body
+                  for o in (instr.dst, instr.a, instr.b)
+                  if o is not None and o.bank is Bank.SP}
+        seen["two_widths_one_word"] |= any(
+            a != b and a[0] < b[0] + b[1] and b[0] < a[0] + a[1]
+            for a in direct for b in direct)
+        seen["indirect_and_direct_scratch"] |= bool(direct) and any(
+            instr.dst is not None and instr.dst.bank is Bank.SP_IND
+            for instr in body)
+        seen["promoted_word"] |= "unpack_scratch" in source
+        seen["jump_onto_jump"] |= any(
+            instr.opcode in JUMP_OPCODES
+            and program.instructions[instr.target].opcode in JUMP_OPCODES
+            for instr in body)
+        seen["div_by_data"] |= any(
+            instr.opcode is Opcode.DIV and instr.b.bank is Bank.DATA
+            for instr in body)
+        seen["static_fault"] |= f"beyond {GEN_PAD} B')" in source
+        fault = comp[-1][0] if isinstance(comp[-1][0], str) else None
+        seen["store_fault"] |= fault in ("ProtectionFault",
+                                         "TranslationFault")
+        seen["execution_fault"] |= fault == "ExecutionFault"
+        seen["many_iterations"] |= len(comp) == GEN_ITERATIONS
+
+    check()
+    assert all(seen.values()), seen

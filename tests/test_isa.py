@@ -349,6 +349,24 @@ class TestInterpreter:
         assert result.instructions_executed == 5
         assert result.load_bytes == 24
 
+    @pytest.mark.parametrize("compiled", (False, True))
+    def test_step_takes_the_loaded_bytes(self, hash_find, compiled):
+        """``step`` is ``run_iteration`` minus the read: same result,
+        counters and short-read fault on either tier."""
+        gm = GlobalMemory(1, 1 << 16)
+        addrs = build_list(gm, [(1, 11), (2, 22)])
+        machine = IteratorMachine(hash_find, compiled=compiled)
+        machine.reset(addrs[0], scratch=(2).to_bytes(8, "little"))
+        assert machine.step(gm.read(addrs[0], 24)) == (False, 7)
+        assert machine.cur_ptr == addrs[1]
+        assert machine.step(bytearray(gm.read(addrs[1], 24))) == (True, 5)
+        assert (machine.iterations, machine.total_instructions,
+                machine.total_load_bytes) == (2, 12, 48)
+        with pytest.raises(ExecutionFault,
+                           match="short read: wanted 24 B, got 8 B"):
+            machine.step(bytes(8))
+        assert machine.iterations == 2
+
 
 class TestAnalysis:
     def test_hash_kernel_eta_matches_paper(self, hash_find):
