@@ -222,7 +222,7 @@ class Accelerator:
         # Per-core translation caches and workspace frame pools; the
         # hit/miss and reuse counters are shared across cores (one pair
         # per accelerator in the registry).
-        tlb_hits = registry.counter(f"{prefix}.tlb.hits")
+        tlb_hits = self._m_tlb_hits = registry.counter(f"{prefix}.tlb.hits")
         tlb_misses = registry.counter(f"{prefix}.tlb.misses")
         ws_reused = registry.counter(f"{prefix}.workspace.reused")
         ws_allocated = registry.counter(f"{prefix}.workspace.allocated")
@@ -461,6 +461,13 @@ class Accelerator:
         individually -- RETURN, iteration budget, translation miss
         (reroute / MOVED / fault) or the frame's own fault -- and reply
         from :meth:`_retire` while the rest of the group runs on.
+
+        A lane-step costs one Python call, the frame's ``step_fn``: the
+        translation memo, the hotness countdown and the DRAM slice are
+        inline, and the counters they feed are tallied in locals and
+        published before the pass's yield (no other process runs in
+        between, so no one can see a counter differ from a per-lane
+        increment).
         """
         acc = self.params.accelerator
         program = requests[0].program
@@ -484,7 +491,10 @@ class Accelerator:
         grouped = len(requests) > 1
         tlb = core.tlb
         table = tlb.table
-        read_dram = self.node.memory.read
+        mru = tlb.mru
+        memory = self.node.memory
+        mapping = memory.mapping
+        dram_limit = memory.size - window_size
         hotness = self.hotness
         lanes: List[_Lane] = []
         for request in requests:
@@ -496,6 +506,7 @@ class Accelerator:
             try:
                 lane.frame.reset(request.cur_ptr, request.scratch)
             except ExecutionFault as exc:
+                self._m_faults.inc()
                 self._retire(core, lane, request.advanced(
                     request.cur_ptr, request.scratch, 0,
                     RequestStatus.FAULT, str(exc)), early=grouped)
@@ -507,20 +518,39 @@ class Accelerator:
                 self._batch_lanes_hist.record(len(lanes))
                 self._m_batch_steps.inc()
             # Translation stage: the per-core TLB absorbs the full TCAM
-            # walk on range-local iterations (the common case).
+            # walk on range-local iterations (the common case).  A lane
+            # whose entry (None before its first step) is still the
+            # TLB's MRU entry at an unchanged version, and covers the new
+            # window, skips the lookup: it would return that entry and
+            # reorder nothing, so the skip counts as the hit it is
+            # (§4.2: translate once per range-local run).
             held: List[_Lane] = []
+            memo_hits = 0
             for lane in lanes:
                 addr = (lane.frame.cur_ptr + window_offset) & MASK64
-                lane.entry = tlb.lookup(addr, window_size)
-                if lane.entry is None:
-                    self._retire(core, lane,
-                                 self._miss_response(lane, addr),
-                                 early=grouped)
-                    continue
+                entry = lane.entry
+                if (mru and mru[0] is entry and tlb.version == table.version
+                        and entry.virt_start <= addr
+                        and addr + window_size <= entry.virt_end):
+                    memo_hits += 1
+                else:
+                    entry = lane.entry = tlb.lookup(addr, window_size)
+                    if entry is None:
+                        self._retire(core, lane,
+                                     self._miss_response(lane, addr),
+                                     early=grouped)
+                        continue
                 if hotness is not None:
-                    hotness.sample(addr, prev=lane.prev_load)
+                    # The tracker's geometric skip, counted down here:
+                    # it is called only for a sample that is due.
+                    hotness.countdown -= 1
+                    if hotness.countdown <= 0:
+                        hotness.take(addr, lane.prev_load)
                 lane.prev_load = lane.addr = addr
                 held.append(lane)
+            if memo_hits:
+                tlb.hits += memo_hits
+                self._m_tlb_hits.value += memo_hits
             if not held:
                 return
             version = table.version
@@ -564,20 +594,27 @@ class Accelerator:
 
             # Logic pass: one FPGA cycle per executed logic instruction.
             # The frame is handed the window's bytes straight through
-            # the entry its lane holds (translation + protection, §4.2).
+            # the entry its lane holds (translation + protection, §4.2):
+            # a slice of the node's mapping once the range is known to
+            # lie inside it.
             stepped: List[_Lane] = []
             work = slowest = 0
             for lane in held:
                 entry = lane.entry
+                frame = lane.frame
                 try:
                     if not entry.perms & PERM_READ:
                         raise ProtectionFault(lane.addr, PERM_READ,
                                               entry.perms)
-                    lane.returned, executed = lane.frame.step(
-                        read_dram(entry.phys_start
-                                  + (lane.addr - entry.virt_start),
-                                  window_size),
-                        lane.write)
+                    phys = entry.phys_start + (lane.addr - entry.virt_start)
+                    if 0 <= phys <= dram_limit:
+                        data = mapping[phys:phys + window_size]
+                        memory.bytes_read += window_size
+                    else:
+                        # Outside the node's DRAM: read raises the fault.
+                        data = memory.read(phys, window_size)
+                    lane.returned, executed = frame.step_fn(frame, data,
+                                                            lane.write)
                 except (ExecutionFault, ProtectionFault,
                         TranslationFault) as exc:
                     self._m_faults.inc()
@@ -592,9 +629,10 @@ class Accelerator:
                 stepped.append(lane)
             if not stepped:
                 return
-            self._m_iterations.inc(len(stepped))
-            self._m_bytes.inc(len(stepped) * window_size)
-            self._m_instructions.inc(work + len(stepped))
+            count = len(stepped)
+            self._m_iterations.value += count
+            self._m_bytes.value += count * window_size
+            self._m_instructions.value += work + count
 
             # The datapath is pipelined: it is *occupied* for only the
             # summed work / depth (another workspace's iteration can

@@ -47,8 +47,9 @@ class BatchMachine:
         buffer); returns the lanes that ``(returned, continue, faulted)``."""
         done, cont, faulted = [], [], []
         for lane, row in zip(map(int, lanes), rows):
+            frame = self.frames[lane]
             try:
-                returned, _executed = self.frames[lane].step(row)
+                returned, _executed = frame.step_fn(frame, row, None)
             except ExecutionFault as exc:
                 self.faults[lane] = str(exc)
                 faulted.append(lane)

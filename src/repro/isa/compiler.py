@@ -2,10 +2,14 @@
 
 :func:`compile_program` lowers a validated
 :class:`~repro.isa.program.Program` once into **one Python function per
-iteration body**: ``kernel(machine, data, store_fn) -> (done,
-instructions_executed)``.  The function is handed the bytes of the
-iteration's aggregated LOAD and runs the logic phase to its terminal;
-there is no per-instruction dispatch of any kind.
+iteration body**: ``step(machine, data, write_fn=None) -> (done,
+instructions_executed)``, which a compiled
+:class:`~repro.isa.interpreter.IteratorMachine` holds as its
+``step_fn``.  The function is handed the bytes of the iteration's
+aggregated LOAD and does all of the step: the short-read check and the
+frame's load-byte count (prologue), the logic phase to its terminal,
+and the frame's iteration and instruction counts (at every terminal).
+There is no per-instruction dispatch and no call around it.
 
 Forward-only jumps make the body a DAG, and the lowering uses that:
 
@@ -37,8 +41,9 @@ Forward-only jumps make the body a DAG, and the lowering uses that:
 Checks the compiler proves statically (direct offsets against the window
 and the pad) cost nothing at run time, or become an unconditional
 ``raise`` with the interpreter's text; what depends on run-time values
-(``sp_ind`` bounds, division by zero, STORE on a read-only substrate)
-stays a run-time check with the interpreter's exact message.
+(the LOAD's length, ``sp_ind`` bounds, division by zero, STORE on a
+read-only substrate) stays a run-time check with the interpreter's
+exact message.
 
 Compilation results are cached process-wide by the program's 16-byte
 content digest -- the same key the offload engine's deploy-once cache
@@ -197,8 +202,16 @@ class _Lowering:
         self._plan_scratch()
         header = self._entry_lines()
         self._body()
+        size = self.window_size
+        prologue = [
+            "def step(m, data, write_fn=None):",
+            f"    if len(data) != {size}:",
+            f"        raise ExecutionFault('short read: wanted {size} B, got"
+            f" %d B' % len(data))",
+            f"    m.total_load_bytes += {size}",
+        ]
         self.source = "\n".join(
-            ["def _kernel(m, data, store_fn):"] + header + self._lines
+            prologue + header + self._lines
             + ["    raise ExecutionFault('fell off the end of the program')"]
         ) + "\n"
 
@@ -428,8 +441,13 @@ class _Lowering:
                     self._emit("m._flag_lt = _lt")
                 else:
                     self._emit(f"regs[{name[1:]}] = {name}")
-            executed = (self._count if self._entry
-                        else f"_x + {self._count}")
+            if self._entry:
+                executed = str(self._count)
+            else:
+                self._emit(f"_x += {self._count}")
+                executed = "_x"
+            self._emit("m.iterations += 1")
+            self._emit(f"m.total_instructions += {executed}")
             self._emit(f"return {op is Opcode.RETURN}, {executed}")
             return False
         if op in JUMP_OPCODES:
@@ -456,12 +474,12 @@ class _Lowering:
         elif op is Opcode.STORE:
             # The substrate check precedes the operand read, exactly as
             # the interpreter orders it.
-            self._emit("if store_fn is None:")
+            self._emit("if write_fn is None:")
             self._emit("    raise ExecutionFault("
                        "'STORE executed on a read-only substrate')")
             width = instr.a.width
             value = _masked(self._read(instr.a), (1 << (8 * width)) - 1)
-            self._emit(f"store_fn((cur_ptr + {instr.mem_offset}) & {MASK64},"
+            self._emit(f"write_fn((cur_ptr + {instr.mem_offset}) & {MASK64},"
                        f" pk{width}({value}))")
         elif op is Opcode.NOT:
             self._write(instr.dst, f"~{self._read(instr.a)}")
@@ -591,14 +609,16 @@ class _Lowering:
 class CompiledProgram:
     """A program's iteration body lowered to one Python function.
 
-    ``kernel(machine, data, store_fn)`` runs the logic phase of one
-    iteration over the LOAD's bytes and returns ``(done,
-    instructions_executed)``.  ``source`` keeps the generated Python for
-    debugging, the docs and the tests.
+    ``step(machine, data, write_fn=None)`` is one whole iteration step
+    over the LOAD's bytes -- short-read check, logic phase, the frame's
+    counters -- and returns ``(done, instructions_executed)``; a compiled
+    :class:`~repro.isa.interpreter.IteratorMachine` holds it as its
+    ``step_fn``.  ``source`` keeps the generated Python for debugging, the
+    docs and the tests.
     """
 
     __slots__ = ("name", "window_offset", "window_size", "scratch_bytes",
-                 "kernel", "source")
+                 "step", "source")
 
     def __init__(self, program: Program):
         self.name = program.name
@@ -609,7 +629,7 @@ class CompiledProgram:
         namespace = {**_NAMESPACE, **lowering.codecs}
         exec(compile(self.source, f"<pulse-kernel:{program.name}>", "exec"),
              namespace)
-        self.kernel: Callable = namespace["_kernel"]
+        self.step: Callable = namespace["step"]
 
 
 #: process-wide compile cache, keyed by program content digest

@@ -33,6 +33,9 @@ Both run behind one call shape: :meth:`IteratorMachine.step` takes the
 bytes of the iteration's LOAD (a host that already holds them -- the
 accelerator, through its TLB entry -- calls it directly), and
 :meth:`IteratorMachine.run_iteration` is ``read_fn`` + ``step``.
+``step`` calls the frame's ``step_fn``, the whole step as a plain
+function of the machine: on the compiled tier it *is* the generated
+function, and a host stepping many frames calls it directly.
 """
 
 from __future__ import annotations
@@ -86,9 +89,15 @@ class IteratorMachine:
         self.program = program
         if compiled is None:
             compiled = not interpreter_forced()
+        #: True when this machine runs the compiled tier
+        self.compiled = bool(compiled)
         self._window_offset, self._window_size = program.load_window
-        #: the compiled iteration body, or None on the interpreted tier
-        self._kernel = compile_program(program).kernel if compiled else None
+        #: ``step_fn(machine, data, write_fn) -> (done, executed)``, one
+        #: whole step: the generated function on the compiled tier, the
+        #: interpreter's step otherwise.  Held unbound, so the machine
+        #: keeps no reference to itself and goes with its last reference.
+        self.step_fn = (compile_program(program).step if self.compiled
+                        else IteratorMachine._interpreted_step)
         self.cur_ptr = 0
         # One allocation for the life of the machine: reset() zero-fills
         # in place, so pooled workspaces reuse this buffer across
@@ -102,11 +111,6 @@ class IteratorMachine:
         self.total_instructions = 0
         self.total_load_bytes = 0
         self.iterations = 0
-
-    @property
-    def compiled(self) -> bool:
-        """True when this machine runs the compiled tier."""
-        return self._kernel is not None
 
     def reset(self, cur_ptr: int, scratch: Optional[bytes] = None) -> None:
         """Initialize for a traversal (or resume one mid-flight).
@@ -137,7 +141,8 @@ class IteratorMachine:
                       write_fn: Optional[WriteFn] = None) -> StepResult:
         """Memory phase + logic phase for the current cur_ptr."""
         size = self._window_size
-        done, executed = self.step(
+        done, executed = self.step_fn(
+            self,
             read_fn((self.cur_ptr + self._window_offset) & MASK64, size),
             write_fn)
         return StepResult(
@@ -153,14 +158,19 @@ class IteratorMachine:
         reached, and the count -- the LOAD included -- the host charges
         logic time for.
         """
+        return self.step_fn(self, data, write_fn)
+
+    def _interpreted_step(self, data, write_fn: Optional[WriteFn]
+                          ) -> Tuple[bool, int]:
+        """The interpreted tier's ``step_fn``; the generated function of
+        a compiled frame emits the same short-read check and counter
+        updates inline."""
         size = self._window_size
         if len(data) != size:
             raise ExecutionFault(
                 f"short read: wanted {size} B, got {len(data)} B")
         self.total_load_bytes += size
-        kernel = self._kernel
-        done, executed = (kernel(self, data, write_fn) if kernel is not None
-                          else self._interpret(data, write_fn))
+        done, executed = self._interpret(data, write_fn)
         self.iterations += 1
         self.total_instructions += executed
         return done, executed
@@ -334,9 +344,10 @@ class IteratorMachine:
         :meth:`run_iteration` themselves.
         """
         offset, size = self._window_offset, self._window_size
+        step_fn = self.step_fn
         for _ in range(max_iterations):
             data = read_fn((self.cur_ptr + offset) & MASK64, size)
-            if self.step(data, write_fn)[0]:
+            if step_fn(self, data, write_fn)[0]:
                 return bytes(self.scratch)
         raise ExecutionFault(
             f"traversal exceeded {max_iterations} iterations")

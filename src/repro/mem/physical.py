@@ -32,13 +32,16 @@ class PhysicalMemory:
     There is no ``close``: the mapping is released when the last
     reference to this object goes, so memory stays readable after
     ``PulseCluster.shutdown()`` for as long as the caller holds the rack.
+
+    ``mapping`` is the node's bytes; the accelerator's lane-step slices
+    it directly once it has checked the range against ``size``.
     """
 
     def __init__(self, size: int):
         if size <= 0:
             raise MemoryFault(f"invalid memory size: {size}")
         self.size = size
-        self._data = mmap.mmap(
+        self.mapping = mmap.mmap(
             -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.bytes_read = 0
         self.bytes_written = 0
@@ -60,13 +63,13 @@ class PhysicalMemory:
         """
         self._check(addr, length)
         self.bytes_read += length
-        return self._data[addr:addr + length]
+        return self.mapping[addr:addr + length]
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at physical ``addr``."""
         self._check(addr, len(data))
         self.bytes_written += len(data)
-        self._data[addr:addr + len(data)] = data
+        self.mapping[addr:addr + len(data)] = data
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")

@@ -220,6 +220,13 @@ class TranslationCache:
 
     ``hits``/``misses`` count locally and, when metric counters are
     supplied, feed the registry (``<node>.acc.tlb.hits`` / ``.misses``).
+
+    ``mru`` (the cached entries, most recently used first; one list for
+    the cache's life) and ``version`` (the table version they are valid
+    for) are readable so a caller can tell when a lookup would be a
+    no-op: while ``version == table.version``, a lookup that ``mru[0]``
+    covers returns ``mru[0]`` and reorders nothing.  Only :meth:`lookup`
+    and :meth:`revalidate` change them.
     """
 
     def __init__(self, table: RangeTranslationTable, capacity: int = 8,
@@ -228,25 +235,25 @@ class TranslationCache:
             raise ValueError("translation cache needs >= 1 entry")
         self.table = table
         self.capacity = capacity
-        self._entries: List[RangeEntry] = []
-        self._version = table.version
+        self.mru: List[RangeEntry] = []
+        self.version = table.version
         self.hits = 0
         self.misses = 0
         self._hit_counter = hit_counter
         self._miss_counter = miss_counter
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.mru)
 
     def flush(self) -> None:
-        self._entries.clear()
-        self._version = self.table.version
+        self.mru.clear()
+        self.version = self.table.version
 
     def lookup(self, vaddr: int, size: int = 1) -> Optional[RangeEntry]:
         """Entry covering [vaddr, vaddr+size), or None (a table miss)."""
-        if self._version != self.table.version:
+        if self.version != self.table.version:
             self.flush()
-        entries = self._entries
+        entries = self.mru
         for index, entry in enumerate(entries):
             if entry.covers(vaddr, size):
                 self.hits += 1
@@ -278,12 +285,12 @@ class TranslationCache:
         means the mapping is gone (the segment migrated away) and the
         caller must take the miss path.
         """
-        if self._version == self.table.version:
+        if self.version == self.table.version:
             return entry
         self.flush()
         fresh = self.table.lookup(vaddr, size)
         if fresh is not None:
-            self._entries.insert(0, fresh)
-            if len(self._entries) > self.capacity:
-                self._entries.pop()
+            self.mru.insert(0, fresh)
+            if len(self.mru) > self.capacity:
+                self.mru.pop()
         return fresh

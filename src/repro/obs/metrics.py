@@ -59,7 +59,12 @@ class MetricError(ValueError):
 
 
 class Counter:
-    """A monotonically increasing count (int or float)."""
+    """A monotonically increasing count (int or float).
+
+    :meth:`inc` is the checked spelling.  A hot loop that tallies in a
+    local may publish the non-negative total by adding it to ``value``
+    directly, before it next yields to the simulator.
+    """
 
     __slots__ = ("name", "value")
 

@@ -1,9 +1,10 @@
 """Per-segment access-heat tracking for the rebalancer.
 
-The accelerator's memory-access pipeline calls :meth:`HotnessTracker.
-sample` once per iteration; the tracker keeps an EWMA-decayed access
-count per fixed-size virtual segment.  Sampling is probabilistic
-1-in-``sample_period``: each access is taken with probability
+The accelerator's memory-access pipeline samples every iteration's load
+(:meth:`HotnessTracker.sample`, or its countdown inline and
+:meth:`HotnessTracker.take` when a sample is due); the tracker keeps an
+EWMA-decayed access count per fixed-size virtual segment.  Sampling is
+probabilistic 1-in-``sample_period``: each access is taken with probability
 ``1/sample_period`` via a seeded geometric skip (each taken sample is
 weighted by the period, so the estimate stays unbiased) -- hardware
 would do exactly this with a count-min sketch or sampled mirroring
@@ -76,7 +77,12 @@ class HotnessTracker:
         self._seed = seed
         #: skip-length source, deterministic per (run seed, stream label)
         self._rng = random.Random(f"{seed}:{stream}")
-        self._countdown = self._draw_skip()
+        #: accesses left until the next taken sample.  :meth:`sample`
+        #: counts it down; a caller that sees every access (the
+        #: accelerator's translation stage) may decrement it itself and
+        #: call :meth:`take` only once it reaches zero -- the same skips,
+        #: samples and order, without a call per access.
+        self.countdown = self._draw_skip()
         #: segment start -> (decayed count, last decay timestamp)
         self._segments: Dict[int, Tuple[float, float]] = {}
         #: (seg_lo, seg_hi) -> (decayed weight, last decay timestamp);
@@ -156,10 +162,15 @@ class HotnessTracker:
         edge (prev's segment, vaddr's segment) gains the same unbiased
         ``sample_period`` weight.
         """
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._countdown = self._draw_skip()
+        self.countdown -= 1
+        if self.countdown <= 0:
+            self.take(vaddr, prev)
+
+    def take(self, vaddr: int, prev: int = 0) -> None:
+        """Record the access a :attr:`countdown` at zero selects (and
+        ``prev``'s successor edge, as :meth:`sample` describes), then
+        draw the next skip."""
+        self.countdown = self._draw_skip()
         self.record(vaddr, weight=float(self.sample_period))
         if prev:
             self.record_edge(prev, vaddr, weight=float(self.sample_period))

@@ -1,16 +1,20 @@
 """Focused tests on accelerator, switch, and client internals."""
 
+import hashlib
+
 import pytest
 
 from repro.bench.report import span_breakdown
 from repro.core import PulseCluster
 from repro.core.messages import RequestStatus
+from repro.mem.translation import PERM_READ, PERM_WRITE, RangeEntry
 from repro.params import AcceleratorParams, SystemParams
 from repro.sim.engine import AllOf
 from repro.structures import LinkedList
 
 from tests.helpers import (count_process_starts, counter_value,
                            lossy_cluster)
+from tests.scenario import KEYS, build, lookups, run
 
 
 def make_list_cluster(n=40, nodes=1, **cluster_kwargs):
@@ -181,6 +185,20 @@ class TestProtectionPath:
         assert result.fault.reason == str(functional.value)
         assert counter_value(cluster, "mem0.acc.faults") == 1
 
+    def test_reset_fault_counts_as_accelerator_fault(self):
+        """A frame that cannot take the request's scratch faults at the
+        accelerator, and is counted there like every other fault."""
+        cluster, lst = make_list_cluster()
+        finder = lst.find_iterator()
+        head, _scratch = finder.init(5)
+        oversized = bytes(finder.program.scratch_bytes + 8)
+        finder.init = lambda *_args: (head, oversized)
+        result = cluster.run_traversal(finder, 5)
+        assert not result.ok
+        assert "exceeds" in result.fault.reason
+        assert counter_value(cluster, "client0.client.faults") == 1
+        assert counter_value(cluster, "mem0.acc.faults") == 1
+
     def test_store_through_accelerator_persists(self):
         from repro.structures import HashTable
 
@@ -190,6 +208,107 @@ class TestProtectionPath:
         result = cluster.run_traversal(table.update_iterator(), 5, 4242)
         assert result.value is True
         assert int.from_bytes(table.find_reference(5), "little") == 4242
+
+
+class TestLaneStepMemo:
+    """The translation memo and the inline hotness countdown change no
+    count: every number below was read before either existed."""
+
+    @pytest.mark.parametrize("capacity, hits, misses",
+                             [(1, 0, 40), (8, 38, 2)])
+    def test_tlb_counts_with_lanes_in_two_entries(self, capacity, hits,
+                                                  misses):
+        """Two lanes of one group walk lists in two range entries: with a
+        one-entry TLB each lookup evicts the other lane's entry, so every
+        step misses twice -- a held entry that is no longer the MRU one
+        must not count as a hit."""
+        params = SystemParams(accelerator=AcceleratorParams(
+            tlb_entries_per_core=capacity))
+        cluster = PulseCluster(node_count=1, params=params, batch_size=64,
+                               batch_lanes=32)
+        first, second = LinkedList(cluster.memory), LinkedList(cluster.memory)
+        first.extend((k, k) for k in range(1, 21))
+        second.extend((k, k + 100) for k in range(1, 21))
+        # Split the node's one coalesced entry at the second list, with
+        # different permissions so the two halves cannot merge back.
+        table = cluster.memory.nodes[0].table
+        (entry,) = table.entries
+        (upper,) = table.remove_range(second.head, entry.virt_end)
+        table.insert(RangeEntry(upper.virt_start, upper.virt_end,
+                                upper.phys_start, PERM_READ))
+        assert len(table.entries) == 2
+
+        pending = cluster.submit_many([(first.find_iterator(), (20,)),
+                                       (second.find_iterator(), (20,))])
+        cluster.env.run(until=AllOf(cluster.env,
+                                    [p._process for p in pending]))
+        assert [p.result.value for p in pending] == [20, 120]
+        assert counter_value(cluster, "mem0.acc.batch.steps") == 20
+        assert counter_value(cluster, "mem0.acc.tlb.hits") == hits
+        assert counter_value(cluster, "mem0.acc.tlb.misses") == misses
+        tlb = cluster.accelerators[0].cores[0].tlb
+        assert (tlb.hits, tlb.misses) == (hits, misses)
+
+    def test_permission_change_mid_traversal_faults_at_the_next_step(self):
+        cluster, lst = make_list_cluster()
+        finder = lst.find_iterator()
+        cluster.run_traversal(finder, 1)      # warm the TLB
+        table = cluster.memory.nodes[0].table
+
+        def revoke_read():
+            yield cluster.env.timeout(3_000.0)
+            for entry in table.entries:
+                table.set_permissions(entry.virt_start, PERM_WRITE)
+
+        cluster.env.process(revoke_read())
+        result = cluster.run_traversal(finder, 40)
+        assert result.fault.reason == ("protection fault at 0x100000c0: "
+                                       "requested 0x1, granted 0x2")
+        assert result.iterations == 8
+        counters = cluster.metrics_snapshot()["counters"]
+        assert [counters[f"mem0.acc.{name}"] for name in (
+            "iterations", "faults", "tlb.hits", "tlb.misses")] == \
+            [9, 1, 9, 1]
+
+    def test_migration_fence_mid_traversal_moves_it(self):
+        cluster, chain = build("chain", nodes=2)
+        finder = chain.find_iterator()
+        cluster.run_traversal(finder, 0)      # warm the TLB
+        home = cluster.memory.placement.node_of(chain.head)
+        start, end = cluster.memory.placement.rules_of(home)[0]
+
+        def fence():
+            yield cluster.env.timeout(3_000.0)
+            yield cluster.migrate(start, end, 1 - home)
+
+        cluster.env.process(fence())
+        result = cluster.run_traversal(finder, KEYS - 1)
+        assert (result.value, result.iterations) == (142, 48)
+        assert result.latency_ns == 10983.06344827585
+        counters = cluster.metrics_snapshot()["counters"]
+        assert [counters[f"mem{home}.acc.{name}"] for name in (
+            "iterations", "moved_replies", "tlb.hits", "tlb.misses")] == \
+            [13, 1, 13, 1]
+        assert [counters[f"mem{1 - home}.acc.{name}"] for name in (
+            "iterations", "tlb.hits", "tlb.misses")] == [36, 35, 1]
+
+    @pytest.mark.parametrize("structure, batch, digest", [
+        ("btree", True,
+         "b1822c79f572ffcbc260e4f8b5e3fb01b47e1cad62e61a57caf19f8379ab0401"),
+        ("chain", False,
+         "0d0efc8283a3a32d5ad1b5f7e7122b350317dc8ebe8c121b49e6a634a8a7f08a"),
+    ])
+    def test_hotness_sample_stream(self, structure, batch, digest):
+        """Samples, edges and the heat they leave behind after a fixed
+        drive on a 2-node rack (the btree's lookups cross nodes, so its
+        successor edges ride reroute continuations)."""
+        cluster, built = build(structure, nodes=2)
+        run(cluster, [lookups(built), lookups(built, keys=range(0, KEYS, 3))],
+            batch=batch)
+        tracker = cluster.placement.tracker
+        state = (tracker.samples, tracker.edge_samples,
+                 tracker.hot_segments(), tracker.hot_edges())
+        assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
 
 
 class TestRequestWireFormat:

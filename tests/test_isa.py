@@ -1,6 +1,9 @@
 """Tests for the pulse ISA: instructions, programs, assembler, interpreter,
 and static analysis."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.isa import (
@@ -366,6 +369,21 @@ class TestInterpreter:
                            match="short read: wanted 24 B, got 8 B"):
             machine.step(bytes(8))
         assert machine.iterations == 2
+
+    @pytest.mark.parametrize("compiled", (False, True))
+    def test_machine_is_freed_without_the_cycle_collector(self, hash_find,
+                                                          compiled):
+        """A frame holds its step function unbound: the client fallback
+        and local runs build one per call, and each must go as soon as
+        its last reference does."""
+        machine = IteratorMachine(hash_find, compiled=compiled)
+        alive = weakref.ref(machine)
+        gc.disable()
+        try:
+            del machine
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestAnalysis:

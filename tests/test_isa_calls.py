@@ -2,7 +2,9 @@
 
 An iteration is one function call: the host cost of a compiled iteration
 must not depend on how many instructions it executes, and an accelerator
-lane-step must reach its bytes and run its kernel in a handful of calls.
+lane-step translates, samples, reads its bytes and runs its kernel in one
+call (the frame's ``step_fn``, the generated function), plus what the event kernel and the
+span histograms cost per step.
 Counted under ``sys.setprofile`` like ``tests/test_sim_hold.py`` -- the
 counts repeat exactly, so a helper call slipped into the hot path fails
 here rather than showing up as benchmark noise.
@@ -65,30 +67,83 @@ def test_calls_per_iteration_do_not_depend_on_instructions_executed():
     assert len({calls for _, calls in find + scan}) == 1, (find, scan)
 
 
-#: repro.isa + repro.mem calls of one accelerator lane-step: the TLB
-#: lookup and its one ``covers``, ``PhysicalMemory.read`` and its bounds
-#: check, ``IteratorMachine.step``
-LANE_STEP_CALLS = 5
+#: repro.isa + repro.mem calls of one accelerator lane-step: none -- the
+#: TLB memo, the DRAM slice and the frame's ``step_fn`` (the generated
+#: function, which lives in no repro module) are all the lane-step is
+LANE_STEP_CALLS = 0
+#: repro.obs calls of one lane-step: the memory and logic span records
+#: (a lane on its own is a group of one; counters are published inline)
+LANE_STEP_OBS_CALLS = 2
+#: every repro + generated-kernel call of one lane-step, hotness samples
+#: and the event kernel included (26.1 with a call per lookup, read,
+#: sample and counter)
+LANE_STEP_TOTAL_CALLS = 16.4
+
+
+def _warm_list_rack():
+    cluster = PulseCluster(node_count=1)
+    lst = LinkedList(cluster.memory)
+    lst.extend((k, k) for k in range(1, 41))
+    finder = lst.find_iterator()
+    cluster.run_traversal(finder, 1)    # compile, warm the TLB
+    return cluster, finder
+
+
+def lane_step_calls(only):
+    """Calls per accelerator lane-step whose file path contains one of
+    ``only``: two traversals differing only in length, so everything per
+    request cancels and what is left is per lane-step."""
+    def traversal_calls(length):
+        cluster, finder = _warm_list_rack()
+        results = []
+        calls = python_calls(
+            lambda: results.append(cluster.run_traversal(finder, length)),
+            only=only)
+        assert results[0].iterations == length
+        return len(calls)
+
+    return (traversal_calls(40) - traversal_calls(10)) / 30
 
 
 def test_accelerator_lane_step_call_budget(monkeypatch):
     monkeypatch.delenv("PULSE_INTERP", raising=False)   # the compiled tier
+    assert lane_step_calls(("/repro/isa/", "/repro/mem/")) <= LANE_STEP_CALLS
 
-    def traversal_calls(length):
-        cluster = PulseCluster(node_count=1)
-        lst = LinkedList(cluster.memory)
-        lst.extend((k, k) for k in range(1, 41))
-        finder = lst.find_iterator()
-        cluster.run_traversal(finder, 1)    # compile, warm the TLB
-        results = []
-        calls = python_calls(
-            lambda: results.append(cluster.run_traversal(finder, length)),
-            only=("/repro/isa/", "/repro/mem/"))
-        assert results[0].iterations == length
-        return len(calls)
 
-    # Two traversals differing only in length: everything per request
-    # cancels, what is left is per lane-step.
-    short, long = traversal_calls(10), traversal_calls(40)
-    assert (long - short) % 30 == 0
-    assert (long - short) // 30 <= LANE_STEP_CALLS
+def test_lane_step_metrics_call_budget(monkeypatch):
+    monkeypatch.delenv("PULSE_INTERP", raising=False)
+    assert lane_step_calls(("/repro/obs/",)) <= LANE_STEP_OBS_CALLS
+
+
+def test_lane_step_total_call_budget(monkeypatch):
+    monkeypatch.delenv("PULSE_INTERP", raising=False)
+    assert lane_step_calls(("/repro/", "<pulse-kernel:")) <= \
+        LANE_STEP_TOTAL_CALLS
+
+
+def test_hotness_is_called_only_when_a_sample_is_due(monkeypatch):
+    """The accelerator counts the tracker's skip down itself: every call
+    it makes into repro.placement is a ``take``, one per sample actually
+    recorded."""
+    monkeypatch.delenv("PULSE_INTERP", raising=False)
+    cluster, finder = _warm_list_rack()
+    tracker = cluster.placement.tracker
+    before = tracker.samples
+    entries = []
+
+    def profiler(frame, event, _arg):
+        if (event == "call"
+                and "/repro/placement/" in frame.f_code.co_filename
+                and "/repro/core/accelerator" in
+                frame.f_back.f_code.co_filename):
+            entries.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        result = cluster.run_traversal(finder, 40)
+    finally:
+        sys.setprofile(None)
+    assert result.iterations == 40
+    taken = tracker.samples - before
+    assert 0 < taken < 40
+    assert entries == ["take"] * taken

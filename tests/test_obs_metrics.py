@@ -1,6 +1,7 @@
 """Unit tests for the observability subsystem (repro.obs)."""
 
 import json
+import math
 
 import pytest
 
@@ -131,6 +132,39 @@ class TestHistogram:
         for v in range(1, 100_000):
             h.record(float(v % 97) + 1.0)
         assert len(h._buckets) < 150
+
+    #: repeats, zeros, negatives, ints, exact bucket boundaries
+    #: (``GROWTH ** k``) and their neighbours, and many distinct values
+    BOUNDARIES = [Histogram.GROWTH ** k for k in range(-40, 400, 7)]
+    VALUES = ([430.0, 123.96, 0.0, -1e-9, 7, 7.0] * 50 + BOUNDARIES
+              + [b * (1 + 1e-12) for b in BOUNDARIES]
+              + [float(v) * 0.37 for v in range(1, 600)]
+              + BOUNDARIES + [430.0] * 20)
+
+    def test_snapshots_match_the_bucket_rule(self):
+        class Reference(Histogram):
+            """The bucket rule spelled out, a logarithm per record."""
+            __slots__ = ()
+
+            def record(self, value):
+                value = max(value, 0.0)
+                self.count += 1
+                self.sum += value
+                self._min = min(self._min, value)
+                self._max = max(self._max, value)
+                if value == 0.0:
+                    self._zero += 1
+                    return
+                index = math.floor(math.log(value) / math.log(self.GROWTH))
+                self._buckets[index] = self._buckets.get(index, 0) + 1
+
+        histogram, reference = Histogram("h"), Reference("r")
+        for value in self.VALUES:
+            histogram.record(value)
+            reference.record(value)
+            assert histogram._buckets == reference._buckets
+        assert histogram.snapshot() == reference.snapshot()
+        assert histogram._zero == reference._zero == 100
 
 
 class TestRegistry:
