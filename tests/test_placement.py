@@ -8,7 +8,8 @@ from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace, AllocationError
 from repro.mem.node import ForwardingTable, GlobalMemory
-from repro.params import DEFAULT_PARAMS, PlacementParams, SystemParams
+from repro.params import (DEFAULT_PARAMS, MS, US, NetworkParams,
+                          PlacementParams, SystemParams)
 from repro.placement import HotnessTracker, PlacementError, PlacementMap
 from repro.placement.migration import MigrationError
 from repro.sim import Environment
@@ -384,6 +385,38 @@ class TestMigration:
         cluster.env.run(until=t_last + window + 1.0)
         assert len(fwd) == 0
         assert fwd.lookup(vaddr) is None
+
+    def test_straggler_long_after_the_fence_is_moved_by_the_map(self):
+        # The switch routes a lookup to node 0, where it parks behind a
+        # stalled receive pipeline while its bucket migrates to node 1.
+        # It is served 20 ms after the fence -- five times the 4 ms a
+        # migration once kept a redirect hint on the old owner -- and the
+        # live placement map alone turns it into one MOVED redirect.
+        params = SystemParams().with_overrides(network=NetworkParams(
+            retransmit_timeout_ns=1_000 * MS))
+        cluster = PulseCluster(node_count=2, params=params)
+        table = HashTable(cluster.memory, buckets=2, value_bytes=8,
+                          partition_nodes=2)
+        for k in range(16):
+            table.insert(k, bytes([k]) * 8)
+        key = next(k for k in range(16) if table.bucket_index(k) == 0)
+        head = table.bucket_head(key)
+        start, end = cluster.memory.placement.rules_of(0)[0]
+        assert start <= head < end
+
+        stall = 20 * MS
+        cluster.accelerators[0].rx_unit.hold(stall)
+        pending = cluster.submit(table.find_iterator(), key)
+        cluster.env.run(until=10 * US)      # parked at node 0
+        assert counter_value(cluster, "switch.routed_to_memory") == 1
+        cluster.env.run(until=cluster.migrate(start, end, 1))
+        assert cluster.memory.placement.node_of(head) == 1
+        assert cluster.env.now < stall - 4 * MS
+
+        cluster.env.run(until=pending._process)
+        assert pending.result.value == bytes([key]) * 8
+        assert [counter_value(cluster, name) for name in (
+            "mem0.acc.moved_replies", "switch.moved_redirects")] == [1, 1]
 
     def test_migrate_to_self_is_a_noop(self):
         cluster, _ = self.build()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PulseCluster, RequestStatus
-from repro.core.messages import TraversalRequest
+from repro.core.messages import TraversalBatch, TraversalRequest
 from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace
@@ -119,6 +119,40 @@ class TestSwitchRouting:
         send(env, fabric, "mem0", done)
         assert counter_value(switch, "switch.dropped_stale") == 1
         assert len(client.inbox) == 1
+
+    def test_mixed_batch_faults_first_then_one_frame_per_owner(self):
+        env, fabric, space, switch, client, nodes = make_switch()
+        start0, start1 = space.range_of(0)[0], space.range_of(1)[0]
+        first, other, lost, second = batch = [
+            request(start0, request_id=(0, 1)),
+            request(start1, request_id=(0, 2)),
+            request(0x10, request_id=(0, 3)),        # below any range
+            request(start0 + 8, request_id=(0, 4))]
+        sent = []
+        fabric_send = fabric.send
+
+        def record(message, *args, **kwargs):
+            if message.src == "switch":
+                sent.append(message)
+            fabric_send(message, *args, **kwargs)
+
+        fabric.send = record
+        frame = TraversalBatch(batch)
+        fabric_send(Message("pulse", "client0", "switch",
+                            frame.wire_bytes(), frame), segments=1)
+        env.run()
+
+        assert [m.dst for m in sent] == ["client0", "mem0", "mem1"]
+        fault, to_mem0, to_mem1 = (m.payload for m in sent)
+        assert fault is lost and fault.status is RequestStatus.FAULT
+        assert isinstance(to_mem0, TraversalBatch)
+        assert to_mem0.requests == [first, second]
+        assert to_mem1 is other
+        assert [m.size_bytes for m in sent] == [
+            lost.wire_bytes(), to_mem0.wire_bytes(), other.wire_bytes()]
+        assert [counter_value(switch, f"switch.{name}") for name in (
+            "batches_routed", "batch_splits", "routed_to_memory")] == \
+            [1, 1, 3]
 
     def test_non_pulse_traffic_ignored(self):
         env, fabric, space, switch, client, nodes = make_switch()
