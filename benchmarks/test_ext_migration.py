@@ -42,7 +42,6 @@ def placement_params() -> SystemParams:
         segment_bytes=256 * KB,
         migrations_per_round=4,
         fill_imbalance_threshold=0.02,
-        forward_window_ns=100_000.0,
     ))
 
 

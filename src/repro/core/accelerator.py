@@ -42,6 +42,8 @@ from repro.mem.translation import (PERM_READ, ProtectionFault,
                                    TranslationCache, TranslationFault)
 from repro.obs.metrics import MetricsRegistry
 from repro.params import SystemParams
+from repro.placement.hotness import HotnessTracker
+from repro.placement.rangemap import PlacementMap
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, Message
 from repro.sim.resources import Resource
@@ -115,7 +117,8 @@ class Accelerator:
     """The SmartNIC accelerator serving one memory node."""
 
     def __init__(self, env: Environment, node: MemoryNode, fabric: Fabric,
-                 params: SystemParams, switch_name: str = "switch",
+                 params: SystemParams, placement_map: PlacementMap,
+                 hotness: HotnessTracker, switch_name: str = "switch",
                  cores: Optional[int] = None,
                  shared_interconnect: bool = True,
                  split_loads: bool = False,
@@ -128,6 +131,12 @@ class Accelerator:
         self.params = params
         self.switch_name = switch_name
         self.name = node.name
+        #: the rack's live ownership map -- the one authority the miss
+        #: path and direct reads consult (the switch routes by it too)
+        self.placement_map = placement_map
+        #: this node's view of the hotness tracker, sampled by the
+        #: memory pipeline
+        self.hotness = hotness
         acc = params.accelerator
         core_count = cores if cores is not None else acc.cores
         if core_count < 1:
@@ -202,14 +211,6 @@ class Accelerator:
         self._m_direct_reads = registry.counter(f"{prefix}.direct_reads")
         self._m_direct_nacks = registry.counter(
             f"{prefix}.direct_read_nacks")
-        #: optional elastic-placement hooks, attached by
-        #: :class:`~repro.placement.service.PlacementService`: the
-        #: hotness tracker sampled by the memory pipeline, and the
-        #: shared placement map the miss path consults as its
-        #: migration journal (a pointer that is arithmetically *ours*
-        #: but unmapped and owned elsewhere has migrated away).
-        self.hotness = None
-        self.placement_map = None
         #: optional durability hooks, attached by
         #: :class:`~repro.durability.service.DurabilityService`: this
         #: node's redo log / group-commit state.  The crash flag is the
@@ -357,11 +358,8 @@ class Accelerator:
                                 request.request_id,
                                 vaddr=hex(request.vaddr))
 
-        live_owner = (self.placement_map.node_of(request.vaddr)
-                      if self.placement_map is not None
-                      else self.node.addrspace.node_of(request.vaddr))
         ok, data, reason = False, b"", ""
-        if live_owner != self.node.node_id:
+        if self.placement_map.node_of(request.vaddr) != self.node.node_id:
             reason = f"segment {request.vaddr:#x} migrated away"
         else:
             core = self.cores[self._dr_core % len(self.cores)]
@@ -387,18 +385,16 @@ class Accelerator:
                 data = self.node.read_virt(request.vaddr, request.size)
                 ok = True
                 self._m_bytes.inc(request.size)
-                if self.hotness is not None:
-                    self.hotness.sample(request.vaddr)
+                self.hotness.sample(request.vaddr)
             except (TranslationFault, ProtectionFault) as exc:
                 reason = str(exc)
         if not ok:
             self._m_direct_nacks.inc()
 
-        map_version = (self.placement_map.version
-                       if self.placement_map is not None else 0)
         reply = DirectReadReply(
             request_id=request.request_id, vaddr=request.vaddr, ok=ok,
-            data=data, map_version=map_version, nack_reason=reason)
+            data=data, map_version=self.placement_map.version,
+            nack_reason=reason)
         # Straight back to the issuing client -- no switch traversal.
         self._transmit(request.reply_to, DIRECT_READ_KIND, reply,
                        segments=2)
@@ -540,12 +536,11 @@ class Accelerator:
                                      self._miss_response(lane, addr),
                                      early=grouped)
                         continue
-                if hotness is not None:
-                    # The tracker's geometric skip, counted down here:
-                    # it is called only for a sample that is due.
-                    hotness.countdown -= 1
-                    if hotness.countdown <= 0:
-                        hotness.take(addr, lane.prev_load)
+                # The tracker's geometric skip, counted down here: it is
+                # called only for a sample that is due.
+                hotness.countdown -= 1
+                if hotness.countdown <= 0:
+                    hotness.take(addr, lane.prev_load)
                 lane.prev_load = lane.addr = addr
                 held.append(lane)
             if memo_hits:
@@ -695,48 +690,35 @@ class Accelerator:
                        load_addr: int) -> TraversalRequest:
         """Translation miss: re-route, redirect (migrated), or fault.
 
-        A pointer arithmetically *foreign* is the paper's distributed
-        hop: bounce it as RUNNING and let the switch route it (§5) --
-        unless the live placement rules say the switch would route it
-        straight back here, in which case it faults.  A
-        pointer arithmetically *ours* but unmapped has either migrated
-        away -- the forwarding table (fresh migrations) or the shared
-        placement map (stragglers past the window) says so, and the
-        reply is MOVED so the switch retries it at the live owner -- or
-        it is genuinely invalid and faults.
+        The live placement map decides.  A pointer it gives to another
+        node leaves for the switch, which routes by the same map: as
+        RUNNING when the pointer is arithmetically foreign (the paper's
+        distributed hop, §5), as MOVED when it is arithmetically *ours*
+        and has migrated away -- however long ago.  A pointer the map
+        gives to nobody, or back to this node (an unmapped gap inside a
+        span that migrated in), faults: bouncing it would ping-pong
+        switch<->node forever, node_hops growing each leg so the
+        stale-epoch filter never drops it.
         """
+        node_id = self.node.node_id
         owner = self.node.addrspace.node_of(load_addr)
-        if owner is not None and owner != self.node.node_id:
-            # Arithmetically foreign -- but the switch routes RUNNING
-            # frames by the *live* rules, which after a migration can
-            # point right back here (an unmapped gap inside a span that
-            # migrated in).  Bouncing would ping-pong switch<->node
-            # forever (node_hops grows each leg, so the stale-epoch
-            # filter never drops it); only reroute when the live owner
-            # really is someone else, and fault otherwise.
-            live_owner = (self.placement_map.node_of(load_addr)
-                          if self.placement_map is not None else owner)
-            if live_owner is not None and live_owner != self.node.node_id:
+        foreign = owner is not None and owner != node_id
+        live_owner = self.placement_map.node_of(load_addr)
+        if live_owner is not None and live_owner != node_id:
+            if foreign:
                 self._m_rerouted.inc()
                 response = lane.response(RequestStatus.RUNNING)
-                response.node_hops += 1
-                return response
-            self._m_faults.inc()
+            else:
+                self._m_moved.inc()
+                response = lane.response(RequestStatus.MOVED)
+            response.node_hops += 1
+            return response
+        self._m_faults.inc()
+        if foreign:
             return lane.response(
                 RequestStatus.FAULT,
                 f"invalid pointer {load_addr:#x}: unmapped on its live "
                 f"owner")
-        moved = self.node.forwarding.lookup(load_addr) is not None
-        if not moved and self.placement_map is not None:
-            live_owner = self.placement_map.node_of(load_addr)
-            moved = (live_owner is not None
-                     and live_owner != self.node.node_id)
-        if moved:
-            self._m_moved.inc()
-            response = lane.response(RequestStatus.MOVED)
-            response.node_hops += 1
-            return response
-        self._m_faults.inc()
         return lane.response(RequestStatus.FAULT,
                              f"invalid pointer {load_addr:#x}")
 

@@ -57,7 +57,6 @@ class PulseCluster:
                  trace: bool = False,
                  seed: int = 0,
                  split_index: bool = False,
-                 split_index_capacity: int = 1 << 20,
                  split_index_invalidate: bool = True):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.env = Environment()
@@ -79,11 +78,15 @@ class PulseCluster:
         if client_table_capacity is not None:
             switch_kwargs["client_table_capacity"] = client_table_capacity
         self.switch = PulseSwitch(self.env, self.fabric,
-                                  self.memory.addrspace, self.params,
+                                  self.memory.placement, self.params,
                                   bounce_to_client=bounce_to_client,
                                   registry=self.registry,
-                                  rangemap=self.memory.placement,
                                   **switch_kwargs)
+        #: elastic placement: hotness tracking, live migration, and the
+        #: rebalancer control loop (see docs/architecture.md)
+        self.placement = PlacementService(self.env, self.memory,
+                                          self.params, self.registry,
+                                          seed=seed)
         #: accelerator construction options, reused by :meth:`add_node`
         #: so late-joining nodes match the rest of the rack
         self._acc_options = dict(cores=cores_per_accelerator,
@@ -92,18 +95,7 @@ class PulseCluster:
                                  scheduler_policy=scheduler_policy,
                                  batch_lanes=batch_lanes)
         self.accelerators: List[Accelerator] = [
-            Accelerator(self.env, node, self.fabric, self.params,
-                        registry=self.registry,
-                        **self._acc_options)
-            for node in self.memory.nodes
-        ]
-        #: elastic placement: hotness tracking, live migration, and the
-        #: rebalancer control loop (see docs/architecture.md)
-        self.placement = PlacementService(self.env, self.memory,
-                                          self.params, self.registry,
-                                          seed=seed)
-        for acc in self.accelerators:
-            self.placement.attach_accelerator(acc)
+            self._accelerator(node) for node in self.memory.nodes]
         #: replicated redo logging + crash recovery (None when the
         #: ``params.durability.enabled`` knob is off -- the default, so
         #: a durability-free rack pays nothing)
@@ -128,7 +120,6 @@ class PulseCluster:
             for i in range(client_count):
                 directory = SplitIndexDirectory(
                     registry=self.registry, name=f"client{i}",
-                    capacity=split_index_capacity,
                     invalidate_on_move=split_index_invalidate)
                 self.memory.placement.subscribe(directory.on_move)
                 self.indexes.append(directory)
@@ -144,6 +135,16 @@ class PulseCluster:
         #: worker processes attached by :meth:`shard` (None = classic
         #: in-process execution)
         self.runtime: Optional[ShardedRuntime] = None
+
+    def _accelerator(self, node) -> Accelerator:
+        """The accelerator in front of ``node``: it routes misses by the
+        live placement map and samples into the node's own hotness view
+        (a private RNG stream, so a sharded worker running only its own
+        nodes draws the skips the in-process run draws)."""
+        return Accelerator(
+            self.env, node, self.fabric, self.params, self.memory.placement,
+            self.placement.tracker.node_view(node.node_id),
+            registry=self.registry, **self._acc_options)
 
     @property
     def node_count(self) -> int:
@@ -198,11 +199,9 @@ class PulseCluster:
         self._forbid_sharded("add_node")
         node = self.memory.add_node()
         node.attach_metrics(self.registry, clock=lambda: self.env.now)
-        acc = Accelerator(self.env, node, self.fabric, self.params,
-                          registry=self.registry, **self._acc_options)
+        acc = self._accelerator(node)
         self.accelerators.append(acc)
         self.placement.on_node_added(node.node_id)
-        self.placement.attach_accelerator(acc)
         if self.durability is not None:
             self.durability.on_node_added(node.node_id)
             self.durability.attach_accelerator(acc)

@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from repro.core.accelerator import PULSE_KIND
 from repro.core.messages import (RequestStatus, TraversalBatch,
                                  TraversalRequest)
-from repro.mem.addrspace import AddressSpace
 from repro.obs.metrics import MetricsRegistry
 from repro.placement.rangemap import PlacementMap
 from repro.params import SystemParams
@@ -57,22 +56,18 @@ class PulseSwitch:
     """Tofino-style range-routing for pulse traversal packets."""
 
     def __init__(self, env: Environment, fabric: Fabric,
-                 addrspace: AddressSpace, params: SystemParams,
+                 rangemap: PlacementMap, params: SystemParams,
                  name: str = "switch", bounce_to_client: bool = False,
                  client_table_capacity: int = CLIENT_TABLE_CAPACITY,
-                 registry: Optional[MetricsRegistry] = None,
-                 rangemap: Optional[PlacementMap] = None):
+                 registry: Optional[MetricsRegistry] = None):
         if client_table_capacity < 1:
             raise ValueError("client table capacity must be >= 1")
         self.env = env
         self.fabric = fabric
-        self.addrspace = addrspace
-        #: the live ownership rules.  Shared with GlobalMemory/the
-        #: migration engine when the cluster passes its map in; a
-        #: standalone switch builds a private one (== the arithmetic
-        #: partition, one rule per node).
-        self.rangemap = (rangemap if rangemap is not None
-                         else PlacementMap(addrspace))
+        #: the live ownership rules, shared with GlobalMemory, the
+        #: accelerators and the migration engine (one rule per node
+        #: until a migration splits one)
+        self.rangemap = rangemap
         self.params = params
         self.name = name
         self.bounce_to_client = bounce_to_client
@@ -142,103 +137,123 @@ class PulseSwitch:
             self._route(message)
 
     def _route(self, message: Message) -> None:
-        if isinstance(message.payload, TraversalBatch):
-            self._route_batch(message)
-            return
-        request: TraversalRequest = message.payload
-        from_memory = message.src.startswith("mem")
+        """Route every request a frame carries; a bare request is a frame
+        of one.
 
-        if not from_memory:
-            # Request from a client: remember who to reply to (the
-            # hardware carries this in the packet's source fields).
-            # A (re)submission also resets the traversal's hop epoch:
-            # the client is deliberately restarting the chain.
-            self._learn_client(request, message.src)
+        A request bound for the client -- terminal, bounced (pulse-ACC)
+        or FAULTed -- leaves at once on its own.  The memory-bound rest
+        leave as one frame per owning node, in first-seen order: the
+        hardware analogue is a recirculating deparse that groups a
+        doorbell batch's requests by the range rule their ``cur_ptr``
+        matches.  A bare request leaves at the size it arrived with; the
+        frames a batch splits into are sized anew.
+        """
+        payload = message.payload
+        if isinstance(payload, TraversalBatch):
+            self._m_batches.inc()
+            requests = payload.requests
+            frame_bytes = 0
+        else:
+            requests = (payload,)
+            frame_bytes = message.size_bytes
+        src = message.src
+        from_memory = src.startswith("mem")
+        per_owner: Dict[int, list] = {}
+        for request in requests:
+            if not from_memory:
+                # Request from a client: remember who to reply to (the
+                # hardware carries this in the packet's source fields).
+                # A (re)submission also resets the traversal's hop
+                # epoch: the client is deliberately restarting the chain.
+                self._learn_client(request, src)
+            entry = self._table.get(request.request_id)
+            if entry is not None:
+                # Any frame for the id -- either direction -- proves the
+                # traversal is alive; the eviction scan keys off this.
+                entry.last_seen = self.env.now
+            client = entry.client if entry is not None else src
 
-        entry = self._table.get(request.request_id)
-        if entry is not None:
-            # Any frame for the id -- either direction -- proves the
-            # traversal is alive; the eviction scan keys off this.
-            entry.last_seen = self.env.now
-        client = entry.client if entry is not None else message.src
-
-        if request.status is RequestStatus.MOVED:
-            # A straggler reached the *old* owner of a migrated segment
-            # (it was parked in an admission queue, or in flight when the
-            # rule changed); the node bounced it back tagged MOVED.  The
-            # traversal is alive -- re-resolve cur_ptr against the live
-            # rules and retry it at the current owner.
-            if self._stale_epoch(request):
-                self._m_stale_epoch.inc()
-                return
-            owner = self.rangemap.node_of(request.cur_ptr)
-            if owner is None or f"mem{owner}" == message.src:
-                # The live map agrees with the node that bounced it:
-                # nobody serves this pointer.  A genuine fault, not a
-                # migration race.
-                request.status = RequestStatus.FAULT
-                request.fault_reason = (
-                    f"switch: no live owner for moved pointer "
-                    f"{request.cur_ptr:#x}")
-                self._m_returned.inc()
-                self._table.pop(request.request_id, None)
-                self._forward(message, client)
-                return
-            request.status = RequestStatus.RUNNING
-            self._m_moved.inc()
-            if self._events is not None:
-                self._events.record(self.name, "moved_redirect",
-                                    request.request_id, dst=f"mem{owner}")
-            self._forward(message, f"mem{owner}")
-            return
-
-        if request.status is RequestStatus.RUNNING:
-            if from_memory and self._stale_epoch(request):
-                # A hop frame the traversal has already advanced past
-                # (e.g. a leftover of an earlier end-to-end attempt):
-                # routing it would fork the traversal into a second
-                # chain racing the live one.
-                self._m_stale_epoch.inc()
-                return
-            if from_memory and self.bounce_to_client:
-                # pulse-ACC: hand the continuation back to the CPU node.
-                self._m_returned.inc()
-                self._forward(message, client)
-                return
-            owner = self.rangemap.node_of(request.cur_ptr)
-            if owner is None:
-                request.status = RequestStatus.FAULT
-                request.fault_reason = (
-                    f"switch: unroutable pointer {request.cur_ptr:#x}")
-                self._m_returned.inc()
-                self._table.pop(request.request_id, None)
-                self._forward(message, client)
-                return
-            if from_memory:
-                self._m_rerouted.inc()
+            if request.status is RequestStatus.MOVED:
+                # A straggler reached the *old* owner of a migrated
+                # segment (it was parked in an admission queue, or in
+                # flight when the rule changed); the node bounced it back
+                # tagged MOVED.  The traversal is alive -- re-resolve
+                # cur_ptr against the live rules and retry it at the
+                # current owner.
+                if self._stale_epoch(request):
+                    self._m_stale_epoch.inc()
+                    continue
+                owner = self.rangemap.node_of(request.cur_ptr)
+                if owner is None or f"mem{owner}" == src:
+                    # The live map agrees with the node that bounced it:
+                    # nobody serves this pointer.  A genuine fault, not a
+                    # migration race.
+                    self._fault(request, f"switch: no live owner for "
+                                f"moved pointer {request.cur_ptr:#x}",
+                                client, frame_bytes)
+                    continue
+                request.status = RequestStatus.RUNNING
+                self._m_moved.inc()
                 if self._events is not None:
-                    self._events.record(self.name, "reroute",
-                                        request.request_id, dst=f"mem{owner}")
+                    self._events.record(self.name, "moved_redirect",
+                                        request.request_id,
+                                        dst=f"mem{owner}")
+            elif request.status is RequestStatus.RUNNING:
+                if from_memory and self._stale_epoch(request):
+                    # A hop frame the traversal has already advanced past
+                    # (e.g. a leftover of an earlier end-to-end attempt):
+                    # routing it would fork the traversal into a second
+                    # chain racing the live one.
+                    self._m_stale_epoch.inc()
+                    continue
+                if from_memory and self.bounce_to_client:
+                    # pulse-ACC: hand the continuation back to the CPU
+                    # node.
+                    self._m_returned.inc()
+                    self._send(request, client, frame_bytes)
+                    continue
+                owner = self.rangemap.node_of(request.cur_ptr)
+                if owner is None:
+                    self._fault(request, f"switch: unroutable pointer "
+                                f"{request.cur_ptr:#x}", client,
+                                frame_bytes)
+                    continue
+                if from_memory:
+                    self._m_rerouted.inc()
+                    if self._events is not None:
+                        self._events.record(self.name, "reroute",
+                                            request.request_id,
+                                            dst=f"mem{owner}")
+                else:
+                    self._m_routed.inc()
+                    if self._events is not None:
+                        self._events.record(self.name, "route_to_memory",
+                                            request.request_id,
+                                            dst=f"mem{owner}")
             else:
-                self._m_routed.inc()
+                # Terminal statuses go home.  A terminal response whose
+                # request id is unknown is a stale duplicate (its
+                # original already completed, e.g. after a spurious
+                # retransmission): drop it.
+                if from_memory and entry is None:
+                    self._m_dropped_stale.inc()
+                    continue
+                self._m_returned.inc()
                 if self._events is not None:
-                    self._events.record(self.name, "route_to_memory",
-                                        request.request_id, dst=f"mem{owner}")
-            self._forward(message, f"mem{owner}")
-            return
+                    self._events.record(self.name, "return_to_client",
+                                        request.request_id, dst=client)
+                self._table.pop(request.request_id, None)
+                self._send(request, client, frame_bytes)
+                continue
+            per_owner.setdefault(owner, []).append(request)
 
-        # Terminal statuses go home.  A terminal response whose request
-        # id is unknown is a stale duplicate (its original already
-        # completed, e.g. after a spurious retransmission): drop it.
-        if from_memory and request.request_id not in self._table:
-            self._m_dropped_stale.inc()
-            return
-        self._m_returned.inc()
-        if self._events is not None:
-            self._events.record(self.name, "return_to_client",
-                                request.request_id, dst=client)
-        self._table.pop(request.request_id, None)
-        self._forward(message, client)
+        if len(per_owner) > 1:
+            self._m_batch_splits.inc()
+        for owner, routed in per_owner.items():
+            if len(routed) > 1:
+                self._send(TraversalBatch(routed), f"mem{owner}")
+            else:
+                self._send(routed[0], f"mem{owner}", frame_bytes)
 
     def _learn_client(self, request: TraversalRequest, src: str) -> None:
         """Record the issuing client, evicting when the table is full.
@@ -299,48 +314,6 @@ class PulseSwitch:
             entry.epoch = request.node_hops
         return False
 
-    def _route_batch(self, message: Message) -> None:
-        """Split one multi-request message by owning memory node.
-
-        The hardware analogue is a recirculating deparse: the switch
-        groups a batch's requests by the range rule their ``cur_ptr``
-        matches and emits one (possibly smaller) batch per memory node.
-        Unroutable entries are FAULTed back to the client individually.
-        """
-        batch: TraversalBatch = message.payload
-        self._m_batches.inc()
-        from_memory = message.src.startswith("mem")
-        per_owner: Dict[int, list] = {}
-        for request in batch:
-            if not from_memory:
-                self._learn_client(request, message.src)
-            owner = self.rangemap.node_of(request.cur_ptr)
-            if owner is None:
-                request.status = RequestStatus.FAULT
-                request.fault_reason = (
-                    f"switch: unroutable pointer {request.cur_ptr:#x}")
-                popped = self._table.pop(request.request_id, None)
-                client = (popped.client if popped is not None
-                          else message.src)
-                self._m_returned.inc()
-                self._send(request, request.wire_bytes(), client)
-                continue
-            self._m_routed.inc()
-            if self._events is not None:
-                self._events.record(self.name, "route_to_memory",
-                                    request.request_id, dst=f"mem{owner}")
-            per_owner.setdefault(owner, []).append(request)
-        if len(per_owner) > 1:
-            self._m_batch_splits.inc()
-        for owner, requests in per_owner.items():
-            if len(requests) == 1:
-                payload: object = requests[0]
-                size = requests[0].wire_bytes()
-            else:
-                payload = TraversalBatch(requests)
-                size = payload.wire_bytes()
-            self._send(payload, size, f"mem{owner}")
-
     def reinject(self, dead: str) -> int:
         """Failover takeover: reclaim every frame in flight toward ``dead``.
 
@@ -373,29 +346,34 @@ class PulseSwitch:
                     # Recovery did not retarget this pointer (it was
                     # never mapped): a genuine fault, returned to the
                     # issuing client if we still know it.
-                    entry = self._table.pop(request.request_id, None)
+                    entry = self._table.get(request.request_id)
                     if entry is None:
                         self._m_dropped_stale.inc()
                         continue
-                    request.status = RequestStatus.FAULT
-                    request.fault_reason = (
-                        f"switch: no live owner for pointer "
-                        f"{request.cur_ptr:#x} after failover")
-                    self._m_returned.inc()
-                    self._send(request, request.wire_bytes(), entry.client)
+                    self._fault(request, f"switch: no live owner for "
+                                f"pointer {request.cur_ptr:#x} after "
+                                f"failover", entry.client)
                     continue
                 self._m_reinjected.inc()
                 if self._events is not None:
                     self._events.record(self.name, "failover_reinject",
                                         request.request_id, dst=f"mem{owner}")
-                self._send(request, request.wire_bytes(), f"mem{owner}")
+                self._send(request, f"mem{owner}")
                 reinjected += 1
         return reinjected
 
-    def _send(self, payload, size_bytes: int, dst: str) -> None:
-        self.session.send(dst, PULSE_KIND, payload, size_bytes,
-                          segments=1)
+    def _fault(self, request: TraversalRequest, reason: str, client: str,
+               frame_bytes: int = 0) -> None:
+        """Turn ``request`` into a FAULT and send it to ``client``; its
+        client-table entry goes with it."""
+        request.status = RequestStatus.FAULT
+        request.fault_reason = reason
+        self._m_returned.inc()
+        self._table.pop(request.request_id, None)
+        self._send(request, client, frame_bytes)
 
-    def _forward(self, message: Message, dst: str) -> None:
-        self.session.send(dst, message.kind, message.payload,
-                          message.size_bytes, segments=1)
+    def _send(self, payload, dst: str, size_bytes: int = 0) -> None:
+        """One frame out, ``size_bytes`` on the wire (0: the payload's
+        own wire size)."""
+        self.session.send(dst, PULSE_KIND, payload,
+                          size_bytes or payload.wire_bytes(), segments=1)

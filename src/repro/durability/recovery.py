@@ -27,10 +27,12 @@ recovery schedule:
    each against the live map, and re-injects it at the new owner.
    Clients see elevated latency, not faults.
 
-Known limitations (documented, asserted nowhere): a segment migrated
-*after* a STORE was acknowledged strands that record's replicas on the
-peers of its old home; one crash at a time; crash schedules must not
-race migrations of the affected ranges.
+Known limitations: a segment migrated *after* a STORE was acknowledged
+strands that record's replicas on the peers of its old home (asserted,
+as a strict xfail, by ``tests/test_migration_differential.py::
+test_acknowledged_stores_survive_migration_onto_the_replica_holder``);
+one crash at a time; crash schedules must not race migrations of the
+affected ranges.
 """
 
 from __future__ import annotations

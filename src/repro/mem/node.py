@@ -15,7 +15,7 @@ the arithmetic partition), so a segment live-migrated by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.mem.addrspace import AddressSpace
 from repro.mem.allocator import DisaggregatedAllocator, PlacementPolicy
@@ -29,58 +29,6 @@ from repro.mem.translation import (
 from repro.placement.rangemap import PlacementMap
 
 
-class ForwardingTable:
-    """Per-node redirect hints left behind by migrations.
-
-    After a segment's fence, the *old* owner keeps a (range -> new owner)
-    hint so straggler frames -- parked in its admission queue, or in
-    flight when the switch rule changed -- get a ``MOVED`` reply instead
-    of a spurious fault.  Hints are advisory (the switch re-resolves
-    against the live map, which may have moved the segment again) and
-    are garbage collected after the forwarding window: by then every
-    straggler has either drained or been retried by its client.
-    """
-
-    def __init__(self):
-        #: hint id -> (virt_start, virt_end, new_owner, installed_at_ns);
-        #: keyed by a per-table monotonic id so each migration's expiry
-        #: removes exactly the hint *it* installed.  Expiring by time
-        #: window alone is wrong: two overlapping migrations inside one
-        #: forward window would have the first window's sweep drop the
-        #: second migration's still-live hint.
-        self._hints: Dict[int, Tuple[int, int, int, float]] = {}
-        self._next_id = 0
-        self.redirects = 0
-
-    def __len__(self) -> int:
-        return len(self._hints)
-
-    def install(self, virt_start: int, virt_end: int, new_owner: int,
-                now: float) -> int:
-        """Install a redirect hint; returns its id for exact removal."""
-        hint_id = self._next_id
-        self._next_id += 1
-        self._hints[hint_id] = (virt_start, virt_end, new_owner, now)
-        return hint_id
-
-    def lookup(self, vaddr: int) -> Optional[int]:
-        # Newest matching hint wins: a range migrated twice should
-        # redirect stragglers to the most recent destination.
-        best_id = -1
-        best_owner = None
-        for hint_id, (start, end, owner, _t) in self._hints.items():
-            if start <= vaddr < end and hint_id > best_id:
-                best_id = hint_id
-                best_owner = owner
-        if best_owner is not None:
-            self.redirects += 1
-        return best_owner
-
-    def remove(self, hint_id: int) -> bool:
-        """Drop one specific hint (a migration's own expiry timer)."""
-        return self._hints.pop(hint_id, None) is not None
-
-
 class MemoryNode:
     """One disaggregated memory node: DRAM + local translation state."""
 
@@ -91,7 +39,6 @@ class MemoryNode:
         self.addrspace = addrspace
         self.memory = PhysicalMemory(addrspace.node_capacity)
         self.table = RangeTranslationTable(capacity=tcam_capacity)
-        self.forwarding = ForwardingTable()
         self.virt_start, self.virt_end = addrspace.range_of(node_id)
 
     def attach_metrics(self, registry, clock) -> None:

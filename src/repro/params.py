@@ -248,9 +248,6 @@ class PlacementParams:
     migration_bandwidth_bytes_per_ns: float = 10.0
     #: chunk size for the phase-1 copy loop
     copy_chunk_bytes: int = 64 * KB
-    #: how long the old owner's forwarding hints stay installed after
-    #: the ownership fence (covers in-flight/parked stragglers)
-    forward_window_ns: float = 4_000.0 * US
     #: rebalancer control-loop period
     rebalance_interval_ns: float = 250.0 * US
     #: fill-fraction gap between fullest and emptiest node that

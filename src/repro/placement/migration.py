@@ -1,7 +1,7 @@
-"""Live segment migration between memory nodes (three-phase protocol).
+"""Live segment migration between memory nodes: copy, then fence.
 
 Moving a virtual-address segment while traversals are in flight uses the
-primitives earlier PRs built, composed into three phases:
+primitives earlier PRs built, composed into two phases:
 
 1. **Copy** -- the mapped bytes stream to the destination at a bounded
    migration bandwidth, chunk by chunk, *without* blocking traversals
@@ -15,11 +15,12 @@ primitives earlier PRs built, composed into three phases:
    transfers ownership accounting, and the shared
    :class:`~repro.placement.rangemap.PlacementMap` retargets the range
    (its version bump is the switch-rule update).
-3. **Forwarding window** -- the old owner keeps a redirect hint: a
-   straggler frame that raced the fence gets a ``MOVED`` reply, which
-   the switch retries against the live map.  Hints expire after the
-   window; later stragglers are caught by the accelerator's
-   placement-map fallback (its "migration journal").
+
+Nothing is left behind on the old owner.  A straggler frame that raced
+the fence -- parked in its admission queue, or in flight when the rule
+changed -- misses there, and the accelerator answers ``MOVED`` because
+the live map names another owner; the switch retries it against the
+same map.  That holds for as long as a frame can race, with no window.
 
 A drain is just a loop of migrations until the node owns nothing.
 """
@@ -136,9 +137,6 @@ class MigrationEngine:
             self._hist_ns = registry.histogram("placement.migration_ns")
             registry.gauge("placement.migrations_in_flight",
                            fn=lambda: self.in_flight)
-            registry.gauge("placement.forward_hints",
-                           fn=lambda: sum(len(n.forwarding)
-                                          for n in self.memory.nodes))
         else:
             self._m_migrations = self._m_bytes = self._m_failed = None
             self._hist_ns = None
@@ -221,8 +219,7 @@ class MigrationEngine:
             # holds.  Every failure surfaces as MigrationError so callers
             # (the rebalancer loop) need to handle exactly one type.
             try:
-                total, live, hint_id = self._fence(src, dst, virt_start,
-                                                   virt_end)
+                total, live = self._fence(src, dst, virt_start, virt_end)
             except MigrationError:
                 self._count_failed()
                 raise
@@ -232,13 +229,6 @@ class MigrationEngine:
             self.last_live_bytes = live
         finally:
             self.in_flight -= 1
-
-        # Phase 3: the forwarding window runs passively (the hint was
-        # installed by the fence); schedule the expiry of exactly *this*
-        # migration's hint.  Expiring by age would let this window's
-        # sweep drop a younger overlapping migration's still-live hint.
-        self.env.timeout(self.params.forward_window_ns).callbacks.append(
-            lambda _expired: src_node.forwarding.remove(hint_id))
 
         self.completed += 1
         self.bytes_migrated += total
@@ -259,7 +249,8 @@ class MigrationEngine:
         it), then moves each owned rule to the least-filled candidate
         until the placement map holds no rules for the node -- at which
         point the switch will never route a new frame there, and only
-        forwarding-window stragglers remain.  Returns total bytes moved.
+        stragglers remain (each answered MOVED from the live map).
+        Returns total bytes moved.
         """
         allocator = self.memory.allocator
         allocator.set_allocatable(node_id, False)
@@ -279,11 +270,10 @@ class MigrationEngine:
 
     # -- internals ----------------------------------------------------------
     def _fence(self, src: int, dst: int, virt_start: int,
-               virt_end: int) -> Tuple[int, int, int]:
-        """The switch-over plus the old owner's forwarding hint.
+               virt_end: int) -> Tuple[int, int]:
+        """The switch-over; returns ``(mapped_bytes, live_bytes)``.
 
-        Returns ``(mapped_bytes, live_bytes, hint_id)``.  No simulated
-        time passes inside the fence, so every check
+        No simulated time passes inside the fence, so every check
         :func:`switch_ownership` re-runs holds for the whole of it.
         """
         # Frees during the copy can merge blocks across the snapped
@@ -293,9 +283,7 @@ class MigrationEngine:
             src, virt_start, virt_end)
         total, live, _entries = switch_ownership(
             self.memory, src, dst, virt_start, virt_end)
-        hint_id = self.memory.nodes[src].forwarding.install(
-            virt_start, virt_end, dst, self.env.now)
-        return total, live, hint_id
+        return total, live
 
     def _pick_target(self, node_id: int,
                      targets: Optional[Iterable[int]]) -> Optional[int]:

@@ -43,20 +43,6 @@ class PlacementService:
             fn=lambda: self.tracker.node_heat(self.rangemap)
                            .get(node_id, 0.0))
 
-    # -- accelerator hookup -------------------------------------------------
-    def attach_accelerator(self, accelerator) -> None:
-        """Feed the tracker from this accelerator's memory pipeline and
-        give its miss path the shared map (its migration journal).
-
-        Each accelerator samples into its node's private view (own RNG
-        stream seeded from the node id), so a sharded worker that only
-        executes its own nodes draws the identical skips the in-process
-        run draws -- ``placement.hot.*`` stays byte-identical either way.
-        """
-        accelerator.hotness = self.tracker.node_view(
-            accelerator.node.node_id)
-        accelerator.placement_map = self.rangemap
-
     def on_node_added(self, node_id: int) -> None:
         self._register_heat_gauge(node_id)
 

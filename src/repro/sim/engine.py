@@ -362,9 +362,9 @@ class Environment:
         True) or report that no event anywhere in the sharded cluster
         exists at time <= ``limit`` (returning False).
 
-        May be called from inside an event (a cluster that shards lazily
-        on its first submission): the drain in progress ends before its
-        next pop and :meth:`run` asks the new hook for a window.
+        ``cluster.shard()`` installs it between runs.  Installing it from
+        inside an event is safe too: the drain in progress ends before
+        its next pop and :meth:`run` asks the new hook for a window.
         """
         self._window_hook = hook
         self._window_end = (window_end if window_end is not None

@@ -26,13 +26,10 @@ KEYS = 48
 
 # -- structure ----------------------------------------------------------------
 def storm_params():
-    # A short forwarding window plus slow copies maximize the chance a
-    # frame races a fence -- the regime the protocol must survive.
+    # Slow copies maximize the chance a frame races a fence -- the
+    # regime the protocol must survive.
     return SystemParams().with_overrides(
-        placement=PlacementParams(
-            migration_bandwidth_bytes_per_ns=2.0,
-            forward_window_ns=30_000.0,
-        ))
+        placement=PlacementParams(migration_bandwidth_bytes_per_ns=2.0))
 
 
 def durable_params():

@@ -7,7 +7,6 @@ from repro.core.messages import TraversalRequest
 from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace, AllocationError
-from repro.mem.node import ForwardingTable, GlobalMemory
 from repro.params import (DEFAULT_PARAMS, MS, US, NetworkParams,
                           PlacementParams, SystemParams)
 from repro.placement import HotnessTracker, PlacementError, PlacementMap
@@ -211,39 +210,13 @@ class TestHotnessTracker:
 
 
 # ---------------------------------------------------------------------------
-# ForwardingTable
-# ---------------------------------------------------------------------------
-class TestForwardingTable:
-    def test_lookup_inside_hint(self):
-        table = ForwardingTable()
-        table.install(0x1000, 0x2000, new_owner=3, now=0.0)
-        assert table.lookup(0x1800) == 3
-        assert table.lookup(0x2000) is None
-        assert table.redirects == 1
-
-    def test_remove_drops_exactly_one_hint_by_id(self):
-        # Two hints for the same range (the range migrated away, came
-        # back, and left again): each migration's expiry must remove
-        # only the hint it installed.
-        table = ForwardingTable()
-        first = table.install(0x1000, 0x2000, new_owner=1, now=0.0)
-        second = table.install(0x1000, 0x2000, new_owner=2, now=10.0)
-        assert table.lookup(0x1800) == 2      # newest hint wins
-        assert table.remove(first)
-        assert table.lookup(0x1800) == 2      # younger hint untouched
-        assert table.remove(second)
-        assert table.lookup(0x1800) is None
-        assert not table.remove(second)       # idempotent
-
-
-# ---------------------------------------------------------------------------
 # Switch MOVED handling
 # ---------------------------------------------------------------------------
 def make_switch(node_count=2):
     env = Environment()
     fabric = Fabric(env, DEFAULT_PARAMS.network)
     space = AddressSpace(node_count, 1 << 20)
-    switch = PulseSwitch(env, fabric, space, DEFAULT_PARAMS)
+    switch = PulseSwitch(env, fabric, PlacementMap(space), DEFAULT_PARAMS)
     client = fabric.register("client0")
     nodes = [fabric.register(f"mem{i}") for i in range(node_count)]
     return env, fabric, space, switch, client, nodes
@@ -303,15 +276,9 @@ class TestSwitchMoved:
 # ---------------------------------------------------------------------------
 # Migration engine (through the cluster)
 # ---------------------------------------------------------------------------
-def migration_params():
-    return SystemParams().with_overrides(
-        placement=PlacementParams(forward_window_ns=50_000.0))
-
-
 class TestMigration:
     def build(self, node_count=2, keys=32):
-        cluster = PulseCluster(node_count=node_count,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=node_count)
         table = HashTable(cluster.memory, buckets=64)
         for k in range(keys):
             table.insert(k, bytes([k % 256]) * 8)
@@ -354,44 +321,13 @@ class TestMigration:
         assert cluster.memory.placement.node_of(vaddr) == 1
         assert cluster.memory.read_u64(vaddr) == 0x2222
 
-    def test_overlapping_migrations_expire_hints_independently(self):
-        # Regression: a range that migrates away, bounces back, and
-        # leaves again inside one forward window leaves two hints on
-        # node 0.  Each migration's expiry must remove exactly its own
-        # hint: under the old range-keyed table with an age sweep, the
-        # re-installed hint both shadowed the first and then leaked
-        # past its own window (age == window is not > window), so a
-        # later straggler could be redirected by a dead hint forever.
-        cluster = PulseCluster(node_count=3, params=migration_params())
-        vaddr = cluster.memory.alloc(4096, preferred_node=0)
-        window = cluster.params.placement.forward_window_ns
-
-        fence_times = []
-        for dst in (1, 0, 2):
-            proc = cluster.migrate(vaddr, vaddr + 4096, dst)
-            cluster.env.run(until=proc)
-            fence_times.append(cluster.env.now)
-        t_first, _, t_last = fence_times
-        assert t_last - t_first < window    # the migrations overlap
-
-        fwd = cluster.memory.nodes[0].forwarding
-        assert len(fwd) == 2                # hints from legs 1 and 3
-        assert fwd.lookup(vaddr) == 2       # newest hint wins
-
-        cluster.env.run(until=t_first + window + 1.0)
-        assert len(fwd) == 1                # only leg 1's hint expired
-        assert fwd.lookup(vaddr) == 2       # leg 3 still redirects
-
-        cluster.env.run(until=t_last + window + 1.0)
-        assert len(fwd) == 0
-        assert fwd.lookup(vaddr) is None
-
     def test_straggler_long_after_the_fence_is_moved_by_the_map(self):
         # The switch routes a lookup to node 0, where it parks behind a
         # stalled receive pipeline while its bucket migrates to node 1.
-        # It is served 20 ms after the fence -- five times the 4 ms a
-        # migration once kept a redirect hint on the old owner -- and the
-        # live placement map alone turns it into one MOVED redirect.
+        # It is served ~20 ms after the fence (the client's end-to-end
+        # timer is lengthened so no retry overtakes it), and the live
+        # placement map alone turns it into one MOVED reply and one
+        # switch redirect.
         params = SystemParams().with_overrides(network=NetworkParams(
             retransmit_timeout_ns=1_000 * MS))
         cluster = PulseCluster(node_count=2, params=params)
@@ -427,8 +363,7 @@ class TestMigration:
         assert cluster.memory.placement.rule_count == 2
 
     def test_migrate_to_full_destination_fails_cleanly(self):
-        cluster = PulseCluster(node_count=2, node_capacity=64 * 1024,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=64 * 1024)
         a = cluster.memory.alloc(40 * 1024, preferred_node=0)
         cluster.memory.alloc(40 * 1024, preferred_node=1)
         proc = cluster.migrate(a, a + 40 * 1024, 1)
@@ -445,8 +380,7 @@ class TestMigration:
         # The fence must re-check and fail atomically -- source intact,
         # no leaked physical reservation -- with a MigrationError (not a
         # raw AllocationError, which would kill the rebalancer loop).
-        cluster = PulseCluster(node_count=2, node_capacity=256 * 1024,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=256 * 1024)
         a = cluster.memory.alloc(128 * 1024, preferred_node=0)
         cluster.memory.write_u64(a, 42)
         proc = cluster.migrate(a, a + 128 * 1024, 1)
@@ -469,7 +403,7 @@ class TestMigration:
         # Frees during the copy can merge blocks across the snapped
         # boundary; the fence re-snaps so transfer_ownership never hits
         # a straddling block mid-switch-over.
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         a = cluster.memory.alloc(4096, preferred_node=0)
         b = cluster.memory.alloc(4096, preferred_node=0)
         proc = cluster.migrate(a, a + 4096, 1)
@@ -492,7 +426,7 @@ class TestMigration:
         # arithmetically foreign to node 1; bouncing it RUNNING would
         # make the switch (which routes by the live map) send it right
         # back -- forever.  It must fault instead.
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         lst = LinkedList(cluster.memory, placement=lambda i: 0)
         addrs = [lst.append(k, k) for k in range(1, 6)]
         wild = cluster.memory.addrspace.range_of(0)[1] - 8
@@ -521,7 +455,7 @@ class TestMigration:
 # ---------------------------------------------------------------------------
 class TestMembership:
     def test_add_node_grows_rack(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         node_id = cluster.add_node()
         assert node_id == 2
         assert cluster.node_count == 3
@@ -531,7 +465,7 @@ class TestMembership:
             cluster.memory.addrspace.range_of(2)[0]) == 2
 
     def test_new_node_accepts_allocations_and_traversals(self):
-        cluster = PulseCluster(node_count=1, params=migration_params())
+        cluster = PulseCluster(node_count=1)
         cluster.add_node()
         table = HashTable(cluster.memory, buckets=16)
         for k in range(8):
@@ -543,7 +477,7 @@ class TestMembership:
         assert result.ok
 
     def test_drain_empties_node_while_traversals_run(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         table = HashTable(cluster.memory, buckets=64)
         for k in range(64):
             table.insert(k, bytes([k]) * 8)
@@ -563,7 +497,7 @@ class TestMembership:
             assert result.value[:1] == bytes([k])
 
     def test_drained_node_receives_no_new_allocations(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         drain = cluster.drain_node(0)
         cluster.env.run(until=drain)
         for _ in range(8):
@@ -571,7 +505,7 @@ class TestMembership:
             assert cluster.memory.placement.node_of(vaddr) == 1
 
     def test_drain_last_absorbing_node_raises(self):
-        cluster = PulseCluster(node_count=1, params=migration_params())
+        cluster = PulseCluster(node_count=1)
         cluster.memory.alloc(256)
         drain = cluster.drain_node(0)
         with pytest.raises(MigrationError):
@@ -583,8 +517,7 @@ class TestMembership:
 # ---------------------------------------------------------------------------
 class TestRebalancer:
     def test_fill_imbalance_triggers_migration_to_empty_node(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         fills = cluster.memory.allocator.node_fill_fractions()
@@ -597,7 +530,7 @@ class TestRebalancer:
         assert after[0] < fills[0]
 
     def test_balanced_cluster_does_nothing(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         for node in (0, 1):
             cluster.memory.alloc(64 * 1024, preferred_node=node)
         proc = cluster.rebalance_once()
@@ -619,8 +552,7 @@ class TestRebalancer:
         assert cluster.memory.placement.node_of(vaddr) == 1
 
     def test_fill_rebalance_moves_live_bytes_not_freed_space(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         # Node 0 carries a large freed-but-still-mapped region (cold,
         # zero live bytes) ahead of its live data.  Counting it toward
         # gap contraction would fake progress while the fill gap stays
@@ -640,8 +572,7 @@ class TestRebalancer:
         # Fence-time failures can surface as raw AllocationError; a
         # rebalancer that lets one escape dies silently for the rest of
         # the simulation.
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         calls = {"n": 0}
@@ -660,8 +591,7 @@ class TestRebalancer:
         assert calls["n"] >= 2
 
     def test_background_rebalancer_runs_and_stops(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         cluster.start_rebalancer()
@@ -672,7 +602,7 @@ class TestRebalancer:
         assert snap["counters"]["placement.migrations"] >= 1
 
     def test_hotness_fed_by_accelerator_loads(self):
-        cluster = PulseCluster(node_count=1, params=migration_params())
+        cluster = PulseCluster(node_count=1)
         table = HashTable(cluster.memory, buckets=16)
         for k in range(16):
             table.insert(k, b"v" * 8)

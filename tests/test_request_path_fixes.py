@@ -22,6 +22,7 @@ from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace
 from repro.params import DEFAULT_PARAMS, NetworkParams
+from repro.placement import PlacementMap
 from repro.sim import Environment
 from repro.sim.engine import SimulationError
 from repro.sim.network import Fabric, Message
@@ -97,7 +98,7 @@ class TestSwitchClientTableBound:
         env = Environment()
         fabric = Fabric(env, DEFAULT_PARAMS.network)
         space = AddressSpace(1, 1 << 20)
-        switch = PulseSwitch(env, fabric, space, DEFAULT_PARAMS,
+        switch = PulseSwitch(env, fabric, PlacementMap(space), DEFAULT_PARAMS,
                              client_table_capacity=capacity)
         fabric.register("client0")
         fabric.register("mem0")

@@ -8,6 +8,7 @@ from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace
 from repro.params import DEFAULT_PARAMS
+from repro.placement import PlacementMap
 from repro.sim import Environment
 from repro.sim.network import Fabric, Message
 
@@ -20,7 +21,7 @@ def make_switch(node_count=2, bounce=False):
     env = Environment()
     fabric = Fabric(env, DEFAULT_PARAMS.network)
     space = AddressSpace(node_count, 1 << 20)
-    switch = PulseSwitch(env, fabric, space, DEFAULT_PARAMS,
+    switch = PulseSwitch(env, fabric, PlacementMap(space), DEFAULT_PARAMS,
                          bounce_to_client=bounce)
     client = fabric.register("client0")
     nodes = [fabric.register(f"mem{i}") for i in range(node_count)]
