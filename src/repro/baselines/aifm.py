@@ -25,14 +25,14 @@ B+Trees nor distributed execution natively).
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 
 from repro.baselines.rpc import RpcSystem
-from repro.core.iterator import FaultInfo, PulseIterator, TraversalResult
+from repro.core.iterator import (FaultInfo, PulseIterator, TraversalResult,
+                                 walk)
 from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.workspace import MachinePool
-from repro.isa.instructions import ExecutionFault, wrap64
-from repro.isa.interpreter import IterationOutcome
-from repro.mem.translation import TranslationFault
+from repro.isa.instructions import wrap64
 
 
 class ObjectCache:
@@ -95,46 +95,33 @@ class CacheRpcSystem(RpcSystem):
         return "Cache+RPC"
 
     def traverse(self, iterator: PulseIterator, *args):
-        machine = self._machines.acquire(iterator.program)
-        try:
-            result = yield from self._traverse(iterator, machine, *args)
-            return result
-        finally:
-            self._machines.release(machine)
-
-    def _traverse(self, iterator: PulseIterator, machine, *args):
         start = self.env.now
         cpu = self.params.cpu
         net = self.params.network
-        cur_ptr, scratch = iterator.init(*args)
-        machine.reset(cur_ptr, scratch)
         window_offset, window_size = iterator.program.load_window
+        instruction_ns = cpu.instruction_ns()
+
+        def fetch(address):
+            if not self.object_cache.access(address):
+                return False  # first non-resident object: offload the rest
+            yield self.env.timeout(cpu.memory_access_ns(window_size))
+            return True
+
+        def compute(executed):
+            self._m_local_iterations.inc()
+            return self.env.timeout(executed * instruction_ns)
 
         # Phase 1: walk cached objects locally.
-        iterations = 0
-        fault = None
-        done = False
-        while True:
-            address = wrap64(machine.cur_ptr + window_offset)
-            if not self.object_cache.access(address):
-                break  # first non-resident object: offload the rest
-            yield self.env.timeout(cpu.memory_access_ns(window_size))
-            try:
-                step = machine.run_iteration(self.memory.read,
-                                             self.memory.write)
-            except ExecutionFault as exc:
-                fault = FaultInfo(reason=str(exc), kind="execution")
-                break
-            except TranslationFault as exc:
-                fault = FaultInfo(reason=str(exc), kind="translation")
-                break
-            iterations += 1
-            self._m_local_iterations.inc()
-            yield self.env.timeout(
-                step.instructions_executed * cpu.instruction_ns())
-            if step.outcome is IterationOutcome.DONE:
-                done = True
-                break
+        cur_ptr, scratch = iterator.init(*args)
+        machine = self._machines.acquire(iterator.program)
+        try:
+            machine.reset(cur_ptr, scratch)
+            iterations, fault, done = yield from walk(
+                machine, self.memory.read, self.memory.write, fetch,
+                compute)
+            cur_ptr, final_scratch = machine.cur_ptr, bytes(machine.scratch)
+        finally:
+            self._machines.release(machine)
 
         # Phase 2: RPC the remainder over the TCP-flavored stack.
         if not done and fault is None:
@@ -143,8 +130,8 @@ class CacheRpcSystem(RpcSystem):
             request = TraversalRequest(
                 request_id=(0, self._counter),
                 program=iterator.program,
-                cur_ptr=machine.cur_ptr,
-                scratch=bytes(machine.scratch),
+                cur_ptr=cur_ptr,
+                scratch=final_scratch,
                 iterations_done=iterations,
                 issued_at_ns=start,
             )
@@ -155,15 +142,9 @@ class CacheRpcSystem(RpcSystem):
             yield self.env.timeout(max(0.0, tcp_premium))
             while response.status is RequestStatus.ITER_LIMIT:
                 self._counter += 1
-                request = TraversalRequest(
-                    request_id=(0, self._counter),
-                    program=response.program,
-                    cur_ptr=response.cur_ptr,
-                    scratch=response.scratch,
-                    iterations_done=response.iterations_done,
-                    issued_at_ns=start,
-                )
-                response = yield from self._send_to_owner(request)
+                response = yield from self._send_to_owner(replace(
+                    response, request_id=(0, self._counter),
+                    status=RequestStatus.RUNNING))
             if response.status is RequestStatus.FAULT:
                 fault = FaultInfo(reason=response.fault_reason,
                                   kind="remote")
@@ -171,10 +152,7 @@ class CacheRpcSystem(RpcSystem):
             final_scratch = response.scratch
             # The traversed chain becomes cache-resident (AIFM swaps the
             # hot objects in); uniform access means it rarely helps.
-            self.object_cache.fill(wrap64(machine.cur_ptr
-                                          + window_offset))
-        else:
-            final_scratch = bytes(machine.scratch)
+            self.object_cache.fill(wrap64(cur_ptr + window_offset))
 
         result = TraversalResult(
             value=(None if fault is not None

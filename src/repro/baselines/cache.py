@@ -17,13 +17,11 @@ beyond the pool queues, modeling the paging path's limited parallelism.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Optional
 
 from repro.baselines.common import BaselineSystem
-from repro.core.iterator import FaultInfo, PulseIterator, TraversalResult
+from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.workspace import MachinePool
-from repro.isa.instructions import ExecutionFault, wrap64
-from repro.isa.interpreter import IterationOutcome
 from repro.mem.translation import TranslationFault
 from repro.sim.network import Message
 from repro.sim.resources import Resource
@@ -87,7 +85,6 @@ class CacheSystem(BaselineSystem):
         self.cpu_unit = Resource(self.env, capacity=8)
         self.servers = [_PagingServer(self, node)
                         for node in self.memory.nodes]
-        self.completed: List[TraversalResult] = []
         self._m_pages_fetched = self.registry.counter(
             "client0.cache.pages_fetched")
         self.registry.gauge("client0.cache.hit_ratio",
@@ -115,56 +112,36 @@ class CacheSystem(BaselineSystem):
 
     # -- the traversal, executed at the CPU node ------------------------------
     def traverse(self, iterator: PulseIterator, *args):
+        start = self.env.now
+        window_size = iterator.program.load_window[1]
+        instruction_ns = self.params.cpu.instruction_ns()
+
+        def fetch(address):
+            # A wild pointer faults here, before any page moves.
+            node = self.memory.node_of(address)
+            if node is None:
+                raise TranslationFault(address)
+            node.table.translate(address, window_size)
+            last_page = (address + window_size - 1) // self.page_bytes
+            for page in range(address // self.page_bytes, last_page + 1):
+                yield from self._access_page(page)
+            return True
+
+        cur_ptr, scratch = iterator.init(*args)
         machine = self._machines.acquire(iterator.program)
         try:
-            result = yield from self._traverse(iterator, machine, *args)
-            return result
+            machine.reset(cur_ptr, scratch)
+            iterations, fault, _done = yield from walk(
+                machine, self.memory.read, self.memory.write, fetch,
+                lambda executed: self.cpu_unit.hold(
+                    executed * instruction_ns),
+                budget=4 * self.params.accelerator.max_iterations)
+            value = (None if fault is not None
+                     else iterator.finalize(bytes(machine.scratch)))
         finally:
             self._machines.release(machine)
-
-    def _traverse(self, iterator: PulseIterator, machine, *args):
-        start = self.env.now
-        cur_ptr, scratch = iterator.init(*args)
-        machine.reset(cur_ptr, scratch)
-        window_offset, window_size = iterator.program.load_window
-        cpu = self.params.cpu
-        acc = self.params.accelerator
-
-        iterations = 0
-        fault = None
-        while True:
-            address = wrap64(machine.cur_ptr + window_offset)
-            try:
-                self.memory.read(address, window_size)  # validity check
-            except TranslationFault as exc:
-                fault = FaultInfo(reason=str(exc), kind="translation")
-                break
-
-            first_page = address // self.page_bytes
-            last_page = (address + window_size - 1) // self.page_bytes
-            for page in range(first_page, last_page + 1):
-                yield from self._access_page(page)
-
-            try:
-                step = machine.run_iteration(self.memory.read,
-                                             self.memory.write)
-            except ExecutionFault as exc:
-                fault = FaultInfo(reason=str(exc), kind="execution")
-                break
-
-            iterations += 1
-            yield self.cpu_unit.hold(
-                step.instructions_executed * cpu.instruction_ns())
-            if step.outcome is IterationOutcome.DONE:
-                break
-            if iterations >= 4 * acc.max_iterations:
-                fault = FaultInfo(reason="runaway traversal",
-                                  kind="budget")
-                break
-
         result = TraversalResult(
-            value=(None if fault is not None
-                   else iterator.finalize(bytes(machine.scratch))),
+            value=value,
             iterations=iterations,
             latency_ns=self.env.now - start,
             offloaded=False,

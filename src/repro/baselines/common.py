@@ -188,7 +188,6 @@ class BaselineSystem:
         if not result.ok:
             self._m_result_faults.inc()
         self._latency.record(result.latency_ns)
-        self.completed.append(result)
 
 
 def workers_to_saturate(cpu: CpuParams, bandwidth_bytes_per_ns: float,

@@ -18,6 +18,7 @@ Worker count defaults to the minimum saturating memory bandwidth
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.baselines.common import BaselineSystem, workers_to_saturate
@@ -25,7 +26,6 @@ from repro.core.iterator import FaultInfo, PulseIterator, TraversalResult
 from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import ExecutionFault, wrap64
-from repro.isa.interpreter import IterationOutcome
 from repro.mem.translation import PERM_READ, ProtectionFault
 from repro.sim.network import Message
 from repro.sim.resources import Resource
@@ -96,8 +96,10 @@ class _RpcServer:
         system = self.system
         cpu = system.cpu
         acc = system.params.accelerator  # iteration budget only
-        program = request.program
-        window_offset, window_size = program.load_window
+        bw = system.params.memory.bandwidth_bytes_per_ns
+        instruction_ns = cpu.instruction_ns()
+        memory = self.node.memory
+        window_offset, window_size = request.program.load_window
 
         try:
             machine.reset(request.cur_ptr, request.scratch)
@@ -123,17 +125,13 @@ class _RpcServer:
                     f"invalid pointer {load_addr:#x}")
 
             # DRAM access through the shared bandwidth cap.
-            bw = system.params.memory.bandwidth_bytes_per_ns
             yield self.bandwidth_gate.hold(
                 window_size / bw, cpu.memory_access_ns(window_size))
-
-            memory = self.node.memory
-
-            def read(vaddr: int, size: int) -> bytes:
-                return memory.read(entry.translate(vaddr, PERM_READ), size)
-
             try:
-                step = machine.run_iteration(read, self.node.write_virt)
+                done, executed = machine.step(
+                    memory.read(entry.translate(load_addr, PERM_READ),
+                                window_size),
+                    self.node.write_virt)
             except (ExecutionFault, ProtectionFault) as exc:
                 return request.advanced(
                     machine.cur_ptr, bytes(machine.scratch), iterations,
@@ -141,11 +139,10 @@ class _RpcServer:
 
             iterations += 1
             self._m_iterations.inc()
-            self._m_bytes.inc(step.load_bytes)
-            yield self.env.timeout(
-                step.instructions_executed * cpu.instruction_ns())
+            self._m_bytes.inc(window_size)
+            yield self.env.timeout(executed * instruction_ns)
 
-            if step.outcome is IterationOutcome.DONE:
+            if done:
                 return request.advanced(
                     machine.cur_ptr, bytes(machine.scratch), iterations,
                     RequestStatus.DONE)
@@ -178,7 +175,6 @@ class RpcSystem(BaselineSystem):
         ]
         self._waiters: Dict[tuple, object] = {}
         self._counter = 0
-        self.completed: List[TraversalResult] = []
         self.session.on_message = self._on_message
 
     @property
@@ -216,15 +212,8 @@ class RpcSystem(BaselineSystem):
                 break
             # RUNNING (left the node) or ITER_LIMIT: client continues it.
             self._counter += 1
-            request = TraversalRequest(
-                request_id=(0, self._counter),
-                program=response.program,
-                cur_ptr=response.cur_ptr,
-                scratch=response.scratch,
-                iterations_done=response.iterations_done,
-                issued_at_ns=start,
-                node_hops=response.node_hops,
-            )
+            request = replace(response, request_id=(0, self._counter),
+                              status=RequestStatus.RUNNING)
 
         faulted = response.status is RequestStatus.FAULT
         result = TraversalResult(

@@ -52,9 +52,6 @@ from repro.transport import TransportSession
 #: message kind tag for pulse traversal traffic
 PULSE_KIND = "pulse"
 
-#: per-stage span suffixes recorded under ``<node>.acc.span.<stage>``
-SPAN_STAGES = ("netstack", "scheduler", "memory", "logic")
-
 
 class _Lane:
     """One lane of a group: a request, its workspace frame, and the

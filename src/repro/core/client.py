@@ -23,15 +23,14 @@ import random
 from typing import Dict, List, Optional
 
 from repro.core.accelerator import PULSE_KIND
-from repro.core.iterator import FaultInfo, PulseIterator, TraversalResult
+from repro.core.iterator import (FaultInfo, PulseIterator, TraversalResult,
+                                 walk)
 from repro.core.messages import (DIRECT_READ_KIND, DirectReadRequest,
                                  RequestStatus, TraversalBatch,
                                  TraversalRequest)
 from repro.core.offload import OffloadEngine
-from repro.isa.instructions import ExecutionFault, wrap64
-from repro.isa.interpreter import IterationOutcome, IteratorMachine
+from repro.isa.interpreter import IteratorMachine
 from repro.mem.node import GlobalMemory
-from repro.mem.translation import TranslationFault
 from repro.obs.metrics import MetricsRegistry
 from repro.params import SystemParams
 from repro.sim.engine import Environment, Event, Process
@@ -205,8 +204,9 @@ class PulseClient:
         self._m_faults = registry.counter(f"{prefix}.faults")
         self._m_admission_retries = registry.counter(
             f"{prefix}.admission_retries")
-        self._m_in_flight = registry.gauge(f"{prefix}.in_flight")
         self._in_flight = 0
+        registry.gauge(f"{prefix}.in_flight",
+                       fn=lambda: float(self._in_flight))
         #: issue -> complete latency for every traversal; one shared
         #: name across all systems so a single snapshot() compares them
         self._latency = registry.histogram("request.latency_ns")
@@ -218,7 +218,6 @@ class PulseClient:
         self._dr_counter = 0
         self.batcher = DoorbellBatcher(self, batch_size=batch_size,
                                        flush_ns=flush_ns)
-        self.completed: List[TraversalResult] = []
         self.session.on_message = self._on_message
 
     # -- receive path ---------------------------------------------------------
@@ -278,12 +277,10 @@ class PulseClient:
     def _run_traversal(self, iterator: PulseIterator, args):
         start = self.env.now
         self._in_flight += 1
-        self._m_in_flight.set(float(self._in_flight))
         try:
             result = yield from self._traversal_body(iterator, args, start)
         finally:
             self._in_flight -= 1
-            self._m_in_flight.set(float(self._in_flight))
         self._finish(result)
         return result
 
@@ -304,16 +301,41 @@ class PulseClient:
         if self._events is not None:
             self._events.record(self.name, "issue", request.request_id,
                                 program=request.program.name)
-        response = yield from self._dispatch(request)
+        net = self.params.network
+        backoff = net.retry_backoff_ns
+        retries = 0
+        response = yield from self._send_and_wait(request)
         while response.status in (RequestStatus.ITER_LIMIT,
-                                  RequestStatus.RUNNING):
+                                  RequestStatus.RUNNING,
+                                  RequestStatus.RETRY):
             # ITER_LIMIT: section 3.1 continuation after the accelerator's
             # per-request budget.  RUNNING: only in pulse-ACC mode, where
             # inter-node hops bounce through this CPU node (Fig 8).
+            # RETRY: the accelerator's admission queue was full; back off
+            # exponentially (with jitter, capped) and resubmit from the
+            # state the NACK carried -- a rerouted continuation may have
+            # made progress before being NACKed at the next node.
             # MOVED never gets here: the switch re-routes a migration
             # redirect to the live owner or FAULTs it.
+            if response.status is RequestStatus.RETRY:
+                retries += 1
+                if retries > MAX_ADMISSION_RETRIES:
+                    self._m_requests_lost.inc()
+                    raise RequestLost(
+                        f"request {request.request_id} rejected by "
+                        f"admission control {retries} times")
+                self._m_admission_retries.inc()
+                if self._events is not None:
+                    self._events.record(self.name, "admission_retry",
+                                        request.request_id, attempt=retries)
+                yield self.env.timeout(
+                    backoff * self._rng.uniform(0.5, 1.5))
+                backoff = min(backoff * 2.0, net.retry_backoff_cap_ns)
+            else:
+                backoff = net.retry_backoff_ns
+                retries = 0
             request = self.engine.continuation(response, self.env.now)
-            response = yield from self._dispatch(request)
+            response = yield from self._send_and_wait(request)
 
         faulted = response.status is RequestStatus.FAULT
         result = TraversalResult(
@@ -415,37 +437,6 @@ class PulseClient:
         if not result.ok:
             self._m_faults.inc()
         self._latency.record(result.latency_ns)
-        self.completed.append(result)
-
-    def _dispatch(self, request: TraversalRequest):
-        """Send one request, absorbing admission-control NACKs.
-
-        A RETRY response means the accelerator's admission queue was
-        full; back off exponentially (with jitter, capped) and resubmit
-        the traversal *from the state the NACK carried* -- a rerouted
-        continuation may have made progress before being NACKed at the
-        next node.
-        """
-        net = self.params.network
-        backoff = net.retry_backoff_ns
-        retries = 0
-        response = yield from self._send_and_wait(request)
-        while response.status is RequestStatus.RETRY:
-            retries += 1
-            if retries > MAX_ADMISSION_RETRIES:
-                self._m_requests_lost.inc()
-                raise RequestLost(
-                    f"request {request.request_id} rejected by admission "
-                    f"control {retries} times")
-            self._m_admission_retries.inc()
-            if self._events is not None:
-                self._events.record(self.name, "admission_retry",
-                                    request.request_id, attempt=retries)
-            yield self.env.timeout(backoff * self._rng.uniform(0.5, 1.5))
-            backoff = min(backoff * 2.0, net.retry_backoff_cap_ns)
-            request = self.engine.continuation(response, self.env.now)
-            response = yield from self._send_and_wait(request)
-        return response
 
     def _send_and_wait(self, request: TraversalRequest):
         """Send and await a response, retrying end-to-end on timeout.
@@ -493,47 +484,27 @@ class PulseClient:
         """
         net = self.params.network
         acc = self.params.accelerator
-        cpu = self.params.cpu
+        instruction_ns = self.params.cpu.instruction_ns()
+        window_size = iterator.program.load_window[1]
+        # Remote read round trip for one iteration's window.
+        round_trip = (4 * net.segment_ns
+                      + 2 * net.switch_process_ns
+                      + 2 * acc.netstack_ns
+                      + acc.memory_access_ns(window_size)
+                      + window_size / net.link_bytes_per_ns)
+
+        def fetch(_addr):
+            yield self.stack_unit.hold(net.dpdk_stack_ns, round_trip)
+            yield self.stack_unit.hold(net.dpdk_stack_ns)
+            return True
 
         cur_ptr, scratch = iterator.init(*args)
         machine = IteratorMachine(iterator.program)
         machine.reset(cur_ptr, scratch)
-        window_offset, window_size = iterator.program.load_window
-
-        iterations = 0
-        fault: Optional[FaultInfo] = None
-        while True:
-            # Remote read round trip for this iteration's window.
-            round_trip = (4 * net.segment_ns
-                          + 2 * net.switch_process_ns
-                          + 2 * acc.netstack_ns
-                          + acc.memory_access_ns(window_size)
-                          + window_size / net.link_bytes_per_ns)
-            yield self.stack_unit.hold(net.dpdk_stack_ns, round_trip)
-            yield self.stack_unit.hold(net.dpdk_stack_ns)
-
-            try:
-                read_addr = wrap64(machine.cur_ptr + window_offset)
-                self.memory.read(read_addr, window_size)  # validity check
-                step = machine.run_iteration(self.memory.read,
-                                             self.memory.write)
-            except ExecutionFault as exc:
-                fault = FaultInfo(reason=str(exc), kind="execution")
-                break
-            except TranslationFault as exc:
-                fault = FaultInfo(reason=str(exc), kind="translation")
-                break
-            iterations += 1
-            yield self.env.timeout(
-                step.instructions_executed * cpu.instruction_ns())
-            if step.outcome is IterationOutcome.DONE:
-                break
-            if iterations >= acc.max_iterations:
-                fault = FaultInfo(
-                    reason="local execution exceeded iteration budget",
-                    kind="budget")
-                break
-
+        iterations, fault, _done = yield from walk(
+            machine, self.memory.read, self.memory.write, fetch,
+            lambda executed: self.env.timeout(executed * instruction_ns),
+            budget=acc.max_iterations)
         return TraversalResult(
             value=(None if fault is not None
                    else iterator.finalize(bytes(machine.scratch))),

@@ -14,7 +14,9 @@ A data-structure developer ports an operation by providing:
 This mirrors the paper's Listing 1: ``init()`` executes at the CPU node
 while ``next()``/``end()`` (here: the program) execute wherever the
 offload engine decides -- accelerator, memory-node CPU (RPC baselines), or
-the CPU node itself with remote reads.
+the CPU node itself with remote reads.  :func:`walk` is that last host's
+loop, shared by the client fallback and the Cache and Cache+RPC
+baselines.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.isa.instructions import ExecutionFault, wrap64
 from repro.isa.program import Program
+from repro.mem.translation import ProtectionFault, TranslationFault
 
 
 @dataclass(frozen=True)
@@ -149,3 +153,45 @@ class PulseIterator:
             iterations=machine.iterations,
             offloaded=False,
         )
+
+
+def walk(machine, read, write, fetch, compute, budget=None):
+    """Process body: step ``machine`` at the CPU node until RETURN.
+
+    The one loop of every host that runs a kernel at the CPU node (the
+    client fallback, the Cache and Cache+RPC baselines); the caller's
+    process drives it with ``yield from``, so it adds no process of its
+    own.  Each iteration runs ``yield from fetch(addr)`` -- whatever
+    brings the window at ``addr`` to the CPU; a ``False`` return ends
+    the walk unfinished -- then reads the window once with ``read``,
+    calls ``machine.step`` on it (STOREs go to ``write``) and yields
+    ``compute(executed)``, the event that charges its logic.
+
+    Returns ``(iterations, fault, done)``.  ``fault`` is a
+    :class:`FaultInfo` when ``fetch``, the read or the step raised, or
+    when ``budget`` iterations ran without RETURN; ``done`` is True once
+    RETURN was reached.
+    """
+    offset, size = machine.program.load_window
+    iterations = 0
+    while True:
+        addr = wrap64(machine.cur_ptr + offset)
+        try:
+            if not (yield from fetch(addr)):
+                return iterations, None, False
+            done, executed = machine.step(read(addr, size), write)
+        except ExecutionFault as exc:
+            return iterations, FaultInfo(str(exc), "execution"), False
+        except TranslationFault as exc:
+            return iterations, FaultInfo(str(exc), "translation"), False
+        except ProtectionFault as exc:
+            return iterations, FaultInfo(str(exc), "protection"), False
+        iterations += 1
+        yield compute(executed)
+        if done:
+            return iterations, None, True
+        if budget is not None and iterations >= budget:
+            return (iterations,
+                    FaultInfo(f"traversal exceeded {budget} iterations",
+                              "budget"),
+                    False)

@@ -328,7 +328,7 @@ class PulseSwitch:
         re-injected.
         """
         reinjected = 0
-        for payload in self.session.take_over(dead, include_all=True):
+        for payload in self.session.take_over(dead):
             if isinstance(payload, TraversalBatch):
                 requests = list(payload)
             else:

@@ -33,11 +33,7 @@ from repro.isa.batchmachine import (
     BatchMachine,
     get_batch_plan,
 )
-from repro.isa.interpreter import (
-    IterationOutcome,
-    IteratorMachine,
-    StepResult,
-)
+from repro.isa.interpreter import IteratorMachine
 from repro.isa.analysis import ProgramAnalysis, analyze
 
 __all__ = [
@@ -48,13 +44,11 @@ __all__ = [
     "ExecutionFault",
     "Instruction",
     "IsaError",
-    "IterationOutcome",
     "IteratorMachine",
     "Opcode",
     "Operand",
     "Program",
     "ProgramAnalysis",
-    "StepResult",
     "analyze",
     "assemble",
     "compile_program",

@@ -9,14 +9,12 @@ compiled kernel, several places it can run.
 
 Execution is iteration-structured, mirroring the hardware (section 4.2):
 
-1. the memory phase performs the single aggregated LOAD via a caller-
-   provided ``read_fn(vaddr, size) -> bytes``;
+1. the memory phase performs the single aggregated LOAD: the host reads
+   the window at ``cur_ptr + load offset`` itself, through whatever
+   translation it models -- which is where a pointer living on another
+   memory node (section 5) or an unreadable range shows up;
 2. the logic phase runs the remaining instructions against the workspace
    until NEXT_ITER (another iteration follows) or RETURN (traversal done).
-
-``read_fn`` may raise :class:`~repro.mem.translation.TranslationFault` --
-the accelerator catches it to detect pointers living on another memory
-node (section 5).
 
 Two execution tiers share this machine's state and interface:
 
@@ -29,19 +27,16 @@ Two execution tiers share this machine's state and interface:
   operand access and the instruction count resolved at compile time.
   Same faults, same counters, byte-identical scratch results.
 
-Both run behind one call shape: :meth:`IteratorMachine.step` takes the
-bytes of the iteration's LOAD (a host that already holds them -- the
-accelerator, through its TLB entry -- calls it directly), and
-:meth:`IteratorMachine.run_iteration` is ``read_fn`` + ``step``.
-``step`` calls the frame's ``step_fn``, the whole step as a plain
-function of the machine: on the compiled tier it *is* the generated
-function, and a host stepping many frames calls it directly.
+Both run behind one call shape, and it is the only way a host advances
+a frame: :meth:`IteratorMachine.step` takes the bytes of the iteration's
+LOAD, already read by the host.  ``step`` calls the frame's ``step_fn``,
+the whole step as a plain function of the machine: on the compiled tier
+it *is* the generated function, and a host stepping many frames calls it
+directly.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.isa.compiler import compile_program, interpreter_forced
@@ -60,20 +55,6 @@ from repro.isa.program import Program
 
 ReadFn = Callable[[int, int], bytes]
 WriteFn = Callable[[int, bytes], None]
-
-
-class IterationOutcome(enum.Enum):
-    CONTINUE = "continue"   # NEXT_ITER reached; cur_ptr holds next pointer
-    DONE = "done"           # RETURN reached; scratch pad is the result
-
-
-@dataclass
-class StepResult:
-    """What one iteration did, for the host to charge time against."""
-
-    outcome: IterationOutcome
-    instructions_executed: int
-    load_bytes: int
 
 
 class IteratorMachine:
@@ -137,18 +118,6 @@ class IteratorMachine:
         self.iterations = 0
 
     # -- one hardware iteration ---------------------------------------------
-    def run_iteration(self, read_fn: ReadFn,
-                      write_fn: Optional[WriteFn] = None) -> StepResult:
-        """Memory phase + logic phase for the current cur_ptr."""
-        size = self._window_size
-        done, executed = self.step_fn(
-            self,
-            read_fn((self.cur_ptr + self._window_offset) & MASK64, size),
-            write_fn)
-        return StepResult(
-            IterationOutcome.DONE if done else IterationOutcome.CONTINUE,
-            executed, size)
-
     def step(self, data, write_fn: Optional[WriteFn] = None
              ) -> Tuple[bool, int]:
         """Logic phase over ``data``, the bytes (any buffer) of this
@@ -341,7 +310,7 @@ class IteratorMachine:
         Raises :class:`ExecutionFault` if ``max_iterations`` is exceeded,
         mirroring the accelerator's forced termination (section 3.1) --
         callers that want the continuation behaviour should loop over
-        :meth:`run_iteration` themselves.
+        :meth:`step` themselves.
         """
         offset, size = self._window_offset, self._window_size
         step_fn = self.step_fn

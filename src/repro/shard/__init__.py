@@ -12,7 +12,7 @@ event-for-event identical to the in-process cluster.
 """
 
 from repro.shard.runtime import (ShardedRuntime, ShardError, lookahead_ns,
-                                 merge_snapshots, resolve_workers)
+                                 merge_snapshots)
 from repro.shard.transport import WireFrame
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "WireFrame",
     "lookahead_ns",
     "merge_snapshots",
-    "resolve_workers",
 ]

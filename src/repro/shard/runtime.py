@@ -51,17 +51,12 @@ class ShardError(RuntimeError):
     """Misuse of (or a failure inside) the sharded runtime."""
 
 
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: the explicit argument, else 0 (in process)."""
-    return int(explicit) if explicit is not None else 0
-
-
 def lookahead_ns(params) -> float:
     """The conservative window size: minimum cross-process link latency.
 
     Every cross-boundary send covers at least one wire segment plus the
-    switch processing stage (jitter and extra latency only add), so no
-    frame transmitted at ``t`` can arrive before ``t + L``.
+    switch processing stage (jitter only adds), so no frame transmitted
+    at ``t`` can arrive before ``t + L``.
     """
     lookahead = float(params.network.segment_ns
                       + params.network.switch_process_ns)
@@ -191,7 +186,7 @@ class ShardedRuntime:
     def __init__(self, cluster, workers: Optional[int] = None,
                  replicated: Sequence[Callable] = ()):
         self.cluster = cluster
-        count = resolve_workers(workers)
+        count = int(workers) if workers is not None else 0
         if count < 1:
             raise ShardError(f"need at least one worker (got {count})")
         if "fork" not in multiprocessing.get_all_start_methods():

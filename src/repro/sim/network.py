@@ -241,8 +241,7 @@ class Fabric:
     def endpoints(self) -> Dict[str, Endpoint]:
         return dict(self._endpoints)
 
-    def send(self, message: Message, segments: int = 2,
-             extra_latency_ns: float = 0.0) -> None:
+    def send(self, message: Message, segments: int = 2) -> None:
         """Start delivery of ``message``; returns immediately.
 
         Serialize at the sender's egress, propagate over ``segments``
@@ -256,8 +255,7 @@ class Fabric:
         if message.dst not in self._endpoints:
             raise ValueError(f"unknown destination endpoint {message.dst!r}")
         propagation = (self.params.segment_ns * segments
-                       + self.params.switch_process_ns
-                       + extra_latency_ns)
+                       + self.params.switch_process_ns)
         tx_end = src.egress.hold(message.size_bytes / src.link_bytes_per_ns)
         tx_end.callbacks.append(
             lambda _hold: self._transmitted(src, message, propagation))

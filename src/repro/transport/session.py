@@ -67,7 +67,6 @@ class Segment:
     payload: Any
     size_bytes: int
     segments: int = 2
-    extra_latency_ns: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -170,15 +169,13 @@ class TransportSession:
         return profile is not None and profile.lossy
 
     def send(self, dst: str, kind: str, payload: Any, size_bytes: int,
-             segments: Optional[int] = None,
-             extra_latency_ns: float = 0.0) -> None:
+             segments: Optional[int] = None) -> None:
         """Send one message; reliable iff the link toward ``dst`` is
         armed, with transport metadata derived from the payload."""
         if segments is None:
             segments = self.default_segments
         if not self.armed_to(dst):
-            self._wire(dst, kind, payload, size_bytes, segments,
-                       extra_latency_ns)
+            self._wire(dst, kind, payload, size_bytes, segments)
             return
         hop_epoch = 0
         flags = 0
@@ -203,27 +200,27 @@ class TransportSession:
             header=TransportHeader(seq=seq, flags=flags,
                                    hop_epoch=hop_epoch),
             kind=kind, payload=payload, size_bytes=size_bytes,
-            segments=segments, extra_latency_ns=extra_latency_ns))
+            segments=segments))
         flow.outstanding[seq] = entry
         self._m_tx_segments.inc()
         self._transmit(entry)
         self.env.process(self._retransmit_loop(flow, seq, entry))
 
     def _wire(self, dst: str, kind: str, payload: Any, size_bytes: int,
-              segments: int, extra_latency_ns: float = 0.0) -> None:
+              segments: int) -> None:
         """Fire-and-forget delivery through the fabric."""
         if self.powered_off:
             return
         self.fabric.send(Message(
             kind=kind, src=self.name, dst=dst, size_bytes=size_bytes,
             payload=payload,
-        ), segments=segments, extra_latency_ns=extra_latency_ns)
+        ), segments=segments)
 
     def _transmit(self, entry: _TxEntry) -> None:
         segment = entry.segment
         self._wire(entry.dst, segment.kind, segment,
                    segment.size_bytes + self.params.header_bytes,
-                   segment.segments, segment.extra_latency_ns)
+                   segment.segments)
 
     def _retransmit_loop(self, flow: _TxFlow, seq: int, entry: _TxEntry):
         """Process: retransmit ``seq`` until acked or out of budget."""
@@ -249,20 +246,18 @@ class TransportSession:
             self._transmit(entry)
             timeout = min(timeout * 2.0, self.params.hop_backoff_cap_ns)
 
-    def take_over(self, dst: str, include_all: bool = False) -> list:
-        """Cancel and return every unacked *checkpointed* payload to ``dst``.
+    def take_over(self, dst: str) -> list:
+        """Cancel and return every unacked payload to ``dst``.
 
-        Recovery calls this when ``dst`` is declared dead: checkpoint
-        frames carry the traversal's serialized mid-flight state, so
-        instead of letting the per-hop timers retry into a black hole
-        (and eventually give up into the client's end-to-end timeout),
-        the caller re-injects the payloads at the range's new owner.
-        Non-checkpoint frames keep their timers and take the normal
-        give-up path -- they carry no resumable state -- unless
-        ``include_all`` is set: a *permanently* dead destination never
-        acks, so even fresh submissions are reclaimed and re-resolved
-        instead of burning their whole retry budget into the black
-        hole.  Returned in sequence order (the order originally sent).
+        Recovery calls this when ``dst`` is declared dead: instead of
+        letting the per-hop timers retry into a black hole (and
+        eventually give up into the client's end-to-end timeout), the
+        caller re-injects the payloads at the range's new owner.  A
+        *permanently* dead destination never acks, so fresh submissions
+        are reclaimed too, not only checkpoint frames (the traversal's
+        serialized mid-flight state, each counted as a checkpoint
+        resume).  Returned in sequence order (the order originally
+        sent).
         """
         flow = self._tx.get(dst)
         if flow is None:
@@ -270,12 +265,11 @@ class TransportSession:
         resumed = []
         for seq in sorted(flow.outstanding):
             entry = flow.outstanding[seq]
-            if include_all or entry.segment.header.is_checkpoint:
-                entry.acked = True  # parks the retransmit loop
-                del flow.outstanding[seq]
-                resumed.append(entry.segment.payload)
-                if entry.segment.header.is_checkpoint:
-                    self._m_checkpoint_resumes.inc()
+            entry.acked = True  # parks the retransmit loop
+            resumed.append(entry.segment.payload)
+            if entry.segment.header.is_checkpoint:
+                self._m_checkpoint_resumes.inc()
+        flow.outstanding.clear()
         return resumed
 
     # -- receiving -----------------------------------------------------------

@@ -101,16 +101,16 @@ def scalar_run(program, cur_ptr, scratch, max_iters=100):
     machine = IteratorMachine(program, compiled=False)
     machine.reset(cur_ptr, scratch)
 
-    def read_fn(addr, size):
-        return IMAGE[addr:addr + size]
+    offset, size = program.load_window
 
     iters = 0
     fault = None
     try:
         while iters < max_iters:
-            out = machine.run_iteration(read_fn)
+            addr = machine.cur_ptr + offset
+            done, _executed = machine.step(IMAGE[addr:addr + size])
             iters += 1
-            if out.outcome.value == "done":
+            if done:
                 break
     except ExecutionFault as exc:
         fault = str(exc)

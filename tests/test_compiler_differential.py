@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.isa import (
     ExecutionFault,
     Instruction,
-    IterationOutcome,
     IteratorMachine,
     Opcode,
     Operand,
@@ -32,7 +31,7 @@ from repro.isa.compiler import (
     compile_cache_size,
     interpreter_forced,
 )
-from repro.isa.instructions import ALU_OPCODES, JUMP_OPCODES, Bank
+from repro.isa.instructions import ALU_OPCODES, JUMP_OPCODES, MASK64, Bank
 from repro.mem import GlobalMemory
 from repro.mem.translation import ProtectionFault, TranslationFault
 from repro.structures import (
@@ -46,6 +45,13 @@ from repro.structures import (
 )
 
 
+def read_and_step(machine, read_fn, write_fn=None):
+    """One iteration as every host runs it: read the window, then step."""
+    offset, size = machine.program.load_window
+    return machine.step(read_fn((machine.cur_ptr + offset) & MASK64, size),
+                        write_fn)
+
+
 def execute(program, cur_ptr, scratch, read_fn, write_fn=None,
             compiled=False, max_iterations=4096):
     """Run a traversal to completion; capture all observable state."""
@@ -56,12 +62,12 @@ def execute(program, cur_ptr, scratch, read_fn, write_fn=None,
     steps = 0
     while True:
         try:
-            step = machine.run_iteration(read_fn, write_fn)
+            done, _executed = read_and_step(machine, read_fn, write_fn)
         except ExecutionFault as exc:
             fault = (type(exc).__name__, str(exc))
             break
         steps += 1
-        if step.outcome is IterationOutcome.DONE:
+        if done:
             break
         if steps >= max_iterations:
             fault = ("Budget", "iteration cap")
@@ -307,9 +313,9 @@ def test_reset_preserves_scratch_when_asked():
     for compiled in (False, True):
         machine = IteratorMachine(program, compiled=compiled)
         machine.reset(addr, (5).to_bytes(8, "little"))
-        machine.run_iteration(gm.read)
+        read_and_step(machine, gm.read)
         machine.reset(addr, scratch=None)     # resume: keep the pad
-        machine.run_iteration(gm.read)
+        read_and_step(machine, gm.read)
         assert int.from_bytes(bytes(machine.scratch[:8]), "little") == 7
         machine.reset(addr, b"")              # fresh request: zeroed
         assert bytes(machine.scratch) == bytes(len(machine.scratch))
@@ -455,12 +461,11 @@ def trace_tier(program, cur_ptr, scratch, store_fault, compiled):
     trace = []
     for _ in range(GEN_ITERATIONS):
         try:
-            step = machine.run_iteration(_window, write_fn)
+            done, executed = read_and_step(machine, _window, write_fn)
         except (ExecutionFault, ProtectionFault, TranslationFault) as exc:
             trace.append((type(exc).__name__, str(exc), state()))
             break
-        trace.append((step.outcome, step.instructions_executed,
-                      step.load_bytes, state()))
+        trace.append((done, executed, state()))
     return trace
 
 

@@ -10,7 +10,6 @@ from repro.isa import (
     ExecutionFault,
     Instruction,
     IsaError,
-    IterationOutcome,
     IteratorMachine,
     Opcode,
     Program,
@@ -185,11 +184,11 @@ class TestInterpreter:
         addrs = build_list(gm, [(1, 11), (2, 22)])
         machine = IteratorMachine(hash_find)
         machine.reset(addrs[0], scratch=(2).to_bytes(8, "little"))
-        first = machine.run_iteration(gm.read)
-        assert first.outcome is IterationOutcome.CONTINUE
+        done, _executed = machine.step(gm.read(addrs[0], 24))
+        assert not done
         assert machine.cur_ptr == addrs[1]
-        second = machine.run_iteration(gm.read)
-        assert second.outcome is IterationOutcome.DONE
+        done, _executed = machine.step(gm.read(addrs[1], 24))
+        assert done
 
     def test_max_iterations_enforced(self, hash_find):
         gm = GlobalMemory(1, 1 << 16)
@@ -347,14 +346,13 @@ class TestInterpreter:
         addrs = build_list(gm, [(1, 11)])
         machine = IteratorMachine(hash_find)
         machine.reset(addrs[0], scratch=(1).to_bytes(8, "little"))
-        result = machine.run_iteration(gm.read)
         # LOAD + COMPARE + JUMP_EQ(taken) + MOVE + RETURN = 5
-        assert result.instructions_executed == 5
-        assert result.load_bytes == 24
+        assert machine.step(gm.read(addrs[0], 24)) == (True, 5)
+        assert machine.total_load_bytes == 24
 
     @pytest.mark.parametrize("compiled", (False, True))
     def test_step_takes_the_loaded_bytes(self, hash_find, compiled):
-        """``step`` is ``run_iteration`` minus the read: same result,
+        """``step`` takes the window the host already read: same result,
         counters and short-read fault on either tier."""
         gm = GlobalMemory(1, 1 << 16)
         addrs = build_list(gm, [(1, 11), (2, 22)])

@@ -13,7 +13,7 @@ here rather than showing up as benchmark noise.
 import sys
 
 from repro.core import PulseCluster
-from repro.isa import IterationOutcome, IteratorMachine
+from repro.isa import IteratorMachine
 from repro.mem import GlobalMemory
 from repro.structures import BPlusTree, HashTable, LinkedList
 
@@ -42,13 +42,15 @@ def iteration_costs(iterator, memory, *args):
     of one traversal."""
     machine = IteratorMachine(iterator.program, compiled=True)
     machine.reset(*iterator.init(*args))
+    offset, size = iterator.program.load_window
     costs = []
     while True:
         steps = []
-        calls = python_calls(lambda: steps.append(
-            machine.run_iteration(memory.read)))
-        costs.append((steps[0].instructions_executed, len(calls)))
-        if steps[0].outcome is IterationOutcome.DONE:
+        calls = python_calls(lambda: steps.append(machine.step(
+            memory.read(machine.cur_ptr + offset, size))))
+        done, executed = steps[0]
+        costs.append((executed, len(calls)))
+        if done:
             return costs
 
 

@@ -10,8 +10,7 @@ import pytest
 
 from repro.core import PulseCluster
 from repro.params import NetworkParams, SystemParams
-from repro.shard import (ShardError, WireFrame, lookahead_ns,
-                         merge_snapshots, resolve_workers)
+from repro.shard import ShardError, WireFrame, lookahead_ns, merge_snapshots
 from repro.shard.runtime import ShardRouter
 from repro.sim.engine import Environment, SimulationError
 
@@ -172,10 +171,6 @@ class TestMergeSnapshots:
 
 
 class TestConfig:
-    def test_resolve_workers_precedence(self):
-        assert resolve_workers() == 0
-        assert resolve_workers(3) == 3
-
     def test_lookahead_is_min_link_latency(self):
         params = SystemParams()
         expected = (params.network.segment_ns
