@@ -33,12 +33,10 @@ def main() -> None:
         upc = build_upc(system.memory, 1, num_pairs=10_000,
                         requests=REQUESTS, seed=0)
         tput = run_workload(system, upc.operations, concurrency=48)
-        workers = getattr(system, "workers_per_node", 1)
         energy = measure_energy(name, DEFAULT_PARAMS,
                                 tput.throughput_per_s,
-                                workers_per_node=workers)
-        mem_util = getattr(system, "memory_bandwidth_utilization",
-                           lambda *_: 0.0)(tput.duration_ns)
+                                workers_per_node=system.workers_per_node)
+        mem_util = system.memory_bandwidth_utilization(tput.duration_ns)
         rows.append((
             name,
             f"{lat.avg_latency_ns / 1000:.1f}",

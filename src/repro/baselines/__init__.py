@@ -12,7 +12,9 @@
 
 All of them execute the *same* compiled kernels through the same
 interpreter as pulse; only where the instructions run and what each step
-costs differ -- which is precisely the comparison the paper makes.
+costs differ -- which is precisely the comparison the paper makes.  Each
+is a :class:`~repro.core.cluster.Rack`, as pulse's cluster is, so one
+measurement contract reads all five systems.
 """
 
 from repro.baselines.rpc import RpcSystem

@@ -28,8 +28,7 @@ from collections import OrderedDict
 from dataclasses import replace
 
 from repro.baselines.rpc import RpcSystem
-from repro.core.iterator import (FaultInfo, PulseIterator, TraversalResult,
-                                 walk)
+from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import wrap64
@@ -123,8 +122,17 @@ class CacheRpcSystem(RpcSystem):
         finally:
             self._machines.release(machine)
 
-        # Phase 2: RPC the remainder over the TCP-flavored stack.
-        if not done and fault is None:
+        if done or fault is not None:
+            result = TraversalResult(
+                value=(None if fault is not None
+                       else iterator.finalize(final_scratch)),
+                iterations=iterations,
+                latency_ns=self.env.now - start,
+                offloaded=not done,
+                fault=fault,
+            )
+        else:
+            # Phase 2: RPC the remainder over the TCP-flavored stack.
             self._m_offloaded.inc()
             self._counter += 1
             request = TraversalRequest(
@@ -145,22 +153,10 @@ class CacheRpcSystem(RpcSystem):
                 response = yield from self._send_to_owner(replace(
                     response, request_id=(0, self._counter),
                     status=RequestStatus.RUNNING))
-            if response.status is RequestStatus.FAULT:
-                fault = FaultInfo(reason=response.fault_reason,
-                                  kind="remote")
-            iterations = response.iterations_done
-            final_scratch = response.scratch
             # The traversed chain becomes cache-resident (AIFM swaps the
             # hot objects in); uniform access means it rarely helps.
             self.object_cache.fill(wrap64(cur_ptr + window_offset))
-
-        result = TraversalResult(
-            value=(None if fault is not None
-                   else iterator.finalize(final_scratch)),
-            iterations=iterations,
-            latency_ns=self.env.now - start,
-            offloaded=not done,
-            fault=fault,
-        )
+            result = TraversalResult.from_response(iterator, response,
+                                                   self.env.now - start)
         self._record_result(result)
         return result

@@ -19,7 +19,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.baselines.common import BaselineSystem
+from repro.baselines.common import make_session
+from repro.core.client import result_recorder
+from repro.core.cluster import Rack
 from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.workspace import MachinePool
 from repro.mem.translation import TranslationFault
@@ -67,8 +69,10 @@ class PageCache:
         return self.hits / total if total else 0.0
 
 
-class CacheSystem(BaselineSystem):
+class CacheSystem(Rack):
     """Demand-paging rack: dumb memory nodes, all smarts at the client."""
+
+    served_bytes = "paging.bytes_served"
 
     def __init__(self, node_count: int = 1, params=None,
                  cache_bytes: Optional[int] = None,
@@ -78,13 +82,16 @@ class CacheSystem(BaselineSystem):
         size = cache_bytes if cache_bytes is not None else mem.cache_bytes
         self.page_bytes = mem.page_bytes
         self.cache = PageCache(max(1, size // self.page_bytes))
-        self.session = self.make_session("client0")
+        self.session = make_session(self, "client0")
         self.client = self.session.endpoint
-        #: kernel fault-handling contexts
+        #: kernel fault-handling contexts, the cores the energy model
+        #: charges (the memory nodes are passive DRAM)
+        self.workers_per_node = fault_handlers
         self.fault_unit = Resource(self.env, capacity=fault_handlers)
         self.cpu_unit = Resource(self.env, capacity=8)
         self.servers = [_PagingServer(self, node)
                         for node in self.memory.nodes]
+        self._record_result = result_recorder(self.registry, "client0")
         self._m_pages_fetched = self.registry.counter(
             "client0.cache.pages_fetched")
         self.registry.gauge("client0.cache.hit_ratio",
@@ -179,15 +186,6 @@ class CacheSystem(BaselineSystem):
         finally:
             self.fault_unit.release(grant)
 
-    # -- observability -------------------------------------------------------
-    def memory_bandwidth_utilization(self, duration_ns: float) -> float:
-        if duration_ns <= 0:
-            return 0.0
-        cap = self.params.memory.bandwidth_bytes_per_ns
-        per_node = [s.bytes_served / duration_ns / cap
-                    for s in self.servers]
-        return sum(per_node) / len(per_node)
-
 
 class _PagingServer:
     """Memory node side of a page fetch: DRAM read + page send."""
@@ -196,9 +194,10 @@ class _PagingServer:
         self.system = system
         self.env = system.env
         self.node = node
-        self.session = system.make_session(node.name)
+        self.session = make_session(system, node.name)
         self.bandwidth_gate = Resource(self.env, capacity=1)
-        self.bytes_served = 0
+        self._m_served = system.registry.counter(
+            f"{node.name}.{system.served_bytes}")
         self.session.on_message = self._on_message
 
     def _on_message(self, message: Message) -> None:
@@ -209,7 +208,7 @@ class _PagingServer:
         bw = system.params.memory.bandwidth_bytes_per_ns
 
         def reply(_hold) -> None:
-            self.bytes_served += page_bytes
+            self._m_served.inc(page_bytes)
             self.session.send("client0", PAGE_KIND, waiter,
                               page_bytes + 128)
 

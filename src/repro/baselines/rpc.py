@@ -21,12 +21,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.baselines.common import BaselineSystem, workers_to_saturate
-from repro.core.iterator import FaultInfo, PulseIterator, TraversalResult
+from repro.baselines.common import make_session, workers_to_saturate
+from repro.core.client import result_recorder
+from repro.core.cluster import Rack
+from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.workspace import MachinePool
-from repro.isa.instructions import ExecutionFault, wrap64
-from repro.mem.translation import PERM_READ, ProtectionFault
+from repro.isa.instructions import ExecutionFault
+from repro.mem.translation import PERM_READ
 from repro.sim.network import Message
 from repro.sim.resources import Resource
 
@@ -40,9 +42,8 @@ class _RpcServer:
         self.system = system
         self.env = system.env
         self.node = node
-        self.session = system.make_session(node.name)
+        self.session = make_session(system, node.name)
         self.workers = Resource(self.env, capacity=workers)
-        self.worker_count = workers
         #: serialized DRAM bandwidth share (the RDT cap of section 7)
         self.bandwidth_gate = Resource(self.env, capacity=1)
         #: eRPC is run-to-completion: each worker core handles its own
@@ -93,67 +94,74 @@ class _RpcServer:
             self.machines.release(machine)
 
     def _run_request(self, request: TraversalRequest, machine):
+        """Walk ``request`` on this node's CPU until it ends or leaves.
+
+        ``fetch`` looks the window up in the node's TCAM and holds the
+        DRAM bandwidth gate; the read goes through the entry it found.
+        A window outside the TCAM ends the walk: a pointer another node
+        owns is RUNNING there (the client continues it), anything else
+        is an invalid pointer.
+        """
         system = self.system
         cpu = system.cpu
-        acc = system.params.accelerator  # iteration budget only
         bw = system.params.memory.bandwidth_bytes_per_ns
         instruction_ns = cpu.instruction_ns()
-        memory = self.node.memory
-        window_offset, window_size = request.program.load_window
+        node = self.node
+        memory = node.memory
+        window_size = request.program.load_window[1]
+        entry = missed = None
+
+        def fetch(addr):
+            nonlocal entry, missed
+            entry = node.table.lookup(addr, window_size)
+            if entry is None:
+                missed = addr
+                return False
+            # DRAM access through the shared bandwidth cap.
+            yield self.bandwidth_gate.hold(
+                window_size / bw, cpu.memory_access_ns(window_size))
+            return True
+
+        def read(addr, size):
+            return memory.read(entry.translate(addr, PERM_READ), size)
+
+        def compute(executed):
+            self._m_iterations.inc()
+            self._m_bytes.inc(window_size)
+            return self.env.timeout(executed * instruction_ns)
 
         try:
             machine.reset(request.cur_ptr, request.scratch)
         except ExecutionFault as exc:
             return request.advanced(request.cur_ptr, request.scratch, 0,
                                     RequestStatus.FAULT, str(exc))
+        iterations, fault, done = yield from walk(
+            machine, read, node.write_virt, fetch, compute,
+            budget=(system.params.accelerator.max_iterations
+                    - request.iterations_done))
 
-        iterations = 0
-        while True:
-            load_addr = wrap64(machine.cur_ptr + window_offset)
-            entry = self.node.table.lookup(load_addr, window_size)
-            if entry is None:
-                owner = self.node.addrspace.node_of(load_addr)
-                if owner is not None and owner != self.node.node_id:
-                    response = request.advanced(
-                        machine.cur_ptr, bytes(machine.scratch),
-                        iterations, RequestStatus.RUNNING)
-                    response.node_hops = request.node_hops + 1
-                    return response
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.FAULT,
-                    f"invalid pointer {load_addr:#x}")
+        def respond(status, reason=""):
+            return request.advanced(machine.cur_ptr, bytes(machine.scratch),
+                                    iterations, status, reason)
 
-            # DRAM access through the shared bandwidth cap.
-            yield self.bandwidth_gate.hold(
-                window_size / bw, cpu.memory_access_ns(window_size))
-            try:
-                done, executed = machine.step(
-                    memory.read(entry.translate(load_addr, PERM_READ),
-                                window_size),
-                    self.node.write_virt)
-            except (ExecutionFault, ProtectionFault) as exc:
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.FAULT, str(exc))
-
-            iterations += 1
-            self._m_iterations.inc()
-            self._m_bytes.inc(window_size)
-            yield self.env.timeout(executed * instruction_ns)
-
-            if done:
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.DONE)
-            if request.iterations_done + iterations >= acc.max_iterations:
-                return request.advanced(
-                    machine.cur_ptr, bytes(machine.scratch), iterations,
-                    RequestStatus.ITER_LIMIT)
+        if done:
+            return respond(RequestStatus.DONE)
+        if fault is not None:
+            if fault.kind == "budget":
+                return respond(RequestStatus.ITER_LIMIT)
+            return respond(RequestStatus.FAULT, fault.reason)
+        owner = node.addrspace.node_of(missed)
+        if owner is not None and owner != node.node_id:
+            response = respond(RequestStatus.RUNNING)
+            response.node_hops = request.node_hops + 1
+            return response
+        return respond(RequestStatus.FAULT, f"invalid pointer {missed:#x}")
 
 
-class RpcSystem(BaselineSystem):
+class RpcSystem(Rack):
     """The RPC / RPC-W baseline rack."""
+
+    served_bytes = "rpc.bytes_loaded"
 
     def __init__(self, node_count: int = 1, params=None, wimpy: bool = False,
                  workers_per_node: Optional[int] = None, seed: int = 0,
@@ -166,13 +174,14 @@ class RpcSystem(BaselineSystem):
                        self.cpu,
                        self.params.memory.bandwidth_bytes_per_ns))
         self.workers_per_node = workers
-        self.session = self.make_session("client0")
+        self.session = make_session(self, "client0")
         self.client = self.session.endpoint
         self.client_stack = Resource(self.env, capacity=8)
         self.servers: List[_RpcServer] = [
             _RpcServer(self, node, workers)
             for node in self.memory.nodes
         ]
+        self._record_result = result_recorder(self.registry, "client0")
         self._waiters: Dict[tuple, object] = {}
         self._counter = 0
         self.session.on_message = self._on_message
@@ -215,16 +224,8 @@ class RpcSystem(BaselineSystem):
             request = replace(response, request_id=(0, self._counter),
                               status=RequestStatus.RUNNING)
 
-        faulted = response.status is RequestStatus.FAULT
-        result = TraversalResult(
-            value=None if faulted else iterator.finalize(response.scratch),
-            iterations=response.iterations_done,
-            latency_ns=self.env.now - start,
-            offloaded=True,
-            hops=response.node_hops,
-            fault=(FaultInfo(reason=response.fault_reason, kind="remote")
-                   if faulted else None),
-        )
+        result = TraversalResult.from_response(iterator, response,
+                                               self.env.now - start)
         self._record_result(result)
         return result
 
@@ -242,12 +243,3 @@ class RpcSystem(BaselineSystem):
                           request.wire_bytes())
         response = yield waiter
         return response
-
-    # -- observability ------------------------------------------------------------
-    def memory_bandwidth_utilization(self, duration_ns: float) -> float:
-        if duration_ns <= 0:
-            return 0.0
-        cap = self.params.memory.bandwidth_bytes_per_ns
-        per_node = [s._m_bytes.value / duration_ns / cap
-                    for s in self.servers]
-        return sum(per_node) / len(per_node)

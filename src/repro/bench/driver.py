@@ -1,12 +1,12 @@
 """System-agnostic workload drivers (closed loop and open loop).
 
-Every system in the repo -- pulse and all four baselines -- satisfies the
-:class:`~repro.baselines.common.TraversalBackend` protocol: an ``env``,
-an async ``submit(iterator, *args)`` returning a
+Every system in the repo -- pulse and all four baselines -- is a
+:class:`~repro.core.cluster.Rack`: an ``env``, an async
+``submit(iterator, *args)`` returning a
 :class:`~repro.core.client.PendingTraversal`, a closed-loop
 ``traverse(iterator, *args)`` process, and the measurement contract
 (``begin_measurement`` / ``metrics_snapshot``).  Two drivers run
-experiments against that one protocol:
+experiments against that one contract:
 
 * :func:`run_workload` -- the paper's closed-loop generator:
   ``concurrency`` lock-step workers, each issuing the next operation as

@@ -144,24 +144,19 @@ def _run_cell(drive, system_name: str, workload_name: str,
     workload = build_workload(system, workload_name, node_count,
                               requests, seed, **(workload_kwargs or {}))
     stats = drive(system, workload.operations)
-    mem_util = _utilization(system, "memory_bandwidth_utilization",
-                            stats.duration_ns)
-    net_util = _utilization(system, "network_bandwidth_utilization",
-                            stats.duration_ns)
-    workers = getattr(system, "workers_per_node", 1)
-    if system_name.lower() in ("cache", "cache-based"):
-        workers = system.fault_unit.capacity
     energy = measure_energy(system_name, parameters,
                             stats.throughput_per_s, nodes=node_count,
-                            workers_per_node=workers)
+                            workers_per_node=system.workers_per_node)
     return CellResult(
         system=system_name,
         workload=workload_name,
         nodes=node_count,
         stats=stats,
-        memory_utilization=mem_util,
-        network_utilization=net_util,
-        workers_per_node=workers,
+        memory_utilization=system.memory_bandwidth_utilization(
+            stats.duration_ns),
+        network_utilization=system.network_bandwidth_utilization(
+            stats.duration_ns),
+        workers_per_node=system.workers_per_node,
         energy=energy,
     )
 
@@ -198,11 +193,6 @@ def run_open_loop_cell(system_name: str, workload_name: str,
                                           seed=seed),
         system_name, workload_name, node_count, requests, seed, params,
         system_kwargs, workload_kwargs)
-
-
-def _utilization(system, method: str, duration_ns: float) -> float:
-    fn = getattr(system, method, None)
-    return fn(duration_ns) if fn is not None else 0.0
 
 
 #: latency cells run lightly loaded; throughput cells run saturating

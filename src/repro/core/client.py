@@ -23,8 +23,7 @@ import random
 from typing import Dict, List, Optional
 
 from repro.core.accelerator import PULSE_KIND
-from repro.core.iterator import (FaultInfo, PulseIterator, TraversalResult,
-                                 walk)
+from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.messages import (DIRECT_READ_KIND, DirectReadRequest,
                                  RequestStatus, TraversalBatch,
                                  TraversalRequest)
@@ -47,6 +46,25 @@ MAX_ADMISSION_RETRIES = 32
 
 class RequestLost(Exception):
     """All retransmission (or admission retry) attempts exhausted."""
+
+
+def result_recorder(registry: MetricsRegistry, client: str):
+    """The CPU node ``client``'s account of each finished traversal.
+
+    Counts it in ``<client>.client.traversals`` (and ``.faults``) and
+    records its latency in ``request.latency_ns`` -- one shared name
+    across all systems, so a single ``snapshot()`` compares them.
+    """
+    traversals = registry.counter(f"{client}.client.traversals")
+    faults = registry.counter(f"{client}.client.faults")
+    latency = registry.histogram("request.latency_ns")
+
+    def record(result: TraversalResult) -> None:
+        traversals.inc()
+        if not result.ok:
+            faults.inc()
+        latency.record(result.latency_ns)
+    return record
 
 
 class PendingTraversal:
@@ -200,16 +218,12 @@ class PulseClient:
         self._m_requests_lost = registry.counter(f"{prefix}.requests_lost")
         self._m_duplicates = registry.counter(
             f"{prefix}.duplicates_dropped")
-        self._m_traversals = registry.counter(f"{prefix}.traversals")
-        self._m_faults = registry.counter(f"{prefix}.faults")
         self._m_admission_retries = registry.counter(
             f"{prefix}.admission_retries")
         self._in_flight = 0
         registry.gauge(f"{prefix}.in_flight",
                        fn=lambda: float(self._in_flight))
-        #: issue -> complete latency for every traversal; one shared
-        #: name across all systems so a single snapshot() compares them
-        self._latency = registry.histogram("request.latency_ns")
+        self._finish = result_recorder(registry, name)
         #: optional client-resident split index
         #: (:class:`~repro.index.SplitIndexDirectory`); when attached,
         #: indexable point lookups try the one-RTT direct-read fast path
@@ -337,16 +351,8 @@ class PulseClient:
             request = self.engine.continuation(response, self.env.now)
             response = yield from self._send_and_wait(request)
 
-        faulted = response.status is RequestStatus.FAULT
-        result = TraversalResult(
-            value=None if faulted else iterator.finalize(response.scratch),
-            iterations=response.iterations_done,
-            latency_ns=self.env.now - start,
-            offloaded=True,
-            hops=response.node_hops,
-            fault=(FaultInfo(reason=response.fault_reason, kind="remote")
-                   if faulted else None),
-        )
+        result = TraversalResult.from_response(iterator, response,
+                                               self.env.now - start)
         if self._events is not None:
             self._events.record(self.name, "complete", response.request_id,
                                 status=response.status.value,
@@ -431,12 +437,6 @@ class PulseClient:
         return TraversalResult(
             value=value, iterations=1,
             latency_ns=self.env.now - start, offloaded=True, hops=0)
-
-    def _finish(self, result: TraversalResult) -> None:
-        self._m_traversals.inc()
-        if not result.ok:
-            self._m_faults.inc()
-        self._latency.record(result.latency_ns)
 
     def _send_and_wait(self, request: TraversalRequest):
         """Send and await a response, retrying end-to-end on timeout.

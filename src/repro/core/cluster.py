@@ -12,6 +12,9 @@ GlobalMemory` (zero simulated time -- setup is not what the paper
 measures); traversals then run through the full timed pipeline: client
 DPDK stack -> switch routing -> accelerator netstack/scheduler/pipelines
 -> (possible in-switch re-routes) -> back to the client.
+
+:class:`Rack` is what pulse and the baselines of ``repro.baselines``
+share: the assembled rack and the measurement contract.
 """
 
 from __future__ import annotations
@@ -36,7 +39,135 @@ from repro.sim.engine import Environment
 from repro.sim.network import Fabric
 
 
-class PulseCluster:
+class Rack:
+    """A simulated rack: the one base of the five compared systems.
+
+    It assembles what every system has -- ``params``, the event loop
+    ``env``, one :class:`~repro.obs.metrics.MetricsRegistry` (the only
+    observability surface), the ``fabric`` and the rack's
+    :class:`~repro.mem.node.GlobalMemory` with its node metrics -- and
+    is the contract the bench drivers (``run_workload``,
+    ``run_open_loop``, ``run_cell``) drive every system through:
+
+    * ``traverse(iterator, *args)`` -- a process running one traversal
+      to its :class:`~repro.core.iterator.TraversalResult`; the method
+      each system implements.
+    * ``submit`` / ``submit_many`` -- asynchronous issue, one
+      :class:`~repro.core.client.PendingTraversal` per traversal; here
+      one process per ``traverse``, and a burst is a loop of them.
+    * ``begin_measurement`` -- start the post-warmup window: every
+      registry metric reset, every endpoint's byte window re-based.
+    * ``metrics_snapshot`` -- the JSON-able export of every metric.
+    * ``memory_bandwidth_utilization`` -- mean over nodes of the bytes
+      each served (the registry counter ``<node>.<served_bytes>``),
+      against the per-node bandwidth cap.
+    * ``network_bandwidth_utilization`` -- the busiest link among the
+      CPU-node endpoints ``client_names``.
+    * ``workers_per_node`` -- the serving cores the energy model
+      charges per node.
+    """
+
+    #: per-node registry counter of the bytes a memory node served
+    served_bytes = "acc.bytes_loaded"
+    #: the CPU-node endpoints on the fabric
+    client_names: Tuple[str, ...] = ("client0",)
+    #: serving cores per node, as the energy model charges them
+    workers_per_node = 1
+
+    def __init__(self, node_count: int = 1,
+                 params: Optional[SystemParams] = None,
+                 policy: PlacementPolicy = PlacementPolicy.UNIFORM,
+                 node_capacity: Optional[int] = None,
+                 seed: int = 0,
+                 tcam_capacity: int = 1024):
+        self.params = params if params is not None else DEFAULT_PARAMS
+        self.env = Environment()
+        self.registry = MetricsRegistry(clock=lambda: self.env.now)
+        self.fabric = Fabric(self.env, self.params.network, seed=seed,
+                             registry=self.registry)
+        capacity = (node_capacity if node_capacity is not None
+                    else self.params.memory.node_capacity_bytes)
+        self.memory = GlobalMemory(node_count, capacity, policy,
+                                   tcam_capacity)
+        for node in self.memory.nodes:
+            node.attach_metrics(self.registry, clock=lambda: self.env.now)
+
+    @property
+    def node_count(self) -> int:
+        return self.memory.node_count
+
+    # -- running work -----------------------------------------------------------
+    def traverse(self, iterator: PulseIterator, *args):
+        """Process: run one traversal; returns its TraversalResult."""
+        raise NotImplementedError
+
+    def submit(self, iterator: PulseIterator, *args) -> PendingTraversal:
+        """Issue one traversal asynchronously; returns immediately."""
+        process = self.env.process(self.traverse(iterator, *args))
+        return PendingTraversal(self.env, process)
+
+    def submit_many(self, requests: Sequence[Tuple[PulseIterator, tuple]]
+                    ) -> List[PendingTraversal]:
+        """Issue a burst of traversals, all at this simulated instant."""
+        return [self.submit(iterator, *args)
+                for iterator, args in requests]
+
+    def run_traversal(self, iterator: PulseIterator,
+                      *args) -> TraversalResult:
+        """Convenience: run one traversal to completion synchronously."""
+        return self.env.run(
+            until=self.env.process(self.traverse(iterator, *args)))
+
+    def run_workload(self, operations: Sequence[Tuple[PulseIterator, tuple]],
+                     concurrency: int = 8,
+                     warmup: int = 0) -> WorkloadStats:
+        return run_workload(self, operations, concurrency, warmup)
+
+    def load_index(self, structure) -> int:
+        """Bulk-prime a client-resident split index; none here: 0."""
+        return 0
+
+    # -- observability ------------------------------------------------------------
+    def begin_measurement(self) -> None:
+        """Start the post-warmup window (see the class docstring)."""
+        self.registry.reset()
+        self.fabric.begin_window()
+
+    def metrics_snapshot(self) -> dict:
+        """One JSON-able export of every metric in the rack."""
+        return self.registry.snapshot()
+
+    def reset_counters(self) -> None:
+        self.memory.reset_counters()
+        self.registry.reset()
+
+    def memory_bandwidth_utilization(self, duration_ns: float) -> float:
+        """Mean fraction of the per-node bandwidth cap used, for Fig 6."""
+        if duration_ns <= 0:
+            return 0.0
+        cap = self.params.memory.bandwidth_bytes_per_ns
+        counter = self.registry.counter
+        per_node = [
+            counter(f"{node.name}.{self.served_bytes}").value
+            / duration_ns / cap
+            for node in self.memory.nodes
+        ]
+        return sum(per_node) / len(per_node)
+
+    def network_bandwidth_utilization(self, duration_ns: float) -> float:
+        """Busiest CPU-node link's utilization, for Fig 6."""
+        if duration_ns <= 0:
+            return 0.0
+        counter = self.registry.counter
+        peak_bytes = max(
+            max(counter(f"net.{name}.tx_bytes").value,
+                counter(f"net.{name}.rx_bytes").value)
+            for name in self.client_names)
+        return peak_bytes / (duration_ns
+                             * self.params.network.link_bytes_per_ns)
+
+
+class PulseCluster(Rack):
     """A simulated rack running pulse."""
 
     def __init__(self, node_count: int = 1,
@@ -58,22 +189,11 @@ class PulseCluster:
                  seed: int = 0,
                  split_index: bool = False,
                  split_index_invalidate: bool = True):
-        self.params = params if params is not None else DEFAULT_PARAMS
-        self.env = Environment()
-        #: one registry carries every metric in the rack; snapshot() is
-        #: the single observability export (see docs/architecture.md)
-        self.registry = MetricsRegistry(clock=lambda: self.env.now)
+        super().__init__(node_count, params, policy, node_capacity, seed,
+                         tcam_capacity)
         if trace:
             self.registry.enable_events()
-        self.fabric = Fabric(self.env, self.params.network, seed=seed,
-                             registry=self.registry)
-        capacity = (node_capacity if node_capacity is not None
-                    else self.params.memory.node_capacity_bytes)
-        self.memory = GlobalMemory(node_count, capacity, policy,
-                                   tcam_capacity)
         self.memory.allocator.attach_metrics(self.registry)
-        for node in self.memory.nodes:
-            node.attach_metrics(self.registry, clock=lambda: self.env.now)
         switch_kwargs = {}
         if client_table_capacity is not None:
             switch_kwargs["client_table_capacity"] = client_table_capacity
@@ -131,6 +251,7 @@ class PulseCluster:
                         index=(self.indexes[i] if split_index else None))
             for i in range(client_count)
         ]
+        self.client_names = tuple(client.name for client in self.clients)
         self._next_client = 0
         #: worker processes attached by :meth:`shard` (None = classic
         #: in-process execution)
@@ -145,10 +266,6 @@ class PulseCluster:
             self.env, node, self.fabric, self.params, self.memory.placement,
             self.placement.tracker.node_view(node.node_id),
             registry=self.registry, **self._acc_options)
-
-    @property
-    def node_count(self) -> int:
-        return self.memory.node_count
 
     @property
     def sharded(self) -> bool:
@@ -182,8 +299,9 @@ class PulseCluster:
     def _forbid_sharded(self, operation: str) -> None:
         if self.sharded:
             raise ShardError(
-                f"{operation} is not supported while sharded: cluster "
-                "membership must be fixed before the fork")
+                f"{operation} is not supported while sharded: membership "
+                "is fixed at the fork, and a perturbation runs in every "
+                "replica as a shard(replicated=...) factory")
 
     # -- cluster membership -------------------------------------------------------
     def add_node(self) -> int:
@@ -219,19 +337,16 @@ class PulseCluster:
         would silently lose acknowledged writes, which this simulator
         refuses to model as a supported operation.
 
-        Under sharding the kill is broadcast as a control record so
-        every replica applies it at the identical instant of the next
-        sync window.  For a deterministic mid-run schedule, prefer a
+        A sharded rack crashes a node through a
         :class:`~repro.durability.recovery.CrashInjector` passed as a
         replicated factory to :meth:`shard`.
         """
-        if self.sharded:
-            self.runtime.kill_node(node_id)
-            return
+        self._forbid_sharded("kill_node")
         self._kill_node_local(node_id)
 
     def _kill_node_local(self, node_id: int) -> None:
-        """Apply the crash in this process (see :meth:`kill_node`)."""
+        """Apply the crash in this process (see :meth:`kill_node`);
+        every replica of a sharded rack runs it at the same instant."""
         if self.durability is None:
             raise DurabilityError(
                 "kill_node requires params.durability.enabled: without "
@@ -254,32 +369,29 @@ class PulseCluster:
         keep running while the drain progresses.
         """
         self._forbid_sharded("drain_node")
-        return self.placement.drain_node(node_id)
+        return self.env.process(self.placement.engine.drain(node_id))
 
     def migrate(self, virt_start: int, virt_end: int, dst_node: int):
-        """Live-migrate one virtual range.
+        """Live-migrate one virtual range; returns the sim process.
 
-        In-process this returns the sim process; under sharding the
-        migration is broadcast as a control record applied at the same
-        instant in every replica, and the returned event fires when the
-        coordinator's copy completes -- both forms work with
-        ``env.run(until=...)``.
+        A sharded rack migrates through a replicated factory passed to
+        :meth:`shard` (``tests/scenario.py``'s ``migration_storm``).
         """
-        if self.sharded:
-            return self.runtime.migrate(virt_start, virt_end, dst_node)
-        return self.placement.migrate(virt_start, virt_end, dst_node)
+        self._forbid_sharded("migrate")
+        return self.env.process(
+            self.placement.engine.migrate(virt_start, virt_end, dst_node))
 
     def rebalance_once(self):
         """Run a single rebalancer round; returns the sim process."""
         self._forbid_sharded("rebalance_once")
-        return self.placement.rebalance_once()
+        return self.env.process(self.placement.rebalancer.rebalance_once())
 
     def start_rebalancer(self) -> None:
         self._forbid_sharded("start_rebalancer")
-        self.placement.start_rebalancer()
+        self.placement.rebalancer.start()
 
     def stop_rebalancer(self) -> None:
-        self.placement.stop_rebalancer()
+        self.placement.rebalancer.stop()
 
     def load_index(self, structure) -> int:
         """Bulk-prime every client's split index from a built structure.
@@ -336,61 +448,21 @@ class PulseCluster:
         result = yield from self._pick_client().traverse(iterator, *args)
         return result
 
-    def run_traversal(self, iterator: PulseIterator,
-                      *args) -> TraversalResult:
-        """Convenience: run one traversal to completion synchronously."""
-        process = self.env.process(
-            self.clients[0].traverse(iterator, *args))
-        return self.env.run(until=process)
-
-    def run_workload(self, operations: Sequence[Tuple[PulseIterator, tuple]],
-                     concurrency: int = 8,
-                     warmup: int = 0) -> WorkloadStats:
-        return run_workload(self, operations, concurrency, warmup)
-
     # -- observability ------------------------------------------------------------
-    def memory_bandwidth_utilization(self, duration_ns: float) -> float:
-        """Mean fraction of the per-node bandwidth cap used, for Fig 6."""
-        if duration_ns <= 0:
-            return 0.0
-        cap = self.params.memory.bandwidth_bytes_per_ns
-        counter = self.registry.counter
-        per_node = [
-            counter(f"{acc.name}.acc.bytes_loaded").value / duration_ns / cap
-            for acc in self.accelerators
-        ]
-        return sum(per_node) / len(per_node)
-
-    def network_bandwidth_utilization(self, duration_ns: float) -> float:
-        """Busiest client link's utilization, for Fig 6."""
-        if duration_ns <= 0:
-            return 0.0
-        counter = self.registry.counter
-        peak_bytes = max(
-            max(counter(f"net.{c.name}.tx_bytes").value,
-                counter(f"net.{c.name}.rx_bytes").value)
-            for c in self.clients)
-        return peak_bytes / (duration_ns
-                             * self.params.network.link_bytes_per_ns)
-
     def begin_measurement(self) -> None:
         """Start the post-warmup measurement window.
 
-        Resets every registry metric and re-bases the busy-time windows
-        of the network endpoints, so utilizations and histograms cover
-        only what happens after this call.
-
-        Under sharding, the coordinator resets immediately and each
-        worker resets at the start of the next sync window -- still
-        before any post-reset traffic can reach it.
+        Besides the rack's reset, re-bases every accelerator pipeline's
+        busy-time window.  Under sharding, the coordinator resets
+        immediately and each worker resets at the start of the next
+        sync window -- still before any post-reset traffic can reach it.
         """
         self._begin_measurement_local()
         if self.sharded:
             self.runtime.begin_measurement()
 
     def _begin_measurement_local(self) -> None:
-        self.registry.reset()
-        self.fabric.begin_window()
+        super().begin_measurement()
         for acc in self.accelerators:
             for core in acc.cores:
                 core.memory_pipeline.begin_window()
@@ -405,8 +477,4 @@ class PulseCluster:
         """
         if self.runtime is not None and self.runtime._started:
             return self.runtime.metrics_snapshot()
-        return self.registry.snapshot()
-
-    def reset_counters(self) -> None:
-        self.memory.reset_counters()
-        self.registry.reset()
+        return super().metrics_snapshot()

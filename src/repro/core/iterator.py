@@ -14,9 +14,9 @@ A data-structure developer ports an operation by providing:
 This mirrors the paper's Listing 1: ``init()`` executes at the CPU node
 while ``next()``/``end()`` (here: the program) execute wherever the
 offload engine decides -- accelerator, memory-node CPU (RPC baselines), or
-the CPU node itself with remote reads.  :func:`walk` is that last host's
-loop, shared by the client fallback and the Cache and Cache+RPC
-baselines.
+the CPU node itself with remote reads.  :func:`walk` is the loop of every
+host that runs a kernel on a CPU: the client fallback, the Cache and
+Cache+RPC baselines and the RPC worker.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.core.messages import RequestStatus
 from repro.isa.instructions import ExecutionFault, wrap64
 from repro.isa.program import Program
 from repro.mem.translation import ProtectionFault, TranslationFault
@@ -66,6 +67,23 @@ class TraversalResult:
         self.offloaded = offloaded
         self.hops = hops               # inter-memory-node continuations
         self.fault = fault
+
+    @classmethod
+    def from_response(cls, iterator: "PulseIterator", response,
+                      latency_ns: float) -> "TraversalResult":
+        """The result an offloaded traversal's terminal response gives:
+        the finalized scratch pad on DONE, a ``"remote"`` fault carrying
+        the wire reason on FAULT."""
+        faulted = response.status is RequestStatus.FAULT
+        return cls(
+            value=None if faulted else iterator.finalize(response.scratch),
+            iterations=response.iterations_done,
+            latency_ns=latency_ns,
+            offloaded=True,
+            hops=response.node_hops,
+            fault=(FaultInfo(reason=response.fault_reason, kind="remote")
+                   if faulted else None),
+        )
 
     @property
     def ok(self) -> bool:
@@ -156,16 +174,17 @@ class PulseIterator:
 
 
 def walk(machine, read, write, fetch, compute, budget=None):
-    """Process body: step ``machine`` at the CPU node until RETURN.
+    """Process body: step ``machine`` on a CPU until RETURN.
 
-    The one loop of every host that runs a kernel at the CPU node (the
-    client fallback, the Cache and Cache+RPC baselines); the caller's
-    process drives it with ``yield from``, so it adds no process of its
-    own.  Each iteration runs ``yield from fetch(addr)`` -- whatever
-    brings the window at ``addr`` to the CPU; a ``False`` return ends
-    the walk unfinished -- then reads the window once with ``read``,
-    calls ``machine.step`` on it (STOREs go to ``write``) and yields
-    ``compute(executed)``, the event that charges its logic.
+    The one loop of every host that runs a kernel on a CPU (the client
+    fallback, the Cache and Cache+RPC baselines at the CPU node, the RPC
+    worker at a memory node); the caller's process drives it with
+    ``yield from``, so it adds no process of its own.  Each iteration
+    runs ``yield from fetch(addr)`` -- whatever brings the window at
+    ``addr`` to the CPU; a ``False`` return ends the walk unfinished --
+    then reads the window once with ``read``, calls ``machine.step`` on
+    it (STOREs go to ``write``) and yields ``compute(executed)``, the
+    event that charges its logic.
 
     Returns ``(iterations, fault, done)``.  ``fault`` is a
     :class:`FaultInfo` when ``fetch``, the read or the step raised, or

@@ -167,11 +167,8 @@ class CrashInjector:
     """A deterministic kill schedule usable as a replicated factory.
 
     ``cluster.shard(replicated=(CrashInjector(node, at_ns),))`` runs the
-    identical kill at the identical instant in every replica.  The
-    injector applies the kill *locally* on purpose: the public
-    ``cluster.kill_node`` broadcasts from the coordinator (workers see
-    it at the next window), which a replicated factory must not mix
-    with -- every replica is already running this schedule itself.
+    identical kill at the identical instant in every replica -- the one
+    way to crash a node of a sharded rack.
     """
 
     def __init__(self, node_id: int, at_ns: float):

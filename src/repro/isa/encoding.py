@@ -195,8 +195,3 @@ def decode(data: bytes) -> Program:
         return Program(name, instructions, scratch_bytes=scratch_bytes)
     except IsaError as exc:
         raise EncodingError(f"decoded program invalid: {exc}")
-
-
-def encoded_size(program: Program) -> int:
-    """Wire size without materializing (header + name + body + pool)."""
-    return len(encode(program))

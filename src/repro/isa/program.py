@@ -152,20 +152,6 @@ class Program:
                     f"({instr.opcode.value}); last instruction on every "
                     "path must be RETURN or NEXT_ITER")
 
-    def distinct_data_accesses(self) -> List[Tuple[int, int]]:
-        """Distinct (window offset, width) data-register reads in the body.
-
-        Without the offload engine's load aggregation (section 4.1), each
-        of these would be a separate memory-pipeline load; the
-        aggregation ablation charges them individually.
-        """
-        accesses = set()
-        for instr in self.body:
-            for operand in (instr.dst, instr.a, instr.b):
-                if operand is not None and operand.bank.value == "data":
-                    accesses.add((operand.value, operand.width))
-        return sorted(accesses)
-
     def naive_load_runs(self) -> List[Tuple[int, int]]:
         """(offset, size) loads a non-aggregating compiler would issue.
 

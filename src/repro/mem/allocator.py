@@ -145,10 +145,6 @@ class TraversalArena:
         """Allocate ``size`` bytes inside the arena's virtual extents."""
         return self.allocator._arena_alloc(self, size)
 
-    def extent_ranges(self) -> List[Tuple[int, int]]:
-        """The arena's reserved (virt_start, virt_end) spans."""
-        return [(e.start, e.end) for e in self.extents]
-
     @property
     def home_node(self) -> Optional[int]:
         """The node the arena's most recent extent was placed on."""

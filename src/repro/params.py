@@ -214,8 +214,6 @@ class MemoryParams:
 
     #: per-node memory bandwidth cap (25 GB/s, section 7)
     bandwidth_bytes_per_ns: float = gBps_to_bytes_per_ns(25.0)
-    #: bandwidth without the vendor interconnect IP (supp fig 1b: 34 GB/s)
-    bandwidth_no_interconnect_bytes_per_ns: float = gBps_to_bytes_per_ns(34.0)
     #: per-node DRAM capacity in the simulated rack
     node_capacity_bytes: int = 64 * MB
     #: CPU-node cache size for caching baselines (paper: 2 GB against

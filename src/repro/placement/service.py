@@ -2,8 +2,8 @@
 
 :class:`PlacementService` is what :class:`~repro.core.cluster.
 PulseCluster` instantiates; it owns the three cooperating parts of
-elastic placement and exposes the cluster-facing verbs (migrate, drain,
-rebalance) as simulation processes.
+elastic placement.  The cluster's verbs (migrate, drain, rebalance) run
+the engine's and the rebalancer's generators as simulation processes.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ class PlacementService:
 
     def __init__(self, env, memory, params, registry, seed: int = 0):
         placement = params.placement  # SystemParams -> PlacementParams
-        self.env = env
-        self.memory = memory
-        self.params = placement
         self.registry = registry
         self.rangemap = memory.placement
         self.tracker = HotnessTracker(
@@ -45,23 +42,3 @@ class PlacementService:
 
     def on_node_added(self, node_id: int) -> None:
         self._register_heat_gauge(node_id)
-
-    # -- cluster-facing verbs ------------------------------------------------
-    def migrate(self, virt_start: int, virt_end: int, dst: int):
-        """Launch a live migration; returns the simulation process."""
-        return self.env.process(
-            self.engine.migrate(virt_start, virt_end, dst))
-
-    def drain_node(self, node_id: int):
-        """Launch a drain of ``node_id``; returns the simulation process."""
-        return self.env.process(self.engine.drain(node_id))
-
-    def rebalance_once(self):
-        """Run one observe-decide-migrate round as a process."""
-        return self.env.process(self.rebalancer.rebalance_once())
-
-    def start_rebalancer(self) -> None:
-        self.rebalancer.start()
-
-    def stop_rebalancer(self) -> None:
-        self.rebalancer.stop()

@@ -89,36 +89,24 @@ class ShardRouter:
         return out
 
 
-def apply_ctl(cluster, ctl, activation_ns: float,
-              done_event: Optional[Event] = None) -> None:
+def apply_ctl(cluster, ctl, activation_ns: float) -> None:
     """Apply one broadcast control record at ``activation_ns``.
 
-    Control verbs (live migration, measurement-window start) must take
-    effect at the *same* simulated instant in every replica; the
-    coordinator stamps each record with the start of the window it
-    ships with, and both sides schedule the action there.
+    The one control record is ``begin_measurement``: the window start
+    must take effect at the *same* simulated instant in every replica,
+    so the coordinator stamps it with the start of the window it ships
+    with, and both sides schedule the reset there.  Perturbations
+    (migrations, crashes) are not control records: each runs as a
+    ``shard(replicated=...)`` factory in every replica.
     """
-    kind, args = ctl
+    kind, _args = ctl
+    if kind != "begin_measurement":
+        raise ShardError(f"unknown control record {kind!r}")
     env = cluster.env
-
-    def fire(_event, kind=kind, args=args):
-        if kind == "migrate":
-            process = env.process(
-                cluster.placement.engine.migrate(*args))
-            if done_event is not None:
-                process.callbacks.append(
-                    lambda p: done_event.succeed(p._value) if p._ok
-                    else done_event.fail(p._value))
-        elif kind == "begin_measurement":
-            cluster._begin_measurement_local()
-        elif kind == "kill_node":
-            cluster._kill_node_local(*args)
-        else:
-            raise ShardError(f"unknown control record {kind!r}")
-
     event = Event(env)
     event._ok = True
-    event.callbacks.append(fire)
+    event.callbacks.append(
+        lambda _event: cluster._begin_measurement_local())
     env.schedule_at(event, activation_ns)
 
 
@@ -305,29 +293,11 @@ class ShardedRuntime:
                 process.terminate()
 
     # -- control broadcast -------------------------------------------------
-    def broadcast_ctl(self, kind: str, args: tuple,
-                      done_event: Optional[Event] = None) -> None:
+    def broadcast_ctl(self, kind: str, args: tuple) -> None:
         """Queue a control record for every replica's next window."""
         if self._stopped:
             raise ShardError("runtime already stopped")
-        self._ctls.append(((kind, args), done_event))
-
-    def migrate(self, virt_start: int, virt_end: int, dst_node: int):
-        """Broadcast a live migration; returns an event firing when the
-        coordinator replica's copy of the migration completes."""
-        done = self.cluster.env.event()
-        self.broadcast_ctl("migrate", (virt_start, virt_end, dst_node),
-                           done)
-        return done
-
-    def kill_node(self, node_id: int) -> None:
-        """Broadcast a node crash; applied at every replica's next window.
-
-        The kill lands at the same simulated instant everywhere, so the
-        recovery schedule (and every durability counter it drives) stays
-        byte-identical with the in-process run.
-        """
-        self.broadcast_ctl("kill_node", (node_id,))
+        self._ctls.append((kind, args))
 
     def begin_measurement(self) -> None:
         """Reset worker metrics at the next window start.
@@ -381,13 +351,12 @@ class ShardedRuntime:
         end = t_min + self.lookahead
         activation = self._last_end
         ctls, self._ctls = self._ctls, []
-        wire_ctls = [record for record, _done in ctls]
         for w, conn in sorted(self._conns.items()):
             frames = sorted(self._pending[w], key=WireFrame.sort_key)
             self._pending[w] = []
-            conn.send((ADVANCE, end, frames, wire_ctls, activation))
-        for record, done in ctls:
-            apply_ctl(self.cluster, record, activation, done)
+            conn.send((ADVANCE, end, frames, ctls, activation))
+        for record in ctls:
+            apply_ctl(self.cluster, record, activation)
         self._round_open = True
         self._last_end = end
         env.advance_window(end)

@@ -14,7 +14,7 @@ Three iterators are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.iterator import PulseIterator
 from repro.core.kernel import KernelBuilder
@@ -195,13 +195,3 @@ class LinkedList(DisaggregatedStructure):
                 return self.layout.unpack_field(raw, "value")
             addr = self.memory.read_u64(addr + next_offset)
         return None
-
-    def keys_reference(self) -> List[int]:
-        keys = []
-        addr = self.head
-        next_offset = self.layout.offset("next")
-        while addr != NULL:
-            raw = self.memory.read(addr, self.layout.size)
-            keys.append(self.layout.unpack_field(raw, "key"))
-            addr = self.memory.read_u64(addr + next_offset)
-        return keys

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
 from repro.baselines.cache import PageCache
 from repro.baselines.common import workers_to_saturate
+from repro.bench.experiments import build_workload, make_system
 from repro.core import PulseCluster
 from repro.params import DEFAULT_PARAMS
 from repro.structures import HashTable, LinkedList
@@ -164,6 +165,20 @@ class TestCacheSystem:
         lst.head = 0xDEAD
         result = run(cache, finder, 1)
         assert not result.ok
+
+    def test_memory_utilization_covers_only_the_measured_window(self):
+        """The pages served before warmup ends are not measured: the
+        served-bytes counter resets with every other metric."""
+        cache = make_system("cache")
+        upc = build_workload(cache, "UPC", 1, requests=60)
+        stats = cache.run_workload(upc.operations, concurrency=4,
+                                   warmup=30)
+        fetched = stats.metrics["counters"]["client0.cache.pages_fetched"]
+        assert fetched > 0
+        expected = (fetched * cache.page_bytes / stats.duration_ns
+                    / cache.params.memory.bandwidth_bytes_per_ns)
+        assert cache.memory_bandwidth_utilization(
+            stats.duration_ns) == pytest.approx(expected)
 
 
 class TestCacheRpcSystem:

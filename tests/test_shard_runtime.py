@@ -202,6 +202,20 @@ class TestClusterGuards:
         finally:
             runtime.stop()
 
+    def test_perturbations_are_replicated_factories_while_sharded(self):
+        # A migration or crash on a sharded rack runs in every replica
+        # as a shard(replicated=...) factory; the verbs refuse.
+        cluster = PulseCluster(node_count=2, seed=3)
+        start, end = cluster.memory.placement.rules_of(0)[0]
+        runtime = cluster.shard(workers=2)
+        try:
+            with pytest.raises(ShardError):
+                cluster.migrate(start, end, 1)
+            with pytest.raises(ShardError):
+                cluster.kill_node(1)
+        finally:
+            runtime.stop()
+
     def test_workers_clamped_to_node_count(self):
         cluster = PulseCluster(node_count=2, seed=3)
         runtime = cluster.shard(workers=8)

@@ -1,14 +1,15 @@
 """Async submission pipeline: PendingTraversal, doorbell batching,
-admission-control backpressure, and the TraversalBackend protocol."""
+admission-control backpressure, and the one rack contract every
+compared system shares."""
 
 import pytest
 
 from repro.baselines.aifm import CacheRpcSystem
 from repro.baselines.cache import CacheSystem
-from repro.baselines.common import TraversalBackend
 from repro.baselines.rpc import RpcSystem
 from repro.bench.driver import run_open_loop
 from repro.core import PulseCluster
+from repro.core.cluster import Rack
 from repro.core.client import PendingTraversal
 from repro.core.iterator import FaultInfo, TraversalResult
 from repro.params import (
@@ -224,6 +225,9 @@ class TestAdmissionControl:
 
 
 class TestTraversalBackendProtocol:
+    """Every compared system is a :class:`Rack`: one assembly, one
+    measurement contract, one ``run_traversal``."""
+
     def test_all_systems_satisfy_protocol(self):
         systems = [
             PulseCluster(node_count=1),
@@ -233,7 +237,29 @@ class TestTraversalBackendProtocol:
             CacheRpcSystem(),
         ]
         for system in systems:
-            assert isinstance(system, TraversalBackend)
+            assert isinstance(system, Rack)
+            # Each system overrides traverse and nothing of the contract
+            # beyond what pulse's clients and sharding change.
+            assert type(system).traverse is not Rack.traverse
+            for name in ("memory_bandwidth_utilization",
+                         "network_bandwidth_utilization", "run_traversal",
+                         "run_workload", "reset_counters"):
+                assert getattr(type(system), name) is getattr(Rack, name)
+        pulse, rpc, _rpc_w, cache, _cache_rpc = systems
+        assert pulse.workers_per_node == 1
+        assert rpc.workers_per_node == rpc.servers[0].workers.capacity
+        assert cache.workers_per_node == cache.fault_unit.capacity == 4
+
+    def test_baseline_run_traversal(self):
+        system = CacheSystem(node_count=1)
+        table = HashTable(system.memory, buckets=8, value_bytes=8)
+        table.insert(4, (44).to_bytes(8, "little"))
+        result = system.run_traversal(table.find_iterator(), 4)
+        assert int.from_bytes(result.value, "little") == 44
+        assert not result.offloaded
+        counters = system.metrics_snapshot()["counters"]
+        assert counters["client0.client.traversals"] == 1
+        assert counters["mem0.paging.bytes_served"] > 0
 
     def test_baseline_submit_returns_pending(self):
         system = RpcSystem(node_count=1)
