@@ -53,7 +53,8 @@ class _RpcServer:
         prefix = f"{node.name}.rpc"
         self._m_requests = registry.counter(f"{prefix}.requests")
         self._m_iterations = registry.counter(f"{prefix}.iterations")
-        self._m_bytes = registry.counter(f"{prefix}.bytes_loaded")
+        self._m_bytes = registry.counter(
+            f"{node.name}.{system.served_bytes}")
         self._m_busy = registry.counter(f"{prefix}.busy_ns")
         # The worker cores reuse machine frames across requests, one
         # free frame per concurrent worker at most.

@@ -31,7 +31,7 @@ from repro.durability import DurabilityError, DurabilityService
 from repro.index import SplitIndexDirectory
 from repro.mem.allocator import PlacementPolicy
 from repro.mem.node import GlobalMemory
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.placement.service import PlacementService
 from repro.shard.runtime import ShardError, ShardedRuntime
@@ -73,13 +73,14 @@ class Rack:
     client_names: Tuple[str, ...] = ("client0",)
     #: serving cores per node, as the energy model charges them
     workers_per_node = 1
+    #: range-translation entries per memory node
+    tcam_capacity = 1024
 
     def __init__(self, node_count: int = 1,
                  params: Optional[SystemParams] = None,
                  policy: PlacementPolicy = PlacementPolicy.UNIFORM,
                  node_capacity: Optional[int] = None,
-                 seed: int = 0,
-                 tcam_capacity: int = 1024):
+                 seed: int = 0):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.env = Environment()
         self.registry = MetricsRegistry(clock=lambda: self.env.now)
@@ -88,7 +89,7 @@ class Rack:
         capacity = (node_capacity if node_capacity is not None
                     else self.params.memory.node_capacity_bytes)
         self.memory = GlobalMemory(node_count, capacity, policy,
-                                   tcam_capacity)
+                                   self.tcam_capacity)
         for node in self.memory.nodes:
             node.attach_metrics(self.registry, clock=lambda: self.env.now)
 
@@ -142,16 +143,23 @@ class Rack:
         self.registry.reset()
 
     def memory_bandwidth_utilization(self, duration_ns: float) -> float:
-        """Mean fraction of the per-node bandwidth cap used, for Fig 6."""
+        """Mean fraction of the per-node bandwidth cap used, for Fig 6.
+
+        Raises :class:`~repro.obs.metrics.MetricError` when a node has
+        no ``served_bytes`` counter, rather than reading a fresh zero.
+        """
         if duration_ns <= 0:
             return 0.0
         cap = self.params.memory.bandwidth_bytes_per_ns
-        counter = self.registry.counter
-        per_node = [
-            counter(f"{node.name}.{self.served_bytes}").value
-            / duration_ns / cap
-            for node in self.memory.nodes
-        ]
+        registered = set(self.registry.names())
+        per_node = []
+        for node in self.memory.nodes:
+            name = f"{node.name}.{self.served_bytes}"
+            if name not in registered:
+                raise MetricError(
+                    f"{type(self).__name__} registers no counter {name!r}")
+            per_node.append(
+                self.registry.counter(name).value / duration_ns / cap)
         return sum(per_node) / len(per_node)
 
     def network_bandwidth_utilization(self, duration_ns: float) -> float:
@@ -189,8 +197,8 @@ class PulseCluster(Rack):
                  seed: int = 0,
                  split_index: bool = False,
                  split_index_invalidate: bool = True):
-        super().__init__(node_count, params, policy, node_capacity, seed,
-                         tcam_capacity)
+        self.tcam_capacity = tcam_capacity
+        super().__init__(node_count, params, policy, node_capacity, seed)
         if trace:
             self.registry.enable_events()
         self.memory.allocator.attach_metrics(self.registry)
@@ -447,6 +455,13 @@ class PulseCluster(Rack):
         """
         result = yield from self._pick_client().traverse(iterator, *args)
         return result
+
+    def run_traversal(self, iterator: PulseIterator,
+                      *args) -> TraversalResult:
+        """Run one traversal synchronously, always from ``client0``;
+        the round-robin of :meth:`submit` does not advance."""
+        return self.env.run(until=self.env.process(
+            self.clients[0].traverse(iterator, *args)))
 
     # -- observability ------------------------------------------------------------
     def begin_measurement(self) -> None:

@@ -89,19 +89,16 @@ class ShardRouter:
         return out
 
 
-def apply_ctl(cluster, ctl, activation_ns: float) -> None:
-    """Apply one broadcast control record at ``activation_ns``.
+def apply_reset(cluster, activation_ns: float) -> None:
+    """Schedule ``begin_measurement`` in this replica at ``activation_ns``.
 
-    The one control record is ``begin_measurement``: the window start
-    must take effect at the *same* simulated instant in every replica,
-    so the coordinator stamps it with the start of the window it ships
-    with, and both sides schedule the reset there.  Perturbations
-    (migrations, crashes) are not control records: each runs as a
-    ``shard(replicated=...)`` factory in every replica.
+    The window start must take effect at the *same* simulated instant in
+    every replica, so the coordinator stamps it with the start of the
+    window it ships with, and both sides schedule the reset there.  It is
+    the only thing broadcast besides frames: perturbations (migrations,
+    crashes) each run as a ``shard(replicated=...)`` factory in every
+    replica.
     """
-    kind, _args = ctl
-    if kind != "begin_measurement":
-        raise ShardError(f"unknown control record {kind!r}")
     env = cluster.env
     event = Event(env)
     event._ok = True
@@ -199,7 +196,8 @@ class ShardedRuntime:
         self._procs: Dict[int, object] = {}
         self._peeks: Dict[int, float] = {}
         self._pending: Dict[int, List[WireFrame]] = {}
-        self._ctls: List = []
+        #: a begin_measurement awaiting the next window start
+        self._reset_pending = False
         self._round_open = False
         self._last_end: float = 0.0
         self._router: Optional[ShardRouter] = None
@@ -292,13 +290,7 @@ class ShardedRuntime:
             if process.is_alive():
                 process.terminate()
 
-    # -- control broadcast -------------------------------------------------
-    def broadcast_ctl(self, kind: str, args: tuple) -> None:
-        """Queue a control record for every replica's next window."""
-        if self._stopped:
-            raise ShardError("runtime already stopped")
-        self._ctls.append((kind, args))
-
+    # -- measurement window ------------------------------------------------
     def begin_measurement(self) -> None:
         """Reset worker metrics at the next window start.
 
@@ -307,7 +299,9 @@ class ShardedRuntime:
         a warmup of zero that is still before any measured traffic
         reaches them, so merged snapshots match the in-process run.
         """
-        self.broadcast_ctl("begin_measurement", ())
+        if self._stopped:
+            raise ShardError("runtime already stopped")
+        self._reset_pending = True
 
     # -- observability -----------------------------------------------------
     def metrics_snapshot(self) -> Dict:
@@ -350,13 +344,13 @@ class ShardedRuntime:
             return False
         end = t_min + self.lookahead
         activation = self._last_end
-        ctls, self._ctls = self._ctls, []
+        reset, self._reset_pending = self._reset_pending, False
         for w, conn in sorted(self._conns.items()):
             frames = sorted(self._pending[w], key=WireFrame.sort_key)
             self._pending[w] = []
-            conn.send((ADVANCE, end, frames, ctls, activation))
-        for record in ctls:
-            apply_ctl(self.cluster, record, activation)
+            conn.send((ADVANCE, end, frames, reset, activation))
+        if reset:
+            apply_reset(self.cluster, activation)
         self._round_open = True
         self._last_end = end
         env.advance_window(end)

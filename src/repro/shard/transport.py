@@ -12,7 +12,7 @@ memoizes, so a 64-request doorbell batch ships its kernel once.
 
 Coordinator -> worker::
 
-    (ADVANCE, window_end, frames, ctls, activation_ns)
+    (ADVANCE, window_end, frames, reset, activation_ns)
     (SNAPSHOT, at_ns)
     (STOP, at_ns)
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 from repro.sim.network import Message
 
-#: coordinator -> worker: inject ``frames``/apply ``ctls`` (at
-#: ``activation_ns``), then run every event strictly before
-#: ``window_end`` and reply with a DONE record
+#: coordinator -> worker: inject ``frames``, begin the measurement
+#: window at ``activation_ns`` if ``reset``, then run every event
+#: strictly before ``window_end`` and reply with a DONE record
 ADVANCE = "advance"
 #: worker -> coordinator: the window finished; carries exported frames
 #: and the worker's next pending event time (``inf`` when idle)

@@ -6,9 +6,10 @@ memory pipeline, allocator, frame pool) and stays inert for
 everything else -- the coordinator never routes frames to non-owned
 endpoints, so those replicas' message handlers are never called and
 they run no process.  The main loop is
-purely reactive: inject the frames and control records that arrived
-with an ``ADVANCE``, run every local event strictly before the window
-end, then report exports and the next pending event time back.
+purely reactive: inject the frames (and schedule the measurement
+reset) that arrived with an ``ADVANCE``, run every local event strictly
+before the window end, then report exports and the next pending event
+time back.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 import traceback
 
-from repro.shard.runtime import ShardError, ShardRouter, apply_ctl
+from repro.shard.runtime import ShardError, ShardRouter, apply_reset
 from repro.shard.transport import (ADVANCE, DONE, ERROR, SNAPSHOT, STOP,
                                    STOPPED)
 
@@ -49,7 +50,7 @@ def worker_main(conn, cluster, owned_nodes, worker_index: int, seed,
         router = ShardRouter(lambda name: name in owned_names,
                              worker_index)
         cluster.fabric.shard_router = router
-        cluster.runtime = None  # replicas never re-broadcast controls
+        cluster.runtime = None  # replicas never re-broadcast a reset
         for factory in replicated:
             env.process(factory(cluster))
         while True:
@@ -59,9 +60,9 @@ def worker_main(conn, cluster, owned_nodes, worker_index: int, seed,
                 return
             tag = request[0]
             if tag == ADVANCE:
-                _, window_end, frames, ctls, activation_ns = request
-                for ctl in ctls:
-                    apply_ctl(cluster, ctl, activation_ns)
+                _, window_end, frames, reset, activation_ns = request
+                if reset:
+                    apply_reset(cluster, activation_ns)
                 for frame in frames:
                     cluster.fabric.inject(frame.message, frame.arrival_ns)
                 env.run_window(window_end)

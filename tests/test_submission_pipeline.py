@@ -12,6 +12,7 @@ from repro.core import PulseCluster
 from repro.core.cluster import Rack
 from repro.core.client import PendingTraversal
 from repro.core.iterator import FaultInfo, TraversalResult
+from repro.obs.metrics import MetricError
 from repro.params import (
     AcceleratorParams,
     SystemParams,
@@ -242,13 +243,37 @@ class TestTraversalBackendProtocol:
             # beyond what pulse's clients and sharding change.
             assert type(system).traverse is not Rack.traverse
             for name in ("memory_bandwidth_utilization",
-                         "network_bandwidth_utilization", "run_traversal",
+                         "network_bandwidth_utilization",
                          "run_workload", "reset_counters"):
                 assert getattr(type(system), name) is getattr(Rack, name)
         pulse, rpc, _rpc_w, cache, _cache_rpc = systems
+        for baseline in systems[1:]:
+            assert type(baseline).run_traversal is Rack.run_traversal
+            # The TCAM size is pulse's option only.
+            with pytest.raises(TypeError):
+                type(baseline)(tcam_capacity=2)
         assert pulse.workers_per_node == 1
         assert rpc.workers_per_node == rpc.servers[0].workers.capacity
         assert cache.workers_per_node == cache.fault_unit.capacity == 4
+
+    def test_pulse_run_traversal_keeps_client0(self):
+        """A one-off traversal runs on client0 and leaves the
+        round-robin of submit where it was."""
+        cluster = PulseCluster(node_count=1, client_count=2)
+        table = HashTable(cluster.memory, buckets=8, value_bytes=8)
+        table.insert(4, (44).to_bytes(8, "little"))
+        for _ in range(3):
+            cluster.run_traversal(table.find_iterator(), 4)
+        assert cluster._next_client == 0
+        counters = cluster.metrics_snapshot()["counters"]
+        assert counters["client0.client.traversals"] == 3
+        assert counters.get("client1.client.traversals", 0) == 0
+
+    def test_missing_served_bytes_counter_raises(self):
+        system = RpcSystem(node_count=1)
+        system.served_bytes = "rpc.no_such_counter"
+        with pytest.raises(MetricError):
+            system.memory_bandwidth_utilization(1000.0)
 
     def test_baseline_run_traversal(self):
         system = CacheSystem(node_count=1)
