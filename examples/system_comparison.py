@@ -36,7 +36,7 @@ def main() -> None:
         energy = measure_energy(name, DEFAULT_PARAMS,
                                 tput.throughput_per_s,
                                 workers_per_node=system.workers_per_node)
-        mem_util = system.memory_bandwidth_utilization(tput.duration_ns)
+        mem_util = system.memory_bandwidth_utilization()
         rows.append((
             name,
             f"{lat.avg_latency_ns / 1000:.1f}",

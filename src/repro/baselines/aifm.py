@@ -24,39 +24,14 @@ B+Trees nor distributed execution natively).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import replace
 
+from repro.baselines.cache import PageCache, cache_counters
 from repro.baselines.rpc import RpcSystem
 from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.messages import RequestStatus, TraversalRequest
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import wrap64
-
-
-class ObjectCache:
-    """LRU cache of data-structure objects (keyed by address)."""
-
-    def __init__(self, capacity_bytes: int, object_bytes: int):
-        self.capacity_objects = max(1, capacity_bytes // object_bytes)
-        self._objects: "OrderedDict[int, bool]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, address: int) -> bool:
-        if address in self._objects:
-            self._objects.move_to_end(address)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def fill(self, address: int) -> None:
-        if address in self._objects:
-            return
-        if len(self._objects) >= self.capacity_objects:
-            self._objects.popitem(last=False)
-        self._objects[address] = True
 
 
 class CacheRpcSystem(RpcSystem):
@@ -68,7 +43,11 @@ class CacheRpcSystem(RpcSystem):
                          seed=seed, **kwargs)
         mem = self.params.memory
         size = cache_bytes if cache_bytes is not None else mem.cache_bytes
-        self.object_cache = ObjectCache(size, object_bytes)
+        #: data-structure objects (keyed by address) resident at the
+        #: CPU node
+        self.object_cache = PageCache(max(1, size // object_bytes))
+        self._m_hits, self._m_misses, self._m_evictions = cache_counters(
+            self.registry, "client0.objcache")
         self._m_local_iterations = self.registry.counter(
             "client0.objcache.local_iterations")
         self._m_offloaded = self.registry.counter(
@@ -80,14 +59,6 @@ class CacheRpcSystem(RpcSystem):
                 "client0.objcache.workspace.reused"),
             allocated=self.registry.counter(
                 "client0.objcache.workspace.allocated"))
-
-    @property
-    def local_iterations(self) -> int:
-        return self._m_local_iterations.value
-
-    @property
-    def offloaded_requests(self) -> int:
-        return self._m_offloaded.value
 
     @property
     def name(self) -> str:
@@ -102,7 +73,9 @@ class CacheRpcSystem(RpcSystem):
 
         def fetch(address):
             if not self.object_cache.access(address):
+                self._m_misses.inc()
                 return False  # first non-resident object: offload the rest
+            self._m_hits.inc()
             yield self.env.timeout(cpu.memory_access_ns(window_size))
             return True
 
@@ -155,7 +128,8 @@ class CacheRpcSystem(RpcSystem):
                     status=RequestStatus.RUNNING))
             # The traversed chain becomes cache-resident (AIFM swaps the
             # hot objects in); uniform access means it rarely helps.
-            self.object_cache.fill(wrap64(cur_ptr + window_offset))
+            if self.object_cache.fill(wrap64(cur_ptr + window_offset)):
+                self._m_evictions.inc()
             result = TraversalResult.from_response(iterator, response,
                                                    self.env.now - start)
         self._record_result(result)

@@ -32,41 +32,52 @@ PAGE_KIND = "page"
 
 
 class PageCache:
-    """Client-resident LRU page cache."""
+    """A client-resident LRU set: Cache's 4 KB pages, or Cache+RPC's
+    objects (by address).
 
-    def __init__(self, capacity_pages: int):
-        if capacity_pages < 1:
-            raise ValueError("cache needs at least one page")
-        self.capacity_pages = capacity_pages
-        self._pages: "OrderedDict[int, bool]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    It counts nothing: each system counts its hits, misses and
+    evictions in registry counters (:func:`cache_counters`).
+    """
 
-    def __contains__(self, page: int) -> bool:
-        return page in self._pages
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("cache needs at least one entry")
+        self.capacity = capacity
+        self._keys: "OrderedDict[int, bool]" = OrderedDict()
 
-    def access(self, page: int) -> bool:
-        """Touch a page; returns True on hit."""
-        if page in self._pages:
-            self._pages.move_to_end(page)
-            self.hits += 1
+    def __contains__(self, key: int) -> bool:
+        return key in self._keys
+
+    def access(self, key: int) -> bool:
+        """Touch ``key``; True on a hit (it becomes most recent)."""
+        if key in self._keys:
+            self._keys.move_to_end(key)
             return True
-        self.misses += 1
         return False
 
-    def fill(self, page: int) -> None:
-        if page in self._pages:
-            return
-        if len(self._pages) >= self.capacity_pages:
-            self._pages.popitem(last=False)
-            self.evictions += 1
-        self._pages[page] = True
+    def fill(self, key: int) -> bool:
+        """Insert ``key``; True when that evicted the least recent one."""
+        if key in self._keys:
+            return False
+        evicted = len(self._keys) >= self.capacity
+        if evicted:
+            self._keys.popitem(last=False)
+        self._keys[key] = True
+        return evicted
 
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+
+def cache_counters(registry, prefix: str):
+    """``(hits, misses, evictions)`` counters of a client cache under
+    ``<prefix>.*``, plus the ``<prefix>.hit_ratio`` gauge over them."""
+    hits = registry.counter(f"{prefix}.hits")
+    misses = registry.counter(f"{prefix}.misses")
+
+    def hit_ratio() -> float:
+        total = hits.value + misses.value
+        return hits.value / total if total else 0.0
+
+    registry.gauge(f"{prefix}.hit_ratio", fn=hit_ratio)
+    return hits, misses, registry.counter(f"{prefix}.evictions")
 
 
 class CacheSystem(Rack):
@@ -94,10 +105,8 @@ class CacheSystem(Rack):
         self._record_result = result_recorder(self.registry, "client0")
         self._m_pages_fetched = self.registry.counter(
             "client0.cache.pages_fetched")
-        self.registry.gauge("client0.cache.hit_ratio",
-                            fn=lambda: self.cache.hit_ratio)
-        self.registry.gauge("client0.cache.evictions",
-                            fn=lambda: float(self.cache.evictions))
+        self._m_hits, self._m_misses, self._m_evictions = cache_counters(
+            self.registry, "client0.cache")
         # CPU-node execution frames, reused across traversals.
         self._machines = MachinePool(
             capacity=8,
@@ -106,10 +115,6 @@ class CacheSystem(Rack):
             allocated=self.registry.counter(
                 "client0.cache.workspace.allocated"))
         self.session.on_message = self._on_message
-
-    @property
-    def pages_fetched(self) -> int:
-        return self._m_pages_fetched.value
 
     def _on_message(self, message: Message) -> None:
         # The page reply carries the faulting process's own event.  The
@@ -161,8 +166,10 @@ class CacheSystem(Rack):
         cpu = self.params.cpu
         if self.cache.access(page):
             # Local DRAM hit at the CPU node.
+            self._m_hits.inc()
             yield self.env.timeout(cpu.dram_access_ns)
             return
+        self._m_misses.inc()
         yield from self._fault(page)
 
     def _fault(self, page: int):
@@ -181,7 +188,8 @@ class CacheSystem(Rack):
             waiter = self.env.event()
             self.session.send(owner_name, PAGE_KIND, (waiter, page), 128)
             yield waiter
-            self.cache.fill(page)
+            if self.cache.fill(page):
+                self._m_evictions.inc()
             self._m_pages_fetched.inc()
         finally:
             self.fault_unit.release(grant)

@@ -34,6 +34,7 @@ class WorkloadStats:
     """Everything the figures need from one run."""
 
     completed: int
+    #: the rack registry's measurement window (``registry.window_ns``)
     duration_ns: float
     latencies_ns: List[float]
     faults: int
@@ -97,7 +98,6 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
     env = system.env
     results: List[Optional[TraversalResult]] = [None] * len(operations)
     cursor = {"next": 0}
-    measure_start = {"t": None}
 
     def worker():
         while True:
@@ -106,7 +106,6 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
                 return
             cursor["next"] = index + 1
             if index == warmup:
-                measure_start["t"] = env.now
                 # Drop warmup-time metrics so histograms and
                 # utilizations cover only the measured window.
                 system.begin_measurement()
@@ -120,10 +119,9 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
     env.run(until=done)
 
     measured = [r for r in results[warmup:] if r is not None]
-    start = measure_start["t"] if measure_start["t"] is not None else 0.0
     return WorkloadStats(
         completed=len(measured),
-        duration_ns=env.now - start,
+        duration_ns=system.registry.window_ns,
         latencies_ns=[r.latency_ns for r in measured],
         faults=sum(1 for r in measured if not r.ok),
         total_hops=sum(r.hops for r in measured),
@@ -171,7 +169,6 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
              "outstanding": 0, "gen_done": False}
     agg = {"completed": 0, "faults": 0, "hops": 0}
     latencies: List[float] = []
-    measure_start = {"t": None}
     done = env.event()
 
     def collect(index, pending):
@@ -199,7 +196,6 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
             yield env.timeout(
                 rng.expovariate(1.0) / rate_per_ns * len(chunk))
             if begin <= warmup < begin + len(chunk):
-                measure_start["t"] = env.now
                 system.begin_measurement()
             pendings = system.submit_many(chunk)
             state["in_flight"] += len(pendings)
@@ -215,7 +211,6 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
         done.succeed()
     env.run(until=done)
 
-    start = measure_start["t"] if measure_start["t"] is not None else 0.0
     if keep_results:
         measured = [r for r in results[warmup:] if r is not None]
         agg = {"completed": len(measured),
@@ -226,7 +221,7 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
         measured = []
     return WorkloadStats(
         completed=agg["completed"],
-        duration_ns=env.now - start,
+        duration_ns=system.registry.window_ns,
         latencies_ns=latencies,
         faults=agg["faults"],
         total_hops=agg["hops"],

@@ -152,10 +152,8 @@ def _run_cell(drive, system_name: str, workload_name: str,
         workload=workload_name,
         nodes=node_count,
         stats=stats,
-        memory_utilization=system.memory_bandwidth_utilization(
-            stats.duration_ns),
-        network_utilization=system.network_bandwidth_utilization(
-            stats.duration_ns),
+        memory_utilization=system.memory_bandwidth_utilization(),
+        network_utilization=system.network_bandwidth_utilization(),
         workers_per_node=system.workers_per_node,
         energy=energy,
     )

@@ -220,7 +220,7 @@ class Accelerator:
         # Per-core translation caches and workspace frame pools; the
         # hit/miss and reuse counters are shared across cores (one pair
         # per accelerator in the registry).
-        tlb_hits = self._m_tlb_hits = registry.counter(f"{prefix}.tlb.hits")
+        tlb_hits = registry.counter(f"{prefix}.tlb.hits")
         tlb_misses = registry.counter(f"{prefix}.tlb.misses")
         ws_reused = registry.counter(f"{prefix}.workspace.reused")
         ws_allocated = registry.counter(f"{prefix}.workspace.allocated")
@@ -541,8 +541,7 @@ class Accelerator:
                 lane.prev_load = lane.addr = addr
                 held.append(lane)
             if memo_hits:
-                tlb.hits += memo_hits
-                self._m_tlb_hits.value += memo_hits
+                tlb.hits.value += memo_hits
             if not held:
                 return
             version = table.version
@@ -601,7 +600,6 @@ class Accelerator:
                     phys = entry.phys_start + (lane.addr - entry.virt_start)
                     if 0 <= phys <= dram_limit:
                         data = mapping[phys:phys + window_size]
-                        memory.bytes_read += window_size
                     else:
                         # Outside the node's DRAM: read raises the fault.
                         data = memory.read(phys, window_size)
@@ -728,23 +726,12 @@ class Accelerator:
                          acc.netstack_ns - acc.netstack_occupancy_ns)
 
     # -- observability ---------------------------------------------------------
-    def memory_pipeline_utilization(self, elapsed: Optional[float] = None
-                                    ) -> float:
-        """Mean utilization across cores' memory pipelines."""
-        values = [c.memory_pipeline.utilization(elapsed)
-                  for c in self.cores]
+    def memory_pipeline_utilization(self) -> float:
+        """Mean busy fraction of the cores' memory pipelines, over the
+        busy-time window ``begin_measurement`` re-bases."""
+        values = [c.memory_pipeline.utilization() for c in self.cores]
         return sum(values) / len(values)
 
-    def memory_bandwidth_used(self, elapsed: Optional[float] = None
-                              ) -> float:
-        """Bytes/ns of DRAM traffic served in the measurement window.
-
-        ``bytes_loaded`` restarts with ``begin_measurement()``, which
-        also re-bases the memory pipelines' windows; the default divisor
-        is that window, not the time since t = 0.
-        """
-        window = (elapsed if elapsed is not None else
-                  self.env.now - self.cores[0].memory_pipeline.window_start)
-        if window <= 0:
-            return 0.0
-        return self._m_bytes.value / window
+    def memory_bandwidth_used(self) -> float:
+        """Bytes/ns loaded from DRAM over the registry's window."""
+        return self.registry.rate(self._m_bytes)

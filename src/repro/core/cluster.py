@@ -44,10 +44,11 @@ class Rack:
 
     It assembles what every system has -- ``params``, the event loop
     ``env``, one :class:`~repro.obs.metrics.MetricsRegistry` (the only
-    observability surface), the ``fabric`` and the rack's
-    :class:`~repro.mem.node.GlobalMemory` with its node metrics -- and
-    is the contract the bench drivers (``run_workload``,
-    ``run_open_loop``, ``run_cell``) drive every system through:
+    observability surface, and the holder of the one measurement
+    window), the ``fabric`` and the rack's
+    :class:`~repro.mem.node.GlobalMemory` -- and is the contract the
+    bench drivers (``run_workload``, ``run_open_loop``, ``run_cell``)
+    drive every system through:
 
     * ``traverse(iterator, *args)`` -- a process running one traversal
       to its :class:`~repro.core.iterator.TraversalResult`; the method
@@ -55,14 +56,15 @@ class Rack:
     * ``submit`` / ``submit_many`` -- asynchronous issue, one
       :class:`~repro.core.client.PendingTraversal` per traversal; here
       one process per ``traverse``, and a burst is a loop of them.
-    * ``begin_measurement`` -- start the post-warmup window: every
-      registry metric reset, every endpoint's byte window re-based.
+    * ``begin_measurement`` -- open the post-warmup window: the
+      registry resets every metric and stamps ``window_start``; the
+      drivers' ``duration_ns`` is ``registry.window_ns``.
     * ``metrics_snapshot`` -- the JSON-able export of every metric.
     * ``memory_bandwidth_utilization`` -- mean over nodes of the bytes
-      each served (the registry counter ``<node>.<served_bytes>``),
-      against the per-node bandwidth cap.
+      each served (the registry counter ``<node>.<served_bytes>``) per
+      ns of the window, against the per-node bandwidth cap.
     * ``network_bandwidth_utilization`` -- the busiest link among the
-      CPU-node endpoints ``client_names``.
+      CPU-node endpoints ``client_names``, over the same window.
     * ``workers_per_node`` -- the serving cores the energy model
       charges per node.
     """
@@ -90,8 +92,6 @@ class Rack:
                     else self.params.memory.node_capacity_bytes)
         self.memory = GlobalMemory(node_count, capacity, policy,
                                    self.tcam_capacity)
-        for node in self.memory.nodes:
-            node.attach_metrics(self.registry, clock=lambda: self.env.now)
 
     @property
     def node_count(self) -> int:
@@ -130,49 +130,46 @@ class Rack:
 
     # -- observability ------------------------------------------------------------
     def begin_measurement(self) -> None:
-        """Start the post-warmup window (see the class docstring)."""
+        """Open the post-warmup window (see the class docstring)."""
         self.registry.reset()
-        self.fabric.begin_window()
 
     def metrics_snapshot(self) -> dict:
         """One JSON-able export of every metric in the rack."""
         return self.registry.snapshot()
 
-    def reset_counters(self) -> None:
-        self.memory.reset_counters()
-        self.registry.reset()
-
-    def memory_bandwidth_utilization(self, duration_ns: float) -> float:
-        """Mean fraction of the per-node bandwidth cap used, for Fig 6.
+    def memory_bandwidth_utilization(self) -> float:
+        """Mean fraction of the per-node bandwidth cap used over the
+        registry's window, for Fig 6.
 
         Raises :class:`~repro.obs.metrics.MetricError` when a node has
         no ``served_bytes`` counter, rather than reading a fresh zero.
         """
-        if duration_ns <= 0:
-            return 0.0
-        cap = self.params.memory.bandwidth_bytes_per_ns
         registered = set(self.registry.names())
-        per_node = []
+        counters = []
         for node in self.memory.nodes:
             name = f"{node.name}.{self.served_bytes}"
             if name not in registered:
                 raise MetricError(
                     f"{type(self).__name__} registers no counter {name!r}")
-            per_node.append(
-                self.registry.counter(name).value / duration_ns / cap)
-        return sum(per_node) / len(per_node)
+            counters.append(self.registry.counter(name))
+        window = self.registry.window_ns
+        if window <= 0:
+            return 0.0
+        cap = self.params.memory.bandwidth_bytes_per_ns
+        return sum(c.value / window / cap for c in counters) / len(counters)
 
-    def network_bandwidth_utilization(self, duration_ns: float) -> float:
-        """Busiest CPU-node link's utilization, for Fig 6."""
-        if duration_ns <= 0:
+    def network_bandwidth_utilization(self) -> float:
+        """Busiest CPU-node link's utilization over the registry's
+        window, for Fig 6."""
+        window = self.registry.window_ns
+        if window <= 0:
             return 0.0
         counter = self.registry.counter
         peak_bytes = max(
             max(counter(f"net.{name}.tx_bytes").value,
                 counter(f"net.{name}.rx_bytes").value)
             for name in self.client_names)
-        return peak_bytes / (duration_ns
-                             * self.params.network.link_bytes_per_ns)
+        return peak_bytes / (window * self.params.network.link_bytes_per_ns)
 
 
 class PulseCluster(Rack):
@@ -324,7 +321,6 @@ class PulseCluster(Rack):
         """
         self._forbid_sharded("add_node")
         node = self.memory.add_node()
-        node.attach_metrics(self.registry, clock=lambda: self.env.now)
         acc = self._accelerator(node)
         self.accelerators.append(acc)
         self.placement.on_node_added(node.node_id)
@@ -465,12 +461,14 @@ class PulseCluster(Rack):
 
     # -- observability ------------------------------------------------------------
     def begin_measurement(self) -> None:
-        """Start the post-warmup measurement window.
+        """Open the post-warmup measurement window.
 
-        Besides the rack's reset, re-bases every accelerator pipeline's
-        busy-time window.  Under sharding, the coordinator resets
-        immediately and each worker resets at the start of the next
-        sync window -- still before any post-reset traffic can reach it.
+        Besides the registry's reset, re-bases every accelerator
+        pipeline's busy-time window (``Resource.begin_window``, the one
+        window kept outside the registry) in the same instant.  Under
+        sharding, the coordinator resets immediately and each worker
+        resets at the start of the next sync window -- still before any
+        post-reset traffic can reach it.
         """
         self._begin_measurement_local()
         if self.sharded:

@@ -33,7 +33,6 @@ class WorkspacePool:
     def __init__(self, env: Environment, tokens: List[int]):
         self.env = env
         self._free: Deque[int] = deque(tokens)
-        self.grants = 0
         #: queue depth observed at each enqueue (None until a registry
         #: is attached); feeds the admission/backpressure metrics
         self._depth_hist = None
@@ -65,7 +64,6 @@ class WorkspacePool:
             self._grant(waiter)
 
     def _grant(self, event: Event) -> None:
-        self.grants += 1
         event.succeed(self._free.popleft())
 
     # -- policy hooks ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Memory node assembly and the rack-wide memory facade.
 
-:class:`MemoryNode` bundles one node's DRAM, translation table, and byte
-counters.  :class:`GlobalMemory` is what data-structure code programs
+:class:`MemoryNode` bundles one node's DRAM and translation table.
+:class:`GlobalMemory` is what data-structure code programs
 against: allocate, read, and write by *virtual* address anywhere in the
 rack.  GlobalMemory performs *functional* (zero-simulated-time) accesses;
 all timed paths (accelerator pipelines, RPC workers, paging) charge their
@@ -30,7 +30,13 @@ from repro.placement.rangemap import PlacementMap
 
 
 class MemoryNode:
-    """One disaggregated memory node: DRAM + local translation state."""
+    """One disaggregated memory node: DRAM + local translation state.
+
+    It registers no metrics: the traffic it serves is counted by
+    whatever serves it (the accelerator's ``<node>.acc.bytes_loaded``,
+    a baseline server's counter) in the rack's registry, over the
+    registry's measurement window.
+    """
 
     def __init__(self, node_id: int, addrspace: AddressSpace,
                  tcam_capacity: int = 1024):
@@ -40,26 +46,6 @@ class MemoryNode:
         self.memory = PhysicalMemory(addrspace.node_capacity)
         self.table = RangeTranslationTable(capacity=tcam_capacity)
         self.virt_start, self.virt_end = addrspace.range_of(node_id)
-
-    def attach_metrics(self, registry, clock) -> None:
-        """Register DRAM-traffic gauges (``mem<i>.dram.*``).
-
-        Callback gauges read the live byte counters at snapshot time, so
-        the node's bandwidth shows up in ``registry.snapshot()`` without
-        per-access bookkeeping.  ``clock`` supplies simulated time for
-        the bytes/ns gauge.
-        """
-        prefix = f"{self.name}.dram"
-        registry.gauge(f"{prefix}.bytes_read",
-                       fn=lambda: self.memory.bytes_read)
-        registry.gauge(f"{prefix}.bytes_written",
-                       fn=lambda: self.memory.bytes_written)
-
-        def bandwidth() -> float:
-            now = clock()
-            return self.bytes_served / now if now > 0 else 0.0
-
-        registry.gauge(f"{prefix}.bandwidth_bytes_per_ns", fn=bandwidth)
 
     def owns(self, vaddr: int) -> bool:
         """True if ``vaddr`` falls in this node's partition of the rack."""
@@ -74,11 +60,6 @@ class MemoryNode:
     def write_virt(self, vaddr: int, data: bytes) -> None:
         phys = self.table.translate(vaddr, len(data), PERM_WRITE)
         self.memory.write(phys, data)
-
-    @property
-    def bytes_served(self) -> int:
-        """Total DRAM traffic (both directions), for Fig 6."""
-        return self.memory.bytes_read + self.memory.bytes_written
 
 
 class GlobalMemory:
@@ -113,7 +94,7 @@ class GlobalMemory:
 
         Extends the address space, builds the node, and registers it
         with the allocator and placement map.  The caller (the cluster)
-        wires up the accelerator and metrics.
+        wires up the accelerator.
         """
         node_id = self.addrspace.grow(1)
         node = MemoryNode(node_id, self.addrspace, self._tcam_capacity)
@@ -162,7 +143,3 @@ class GlobalMemory:
 
     def write_u64(self, vaddr: int, value: int) -> None:
         self.write(vaddr, (value & (2**64 - 1)).to_bytes(8, "little"))
-
-    def reset_counters(self) -> None:
-        for node in self.nodes:
-            node.memory.reset_counters()

@@ -14,8 +14,11 @@ class PhysicalMemory:
 
     Addresses here are *physical* (node-local, starting at zero); virtual
     addresses are resolved through :class:`~repro.mem.translation.
-    RangeTranslationTable` before reaching this layer.  Byte counters feed
-    the memory-bandwidth utilization numbers in Fig 6.
+    RangeTranslationTable` before reaching this layer.  It counts no
+    traffic: the bytes a node serves in a measured window are the
+    registry counter ``<node>.<served_bytes>`` its server publishes
+    (``Rack.served_bytes``), since functional reads and writes -- a
+    structure being built, a test peeking -- are not modeled traffic.
 
     The backing is a private, anonymous, demand-zero mapping: ``size``
     reserves address space, not pages.  A range nothing has written reads
@@ -43,8 +46,6 @@ class PhysicalMemory:
         self.size = size
         self.mapping = mmap.mmap(
             -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        self.bytes_read = 0
-        self.bytes_written = 0
 
     def _check(self, addr: int, length: int) -> None:
         if length < 0:
@@ -62,13 +63,11 @@ class PhysicalMemory:
         already ``bytes``), never a view a later write shows through.
         """
         self._check(addr, length)
-        self.bytes_read += length
         return self.mapping[addr:addr + length]
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at physical ``addr``."""
         self._check(addr, len(data))
-        self.bytes_written += len(data)
         self.mapping[addr:addr + len(data)] = data
 
     def read_u64(self, addr: int) -> int:
@@ -76,7 +75,3 @@ class PhysicalMemory:
 
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
-
-    def reset_counters(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.obs.metrics import Counter
+
 PERM_READ = 0x1
 PERM_WRITE = 0x2
 
@@ -218,8 +220,9 @@ class TranslationCache:
     including foreign/invalid pointers -- are never cached, so a re-
     routed traversal always re-consults the authoritative table.
 
-    ``hits``/``misses`` count locally and, when metric counters are
-    supplied, feed the registry (``<node>.acc.tlb.hits`` / ``.misses``).
+    ``hits``/``misses`` are :class:`~repro.obs.metrics.Counter` s: the
+    registry's (``<node>.acc.tlb.hits`` / ``.misses``) when supplied,
+    private ones otherwise.
 
     ``mru`` (the cached entries, most recently used first; one list for
     the cache's life) and ``version`` (the table version they are valid
@@ -237,10 +240,10 @@ class TranslationCache:
         self.capacity = capacity
         self.mru: List[RangeEntry] = []
         self.version = table.version
-        self.hits = 0
-        self.misses = 0
-        self._hit_counter = hit_counter
-        self._miss_counter = miss_counter
+        self.hits = hit_counter if hit_counter is not None else Counter(
+            "tlb.hits")
+        self.misses = miss_counter if miss_counter is not None else Counter(
+            "tlb.misses")
 
     def __len__(self) -> int:
         return len(self.mru)
@@ -256,15 +259,11 @@ class TranslationCache:
         entries = self.mru
         for index, entry in enumerate(entries):
             if entry.covers(vaddr, size):
-                self.hits += 1
-                if self._hit_counter is not None:
-                    self._hit_counter.inc()
+                self.hits.value += 1
                 if index:
                     entries.insert(0, entries.pop(index))
                 return entry
-        self.misses += 1
-        if self._miss_counter is not None:
-            self._miss_counter.inc()
+        self.misses.value += 1
         entry = self.table.lookup(vaddr, size)
         if entry is not None:
             entries.insert(0, entry)

@@ -35,6 +35,13 @@ through :meth:`MetricsRegistry.enable_events`.  Events are not part of
 
 Time is supplied by a ``clock`` callable (usually ``lambda: env.now``)
 so the registry stays independent of the simulation kernel.
+
+The registry also holds the rack's one *measurement window*: it opens
+at construction and again at every :meth:`MetricsRegistry.reset` (which
+``begin_measurement`` calls), and :attr:`MetricsRegistry.window_ns` is
+its length.  Every rate -- a bandwidth gauge, a utilization, a driver's
+throughput -- is a counter over that window (:meth:`MetricsRegistry.rate`);
+no component keeps a window start of its own.
 """
 
 from __future__ import annotations
@@ -268,6 +275,9 @@ class MetricsRegistry:
         #: the per-request event log; None until :meth:`enable_events`.
         #: Components read it once at construction, so enable it first.
         self.events: Optional[EventLog] = None
+        #: when the measurement window opened (construction or the last
+        #: :meth:`reset`)
+        self.window_start = self._clock()
 
     def enable_events(self) -> EventLog:
         """Turn on per-request event recording (idempotent)."""
@@ -278,6 +288,16 @@ class MetricsRegistry:
     @property
     def now(self) -> float:
         return self._clock()
+
+    @property
+    def window_ns(self) -> float:
+        """Length of the measurement window so far."""
+        return self._clock() - self.window_start
+
+    def rate(self, counter: Counter) -> float:
+        """``counter`` per ns over the measurement window (0 when empty)."""
+        window = self.window_ns
+        return counter.value / window if window > 0 else 0.0
 
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -310,9 +330,11 @@ class MetricsRegistry:
         return sorted(n for n in self._metrics if n.startswith(prefix))
 
     def reset(self) -> None:
-        """Zero every counter/histogram/set-gauge (callbacks untouched)."""
+        """Open a new measurement window: zero every counter, histogram
+        and set gauge (callbacks untouched) and restamp ``window_start``."""
         for metric in self._metrics.values():
             metric.reset()
+        self.window_start = self._clock()
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable view of every registered metric."""

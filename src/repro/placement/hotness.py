@@ -357,6 +357,13 @@ class HotnessTracker:
         return ranked[0][1] if ranked else 0.0
 
     def attach_metrics(self, registry) -> None:
+        """Register the ``placement.hot.*`` gauges.
+
+        They read the tracker's own state, cumulative since the rack was
+        built: the registry's measurement window does not reset them
+        (perfbench divides ``placement.hot.samples`` by the requests
+        since the build).
+        """
         registry.gauge("placement.hot.segments", fn=lambda: len(self))
         registry.gauge("placement.hot.samples", fn=lambda: self.samples)
         registry.gauge("placement.hot.edges",

@@ -13,7 +13,8 @@ measure.
 Per-endpoint rx/tx byte counters feed Fig 6's network-bandwidth
 utilization numbers.  They live in the fabric's
 :class:`~repro.obs.metrics.MetricsRegistry` (``net.<name>.tx_bytes``
-etc., plus bandwidth gauges).
+etc., plus bandwidth gauges: each counter over the registry's
+measurement window).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.params import NetworkParams
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource, Store
 
 
@@ -105,56 +106,9 @@ class Endpoint:
         self._tx_message_bytes = registry.histogram(
             f"{prefix}.tx_message_bytes")
         registry.gauge(f"{prefix}.tx_bandwidth_bytes_per_ns",
-                       fn=self._tx_bandwidth)
+                       fn=lambda: registry.rate(self._tx_bytes))
         registry.gauge(f"{prefix}.rx_bandwidth_bytes_per_ns",
-                       fn=self._rx_bandwidth)
-        # Measurement window (see begin_window / network_utilization).
-        self._window_start = env.now
-        self._window_tx_base = 0
-        self._window_rx_base = 0
-
-    def _tx_bandwidth(self) -> float:
-        return self._window_rate(self._tx_bytes.value
-                                 - self._window_tx_base)
-
-    def _rx_bandwidth(self) -> float:
-        return self._window_rate(self._rx_bytes.value
-                                 - self._window_rx_base)
-
-    def _window_rate(self, window_bytes: float) -> float:
-        """Bytes/ns over the window since :meth:`begin_window`."""
-        window = self.env.now - self._window_start
-        return window_bytes / window if window > 0 else 0.0
-
-    def begin_window(self) -> None:
-        """Start a fresh byte-accounting window at the current time."""
-        self._window_start = self.env.now
-        self._window_tx_base = self._tx_bytes.value
-        self._window_rx_base = self._rx_bytes.value
-
-    def network_utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of link bandwidth used (max of rx/tx directions).
-
-        The byte counts cover the window since construction or the last
-        :meth:`begin_window` call.  ``elapsed``, when given, must cover
-        that window: a shorter caller window would claim more bytes
-        moved than the link can carry (utilization > 1), which raises
-        :class:`SimulationError` instead of being reported.
-        """
-        window = (elapsed if elapsed is not None
-                  else self.env.now - self._window_start)
-        if window <= 0:
-            return 0.0
-        peak = max(self._tx_bytes.value - self._window_tx_base,
-                   self._rx_bytes.value - self._window_rx_base)
-        value = peak / (window * self.link_bytes_per_ns)
-        if elapsed is not None and value > 1.0 + 1e-9:
-            raise SimulationError(
-                f"network utilization {value:.3f} > 1 on {self.name!r}: "
-                f"the elapsed window ({elapsed} ns) is shorter than the "
-                "byte-accounting window; call begin_window() at the "
-                "start of the measurement window")
-        return value
+                       fn=lambda: registry.rate(self._rx_bytes))
 
 
 class Fabric:
@@ -220,11 +174,6 @@ class Fabric:
             rng = random.Random(f"{self.seed}:{src}->{dst}")
             self._link_rngs[key] = rng
         return rng
-
-    def begin_window(self) -> None:
-        """Start a fresh byte-accounting window on every endpoint."""
-        for endpoint in self._endpoints.values():
-            endpoint.begin_window()
 
     def register(self, name: str) -> Endpoint:
         if name in self._endpoints:

@@ -75,7 +75,7 @@ class Resource:
         # Utilization accounting.
         self._busy_time = 0.0
         self._last_change = env.now
-        # Measurement window (see begin_window / utilization).
+        # Busy-time window (see begin_window / utilization).
         self._window_start = env.now
         self._window_busy_base = 0.0
 
@@ -86,11 +86,6 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiting)
-
-    @property
-    def window_start(self) -> float:
-        """When the measurement window began (see :meth:`begin_window`)."""
-        return self._window_start
 
     def request(self) -> Event:
         req = Event(self.env)
@@ -250,39 +245,27 @@ class Resource:
         self._last_change = now
 
     def begin_window(self) -> None:
-        """Start a fresh measurement window at the current time.
+        """Re-base the busy-time window at the current time.
 
-        Utilization queries then cover only busy time accumulated after
-        this call -- the correct way to measure a post-warmup window.
+        :meth:`utilization` then covers only busy time accumulated after
+        this call.  This is the one window kept outside the metrics
+        registry, on purpose: busy time is simulator state the hold path
+        accumulates, and ``PulseCluster.begin_measurement`` re-bases it
+        in the same instant the registry opens its window.
         """
         self._account()
         self._window_start = self.env.now
         self._window_busy_base = self._busy_time
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Average fraction of capacity busy over the measurement window.
-
-        The window starts at construction time (t=0) or at the last
-        :meth:`begin_window` call.  ``elapsed``, when given, is the
-        caller's window duration and must cover the accumulation window:
-        dividing busy time accumulated since t=0 by a shorter window
-        would report an impossible utilization > 1, so that case raises
-        :class:`SimulationError` instead of returning garbage.
-        """
+    def utilization(self) -> float:
+        """Average fraction of capacity busy since construction or the
+        last :meth:`begin_window`."""
         self._account()
-        busy = self._busy_time - self._window_busy_base
-        window = (elapsed if elapsed is not None
-                  else self.env.now - self._window_start)
+        window = self.env.now - self._window_start
         if window <= 0:
             return 0.0
-        value = busy / (window * self.capacity)
-        if elapsed is not None and value > 1.0 + 1e-9:
-            raise SimulationError(
-                f"utilization {value:.3f} > 1: the elapsed window "
-                f"({elapsed} ns) is shorter than the accumulation window "
-                f"({self.env.now - self._window_start} ns); call "
-                "begin_window() at the start of the measurement window")
-        return value
+        return (self._busy_time - self._window_busy_base) / (
+            window * self.capacity)
 
 
 class Store:
@@ -299,7 +282,6 @@ class Store:
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self.put_total = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -307,7 +289,6 @@ class Store:
     def put(self, item: Any) -> None:
         if len(self._items) >= self.capacity:
             raise SimulationError("store overflow")
-        self.put_total += 1
         self._items.append(item)
         self._dispatch()
 

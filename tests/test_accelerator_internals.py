@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.bench.experiments import build_workload, make_system
 from repro.bench.report import span_breakdown
 from repro.core import PulseCluster
 from repro.core.messages import RequestStatus
@@ -92,6 +93,36 @@ class TestAcceleratorStats:
                     f"net.{endpoint}.{way}_bandwidth_bytes_per_ns"]
                 assert moved > 0
                 assert rate == pytest.approx(moved / window_ns)
+
+    def test_every_rate_gauge_is_its_counter_over_the_window(self):
+        """Each ``*_bytes_per_ns`` gauge divides its byte counter by the
+        measured window, after a warmup too, so none exceeds its cap
+        (bytes written while building the structure are not traffic)."""
+        cluster = make_system("pulse")
+        upc = build_workload(cluster, "UPC", 1, requests=60)
+        stats = cluster.run_workload(upc.operations, concurrency=4,
+                                     warmup=30)
+        params = cluster.params
+        counters = {  # gauge suffix -> (counter suffix, cap in B/ns)
+            "tx_bandwidth_bytes_per_ns":
+                ("tx_bytes", params.network.link_bytes_per_ns),
+            "rx_bandwidth_bytes_per_ns":
+                ("rx_bytes", params.network.link_bytes_per_ns),
+            "memory_bandwidth_bytes_per_ns":
+                ("bytes_loaded", params.memory.bandwidth_bytes_per_ns),
+        }
+        rates = {name: value
+                 for name, value in stats.metrics["gauges"].items()
+                 if name.endswith("_bytes_per_ns")}
+        for name, rate in sorted(rates.items()):
+            prefix, suffix = name.rsplit(".", 1)
+            assert suffix in counters, f"{name} reads no byte counter"
+            counter, cap = counters[suffix]
+            moved = stats.metrics["counters"][f"{prefix}.{counter}"]
+            assert rate == moved / stats.duration_ns, name
+            assert rate <= cap, name
+        # tx and rx of client0, switch and mem0, and mem0's accelerator
+        assert len(rates) == 7
 
 
 class TestWorkspaceLimits:
@@ -247,7 +278,7 @@ class TestLaneStepMemo:
         assert counter_value(cluster, "mem0.acc.tlb.hits") == hits
         assert counter_value(cluster, "mem0.acc.tlb.misses") == misses
         tlb = cluster.accelerators[0].cores[0].tlb
-        assert (tlb.hits, tlb.misses) == (hits, misses)
+        assert (tlb.hits.value, tlb.misses.value) == (hits, misses)
 
     def test_permission_change_mid_traversal_faults_at_the_next_step(self):
         cluster, lst = make_list_cluster()

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
-from repro.baselines.cache import PageCache
+from repro.baselines.cache import PageCache, cache_counters
 from repro.baselines.common import workers_to_saturate
 from repro.bench.experiments import build_workload, make_system
 from repro.core import PulseCluster
+from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS
 from repro.structures import HashTable, LinkedList
 
@@ -94,27 +95,31 @@ class TestRpcSystem:
 
 class TestPageCache:
     def test_hit_after_fill(self):
-        cache = PageCache(capacity_pages=2)
+        cache = PageCache(capacity=2)
         assert not cache.access(1)
         cache.fill(1)
         assert cache.access(1)
 
     def test_lru_eviction_order(self):
-        cache = PageCache(capacity_pages=2)
-        cache.fill(1)
-        cache.fill(2)
+        cache = PageCache(capacity=2)
+        assert not cache.fill(1)
+        assert not cache.fill(2)
         cache.access(1)      # 1 most recent
-        cache.fill(3)        # evicts 2
+        assert cache.fill(3)  # evicts 2
         assert cache.access(1)
         assert not cache.access(2)
         assert cache.access(3)
 
     def test_hit_ratio(self):
-        cache = PageCache(capacity_pages=4)
-        cache.fill(1)
-        cache.access(1)
-        cache.access(2)
-        assert cache.hit_ratio == pytest.approx(0.5)
+        """The LRU counts nothing; the ratio is a gauge over the
+        system's registry counters."""
+        registry = MetricsRegistry()
+        hits, misses, _evictions = cache_counters(registry, "client0.cache")
+        ratio = registry.gauge("client0.cache.hit_ratio")
+        assert ratio.value == 0.0
+        hits.inc()
+        misses.inc()
+        assert ratio.value == pytest.approx(0.5)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -139,24 +144,25 @@ class TestCacheSystem:
         # skips the fault round trips entirely (locality is all this
         # system has; remaining cost is local per-iteration work).
         assert warm < cold * 0.7
-        assert cache.cache.hits > 0
-        assert cache.pages_fetched <= 2
+        assert counter_value(cache, "client0.cache.hits") > 0
+        assert counter_value(cache, "client0.cache.pages_fetched") <= 2
 
     def test_thrashing_when_cache_tiny(self):
         cache = CacheSystem(node_count=1, cache_bytes=4096)
         lst = populate_list(cache, n=2000)
         finder = lst.find_iterator()
         run(cache, finder, 2000)
-        first_misses = cache.cache.misses
+        first_misses = counter_value(cache, "client0.cache.misses")
         run(cache, finder, 2000)
-        assert cache.cache.misses > first_misses  # no reuse across runs
+        # no reuse across runs
+        assert counter_value(cache, "client0.cache.misses") > first_misses
 
     def test_page_granularity_fetches(self):
         cache = CacheSystem(node_count=1)
         lst = populate_list(cache, n=20)
         run(cache, lst.find_iterator(), 20)
         # 20 nodes x 24 B sit in a handful of 4 KB pages.
-        assert 1 <= cache.pages_fetched <= 3
+        assert 1 <= counter_value(cache, "client0.cache.pages_fetched") <= 3
 
     def test_invalid_pointer_faults(self):
         cache = CacheSystem(node_count=1)
@@ -177,8 +183,35 @@ class TestCacheSystem:
         assert fetched > 0
         expected = (fetched * cache.page_bytes / stats.duration_ns
                     / cache.params.memory.bandwidth_bytes_per_ns)
-        assert cache.memory_bandwidth_utilization(
-            stats.duration_ns) == pytest.approx(expected)
+        assert cache.memory_bandwidth_utilization() == pytest.approx(
+            expected)
+
+    def test_hit_ratio_covers_only_the_measured_window(self):
+        """The hit-ratio gauge is the registry's hit and miss counters:
+        accesses made before warmup ends are not in it."""
+        cache = make_system("cache")
+        upc = build_workload(cache, "UPC", 1, requests=60)
+        tally = {"measuring": False, True: 0, False: 0}
+        access, begin = cache.cache.access, cache.begin_measurement
+
+        def counted_access(page):
+            hit = access(page)
+            if tally["measuring"]:
+                tally[hit] += 1
+            return hit
+
+        def counted_begin():
+            begin()
+            tally["measuring"] = True
+
+        cache.cache.access = counted_access
+        cache.begin_measurement = counted_begin
+        stats = cache.run_workload(upc.operations, concurrency=4,
+                                   warmup=30)
+        hits, misses = tally[True], tally[False]
+        assert hits and misses
+        assert stats.metrics["gauges"]["client0.cache.hit_ratio"] == \
+            hits / (hits + misses)
 
 
 class TestCacheRpcSystem:
@@ -199,7 +232,24 @@ class TestCacheRpcSystem:
         for key in (3, 77, 150):
             run(aifm, finder, key)
         # Uniform lookups over a big table: everything offloads.
-        assert aifm.offloaded_requests == 3
+        assert counter_value(
+            aifm, "client0.objcache.offloaded_requests") == 3
+        # each walk stopped at its first non-resident object
+        assert counter_value(aifm, "client0.objcache.misses") == 3
+
+    def test_object_cache_counts_in_the_registry(self):
+        """A one-object cache holds the object each offload started at:
+        the second lookup hits the head (then offloads at the next
+        node), the third misses the evicted head."""
+        aifm = CacheRpcSystem(cache_bytes=256)
+        lst = populate_list(aifm, n=5)
+        finder = lst.find_iterator()
+        for key in (5, 5, 4):
+            run(aifm, finder, key)
+        snapshot = aifm.metrics_snapshot()
+        assert [snapshot["counters"][f"client0.objcache.{name}"]
+                for name in ("hits", "misses", "evictions")] == [1, 3, 2]
+        assert snapshot["gauges"]["client0.objcache.hit_ratio"] == 1 / 4
 
     def test_single_node_only(self):
         aifm = CacheRpcSystem()

@@ -19,6 +19,8 @@ from repro.mem.translation import PERM_READ, PERM_WRITE
 from repro.params import DEFAULT_PARAMS
 from repro.structures import HashTable, LinkedList
 
+from tests.helpers import counter_value
+
 #: the offload engine rejects every kernel: each request takes the
 #: client fallback
 FALLBACK_PARAMS = DEFAULT_PARAMS.with_overrides(
@@ -52,7 +54,8 @@ class TestProtectionFaults:
         set_node_permissions(cache, PERM_WRITE)
         result = run(cache, lst.find_iterator(), 5)
         assert result.fault.kind == "protection"
-        assert cache.pages_fetched == 0  # faulted before any page moved
+        # faulted before any page moved
+        assert counter_value(cache, "client0.cache.pages_fetched") == 0
 
     def test_client_fallback(self):
         cluster = PulseCluster(node_count=1, params=FALLBACK_PARAMS)
@@ -71,7 +74,8 @@ class TestProtectionFaults:
         set_node_permissions(system, PERM_WRITE)
         result = run(system, finder, 5)
         assert result.fault.kind == "protection"
-        assert system.offloaded_requests == 0
+        assert counter_value(
+            system, "client0.objcache.offloaded_requests") == 0
 
     def test_fallback_store_into_read_only_range(self):
         cluster = PulseCluster(node_count=1, params=FALLBACK_PARAMS)
@@ -83,16 +87,21 @@ class TestProtectionFaults:
         assert result.fault.kind == "protection"
 
 
-def test_fallback_reads_each_window_once():
+def test_fallback_reads_each_window_once(monkeypatch):
     cluster = PulseCluster(node_count=1, params=FALLBACK_PARAMS)
     lst = populate_list(cluster)
     finder = lst.find_iterator()
-    window = finder.program.load_window[1]
-    dram = cluster.memory.nodes[0].memory
-    before = dram.bytes_read
+    reads = []
+    read = cluster.memory.read
+
+    def counted_read(vaddr, size):
+        reads.append(size)
+        return read(vaddr, size)
+
+    monkeypatch.setattr(cluster.memory, "read", counted_read)
     result = cluster.run_traversal(finder, 5)
     assert (result.value, result.iterations) == (50, 5)
-    assert dram.bytes_read - before == 5 * window == 120
+    assert reads == [finder.program.load_window[1]] * 5 == [24] * 5
 
 
 def _results_alive() -> int:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.driver import run_workload
+from repro.bench.driver import run_open_loop, run_workload
 from repro.core import PulseCluster
 from repro.params import (
     DEFAULT_PARAMS,
@@ -14,8 +14,6 @@ from repro.params import (
     gbps_to_bytes_per_ns,
 )
 from repro.structures import LinkedList
-
-from tests.helpers import counter_value
 
 
 class TestDriver:
@@ -49,6 +47,26 @@ class TestDriver:
         ops = [(finder, (k,)) for k in (3, 1, 2)]
         stats = run_workload(cluster, ops, concurrency=1)
         assert [r.value for r in stats.results] == [3, 1, 2]
+
+    @pytest.mark.parametrize("drive", [
+        lambda cluster, ops: run_workload(cluster, ops, concurrency=2,
+                                          warmup=10),
+        lambda cluster, ops: run_open_loop(cluster, ops, 2e5, warmup=10),
+    ], ids=["closed", "open"])
+    def test_duration_is_the_measurement_window(self, drive):
+        """``duration_ns`` runs from ``begin_measurement`` to the end."""
+        cluster, finder = self._cluster_with_list()
+        opened = []
+        begin = cluster.begin_measurement
+
+        def recorded_begin():
+            opened.append(cluster.env.now)
+            begin()
+
+        cluster.begin_measurement = recorded_begin
+        stats = drive(cluster, [(finder, (20,))] * 30)
+        assert len(opened) == 1 and opened[0] > 0
+        assert stats.duration_ns == cluster.env.now - opened[0]
 
 
 class TestParams:
@@ -99,15 +117,5 @@ class TestParams:
 
 
 class TestClusterHousekeeping:
-    def test_reset_counters_clears_stats(self):
-        cluster = PulseCluster(node_count=1)
-        lst = LinkedList(cluster.memory)
-        lst.extend((k, k) for k in range(1, 6))
-        cluster.run_traversal(lst.find_iterator(), 5)
-        assert counter_value(cluster, "mem0.acc.requests") == 1
-        cluster.reset_counters()
-        assert counter_value(cluster, "mem0.acc.requests") == 0
-        assert cluster.memory.nodes[0].bytes_served == 0
-
     def test_node_count_property(self):
         assert PulseCluster(node_count=3).node_count == 3

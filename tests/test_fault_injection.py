@@ -135,4 +135,4 @@ class TestResourcePressure:
         process = cache.env.process(cache.traverse(finder, 199))
         result = cache.env.run(until=process)
         assert result.value == 199
-        assert cache.cache.capacity_pages == 1
+        assert cache.cache.capacity == 1

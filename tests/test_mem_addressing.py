@@ -234,12 +234,3 @@ class TestGlobalMemory:
         # triggers pulse's switch re-routing (section 5).
         with pytest.raises(TranslationFault):
             gm.nodes[1].read_virt(a, 8)
-
-    def test_bytes_served_accounting(self):
-        gm = GlobalMemory(node_count=1, node_capacity=4096)
-        a = gm.alloc(64)
-        gm.write(a, bytes(64))
-        gm.read(a, 64)
-        assert gm.nodes[0].bytes_served == 128
-        gm.reset_counters()
-        assert gm.nodes[0].bytes_served == 0

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.mem import Field, MemoryFault, PhysicalMemory, StructLayout
 from repro.mem.layout import LayoutError
@@ -46,15 +46,6 @@ class TestPhysicalMemory:
         mem.write_u64(8, 0xDEADBEEF_CAFEBABE)
         assert mem.read_u64(8) == 0xDEADBEEF_CAFEBABE
 
-    def test_byte_counters(self):
-        mem = PhysicalMemory(64)
-        mem.write(0, b"abcd")
-        mem.read(0, 2)
-        assert mem.bytes_written == 4
-        assert mem.bytes_read == 2
-        mem.reset_counters()
-        assert mem.bytes_read == 0
-
     def test_invalid_size_rejected(self):
         with pytest.raises(MemoryFault):
             PhysicalMemory(0)
@@ -69,8 +60,6 @@ class _BytearrayMemory:
             raise MemoryFault(f"invalid memory size: {size}")
         self.size = size
         self._data = bytearray(size)
-        self.bytes_read = 0
-        self.bytes_written = 0
 
     def _check(self, addr: int, length: int) -> None:
         if length < 0:
@@ -83,12 +72,10 @@ class _BytearrayMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         self._check(addr, length)
-        self.bytes_read += length
         return bytes(self._data[addr:addr + length])
 
     def write(self, addr: int, data: bytes) -> None:
         self._check(addr, len(data))
-        self.bytes_written += len(data)
         self._data[addr:addr + len(data)] = data
 
     def read_u64(self, addr: int) -> int:
@@ -128,8 +115,8 @@ _payloads = st.one_of(
 
 @settings(max_examples=60, stateful_step_count=30, deadline=None)
 class PhysicalMemoryMatchesBytearray(RuleBasedStateMachine):
-    """Random accessor sequences against the old backing: results, byte
-    counters and every fault message must agree, including zero-length
+    """Random accessor sequences against the old backing: results and
+    every fault message must agree, including zero-length
     accesses, the last byte, page-straddling ranges and ranges nothing
     has written."""
 
@@ -159,11 +146,6 @@ class PhysicalMemoryMatchesBytearray(RuleBasedStateMachine):
     def write_u64(self, addr, value):
         assert (_outcome(self.mem.write_u64, addr, value)
                 == _outcome(self.model.write_u64, addr, value))
-
-    @invariant()
-    def counters_agree(self):
-        assert self.mem.bytes_read == self.model.bytes_read
-        assert self.mem.bytes_written == self.model.bytes_written
 
     def teardown(self):
         assert (self.mem.read(0, MODEL_SIZE)

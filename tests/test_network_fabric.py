@@ -68,15 +68,26 @@ class TestFabricDelivery:
         assert counters["net.delivered_messages"] == 2
 
     def test_network_utilization(self):
+        """An endpoint's bandwidth gauges are its byte counters over the
+        registry's window: bytes moved before a reset do not count."""
         env = Environment()
         fabric, params = make_fabric(env)
-        a = fabric.register("a")
+        fabric.register("a")
         fabric.register("b")
         fabric.send(Message("x", "a", "b", 12_500))
         env.run()
-        util = a.network_utilization(elapsed=1000.0)
+        reset_at = env.now
+        fabric.registry.reset()
+        fabric.send(Message("x", "a", "b", 6_250))
+        env.run()
+        window = env.now - reset_at
+        assert fabric.registry.window_ns == window
+        gauges = fabric.registry.snapshot()["gauges"]
+        util = (gauges["net.a.tx_bandwidth_bytes_per_ns"]
+                / params.link_bytes_per_ns)
         assert util == pytest.approx(
-            12_500 / (1000.0 * params.link_bytes_per_ns))
+            6_250 / (window * params.link_bytes_per_ns))
+        assert gauges["net.b.rx_bandwidth_bytes_per_ns"] == 6_250 / window
 
     def test_drops_respect_probability(self):
         env = Environment()

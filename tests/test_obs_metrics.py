@@ -197,6 +197,21 @@ class TestRegistry:
         assert r.gauge("g").value == 0.0
         assert live.value == 7.0
 
+    def test_reset_opens_a_new_window(self):
+        clock = {"t": 5.0}
+        r = MetricsRegistry(clock=lambda: clock["t"])
+        moved = r.counter("bytes")
+        moved.inc(40)
+        clock["t"] = 25.0
+        assert r.window_ns == 20.0
+        assert r.rate(moved) == 2.0
+        r.reset()
+        assert (r.window_ns, r.rate(moved)) == (0.0, 0.0)
+        moved.inc(30)
+        clock["t"] = 35.0
+        assert r.window_ns == 10.0
+        assert r.rate(moved) == 3.0
+
     def test_snapshot_is_json_serializable(self):
         clock = {"t": 0.0}
         r = MetricsRegistry(clock=lambda: clock["t"])

@@ -31,9 +31,9 @@ class TestTranslationCache:
         tlb = TranslationCache(table, capacity=4)
         entry = tlb.lookup(0x1100, 16)
         assert entry is not None and entry.translate(0x1100) == 0x100
-        assert (tlb.hits, tlb.misses) == (0, 1)
+        assert (tlb.hits.value, tlb.misses.value) == (0, 1)
         assert tlb.lookup(0x1200, 16) is entry
-        assert (tlb.hits, tlb.misses) == (1, 1)
+        assert (tlb.hits.value, tlb.misses.value) == (1, 1)
 
     def test_cached_hit_skips_the_backing_table(self):
         table = make_table([(0x1000, 0x2000, 0x0)])
@@ -48,7 +48,7 @@ class TestTranslationCache:
         tlb = TranslationCache(table, capacity=4)
         assert tlb.lookup(0xDEAD0000) is None
         assert tlb.lookup(0xDEAD0000) is None
-        assert tlb.misses == 2
+        assert tlb.misses.value == 2
         assert len(tlb) == 0
 
     def test_mru_eviction_at_capacity(self):
@@ -76,7 +76,7 @@ class TestTranslationCache:
         backing = table.lookups
         tlb.lookup(0x1100)          # stale cache flushed; re-walks table
         assert table.lookups == backing + 1
-        assert tlb.misses == 2
+        assert tlb.misses.value == 2
 
     def test_invalidated_by_permission_change(self):
         table = make_table([(0x1000, 0x2000, 0x0)])
@@ -99,6 +99,7 @@ class TestTranslationCache:
         snap = registry.snapshot()
         assert snap["counters"]["acc.tlb.hits"] == 1
         assert snap["counters"]["acc.tlb.misses"] == 1
+        assert tlb.hits is registry.counter("acc.tlb.hits")
 
     def test_rejects_degenerate_capacity(self):
         with pytest.raises(ValueError):
