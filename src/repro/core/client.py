@@ -411,6 +411,7 @@ class PulseClient:
             self.index.timeouts.inc()
             self.index.invalidate(key)
             return None
+        timer.cancel()
         reply = waiter.value
         if not reply.ok:
             if self._events is not None:
@@ -456,6 +457,7 @@ class PulseClient:
                 self.params.network.retransmit_timeout_ns)
             yield self.env.any_of([waiter, timer])
             if waiter.processed:
+                timer.cancel()
                 return waiter.value
             attempts += 1
             if attempts > MAX_RETRIES:

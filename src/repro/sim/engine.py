@@ -16,12 +16,23 @@ enough to reason about and test exhaustively:
 * :class:`Process` -- also usable as an event (fires when the process
   terminates), enabling fork/join.
 * :class:`AnyOf` / :class:`AllOf` -- condition events over several events.
+
+A timer that loses a race is disarmed with :meth:`Timeout.cancel`: its
+callbacks (and everything they keep alive) are dropped at once, and its
+heap entry becomes *dead* -- its callbacks are :data:`CANCELLED`, so
+popping it runs nothing and does not move the clock.  Dead entries are
+inert until they reach the head or until the environment compacts them:
+once more than :data:`COMPACT_MIN` entries and more than half the queue
+are dead, the queue is rebuilt in place from its live entries (asyncio's
+rule for cancelled timer handles).  Keys ``(time, priority, sequence)``
+are unique and never rewritten, so live events pop in exactly the order
+they would have without the cancel or the rebuild.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -31,6 +42,14 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 #: else is queued at this timestamp.
 URGENT = 0
 NORMAL = 1
+
+#: The callbacks of a cancelled timer: empty, so popping its dead heap
+#: entry runs nothing, and recognised by identity.
+CANCELLED: tuple = ()
+
+#: Dead entries the queue may hold before it is compacted (and then only
+#: once they are more than half of it).
+COMPACT_MIN = 64
 
 
 #: allocation without a Python-level ``__init__``, for ``Process``,
@@ -129,6 +148,23 @@ class Timeout(Event):
         self.delay = delay
         heappush(env._queue,
                  (env._now + delay, NORMAL, next(env._sequence), self))
+
+    def cancel(self) -> None:
+        """Disarm the timer: it will never fire.
+
+        Its callbacks are dropped now and its heap entry is left dead.
+        Cancelling a timer that already fired, or was cancelled, is a
+        no-op.
+        """
+        callbacks = self.callbacks
+        if callbacks is None or callbacks is CANCELLED:
+            return
+        self.callbacks = CANCELLED
+        env = self.env
+        env._cancelled += 1
+        if (env._cancelled > COMPACT_MIN
+                and 2 * env._cancelled > len(env._queue)):
+            env._compact()
 
 
 class Process(Event):
@@ -289,6 +325,8 @@ class Environment:
         self._now = initial_time
         self._queue: List = []
         self._sequence = count()
+        #: dead (cancelled-timer) entries still in ``_queue``
+        self._cancelled = 0
         #: conservative-lookahead window (sharded execution): events at
         #: or beyond this time may not be processed until the window
         #: hook has synchronized with the other shard processes
@@ -342,10 +380,22 @@ class Environment:
             self._queue, (when, priority, next(self._sequence), event))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none.
+
+        The entry may be dead, so this is a lower bound on the next live
+        event's time -- all the lookahead window needs.
+        """
         if not self._queue:
             return float("inf")
         return self._queue[0][0]
+
+    def _compact(self) -> None:
+        """Rebuild the queue in place from its live entries."""
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if entry[3].callbacks is not CANCELLED]
+        heapify(queue)
+        self._cancelled = 0
 
     # -- conservative lookahead windows (sharded execution) ----------------
     @property
@@ -395,15 +445,21 @@ class Environment:
     def _drain(self, stop: Optional[Event], horizon: float) -> None:
         """The one pop/dispatch loop: every event at time <= ``horizon``
         and strictly before the window end, or up to and including
-        ``stop`` (``Event._process()`` inlined).
+        ``stop`` (``Event._process()`` inlined).  A dead entry is
+        dropped without touching the clock.
 
         The window end is re-read per pop because an event may install
         a window hook, which must take effect before the next one.
         """
         queue = self._queue
         while queue and horizon >= queue[0][0] < self._window_end:
-            self._now, _prio, _seq, event = heappop(queue)
-            callbacks, event.callbacks = event.callbacks, None
+            when, _prio, _seq, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is CANCELLED:
+                self._cancelled -= 1
+                continue
+            self._now = when
+            event.callbacks = None
             for callback in callbacks:
                 callback(event)
             if event._ok is False and not event._defused:

@@ -11,12 +11,14 @@ handler to keeps the endpoint's ``inbox`` as its sink.
 
 Per directed flow (this endpoint -> one destination) the sender assigns
 monotonically increasing sequence numbers, keeps every unacknowledged
-segment in an outstanding table, and runs a retransmission timer per
-segment: capped exponential backoff with +/-20% jitter so synchronized
-losses do not retransmit in lockstep.  The receiver ACKs every data
-segment -- including duplicates, whose original ACK may itself have been
-lost -- and suppresses duplicates with a per-source (floor, seen-set)
-window before anything reaches the component.
+segment in an outstanding table, and arms one retransmission timer per
+unacked segment (a callback, never a process): capped exponential
+backoff with +/-20% jitter so synchronized losses do not retransmit in
+lockstep.  The ACK, or ``take_over``, cancels the timer.  The receiver
+ACKs every data segment -- including duplicates, whose original ACK may
+itself have been lost -- and suppresses duplicates with a per-source
+(floor, seen-set) window before anything reaches the component; the
+seen-set holds only sequence numbers that arrived out of order.
 
 Arming is per-link: in ``TransportParams.mode="auto"`` a send is
 reliable exactly when the link toward its destination has a lossy
@@ -49,7 +51,7 @@ from repro.core.messages import (TP_FLAG_ACK, TP_FLAG_CHECKPOINT,
                                  TransportHeader, TraversalRequest)
 from repro.obs.metrics import MetricsRegistry
 from repro.params import TransportParams
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Timeout
 from repro.sim.network import Endpoint, Fabric, Message
 from repro.sim.resources import Store
 
@@ -80,8 +82,11 @@ class Ack:
 class _TxEntry:
     segment: Segment
     dst: str
-    acked: bool = False
     attempts: int = 0
+    #: the armed retransmission timer
+    timer: Optional[Timeout] = None
+    #: the backoff (ns) that timer was armed with, before jitter
+    backoff: float = 0.0
 
 
 @dataclass
@@ -92,8 +97,10 @@ class _TxFlow:
 
 @dataclass
 class _RxFlow:
-    #: every sequence number <= floor has been seen (window compaction)
+    #: every sequence number <= floor is a duplicate: it was seen, or
+    #: the window overflowed past it unseen
     floor: int = 0
+    #: sequence numbers above floor + 1 that were seen
     seen: Set[int] = field(default_factory=set)
 
 
@@ -204,7 +211,7 @@ class TransportSession:
         flow.outstanding[seq] = entry
         self._m_tx_segments.inc()
         self._transmit(entry)
-        self.env.process(self._retransmit_loop(flow, seq, entry))
+        self._arm(entry, self.params.hop_timeout_ns)
 
     def _wire(self, dst: str, kind: str, payload: Any, size_bytes: int,
               segments: int) -> None:
@@ -222,29 +229,33 @@ class TransportSession:
                    segment.size_bytes + self.params.header_bytes,
                    segment.segments)
 
-    def _retransmit_loop(self, flow: _TxFlow, seq: int, entry: _TxEntry):
-        """Process: retransmit ``seq`` until acked or out of budget."""
-        timeout = self.params.hop_timeout_ns
-        while True:
-            yield self.env.timeout(timeout * self._rng.uniform(0.8, 1.2))
-            if entry.acked:
-                return
-            if entry.attempts >= self.params.max_hop_retries:
-                # Out of per-hop budget: surface the loss to the layer
-                # above by silence -- the client's end-to-end retry is
-                # the last resort.
-                flow.outstanding.pop(seq, None)
-                self._m_gave_up.inc()
-                return
-            entry.attempts += 1
-            self._m_retransmits.inc()
-            if entry.segment.header.is_checkpoint:
-                # A retransmitted checkpoint frame *is* the hop-level
-                # resume: the traversal continues from hop k's
-                # serialized state instead of restarting from init().
-                self._m_checkpoint_resumes.inc()
-            self._transmit(entry)
-            timeout = min(timeout * 2.0, self.params.hop_backoff_cap_ns)
+    def _arm(self, entry: _TxEntry, backoff: float) -> None:
+        """Arm ``entry``'s retransmission timer ``backoff`` +/-20% out."""
+        entry.backoff = backoff
+        timer = entry.timer = self.env.timeout(
+            backoff * self._rng.uniform(0.8, 1.2))
+        timer.callbacks.append(lambda _timer: self._retransmit(entry))
+
+    def _retransmit(self, entry: _TxEntry) -> None:
+        """Timer callback: resend the unacked ``entry`` and re-arm with
+        doubled backoff, or give up once the budget is spent."""
+        if entry.attempts >= self.params.max_hop_retries:
+            # Out of per-hop budget: surface the loss to the layer
+            # above by silence -- the client's end-to-end retry is
+            # the last resort.
+            self._tx[entry.dst].outstanding.pop(entry.segment.header.seq)
+            self._m_gave_up.inc()
+            return
+        entry.attempts += 1
+        self._m_retransmits.inc()
+        if entry.segment.header.is_checkpoint:
+            # A retransmitted checkpoint frame *is* the hop-level
+            # resume: the traversal continues from hop k's
+            # serialized state instead of restarting from init().
+            self._m_checkpoint_resumes.inc()
+        self._transmit(entry)
+        self._arm(entry, min(entry.backoff * 2.0,
+                             self.params.hop_backoff_cap_ns))
 
     def take_over(self, dst: str) -> list:
         """Cancel and return every unacked payload to ``dst``.
@@ -265,7 +276,7 @@ class TransportSession:
         resumed = []
         for seq in sorted(flow.outstanding):
             entry = flow.outstanding[seq]
-            entry.acked = True  # parks the retransmit loop
+            entry.timer.cancel()
             resumed.append(entry.segment.payload)
             if entry.segment.header.is_checkpoint:
                 self._m_checkpoint_resumes.inc()
@@ -296,7 +307,7 @@ class TransportSession:
             return
         entry = flow.outstanding.pop(ack.header.ack, None)
         if entry is not None:
-            entry.acked = True
+            entry.timer.cancel()
 
     def _handle_data(self, message: Message, segment: Segment) -> None:
         if segment.header.version != TRANSPORT_VERSION:
@@ -318,6 +329,12 @@ class TransportSession:
             return
         flow.seen.add(seq)
         while len(flow.seen) > self.params.dedup_window:
+            flow.floor += 1
+            flow.seen.discard(flow.floor)
+        # Absorb the run of seen seqs contiguous with the floor: the
+        # same seqs stay duplicates, and in-order delivery keeps the
+        # set empty.
+        while flow.floor + 1 in flow.seen:
             flow.floor += 1
             flow.seen.discard(flow.floor)
         self.on_message(Message(

@@ -60,3 +60,25 @@ def count_process_starts(monkeypatch):
 
     monkeypatch.setattr(Process, "__init__", counting_init)
     return started
+
+
+class ReferenceDedup:
+    """A receive flow's duplicate filter as it was before the floor
+    absorbed the seen seqs contiguous with it: ``floor`` moves only when
+    ``seen`` overflows the window.  Kept only as the oracle
+    ``tests/test_transport.py`` runs ``TransportSession`` against."""
+
+    def __init__(self, window):
+        self.window = window
+        self.floor = 0
+        self.seen = set()
+
+    def accept(self, seq):
+        """Whether ``seq`` is delivered (False: dropped as a duplicate)."""
+        if seq <= self.floor or seq in self.seen:
+            return False
+        self.seen.add(seq)
+        while len(self.seen) > self.window:
+            self.floor += 1
+            self.seen.discard(self.floor)
+        return True

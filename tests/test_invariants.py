@@ -112,6 +112,11 @@ RULES = {
         "An iteration is one function: no per-instruction callable table.",
         r"ops\[pc\]|def _op\{", ("src",),
         'lines.append(f"def _op{pc}(m):")'),
+    "timer-race": Rule(
+        "A timer that loses its race is cancelled; a retransmission is one "
+        "timer per unacked segment, never a process.",
+        r"_retransmit_loop", ("src/repro/transport",),
+        "self.env.process(self._retransmit_loop(flow, seq, entry))"),
 }
 
 

@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import random
+import weakref
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, SimulationError
+from repro.sim.engine import CANCELLED, COMPACT_MIN
 
 
 def test_timeout_advances_clock():
@@ -278,3 +284,144 @@ def test_process_is_alive_lifecycle():
     env.run()
     assert not p.is_alive
     assert p.ok
+
+
+# -- cancellable timers -------------------------------------------------------
+def test_cancelled_timer_runs_no_callback():
+    env = Environment()
+    fired = []
+    timer = env.timeout(10)
+    timer.callbacks.append(fired.append)
+    other = env.timeout(20)
+    other.callbacks.append(fired.append)
+    timer.cancel()
+    env.run()
+    assert fired == [other]
+    assert env.now == 20
+    assert not timer.processed
+
+
+def test_cancelled_timer_drops_what_its_waiters_kept_alive():
+    env = Environment()
+
+    class Waiter:
+        def observe(self, _event):
+            raise AssertionError("a cancelled timer fired")
+
+    waiter = Waiter()
+    alive = weakref.ref(waiter)
+    timer = env.timeout(10)
+    timer.callbacks.append(waiter.observe)
+    del waiter
+    timer.cancel()
+    assert alive() is None
+    env.run()
+
+
+def test_cancelling_a_processed_timer_is_a_no_op():
+    env = Environment()
+    timer = env.timeout(5)
+    env.run()
+    timer.cancel()
+    timer.cancel()
+    assert timer.processed
+    assert env._cancelled == 0
+
+
+def test_a_dead_entry_does_not_move_the_clock():
+    env = Environment()
+    env.timeout(5)
+    env.timeout(50).cancel()
+    env.run()
+    assert env.now == 5
+    assert env._cancelled == 0 and not env._queue
+
+
+def test_compaction_sheds_dead_entries_and_keeps_order():
+    env = Environment()
+    fired = []
+    timers = [env.timeout(t) for t in range(1, 301)]
+    for timer in timers:
+        timer.callbacks.append(lambda t: fired.append(env.now))
+    for timer in timers[::3] + timers[1::3]:
+        timer.cancel()
+    assert len(env._queue) <= 2 * 100 + COMPACT_MIN
+    env.run()
+    assert fired == [float(t) for t in range(3, 301, 3)]
+
+
+def _race_program():
+    """A timer program, as the parameters of a seeded generator: seed,
+    initial races, the chance (percent) that a reply cancels its timer,
+    the longest reply delay, and a time to pause the run at."""
+    return st.tuples(st.integers(0, 2**32), st.integers(1, 300),
+                     st.integers(0, 100), st.integers(0, 30),
+                     st.integers(0, 100))
+
+
+def _run_race_program(program, cancel):
+    """Run ``program``, cancelling through ``cancel(env, timer)``;
+    returns the (time, timer id) fire log and each pause's ``now``.
+
+    A race is a reply timer and a longer timeout timer.  A reply that
+    fires cancels its race's timeout (at the program's rate) and any
+    other pending timer (at a tenth of it), then starts up to two new
+    races.  With integer delays, most fires tie with another entry.
+    """
+    seed, initial, percent, longest, pause = program
+    rng = random.Random(seed)
+    env = Environment()
+    timers, log = [], []
+    pending = {}  # ident -> None, in arming order
+
+    def arm(delay, on_fire):
+        timer = env.timeout(delay)
+        ident = len(timers)
+        timers.append(timer)
+        pending[ident] = None
+        timer.callbacks.append(lambda _t: on_fire(ident))
+        return ident
+
+    def timed_out(ident):
+        log.append((env.now, ident))
+        del pending[ident]
+
+    def race():
+        loser = arm(rng.randint(longest, 10 * longest + 10), timed_out)
+        arm(rng.randint(0, longest), lambda ident: reply(ident, loser))
+
+    def reply(ident, loser):
+        timed_out(ident)
+        if loser in pending and rng.randrange(100) < percent:
+            del pending[loser]
+            cancel(env, timers[loser])
+        if pending and rng.randrange(1000) < percent:
+            victim = list(pending)[rng.randrange(len(pending))]
+            del pending[victim]
+            cancel(env, timers[victim])
+        for _ in range(rng.randint(0, 2) if len(timers) < 2000 else 0):
+            race()
+
+    for _ in range(initial):
+        race()
+    env.run(until=pause)
+    paused = env.now
+    env.run()
+    return log, (paused, env.now)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_race_program())
+def test_compaction_is_invisible_to_live_events(program):
+    def compacting(env, timer):
+        timer.cancel()
+        live = sum(e[3].callbacks is not CANCELLED for e in env._queue)
+        assert len(env._queue) <= 2 * live + COMPACT_MIN
+
+    def reference(_env, timer):
+        # only clear the callbacks; never count, never compact
+        timer.callbacks = CANCELLED
+
+    assert (_run_race_program(program, compacting)
+            == _run_race_program(program, reference))

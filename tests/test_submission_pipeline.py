@@ -18,7 +18,8 @@ from repro.params import (
     SystemParams,
     US,
 )
-from repro.structures import HashTable, LinkedList
+from repro.sim.engine import Timeout
+from repro.structures import BPlusTree, HashTable, LinkedList
 
 from tests.helpers import counter_value, lossy_cluster
 
@@ -28,6 +29,30 @@ def build_table(cluster, n=200):
     for key in range(n):
         table.insert(key, (key * 7).to_bytes(8, "little"))
     return table
+
+
+class TestDecidedRacesLeaveNothing:
+    def test_a_drained_burst_leaves_no_armed_timer(self):
+        # Every request races its reply against a 2 ms end-to-end timer.
+        # The reply wins each race, so the timer is cancelled and the
+        # heap sheds it: what is left after the drain is a handful of
+        # dead entries, not one live timer per recent request.
+        cluster = PulseCluster(node_count=1, batch_size=64)
+        chain = LinkedList(cluster.memory)
+        chain.extend([(k, k * 3 + 1) for k in range(48)])
+        tree = BPlusTree(cluster.memory, fanout=8)
+        for k in range(48):
+            tree.insert(k, k * 7 + 3)
+        mix = [(chain.find_iterator(), (i % 48,)) if i % 2 else
+               (tree.lookup_iterator(), (i % 48,)) for i in range(2_000)]
+        env = cluster.env
+        pending = cluster.submit_many(mix)
+        env.run(until=env.all_of([p._process for p in pending]))
+        assert all(p.result.ok for p in pending)
+        queue = env._queue
+        assert len(queue) <= 64
+        assert not [entry for entry in queue
+                    if isinstance(entry[3], Timeout) and entry[3].callbacks]
 
 
 class TestPendingTraversal:

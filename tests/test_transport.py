@@ -5,6 +5,9 @@ suppression at the switch, and checkpoint-resume equivalence."""
 import random
 from heapq import heappop
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import repro.sim.engine
 from repro.core import PulseCluster
 from repro.core.messages import (RequestStatus, TransportHeader,
@@ -16,7 +19,7 @@ from repro.structures import LinkedList
 from repro.transport import Segment, TransportSession
 from repro.transport.session import TP_ACK_KIND
 
-from tests.helpers import counter_value
+from tests.helpers import ReferenceDedup, counter_value
 
 
 def make_pair(mode="auto", tp_kwargs=None, net_seed=0):
@@ -144,6 +147,76 @@ class TestReliableDelivery:
         env.run()
         assert sorted(m.payload for m in b.inbox._items) == list(range(10))
         assert counter(b, "duplicates_dropped") > 0
+
+
+def _arrive(session, src, seq):
+    """Hand ``session`` one data segment ``seq`` from ``src``; returns
+    whether it was delivered upward."""
+    segment = Segment(header=TransportHeader(seq=seq), kind="test",
+                      payload=seq, size_bytes=64)
+    before = len(session.inbox._items)
+    session._handle_data(Message(kind="test", src=src, dst=session.name,
+                                 size_bytes=64, payload=segment), segment)
+    return len(session.inbox._items) > before
+
+
+class TestDedupWindow:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @given(window=st.integers(1, 8),
+           copies=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+           order=st.randoms(use_true_random=False))
+    def test_decisions_equal_the_overflow_only_window(self, window, copies,
+                                                      order):
+        # Each seq arrives 0 (lost), 1 or more (duplicated) times, in a
+        # shuffled order; every decision must match the old rule.
+        arrivals = [seq for seq, n in enumerate(copies, 1)
+                    for _ in range(n)]
+        assume(arrivals)
+        order.shuffle(arrivals)
+        _, _, _, b = make_pair(mode="always",
+                               tp_kwargs=dict(dedup_window=window))
+        reference = ReferenceDedup(window)
+        for seq in arrivals:
+            assert _arrive(b, "a", seq) == reference.accept(seq), seq
+        flow = b._rx["a"]
+        assert flow.floor + 1 not in flow.seen
+        assert len(flow.seen) <= window
+
+    def test_in_order_delivery_keeps_the_window_empty(self):
+        env, _, a, b = make_pair(mode="always")
+        for i in range(5_000):
+            a.send("b", "test", i, 64)
+        env.run()
+        assert [m.payload for m in b.inbox._items] == list(range(5_000))
+        assert b._rx["a"].floor == 5_000
+        assert not b._rx["a"].seen
+
+
+class TestRetransmitTimer:
+    def test_an_armed_segment_is_one_timer_and_its_ack_cancels_it(self):
+        env, _, a, b = make_pair(mode="always")
+        a.send("b", "test", "x", 128)
+        entry = a._tx["b"].outstanding[1]
+        timer = entry.timer
+        assert timer.callbacks and not timer.processed
+        env.run()
+        assert b.inbox._items and not a._tx["b"].outstanding
+        # The ACK disarmed the timer: it never fired, and the clock
+        # stopped at the ACK, not at the timer's expiry.
+        assert not timer.processed
+        assert env.now < 0.8 * TransportParams().hop_timeout_ns
+
+    def test_take_over_cancels_every_timer(self):
+        env, fabric, a, _ = make_pair(mode="auto")
+        fabric.configure_link("a", "b", LinkProfile(drop_probability=1.0))
+        for i in range(3):
+            a.send("b", "test", i, 128)
+        timers = [e.timer for e in a._tx["b"].outstanding.values()]
+        assert a.take_over("b") == [0, 1, 2]
+        env.run()
+        assert not any(t.processed for t in timers)
+        assert counter(a, "retransmits") == 0
 
 
 class TestMessageHandler:
