@@ -39,7 +39,7 @@ from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table
 from repro.bench.report import write_snapshot
 from repro.core import PulseCluster
-from repro.params import MB, PlacementParams, SystemParams
+from repro.params import MB, MemoryParams, PlacementParams, SystemParams
 from repro.structures import BPlusTree, DisaggregatedGraph
 from repro.workloads import ZipfianKeyGenerator
 
@@ -55,31 +55,32 @@ REBALANCE_ROUNDS = 30
 
 
 def affinity_params(cut: bool) -> SystemParams:
-    return SystemParams().with_overrides(placement=PlacementParams(
-        # Segment == arena extent: heat, edges, and migration all move
-        # at chain granularity.
-        segment_bytes=4096,
-        # Sample every load: the bench runs are short, and the point is
-        # the objective, not the estimator's convergence rate.
-        sample_period=1,
-        # Long half-life so the edges sampled while measuring "before"
-        # are still warm when the rebalancer plans its moves.
-        hot_halflife_ns=100_000_000.0,
-        # Quiet the heat phase (see module docstring): co-locating the
-        # hot set *concentrates* heat by design, and a heat objective
-        # that then sheds it again would just undo the cut phase.
-        hot_skew_threshold=50.0,
-        fill_imbalance_threshold=0.10,
-        migrations_per_round=8,
-        cut_edge_objective=cut,
-        cut_min_gain=0.5,
-    ))
+    return SystemParams().with_overrides(
+        memory=MemoryParams(node_capacity_bytes=NODE_CAPACITY),
+        placement=PlacementParams(
+            # Segment == arena extent: heat, edges, and migration all move
+            # at chain granularity.
+            segment_bytes=4096,
+            # Sample every load: the bench runs are short, and the point is
+            # the objective, not the estimator's convergence rate.
+            sample_period=1,
+            # Long half-life so the edges sampled while measuring "before"
+            # are still warm when the rebalancer plans its moves.
+            hot_halflife_ns=100_000_000.0,
+            # Quiet the heat phase (see module docstring): co-locating the
+            # hot set *concentrates* heat by design, and a heat objective
+            # that then sheds it again would just undo the cut phase.
+            hot_skew_threshold=50.0,
+            fill_imbalance_threshold=0.10,
+            migrations_per_round=8,
+            cut_edge_objective=cut,
+            cut_min_gain=0.5,
+        ))
 
 
 def build_graph_rack(cut: bool, seed: int):
     cluster = PulseCluster(node_count=NODE_COUNT,
-                           params=affinity_params(cut),
-                           node_capacity=NODE_CAPACITY, seed=seed)
+                           params=affinity_params(cut), seed=seed)
     graph = DisaggregatedGraph(cluster.memory,
                                placement=lambda o: o % NODE_COUNT)
     for vertex in range(GRAPH_VERTICES):
@@ -97,8 +98,7 @@ def build_graph_rack(cut: bool, seed: int):
 
 def build_btree_rack(cut: bool, seed: int):
     cluster = PulseCluster(node_count=NODE_COUNT,
-                           params=affinity_params(cut),
-                           node_capacity=NODE_CAPACITY, seed=seed)
+                           params=affinity_params(cut), seed=seed)
     tree = BPlusTree(cluster.memory, fanout=BTREE_FANOUT,
                      placement=lambda o: o % NODE_COUNT)
     tree.bulk_load([(key, key) for key in range(BTREE_KEYS)])

@@ -24,7 +24,7 @@ from repro.bench.driver import run_workload
 from repro.bench.report import write_snapshot
 from repro.bench.experiments import format_table
 from repro.core import PulseCluster
-from repro.params import KB, MB, PlacementParams, SystemParams
+from repro.params import KB, MB, MemoryParams, PlacementParams, SystemParams
 from repro.structures import HashTable
 from repro.workloads import ZipfianKeyGenerator
 
@@ -38,16 +38,18 @@ CONCURRENCY = 64
 
 
 def placement_params() -> SystemParams:
-    return SystemParams().with_overrides(placement=PlacementParams(
-        segment_bytes=256 * KB,
-        migrations_per_round=4,
-        fill_imbalance_threshold=0.02,
-    ))
+    return SystemParams().with_overrides(
+        memory=MemoryParams(node_capacity_bytes=NODE_CAPACITY),
+        placement=PlacementParams(
+            segment_bytes=256 * KB,
+            migrations_per_round=4,
+            fill_imbalance_threshold=0.02,
+        ))
 
 
 def build_rack(requests: int, seed: int = 1):
     cluster = PulseCluster(node_count=2, params=placement_params(),
-                           node_capacity=NODE_CAPACITY, seed=seed)
+                           seed=seed)
     table = HashTable(cluster.memory,
                       buckets=max(1, NUM_PAIRS // CHAIN_LENGTH),
                       value_bytes=VALUE_BYTES, partition_nodes=2)

@@ -22,9 +22,8 @@ from repro.structures import LinkedList
 
 def _run(policy: str):
     params = SystemParams(
-        accelerator=AcceleratorParams(workspaces_per_core=2))
+        accelerator=AcceleratorParams(cores=1, workspaces_per_core=2))
     cluster = PulseCluster(node_count=1, client_count=2,
-                           cores_per_accelerator=1,
                            scheduler_policy=policy, params=params)
     lst = LinkedList(cluster.memory)
     lst.extend((k, k) for k in range(1, 801))

@@ -30,7 +30,7 @@ from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table
 from repro.bench.report import write_snapshot
 from repro.core import PulseCluster
-from repro.params import MB
+from repro.params import MB, MemoryParams, SystemParams
 from repro.structures import HashTable
 
 NUM_PAIRS = 2_000
@@ -42,8 +42,10 @@ HIT_RATES = (0.0, 0.5, 0.9, 1.0)
 
 
 def build_rack(indexed: bool, seed: int = 1):
-    cluster = PulseCluster(node_count=2, node_capacity=NODE_CAPACITY,
-                           seed=seed, split_index=indexed)
+    params = SystemParams(
+        memory=MemoryParams(node_capacity_bytes=NODE_CAPACITY))
+    cluster = PulseCluster(node_count=2, params=params, seed=seed,
+                           split_index=indexed)
     table = HashTable(cluster.memory,
                       buckets=max(1, NUM_PAIRS // CHAIN_LENGTH),
                       value_bytes=VALUE_BYTES, partition_nodes=2)

@@ -59,11 +59,11 @@ def _backpressure_cell():
     # One core, one workspace, two-deep admission queue: a Poisson burst
     # must be absorbed by RETRY NACKs + client backoff.
     params = SystemParams(accelerator=AcceleratorParams(
-        workspaces_per_core=1, admission_queue_depth=2))
+        cores=1, workspaces_per_core=1, admission_queue_depth=2))
     return run_open_loop_cell(
         "pulse", "UPC", 8e6, node_count=1,
         requests=scale_requests(120), seed=3, params=params,
-        system_kwargs={"cores_per_accelerator": 1, "batch_size": 4},
+        system_kwargs={"batch_size": 4},
         workload_kwargs=UPC_KW)
 
 

@@ -11,7 +11,7 @@ from conftest import save_table, scale_requests
 
 from repro.bench.experiments import format_table, make_system
 from repro.bench.driver import run_workload
-from repro.params import DEFAULT_PARAMS
+from repro.params import DEFAULT_PARAMS, AcceleratorParams, SystemParams
 from repro.structures import LinkedList
 
 HOPS = (8, 32, 128, 512)
@@ -38,8 +38,9 @@ def _bandwidth_vs_cores():
     for cores in CORES:
         for interconnect in ((True, False) if cores in (2, 4)
                              else (True,)):
-            cluster = PulseCluster(node_count=1,
-                                   cores_per_accelerator=cores,
+            params = SystemParams(
+                accelerator=AcceleratorParams(cores=cores))
+            cluster = PulseCluster(node_count=1, params=params,
                                    shared_interconnect=interconnect)
             lst = LinkedList(cluster.memory, value_bytes=240)
             lst.extend((k, k) for k in range(4096))

@@ -150,7 +150,7 @@ def warm_up():
 
 
 def build_batch_cell(requests: int, node_count: int = 1,
-                     batch_lanes=None):
+                     batch_lanes: int = 32):
     """The chain/B-tree mixed cell shared by the batch-tier, sharded,
     and million-request measurements."""
     cluster = PulseCluster(node_count=node_count, batch_size=BATCH_BURST,

@@ -11,7 +11,7 @@ Run:  python examples/scale_out.py
 
 from repro import PulseCluster
 from repro.bench.driver import run_workload
-from repro.params import KB, MB, PlacementParams, SystemParams
+from repro.params import KB, MB, MemoryParams, PlacementParams, SystemParams
 from repro.structures import HashTable
 from repro.workloads import ZipfianKeyGenerator
 
@@ -21,13 +21,14 @@ CONCURRENCY = 64
 
 
 def build_rack():
-    params = SystemParams().with_overrides(placement=PlacementParams(
-        segment_bytes=256 * KB,
-        migrations_per_round=4,
-        fill_imbalance_threshold=0.02,
-    ))
-    cluster = PulseCluster(node_count=2, params=params,
-                           node_capacity=8 * MB, seed=7)
+    params = SystemParams().with_overrides(
+        memory=MemoryParams(node_capacity_bytes=8 * MB),
+        placement=PlacementParams(
+            segment_bytes=256 * KB,
+            migrations_per_round=4,
+            fill_imbalance_threshold=0.02,
+        ))
+    cluster = PulseCluster(node_count=2, params=params, seed=7)
     table = HashTable(cluster.memory, buckets=KEYS // 200,
                       value_bytes=240, partition_nodes=2)
     for key in range(KEYS):

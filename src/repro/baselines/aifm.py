@@ -34,18 +34,20 @@ from repro.core.workspace import MachinePool
 from repro.isa.instructions import wrap64
 
 
+#: bytes one cached data-structure object occupies at the CPU node
+OBJECT_BYTES = 256
+
+
 class CacheRpcSystem(RpcSystem):
     """AIFM-like hybrid: object cache first, TCP-stack RPC fallback."""
 
-    def __init__(self, params=None, cache_bytes=None, object_bytes=256,
-                 seed: int = 0, **kwargs):
+    def __init__(self, params=None, seed: int = 0, **kwargs):
         super().__init__(node_count=1, params=params, wimpy=False,
                          seed=seed, **kwargs)
-        mem = self.params.memory
-        size = cache_bytes if cache_bytes is not None else mem.cache_bytes
         #: data-structure objects (keyed by address) resident at the
         #: CPU node
-        self.object_cache = PageCache(max(1, size // object_bytes))
+        self.object_cache = PageCache(
+            max(1, self.params.memory.cache_bytes // OBJECT_BYTES))
         self._m_hits, self._m_misses, self._m_evictions = cache_counters(
             self.registry, "client0.objcache")
         self._m_local_iterations = self.registry.counter(

@@ -17,7 +17,6 @@ beyond the pool queues, modeling the paging path's limited parallelism.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 from repro.baselines.common import make_session
 from repro.core.client import result_recorder
@@ -84,21 +83,19 @@ class CacheSystem(Rack):
     """Demand-paging rack: dumb memory nodes, all smarts at the client."""
 
     served_bytes = "paging.bytes_served"
+    #: kernel fault-handling contexts (the ``fault_unit``), the cores
+    #: the energy model charges (the memory nodes are passive DRAM)
+    workers_per_node = 4
 
-    def __init__(self, node_count: int = 1, params=None,
-                 cache_bytes: Optional[int] = None,
-                 fault_handlers: int = 4, seed: int = 0, **kwargs):
+    def __init__(self, node_count: int = 1, params=None, seed: int = 0,
+                 **kwargs):
         super().__init__(node_count, params, seed=seed, **kwargs)
         mem = self.params.memory
-        size = cache_bytes if cache_bytes is not None else mem.cache_bytes
         self.page_bytes = mem.page_bytes
-        self.cache = PageCache(max(1, size // self.page_bytes))
+        self.cache = PageCache(max(1, mem.cache_bytes // self.page_bytes))
         self.session = make_session(self, "client0")
         self.client = self.session.endpoint
-        #: kernel fault-handling contexts, the cores the energy model
-        #: charges (the memory nodes are passive DRAM)
-        self.workers_per_node = fault_handlers
-        self.fault_unit = Resource(self.env, capacity=fault_handlers)
+        self.fault_unit = Resource(self.env, capacity=self.workers_per_node)
         self.cpu_unit = Resource(self.env, capacity=8)
         self.servers = [_PagingServer(self, node)
                         for node in self.memory.nodes]

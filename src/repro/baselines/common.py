@@ -24,7 +24,7 @@ def make_session(rack, name: str) -> TransportSession:
     """
     return TransportSession(rack.env, rack.fabric, name,
                             params=rack.params.transport,
-                            registry=rack.registry, default_segments=2)
+                            registry=rack.registry)
 
 
 def workers_to_saturate(cpu: CpuParams, bandwidth_bytes_per_ns: float,

@@ -29,10 +29,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.messages import (DIRECT_READ_KIND, DURABILITY_KIND,
-                                 DirectReadReply, DirectReadRequest,
-                                 ReplicateAck, ReplicateRecords,
-                                 RequestStatus, TraversalBatch,
-                                 TraversalRequest)
+                                 SWITCH, DirectReadReply,
+                                 DirectReadRequest, ReplicateAck,
+                                 ReplicateRecords, RequestStatus,
+                                 TraversalBatch, TraversalRequest)
 from repro.core.scheduling import FairWorkspacePool, FifoWorkspacePool
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import MASK64, ExecutionFault
@@ -115,18 +115,16 @@ class Accelerator:
 
     def __init__(self, env: Environment, node: MemoryNode, fabric: Fabric,
                  params: SystemParams, placement_map: PlacementMap,
-                 hotness: HotnessTracker, switch_name: str = "switch",
-                 cores: Optional[int] = None,
+                 hotness: HotnessTracker,
                  shared_interconnect: bool = True,
                  split_loads: bool = False,
                  scheduler_policy: str = "fifo",
-                 batch_lanes: Optional[int] = None,
+                 batch_lanes: int = 32,
                  registry: Optional[MetricsRegistry] = None):
         self.env = env
         self.node = node
         self.fabric = fabric
         self.params = params
-        self.switch_name = switch_name
         self.name = node.name
         #: the rack's live ownership map -- the one authority the miss
         #: path and direct reads consult (the switch routes by it too)
@@ -135,17 +133,15 @@ class Accelerator:
         #: memory pipeline
         self.hotness = hotness
         acc = params.accelerator
-        core_count = cores if cores is not None else acc.cores
-        if core_count < 1:
+        if acc.cores < 1:
             raise ValueError("accelerator needs at least one core")
 
         self.session = TransportSession(env, fabric, self.name,
                                         params=params.transport,
-                                        registry=registry,
-                                        default_segments=1)
+                                        registry=registry)
         self.cores: List[AcceleratorCore] = [
             AcceleratorCore(env, i, acc.logic_pipelines_per_core)
-            for i in range(core_count)
+            for i in range(acc.cores)
         ]
         # Workspace tokens: the scheduler hands an incoming request to a
         # core with a free workspace; requests beyond capacity queue in
@@ -163,7 +159,7 @@ class Accelerator:
         #: admission bound: requests may queue up to this many deep
         #: (``admission_queue_depth`` per core) before arrivals are
         #: NACKed with RETRY -- the parked-request SRAM is finite
-        self.admission_limit = acc.admission_queue_depth * core_count
+        self.admission_limit = acc.admission_queue_depth * acc.cores
         self.rx_unit = Resource(env, capacity=1)
         self.tx_unit = Resource(env, capacity=1)
         self.scheduler_unit = Resource(env, capacity=1)
@@ -224,11 +220,10 @@ class Accelerator:
         tlb_misses = registry.counter(f"{prefix}.tlb.misses")
         ws_reused = registry.counter(f"{prefix}.workspace.reused")
         ws_allocated = registry.counter(f"{prefix}.workspace.allocated")
-        #: modeled SIMT width: the ``batch_lanes`` argument over the
-        #: configured one (0 = every request is a group of one lane; a
-        #: width of 1 is never a group)
-        lanes = batch_lanes if batch_lanes is not None else acc.batch_lanes
-        self.batch_lanes = lanes if lanes > 1 else 0
+        #: modeled SIMT width (see ``PulseCluster``'s ``batch_lanes``;
+        #: 0 = every request is a group of one lane, and a width of 1 is
+        #: never a group)
+        self.batch_lanes = batch_lanes if batch_lanes > 1 else 0
         for core in self.cores:
             core.tlb = TranslationCache(
                 node.table, capacity=acc.tlb_entries_per_core,
@@ -427,7 +422,7 @@ class Accelerator:
             return
         # A RUNNING continuation here is a hop checkpoint: the session
         # flags it so a drop on the next leg resumes from this state.
-        self._transmit(self.switch_name, PULSE_KIND, response, segments=1,
+        self._transmit(SWITCH, PULSE_KIND, response, segments=1,
                        sent=self._m_responses)
 
     def _transmit(self, dst: str, kind: str, payload, segments: int,

@@ -24,9 +24,9 @@ from typing import Dict, List, Optional
 
 from repro.core.accelerator import PULSE_KIND
 from repro.core.iterator import PulseIterator, TraversalResult, walk
-from repro.core.messages import (DIRECT_READ_KIND, DirectReadRequest,
-                                 RequestStatus, TraversalBatch,
-                                 TraversalRequest)
+from repro.core.messages import (DIRECT_READ_KIND, SWITCH,
+                                 DirectReadRequest, RequestStatus,
+                                 TraversalBatch, TraversalRequest)
 from repro.core.offload import OffloadEngine
 from repro.isa.interpreter import IteratorMachine
 from repro.mem.node import GlobalMemory
@@ -42,6 +42,10 @@ MAX_RETRIES = 16
 
 #: give up after this many consecutive admission-control NACKs
 MAX_ADMISSION_RETRIES = 32
+
+#: DPDK stack cores at a CPU node; every message send or receive
+#: occupies one for ``NetworkParams.dpdk_stack_ns``
+DPDK_CORES = 8
 
 
 class RequestLost(Exception):
@@ -108,22 +112,19 @@ class DoorbellBatcher:
     """Coalesces requests into multi-request messages (doorbell style).
 
     Requests accumulate in a pending list; a batch is flushed when it
-    reaches ``batch_size`` or when the ``flush_ns`` timer rings with a
-    partial batch (an empty ring is a no-op).  Each flush pays the DPDK
-    stack span *once*, which is the per-message cost the batching
-    amortizes.  ``batch_size=1`` degenerates to the unbatched behaviour:
+    reaches ``batch_size`` or when the ``NetworkParams.doorbell_flush_ns``
+    timer rings with a partial batch (an empty ring is a no-op).  Each
+    flush pays the DPDK stack span *once*, which is the per-message cost
+    the batching amortizes.  ``batch_size=1`` degenerates to the unbatched behaviour:
     every request is flushed inline as a plain request message.
     """
 
-    def __init__(self, client: "PulseClient", batch_size: int = 1,
-                 flush_ns: Optional[float] = None):
+    def __init__(self, client: "PulseClient", batch_size: int = 1):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.client = client
         self.env = client.env
         self.batch_size = batch_size
-        self.flush_ns = (flush_ns if flush_ns is not None
-                         else client.params.network.doorbell_flush_ns)
         self._pending: List[TraversalRequest] = []
         self._timer_armed = False
         registry = client.registry
@@ -148,7 +149,8 @@ class DoorbellBatcher:
             self.env.process(self._flush_timer())
 
     def _flush_timer(self):
-        yield self.env.timeout(self.flush_ns)
+        yield self.env.timeout(
+            self.client.params.network.doorbell_flush_ns)
         self._timer_armed = False
         if self._pending:
             self._m_timer_flushes.inc()
@@ -175,8 +177,7 @@ class DoorbellBatcher:
         else:
             payload = TraversalBatch(batch)
             size = payload.wire_bytes()
-        client.session.send(client.switch_name, PULSE_KIND, payload,
-                            size, segments=1)
+        client.session.send(SWITCH, PULSE_KIND, payload, size, segments=1)
 
 
 class PulseClient:
@@ -185,8 +186,7 @@ class PulseClient:
     def __init__(self, env: Environment, fabric: Fabric,
                  params: SystemParams, engine: OffloadEngine,
                  memory: GlobalMemory, name: str = "client0",
-                 switch_name: str = "switch", stack_cores: int = 8,
-                 batch_size: int = 1, flush_ns: Optional[float] = None,
+                 batch_size: int = 1,
                  registry: Optional[MetricsRegistry] = None,
                  index=None):
         self.env = env
@@ -195,16 +195,13 @@ class PulseClient:
         self.engine = engine
         self.memory = memory
         self.name = name
-        self.switch_name = switch_name
         #: the reliable-transport stack owns the endpoint registration;
         #: all sends/receives go through it (per-hop ack/retransmit arms
         #: automatically on links with injected loss)
         self.session = TransportSession(env, fabric, name,
                                         params=params.transport,
-                                        registry=registry,
-                                        default_segments=1)
-        #: DPDK stack cores: every message send/receive occupies one
-        self.stack_unit = Resource(env, capacity=stack_cores)
+                                        registry=registry)
+        self.stack_unit = Resource(env, capacity=DPDK_CORES)
         self._waiters: Dict[tuple, Event] = {}
         #: jitter source for retry backoff (deterministic per client name)
         self._rng = random.Random(name)
@@ -230,8 +227,7 @@ class PulseClient:
         #: before falling back to the offloaded traversal
         self.index = index
         self._dr_counter = 0
-        self.batcher = DoorbellBatcher(self, batch_size=batch_size,
-                                       flush_ns=flush_ns)
+        self.batcher = DoorbellBatcher(self, batch_size=batch_size)
         self.session.on_message = self._on_message
 
     # -- receive path ---------------------------------------------------------

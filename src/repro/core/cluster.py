@@ -81,17 +81,15 @@ class Rack:
     def __init__(self, node_count: int = 1,
                  params: Optional[SystemParams] = None,
                  policy: PlacementPolicy = PlacementPolicy.UNIFORM,
-                 node_capacity: Optional[int] = None,
                  seed: int = 0):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.env = Environment()
         self.registry = MetricsRegistry(clock=lambda: self.env.now)
         self.fabric = Fabric(self.env, self.params.network, seed=seed,
                              registry=self.registry)
-        capacity = (node_capacity if node_capacity is not None
-                    else self.params.memory.node_capacity_bytes)
-        self.memory = GlobalMemory(node_count, capacity, policy,
-                                   self.tcam_capacity)
+        self.memory = GlobalMemory(
+            node_count, self.params.memory.node_capacity_bytes, policy,
+            self.tcam_capacity)
 
     @property
     def node_count(self) -> int:
@@ -173,40 +171,39 @@ class Rack:
 
 
 class PulseCluster(Rack):
-    """A simulated rack running pulse."""
+    """A simulated rack running pulse.
+
+    Every model value comes from ``params``; the keywords are the
+    rack's execution choices.  ``batch_lanes`` is the lane-group width:
+    how many workspace frames one core steps in lockstep through a
+    shared kernel when a doorbell batch lands (the modeled SIMT width;
+    0 or 1 means every request is a group of one).
+    """
 
     def __init__(self, node_count: int = 1,
                  params: Optional[SystemParams] = None,
                  policy: PlacementPolicy = PlacementPolicy.UNIFORM,
-                 node_capacity: Optional[int] = None,
                  bounce_to_client: bool = False,
-                 cores_per_accelerator: Optional[int] = None,
                  shared_interconnect: bool = True,
                  split_loads: bool = False,
                  scheduler_policy: str = "fifo",
-                 batch_lanes: Optional[int] = None,
+                 batch_lanes: int = 32,
                  tcam_capacity: int = 1024,
                  client_count: int = 1,
-                 client_table_capacity: Optional[int] = None,
                  batch_size: int = 1,
-                 flush_ns: Optional[float] = None,
                  trace: bool = False,
                  seed: int = 0,
                  split_index: bool = False,
                  split_index_invalidate: bool = True):
         self.tcam_capacity = tcam_capacity
-        super().__init__(node_count, params, policy, node_capacity, seed)
+        super().__init__(node_count, params, policy, seed)
         if trace:
             self.registry.enable_events()
         self.memory.allocator.attach_metrics(self.registry)
-        switch_kwargs = {}
-        if client_table_capacity is not None:
-            switch_kwargs["client_table_capacity"] = client_table_capacity
         self.switch = PulseSwitch(self.env, self.fabric,
                                   self.memory.placement, self.params,
                                   bounce_to_client=bounce_to_client,
-                                  registry=self.registry,
-                                  **switch_kwargs)
+                                  registry=self.registry)
         #: elastic placement: hotness tracking, live migration, and the
         #: rebalancer control loop (see docs/architecture.md)
         self.placement = PlacementService(self.env, self.memory,
@@ -214,8 +211,7 @@ class PulseCluster(Rack):
                                           seed=seed)
         #: accelerator construction options, reused by :meth:`add_node`
         #: so late-joining nodes match the rest of the rack
-        self._acc_options = dict(cores=cores_per_accelerator,
-                                 shared_interconnect=shared_interconnect,
+        self._acc_options = dict(shared_interconnect=shared_interconnect,
                                  split_loads=split_loads,
                                  scheduler_policy=scheduler_policy,
                                  batch_lanes=batch_lanes)
@@ -252,7 +248,7 @@ class PulseCluster(Rack):
             PulseClient(self.env, self.fabric, self.params,
                         self.engines[i], self.memory,
                         name=f"client{i}", batch_size=batch_size,
-                        flush_ns=flush_ns, registry=self.registry,
+                        registry=self.registry,
                         index=(self.indexes[i] if split_index else None))
             for i in range(client_count)
         ]

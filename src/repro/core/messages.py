@@ -141,6 +141,9 @@ class TraversalRequest:
         )
 
 
+#: fabric endpoint name of the rack's one programmable switch
+SWITCH = "switch"
+
 #: fabric message kind for split-index direct reads (the one-RTT fast
 #: path); distinct from ``"pulse"`` so the switch never tries to route
 #: these frames -- they travel client <-> memory node directly

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.accelerator import PULSE_KIND
-from repro.core.messages import (RequestStatus, TraversalBatch,
+from repro.core.messages import (SWITCH, RequestStatus, TraversalBatch,
                                  TraversalRequest)
 from repro.obs.metrics import MetricsRegistry
 from repro.placement.rangemap import PlacementMap
@@ -57,7 +57,7 @@ class PulseSwitch:
 
     def __init__(self, env: Environment, fabric: Fabric,
                  rangemap: PlacementMap, params: SystemParams,
-                 name: str = "switch", bounce_to_client: bool = False,
+                 bounce_to_client: bool = False,
                  client_table_capacity: int = CLIENT_TABLE_CAPACITY,
                  registry: Optional[MetricsRegistry] = None):
         if client_table_capacity < 1:
@@ -69,12 +69,11 @@ class PulseSwitch:
         #: until a migration splits one)
         self.rangemap = rangemap
         self.params = params
-        self.name = name
+        self.name = SWITCH
         self.bounce_to_client = bounce_to_client
-        self.session = TransportSession(env, fabric, name,
+        self.session = TransportSession(env, fabric, SWITCH,
                                         params=params.transport,
-                                        registry=registry,
-                                        default_segments=1)
+                                        registry=registry)
         #: request id -> :class:`_ClientEntry`, learned from requests;
         #: the hardware encodes the client in the packet's source
         #: fields.  Insertion-ordered and bounded: entries whose

@@ -64,19 +64,16 @@ class AddressSpace:
         """(range_start, range_end, node_id) rules -- one per node (§6)."""
         return [(*self.range_of(n), n) for n in range(self.node_count)]
 
-    def grow(self, extra: int = 1) -> int:
-        """Extend the space by ``extra`` nodes (online scale-out).
+    def grow(self) -> int:
+        """Extend the space by one node (online scale-out).
 
         Range partitioning makes growth trivial: the new node's range
         starts where the last one ended, so existing addresses (and the
         arithmetic *home* of every pointer) never change.  Returns the
-        id of the first newly added node.
+        new node's id.
         """
-        if extra < 1:
-            raise AddressSpaceError("must grow by at least one node")
-        first_new = self.node_count
-        self.node_count += extra
-        return first_new
+        self.node_count += 1
+        return self.node_count - 1
 
     def _check_node(self, node_id: int) -> None:
         if not 0 <= node_id < self.node_count:

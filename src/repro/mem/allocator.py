@@ -131,13 +131,11 @@ class TraversalArena:
 
     def __init__(self, allocator: "DisaggregatedAllocator",
                  structure_id: int, chain_hint: Hashable,
-                 preferred_node: Optional[int],
-                 extent_bytes: int):
+                 preferred_node: Optional[int]):
         self.allocator = allocator
         self.structure_id = structure_id
         self.chain_hint = chain_hint
         self.preferred_node = preferred_node
-        self.extent_bytes = extent_bytes
         self.extents: List[_ArenaExtent] = []
         self.allocated_bytes = 0
 
@@ -156,34 +154,28 @@ class TraversalArena:
 class DisaggregatedAllocator:
     """Allocates virtual addresses across the rack's memory nodes."""
 
-    #: default virtual reservation per arena extent.  Small enough that
-    #: a large structure still spreads across nodes (the UNIFORM policy
-    #: operates per extent), large enough to hold a useful run of chain
-    #: nodes (16 of the paper's 256 B hash nodes per extent).
+    #: virtual reservation per arena extent.  Small enough that a large
+    #: structure still spreads across nodes (the UNIFORM policy operates
+    #: per extent), large enough to hold a useful run of chain nodes (16
+    #: of the paper's 256 B hash nodes per extent).
     ARENA_EXTENT_BYTES = 4096
+    #: every allocation size is rounded up to this power of two
+    ALIGNMENT = 8
 
     def __init__(self, addrspace: AddressSpace,
                  tables: List[RangeTranslationTable],
-                 policy: PlacementPolicy = PlacementPolicy.UNIFORM,
-                 alignment: int = 8,
-                 arena_extent_bytes: Optional[int] = None):
+                 policy: PlacementPolicy = PlacementPolicy.UNIFORM):
         if len(tables) != addrspace.node_count:
             raise AllocationError(
                 "need one translation table per memory node")
-        if alignment < 1 or (alignment & (alignment - 1)):
-            raise AllocationError("alignment must be a power of two")
         self.addrspace = addrspace
         self.policy = policy
-        self.alignment = alignment
         self._tables = tables
         self._arenas = [
             _NodeArena(*addrspace.range_of(n))
             for n in range(addrspace.node_count)
         ]
         self._rr_next = 0
-        self.arena_extent_bytes = (arena_extent_bytes
-                                   if arena_extent_bytes is not None
-                                   else self.ARENA_EXTENT_BYTES)
         #: (structure_id, chain_hint, preferred_node) -> TraversalArena
         self._arena_handles: Dict[Tuple, TraversalArena] = {}
         #: extent starts / (start, end) spans, sorted, for extent_of()
@@ -240,8 +232,7 @@ class DisaggregatedAllocator:
         return sid
 
     def arena(self, structure_id: int, chain_hint: Hashable = 0,
-              preferred_node: Optional[int] = None,
-              extent_bytes: Optional[int] = None) -> TraversalArena:
+              preferred_node: Optional[int] = None) -> TraversalArena:
         """The arena for one chain of one structure (created on demand).
 
         ``chain_hint`` names the traversal unit within the structure --
@@ -255,9 +246,7 @@ class DisaggregatedAllocator:
         handle = self._arena_handles.get(key)
         if handle is None:
             handle = TraversalArena(
-                self, structure_id, chain_hint, preferred_node,
-                extent_bytes if extent_bytes is not None
-                else self.arena_extent_bytes)
+                self, structure_id, chain_hint, preferred_node)
             self._arena_handles[key] = handle
         return handle
 
@@ -306,7 +295,7 @@ class DisaggregatedAllocator:
                         min_bytes: int) -> Optional[_ArenaExtent]:
         """Reserve a fresh extent: virtual span + physical backing +
         one covering TCAM entry.  Returns None when nothing fits."""
-        span = max(self._align(min_bytes), handle.extent_bytes)
+        span = max(self._align(min_bytes), self.ARENA_EXTENT_BYTES)
         order: List[int] = []
         if handle.preferred_node is not None:
             # Explicit pin (placement callable / partition_nodes):
@@ -531,7 +520,7 @@ class DisaggregatedAllocator:
         return node_id
 
     def _align(self, size: int) -> int:
-        mask = self.alignment - 1
+        mask = self.ALIGNMENT - 1
         return (size + mask) & ~mask
 
     def _can_alloc(self, arena: _NodeArena, size: int) -> bool:

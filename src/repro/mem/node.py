@@ -96,7 +96,7 @@ class GlobalMemory:
         with the allocator and placement map.  The caller (the cluster)
         wires up the accelerator.
         """
-        node_id = self.addrspace.grow(1)
+        node_id = self.addrspace.grow()
         node = MemoryNode(node_id, self.addrspace, self._tcam_capacity)
         self.nodes.append(node)
         self.allocator.add_node(node.table)

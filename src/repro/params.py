@@ -16,6 +16,13 @@ here, calibrated against the numbers the paper reports:
 * Section 7.1 (distributed) notes 5-10 us added latency when a traversal
   hops between memory nodes through the CPU node.
 
+A model value is one field here and has no second spelling: a
+constructor takes wiring (the event loop, the fabric, the registry, the
+memory) and the rack's execution choices (node and client counts, seed,
+placement policy, batch size and lane width, tracing, the split index,
+the pulse-ACC bounce and the ablation switches), never a keyword that
+overrides a field of these dataclasses.
+
 Times are **nanoseconds**, sizes **bytes**, bandwidths **bytes/ns**
 (1 GB/s == 1e9 B/s == 1.0 B/ns is *not* true: 1 GB/s = 1 byte per ns is
 exactly right only for 1e9 B/s; we use decimal GB throughout, so
@@ -83,7 +90,9 @@ class AcceleratorParams:
     #: the logic side never bottlenecks the memory pipeline, which Fig 6
     #: requires even for eta~0.8 workloads.
     logic_pipeline_depth: int = 8
-    #: cores per accelerator (paper: 2, one per memory channel)
+    #: cores per accelerator (paper: 2, one per memory channel); the
+    #: one spelling of the core count -- a rack with one core is
+    #: ``SystemParams(accelerator=AcceleratorParams(cores=1))``
     cores: int = 2
     #: eta threshold: max allowed t_c / t_d ratio for offload (paper: 1)
     eta_max: float = 1.0
@@ -109,11 +118,6 @@ class AcceleratorParams:
     #: successive iterations usually stay within one allocation range --
     #: so a handful of cached entries absorbs nearly all lookups
     tlb_entries_per_core: int = 8
-    #: lane-group width: how many workspace frames one core steps in
-    #: lockstep through a shared kernel when a doorbell batch lands (the
-    #: modeled SIMT width).  ``PulseCluster(batch_lanes=...)`` overrides
-    #: it per rack; 0 or 1 means every request is a group of one
-    batch_lanes: int = 32
 
     def occupancy_ns(self, size_bytes: int) -> float:
         """Memory-pipeline hold time per load (sets peak throughput)."""

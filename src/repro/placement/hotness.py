@@ -48,6 +48,12 @@ import random
 from typing import Callable, Dict, List, Tuple
 
 
+def _hottest_first(item: Tuple[int, float]) -> Tuple[float, int]:
+    """Sort key of a ``(segment, heat)`` pair: hottest first, equal
+    heats by ascending segment address."""
+    return -item[1], item[0]
+
+
 class HotnessTracker:
     """EWMA-decayed per-segment access counts over virtual addresses."""
 
@@ -234,7 +240,7 @@ class HotnessTracker:
         ranked.sort(key=lambda item: (-item[2], item[0], item[1]))
         return ranked
 
-    def hot_edges(self, top_n: int = 0) -> List[Tuple[int, int, float]]:
+    def hot_edges(self) -> List[Tuple[int, int, float]]:
         """(seg_a, seg_b, decayed weight) triples, heaviest first.
 
         Aggregated across the per-node views (weights for the same
@@ -242,15 +248,14 @@ class HotnessTracker:
         dropped as a side effect, mirroring :meth:`hot_segments`.
         """
         if not self._views:
-            ranked = self._own_hot_edges()
-            return ranked[:top_n] if top_n else ranked
+            return self._own_hot_edges()
         merged: Dict[Tuple[int, int], float] = {}
         for src in self._sources():
             for a, b, weight in src._own_hot_edges():
                 merged[(a, b)] = merged.get((a, b), 0.0) + weight
         ranked = [(a, b, weight) for (a, b), weight in merged.items()]
         ranked.sort(key=lambda item: (-item[2], item[0], item[1]))
-        return ranked[:top_n] if top_n else ranked
+        return ranked
 
     def adjacency(self) -> Dict[int, Dict[int, float]]:
         """Segment -> {neighbor segment -> decayed edge weight}.
@@ -301,11 +306,12 @@ class HotnessTracker:
                 ranked.append((segment, current))
         for segment in dead:
             del self._segments[segment]
-        ranked.sort(key=lambda item: -item[1])
+        ranked.sort(key=_hottest_first)
         return ranked
 
-    def hot_segments(self, top_n: int = 0) -> List[Tuple[int, float]]:
-        """(segment_start, decayed_count) pairs, hottest first.
+    def hot_segments(self) -> List[Tuple[int, float]]:
+        """(segment_start, decayed_count) pairs, hottest first (equal
+        counts by ascending address, with or without node views).
 
         Aggregated across the per-node views (counts for the same
         segment sum); segments that have decayed below
@@ -314,14 +320,12 @@ class HotnessTracker:
         footprint.
         """
         if not self._views:
-            ranked = self._own_hot_segments()
-            return ranked[:top_n] if top_n else ranked
+            return self._own_hot_segments()
         merged: Dict[int, float] = {}
         for src in self._sources():
             for segment, heat in src._own_hot_segments():
                 merged[segment] = merged.get(segment, 0.0) + heat
-        ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:top_n] if top_n else ranked
+        return sorted(merged.items(), key=_hottest_first)
 
     def _prune(self, now: float) -> None:
         """Forget segments and edges whose decayed count has gone cold."""

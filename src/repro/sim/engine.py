@@ -321,8 +321,8 @@ class AllOf(_Condition):
 class Environment:
     """Holds simulated time and the event queue, and runs the loop."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = initial_time
+    def __init__(self):
+        self._now = 0.0
         self._queue: List = []
         self._sequence = count()
         #: dead (cancelled-timer) entries still in ``_queue``

@@ -110,8 +110,7 @@ class TransportSession:
     def __init__(self, env: Environment, fabric: Fabric, name: str,
                  params: Optional[TransportParams] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 seed: Optional[int] = None,
-                 default_segments: int = 2):
+                 seed: Optional[int] = None):
         if params is None:
             params = TransportParams()
         if params.mode not in ("auto", "always", "never"):
@@ -122,7 +121,6 @@ class TransportSession:
         self.fabric = fabric
         self.name = name
         self.params = params
-        self.default_segments = default_segments
         #: the NIC endpoint (byte/message counters live here)
         self.endpoint: Endpoint = fabric.register(name)
         self.endpoint.receive = self._receive
@@ -176,11 +174,12 @@ class TransportSession:
         return profile is not None and profile.lossy
 
     def send(self, dst: str, kind: str, payload: Any, size_bytes: int,
-             segments: Optional[int] = None) -> None:
+             segments: int = 2) -> None:
         """Send one message; reliable iff the link toward ``dst`` is
-        armed, with transport metadata derived from the payload."""
-        if segments is None:
-            segments = self.default_segments
+        armed, with transport metadata derived from the payload.
+
+        ``segments`` is how many wire segments the message crosses (a
+        host-to-host message through the switch crosses two)."""
         if not self.armed_to(dst):
             self._wire(dst, kind, payload, size_bytes, segments)
             return

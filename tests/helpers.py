@@ -1,9 +1,11 @@
 """Helpers shared by the test modules."""
 
 from collections import Counter
+from dataclasses import replace
 
 from repro.core import PulseCluster
-from repro.params import NetworkParams, SystemParams, TransportParams
+from repro.params import (DEFAULT_PARAMS, NetworkParams, SystemParams,
+                          TransportParams)
 from repro.sim.engine import Process
 from repro.sim.network import LinkProfile
 
@@ -11,6 +13,12 @@ from repro.sim.network import LinkProfile
 def counter_value(component, name):
     """One counter of ``component.registry``; unknown names raise."""
     return component.registry.snapshot()["counters"][name]
+
+
+def with_memory(params=DEFAULT_PARAMS, **fields):
+    """``params`` with the given ``MemoryParams`` fields replaced
+    (``node_capacity_bytes``, ``cache_bytes``, ...)."""
+    return replace(params, memory=replace(params.memory, **fields))
 
 
 def lossy_cluster(drop, timeout_ns=40_000.0, **cluster_kwargs):

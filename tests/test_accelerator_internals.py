@@ -127,10 +127,9 @@ class TestAcceleratorStats:
 
 class TestWorkspaceLimits:
     def test_requests_queue_beyond_workspace_capacity(self):
-        accel = AcceleratorParams(workspaces_per_core=1)
+        accel = AcceleratorParams(cores=1, workspaces_per_core=1)
         params = SystemParams(accelerator=accel)
-        cluster = PulseCluster(node_count=1, params=params,
-                               cores_per_accelerator=1)
+        cluster = PulseCluster(node_count=1, params=params)
         lst = LinkedList(cluster.memory)
         lst.extend((k, k) for k in range(1, 201))
         finder = lst.find_iterator()

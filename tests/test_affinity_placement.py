@@ -23,6 +23,8 @@ from repro.params import PlacementParams, SystemParams
 from repro.placement import HotnessTracker
 from repro.structures import LinkedList
 
+from tests.helpers import with_memory
+
 MB = 1 << 20
 
 
@@ -63,7 +65,7 @@ class TestTraversalArenas:
     def test_exhausted_extent_spills_to_a_new_one(self):
         gm = self.memory()
         arena = gm.arena(gm.new_structure_id())
-        extent_bytes = gm.allocator.arena_extent_bytes
+        extent_bytes = gm.allocator.ARENA_EXTENT_BYTES
         addrs = [arena.alloc(64) for _ in range((extent_bytes // 64) + 2)]
         extents = {gm.allocator.arena_extent_of(a) for a in addrs}
         assert len(extents) == 2
@@ -84,7 +86,7 @@ class TestTraversalArenas:
     def test_oversized_request_gets_a_covering_extent(self):
         gm = self.memory()
         arena = gm.arena(gm.new_structure_id())
-        extent_bytes = gm.allocator.arena_extent_bytes
+        extent_bytes = gm.allocator.ARENA_EXTENT_BYTES
         vaddr = arena.alloc(2 * extent_bytes)
         start, end = gm.allocator.arena_extent_of(vaddr)
         assert end - start >= 2 * extent_bytes
@@ -94,7 +96,7 @@ class TestTraversalArenas:
         # Leave less than one extent of virtual space on every node:
         # the arena degrades to plain allocation instead of failing.
         gm = GlobalMemory(node_count=2, node_capacity=8192)
-        extent_bytes = gm.allocator.arena_extent_bytes
+        extent_bytes = gm.allocator.ARENA_EXTENT_BYTES
         for node in (0, 1):
             gm.alloc(8192 - extent_bytes // 2, preferred_node=node)
         arena = gm.arena(gm.new_structure_id())
@@ -135,7 +137,8 @@ class TestFillFractionGuards:
         assert fills[0] > 0.0 or fills[0] == 0.0  # still well-defined
 
     def test_zero_capacity_gauge_does_not_raise(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 * MB)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=1 * MB))
         cluster.memory.alloc(256, preferred_node=1)
         arena = cluster.memory.allocator._arenas[1]
         arena.virt_end = arena.virt_start
@@ -258,8 +261,9 @@ def cut_params(**overrides):
 
 class TestCutPhase:
     def build(self, **overrides):
-        cluster = PulseCluster(node_count=2, params=cut_params(**overrides),
-                               node_capacity=8 * MB)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(cut_params(**overrides),
+                                             node_capacity_bytes=8 * MB))
         a = cluster.memory.alloc(256, preferred_node=0)
         b = cluster.memory.alloc(256, preferred_node=1)
         return cluster, a, b
@@ -324,8 +328,9 @@ class TestHopsEndToEnd:
     def interleaved_cluster(self):
         params = SystemParams().with_overrides(placement=PlacementParams(
             segment_bytes=4096, sample_period=1))
-        cluster = PulseCluster(node_count=2, params=params,
-                               node_capacity=8 * MB)
+        cluster = PulseCluster(
+            node_count=2,
+            params=with_memory(params, node_capacity_bytes=8 * MB))
         chain = LinkedList(cluster.memory, placement=lambda o: o % 2)
         chain.extend([(k, k * 3) for k in range(24)])
         return cluster, chain.find_iterator()

@@ -11,7 +11,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS
 from repro.structures import HashTable, LinkedList
 
-from tests.helpers import counter_value
+from tests.helpers import counter_value, with_memory
 
 
 def populate_list(system, n=30):
@@ -135,7 +135,8 @@ class TestCacheSystem:
         assert not result.offloaded  # everything ran at the CPU node
 
     def test_cold_misses_then_warm_hits(self):
-        cache = CacheSystem(node_count=1, cache_bytes=1 << 20)
+        cache = CacheSystem(node_count=1,
+                            params=with_memory(cache_bytes=1 << 20))
         lst = populate_list(cache, n=50)
         finder = lst.find_iterator()
         cold = run(cache, finder, 50).latency_ns
@@ -148,7 +149,7 @@ class TestCacheSystem:
         assert counter_value(cache, "client0.cache.pages_fetched") <= 2
 
     def test_thrashing_when_cache_tiny(self):
-        cache = CacheSystem(node_count=1, cache_bytes=4096)
+        cache = CacheSystem(node_count=1, params=with_memory(cache_bytes=4096))
         lst = populate_list(cache, n=2000)
         finder = lst.find_iterator()
         run(cache, finder, 2000)
@@ -224,7 +225,7 @@ class TestCacheRpcSystem:
         assert result.value == (25).to_bytes(16, "little")
 
     def test_cold_requests_offload(self):
-        aifm = CacheRpcSystem(cache_bytes=1 << 14)
+        aifm = CacheRpcSystem(params=with_memory(cache_bytes=1 << 14))
         table = HashTable(aifm.memory, buckets=2, value_bytes=8)
         for key in range(200):
             table.insert(key, b"xxxxxxxx")
@@ -241,7 +242,7 @@ class TestCacheRpcSystem:
         """A one-object cache holds the object each offload started at:
         the second lookup hits the head (then offloads at the next
         node), the third misses the evicted head."""
-        aifm = CacheRpcSystem(cache_bytes=256)
+        aifm = CacheRpcSystem(params=with_memory(cache_bytes=256))
         lst = populate_list(aifm, n=5)
         finder = lst.find_iterator()
         for key in (5, 5, 4):

@@ -9,7 +9,7 @@ from repro.mem import AllocationError, GlobalMemory
 from repro.params import SystemParams
 from repro.structures import HashTable, LinkedList
 
-from tests.helpers import counter_value, lossy_cluster
+from tests.helpers import counter_value, lossy_cluster, with_memory
 
 
 class TestLossyNetworks:
@@ -128,7 +128,7 @@ class TestResourcePressure:
                 gm.alloc(256)
 
     def test_cache_system_with_one_page_cache(self):
-        cache = CacheSystem(node_count=1, cache_bytes=4096)
+        cache = CacheSystem(node_count=1, params=with_memory(cache_bytes=4096))
         lst = LinkedList(cache.memory)
         lst.extend((k, k) for k in range(1, 200))
         finder = lst.find_iterator()

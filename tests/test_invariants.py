@@ -53,7 +53,8 @@ RULES = {
         "def run_stream(cluster, iterator, storm=False):",
         allowed="tests/scenario.py"),
     "execution-mode": Rule(
-        "One spelling per execution mode: lane width is batch_lanes=, "
+        "One spelling per execution mode: lane width is "
+        "PulseCluster(batch_lanes=), "
         "sharding is cluster.shard(workers=N); no env knob, no lazy shard.",
         r"PULSE_BATCH|PULSE_WORKERS|_ensure_sharded", ("src",),
         'workers = int(os.environ.get("PULSE_WORKERS", "0"))'),
@@ -112,6 +113,13 @@ RULES = {
         "An iteration is one function: no per-instruction callable table.",
         r"ops\[pc\]|def _op\{", ("src",),
         'lines.append(f"def _op{pc}(m):")'),
+    "one-spelling-per-setting": Rule(
+        "A model value is one SystemParams field; a constructor takes "
+        "wiring and execution choices, never a second spelling.",
+        r"cores_per_accelerator|\bflush_ns\b|default_segments|stack_cores"
+        r"|switch_name|fault_handlers|object_bytes|initial_time",
+        ("src", "examples", "benchmarks"),
+        "PulseCluster(node_count=1, cores_per_accelerator=1)"),
     "timer-race": Rule(
         "A timer that loses its race is cancelled; a retransmission is one "
         "timer per unacked segment, never a process.",

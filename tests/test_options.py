@@ -1,0 +1,181 @@
+"""The option surface: every constructor parameter and params field, pinned.
+
+A model value is one ``SystemParams`` field; a constructor takes wiring
+(the event loop, fabric, registry, memory, ...) and the rack's execution
+choices, never a second spelling of a field.  ``SIGNATURES`` pins the
+parameter names of every constructor a caller configures a rack through,
+``FIELDS`` the fields of every ``*Params`` dataclass, and ``REMOVED``
+the spellings that were deleted -- each must now be a ``TypeError``.
+
+Adding an option means editing these tables in the same change that
+needs the option, so the change shows it was meant.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import repro.params
+from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
+from repro.core.accelerator import Accelerator
+from repro.core.client import DoorbellBatcher, PulseClient
+from repro.core.cluster import PulseCluster, Rack
+from repro.core.switch import PulseSwitch
+from repro.mem.addrspace import AddressSpace
+from repro.mem.allocator import DisaggregatedAllocator
+from repro.mem.node import GlobalMemory
+from repro.placement.hotness import HotnessTracker
+from repro.sim.engine import Environment
+from repro.transport import TransportSession
+
+SIGNATURES = {
+    Rack: ("node_count", "params", "policy", "seed"),
+    PulseCluster: (
+        "node_count", "params", "policy", "bounce_to_client",
+        "shared_interconnect", "split_loads", "scheduler_policy",
+        "batch_lanes", "tcam_capacity", "client_count", "batch_size",
+        "trace", "seed", "split_index", "split_index_invalidate"),
+    CacheSystem: ("node_count", "params", "seed", "kwargs"),
+    RpcSystem: ("node_count", "params", "wimpy", "workers_per_node", "seed",
+                "kwargs"),
+    CacheRpcSystem: ("params", "seed", "kwargs"),
+    Accelerator: (
+        "env", "node", "fabric", "params", "placement_map", "hotness",
+        "shared_interconnect", "split_loads", "scheduler_policy",
+        "batch_lanes", "registry"),
+    PulseClient: ("env", "fabric", "params", "engine", "memory", "name",
+                  "batch_size", "registry", "index"),
+    DoorbellBatcher: ("client", "batch_size"),
+    PulseSwitch: ("env", "fabric", "rangemap", "params", "bounce_to_client",
+                  "client_table_capacity", "registry"),
+    TransportSession: ("env", "fabric", "name", "params", "registry", "seed"),
+    DisaggregatedAllocator: ("addrspace", "tables", "policy"),
+    Environment: (),
+}
+
+FIELDS = {
+    "AcceleratorParams": (
+        "netstack_ns", "netstack_occupancy_ns", "scheduler_dispatch_ns",
+        "translation_occupancy_ns", "channel_bytes_per_ns",
+        "dram_latency_ns", "instruction_ns", "logic_pipeline_depth",
+        "cores", "eta_max", "logic_pipelines_per_core",
+        "workspaces_per_core", "max_load_bytes", "scratchpad_bytes",
+        "max_iterations", "admission_queue_depth", "tlb_entries_per_core"),
+    "CpuParams": ("clock_ghz", "dram_access_ns", "dram_byte_ns"),
+    "NetworkParams": (
+        "segment_ns", "switch_process_ns", "dpdk_stack_ns",
+        "paging_stack_ns", "tcp_stack_ns", "link_bytes_per_ns",
+        "retransmit_timeout_ns", "retry_backoff_ns", "retry_backoff_cap_ns",
+        "doorbell_flush_ns"),
+    "TransportParams": (
+        "mode", "header_bytes", "ack_bytes", "hop_timeout_ns",
+        "hop_backoff_cap_ns", "max_hop_retries", "dedup_window"),
+    "MemoryParams": ("bandwidth_bytes_per_ns", "node_capacity_bytes",
+                     "cache_bytes", "page_bytes"),
+    "PlacementParams": (
+        "segment_bytes", "hot_halflife_ns", "sample_period",
+        "migration_bandwidth_bytes_per_ns", "copy_chunk_bytes",
+        "rebalance_interval_ns", "fill_imbalance_threshold",
+        "hot_skew_threshold", "migrations_per_round", "cut_edge_objective",
+        "cut_min_gain"),
+    "DurabilityParams": (
+        "enabled", "replication_factor", "group_commit_ns",
+        "group_commit_bytes", "log_bandwidth_bytes_per_ns",
+        "record_header_bytes", "failure_detect_ns",
+        "replay_bandwidth_bytes_per_ns", "replay_range_ns"),
+    "PowerParams": ("fpga_watts", "cpu_worker_watts", "wimpy_worker_watts",
+                    "client_watts"),
+    "SystemParams": ("accelerator", "cpu", "wimpy", "network", "transport",
+                     "memory", "placement", "durability", "power"),
+}
+
+
+def _tracker():
+    return HotnessTracker(4096, 1.0, clock=lambda: 0.0)
+
+
+#: removed spelling -> (a call taking it, the keyword, what replaces it)
+REMOVED = {
+    "PulseCluster(cores_per_accelerator=)": (
+        PulseCluster, "cores_per_accelerator", "AcceleratorParams.cores"),
+    "Accelerator(cores=)": (Accelerator, "cores", "AcceleratorParams.cores"),
+    "PulseCluster(flush_ns=)": (
+        PulseCluster, "flush_ns", "NetworkParams.doorbell_flush_ns"),
+    "PulseClient(flush_ns=)": (
+        PulseClient, "flush_ns", "NetworkParams.doorbell_flush_ns"),
+    "DoorbellBatcher(flush_ns=)": (
+        DoorbellBatcher, "flush_ns", "NetworkParams.doorbell_flush_ns"),
+    "Rack(node_capacity=)": (
+        Rack, "node_capacity", "MemoryParams.node_capacity_bytes"),
+    "PulseCluster(node_capacity=)": (
+        PulseCluster, "node_capacity", "MemoryParams.node_capacity_bytes"),
+    "CacheSystem(node_capacity=)": (
+        CacheSystem, "node_capacity", "MemoryParams.node_capacity_bytes"),
+    "RpcSystem(node_capacity=)": (
+        RpcSystem, "node_capacity", "MemoryParams.node_capacity_bytes"),
+    "CacheSystem(cache_bytes=)": (
+        CacheSystem, "cache_bytes", "MemoryParams.cache_bytes"),
+    "CacheRpcSystem(cache_bytes=)": (
+        CacheRpcSystem, "cache_bytes", "MemoryParams.cache_bytes"),
+    "PulseCluster(client_table_capacity=)": (
+        PulseCluster, "client_table_capacity",
+        "PulseSwitch(client_table_capacity=)"),
+    "TransportSession(default_segments=)": (
+        TransportSession, "default_segments", "send(segments=)"),
+    "PulseClient(stack_cores=)": (
+        PulseClient, "stack_cores", "repro.core.client.DPDK_CORES"),
+    "PulseClient(switch_name=)": (
+        PulseClient, "switch_name", "repro.core.messages.SWITCH"),
+    "Accelerator(switch_name=)": (
+        Accelerator, "switch_name", "repro.core.messages.SWITCH"),
+    "PulseSwitch(name=)": (PulseSwitch, "name", "repro.core.messages.SWITCH"),
+    "CacheSystem(fault_handlers=)": (
+        CacheSystem, "fault_handlers", "CacheSystem.workers_per_node"),
+    "CacheRpcSystem(object_bytes=)": (
+        CacheRpcSystem, "object_bytes", "repro.baselines.aifm.OBJECT_BYTES"),
+    "DisaggregatedAllocator(alignment=)": (
+        DisaggregatedAllocator, "alignment",
+        "DisaggregatedAllocator.ALIGNMENT"),
+    "DisaggregatedAllocator(arena_extent_bytes=)": (
+        DisaggregatedAllocator, "arena_extent_bytes",
+        "DisaggregatedAllocator.ARENA_EXTENT_BYTES"),
+    "allocator.arena(extent_bytes=)": (
+        lambda **kw: GlobalMemory(1, 1 << 20).allocator.arena(0, **kw),
+        "extent_bytes", "DisaggregatedAllocator.ARENA_EXTENT_BYTES"),
+    "Environment(initial_time=)": (
+        Environment, "initial_time", "time 0"),
+    "AddressSpace.grow(extra=)": (
+        lambda **kw: AddressSpace(1, 4096).grow(**kw), "extra",
+        "one node per call"),
+    "HotnessTracker.hot_segments(top_n=)": (
+        lambda **kw: _tracker().hot_segments(**kw), "top_n",
+        "slicing the full list"),
+    "HotnessTracker.hot_edges(top_n=)": (
+        lambda **kw: _tracker().hot_edges(**kw), "top_n",
+        "slicing the full list"),
+}
+
+
+@pytest.mark.parametrize("target", SIGNATURES, ids=lambda c: c.__name__)
+def test_constructor_parameters_are_pinned(target):
+    names = tuple(inspect.signature(target).parameters)
+    assert names == SIGNATURES[target]
+
+
+def test_every_params_dataclass_is_pinned():
+    found = {name: tuple(f.name for f in dataclasses.fields(cls))
+             for name, cls in vars(repro.params).items()
+             if name.endswith("Params") and dataclasses.is_dataclass(cls)}
+    assert found == FIELDS
+
+
+@pytest.mark.parametrize("spelling", REMOVED)
+def test_a_removed_spelling_is_a_type_error(spelling):
+    target, keyword, replacement = REMOVED[spelling]
+    try:
+        target(**{keyword: 1})
+    except TypeError as exc:
+        assert f"unexpected keyword argument '{keyword}'" in str(exc)
+    else:
+        pytest.fail(f"{spelling} is still accepted; it is {replacement}")

@@ -15,7 +15,7 @@ from repro.sim import Environment
 from repro.sim.network import Fabric, Message
 from repro.structures import HashTable, LinkedList
 
-from tests.helpers import counter_value
+from tests.helpers import counter_value, with_memory
 
 PROGRAM = assemble("LOAD 0 8\nRETURN")
 
@@ -90,7 +90,7 @@ class TestPlacementMap:
     def test_add_node_after_grow(self):
         space = self.space(2)
         pmap = PlacementMap(space)
-        new = space.grow(1)
+        new = space.grow()
         pmap.add_node(new)
         assert pmap.rule_count == 3
         assert pmap.node_of(space.range_of(new)[0]) == new
@@ -173,6 +173,20 @@ class TestHotnessTracker:
         ranked = tracker.hot_segments()
         assert ranked[0][0] == 0x2000
         assert ranked[0][1] > ranked[1][1]
+
+    def test_equal_heats_rank_by_address_on_a_bare_tracker(self):
+        """A tracker without node views breaks ties the way a rack's
+        merged view does: by ascending segment address, not by which
+        segment was recorded first."""
+        tracker = self.make()
+        tracker.record(0x3000)
+        tracker.record(0x1000)
+        assert [segment for segment, _ in tracker.hot_segments()] == [
+            0x1000, 0x3000]
+        rack = self.make()
+        for node, vaddr in ((0, 0x3000), (1, 0x1000)):
+            rack.node_view(node).record(vaddr)
+        assert rack.hot_segments() == tracker.hot_segments()
 
     def test_cold_segments_are_pruned(self):
         tracker = self.make()
@@ -363,7 +377,8 @@ class TestMigration:
         assert cluster.memory.placement.rule_count == 2
 
     def test_migrate_to_full_destination_fails_cleanly(self):
-        cluster = PulseCluster(node_count=2, node_capacity=64 * 1024)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=64 * 1024))
         a = cluster.memory.alloc(40 * 1024, preferred_node=0)
         cluster.memory.alloc(40 * 1024, preferred_node=1)
         proc = cluster.migrate(a, a + 40 * 1024, 1)
@@ -380,7 +395,8 @@ class TestMigration:
         # The fence must re-check and fail atomically -- source intact,
         # no leaked physical reservation -- with a MigrationError (not a
         # raw AllocationError, which would kill the rebalancer loop).
-        cluster = PulseCluster(node_count=2, node_capacity=256 * 1024)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=256 * 1024))
         a = cluster.memory.alloc(128 * 1024, preferred_node=0)
         cluster.memory.write_u64(a, 42)
         proc = cluster.migrate(a, a + 128 * 1024, 1)
@@ -517,7 +533,8 @@ class TestMembership:
 # ---------------------------------------------------------------------------
 class TestRebalancer:
     def test_fill_imbalance_triggers_migration_to_empty_node(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         fills = cluster.memory.allocator.node_fill_fractions()
@@ -552,7 +569,8 @@ class TestRebalancer:
         assert cluster.memory.placement.node_of(vaddr) == 1
 
     def test_fill_rebalance_moves_live_bytes_not_freed_space(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
         # Node 0 carries a large freed-but-still-mapped region (cold,
         # zero live bytes) ahead of its live data.  Counting it toward
         # gap contraction would fake progress while the fill gap stays
@@ -572,7 +590,8 @@ class TestRebalancer:
         # Fence-time failures can surface as raw AllocationError; a
         # rebalancer that lets one escape dies silently for the rest of
         # the simulation.
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         calls = {"n": 0}
@@ -591,7 +610,8 @@ class TestRebalancer:
         assert calls["n"] >= 2
 
     def test_background_rebalancer_runs_and_stops(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         cluster.start_rebalancer()

@@ -73,9 +73,8 @@ class TestFairSchedulingEndToEnd:
         # Shrink the accelerator (1 core, 2 workspaces) so requests
         # actually queue at the scheduler.
         params = SystemParams(
-            accelerator=AcceleratorParams(workspaces_per_core=2))
+            accelerator=AcceleratorParams(cores=1, workspaces_per_core=2))
         cluster = PulseCluster(node_count=1, client_count=2,
-                               cores_per_accelerator=1,
                                scheduler_policy=policy, params=params)
         lst = LinkedList(cluster.memory)
         lst.extend((k, k) for k in range(1, 601))

@@ -15,6 +15,7 @@ from repro.core.iterator import FaultInfo, TraversalResult
 from repro.obs.metrics import MetricError
 from repro.params import (
     AcceleratorParams,
+    NetworkParams,
     SystemParams,
     US,
 )
@@ -152,8 +153,9 @@ class TestDoorbellBatching:
         assert counter_value(cluster, "switch.batch_splits") >= 1
 
     def test_flush_timer_sends_partial_batch(self):
-        cluster = PulseCluster(node_count=1, batch_size=8,
-                               flush_ns=1.0 * US)
+        params = SystemParams(
+            network=NetworkParams(doorbell_flush_ns=1.0 * US))
+        cluster = PulseCluster(node_count=1, batch_size=8, params=params)
         table = build_table(cluster)
         finder = table.find_iterator()
         pendings = [cluster.submit(finder, key) for key in range(3)]
@@ -199,10 +201,10 @@ class TestAdmissionControl:
     def overload_cluster(self, **kwargs):
         # One workspace and a one-deep admission queue: any burst NACKs.
         params = SystemParams(accelerator=AcceleratorParams(
+            cores=1,
             workspaces_per_core=1,
             admission_queue_depth=1))
-        return PulseCluster(node_count=1, params=params,
-                            cores_per_accelerator=1, **kwargs)
+        return PulseCluster(node_count=1, params=params, **kwargs)
 
     def test_burst_is_nacked_then_completes(self):
         cluster = self.overload_cluster()

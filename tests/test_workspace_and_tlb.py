@@ -15,6 +15,7 @@ from repro.mem.translation import (
     TranslationCache,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.params import AcceleratorParams, SystemParams
 from repro.structures import LinkedList
 
 
@@ -178,8 +179,8 @@ class TestRackIntegration:
         """The pool retains a whole lane group's frames even when the
         group is wider than ``workspaces_per_core`` (16): the second
         32-lane burst allocates nothing."""
-        cluster = PulseCluster(node_count=1, batch_size=32,
-                               cores_per_accelerator=1)
+        params = SystemParams(accelerator=AcceleratorParams(cores=1))
+        cluster = PulseCluster(node_count=1, batch_size=32, params=params)
         lst = LinkedList(cluster.memory)
         lst.extend((k, k * 2) for k in range(1, 33))
         finder = lst.find_iterator()
