@@ -2,7 +2,8 @@
 
 Because the ISA forbids backward jumps inside an iteration, the control-
 flow graph of an iteration body is a DAG and every quantity the offload
-engine needs is computable exactly:
+engine needs is computable exactly, in one backward pass over the
+instructions (:meth:`Program.longest_paths`):
 
 * ``recurring_instructions`` -- the longest instruction path that ends in
   NEXT_ITER.  This is the per-iteration compute cost N; the engine
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.params import AcceleratorParams
 
@@ -51,16 +51,10 @@ def analyze(program: Program,
     """Analyze ``program`` against a specific accelerator's timings."""
     load_offset, load_bytes = program.load_window
 
-    recurring = 0
-    terminal = 0
-    for path in program.iteration_paths():
-        last = program.instructions[path[-1]]
-        # Path length excludes the LOAD (charged to the memory pipeline).
-        logic_len = len(path) - 1
-        if last.opcode is Opcode.NEXT_ITER:
-            recurring = max(recurring, logic_len)
-        else:
-            terminal = max(terminal, logic_len)
+    recurring_path, terminal_path = program.longest_paths()
+    # Path length excludes the LOAD (charged to the memory pipeline).
+    recurring = max(len(recurring_path) - 1, 0)
+    terminal = max(len(terminal_path) - 1, 0)
 
     t_d = params.memory_access_ns(load_bytes)
     t_c = params.instruction_ns * recurring

