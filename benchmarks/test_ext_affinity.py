@@ -148,8 +148,8 @@ def run_mode(build, cut: bool, seed: int):
         "hops_before": hops_before,
         "hops_after": hops_after,
         "bytes_moved": moved,
-        "cut_moves": cluster.placement.rebalancer.cut_moves,
-        "edges_sampled": cluster.placement.tracker.edge_samples,
+        "cut_moves": cluster.rebalancer.cut_moves,
+        "edges_sampled": cluster.heat.edge_samples,
         "p99_before_ns": before.percentile_latency_ns(99.0),
         "p99_after_ns": after.percentile_latency_ns(99.0),
     }

@@ -63,7 +63,7 @@ def build_rack(requests: int, seed: int = 1):
 
 def migration_storm(cluster, rounds: int):
     """Ping-pong ~1 MB of segments between the nodes, repeatedly."""
-    engine = cluster.placement.engine
+    engine = cluster.migration
     env = cluster.env
     for _round in range(rounds):
         for src, dst in ((0, 1), (1, 0)):
@@ -118,7 +118,7 @@ def test_ext_migration(once):
     (quiet, storm, stormy_cluster), (before, after, moved, new_bytes) = \
         results
 
-    engine = stormy_cluster.placement.engine
+    engine = stormy_cluster.migration
     rows = [
         ("quiet", f"{quiet.throughput_per_s:.0f}",
          f"{quiet.percentile_latency_ns(99.0):.0f}",

@@ -76,14 +76,6 @@ class WorkloadStats:
             return 0.0
         return sum(r.iterations for r in self.results) / len(self.results)
 
-    @property
-    def inter_node_fraction(self) -> float:
-        """Fraction of operations that crossed memory nodes at least once."""
-        if not self.results:
-            return 0.0
-        crossed = sum(1 for r in self.results if r.hops > 0)
-        return crossed / len(self.results)
-
 
 def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
                  concurrency: int = 8,

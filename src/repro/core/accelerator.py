@@ -129,8 +129,7 @@ class Accelerator:
         #: the rack's live ownership map -- the one authority the miss
         #: path and direct reads consult (the switch routes by it too)
         self.placement_map = placement_map
-        #: this node's view of the hotness tracker, sampled by the
-        #: memory pipeline
+        #: this node's heat sampler, fed by the memory pipeline
         self.hotness = hotness
         acc = params.accelerator
         if acc.cores < 1:

@@ -33,7 +33,9 @@ from repro.mem.allocator import PlacementPolicy
 from repro.mem.node import GlobalMemory
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.params import DEFAULT_PARAMS, SystemParams
-from repro.placement.service import PlacementService
+from repro.placement.hotness import HeatMap
+from repro.placement.migration import MigrationEngine
+from repro.placement.rebalancer import Rebalancer
 from repro.shard.runtime import ShardError, ShardedRuntime
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric
@@ -204,11 +206,16 @@ class PulseCluster(Rack):
                                   self.memory.placement, self.params,
                                   bounce_to_client=bounce_to_client,
                                   registry=self.registry)
-        #: elastic placement: hotness tracking, live migration, and the
-        #: rebalancer control loop (see docs/architecture.md)
-        self.placement = PlacementService(self.env, self.memory,
-                                          self.params, self.registry,
-                                          seed=seed)
+        #: elastic placement (see docs/architecture.md): the rack-wide
+        #: heat map over every node's sampler, live migration, and the
+        #: rebalancer control loop
+        placement = self.params.placement
+        self.heat = HeatMap(placement, self.env, self.memory.placement,
+                            registry=self.registry, seed=seed)
+        self.migration = MigrationEngine(self.env, self.memory, placement,
+                                         registry=self.registry)
+        self.rebalancer = Rebalancer(self.env, self.migration, self.heat,
+                                     placement, registry=self.registry)
         #: accelerator construction options, reused by :meth:`add_node`
         #: so late-joining nodes match the rest of the rack
         self._acc_options = dict(shared_interconnect=shared_interconnect,
@@ -260,12 +267,12 @@ class PulseCluster(Rack):
 
     def _accelerator(self, node) -> Accelerator:
         """The accelerator in front of ``node``: it routes misses by the
-        live placement map and samples into the node's own hotness view
-        (a private RNG stream, so a sharded worker running only its own
-        nodes draws the skips the in-process run draws)."""
+        live placement map and samples into the heat sampler it builds
+        for the node (a private RNG stream, so a sharded worker running
+        only its own nodes draws the skips the in-process run draws)."""
         return Accelerator(
             self.env, node, self.fabric, self.params, self.memory.placement,
-            self.placement.tracker.node_view(node.node_id),
+            self.heat.add_node(node.node_id),
             registry=self.registry, **self._acc_options)
 
     @property
@@ -319,7 +326,6 @@ class PulseCluster(Rack):
         node = self.memory.add_node()
         acc = self._accelerator(node)
         self.accelerators.append(acc)
-        self.placement.on_node_added(node.node_id)
         if self.durability is not None:
             self.durability.on_node_added(node.node_id)
             self.durability.attach_accelerator(acc)
@@ -369,7 +375,7 @@ class PulseCluster(Rack):
         keep running while the drain progresses.
         """
         self._forbid_sharded("drain_node")
-        return self.env.process(self.placement.engine.drain(node_id))
+        return self.env.process(self.migration.drain(node_id))
 
     def migrate(self, virt_start: int, virt_end: int, dst_node: int):
         """Live-migrate one virtual range; returns the sim process.
@@ -379,19 +385,19 @@ class PulseCluster(Rack):
         """
         self._forbid_sharded("migrate")
         return self.env.process(
-            self.placement.engine.migrate(virt_start, virt_end, dst_node))
+            self.migration.migrate(virt_start, virt_end, dst_node))
 
     def rebalance_once(self):
         """Run a single rebalancer round; returns the sim process."""
         self._forbid_sharded("rebalance_once")
-        return self.env.process(self.placement.rebalancer.rebalance_once())
+        return self.env.process(self.rebalancer.rebalance_once())
 
     def start_rebalancer(self) -> None:
         self._forbid_sharded("start_rebalancer")
-        self.placement.rebalancer.start()
+        self.rebalancer.start()
 
     def stop_rebalancer(self) -> None:
-        self.placement.rebalancer.stop()
+        self.rebalancer.stop()
 
     def load_index(self, structure) -> int:
         """Bulk-prime every client's split index from a built structure.

@@ -228,14 +228,6 @@ class KernelBuilder:
                        scratch_bytes=self.scratch_bytes,
                        max_load_bytes=max_load_bytes)
 
-    def distinct_data_fields(self) -> int:
-        """Number of distinct (offset, width) data accesses recorded.
-
-        Used by the load-aggregation ablation: without aggregation each
-        distinct field access would cost its own memory-pipeline pass.
-        """
-        return len(set(self._data_accesses))
-
     @staticmethod
     def _rebase(instr: Instruction, window_start: int) -> Instruction:
         def shift(operand: Optional[Operand]) -> Optional[Operand]:

@@ -53,10 +53,6 @@ class TransportHeader:
     hop_epoch: int = 0
 
     @property
-    def is_ack(self) -> bool:
-        return bool(self.flags & TP_FLAG_ACK)
-
-    @property
     def is_checkpoint(self) -> bool:
         return bool(self.flags & TP_FLAG_CHECKPOINT)
 

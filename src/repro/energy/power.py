@@ -63,12 +63,6 @@ class EnergyReport:
     def energy_per_request_uj(self) -> float:
         return self.energy_per_request_nj / 1e3
 
-    @property
-    def requests_per_joule(self) -> float:
-        if self.energy_per_request_nj == float("inf"):
-            return 0.0
-        return 1e9 / self.energy_per_request_nj
-
 
 def measure_energy(system_name: str, params: SystemParams,
                    throughput_per_s: float, nodes: int = 1,

@@ -56,9 +56,3 @@ class BatchMachine:
                 continue
             (done if returned else cont).append(lane)
         return done, cont, faulted
-
-    def lane_cur_ptr(self, lane: int) -> int:
-        return self.frames[lane].cur_ptr
-
-    def lane_scratch(self, lane: int) -> bytes:
-        return bytes(self.frames[lane].scratch)

@@ -72,10 +72,6 @@ class PlacementMap:
         """The (start, end) ranges currently owned by ``node_id``."""
         return [(s, e) for s, e, owner in self._rules if owner == node_id]
 
-    def owned_bytes(self, node_id: int) -> int:
-        return sum(e - s for s, e, owner in self._rules
-                   if owner == node_id)
-
     def node_of(self, vaddr: int) -> Optional[int]:
         """Owner of ``vaddr``, or None if unmapped (e.g. NULL)."""
         index = bisect.bisect_right(self._starts, vaddr) - 1

@@ -12,7 +12,7 @@ and asks three questions, in priority order:
    ``hot_skew_threshold`` times the active-node mean?  If so, move its
    *hottest* segments to the coldest node, spreading the serving load.
 3. **Cut edges** -- with fill and heat both quiet, are traversals still
-   crossing nodes?  The tracker's sampled *successor edges* form a
+   crossing nodes?  The heat map's sampled *successor edges* form a
    segment-affinity graph; an edge whose endpoints live on different
    nodes is a cut edge, costing one switch hop plus a transport
    checkpoint per crossing.  Greedily move the segment with the largest
@@ -38,10 +38,11 @@ from repro.placement.migration import MigrationError
 class Rebalancer:
     """Periodic fill/heat watcher driving the migration engine."""
 
-    def __init__(self, env, engine, tracker, params, registry=None):
+    def __init__(self, env, engine, heat, params, registry=None):
         self.env = env
         self.engine = engine
-        self.tracker = tracker
+        #: the rack-wide :class:`~repro.placement.hotness.HeatMap`
+        self.heat = heat
         self.params = params
         self.memory = engine.memory
         self.rangemap = engine.rangemap
@@ -64,10 +65,14 @@ class Rebalancer:
         return self._running
 
     def start(self) -> None:
+        """Run a round every ``rebalance_interval_ns``.  A loop stopped
+        less than one interval ago is still asleep in its timeout: it is
+        resumed rather than joined by a second loop."""
         if self._running:
             return
         self._running = True
-        self._proc = self.env.process(self._loop())
+        if self._proc is None or not self._proc.is_alive:
+            self._proc = self.env.process(self._loop())
 
     def stop(self) -> None:
         self._running = False
@@ -109,7 +114,7 @@ class Rebalancer:
                                           contract_gap=True)
             return moved
 
-        heat = self.tracker.node_heat(self.rangemap)
+        heat = self.heat.node_heat()
         if heat:
             active_heat = {n: heat.get(n, 0.0) for n in active}
             mean = sum(active_heat.values()) / len(active)
@@ -140,7 +145,7 @@ class Rebalancer:
         up to ``migrations_per_round``, widening each move to the
         segment's covering chain-arena extent so chains travel whole.
         """
-        adjacency = self.tracker.adjacency()
+        adjacency = self.heat.adjacency()
         if not adjacency:
             return 0
         allocator = self.memory.allocator
@@ -285,10 +290,12 @@ class Rebalancer:
         spans: List[Tuple[float, float, int, int]] = []
         owned = self.rangemap.rules_of(donor)
         table = self.memory.nodes[donor].table
-        adjacency = self.tracker.adjacency()
+        adjacency = self.heat.adjacency()
 
         def external(vaddr: int) -> float:
-            seg_start = self.tracker._segment_of(vaddr)
+            """Summed weight of the segment's cut edges: neighbors the
+            live placement map gives to another node."""
+            seg_start = self.heat.segment_of(vaddr)
             home = self.rangemap.node_of(seg_start)
             return sum(
                 weight
@@ -306,7 +313,7 @@ class Rebalancer:
                 cursor = start
                 while cursor < end:
                     piece_end = min(cursor + segment, end)
-                    heat = self.tracker.heat_of(cursor)
+                    heat = self.heat.heat_of(cursor)
                     ext = external(cursor)
                     spans.append((heat, ext, cursor, piece_end))
                     cursor = piece_end

@@ -41,8 +41,8 @@ from repro.sim.engine import Event
 
 #: metric names accumulated across processes rather than owned by one
 SUMMED_COUNTERS = ("net.delivered_messages", "net.dropped_messages")
-#: hotness gauges: each process's tracker sees only the touches its own
-#: accelerators execute, so the per-process values are disjoint shares
+#: heat-map gauges: each process advances only its own nodes' heat
+#: samplers, so the per-process values are disjoint shares
 SUMMED_GAUGE_PREFIX = "placement.hot."
 MAXED_GAUGES = ("placement.hot.peak",)
 

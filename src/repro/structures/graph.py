@@ -131,10 +131,6 @@ class DisaggregatedGraph(DisaggregatedStructure):
         self._addresses: Dict[int, int] = {}
         self._pending_edges: Dict[int, List[int]] = {}
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self._addresses)
-
     def add_vertex(self, vertex_id: int, value: int) -> int:
         vertex_id = self.check_key(vertex_id)
         if vertex_id in self._addresses:

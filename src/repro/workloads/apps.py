@@ -57,10 +57,6 @@ class Workload:
     description: str = ""
     expected: List[Any] = field(default_factory=list, repr=False)
 
-    def expected_value(self, index: int):
-        """Reference answer for operation ``index`` (tests use this)."""
-        return self.expected[index]
-
 
 def _interleaved(node_count: int,
                  block: int = DEFAULT_INTERLEAVE_BLOCK

@@ -131,7 +131,7 @@ def migration_storm(legs=((0, 1), (1, 0)), rounds=3):
                     continue
                 start, end = owned[0]
                 yield cluster.env.process(
-                    cluster.placement.engine.migrate(start, end, dst))
+                    cluster.migration.migrate(start, end, dst))
                 yield cluster.env.timeout(5_000.0)
     return factory
 
@@ -149,7 +149,7 @@ def arena_storm(cluster):
             if home is None:
                 continue
             yield cluster.env.process(
-                cluster.placement.engine.migrate(start, end, 1 - home))
+                cluster.migration.migrate(start, end, 1 - home))
             yield cluster.env.timeout(5_000.0)
 
 

@@ -335,9 +335,9 @@ class TestLaneStepMemo:
         cluster, built = build(structure, nodes=2)
         run(cluster, [lookups(built), lookups(built, keys=range(0, KEYS, 3))],
             batch=batch)
-        tracker = cluster.placement.tracker
-        state = (tracker.samples, tracker.edge_samples,
-                 tracker.hot_segments(), tracker.hot_edges())
+        heat = cluster.heat
+        state = (heat.samples, heat.edge_samples,
+                 heat.hot_segments(), heat.hot_edges())
         assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
 
 

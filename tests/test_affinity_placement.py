@@ -15,12 +15,14 @@ Covers the three layers the feature spans:
   across inter-node reroutes.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import PulseCluster
 from repro.mem.node import GlobalMemory
 from repro.params import PlacementParams, SystemParams
-from repro.placement import HotnessTracker
+from repro.placement import HeatMap, HotnessTracker
 from repro.structures import LinkedList
 
 from tests.helpers import with_memory
@@ -153,7 +155,8 @@ def tracker(sample_period=1, seed=0, clock=lambda: 0.0,
             halflife_ns=1000.0, segment_bytes=4096):
     return HotnessTracker(segment_bytes=segment_bytes,
                           halflife_ns=halflife_ns, clock=clock,
-                          sample_period=sample_period, seed=seed)
+                          sample_period=sample_period,
+                          stream=f"{seed}:hotness")
 
 
 class TestEdgeSampling:
@@ -161,8 +164,7 @@ class TestEdgeSampling:
         t = tracker()
         t.record_edge(0x1000, 0x9000)
         t.record_edge(0x9000, 0x1000)
-        assert t.edge_weight(0x1000, 0x9000) == 2.0
-        assert t.edge_weight(0x9000, 0x1000) == 2.0
+        assert t.hot_edges() == [(0x1000, 0x9000, 2.0)]
 
     def test_same_segment_step_is_a_noop(self):
         t = tracker()
@@ -177,19 +179,19 @@ class TestEdgeSampling:
         for vaddr in chain:
             t.sample(vaddr, prev=prev)
             prev = vaddr
-        assert t.edge_weight(0x1000, 0x9000) == 1.0
-        assert t.edge_weight(0x9000, 0x11000) == 1.0
-        assert t.edge_weight(0x1000, 0x11000) == 0.0
+        assert t.hot_edges() == [(0x1000, 0x9000, 1.0),
+                                 (0x9000, 0x11000, 1.0)]
 
     def test_edges_decay_and_prune(self):
         now = [0.0]
         t = tracker(clock=lambda: now[0], halflife_ns=100.0)
         t.record_edge(0x1000, 0x9000, weight=4.0)
         now[0] = 100.0
-        assert t.edge_weight(0x1000, 0x9000) == pytest.approx(2.0)
+        [(_a, _b, weight)] = t.hot_edges()
+        assert weight == pytest.approx(2.0)
         now[0] = 10_000.0  # ~100 halflives: colder than PRUNE_EPSILON
         assert t.hot_edges() == []
-        assert t.edge_weight(0x1000, 0x9000) == 0.0
+        assert not t._edges
 
     def test_hot_edges_sorted_by_weight_then_key(self):
         t = tracker()
@@ -203,23 +205,33 @@ class TestEdgeSampling:
                               (0x9000, 0x21000, 1.0)]
 
     def test_adjacency_is_symmetric(self):
-        t = tracker()
-        t.record_edge(0x1000, 0x9000, weight=3.0)
-        graph = t.adjacency()
+        heat = HeatMap(PlacementParams(segment_bytes=4096),
+                       SimpleNamespace(now=0.0), placement_map=None)
+        for node in (0, 1):
+            heat.add_node(node)
+        # Both nodes sampled the edge; the rack-wide graph sums them.
+        heat.trackers[0].record_edge(0x1000, 0x9000, weight=1.0)
+        heat.trackers[1].record_edge(0x9000, 0x1000, weight=2.0)
+        graph = heat.adjacency()
         assert graph[0x1000] == {0x9000: 3.0}
         assert graph[0x9000] == {0x1000: 3.0}
 
     def test_external_weight_counts_only_cut_edges(self):
-        t = tracker()
-        t.record_edge(0x1000, 0x2000, weight=2.0)   # same-owner below
-        t.record_edge(0x1000, 0x9000, weight=5.0)   # cross-owner
-
-        class FakeMap:
-            def node_of(self, vaddr):
-                return 0 if vaddr < 0x8000 else 1
-
-        assert t.external_weight(0x1000, FakeMap()) == 5.0
-        assert t.external_weight(0x2000, FakeMap()) == 0.0
+        """The rebalancer's cut-edge weight counts only neighbors another
+        node owns: among equally cold donor segments, hot-first order
+        ships the one with a cut edge first, cold-first order last."""
+        cluster = PulseCluster(
+            node_count=2, params=with_memory(cut_params(segment_bytes=4096),
+                                             node_capacity_bytes=8 * MB))
+        heat = cluster.heat
+        a, b, c = (cluster.memory.alloc(4096, preferred_node=0)
+                   for _ in range(3))
+        d = cluster.memory.alloc(4096, preferred_node=1)
+        heat.trackers[0].record_edge(a, b, weight=2.0)   # same owner
+        heat.trackers[1].record_edge(c, d, weight=5.0)   # cut edge
+        for prefer_cold, position in ((False, 0), (True, -1)):
+            spans = cluster.rebalancer._candidates(0, prefer_cold)
+            assert heat.segment_of(spans[position][0]) == heat.segment_of(c)
 
     def test_edge_sampling_unbiased_under_strided_workload(self):
         """E[total edge weight] = true cross-segment step count, even
@@ -275,9 +287,9 @@ class TestCutPhase:
 
     def test_cut_phase_co_locates_affine_segments(self):
         cluster, a, b = self.build()
-        cluster.placement.tracker.record_edge(a, b, weight=50.0)
+        cluster.heat.trackers[0].record_edge(a, b, weight=50.0)
         assert self.run_round(cluster) > 0
-        assert cluster.placement.rebalancer.cut_moves == 1
+        assert cluster.rebalancer.cut_moves == 1
         pmap = cluster.memory.placement
         assert pmap.node_of(a) == pmap.node_of(b)
 
@@ -286,24 +298,24 @@ class TestCutPhase:
         # revalidation must let only the first one fire, and later
         # rounds must find nothing left to cut.
         cluster, a, b = self.build()
-        cluster.placement.tracker.record_edge(a, b, weight=50.0)
+        cluster.heat.trackers[0].record_edge(a, b, weight=50.0)
         for _ in range(4):
             self.run_round(cluster)
-        assert cluster.placement.rebalancer.cut_moves == 1
+        assert cluster.rebalancer.cut_moves == 1
         pmap = cluster.memory.placement
         assert pmap.node_of(a) == pmap.node_of(b)
 
     def test_gain_floor_blocks_marginal_moves(self):
         cluster, a, b = self.build(cut_min_gain=10.0)
-        cluster.placement.tracker.record_edge(a, b, weight=5.0)
+        cluster.heat.trackers[0].record_edge(a, b, weight=5.0)
         assert self.run_round(cluster) == 0
-        assert cluster.placement.rebalancer.cut_moves == 0
+        assert cluster.rebalancer.cut_moves == 0
 
     def test_objective_can_be_disabled(self):
         cluster, a, b = self.build(cut_edge_objective=False)
-        cluster.placement.tracker.record_edge(a, b, weight=50.0)
+        cluster.heat.trackers[0].record_edge(a, b, weight=50.0)
         assert self.run_round(cluster) == 0
-        assert cluster.placement.rebalancer.cut_moves == 0
+        assert cluster.rebalancer.cut_moves == 0
 
     def test_candidates_tie_break_by_segment_id(self):
         # With no heat and no edges every span scores (0.0, 0.0):
@@ -313,7 +325,7 @@ class TestCutPhase:
         cluster, _a, _b = self.build()
         for _ in range(6):
             cluster.memory.alloc(256, preferred_node=0)
-        rebalancer = cluster.placement.rebalancer
+        rebalancer = cluster.rebalancer
         for prefer_cold in (True, False):
             spans = rebalancer._candidates(0, prefer_cold=prefer_cold)
             starts = [start for start, _end in spans]
@@ -355,9 +367,9 @@ class TestHopsEndToEnd:
         # continuation for the tracker to see those cut edges.
         cluster, finder = self.interleaved_cluster()
         assert cluster.run_traversal(finder, 23).ok
-        tracker_ = cluster.placement.tracker
-        assert tracker_.edge_samples > 0
+        heat = cluster.heat
+        assert heat.edge_samples > 0
         pmap = cluster.memory.placement
-        cross = [(a, b, w) for a, b, w in tracker_.hot_edges()
+        cross = [(a, b, w) for a, b, w in heat.hot_edges()
                  if pmap.node_of(a) != pmap.node_of(b)]
         assert cross, "no cross-node successor edges were recorded"

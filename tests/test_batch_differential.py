@@ -140,11 +140,13 @@ def batch_run(program, seeds, max_iters=100):
         for lane in done + cont:
             iters[lane] += 1
         for lane in done:
-            state[lane] = ("done", machine.lane_cur_ptr(lane),
-                           machine.lane_scratch(lane), iters[lane])
+            frame = machine.frames[lane]
+            state[lane] = ("done", frame.cur_ptr, bytes(frame.scratch),
+                           iters[lane])
         for lane in faulted:
-            state[lane] = (machine.faults[lane], machine.lane_cur_ptr(lane),
-                           machine.lane_scratch(lane), iters[lane])
+            frame = machine.frames[lane]
+            state[lane] = (machine.faults[lane], frame.cur_ptr,
+                           bytes(frame.scratch), iters[lane])
         active = np.asarray(cont, dtype=np.int64)
     return state
 

@@ -135,7 +135,7 @@ class TestKernelBuilder:
         k.next_iter()
         k.label("x")
         k.ret()
-        assert k.distinct_data_fields() == 2
+        assert len(set(k._data_accesses)) == 2
         k.build()
 
     def test_kernel_without_data_access_rejected(self):

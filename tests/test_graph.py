@@ -36,7 +36,7 @@ class TestGraphConstruction:
         graph.add_vertex(1, 10)
         graph.add_vertex(2, 20)
         graph.add_edge(1, 2)
-        assert graph.vertex_count == 2
+        assert len(graph._addresses) == 2
         assert graph.address_of(1) != 0
 
     def test_duplicate_vertex_rejected(self, memory):

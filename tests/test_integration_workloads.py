@@ -10,21 +10,21 @@ from repro.workloads import build_tc, build_tsv, build_upc
 
 def check_upc(workload, stats):
     for index, result in enumerate(stats.results):
-        assert result.value == workload.expected_value(index)
+        assert result.value == workload.expected[index]
         assert result.ok
 
 
 def check_tc(workload, stats):
     for index, result in enumerate(stats.results):
         count, checksum = result.value
-        start = workload.expected_value(index)
+        start = workload.expected[index]
         assert count >= 60
         assert checksum == sum(range(start, start + count)) % 2**64
 
 
 def check_tsv(workload, stats):
     for index, result in enumerate(stats.results):
-        expected = workload.expected_value(index)
+        expected = workload.expected[index]
         if expected is None:
             assert result.value is None
         else:

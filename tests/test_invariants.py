@@ -130,6 +130,12 @@ RULES = {
         "its paths.",
         r"iteration_paths", ("src", "examples", "benchmarks"),
         "program.iteration_paths()"),
+    "one-heat-sampler-per-node": Rule(
+        "Each memory node owns its heat sampler, handed to its accelerator "
+        "at build; the rack-wide heat map only reads them",
+        r"node_view|_own_\w+|PlacementService",
+        ("src", "examples", "benchmarks"),
+        "self.placement.tracker.node_view(node.node_id)"),
 }
 
 

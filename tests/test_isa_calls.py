@@ -129,8 +129,8 @@ def test_hotness_is_called_only_when_a_sample_is_due(monkeypatch):
     recorded."""
     monkeypatch.delenv("PULSE_INTERP", raising=False)
     cluster, finder = _warm_list_rack()
-    tracker = cluster.placement.tracker
-    before = tracker.samples
+    heat = cluster.heat
+    before = heat.samples
     entries = []
 
     def profiler(frame, event, _arg):
@@ -146,6 +146,6 @@ def test_hotness_is_called_only_when_a_sample_is_due(monkeypatch):
     finally:
         sys.setprofile(None)
     assert result.iterations == 40
-    taken = tracker.samples - before
+    taken = heat.samples - before
     assert 0 < taken < 40
     assert entries == ["take"] * taken

@@ -35,7 +35,7 @@ def test_migration_storm_is_value_transparent(structure):
     assert all(r.ok for r in baseline[0])
     assert_values_identical(baseline, stormed)
     # The storm actually moved data -- otherwise this test is vacuous.
-    assert cluster.placement.engine.completed >= 2
+    assert cluster.migration.completed >= 2
 
 
 def test_arena_chain_storm_is_value_transparent():
@@ -55,7 +55,7 @@ def test_arena_chain_storm_is_value_transparent():
     stormed = run(cluster, [lookups(chain)], schedule=(arena_storm,))
 
     assert_values_identical(baseline, stormed)
-    assert cluster.placement.engine.completed >= 2 * len(extents)
+    assert cluster.migration.completed >= 2 * len(extents)
 
 
 def durable_rack():
@@ -109,7 +109,7 @@ def test_acknowledged_stores_survive_migration_onto_the_replica_holder():
         yield cluster.env.timeout(settle_ns)
         start, end = cluster.memory.placement.rules_of(0)[0]
         yield cluster.env.process(
-            cluster.placement.engine.migrate(start, end, 1))
+            cluster.migration.migrate(start, end, 1))
         yield from CrashInjector(1, 0.0)(cluster)
 
     results, snapshot, _end = run(
@@ -142,4 +142,4 @@ def test_storm_with_drain_and_scale_out():
     # Results pad values to the scratch width; compare the stored bytes.
     assert [r.value[:8] for r in results] == \
         [stored(k) for k in (*range(KEYS), *fresh)]
-    assert cluster.memory.placement.owned_bytes(0) == 0
+    assert cluster.memory.placement.rules_of(0) == []

@@ -25,7 +25,7 @@ from repro.core.switch import PulseSwitch
 from repro.mem.addrspace import AddressSpace
 from repro.mem.allocator import DisaggregatedAllocator
 from repro.mem.node import GlobalMemory
-from repro.placement.hotness import HotnessTracker
+from repro.placement.hotness import HeatMap, HotnessTracker
 from repro.sim.engine import Environment
 from repro.transport import TransportSession
 
@@ -51,6 +51,9 @@ SIGNATURES = {
                   "client_table_capacity", "registry"),
     TransportSession: ("env", "fabric", "name", "params", "registry", "seed"),
     DisaggregatedAllocator: ("addrspace", "tables", "policy"),
+    HotnessTracker: ("segment_bytes", "halflife_ns", "clock", "sample_period",
+                     "stream"),
+    HeatMap: ("params", "env", "placement_map", "registry", "seed"),
     Environment: (),
 }
 
@@ -148,6 +151,9 @@ REMOVED = {
     "AddressSpace.grow(extra=)": (
         lambda **kw: AddressSpace(1, 4096).grow(**kw), "extra",
         "one node per call"),
+    "HotnessTracker(seed=)": (
+        lambda **kw: HotnessTracker(4096, 1.0, clock=lambda: 0.0, **kw),
+        "seed", "HotnessTracker(stream=), the whole RNG stream label"),
     "HotnessTracker.hot_segments(top_n=)": (
         lambda **kw: _tracker().hot_segments(**kw), "top_n",
         "slicing the full list"),

@@ -1,6 +1,13 @@
 """Unit tests for the elastic placement subsystem (repro.placement)."""
 
+import gc
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PulseCluster, RequestStatus
 from repro.core.messages import TraversalRequest
@@ -9,9 +16,12 @@ from repro.isa import assemble
 from repro.mem import AddressSpace, AllocationError
 from repro.params import (DEFAULT_PARAMS, MS, US, NetworkParams,
                           PlacementParams, SystemParams)
-from repro.placement import HotnessTracker, PlacementError, PlacementMap
+from repro.placement import (HeatMap, HotnessTracker, PlacementError,
+                             PlacementMap)
 from repro.placement.migration import MigrationError
+from repro.placement.rebalancer import Rebalancer
 from repro.sim import Environment
+from repro.sim.engine import Process
 from repro.sim.network import Fabric, Message
 from repro.structures import HashTable, LinkedList
 
@@ -71,8 +81,8 @@ class TestPlacementMap:
         start0, end0 = space.range_of(0)
         pmap.move(start0, end0, 1)
         assert pmap.rule_count == 2
-        assert pmap.owned_bytes(0) == 0
-        assert pmap.owned_bytes(1) == 2 * (end0 - start0)
+        assert pmap.rules_of(0) == []
+        assert sum(e - s for s, e in pmap.rules_of(1)) == 2 * (end0 - start0)
 
     def test_move_uncovered_range_raises(self):
         space = self.space()
@@ -106,6 +116,14 @@ class TestHotnessTracker:
                         clock=lambda: self.now, sample_period=1)
         defaults.update(kw)
         return HotnessTracker(**defaults)
+
+    def heat_map(self, nodes, placement_map=None):
+        params = PlacementParams(segment_bytes=4096, hot_halflife_ns=100.0,
+                                 sample_period=1)
+        heat = HeatMap(params, SimpleNamespace(now=0.0), placement_map)
+        for node in range(nodes):
+            heat.add_node(node)
+        return heat
 
     def test_segment_bytes_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -157,9 +175,11 @@ class TestHotnessTracker:
 
     def test_sampling_is_seeded_deterministic(self):
         a = HotnessTracker(segment_bytes=4096, halflife_ns=100.0,
-                           clock=lambda: 0.0, sample_period=8, seed=7)
+                           clock=lambda: 0.0, sample_period=8,
+                           stream="7:hotness")
         b = HotnessTracker(segment_bytes=4096, halflife_ns=100.0,
-                           clock=lambda: 0.0, sample_period=8, seed=7)
+                           clock=lambda: 0.0, sample_period=8,
+                           stream="7:hotness")
         for _ in range(1000):
             a.sample(0x1000)
             b.sample(0x1000)
@@ -175,17 +195,17 @@ class TestHotnessTracker:
         assert ranked[0][1] > ranked[1][1]
 
     def test_equal_heats_rank_by_address_on_a_bare_tracker(self):
-        """A tracker without node views breaks ties the way a rack's
-        merged view does: by ascending segment address, not by which
-        segment was recorded first."""
+        """One node's tracker breaks ties the way the rack-wide heat map
+        does: by ascending segment address, not by which segment was
+        recorded first."""
         tracker = self.make()
         tracker.record(0x3000)
         tracker.record(0x1000)
         assert [segment for segment, _ in tracker.hot_segments()] == [
             0x1000, 0x3000]
-        rack = self.make()
+        rack = self.heat_map(nodes=2)
         for node, vaddr in ((0, 0x3000), (1, 0x1000)):
-            rack.node_view(node).record(vaddr)
+            rack.trackers[node].record(vaddr)
         assert rack.hot_segments() == tracker.hot_segments()
 
     def test_cold_segments_are_pruned(self):
@@ -213,14 +233,126 @@ class TestHotnessTracker:
 
     def test_node_heat_groups_by_owner(self):
         space = AddressSpace(2, 1 << 20)
-        pmap = PlacementMap(space)
-        tracker = self.make(segment_bytes=4096)
-        tracker.record(space.range_of(0)[0])
-        tracker.record(space.range_of(1)[0])
-        tracker.record(space.range_of(1)[0] + 4096)
-        heat = tracker.node_heat(pmap)
+        rack = self.heat_map(nodes=2, placement_map=PlacementMap(space))
+        # Heat groups by the owner of the segment, not by which node's
+        # tracker sampled it.
+        rack.trackers[1].record(space.range_of(0)[0])
+        rack.trackers[0].record(space.range_of(1)[0])
+        rack.trackers[1].record(space.range_of(1)[0] + 4096)
+        heat = rack.node_heat()
         assert heat[0] == pytest.approx(1.0)
         assert heat[1] == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# HeatMap against a brute-force oracle
+# ---------------------------------------------------------------------------
+HALFLIFE = 100.0
+SEGMENTS_PER_NODE = 4
+
+#: one event: (advance by this many halflives, node, kind, segment
+#: index, other segment index, weight); every heat is then a sum of
+#: dyadic fractions, so the decayed maps match the oracle exactly
+EVENTS = st.lists(st.tuples(
+    st.sampled_from((0, 0, 1, 2, 3, 11)), st.integers(0, 3),
+    st.sampled_from(("record", "edge")), st.integers(0, 4 * 4 - 1),
+    st.integers(0, 4 * 4 - 1), st.sampled_from((1.0, 2.0, 8.0))),
+    max_size=40)
+
+
+def oracle_heat(events, nodes, vaddr_of, now):
+    """Segment -> heat and edge -> weight: per node, the sum of each of
+    its events' weight x 0.5 ** (age / halflife), pruned below
+    PRUNE_EPSILON; then summed over the nodes in node order."""
+    eps = HotnessTracker.PRUNE_EPSILON
+    segments, edges = {}, {}
+    for node in range(nodes):
+        own_segments, own_edges = {}, {}
+        for at, where, kind, a, b, weight in events:
+            if where != node:
+                continue
+            decayed = weight * 0.5 ** ((now - at) / HALFLIFE)
+            seg_a, seg_b = vaddr_of(a) & ~4095, vaddr_of(b) & ~4095
+            if kind == "record":
+                own_segments[seg_a] = own_segments.get(seg_a, 0.0) + decayed
+            elif seg_a != seg_b:
+                key = (min(seg_a, seg_b), max(seg_a, seg_b))
+                own_edges[key] = own_edges.get(key, 0.0) + decayed
+        for own, merged in ((own_segments, segments), (own_edges, edges)):
+            for key, value in own.items():
+                if value >= eps:
+                    merged[key] = merged.get(key, 0.0) + value
+    return segments, edges
+
+
+class TestHeatMapOracle:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None)
+    @given(nodes=st.integers(1, 4), events=EVENTS,
+           tail=st.sampled_from((0, 1, 12)))
+    def test_reads_match_a_brute_force_sum(self, nodes, events, tail):
+        clock = SimpleNamespace(now=0.0)
+        space = AddressSpace(nodes, SEGMENTS_PER_NODE * 4096)
+        heat = HeatMap(PlacementParams(segment_bytes=4096,
+                                       hot_halflife_ns=HALFLIFE),
+                       clock, PlacementMap(space))
+        for node in range(nodes):
+            heat.add_node(node)
+
+        def vaddr_of(index):
+            # an address inside segment ``index`` of the rack's space
+            index %= nodes * SEGMENTS_PER_NODE
+            return space.base + index * 4096 + 8 * index
+
+        seen = []
+        for step, node, kind, a, b, weight in events:
+            clock.now += step * HALFLIFE
+            node %= nodes
+            tracker = heat.trackers[node]
+            if kind == "record":
+                tracker.record(vaddr_of(a), weight=weight)
+            else:
+                tracker.record_edge(vaddr_of(a), vaddr_of(b), weight=weight)
+            seen.append((clock.now, node, kind, a, b, weight))
+        clock.now += tail * HALFLIFE
+        segments, edges = oracle_heat(seen, nodes, vaddr_of, clock.now)
+
+        assert heat.hot_segments() == sorted(
+            segments.items(), key=lambda item: (-item[1], item[0]))
+        adjacency = {}
+        for (a, b), weight in sorted(edges.items(),
+                                     key=lambda e: (-e[1], e[0])):
+            adjacency.setdefault(a, {})[b] = weight
+            adjacency.setdefault(b, {})[a] = weight
+        assert heat.adjacency() == adjacency
+        for index in range(nodes * SEGMENTS_PER_NODE):
+            assert heat.heat_of(vaddr_of(index)) == segments.get(
+                heat.segment_of(vaddr_of(index)), 0.0)
+        by_node = {}
+        for segment, value in segments.items():
+            owner = space.node_of(segment)
+            by_node[owner] = by_node.get(owner, 0.0) + value
+        assert heat.node_heat() == pytest.approx(by_node, rel=1e-12)
+
+    def test_each_node_draws_its_own_stream(self):
+        """Node i's geometric skips are draws from the stream
+        ``f"{seed}:hotness:{i}"`` -- for a node added after the build
+        too -- so a sharded worker draws what the in-process run does."""
+        cluster = PulseCluster(node_count=2, seed=5)
+        assert cluster.add_node() == 2
+        period = cluster.params.placement.sample_period
+        for node, tracker in enumerate(cluster.heat.trackers):
+            assert cluster.accelerators[node].hotness is tracker
+            rng = random.Random(f"5:hotness:{node}")
+            expected = [
+                1 + int(math.log(1.0 - rng.random())
+                        / math.log(1.0 - 1.0 / period))
+                for _ in range(32)]
+            skips = [tracker.countdown]
+            for _ in range(31):
+                tracker.take(0x1000_0000)
+                skips.append(tracker.countdown)
+            assert skips == expected
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +436,7 @@ class TestMigration:
         proc = cluster.migrate(start, end, 1)
         cluster.env.run(until=proc)
         assert proc.value > 0
-        assert cluster.memory.placement.owned_bytes(1) > 0
+        assert cluster.memory.placement.rules_of(1)
         for k in (0, 7, 31):
             result = cluster.run_traversal(table.find_iterator(), k)
             assert result.ok
@@ -501,7 +633,6 @@ class TestMembership:
                    for k in range(64)]
         drain = cluster.drain_node(0)
         cluster.env.run(until=drain)
-        assert cluster.memory.placement.owned_bytes(0) == 0
         assert cluster.memory.placement.rules_of(0) == []
         for p in pending:
             if not p.done:
@@ -542,7 +673,7 @@ class TestRebalancer:
         proc = cluster.rebalance_once()
         cluster.env.run(until=proc)
         assert proc.value >= 1
-        assert cluster.memory.placement.owned_bytes(1) > 0
+        assert cluster.memory.placement.rules_of(1)
         after = cluster.memory.allocator.node_fill_fractions()
         assert after[0] < fills[0]
 
@@ -562,7 +693,7 @@ class TestRebalancer:
         cluster = PulseCluster(node_count=2, params=params)
         vaddr = cluster.memory.alloc(4096, preferred_node=0)
         for _ in range(64):
-            cluster.placement.tracker.record(vaddr)
+            cluster.heat.trackers[0].record(vaddr)
         proc = cluster.rebalance_once()
         cluster.env.run(until=proc)
         assert proc.value >= 1
@@ -601,12 +732,12 @@ class TestRebalancer:
             raise AllocationError("synthetic fence failure")
             yield  # pragma: no cover -- keeps this a generator
 
-        cluster.placement.engine.migrate = boom
+        cluster.migration.migrate = boom
         cluster.start_rebalancer()
         interval = cluster.params.placement.rebalance_interval_ns
         cluster.env.run(until=cluster.env.now + 4 * interval)
         cluster.stop_rebalancer()
-        assert cluster.placement.rebalancer.rounds >= 2
+        assert cluster.rebalancer.rounds >= 2
         assert calls["n"] >= 2
 
     def test_background_rebalancer_runs_and_stops(self):
@@ -621,6 +752,24 @@ class TestRebalancer:
         snap = cluster.metrics_snapshot()
         assert snap["counters"]["placement.migrations"] >= 1
 
+    def test_a_restart_within_an_interval_keeps_one_loop(self):
+        """stop() then start() before the sleeping loop wakes resumes
+        that loop; a second loop would run every round twice."""
+        cluster = PulseCluster(node_count=2)
+        rebalancer = cluster.rebalancer
+        interval = cluster.params.placement.rebalance_interval_ns
+        cluster.start_rebalancer()
+        cluster.env.run(until=cluster.env.now + interval / 2)
+        cluster.stop_rebalancer()
+        cluster.start_rebalancer()
+        cluster.env.run(until=cluster.env.now + 4 * interval)
+        loops = [obj for obj in gc.get_objects()
+                 if isinstance(obj, Process) and obj.is_alive
+                 and obj._generator.gi_code is Rebalancer._loop.__code__
+                 and obj._generator.gi_frame.f_locals["self"] is rebalancer]
+        assert rebalancer.rounds == 4
+        assert loops == [rebalancer._proc]
+
     def test_hotness_fed_by_accelerator_loads(self):
         cluster = PulseCluster(node_count=1)
         table = HashTable(cluster.memory, buckets=16)
@@ -628,6 +777,6 @@ class TestRebalancer:
             table.insert(k, b"v" * 8)
         for k in range(16):
             cluster.run_traversal(table.find_iterator(), k)
-        assert cluster.placement.tracker.samples > 0
+        assert cluster.heat.samples > 0
         snap = cluster.metrics_snapshot()
         assert snap["gauges"]["placement.hot.samples"] > 0

@@ -70,7 +70,7 @@ def test_sharded_migration_storm_is_byte_identical(workers):
     _c, baseline = stream("chain", **storm)
     cluster, sharded = stream("chain", workers=workers, **storm)
     # The storm actually migrated in the sharded replicas too.
-    assert cluster.placement.engine.completed >= 2
+    assert cluster.migration.completed >= 2
     assert_identical(baseline, sharded)
 
 
@@ -81,7 +81,7 @@ def test_sharded_arena_storm_is_byte_identical(structure, workers):
     storm = dict(schedule=(arena_storm,), nodes=2, params=storm_params())
     _c, baseline = stream(structure, **storm)
     cluster, sharded = stream(structure, workers=workers, **storm)
-    assert cluster.placement.engine.completed >= 2
+    assert cluster.migration.completed >= 2
     assert_identical(baseline, sharded)
 
 
@@ -120,7 +120,7 @@ def test_composed_loss_storm_and_doorbell_bursts():
     snapshot = composed[1]
     assert snapshot["counters"]["net.dropped_messages"] > 0
     assert total(snapshot, ".tp.retransmits") > 0
-    assert cluster.placement.engine.completed >= 2
+    assert cluster.migration.completed >= 2
     assert total(snapshot, ".acc.batch.groups") > 0
     assert_values_identical(quiet, composed)
     assert_identical(composed, sharded)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import repro.sim.engine
 from repro.core import PulseCluster
-from repro.core.messages import (RequestStatus, TransportHeader,
-                                 TraversalRequest)
+from repro.core.messages import (TP_FLAG_ACK, RequestStatus,
+                                 TransportHeader, TraversalRequest)
 from repro.params import US, SystemParams, TransportParams
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, LinkProfile, Message
@@ -449,7 +449,7 @@ class TestAckWireFormat:
         assert len(seen) == 1
         src, ack = seen[0]
         assert src == "b"
-        assert ack.header.is_ack
+        assert ack.header.flags & TP_FLAG_ACK
         assert ack.header.ack == 1
         assert TP_ACK_KIND == "tp.ack"
 

@@ -85,7 +85,7 @@ class TestUpcWorkload:
                         chain_length=50, requests=20, seed=0)
         for index, (iterator, args) in enumerate(upc.operations[:5]):
             result = iterator.run_functional(memory.read, *args)
-            assert result.value == upc.expected_value(index)
+            assert result.value == upc.expected[index]
 
     def test_average_iterations_near_half_chain(self, memory):
         upc = build_upc(memory, node_count=1, num_pairs=2_000,
@@ -120,7 +120,7 @@ class TestTcWorkload:
         for index, (iterator, args) in enumerate(tc.operations[:3]):
             count, checksum = iterator.run_functional(
                 memory.read, *args).value
-            start = tc.expected_value(index)
+            start = tc.expected[index]
             assert count >= 60
             assert checksum == sum(range(start, start + count)) % 2**64
 
@@ -176,7 +176,7 @@ class TestTsvWorkload:
                         duration_s=120, requests=12, seed=0)
         for index, (iterator, args) in enumerate(tsv.operations):
             result = iterator.run_functional(memory.read, *args)
-            expected = tsv.expected_value(index)
+            expected = tsv.expected[index]
             if expected is None:
                 assert result.value is None
             else:
