@@ -16,9 +16,12 @@ e.g. ``REPRO_BENCH_SCALE=0.5`` halves request counts.
 """
 
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from repro.bench.experiments import THROUGHPUT_CONCURRENCY, run_cell
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -47,3 +50,33 @@ def once(benchmark):
                                   warmup_rounds=0)
 
     return runner
+
+
+#: the workload columns of Figs 6 and 7
+SATURATION_WORKLOADS = ("UPC", "TC", "TSV-7.5s")
+
+
+@lru_cache(maxsize=None)
+def saturation_grid():
+    """The saturation cells Figs 6 and 7 both read, run once per process.
+
+    Fig 6 reads pulse, RPC, RPC-W and Cache on every column; Fig 7
+    reads pulse, RPC, RPC-W and Cache+RPC, which runs UPC only (AIFM,
+    section 7.1).
+    """
+    cells = {}
+    for workload in SATURATION_WORKLOADS:
+        for system in ("pulse", "rpc", "rpc-w", "cache", "cache+rpc"):
+            if system == "cache+rpc" and workload != "UPC":
+                continue
+            cells[(system, workload)] = run_cell(
+                system, workload, 1,
+                requests=scale_requests(150),
+                concurrency=THROUGHPUT_CONCURRENCY)
+    return cells
+
+
+def saturation_cells(systems):
+    """The saturation grid's cells of ``systems``."""
+    return {key: cell for key, cell in saturation_grid().items()
+            if key[0] in systems}

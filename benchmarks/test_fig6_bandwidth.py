@@ -10,31 +10,15 @@ Paper claims reproduced here:
   memory-bandwidth cap.
 """
 
-from conftest import save_table, scale_requests
+from conftest import SATURATION_WORKLOADS, save_table, saturation_cells
 
-from repro.bench.experiments import (
-    THROUGHPUT_CONCURRENCY,
-    format_table,
-    run_cell,
-)
+from repro.bench.experiments import format_table
 
 SYSTEMS = ("pulse", "rpc", "rpc-w", "cache")
-WORKLOADS = ("UPC", "TC", "TSV-7.5s")
-
-
-def _grid():
-    cells = {}
-    for workload in WORKLOADS:
-        for system in SYSTEMS:
-            cells[(system, workload)] = run_cell(
-                system, workload, 1,
-                requests=scale_requests(150),
-                concurrency=THROUGHPUT_CONCURRENCY)
-    return cells
 
 
 def test_fig6_bandwidth_utilization(once):
-    cells = once(_grid)
+    cells = once(saturation_cells, SYSTEMS)
 
     rows = []
     for (system, workload), cell in sorted(cells.items(),
@@ -45,7 +29,7 @@ def test_fig6_bandwidth_utilization(once):
     save_table("fig6_bandwidth", format_table(
         ["workload", "system", "mem_util", "net_util"], rows))
 
-    for workload in WORKLOADS:
+    for workload in SATURATION_WORKLOADS:
         for system in ("pulse", "rpc", "rpc-w"):
             cell = cells[(system, workload)]
             # Offloading systems saturate memory bandwidth (paper: >90%).

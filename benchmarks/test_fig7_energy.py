@@ -18,33 +18,15 @@ the minimum worker count that saturates memory bandwidth, and
 energy/request = average power / throughput.
 """
 
-from conftest import save_table, scale_requests
+from conftest import SATURATION_WORKLOADS, save_table, saturation_cells
 
-from repro.bench.experiments import (
-    THROUGHPUT_CONCURRENCY,
-    format_table,
-    run_cell,
-)
+from repro.bench.experiments import format_table
 
 SYSTEMS = ("pulse", "rpc", "rpc-w", "cache+rpc")
-WORKLOADS = ("UPC", "TC", "TSV-7.5s")
-
-
-def _grid():
-    cells = {}
-    for workload in WORKLOADS:
-        for system in SYSTEMS:
-            if system == "cache+rpc" and workload != "UPC":
-                continue  # AIFM: UPC only (section 7.1)
-            cells[(system, workload)] = run_cell(
-                system, workload, 1,
-                requests=scale_requests(150),
-                concurrency=THROUGHPUT_CONCURRENCY)
-    return cells
 
 
 def test_fig7_energy_per_request(once):
-    cells = once(_grid)
+    cells = once(saturation_cells, SYSTEMS)
 
     rows = []
     for (system, workload), cell in sorted(cells.items(),
@@ -58,7 +40,7 @@ def test_fig7_energy_per_request(once):
         ["workload", "system", "watts", "kops/s", "uJ/req", "workers"],
         rows))
 
-    for workload in WORKLOADS:
+    for workload in SATURATION_WORKLOADS:
         pulse = cells[("pulse", workload)].energy.energy_per_request_nj
         rpc = cells[("rpc", workload)].energy.energy_per_request_nj
         # pulse is several-fold more energy-efficient (paper: 4.56-7.14x;

@@ -12,7 +12,6 @@ Run:  python examples/system_comparison.py        (~1 minute)
 from repro.bench.driver import run_workload
 from repro.bench.experiments import format_table, make_system
 from repro.energy import measure_energy
-from repro.params import DEFAULT_PARAMS
 from repro.workloads import build_upc
 
 SYSTEMS = ("pulse", "rpc", "rpc-w", "cache", "cache+rpc")
@@ -33,9 +32,7 @@ def main() -> None:
         upc = build_upc(system.memory, 1, num_pairs=10_000,
                         requests=REQUESTS, seed=0)
         tput = run_workload(system, upc.operations, concurrency=48)
-        energy = measure_energy(name, DEFAULT_PARAMS,
-                                tput.throughput_per_s,
-                                workers_per_node=system.workers_per_node)
+        energy = measure_energy(system, tput.throughput_per_s)
         mem_util = system.memory_bandwidth_utilization()
         rows.append((
             name,

@@ -42,8 +42,10 @@ class CacheRpcSystem(RpcSystem):
     """AIFM-like hybrid: object cache first, TCP-stack RPC fallback."""
 
     def __init__(self, params=None, seed: int = 0, **kwargs):
-        super().__init__(node_count=1, params=params, wimpy=False,
-                         seed=seed, **kwargs)
+        if kwargs.get("node_count", 1) != 1:
+            raise ValueError(
+                "Cache+RPC (AIFM) is single-node only (section 7.1)")
+        super().__init__(params=params, wimpy=False, seed=seed, **kwargs)
         #: data-structure objects (keyed by address) resident at the
         #: CPU node
         self.object_cache = PageCache(

@@ -119,6 +119,13 @@ class CacheSystem(Rack):
         # would re-trigger an already-succeeded event.
         message.payload.succeed(message)
 
+    def serving_watts(self) -> float:
+        """The CPU node's fault handlers; the memory nodes are passive
+        DRAM, so all the work is the paging path's."""
+        power = self.params.power
+        return (power.cpu_worker_watts * self.workers_per_node
+                + power.client_watts)
+
     # -- the traversal, executed at the CPU node ------------------------------
     def traverse(self, iterator: PulseIterator, *args):
         start = self.env.now

@@ -191,6 +191,14 @@ class RpcSystem(Rack):
     def name(self) -> str:
         return "RPC-W" if self.wimpy else "RPC"
 
+    def serving_watts(self) -> float:
+        """Every memory node's worker pool, wimpy or full cores."""
+        power = self.params.power
+        worker_watts = (power.wimpy_worker_watts if self.wimpy
+                        else power.cpu_worker_watts)
+        return (worker_watts * self.workers_per_node * self.node_count
+                + power.client_watts)
+
     # -- client ----------------------------------------------------------------
     def _on_message(self, message: Message) -> None:
         """One DPDK stack span, then the response wakes its waiter."""

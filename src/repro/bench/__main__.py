@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from repro.bench.experiments import (
-    SYSTEM_NAMES,
+    SYSTEMS,
     WORKLOAD_NAMES,
     format_table,
     run_cell,
@@ -27,8 +27,10 @@ from repro.bench.experiments import (
 
 
 def _cmd_list(_args) -> int:
-    print("systems  :", ", ".join(SYSTEM_NAMES),
-          "(plus pulse-acc, the Fig 8 ablation)")
+    print("systems:")
+    for name, (rack, options) in SYSTEMS.items():
+        spelled = ", ".join(f"{k}={v!r}" for k, v in options.items())
+        print(f"  {name:<10} {rack.__name__}({spelled})")
     print("workloads:", ", ".join(WORKLOAD_NAMES))
     return 0
 

@@ -13,10 +13,12 @@ traversal lengths, eta, and cache:data ratios are preserved.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
+from repro.baselines.common import workers_to_saturate
 from repro.bench.driver import WorkloadStats, run_open_loop, run_workload
 from repro.core import PulseCluster
 from repro.energy import EnergyReport, measure_energy
@@ -24,81 +26,81 @@ from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.workloads import build_tc, build_tsv, build_upc
 from repro.workloads.apps import Workload
 
-#: systems of section 7, by the paper's names
-SYSTEM_NAMES = ("pulse", "cache", "rpc", "rpc-w", "cache+rpc")
+#: the compared systems of section 7 by the paper's names (pulse-acc is
+#: Fig 8's ablation): the rack class and the constructor options that
+#: make it that system
+SYSTEMS = {
+    "pulse": (PulseCluster, {}),
+    "pulse-acc": (PulseCluster, {"bounce_to_client": True}),
+    "cache": (CacheSystem, {}),
+    "rpc": (RpcSystem, {}),
+    "rpc-w": (RpcSystem, {"wimpy": True}),
+    "cache+rpc": (CacheRpcSystem, {}),
+}
 
 #: workload columns of Figs 4-7
 WORKLOAD_NAMES = ("UPC", "TC", "TSV-7.5s", "TSV-15s", "TSV-30s",
                   "TSV-60s")
 
 
+def _system(name: str):
+    """``(rack class, options)`` of a compared system."""
+    try:
+        return SYSTEMS[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown system {name!r}") from None
+
+
 def make_system(name: str, node_count: int = 1,
                 params: Optional[SystemParams] = None, seed: int = 0,
                 **kwargs):
     """Instantiate one of the compared systems."""
-    lowered = name.lower()
-    if lowered in ("pulse", "adpdm"):
-        return PulseCluster(node_count=node_count, params=params,
-                            seed=seed, **kwargs)
-    if lowered == "pulse-acc":
-        return PulseCluster(node_count=node_count, params=params,
-                            seed=seed, bounce_to_client=True, **kwargs)
-    if lowered in ("cache", "cache-based"):
-        return CacheSystem(node_count=node_count, params=params,
-                           seed=seed, **kwargs)
-    if lowered == "rpc":
-        return RpcSystem(node_count=node_count, params=params, seed=seed,
-                         **kwargs)
-    if lowered == "rpc-w":
-        return RpcSystem(node_count=node_count, params=params, seed=seed,
-                         wimpy=True, **kwargs)
-    if lowered == "cache+rpc":
-        if node_count != 1:
-            raise ValueError(
-                "Cache+RPC (AIFM) is single-node only (section 7.1)")
-        return CacheRpcSystem(params=params, seed=seed, **kwargs)
-    raise ValueError(f"unknown system {name!r}")
+    rack, options = _system(name)
+    return rack(node_count=node_count, params=params, seed=seed,
+                **options, **kwargs)
+
+
+def workload_family(name: str) -> str:
+    """``UPC``, ``TC`` or ``TSV`` -- every ``TSV-<seconds>s`` window runs
+    the same aggregation kernels; anything else is a ``ValueError``."""
+    if name in ("UPC", "TC") or re.fullmatch(r"TSV-\d+(\.\d+)?s", name):
+        return name.split("-")[0]
+    raise ValueError(f"unknown workload {name!r}")
 
 
 def build_workload(system, name: str, node_count: int,
                    requests: int, seed: int = 0, **kwargs) -> Workload:
     """Build one of the six workload columns against a system's memory."""
-    if name == "UPC":
+    family = workload_family(name)
+    if family == "UPC":
         return build_upc(system.memory, node_count, requests=requests,
                          seed=seed, **kwargs)
-    if name == "TC":
+    if family == "TC":
         return build_tc(system.memory, node_count, requests=requests,
                         seed=seed, **kwargs)
-    if name.startswith("TSV-"):
-        window_s = float(name[len("TSV-"):-1])
-        duration = max(600.0, 8 * window_s)
-        return build_tsv(system.memory, node_count, window_s=window_s,
-                         duration_s=duration, requests=requests,
-                         seed=seed, **kwargs)
-    raise ValueError(f"unknown workload {name!r}")
+    window_s = float(name[len("TSV-"):-1])
+    duration = max(600.0, 8 * window_s)
+    return build_tsv(system.memory, node_count, window_s=window_s,
+                     duration_s=duration, requests=requests,
+                     seed=seed, **kwargs)
 
 
-#: per-workload execution profile (load window bytes, logic instructions
-#: per iteration) used to size RPC worker pools -- the paper's "minimum
-#: number of memory-node workers that can saturate the memory bandwidth"
-#: is a per-workload quantity (section 7)
+#: per-workload-family execution profile (load window bytes, logic
+#: instructions per iteration) used to size RPC worker pools -- the
+#: paper's "minimum number of memory-node workers that can saturate the
+#: memory bandwidth" is a per-workload quantity (section 7)
 WORKLOAD_PROFILES = {
     "UPC": (256, 10),
     "TC": (208, 80),
-    "TSV-7.5s": (160, 78),
-    "TSV-15s": (160, 78),
-    "TSV-30s": (160, 78),
-    "TSV-60s": (160, 78),
+    "TSV": (160, 78),
 }
 
 
 def saturating_workers(system_name: str, workload_name: str,
                        params: SystemParams) -> int:
-    from repro.baselines.common import workers_to_saturate
-
-    window, instructions = WORKLOAD_PROFILES.get(workload_name,
-                                                 (256, 40))
-    cpu = params.wimpy if system_name.lower() == "rpc-w" else params.cpu
+    window, instructions = WORKLOAD_PROFILES[workload_family(workload_name)]
+    _rack, options = _system(system_name)
+    cpu = params.wimpy if options.get("wimpy") else params.cpu
     return workers_to_saturate(
         cpu, params.memory.bandwidth_bytes_per_ns,
         window_bytes=window,
@@ -134,8 +136,10 @@ def _run_cell(drive, system_name: str, workload_name: str,
               workload_kwargs: Optional[dict]) -> CellResult:
     """Build one cell, ``drive(system, operations)`` it, measure it."""
     parameters = params if params is not None else DEFAULT_PARAMS
+    workload_family(workload_name)  # no rack is built for a bad name
     system_kwargs = dict(system_kwargs or {})
-    if (system_name.lower() in ("rpc", "rpc-w", "cache+rpc")
+    rack, _options = _system(system_name)
+    if (issubclass(rack, RpcSystem)
             and "workers_per_node" not in system_kwargs):
         system_kwargs["workers_per_node"] = saturating_workers(
             system_name, workload_name, parameters)
@@ -144,9 +148,7 @@ def _run_cell(drive, system_name: str, workload_name: str,
     workload = build_workload(system, workload_name, node_count,
                               requests, seed, **(workload_kwargs or {}))
     stats = drive(system, workload.operations)
-    energy = measure_energy(system_name, parameters,
-                            stats.throughput_per_s, nodes=node_count,
-                            workers_per_node=system.workers_per_node)
+    energy = measure_energy(system, stats.throughput_per_s)
     return CellResult(
         system=system_name,
         workload=workload_name,

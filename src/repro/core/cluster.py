@@ -67,15 +67,17 @@ class Rack:
       ns of the window, against the per-node bandwidth cap.
     * ``network_bandwidth_utilization`` -- the busiest link among the
       CPU-node endpoints ``client_names``, over the same window.
-    * ``workers_per_node`` -- the serving cores the energy model
-      charges per node.
+    * ``workers_per_node`` -- the serving cores the rack provisions per
+      node (RPC's worker pool, Cache's fault handlers, 1 for pulse).
+    * ``serving_watts`` -- Fig 7's power: static ``params.power`` watts
+      per serving unit the rack provisions; each system implements it.
     """
 
     #: per-node registry counter of the bytes a memory node served
     served_bytes = "acc.bytes_loaded"
     #: the CPU-node endpoints on the fabric
     client_names: Tuple[str, ...] = ("client0",)
-    #: serving cores per node, as the energy model charges them
+    #: serving cores the rack provisions per node
     workers_per_node = 1
     #: range-translation entries per memory node
     tcam_capacity = 1024
@@ -127,6 +129,10 @@ class Rack:
     def load_index(self, structure) -> int:
         """Bulk-prime a client-resident split index; none here: 0."""
         return 0
+
+    def serving_watts(self) -> float:
+        """Average power (W) of the serving hardware at saturation."""
+        raise NotImplementedError
 
     # -- observability ------------------------------------------------------------
     def begin_measurement(self) -> None:
@@ -274,6 +280,11 @@ class PulseCluster(Rack):
             self.env, node, self.fabric, self.params, self.memory.placement,
             self.heat.add_node(node.node_id),
             registry=self.registry, **self._acc_options)
+
+    def serving_watts(self) -> float:
+        """One FPGA board per memory node, every rail of it."""
+        power = self.params.power
+        return power.fpga_watts * self.node_count + power.client_watts
 
     @property
     def sharded(self) -> bool:

@@ -4,12 +4,10 @@ from repro.energy.power import (
     EnergyReport,
     energy_per_request_nj,
     measure_energy,
-    system_power_watts,
 )
 
 __all__ = [
     "EnergyReport",
     "energy_per_request_nj",
     "measure_energy",
-    "system_power_watts",
 ]

@@ -117,7 +117,7 @@ def switch_ownership(memory, src: int, dst: int, virt_start: int,
 class MigrationEngine:
     """Copies segments between nodes under live traffic."""
 
-    def __init__(self, env, memory, params, registry=None):
+    def __init__(self, env, memory, params, registry):
         self.env = env
         self.memory = memory
         self.rangemap = memory.placement
@@ -129,17 +129,13 @@ class MigrationEngine:
         #: rebalancer's fill arithmetic works in live bytes, not mapped
         #: bytes, which also count freed-but-still-mapped blocks)
         self.last_live_bytes = 0
-        self._events = registry.events if registry is not None else None
-        if registry is not None:
-            self._m_migrations = registry.counter("placement.migrations")
-            self._m_bytes = registry.counter("placement.bytes_migrated")
-            self._m_failed = registry.counter("placement.migrations_failed")
-            self._hist_ns = registry.histogram("placement.migration_ns")
-            registry.gauge("placement.migrations_in_flight",
-                           fn=lambda: self.in_flight)
-        else:
-            self._m_migrations = self._m_bytes = self._m_failed = None
-            self._hist_ns = None
+        self._events = registry.events
+        self._m_migrations = registry.counter("placement.migrations")
+        self._m_bytes = registry.counter("placement.bytes_migrated")
+        self._m_failed = registry.counter("placement.migrations_failed")
+        self._hist_ns = registry.histogram("placement.migration_ns")
+        registry.gauge("placement.migrations_in_flight",
+                       fn=lambda: self.in_flight)
 
     # -- public API ---------------------------------------------------------
     def migrate(self, virt_start: int, virt_end: int, dst: int,
@@ -183,12 +179,12 @@ class MigrationEngine:
             virt_end = max(end for _start, end in pieces)
         total = sum(end - start for start, end in pieces)
         if total and allocator.phys_available(dst) < total:
-            self._count_failed()
+            self._m_failed.inc()
             raise MigrationError(
                 f"node {dst} lacks {total} physical bytes for "
                 f"[{virt_start:#x},{virt_end:#x})")
         if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
-            self._count_failed()
+            self._m_failed.inc()
             raise MigrationError(
                 f"node {dst} TCAM cannot hold {len(pieces)} more entries")
 
@@ -221,10 +217,10 @@ class MigrationEngine:
             try:
                 total, live = self._fence(src, dst, virt_start, virt_end)
             except MigrationError:
-                self._count_failed()
+                self._m_failed.inc()
                 raise
             except (AllocationError, ValueError) as exc:
-                self._count_failed()
+                self._m_failed.inc()
                 raise MigrationError(str(exc)) from exc
             self.last_live_bytes = live
         finally:
@@ -232,10 +228,9 @@ class MigrationEngine:
 
         self.completed += 1
         self.bytes_migrated += total
-        if self._m_migrations is not None:
-            self._m_migrations.inc()
-            self._m_bytes.inc(total)
-            self._hist_ns.record(self.env.now - started)
+        self._m_migrations.inc()
+        self._m_bytes.inc(total)
+        self._hist_ns.record(self.env.now - started)
         if self._events is not None:
             self._events.record("placement", "migrate_done", (src, dst),
                                 duration_ns=self.env.now - started)
@@ -298,7 +293,3 @@ class MigrationEngine:
         fills = allocator.node_fill_fractions()
         candidates.sort(key=lambda n: fills[n])
         return candidates[0] if candidates else None
-
-    def _count_failed(self) -> None:
-        if self._m_failed is not None:
-            self._m_failed.inc()

@@ -38,7 +38,7 @@ from repro.placement.migration import MigrationError
 class Rebalancer:
     """Periodic fill/heat watcher driving the migration engine."""
 
-    def __init__(self, env, engine, heat, params, registry=None):
+    def __init__(self, env, engine, heat, params, registry):
         self.env = env
         self.engine = engine
         #: the rack-wide :class:`~repro.placement.hotness.HeatMap`
@@ -51,13 +51,11 @@ class Rebalancer:
         self.cut_moves = 0
         self._running = False
         self._proc = None
-        if registry is not None:
-            registry.gauge("placement.rebalance.rounds",
-                           fn=lambda: self.rounds)
-            registry.gauge("placement.rebalance.migrations",
-                           fn=lambda: self.migrations)
-            registry.gauge("placement.rebalance.cut_moves",
-                           fn=lambda: self.cut_moves)
+        registry.gauge("placement.rebalance.rounds", fn=lambda: self.rounds)
+        registry.gauge("placement.rebalance.migrations",
+                       fn=lambda: self.migrations)
+        registry.gauge("placement.rebalance.cut_moves",
+                       fn=lambda: self.cut_moves)
 
     # -- lifecycle ----------------------------------------------------------
     @property

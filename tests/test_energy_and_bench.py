@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.driver import WorkloadStats
 from repro.bench.experiments import (
+    SYSTEMS,
     WORKLOAD_NAMES,
     format_table,
     make_system,
@@ -12,32 +14,36 @@ from repro.bench.experiments import (
     saturating_workers,
     scaled_requests,
 )
+from repro.core.cluster import Rack
 from repro.core.iterator import TraversalResult
-from repro.energy import (
-    energy_per_request_nj,
-    measure_energy,
-    system_power_watts,
-)
+from repro.energy import energy_per_request_nj, measure_energy
 from repro.params import DEFAULT_PARAMS
+
+#: each system's serving watts on a one-node rack with its own default
+#: pool, exactly as the name-dispatched power model charged them
+SERVING_WATTS = {"pulse": 30.0, "pulse-acc": 30.0, "cache": 66.0,
+                 "rpc": 198.0, "rpc-w": 210.0, "cache+rpc": 198.0}
 
 
 class TestPowerModels:
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_serving_watts_are_pinned(self, name):
+        assert make_system(name).serving_watts() == SERVING_WATTS[name]
+
     def test_pulse_power_scales_with_accelerators(self):
-        one = system_power_watts("pulse", DEFAULT_PARAMS, nodes=1)
-        four = system_power_watts("pulse", DEFAULT_PARAMS, nodes=4)
-        assert four == pytest.approx(4 * one)
+        one = make_system("pulse", node_count=1).serving_watts()
+        four = make_system("pulse", node_count=4).serving_watts()
+        assert four == 4 * one == 120.0
 
     def test_rpc_power_scales_with_workers(self):
-        few = system_power_watts("rpc", DEFAULT_PARAMS,
-                                 workers_per_node=4)
-        many = system_power_watts("rpc", DEFAULT_PARAMS,
-                                  workers_per_node=12)
+        few = make_system("rpc", workers_per_node=4).serving_watts()
+        many = make_system("rpc", workers_per_node=12).serving_watts()
         assert many == pytest.approx(3 * few)
+        assert make_system("rpc", node_count=2).serving_watts() == 396.0
 
     def test_pulse_draws_less_than_a_saturating_worker_pool(self):
-        pulse = system_power_watts("pulse", DEFAULT_PARAMS)
-        rpc = system_power_watts("rpc", DEFAULT_PARAMS,
-                                 workers_per_node=12)
+        pulse = make_system("pulse").serving_watts()
+        rpc = make_system("rpc", workers_per_node=12).serving_watts()
         assert pulse < rpc / 3
 
     def test_wimpy_worker_floor(self):
@@ -46,8 +52,9 @@ class TestPowerModels:
                 > 0.8 * DEFAULT_PARAMS.power.cpu_worker_watts)
 
     def test_unknown_system_rejected(self):
-        with pytest.raises(ValueError):
-            system_power_watts("abacus", DEFAULT_PARAMS)
+        # A rack that does not say what hardware serves has no power.
+        with pytest.raises(NotImplementedError):
+            measure_energy(Rack(), 1e6)
 
     def test_energy_math(self):
         # 10 W at 1M req/s = 10 uJ per request.
@@ -55,7 +62,7 @@ class TestPowerModels:
         assert energy_per_request_nj(10.0, 0.0) == float("inf")
 
     def test_measure_energy_report(self):
-        report = measure_energy("pulse", DEFAULT_PARAMS, 1e6, nodes=2)
+        report = measure_energy(make_system("pulse", node_count=2), 1e6)
         assert report.power_watts == pytest.approx(60.0)
         assert report.energy_per_request_uj == pytest.approx(60.0)
         assert 1e9 / report.energy_per_request_nj == pytest.approx(
@@ -69,6 +76,24 @@ class TestHarness:
         assert tc > upc  # compute-heavier iterations need more workers
         wimpy_tc = saturating_workers("rpc-w", "TC", DEFAULT_PARAMS)
         assert wimpy_tc > tc
+
+    def test_every_tsv_window_sizes_pools_like_the_others(self):
+        # Every TSV window runs the same aggregation kernels, so a window
+        # outside WORKLOAD_NAMES gets the pool TSV-7.5s gets.
+        for system, workers in (("rpc", 22), ("rpc-w", 31)):
+            for window in ("TSV-5s", "TSV-7.5s", "TSV-120s"):
+                assert saturating_workers(system, window,
+                                          DEFAULT_PARAMS) == workers
+
+    @pytest.mark.parametrize("system", ["pulse", "rpc"])
+    def test_unknown_workload_fails_before_a_rack_is_built(
+            self, system, monkeypatch):
+        def build(*_args, **_kwargs):
+            raise AssertionError("a rack was built")
+
+        monkeypatch.setattr(experiments, "make_system", build)
+        with pytest.raises(ValueError, match="unknown workload"):
+            run_cell(system, "PageRank", requests=1)
 
     def test_scaled_requests_orders_workloads(self):
         values = [scaled_requests(name, 100) for name in WORKLOAD_NAMES]

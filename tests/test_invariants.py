@@ -136,6 +136,13 @@ RULES = {
         r"node_view|_own_\w+|PlacementService",
         ("src", "examples", "benchmarks"),
         "self.placement.tracker.node_view(node.node_id)"),
+    "one-system-table": Rule(
+        "A compared system is its rack: repro.bench.experiments.SYSTEMS "
+        "maps each name to a rack class and its options, and no code "
+        "compares a system name again.",
+        r"""(==|!=|\bin)\s*[(\[{]?\s*["'](pulse|adpdm|cache|rpc)[\w+-]*["']"""
+        r"""|["'](pulse|adpdm|cache|rpc)[\w+-]*["']\s*(==|!=|\bin\b)""",
+        ("src",), 'if name in ("pulse", "adpdm", "pulse-acc"):'),
 }
 
 

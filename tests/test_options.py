@@ -6,6 +6,9 @@ choices, never a second spelling of a field.  ``SIGNATURES`` pins the
 parameter names of every constructor a caller configures a rack through,
 ``FIELDS`` the fields of every ``*Params`` dataclass, and ``REMOVED``
 the spellings that were deleted -- each must now be a ``TypeError``.
+``SYSTEM_NAMES`` pins the keys of ``repro.bench.experiments.SYSTEMS``,
+the one place a system name means a rack; the name-dispatched power
+model and its aliases stay deleted.
 
 Adding an option means editing these tables in the same change that
 needs the option, so the change shows it was meant.
@@ -16,8 +19,10 @@ import inspect
 
 import pytest
 
+import repro.energy
 import repro.params
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
+from repro.bench.experiments import SYSTEMS, make_system
 from repro.core.accelerator import Accelerator
 from repro.core.client import DoorbellBatcher, PulseClient
 from repro.core.cluster import PulseCluster, Rack
@@ -56,6 +61,9 @@ SIGNATURES = {
     HeatMap: ("params", "env", "placement_map", "registry", "seed"),
     Environment: (),
 }
+
+#: the compared systems, each a rack class plus options
+SYSTEM_NAMES = ("pulse", "pulse-acc", "cache", "rpc", "rpc-w", "cache+rpc")
 
 FIELDS = {
     "AcceleratorParams": (
@@ -185,3 +193,25 @@ def test_a_removed_spelling_is_a_type_error(spelling):
         assert f"unexpected keyword argument '{keyword}'" in str(exc)
     else:
         pytest.fail(f"{spelling} is still accepted; it is {replacement}")
+
+
+def test_the_system_table_is_pinned():
+    assert tuple(SYSTEMS) == SYSTEM_NAMES
+
+
+def test_energy_is_read_from_the_rack():
+    parameters = inspect.signature(repro.energy.measure_energy).parameters
+    assert tuple(parameters) == ("system", "throughput_per_s")
+
+
+def test_the_name_dispatched_power_model_is_gone():
+    with pytest.raises(ImportError):
+        from repro.energy import system_power_watts  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.energy.power import system_power_watts  # noqa: F401
+
+
+@pytest.mark.parametrize("alias", ["adpdm", "cache-based"])
+def test_a_removed_system_alias_is_a_value_error(alias):
+    with pytest.raises(ValueError, match="unknown system"):
+        make_system(alias)
