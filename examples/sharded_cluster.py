@@ -11,7 +11,11 @@ metrics snapshot come from the worker processes that actually simulated
 those nodes.
 
 ``cluster.shard(workers=N)`` is the one way to shard: build every
-structure first, then fork.
+structure first, then fork.  A sharded rack is perturbed only through
+``shard(replicated=...)``: each factory starts identically in every
+replica at the fork, and ``runtime.replicated_procs`` are this
+process's copies.  The last run migrates node 0's first range to node 1
+mid-stream that way, and must still match the in-process run.
 
 Run:  python examples/sharded_cluster.py
 """
@@ -20,6 +24,7 @@ from repro import PulseCluster
 from repro.structures import LinkedList
 
 KEYS = 32
+MIGRATE_AT_NS = 2_000.0
 
 
 def build_rack():
@@ -29,13 +34,25 @@ def build_rack():
     return cluster, chain.find_iterator()
 
 
-def run_stream(cluster, iterator, workers=0):
+def migrate_first_range(cluster):
+    """A perturbation factory: live-migrate node 0's first range to
+    node 1 while the lookups run."""
+    yield cluster.env.timeout(MIGRATE_AT_NS)
+    start, end = cluster.memory.placement.rules_of(0)[0]
+    yield cluster.env.process(cluster.migration.migrate(start, end, 1))
+
+
+def run_stream(cluster, iterator, workers=0, perturbations=()):
     if workers:
-        cluster.shard(workers=workers)
+        background = cluster.shard(
+            workers=workers, replicated=perturbations).replicated_procs
+    else:
+        background = [cluster.env.process(factory(cluster))
+                      for factory in perturbations]
     pending = [cluster.submit(iterator, k) for k in range(KEYS)]
     try:
-        cluster.env.run(
-            until=cluster.env.all_of([p._process for p in pending]))
+        cluster.env.run(until=cluster.env.all_of(
+            [p._process for p in pending] + background))
     finally:
         cluster.shutdown()
     return ([p.result for p in pending], cluster.metrics_snapshot(),
@@ -67,6 +84,19 @@ def main() -> None:
     print(f"end time identical:  {shard_now == base_now}")
     assert same_values and same_latency and shard_now == base_now
     assert all(r.ok for r in shard_results)
+
+    print("\n=== a migration mid-stream, in process and replicated ===")
+    moved = [run_stream(*build_rack(), workers=workers,
+                        perturbations=(migrate_first_range,))
+             for workers in (0, 2)]
+    (local, _, local_now), (sharded, sharded_snap, sharded_now) = moved
+    print(f"  placement.migrations: "
+          f"{sharded_snap['counters']['placement.migrations']}")
+    identical = ([(r.value, r.latency_ns) for r in sharded]
+                 == [(r.value, r.latency_ns) for r in local]
+                 and sharded_now == local_now)
+    print(f"  sharded run identical to in-process: {identical}")
+    assert identical and all(r.ok for r in sharded)
 
 
 if __name__ == "__main__":

@@ -118,7 +118,6 @@ class CacheRpcSystem(RpcSystem):
                 cur_ptr=cur_ptr,
                 scratch=final_scratch,
                 iterations_done=iterations,
-                issued_at_ns=start,
             )
             # TCP stack premium over the DPDK stack, both directions.
             tcp_premium = net.tcp_stack_ns - net.dpdk_stack_ns

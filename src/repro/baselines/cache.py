@@ -97,8 +97,8 @@ class CacheSystem(Rack):
         self.client = self.session.endpoint
         self.fault_unit = Resource(self.env, capacity=self.workers_per_node)
         self.cpu_unit = Resource(self.env, capacity=8)
-        self.servers = [_PagingServer(self, node)
-                        for node in self.memory.nodes]
+        for node in self.memory.nodes:
+            _PagingServer(self, node)   # lives on as its session's handler
         self._record_result = result_recorder(self.registry, "client0")
         self._m_pages_fetched = self.registry.counter(
             "client0.cache.pages_fetched")

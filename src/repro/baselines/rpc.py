@@ -19,7 +19,7 @@ Worker count defaults to the minimum saturating memory bandwidth
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.baselines.common import make_session, workers_to_saturate
 from repro.core.client import result_recorder
@@ -178,10 +178,8 @@ class RpcSystem(Rack):
         self.session = make_session(self, "client0")
         self.client = self.session.endpoint
         self.client_stack = Resource(self.env, capacity=8)
-        self.servers: List[_RpcServer] = [
-            _RpcServer(self, node, workers)
-            for node in self.memory.nodes
-        ]
+        for node in self.memory.nodes:
+            _RpcServer(self, node, workers)   # lives on as its handler
         self._record_result = result_recorder(self.registry, "client0")
         self._waiters: Dict[tuple, object] = {}
         self._counter = 0
@@ -221,7 +219,6 @@ class RpcSystem(Rack):
             program=iterator.program,
             cur_ptr=cur_ptr,
             scratch=bytes(scratch),
-            issued_at_ns=start,
         )
         while True:
             response = yield from self._send_to_owner(request)

@@ -83,7 +83,7 @@ def _cmd_cell(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="pulse experiment runner")
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     add_common(cell)
     cell.add_argument("--system", default="pulse")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "compare":

@@ -43,8 +43,6 @@ class WorkloadStats:
     #: ``registry.snapshot()`` taken when the workload finished (systems
     #: without a metrics registry leave this None)
     metrics: Optional[Dict] = field(repr=False, default=None)
-    #: open-loop only: the configured arrival rate (ops/s)
-    offered_load_per_s: Optional[float] = None
     #: open-loop only: requests abandoned after exhausting retries
     lost: int = 0
     #: open-loop only: peak concurrently-in-flight submissions observed
@@ -78,14 +76,13 @@ class WorkloadStats:
 
 
 def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
-                 concurrency: int = 8,
-                 warmup: int = 0) -> WorkloadStats:
+                 concurrency: int = 8) -> WorkloadStats:
     """Drive ``operations`` through ``system`` with closed-loop workers.
 
-    ``operations`` is a sequence of ``(iterator, args)`` pairs.  The first
-    ``warmup`` completions are excluded from latency/throughput (caches
-    and pipelines fill during warmup).  The simulation runs until every
-    operation completes.
+    ``operations`` is a sequence of ``(iterator, args)`` pairs.  The
+    measurement window opens at the first submission (a caller warms a
+    system up with an earlier call), and the simulation runs until
+    every operation completes.
     """
     env = system.env
     results: List[Optional[TraversalResult]] = [None] * len(operations)
@@ -97,9 +94,9 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
             if index >= len(operations):
                 return
             cursor["next"] = index + 1
-            if index == warmup:
-                # Drop warmup-time metrics so histograms and
-                # utilizations cover only the measured window.
+            if index == 0:
+                # Drop earlier metrics so histograms and utilizations
+                # cover only this run.
                 system.begin_measurement()
             iterator, args = operations[index]
             result = yield from system.traverse(iterator, *args)
@@ -110,7 +107,7 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
     done = env.all_of(workers)
     env.run(until=done)
 
-    measured = [r for r in results[warmup:] if r is not None]
+    measured = [r for r in results if r is not None]
     return WorkloadStats(
         completed=len(measured),
         duration_ns=system.registry.window_ns,
@@ -123,8 +120,7 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
 
 
 def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
-                  offered_load_per_s: float,
-                  warmup: int = 0, seed: int = 0,
+                  offered_load_per_s: float, seed: int = 0,
                   burst: int = 1,
                   keep_results: bool = True) -> WorkloadStats:
     """Submit ``operations`` at a Poisson rate, without waiting.
@@ -176,7 +172,7 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
                 done.succeed()
         if keep_results:
             results[index] = result
-        elif index >= warmup:
+        else:
             agg["completed"] += 1
             agg["faults"] += 0 if result.ok else 1
             agg["hops"] += result.hops
@@ -187,7 +183,7 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
             chunk = operations[begin:begin + burst]
             yield env.timeout(
                 rng.expovariate(1.0) / rate_per_ns * len(chunk))
-            if begin <= warmup < begin + len(chunk):
+            if begin == 0:
                 system.begin_measurement()
             pendings = system.submit_many(chunk)
             state["in_flight"] += len(pendings)
@@ -204,7 +200,7 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
     env.run(until=done)
 
     if keep_results:
-        measured = [r for r in results[warmup:] if r is not None]
+        measured = [r for r in results if r is not None]
         agg = {"completed": len(measured),
                "faults": sum(1 for r in measured if not r.ok),
                "hops": sum(r.hops for r in measured)}
@@ -219,7 +215,6 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
         total_hops=agg["hops"],
         results=measured,
         metrics=system.metrics_snapshot(),
-        offered_load_per_s=offered_load_per_s,
         lost=state["lost"],
         max_in_flight=state["max_in_flight"],
     )

@@ -163,15 +163,13 @@ def _run_cell(drive, system_name: str, workload_name: str,
 
 def run_cell(system_name: str, workload_name: str, node_count: int = 1,
              requests: int = 50, concurrency: int = 4, seed: int = 0,
-             params: Optional[SystemParams] = None,
-             system_kwargs: Optional[dict] = None,
              workload_kwargs: Optional[dict] = None) -> CellResult:
     """Run one experiment cell end to end."""
     return _run_cell(
         lambda system, ops: run_workload(system, ops,
                                          concurrency=concurrency),
-        system_name, workload_name, node_count, requests, seed, params,
-        system_kwargs, workload_kwargs)
+        system_name, workload_name, node_count, requests, seed, None,
+        None, workload_kwargs)
 
 
 def run_open_loop_cell(system_name: str, workload_name: str,
@@ -224,9 +222,3 @@ def format_table(headers: Sequence[str],
         lines.append("  ".join(
             str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    if denominator == 0:
-        return float("inf")
-    return numerator / denominator

@@ -94,8 +94,7 @@ SECTIONS: List[Tuple[str, str, str]] = [
 
 
 def write_snapshot(name: str, params: Dict, metrics: Dict,
-                   derived: Optional[Dict] = None,
-                   results_dir: Optional[Path] = None) -> Path:
+                   derived: Optional[Dict] = None) -> Path:
     """Write one bench snapshot JSON with the repo-wide stable schema.
 
     Every benchmark that leaves a machine-readable artifact (CI uploads,
@@ -107,12 +106,9 @@ def write_snapshot(name: str, params: Dict, metrics: Dict,
     ``params`` holds the knobs the run was configured with, ``metrics``
     the raw measurements, and ``derived`` any computed summary figures
     (speedups, percentile picks).  The one file written is
-    ``BENCH_<name>.json`` at the repo root, next to the README, where
-    ROADMAP, CI's gates and the upload steps read it; ``results_dir``
-    redirects it (tests write under ``tmp_path``).
+    ``BENCH_<name>.json`` at the repo root (``REPO_ROOT``), next to the
+    README, where ROADMAP, CI's gates and the upload steps read it.
     """
-    directory = Path(results_dir) if results_dir is not None else REPO_ROOT
-    directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "name": name,
@@ -120,7 +116,7 @@ def write_snapshot(name: str, params: Dict, metrics: Dict,
         "metrics": metrics,
         "derived": derived if derived is not None else {},
     }
-    path = directory / f"BENCH_{name}.json"
+    path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -254,8 +250,8 @@ def render(results_dir: Path) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
+def main() -> int:
+    args = sys.argv[1:]
     results_dir = Path(args[0]) if args else \
         Path("benchmarks") / "results"
     report = render(results_dir)

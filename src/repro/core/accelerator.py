@@ -154,7 +154,6 @@ class Accelerator:
         else:
             raise ValueError(
                 f"unknown scheduler policy {scheduler_policy!r}")
-        self.scheduler_policy = scheduler_policy
         #: admission bound: requests may queue up to this many deep
         #: (``admission_queue_depth`` per core) before arrivals are
         #: NACKed with RETRY -- the parked-request SRAM is finite

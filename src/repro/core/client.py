@@ -306,8 +306,7 @@ class PulseClient:
             if result is not None:
                 return result
 
-        request = self.engine.make_request(iterator, *args,
-                                           issued_at_ns=start)
+        request = self.engine.make_request(iterator, *args)
         if self._events is not None:
             self._events.record(self.name, "issue", request.request_id,
                                 program=request.program.name)
@@ -344,7 +343,7 @@ class PulseClient:
             else:
                 backoff = net.retry_backoff_ns
                 retries = 0
-            request = self.engine.continuation(response, self.env.now)
+            request = self.engine.continuation(response)
             response = yield from self._send_and_wait(request)
 
         result = TraversalResult.from_response(iterator, response,
@@ -391,7 +390,7 @@ class PulseClient:
         rid = ("dr", self.name, self._dr_counter)
         request = DirectReadRequest(
             request_id=rid, vaddr=entry.vaddr + offset, size=size,
-            epoch=entry.epoch, reply_to=self.name, issued_at_ns=start)
+            epoch=entry.epoch, reply_to=self.name)
         waiter = self.env.event()
         self._waiters[rid] = waiter
         yield self.stack_unit.hold(self.params.network.dpdk_stack_ns)
@@ -469,7 +468,6 @@ class PulseClient:
             if self._events is not None:
                 self._events.record(self.name, "retransmit",
                                     request.request_id, attempt=attempts)
-            request.attempt = attempts
 
     # -- local fallback -----------------------------------------------------------
     def _execute_local(self, iterator: PulseIterator, args, start: float):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bench.driver import WorkloadStats, run_workload
 from repro.core.accelerator import Accelerator
 from repro.core.client import PendingTraversal, PulseClient
 from repro.core.iterator import PulseIterator, TraversalResult
@@ -120,11 +119,6 @@ class Rack:
         """Convenience: run one traversal to completion synchronously."""
         return self.env.run(
             until=self.env.process(self.traverse(iterator, *args)))
-
-    def run_workload(self, operations: Sequence[Tuple[PulseIterator, tuple]],
-                     concurrency: int = 8,
-                     warmup: int = 0) -> WorkloadStats:
-        return run_workload(self, operations, concurrency, warmup)
 
     def load_index(self, structure) -> int:
         """Bulk-prime a client-resident split index; none here: 0."""
@@ -342,8 +336,9 @@ class PulseCluster(Rack):
             self.durability.attach_accelerator(acc)
         return node.node_id
 
-    def kill_node(self, node_id: int) -> None:
-        """Crash one memory node at the current simulated instant.
+    def _kill_node_local(self, node_id: int) -> None:
+        """Crash one memory node at the current simulated instant, in
+        this process.
 
         The node's accelerator stops receiving, its transmissions
         vanish at the NIC, and its DRAM contents are considered lost;
@@ -354,19 +349,13 @@ class PulseCluster(Rack):
         would silently lose acknowledged writes, which this simulator
         refuses to model as a supported operation.
 
-        A sharded rack crashes a node through a
-        :class:`~repro.durability.recovery.CrashInjector` passed as a
-        replicated factory to :meth:`shard`.
+        A :class:`~repro.durability.recovery.CrashInjector` calls it:
+        in process, or, passed as a replicated factory to :meth:`shard`,
+        in every replica at the same instant.
         """
-        self._forbid_sharded("kill_node")
-        self._kill_node_local(node_id)
-
-    def _kill_node_local(self, node_id: int) -> None:
-        """Apply the crash in this process (see :meth:`kill_node`);
-        every replica of a sharded rack runs it at the same instant."""
         if self.durability is None:
             raise DurabilityError(
-                "kill_node requires params.durability.enabled: without "
+                "a crash requires params.durability.enabled: without "
                 "replicated redo logs a crash loses acknowledged writes")
         acc = self.accelerators[node_id]
         if acc.session.powered_off:
@@ -375,18 +364,6 @@ class PulseCluster(Rack):
         self.memory.allocator.set_allocatable(node_id, False)
         self.durability.on_node_dead(node_id)
         self.env.process(self.durability.recovery.recover(node_id))
-
-    def drain_node(self, node_id: int):
-        """Scale in: migrate everything off ``node_id``.
-
-        Marks the node non-allocatable, then live-migrates every range
-        it owns to the remaining nodes; its switch rules disappear as
-        the placement map coalesces.  Returns the drain *process* --
-        ``cluster.env.run(until=cluster.drain_node(1))`` -- so traversals
-        keep running while the drain progresses.
-        """
-        self._forbid_sharded("drain_node")
-        return self.env.process(self.migration.drain(node_id))
 
     def migrate(self, virt_start: int, virt_end: int, dst_node: int):
         """Live-migrate one virtual range; returns the sim process.
@@ -403,12 +380,6 @@ class PulseCluster(Rack):
         self._forbid_sharded("rebalance_once")
         return self.env.process(self.rebalancer.rebalance_once())
 
-    def start_rebalancer(self) -> None:
-        self._forbid_sharded("start_rebalancer")
-        self.rebalancer.start()
-
-    def stop_rebalancer(self) -> None:
-        self.rebalancer.stop()
 
     def load_index(self, structure) -> int:
         """Bulk-prime every client's split index from a built structure.

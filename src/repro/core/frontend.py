@@ -103,17 +103,17 @@ class _Compiler:
         self._label_counter = 0
         self._loop_bindings: Dict[str, int] = {}
         self._temp_reg = 0
+        #: where ``break`` jumps: the innermost loop's end label
+        self._break_label: Optional[str] = None
 
     # -- entry ----------------------------------------------------------------
-    def compile(self, fn, source: Optional[str] = None) -> Program:
-        if source is None:
-            try:
-                source = inspect.getsource(fn)
-            except (OSError, TypeError) as exc:
-                raise FrontendError(
-                    f"cannot read source of {fn!r} ({exc}); pass the "
-                    "source text explicitly via compile_kernel(..., "
-                    "source=...)")
+    def compile(self, fn) -> Program:
+        try:
+            source = inspect.getsource(fn)
+        except (OSError, TypeError) as exc:
+            raise FrontendError(
+                f"cannot read source of {fn!r} ({exc}); define the kernel "
+                "where inspect.getsource can find it")
         tree = ast.parse(textwrap.dedent(source))
         func = tree.body[0]
         if not isinstance(func, ast.FunctionDef):
@@ -254,7 +254,7 @@ class _Compiler:
         var = node.target.id
         end_label = self._fresh("loopend")
         previous = self._loop_bindings.get(var)
-        previous_break = getattr(self, "_break_label", None)
+        previous_break = self._break_label
         self._break_label = end_label
         for i in range(count_node.value):
             self._loop_bindings[var] = i
@@ -267,7 +267,7 @@ class _Compiler:
         self.builder.label(end_label)
 
     def _break(self, node: ast.Break) -> None:
-        label = getattr(self, "_break_label", None)
+        label = self._break_label
         if label is None:
             self._unsupported(node, "break outside a loop")
         self.builder.compare(self.builder.imm(0), self.builder.imm(0))
@@ -389,14 +389,8 @@ class _Compiler:
 
 
 def compile_kernel(fn, node_layout: StructLayout,
-                   scratch_layout: StructLayout,
-                   name: Optional[str] = None,
-                   source: Optional[str] = None) -> Program:
-    """Compile a restricted Python function into a pulse program.
-
-    ``source`` overrides :func:`inspect.getsource` -- required for
-    functions created with ``exec`` (no file to read the source from).
-    """
-    kernel_name = name if name is not None else fn.__name__
+                   scratch_layout: StructLayout) -> Program:
+    """Compile a restricted Python function, named after ``fn``, into a
+    pulse program; :func:`inspect.getsource` must find its source."""
     return _Compiler(node_layout, scratch_layout,
-                     kernel_name).compile(fn, source=source)
+                     fn.__name__).compile(fn)

@@ -148,30 +148,6 @@ class PulseIterator:
         """Decode the scratch pad returned by the traversal."""
         raise NotImplementedError
 
-    # -- conveniences --------------------------------------------------------
-    def run_functional(self, read_fn, *args, max_iterations: int = 4096,
-                       write_fn=None) -> TraversalResult:
-        """Execute the full traversal with zero simulated time.
-
-        This is the reference path used by tests to check that offloaded
-        executions (accelerator, RPC, cache) all compute the same answer.
-        """
-        from repro.isa.interpreter import IteratorMachine
-
-        if self.program is None:
-            raise TypeError(
-                f"{type(self).__name__} does not define a program")
-        cur_ptr, scratch = self.init(*args)
-        machine = IteratorMachine(self.program)
-        machine.reset(cur_ptr, scratch)
-        out = machine.run(read_fn, write_fn=write_fn,
-                          max_iterations=max_iterations)
-        return TraversalResult(
-            value=self.finalize(out),
-            iterations=machine.iterations,
-            offloaded=False,
-        )
-
 
 def walk(machine, read, write, fetch, compute, budget=None):
     """Process body: step ``machine`` on a CPU until RETURN.

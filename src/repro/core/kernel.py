@@ -52,9 +52,10 @@ class KernelBuilder:
         self._built = False
 
     # -- operand helpers -----------------------------------------------------
-    def field(self, layout: StructLayout, field_name: str, index: int = 0,
-              signed: bool = True) -> Operand:
-        """A ``data`` operand for a struct field (pre-aggregation offset)."""
+    def field(self, layout: StructLayout, field_name: str,
+              index: int = 0) -> Operand:
+        """A signed ``data`` operand for a struct field (pre-aggregation
+        offset)."""
         offset = layout.offset(field_name, index)
         size = layout.field_size(field_name)
         width = _WIDTH_FOR_SIZE.get(size)
@@ -62,7 +63,7 @@ class KernelBuilder:
             # Wide fields (e.g. a 240 B value blob) are moved with
             # memcpy_field, not read as a scalar; default to u64 chunks.
             width = 8
-        operand = Operand(Bank.DATA, offset, width, signed)
+        operand = Operand(Bank.DATA, offset, width, True)
         self._data_accesses.append((offset, width))
         return operand
 
@@ -78,10 +79,10 @@ class KernelBuilder:
         return sp(offset, width, signed)
 
     @staticmethod
-    def sp_at(reg_index: int, width: int = 8,
-              signed: bool = True) -> Operand:
-        """Scratch pad addressed by the offset held in ``r<reg_index>``."""
-        return sp_ind(reg_index, width, signed)
+    def sp_at(reg_index: int) -> Operand:
+        """Scratch pad addressed by the offset held in ``r<reg_index>``
+        (an 8-byte signed word)."""
+        return sp_ind(reg_index)
 
     @staticmethod
     def reg(index: int, width: int = 8, signed: bool = True) -> Operand:
@@ -190,7 +191,7 @@ class KernelBuilder:
         return self
 
     # -- build -----------------------------------------------------------------
-    def build(self, max_load_bytes: int = 256) -> Program:
+    def build(self) -> Program:
         """Resolve labels, aggregate loads, and validate the program."""
         if self._built:
             raise IsaError("builder already produced its program")
@@ -225,8 +226,7 @@ class KernelBuilder:
 
         self._built = True
         return Program(self.name, resolved,
-                       scratch_bytes=self.scratch_bytes,
-                       max_load_bytes=max_load_bytes)
+                       scratch_bytes=self.scratch_bytes)
 
     @staticmethod
     def _rebase(instr: Instruction, window_start: int) -> Instruction:

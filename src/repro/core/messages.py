@@ -40,17 +40,13 @@ class TransportHeader:
     """Versioned per-hop reliability header (see ``repro.transport``).
 
     ``seq`` orders segments per directed (src, dst) flow; ``ack`` names
-    the sequence number being acknowledged on ACK segments; ``hop_epoch``
-    carries the traversal's inter-node hop count so the switch can
-    suppress stale lower-epoch frames of a traversal that has already
-    advanced past them.
+    the sequence number being acknowledged on ACK segments.
     """
 
     seq: int
     version: int = TRANSPORT_VERSION
     flags: int = 0
     ack: int = -1
-    hop_epoch: int = 0
 
     @property
     def is_checkpoint(self) -> bool:
@@ -80,11 +76,7 @@ class TraversalRequest:
     scratch: bytes
     status: RequestStatus = RequestStatus.RUNNING
     iterations_done: int = 0
-    #: which attempt this is (retransmissions reuse the request id)
-    attempt: int = 0
     fault_reason: str = ""
-    #: simulated time the client first issued the request
-    issued_at_ns: float = 0.0
     #: tenant for multi-tenant scheduling (defaults to the client id;
     #: see repro.core.scheduling and the paper's Supp B)
     tenant: int = 0
@@ -204,7 +196,6 @@ class DirectReadRequest:
     epoch: int
     #: fabric endpoint the reply goes back to (no switch traversal)
     reply_to: str
-    issued_at_ns: float = 0.0
 
     def wire_bytes(self) -> int:
         # framing + header + vaddr/size/epoch words

@@ -63,8 +63,8 @@ class OffloadEngine:
         self._counter += 1
         return (self.client_id, self._counter)
 
-    def make_request(self, iterator: PulseIterator, *args,
-                     issued_at_ns: float = 0.0) -> TraversalRequest:
+    def make_request(self, iterator: PulseIterator,
+                     *args) -> TraversalRequest:
         """Run ``init()`` on the CPU node and build the network request."""
         if iterator.program is None:
             raise TypeError(
@@ -79,14 +79,12 @@ class OffloadEngine:
             cur_ptr=cur_ptr,
             scratch=bytes(scratch),
             status=RequestStatus.RUNNING,
-            issued_at_ns=issued_at_ns,
             code_on_wire=first_use,
             code_handle=handle,
             tenant=self.client_id,
         )
 
-    def continuation(self, response: TraversalRequest,
-                     issued_at_ns: float) -> TraversalRequest:
+    def continuation(self, response: TraversalRequest) -> TraversalRequest:
         """A follow-up request resuming an ITER_LIMIT'd traversal.
 
         Three cases produce continuations: ITER_LIMIT (section 3.1 -- the
@@ -110,7 +108,6 @@ class OffloadEngine:
             scratch=response.scratch,
             status=RequestStatus.RUNNING,
             iterations_done=response.iterations_done,
-            issued_at_ns=issued_at_ns,
             node_hops=response.node_hops,
             code_handle=response.code_handle,
             tenant=response.tenant,

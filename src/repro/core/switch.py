@@ -58,10 +58,7 @@ class PulseSwitch:
     def __init__(self, env: Environment, fabric: Fabric,
                  rangemap: PlacementMap, params: SystemParams,
                  bounce_to_client: bool = False,
-                 client_table_capacity: int = CLIENT_TABLE_CAPACITY,
                  registry: Optional[MetricsRegistry] = None):
-        if client_table_capacity < 1:
-            raise ValueError("client table capacity must be >= 1")
         self.env = env
         self.fabric = fabric
         #: the live ownership rules, shared with GlobalMemory, the
@@ -83,7 +80,7 @@ class PulseSwitch:
         #: traversal) are skipped, or the RETURN frame would find no
         #: binding and be dropped as stale, orphaning the traversal.
         self._table: Dict[tuple, _ClientEntry] = {}
-        self.client_table_capacity = client_table_capacity
+        self.client_table_capacity = CLIENT_TABLE_CAPACITY
         if registry is None:
             registry = fabric.registry
         self.registry = registry

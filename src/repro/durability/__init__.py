@@ -4,7 +4,8 @@ Disabled by default (``DurabilityParams.enabled``).  When enabled, every
 acknowledged STORE is journaled into its node's append-only redo log,
 group-committed at a bounded log bandwidth, and replicated to
 ``replication_factor - 1`` peer nodes before the client sees the
-response.  ``cluster.kill_node(i)`` then tears a node down mid-traversal
+response.  A :class:`~repro.durability.recovery.CrashInjector` then
+tears a node down mid-traversal
 and the :class:`~repro.durability.recovery.RecoveryManager` re-homes its
 ranges onto elected replica owners, replays the logged content, and
 resumes in-flight frames -- acknowledged writes are never lost.

@@ -1,6 +1,6 @@
 """Crash injection and mid-traversal failover.
 
-``cluster.kill_node(i)`` powers node ``i`` off at one simulated instant:
+``CrashInjector(i, at_ns)`` powers node ``i`` off at one simulated instant:
 its accelerator stops receiving, its transmissions vanish, and every
 byte in its DRAM is gone.  :class:`RecoveryManager` then runs the
 recovery schedule:

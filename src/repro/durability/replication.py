@@ -13,7 +13,7 @@ election already holds the replicated content.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 def replica_targets(home: int, writer: int, node_count: int,

@@ -41,12 +41,10 @@ class SplitIndexDirectory:
     """Bounded key -> :class:`IndexEntry` cache with epoch invalidation."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 name: str = "client", capacity: int = 1 << 20,
-                 invalidate_on_move: bool = True):
-        if capacity <= 0:
-            raise ValueError("split-index capacity must be positive")
+                 name: str = "client", invalidate_on_move: bool = True):
         self.name = name
-        self.capacity = capacity
+        #: entries held before the oldest is evicted
+        self.capacity = 1 << 20
         #: when False the directory keeps stale entries until a direct
         #: read NACKs (lazy repair); when True ``on_move`` drops them
         #: eagerly as the placement map changes

@@ -25,7 +25,7 @@ unsigned.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa.instructions import (
     ALU_OPCODES,
@@ -70,8 +70,7 @@ def _parse_operand(text: str) -> Operand:
     return Operand(Bank.IMM, int(match.group("imm"), 0), 8, signed=True)
 
 
-def assemble(source: str, name: str = "program",
-             scratch_bytes: Optional[int] = None) -> Program:
+def assemble(source: str) -> Program:
     """Assemble text into a validated :class:`Program`."""
     pending: List[Tuple[str, List[str], int]] = []  # (opcode, args, lineno)
     labels: Dict[str, int] = {}
@@ -106,11 +105,8 @@ def assemble(source: str, name: str = "program",
         instructions.append(
             _build(opcode, args, labels, index, lineno))
 
-    program_name = directives.get("name", name)
-    scratch = scratch_bytes
-    if scratch is None:
-        scratch = int(directives.get("scratch", "64"))
-    return Program(program_name, instructions, scratch_bytes=scratch)
+    return Program(directives.get("name", "program"), instructions,
+                   scratch_bytes=int(directives.get("scratch", "64")))
 
 
 def _build(opcode: Opcode, args: List[str], labels: Dict[str, int],

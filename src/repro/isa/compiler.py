@@ -78,9 +78,7 @@ from repro.isa.program import Program
 
 __all__ = [
     "CompiledProgram",
-    "compile_cache_size",
     "compile_program",
-    "clear_compile_cache",
     "interpreter_forced",
 ]
 
@@ -208,7 +206,6 @@ class _Lowering:
             f"    if len(data) != {size}:",
             f"        raise ExecutionFault('short read: wanted {size} B, got"
             f" %d B' % len(data))",
-            f"    m.total_load_bytes += {size}",
         ]
         self.source = "\n".join(
             prologue + header + self._lines
@@ -447,7 +444,6 @@ class _Lowering:
                 self._emit(f"_x += {self._count}")
                 executed = "_x"
             self._emit("m.iterations += 1")
-            self._emit(f"m.total_instructions += {executed}")
             self._emit(f"return {op is Opcode.RETURN}, {executed}")
             return False
         if op in JUMP_OPCODES:
@@ -649,11 +645,3 @@ def compile_program(program: Program) -> CompiledProgram:
         compiled = CompiledProgram(program)
         _CACHE[digest] = compiled
     return compiled
-
-
-def compile_cache_size() -> int:
-    return len(_CACHE)
-
-
-def clear_compile_cache() -> None:
-    _CACHE.clear()

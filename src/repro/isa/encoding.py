@@ -26,8 +26,8 @@ split real accelerator encodings make), and immediates index the
 64-bit constant pool, so they are unbounded.  Violations raise
 :class:`EncodingError` at encode time with actionable messages.
 
-``encode``/``decode`` round-trip exactly; :meth:`~repro.isa.program.
-Program.wire_bytes` reports the true encoded size (memoized).
+:meth:`~repro.isa.program.Program.wire_bytes` reports the true encoded
+size (memoized); the tests' ``decode`` inverts ``encode`` exactly.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List
 
-from repro.isa.instructions import (
-    Bank,
-    Instruction,
-    IsaError,
-    Opcode,
-    Operand,
-)
+from repro.isa.instructions import Bank, Opcode, Operand
 from repro.isa.program import Program
 
 MAGIC = b"PU"
@@ -88,19 +82,6 @@ def _encode_operand(operand: Operand, pool: List[int],
     return (bank << 13) | (width << 11) | (signed << 10) | payload
 
 
-def _decode_operand(encoded: int, pool: List[int]) -> Operand:
-    bank = _BANKS[(encoded >> 13) & 0x7]
-    width = 1 << ((encoded >> 11) & 0x3)
-    signed = bool((encoded >> 10) & 0x1)
-    payload = encoded & 0x3FF
-    if bank is Bank.IMM:
-        if payload >= len(pool):
-            raise EncodingError(f"constant pool index {payload} "
-                                f"out of range ({len(pool)})")
-        return Operand(bank, pool[payload], 8, signed=True)
-    return Operand(bank, payload, width, signed)
-
-
 def encode(program: Program) -> bytes:
     """Serialize a program to its wire bytes."""
     if len(program) > 0xFFFF:
@@ -142,56 +123,3 @@ def encode(program: Program) -> bytes:
     consts = b"".join(
         value.to_bytes(8, "little", signed=True) for value in pool)
     return header + meta + padded_name + bytes(body) + consts
-
-
-def decode(data: bytes) -> Program:
-    """Reconstruct a program from wire bytes (validates on the way)."""
-    if len(data) < 16 or data[:2] != MAGIC:
-        raise EncodingError("not a pulse program (bad magic)")
-    version = data[2]
-    if version != VERSION:
-        raise EncodingError(f"unsupported version {version}")
-    (_magic, _ver, _pad, instr_count, const_count,
-     _pad2) = struct.unpack_from("<2sBBHBB", data, 0)
-    scratch_bytes, name_len, _p, _p2 = struct.unpack_from("<HBBI",
-                                                          data, 8)
-    offset = 16
-    name = data[offset:offset + name_len].decode("utf-8")
-    offset += name_len + (-name_len % 8)
-
-    instr_end = offset + 8 * instr_count
-    const_end = instr_end + 8 * const_count
-    if len(data) < const_end:
-        raise EncodingError("truncated program")
-    pool = [int.from_bytes(data[instr_end + 8 * i:instr_end + 8 * i + 8],
-                           "little", signed=True)
-            for i in range(const_count)]
-
-    instructions: List[Instruction] = []
-    for i in range(instr_count):
-        op_index, _flags, f1, f2, f3 = struct.unpack_from(
-            "<BBHHH", data, offset + 8 * i)
-        if op_index >= len(_OPCODES):
-            raise EncodingError(f"unknown opcode index {op_index}")
-        op = _OPCODES[op_index]
-        if op is Opcode.LOAD:
-            instructions.append(Instruction(op, mem_offset=f1,
-                                            mem_size=f2))
-        elif op is Opcode.STORE:
-            instructions.append(Instruction(
-                op, mem_offset=f1, a=_decode_operand(f2, pool)))
-        elif op.value.startswith("JUMP_"):
-            instructions.append(Instruction(op, target=f1))
-        elif op in (Opcode.RETURN, Opcode.NEXT_ITER):
-            instructions.append(Instruction(op))
-        else:
-            def operand(field):
-                return (None if field == _NO_OPERAND
-                        else _decode_operand(field, pool))
-            instructions.append(Instruction(
-                op, dst=operand(f1), a=operand(f2), b=operand(f3)))
-
-    try:
-        return Program(name, instructions, scratch_bytes=scratch_bytes)
-    except IsaError as exc:
-        raise EncodingError(f"decoded program invalid: {exc}")

@@ -140,9 +140,10 @@ def sp(offset: int, width: int = 8, signed: bool = True) -> Operand:
     return Operand(Bank.SP, offset, width, signed)
 
 
-def sp_ind(reg_index: int, width: int = 8, signed: bool = True) -> Operand:
-    """Scratch pad addressed by the byte offset held in ``r<reg_index>``."""
-    return Operand(Bank.SP_IND, reg_index, width, signed)
+def sp_ind(reg_index: int) -> Operand:
+    """Scratch pad addressed by the byte offset held in ``r<reg_index>``
+    (an 8-byte signed word)."""
+    return Operand(Bank.SP_IND, reg_index, 8, True)
 
 
 def reg(index: int, width: int = 8, signed: bool = True) -> Operand:

@@ -89,8 +89,6 @@ class IteratorMachine:
         self.regs = [0] * 8
         self._flag_eq = False
         self._flag_lt = False
-        self.total_instructions = 0
-        self.total_load_bytes = 0
         self.iterations = 0
 
     def reset(self, cur_ptr: int, scratch: Optional[bytes] = None) -> None:
@@ -113,8 +111,6 @@ class IteratorMachine:
         self.regs = [0] * 8
         self._flag_eq = False
         self._flag_lt = False
-        self.total_instructions = 0
-        self.total_load_bytes = 0
         self.iterations = 0
 
     # -- one hardware iteration ---------------------------------------------
@@ -138,10 +134,8 @@ class IteratorMachine:
         if len(data) != size:
             raise ExecutionFault(
                 f"short read: wanted {size} B, got {len(data)} B")
-        self.total_load_bytes += size
         done, executed = self._interpret(data, write_fn)
         self.iterations += 1
-        self.total_instructions += executed
         return done, executed
 
     def _interpret(self, data, write_fn: Optional[WriteFn]
@@ -303,8 +297,7 @@ class IteratorMachine:
         return bytes(buf[operand.value:end])
 
     # -- convenience: run a whole traversal functionally --------------------
-    def run(self, read_fn: ReadFn, write_fn: Optional[WriteFn] = None,
-            max_iterations: int = 4096) -> bytes:
+    def run(self, read_fn: ReadFn, max_iterations: int = 4096) -> bytes:
         """Run iterations to completion (host-agnostic, zero time).
 
         Raises :class:`ExecutionFault` if ``max_iterations`` is exceeded,
@@ -316,7 +309,7 @@ class IteratorMachine:
         step_fn = self.step_fn
         for _ in range(max_iterations):
             data = read_fn((self.cur_ptr + offset) & MASK64, size)
-            if step_fn(self, data, write_fn)[0]:
+            if step_fn(self, data, None)[0]:
                 return bytes(self.scratch)
         raise ExecutionFault(
             f"traversal exceeded {max_iterations} iterations")

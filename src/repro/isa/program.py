@@ -6,7 +6,7 @@ section 4.1 of the paper):
 
 * exactly one LOAD, and it is the first instruction (the offload engine's
   aggregated per-iteration load);
-* the LOAD window is at most ``max_load_bytes`` (256 B);
+* the LOAD window is at most ``MAX_LOAD_BYTES`` (256 B);
 * jumps are forward-only; backward control flow exists only through
   NEXT_ITER;
 * every control path ends in NEXT_ITER or RETURN (no falling off the end);
@@ -25,7 +25,8 @@ from repro.isa.instructions import (
     Opcode,
 )
 
-DEFAULT_MAX_LOAD_BYTES = 256
+#: the accelerator's largest LOAD window, bytes
+MAX_LOAD_BYTES = 256
 
 _TERMINALS = (Opcode.NEXT_ITER, Opcode.RETURN)
 
@@ -34,8 +35,7 @@ class Program:
     """An immutable, validated pulse program."""
 
     def __init__(self, name: str, instructions: Iterable[Instruction],
-                 scratch_bytes: int = 64,
-                 max_load_bytes: int = DEFAULT_MAX_LOAD_BYTES):
+                 scratch_bytes: int = 64):
         self.name = name
         self.instructions: List[Instruction] = list(instructions)
         self.scratch_bytes = scratch_bytes
@@ -43,7 +43,7 @@ class Program:
             raise IsaError(f"program {name!r} is empty")
         if scratch_bytes < 0:
             raise IsaError("scratch_bytes must be non-negative")
-        self._validate(max_load_bytes)
+        self._validate()
         #: a STORE mutates memory mid-iteration, so the accelerator never
         #: steps such a kernel in a lane group with neighbours
         self.has_store = any(instr.opcode is Opcode.STORE
@@ -105,17 +105,17 @@ class Program:
             lines.append(f"{i:3d}: {instr.describe()}")
         return "\n".join(lines)
 
-    def _validate(self, max_load_bytes: int) -> None:
+    def _validate(self) -> None:
         instructions = self.instructions
         if instructions[0].opcode is not Opcode.LOAD:
             raise IsaError(
                 f"program {self.name!r}: first instruction must be the "
                 "aggregated LOAD")
         _, load_size = self.load_window
-        if load_size > max_load_bytes:
+        if load_size > MAX_LOAD_BYTES:
             raise IsaError(
                 f"program {self.name!r}: LOAD window {load_size} B exceeds "
-                f"the {max_load_bytes} B accelerator limit")
+                f"the {MAX_LOAD_BYTES} B accelerator limit")
         for i, instr in enumerate(instructions):
             instr.validate(i, len(instructions))
             if i > 0 and instr.opcode is Opcode.LOAD:
@@ -123,7 +123,7 @@ class Program:
                     f"program {self.name!r}: extra LOAD at {i}; the offload "
                     "engine aggregates all loads into one (section 4.1)")
             if instr.opcode is Opcode.STORE:
-                if not 0 <= instr.mem_offset < max_load_bytes:
+                if not 0 <= instr.mem_offset < MAX_LOAD_BYTES:
                     raise IsaError(
                         f"program {self.name!r}: STORE offset "
                         f"{instr.mem_offset} outside the record window")

@@ -25,17 +25,14 @@ class AddressSpaceError(Exception):
 class AddressSpace:
     """Range partitioning of virtual addresses over ``node_count`` nodes."""
 
-    def __init__(self, node_count: int, node_capacity: int,
-                 base: int = DEFAULT_BASE):
+    def __init__(self, node_count: int, node_capacity: int):
         if node_count < 1:
             raise AddressSpaceError("need at least one memory node")
         if node_capacity <= 0:
             raise AddressSpaceError("node capacity must be positive")
-        if base <= NULL_PTR:
-            raise AddressSpaceError("base must leave address 0 unmapped")
         self.node_count = node_count
         self.node_capacity = node_capacity
-        self.base = base
+        self.base = DEFAULT_BASE
 
     def range_of(self, node_id: int) -> Tuple[int, int]:
         """Virtual [start, end) owned by ``node_id``."""

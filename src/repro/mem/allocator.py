@@ -133,8 +133,6 @@ class TraversalArena:
                  structure_id: int, chain_hint: Hashable,
                  preferred_node: Optional[int]):
         self.allocator = allocator
-        self.structure_id = structure_id
-        self.chain_hint = chain_hint
         self.preferred_node = preferred_node
         self.extents: List[_ArenaExtent] = []
         self.allocated_bytes = 0
@@ -264,10 +262,6 @@ class DisaggregatedAllocator:
             return None
         return start, end
 
-    def arena_extents(self) -> List[Tuple[int, int]]:
-        """Every reserved arena extent, sorted by virtual start."""
-        return list(self._extent_spans)
-
     def _arena_alloc(self, handle: TraversalArena, size: int) -> int:
         if size <= 0:
             raise AllocationError(f"invalid allocation size: {size}")
@@ -355,10 +349,6 @@ class DisaggregatedAllocator:
             min(vaddr + size, virt_end) - max(vaddr, virt_start)
             for vaddr, size in self.live_allocations.items()
             if vaddr < virt_end and virt_start < vaddr + size)
-
-    def fragmentation_bytes(self, node_id: int) -> int:
-        """Bytes sitting in the node's free list (freed, reusable)."""
-        return self._arenas[node_id].free_bytes
 
     def node_fill_fractions(self) -> List[float]:
         """Per-node fraction of capacity holding live allocations.
@@ -612,7 +602,7 @@ class DisaggregatedAllocator:
             if left[0] + left[1] != right[0]:
                 return False
             span = right[0] + right[1] - left[0]
-            return table.covering(left[0], span) is not None
+            return table.lookup(left[0], span) is not None
 
         while (index + 1 < len(blocks)
                and mergeable(blocks[index], blocks[index + 1])):

@@ -51,10 +51,9 @@ class MemoryNode:
         """True if ``vaddr`` falls in this node's partition of the rack."""
         return self.virt_start <= vaddr < self.virt_end
 
-    def read_virt(self, vaddr: int, size: int,
-                  access: int = PERM_READ) -> bytes:
+    def read_virt(self, vaddr: int, size: int) -> bytes:
         """Translate + read; raises TranslationFault for foreign pointers."""
-        phys = self.table.translate(vaddr, size, access)
+        phys = self.table.translate(vaddr, size, PERM_READ)
         return self.memory.read(phys, size)
 
     def write_virt(self, vaddr: int, data: bytes) -> None:

@@ -67,8 +67,6 @@ class RangeTranslationTable:
             raise ValueError("TCAM capacity must be >= 1")
         self.capacity = capacity
         self._entries: List[RangeEntry] = []
-        self.lookups = 0
-        self.misses = 0
         #: bumped on every remap (insert/permission change) so cached
         #: views of this table (:class:`TranslationCache`) can detect
         #: staleness and invalidate themselves
@@ -128,21 +126,11 @@ class RangeTranslationTable:
         self._entries.sort(key=lambda e: e.virt_start)
         self.version += 1
 
-    def covering(self, vaddr: int, size: int = 1) -> Optional[RangeEntry]:
-        """Like :meth:`lookup` but without touching the lookup counters
-        (for allocator/migration bookkeeping, not modeled accesses)."""
-        for entry in self._entries:
-            if entry.covers(vaddr, size):
-                return entry
-        return None
-
     def lookup(self, vaddr: int, size: int = 1) -> Optional[RangeEntry]:
         """Entry covering [vaddr, vaddr+size), or None (a miss)."""
-        self.lookups += 1
         for entry in self._entries:
             if entry.covers(vaddr, size):
                 return entry
-        self.misses += 1
         return None
 
     def translate(self, vaddr: int, size: int = 1,
@@ -197,15 +185,6 @@ class RangeTranslationTable:
         self._entries = kept
         self.version += 1
         return removed
-
-    def set_permissions(self, virt_start: int, perms: int) -> None:
-        """Change permissions of the entry starting at ``virt_start``."""
-        for entry in self._entries:
-            if entry.virt_start == virt_start:
-                entry.perms = perms
-                self.version += 1
-                return
-        raise TranslationFault(virt_start)
 
 
 class TranslationCache:

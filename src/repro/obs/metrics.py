@@ -221,25 +221,25 @@ class TraceEvent:
                 f"{self.event:18s} {req} {extras}").rstrip()
 
 
+#: events an :class:`EventLog` stores; later ones are not kept
+EVENT_LOG_CAPACITY = 100_000
+
+
 class EventLog:
     """Timestamped per-request events from every component of a rack.
 
-    Bounded: past ``capacity`` events are counted in ``dropped`` instead
-    of stored.
+    Bounded: past ``EVENT_LOG_CAPACITY`` events, later ones are not
+    stored.
     """
 
-    def __init__(self, clock: Callable[[], float],
-                 capacity: int = 100_000):
+    def __init__(self, clock: Callable[[], float]):
         self._clock = clock
-        self.capacity = capacity
         self.events: List[TraceEvent] = []
-        self.dropped = 0
 
     def record(self, component: str, event: str,
                request_id: Optional[Tuple[int, int]] = None,
                **detail) -> None:
-        if len(self.events) >= self.capacity:
-            self.dropped += 1
+        if len(self.events) >= EVENT_LOG_CAPACITY:
             return
         self.events.append(TraceEvent(
             time_ns=self._clock(),
@@ -257,13 +257,6 @@ class EventLog:
         events = (self.timeline(request_id) if request_id is not None
                   else self.events)
         return "\n".join(e.render() for e in events)
-
-    def span_ns(self, request_id: Tuple[int, int]) -> float:
-        """Simulated time between a request's first and last event."""
-        events = self.timeline(request_id)
-        if len(events) < 2:
-            return 0.0
-        return events[-1].time_ns - events[0].time_ns
 
 
 class MetricsRegistry:
@@ -326,8 +319,8 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def names(self, prefix: str = "") -> list:
-        return sorted(n for n in self._metrics if n.startswith(prefix))
+    def names(self) -> list:
+        return sorted(self._metrics)
 
     def reset(self) -> None:
         """Open a new measurement window: zero every counter, histogram

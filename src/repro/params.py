@@ -185,7 +185,7 @@ class TransportParams:
     The stack arms per-hop ack/retransmit *per destination link*: in the
     default ``"auto"`` mode a send is reliable exactly when the link it
     crosses has a lossy :class:`~repro.sim.network.LinkProfile`
-    (``Fabric.configure_link``).  ``"always"`` arms every
+    (``Fabric.link_profile``).  ``"always"`` arms every
     send; ``"never"`` degrades to cut-through delivery, leaving the
     client's end-to-end retransmission as the only recovery mechanism
     (the pre-transport behaviour, kept for A/B comparison).

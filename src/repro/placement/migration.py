@@ -27,7 +27,7 @@ A drain is just a loop of migrations until the node owns nothing.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mem.allocator import AllocationError
 from repro.mem.translation import RangeEntry
@@ -236,8 +236,7 @@ class MigrationEngine:
                                 duration_ns=self.env.now - started)
         return total
 
-    def drain(self, node_id: int,
-              targets: Optional[Iterable[int]] = None):
+    def drain(self, node_id: int):
         """Simulation process: migrate everything off ``node_id``.
 
         Marks the node non-allocatable first (no new placements land on
@@ -255,7 +254,7 @@ class MigrationEngine:
             if not owned:
                 break
             start, end = owned[0]
-            dst = self._pick_target(node_id, targets)
+            dst = self._pick_target(node_id)
             if dst is None:
                 raise MigrationError(
                     f"no node can absorb node {node_id}'s data")
@@ -280,16 +279,12 @@ class MigrationEngine:
             self.memory, src, dst, virt_start, virt_end)
         return total, live
 
-    def _pick_target(self, node_id: int,
-                     targets: Optional[Iterable[int]]) -> Optional[int]:
+    def _pick_target(self, node_id: int) -> Optional[int]:
         allocator = self.memory.allocator
-        if targets is not None:
-            candidates = [t for t in targets if t != node_id]
-        else:
-            candidates = [
-                n for n in range(self.memory.node_count)
-                if n != node_id and allocator.is_allocatable(n)
-            ]
+        candidates = [
+            n for n in range(self.memory.node_count)
+            if n != node_id and allocator.is_allocatable(n)
+        ]
         fills = allocator.node_fill_fractions()
         candidates.sort(key=lambda n: fills[n])
         return candidates[0] if candidates else None

@@ -58,10 +58,6 @@ class Rebalancer:
                        fn=lambda: self.cut_moves)
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         """Run a round every ``rebalance_interval_ns``.  A loop stopped
         less than one interval ago is still asleep in its timeout: it is

@@ -36,7 +36,7 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.shard.transport import (ADVANCE, DONE, ERROR, SNAPSHOT, STOP,
-                                   STOPPED, WireFrame)
+                                   WireFrame)
 from repro.sim.engine import Event
 
 #: metric names accumulated across processes rather than owned by one
@@ -170,6 +170,8 @@ class ShardedRuntime:
 
     def __init__(self, cluster, workers: Optional[int] = None,
                  replicated: Sequence[Callable] = ()):
+        # first, so __del__ can read it even if the checks below raise
+        self._owner_pid = os.getpid()
         self.cluster = cluster
         count = int(workers) if workers is not None else 0
         if count < 1:
@@ -204,7 +206,6 @@ class ShardedRuntime:
         self._final_snapshots: Dict[int, Dict] = {}
         self._started = False
         self._stopped = False
-        self._owner_pid = os.getpid()
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ShardedRuntime":
@@ -284,7 +285,7 @@ class ShardedRuntime:
         # Forked workers inherit this object (later forks inherit the
         # Process handles of earlier ones); only the creating process
         # may reap them -- is_alive() asserts on the parent pid.
-        if os.getpid() != getattr(self, "_owner_pid", os.getpid()):
+        if os.getpid() != self._owner_pid:
             return
         for process in getattr(self, "_procs", {}).values():
             if process.is_alive():

@@ -135,17 +135,16 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         self.env = env
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
-        self.delay = delay
         heappush(env._queue,
                  (env._now + delay, NORMAL, next(env._sequence), self))
 
@@ -345,8 +344,8 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -365,8 +364,7 @@ class Environment:
             (self._now + delay, priority, next(self._sequence), event),
         )
 
-    def schedule_at(self, event: Event, when: float,
-                    priority: int = NORMAL) -> None:
+    def schedule_at(self, event: Event, when: float) -> None:
         """Schedule ``event`` at an absolute time (sharded frame import).
 
         Unlike :meth:`schedule`, which is relative to ``now``, this pins
@@ -377,7 +375,7 @@ class Environment:
             raise SimulationError(
                 f"schedule_at({when}) is in the past (now={self._now})")
         heappush(
-            self._queue, (when, priority, next(self._sequence), event))
+            self._queue, (when, NORMAL, next(self._sequence), event))
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none.
@@ -398,27 +396,22 @@ class Environment:
         self._cancelled = 0
 
     # -- conservative lookahead windows (sharded execution) ----------------
-    @property
-    def window_end(self) -> float:
-        return self._window_end
-
-    def set_window_hook(self, hook: Callable[[float], bool],
-                        window_end: Optional[float] = None) -> None:
+    def set_window_hook(self, hook: Callable[[float], bool]) -> None:
         """Install the shard-coordinator window barrier.
 
         With a hook installed, :meth:`run` only processes events strictly
-        before ``window_end``; to get past it, the loop calls
-        ``hook(limit)``, which must either extend the window (returning
-        True) or report that no event anywhere in the sharded cluster
-        exists at time <= ``limit`` (returning False).
+        before the window's end (now, until the hook extends it); to get
+        past it, the loop calls ``hook(limit)``, which must either extend
+        the window (returning True) or report that no event anywhere in
+        the sharded cluster exists at time <= ``limit`` (returning
+        False).
 
         ``cluster.shard()`` installs it between runs.  Installing it from
         inside an event is safe too: the drain in progress ends before
         its next pop and :meth:`run` asks the new hook for a window.
         """
         self._window_hook = hook
-        self._window_end = (window_end if window_end is not None
-                            else self._now)
+        self._window_end = self._now
 
     def clear_window_hook(self) -> None:
         self._window_hook = None

@@ -44,7 +44,6 @@ class Message:
     dst: str
     size_bytes: int
     payload: Any = None
-    hops: int = 0
 
 
 @dataclass(frozen=True)
@@ -148,18 +147,9 @@ class Fabric:
         return self._delivered.value / offered if offered else 1.0
 
     # -- per-link fault injection -------------------------------------------
-    def configure_link(self, src: str, dst: str,
-                       profile: Optional[LinkProfile]) -> None:
-        """Set (or clear, with ``None``) one directed link's profile."""
-        if profile is None:
-            self._links.pop((src, dst), None)
-        else:
-            self._links[(src, dst)] = profile
-
     def configure_all_links(self, profile: Optional[LinkProfile]) -> None:
         """Make ``profile`` the default of every link without its own
-        :meth:`configure_link` entry, present or future (``None`` clears
-        it)."""
+        entry in ``_links``, present or future (``None`` clears it)."""
         self._default_link = profile
 
     def link_profile(self, src: str, dst: str) -> Optional[LinkProfile]:
@@ -186,9 +176,6 @@ class Fabric:
 
     def endpoint(self, name: str) -> Endpoint:
         return self._endpoints[name]
-
-    def endpoints(self) -> Dict[str, Endpoint]:
-        return dict(self._endpoints)
 
     def send(self, message: Message, segments: int = 2) -> None:
         """Start delivery of ``message``; returns immediately.
@@ -256,7 +243,6 @@ class Fabric:
         """Receive-side accounting, then the endpoint's receive filter."""
         message = event._value
         dst = self._endpoints[message.dst]
-        message.hops += 1
         dst._rx_bytes.inc(message.size_bytes)
         dst._rx_messages.inc()
         self._delivered.inc()

@@ -80,10 +80,6 @@ class Resource:
         self._window_busy_base = 0.0
 
     @property
-    def in_use(self) -> int:
-        return len(self._users)
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiting)
 
@@ -269,17 +265,11 @@ class Resource:
 
 
 class Store:
-    """A buffer of items with blocking ``get`` and non-blocking ``put``.
+    """An unbounded buffer of items with blocking ``get`` and
+    non-blocking ``put`` (drops are modeled at the network layer)."""
 
-    ``capacity`` bounds the number of buffered items; a ``put`` beyond
-    capacity raises (pulse sizes its hardware queues so that overflow is a
-    modeling bug, not a simulated condition -- drops are modeled explicitly
-    at the network layer instead).
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
@@ -287,8 +277,6 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        if len(self._items) >= self.capacity:
-            raise SimulationError("store overflow")
         self._items.append(item)
         self._dispatch()
 

@@ -190,43 +190,6 @@ class AvlTree(DisaggregatedStructure):
             self.memory.write_u64(addr + NODE.offset("right"), child)
         return self._rebalance(addr)
 
-    # -- iterators & references ---------------------------------------------------
+    # -- iterators ---------------------------------------------------
     def find_iterator(self) -> AvlFind:
         return AvlFind(lambda: self.root)
-
-    def find_reference(self, key: int) -> Optional[int]:
-        addr = self.root
-        while addr != NULL:
-            node = self._read(addr)
-            if node["key"] == key:
-                return node["value"]
-            addr = node["left"] if key < node["key"] else node["right"]
-        return None
-
-    def height(self) -> int:
-        return self._height(self.root)
-
-    def check_invariants(self) -> None:
-        """Assert BST ordering and AVL balance everywhere (for tests)."""
-        def walk(addr: int, lo: int, hi: int) -> int:
-            if addr == NULL:
-                return 0
-            node = self._read(addr)
-            if not lo <= node["key"] < hi:
-                raise AssertionError(
-                    f"BST violation at {addr:#x}: {node['key']} not in "
-                    f"[{lo}, {hi})")
-            left = walk(node["left"], lo, node["key"])
-            right = walk(node["right"], node["key"] + 1, hi)
-            if abs(left - right) > 1:
-                raise AssertionError(
-                    f"AVL violation at {addr:#x}: "
-                    f"|{left} - {right}| > 1")
-            height = 1 + max(left, right)
-            if height != node["height"]:
-                raise AssertionError(
-                    f"stale height at {addr:#x}: stored "
-                    f"{node['height']}, actual {height}")
-            return height
-
-        walk(self.root, 0, 1 << 64)

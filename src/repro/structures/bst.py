@@ -143,14 +143,3 @@ class BinarySearchTree(DisaggregatedStructure):
 
     def lower_bound_iterator(self) -> BstLowerBound:
         return BstLowerBound(lambda: self.root)
-
-    def find_reference(self, key: int) -> Optional[int]:
-        addr = self.root
-        while addr != NULL:
-            raw = self.memory.read(addr, NODE.size)
-            node_key = NODE.unpack_field(raw, "key")
-            if node_key == key:
-                return NODE.unpack_field(raw, "value")
-            addr = NODE.unpack_field(
-                raw, "left" if key < node_key else "right")
-        return None

@@ -371,7 +371,6 @@ class BPlusTree(DisaggregatedStructure):
         self.layout = _node_layout(fanout)
         self.key_placement = key_placement
         self.root = NULL
-        self.height = 0
         self.size = 0
 
     def _preferred_node(self, min_key: int) -> Optional[int]:
@@ -480,7 +479,6 @@ class BPlusTree(DisaggregatedStructure):
             level = parent_level
             height += 1
         self.root = level[0][1]
-        self.height = height
         self.size = len(pairs)
 
     @staticmethod
@@ -496,7 +494,6 @@ class BPlusTree(DisaggregatedStructure):
                                     chain_hint=("leaves",))
             self._write_node(addr, True, [key], [self._as_u64(value)])
             self.root = addr
-            self.height = 1
             self.size = 1
             return
         split = self._insert_into(self.root, key, value)
@@ -507,7 +504,6 @@ class BPlusTree(DisaggregatedStructure):
             self._write_node(new_root, False, [sep_key],
                              [self.root, right_addr])
             self.root = new_root
-            self.height += 1
         self.size += 1
 
     def _insert_into(self, addr: int, key: int,
@@ -586,32 +582,6 @@ class BPlusTree(DisaggregatedStructure):
     def aggregate_iterator(self, op: str) -> BTreeAggregate:
         return BTreeAggregate(lambda: self.root, self.layout,
                               self.fanout, op)
-
-    # -- reference implementations ------------------------------------------------
-    def lookup_reference(self, key: int) -> Optional[int]:
-        addr = self.root
-        if addr == NULL:
-            return None
-        while True:
-            node = self._read_node(addr)
-            keys = list(node["keys"])[:node["count"]]
-            if node["flags"] & LEAF_FLAG:
-                for i, existing in enumerate(keys):
-                    if existing == key:
-                        return node["ptrs"][i]
-                return None
-            addr = node["ptrs"][self._child_index(keys, key)]
-
-    def items_reference(self) -> List[Tuple[int, int]]:
-        """All (key, value) pairs via the leaf chain."""
-        items: List[Tuple[int, int]] = []
-        addr = self._leftmost_leaf()
-        while addr != NULL:
-            node = self._read_node(addr)
-            for i in range(node["count"]):
-                items.append((node["keys"][i], node["ptrs"][i]))
-            addr = node["ptrs"][self.fanout]
-        return items
 
     def index_entries(self):
         """Yield (key, leaf vaddr) for every key (bulk index priming)."""

@@ -29,7 +29,7 @@ compute budget (eta < 1):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.iterator import PulseIterator
 from repro.core.kernel import KernelBuilder
@@ -64,7 +64,6 @@ class GraphBfs(PulseIterator):
         if queue_capacity < 1:
             raise StructureError("queue capacity must be >= 1")
         self.graph = graph
-        self.queue_capacity = queue_capacity
         self.max_visits = max_visits
         self.scratch_bytes = SP_QUEUE + 8 * queue_capacity
         self.program = self._build(self.scratch_bytes)
@@ -129,7 +128,6 @@ class DisaggregatedGraph(DisaggregatedStructure):
     def __init__(self, memory, placement=None):
         super().__init__(memory, placement)
         self._addresses: Dict[int, int] = {}
-        self._pending_edges: Dict[int, List[int]] = {}
 
     def add_vertex(self, vertex_id: int, value: int) -> int:
         vertex_id = self.check_key(vertex_id)
@@ -172,29 +170,3 @@ class DisaggregatedGraph(DisaggregatedStructure):
     def bfs_iterator(self, queue_capacity: int = 64,
                      max_visits: int = 256) -> GraphBfs:
         return GraphBfs(self, queue_capacity, max_visits)
-
-    # -- reference (exact on any graph; tracks the kernel's semantics) -------
-    def bfs_reference(self, root_id: int, queue_capacity: int = 64,
-                      max_visits: int = 256) -> Tuple[int, int]:
-        """Python model of the kernel, duplicates and caps included."""
-        queue: List[int] = []
-        used_slots = 0
-        visited = 0
-        total = 0
-        current = self.address_of(root_id)
-        if current == NULL:
-            raise StructureError(f"no vertex with id {root_id}")
-        while True:
-            raw = self.memory.read(current, VERTEX.size)
-            visited += 1
-            total += VERTEX.unpack_field(raw, "value")
-            degree = VERTEX.unpack_field(raw, "degree")
-            nbrs = VERTEX.unpack_field(raw, "nbrs")
-            for i in range(degree):
-                if used_slots >= queue_capacity:
-                    break
-                queue.append(nbrs[i])
-                used_slots += 1
-            if visited >= max_visits or not queue:
-                return visited, total
-            current = queue.pop(0)

@@ -221,17 +221,6 @@ class HashTable(DisaggregatedStructure):
     def update_iterator(self) -> HashUpdate:
         return HashUpdate(self.bucket_head, self.layout)
 
-    # -- reference implementations -------------------------------------------------
-    def find_reference(self, key: int) -> Optional[bytes]:
-        next_offset = self.layout.offset("next")
-        addr = self.memory.read_u64(self.bucket_head(key) + next_offset)
-        while addr != NULL:
-            raw = self.memory.read(addr, self.layout.size)
-            if self.layout.unpack_field(raw, "key") == key:
-                return self.layout.unpack_field(raw, "value")
-            addr = self.layout.unpack_field(raw, "next")
-        return None
-
     def index_entries(self):
         """Yield (key, node vaddr) for every stored pair (bulk priming)."""
         next_offset = self.layout.offset("next")
@@ -241,12 +230,3 @@ class HashTable(DisaggregatedStructure):
                 raw = self.memory.read(addr, self.layout.size)
                 yield self.layout.unpack_field(raw, "key"), addr
                 addr = self.layout.unpack_field(raw, "next")
-
-    def chain_length(self, bucket: int) -> int:
-        next_offset = self.layout.offset("next")
-        addr = self.memory.read_u64(self._sentinels[bucket] + next_offset)
-        length = 0
-        while addr != NULL:
-            length += 1
-            addr = self.memory.read_u64(addr + next_offset)
-        return length

@@ -154,7 +154,6 @@ class LinkedList(DisaggregatedStructure):
         self.layout = _node_layout(value_bytes)
         self.head = NULL
         self.tail = NULL
-        self.length = 0
 
     # -- construction (functional, zero simulated time) ------------------------
     def append(self, key: int, value: int) -> int:
@@ -168,7 +167,6 @@ class LinkedList(DisaggregatedStructure):
         else:
             self.head = addr
         self.tail = addr
-        self.length += 1
         return addr
 
     def extend(self, pairs) -> None:
@@ -184,14 +182,3 @@ class LinkedList(DisaggregatedStructure):
 
     def sum_iterator(self) -> ListSum:
         return ListSum(lambda: self.head, self.layout)
-
-    # -- reference implementations (for testing) ------------------------------------
-    def find_reference(self, key: int) -> Optional[int]:
-        addr = self.head
-        next_offset = self.layout.offset("next")
-        while addr != NULL:
-            raw = self.memory.read(addr, self.layout.size)
-            if self.layout.unpack_field(raw, "key") == key:
-                return self.layout.unpack_field(raw, "value")
-            addr = self.memory.read_u64(addr + next_offset)
-        return None

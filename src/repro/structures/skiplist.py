@@ -118,13 +118,12 @@ class SkipFind(PulseIterator):
 class SkipList(DisaggregatedStructure):
     """A skip list with fat nodes and a sentinel head."""
 
-    def __init__(self, memory, levels: int = 4, seed: int = 0,
-                 placement=None):
+    #: express lanes per node
+    levels = 4
+
+    def __init__(self, memory, seed: int = 0, placement=None):
         super().__init__(memory, placement)
-        if not 1 <= levels <= 8:
-            raise StructureError("levels must be in [1, 8]")
-        self.levels = levels
-        self.layout = _node_layout(levels)
+        self.layout = _node_layout(self.levels)
         self._rng = random.Random(seed)
         self.size = 0
         # Sentinel head: key smaller than all valid keys is impossible
@@ -135,8 +134,8 @@ class SkipList(DisaggregatedStructure):
         self.memory.write(self.head, self.layout.pack(
             key=INFINITE_KEY,  # reads as -1: smaller than any valid key
             value=0,
-            next_key=[0] * levels,
-            next_ptr=[NULL] * levels,
+            next_key=[0] * self.levels,
+            next_ptr=[NULL] * self.levels,
         ))
 
     def _random_height(self) -> int:
@@ -209,18 +208,3 @@ class SkipList(DisaggregatedStructure):
             raw = self.memory.read(ptr, self.layout.size)
             yield self.layout.unpack_field(raw, "key"), ptr
             ptr = self.layout.unpack_field(raw, "next_ptr")[0]
-
-    # -- reference ------------------------------------------------------------------
-    def find_reference(self, key: int) -> Optional[int]:
-        node = self.head
-        for level in reversed(range(self.levels)):
-            while True:
-                ptr, succ_key = self._successor(node, level)
-                if ptr == NULL or succ_key > key:
-                    break
-                node = ptr
-        raw = self.memory.read(node, self.layout.size)
-        if (node != self.head
-                and self.layout.unpack_field(raw, "key") == key):
-            return self.layout.unpack_field(raw, "value")
-        return None

@@ -109,14 +109,11 @@ class TransportSession:
 
     def __init__(self, env: Environment, fabric: Fabric, name: str,
                  params: Optional[TransportParams] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 seed: Optional[int] = None):
+                 registry: Optional[MetricsRegistry] = None):
         if params is None:
             params = TransportParams()
         if params.mode not in ("auto", "always", "never"):
             raise ValueError(f"unknown transport mode {params.mode!r}")
-        if seed is None:
-            seed = fabric.seed
         self.env = env
         self.fabric = fabric
         self.name = name
@@ -132,7 +129,7 @@ class TransportSession:
         #: timers, acks, responses) vanish
         self.powered_off = False
         #: timer-jitter source, deterministic per (run seed, session name)
-        self._rng = random.Random(f"{seed}:tp:{name}")
+        self._rng = random.Random(f"{fabric.seed}:tp:{name}")
         self._tx: Dict[str, _TxFlow] = {}
         self._rx: Dict[str, _RxFlow] = {}
         if registry is None:
@@ -183,10 +180,8 @@ class TransportSession:
         if not self.armed_to(dst):
             self._wire(dst, kind, payload, size_bytes, segments)
             return
-        hop_epoch = 0
         flags = 0
         if isinstance(payload, TraversalRequest):
-            hop_epoch = payload.node_hops
             # An in-progress RUNNING frame carries resumable traversal
             # state; the initial client submission (no progress yet)
             # restarts identically either way, so it is not one.  MOVED
@@ -203,8 +198,7 @@ class TransportSession:
         seq = flow.next_seq
         flow.next_seq += 1
         entry = _TxEntry(dst=dst, segment=Segment(
-            header=TransportHeader(seq=seq, flags=flags,
-                                   hop_epoch=hop_epoch),
+            header=TransportHeader(seq=seq, flags=flags),
             kind=kind, payload=payload, size_bytes=size_bytes,
             segments=segments))
         flow.outstanding[seq] = entry
@@ -318,8 +312,7 @@ class TransportSession:
         # more retransmissions.
         self._m_acks_tx.inc()
         self._wire(message.src, TP_ACK_KIND, Ack(header=TransportHeader(
-            seq=0, flags=TP_FLAG_ACK, ack=segment.header.seq,
-            hop_epoch=segment.header.hop_epoch)),
+            seq=0, flags=TP_FLAG_ACK, ack=segment.header.seq)),
             self.params.ack_bytes, segment.segments)
         flow = self._rx.setdefault(message.src, _RxFlow())
         seq = segment.header.seq
@@ -338,5 +331,4 @@ class TransportSession:
             flow.seen.discard(flow.floor)
         self.on_message(Message(
             kind=segment.kind, src=message.src, dst=message.dst,
-            size_bytes=segment.size_bytes, payload=segment.payload,
-            hops=message.hops))
+            size_bytes=segment.size_bytes, payload=segment.payload))

@@ -29,7 +29,6 @@ from repro.structures.btree import BPlusTree
 from repro.structures.hashtable import HashTable
 from repro.workloads.upmu import (
     SAMPLE_PERIOD_US,
-    UPMU_SAMPLE_HZ,
     generate_upmu_trace,
 )
 from repro.workloads.ycsb import UniformKeyGenerator
@@ -42,19 +41,20 @@ TSV_WINDOWS_S = (7.5, 15.0, 30.0, 60.0)
 #: ~1/3 of leaf hops cross nodes on two nodes (section 7.1: 30-40%)
 DEFAULT_INTERLEAVE_BLOCK = 3
 
+#: a TC message's out-of-line record (the paper's value size) and a TSV
+#: reading's full multi-channel frame, bytes
+TC_RECORD_BYTES = 240
+TSV_RECORD_BYTES = 128
+
 
 @dataclass
 class Workload:
     """A built application plus its replayable operation stream."""
 
     name: str
-    structure: Any
     operations: List[Tuple[Any, tuple]]
-    #: Table 2 reference values for this workload
-    table2_eta: Optional[float] = None
+    #: Table 2 reference value for this workload
     table2_iterations: Optional[float] = None
-    partitionable: bool = False
-    description: str = ""
     expected: List[Any] = field(default_factory=list, repr=False)
 
 
@@ -109,13 +109,8 @@ def build_upc(memory: GlobalMemory, node_count: int,
 
     return Workload(
         name="UPC",
-        structure=table,
         operations=operations,
-        table2_eta=0.06,
         table2_iterations=100,
-        partitionable=True,
-        description=(f"{num_pairs} pairs, {buckets} buckets "
-                     f"(chains ~{chain_length}), {value_bytes} B values"),
         expected=expected,
     )
 
@@ -127,7 +122,6 @@ def build_tc(memory: GlobalMemory, node_count: int,
              num_pairs: int = 40_000, fanout: int = 12,
              scan_limit: int = 800, requests: int = 200,
              seed: int = 0, partitioned: bool = False,
-             record_bytes: int = 240,
              interleave: int = DEFAULT_INTERLEAVE_BLOCK) -> Workload:
     """Range scans of ~``scan_limit`` messages per conversation thread.
 
@@ -149,7 +143,7 @@ def build_tc(memory: GlobalMemory, node_count: int,
 
     def allocate_records(chunk, preferred_node):
         # Leaf values become pointers to the out-of-line records.
-        return [memory.alloc(record_bytes, preferred_node=preferred_node)
+        return [memory.alloc(TC_RECORD_BYTES, preferred_node=preferred_node)
                 for _ in chunk]
 
     tree.bulk_load([(k, 0) for k in keys], leaf_hook=allocate_records)
@@ -166,13 +160,8 @@ def build_tc(memory: GlobalMemory, node_count: int,
 
     return Workload(
         name="TC",
-        structure=tree,
         operations=operations,
-        table2_eta=0.79,
         table2_iterations=75,
-        partitionable=False,
-        description=(f"{num_pairs} messages, fanout {fanout}, "
-                     f"scans of {scan_limit}"),
         expected=expected,
     )
 
@@ -184,7 +173,6 @@ def build_tsv(memory: GlobalMemory, node_count: int,
               window_s: float = 7.5, duration_s: float = 600.0,
               fanout: int = 9, requests: int = 200, seed: int = 0,
               partitioned: bool = False,
-              record_bytes: int = 128,
               interleave: int = DEFAULT_INTERLEAVE_BLOCK) -> Workload:
     """Aggregations (sum/avg/min/max, chosen per request) over
     ``window_s``-second windows of a synthetic uPMU voltage trace.
@@ -212,7 +200,7 @@ def build_tsv(memory: GlobalMemory, node_count: int,
 
     def allocate_records(chunk, preferred_node):
         for _ in chunk:
-            memory.alloc(record_bytes, preferred_node=preferred_node)
+            memory.alloc(TSV_RECORD_BYTES, preferred_node=preferred_node)
         return None  # inline values stay -- the kernel aggregates them
 
     tree.bulk_load(trace, leaf_hook=allocate_records)
@@ -250,27 +238,22 @@ def build_tsv(memory: GlobalMemory, node_count: int,
 
     return Workload(
         name=f"TSV-{window_s:g}s",
-        structure=tree,
         operations=operations,
-        table2_eta=0.89,
         table2_iterations={7.5: 44, 15.0: 87, 30.0: 165,
                            60.0: 320}.get(window_s),
-        partitionable=False,
-        description=(f"{duration_s:g}s trace @ {UPMU_SAMPLE_HZ} Hz, "
-                     f"{window_s:g}s windows, fanout {fanout}"),
         expected=expected,
     )
 
 
 def standard_workloads(memory: GlobalMemory, node_count: int,
-                       requests: int = 200, seed: int = 0,
-                       tsv_windows=TSV_WINDOWS_S) -> List[Workload]:
+                       requests: int = 200,
+                       seed: int = 0) -> List[Workload]:
     """The paper's six workload columns: UPC, TC, TSV-{7.5,15,30,60}s."""
     workloads = [
         build_upc(memory, node_count, requests=requests, seed=seed),
         build_tc(memory, node_count, requests=requests, seed=seed),
     ]
-    for window in tsv_windows:
+    for window in TSV_WINDOWS_S:
         workloads.append(build_tsv(memory, node_count, window_s=window,
                                    requests=requests, seed=seed))
     return workloads

@@ -36,8 +36,8 @@ SAMPLE_PERIOD_US = 1_000_000 // UPMU_SAMPLE_HZ
 NOMINAL_MICROVOLTS = 120_000_000
 
 
-def generate_upmu_trace(duration_s: float, seed: int = 0,
-                        start_us: int = 0) -> List[Tuple[int, int]]:
+def generate_upmu_trace(duration_s: float,
+                        seed: int = 0) -> List[Tuple[int, int]]:
     """(timestamp_us, voltage_microvolts) pairs at the uPMU sample rate."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -46,7 +46,7 @@ def generate_upmu_trace(duration_s: float, seed: int = 0,
     trace: List[Tuple[int, int]] = []
     phase = rng.random() * 2 * math.pi
     for i in range(samples):
-        ts = start_us + i * SAMPLE_PERIOD_US
+        ts = i * SAMPLE_PERIOD_US
         seconds = ts / 1e6
         # Slow diurnal drift (+-1%), a residual oscillation from imperfect
         # RMS windows (+-0.2%), and white measurement noise (+-0.05%).

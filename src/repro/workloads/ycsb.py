@@ -25,27 +25,27 @@ class UniformKeyGenerator:
         return self._rng.choice(self._keys)
 
 
+#: Zipfian skew, YCSB's default
+THETA = 0.99
+
+
 class ZipfianKeyGenerator:
-    """Zipfian choice (theta ~ 0.99 by default, YCSB's default skew).
+    """Zipfian choice with skew :data:`THETA` (YCSB's default).
 
     Uses the Gray et al. rejection-free method with precomputed zeta
     constants, like the reference YCSB implementation.
     """
 
-    def __init__(self, keys: List[int], theta: float = 0.99,
-                 seed: int = 0):
+    def __init__(self, keys: List[int], seed: int = 0):
         if not keys:
             raise ValueError("key population is empty")
-        if not 0.0 < theta < 1.0:
-            raise ValueError("theta must be in (0, 1)")
         self._keys = list(keys)
         self._rng = random.Random(seed)
-        self._theta = theta
         n = len(keys)
-        self._zetan = sum(1.0 / (i ** theta) for i in range(1, n + 1))
-        self._zeta2 = 1.0 + 0.5 ** theta
-        self._alpha = 1.0 / (1.0 - theta)
-        self._eta = ((1.0 - (2.0 / n) ** (1.0 - theta))
+        self._zetan = sum(1.0 / (i ** THETA) for i in range(1, n + 1))
+        self._zeta2 = 1.0 + 0.5 ** THETA
+        self._alpha = 1.0 / (1.0 - THETA)
+        self._eta = ((1.0 - (2.0 / n) ** (1.0 - THETA))
                      / (1.0 - self._zeta2 / self._zetan))
 
     def next_key(self) -> int:

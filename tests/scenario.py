@@ -65,7 +65,7 @@ def _bplustree(memory, **options):
 
 
 def _skiplist(memory):
-    skip = SkipList(memory, levels=4, seed=7)
+    skip = SkipList(memory, seed=7)
     for k in range(KEYS):
         skip.insert(k, k * 5 + 2)
     return skip
@@ -142,7 +142,7 @@ def arena_storm(cluster):
     The extent list is sorted by virtual start and identical in every
     replica, so the storm replays deterministically when sharded.
     """
-    extents = cluster.memory.allocator.arena_extents()
+    extents = list(cluster.memory.allocator._extent_spans)
     for _round in range(3):
         for start, end in extents:
             home = cluster.memory.placement.node_of(start)
@@ -219,7 +219,7 @@ def check_invariants(cluster, outcome):
     owned = dict.fromkeys(range(memory.node_count), 0)
     for vaddr, size in memory.allocator.live_allocations.items():
         owner = placement.node_of(vaddr)
-        assert memory.nodes[owner].table.covering(vaddr, size), \
+        assert memory.nodes[owner].table.lookup(vaddr, size), \
             f"{vaddr:#x} unmapped on its owner mem{owner}"
         owned[owner] += size
     for node_id, live in owned.items():

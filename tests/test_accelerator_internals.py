@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.bench.driver import run_workload
 from repro.bench.experiments import build_workload, make_system
 from repro.bench.report import span_breakdown
 from repro.core import PulseCluster
@@ -13,7 +14,7 @@ from repro.params import AcceleratorParams, SystemParams
 from repro.sim.engine import AllOf
 from repro.structures import LinkedList
 
-from tests.helpers import (count_process_starts, counter_value,
+from tests.helpers import (count_process_starts, counter_value, find_reference,
                            lossy_cluster)
 from tests.scenario import KEYS, build, lookups, run
 
@@ -100,8 +101,8 @@ class TestAcceleratorStats:
         (bytes written while building the structure are not traffic)."""
         cluster = make_system("pulse")
         upc = build_workload(cluster, "UPC", 1, requests=60)
-        stats = cluster.run_workload(upc.operations, concurrency=4,
-                                     warmup=30)
+        run_workload(cluster, upc.operations[:30], concurrency=4)
+        stats = run_workload(cluster, upc.operations[30:], concurrency=4)
         params = cluster.params
         counters = {  # gauge suffix -> (counter suffix, cap in B/ns)
             "tx_bandwidth_bytes_per_ns":
@@ -135,7 +136,7 @@ class TestWorkspaceLimits:
         finder = lst.find_iterator()
         # Ten concurrent long traversals against one workspace: all must
         # complete, serialized.
-        stats = cluster.run_workload([(finder, (200,))] * 10,
+        stats = run_workload(cluster, [(finder, (200,))] * 10,
                                      concurrency=10)
         assert stats.completed == 10
         assert stats.faults == 0
@@ -189,7 +190,8 @@ class TestProtectionPath:
         # Flip the whole node range to read-only.
         node = cluster.memory.nodes[0]
         for entry in node.table.entries:
-            node.table.set_permissions(entry.virt_start, PERM_READ)
+            entry.perms = PERM_READ
+        node.table.version += 1
         result = cluster.run_traversal(table.update_iterator(), 5, 99)
         assert not result.ok
         assert "protection" in result.fault.reason.lower()
@@ -206,7 +208,8 @@ class TestProtectionPath:
         table.insert(5, (1).to_bytes(8, "little"))
         node = cluster.memory.nodes[0]
         for entry in node.table.entries:
-            node.table.set_permissions(entry.virt_start, PERM_WRITE)
+            entry.perms = PERM_WRITE
+        node.table.version += 1
         finder = table.find_iterator()
         with pytest.raises(ProtectionFault) as functional:
             node.read_virt(finder.init(5)[0], 8)
@@ -237,7 +240,7 @@ class TestProtectionPath:
         table.insert(5, (1).to_bytes(8, "little"))
         result = cluster.run_traversal(table.update_iterator(), 5, 4242)
         assert result.value is True
-        assert int.from_bytes(table.find_reference(5), "little") == 4242
+        assert int.from_bytes(find_reference(table, 5), "little") == 4242
 
 
 class TestLaneStepMemo:
@@ -288,7 +291,8 @@ class TestLaneStepMemo:
         def revoke_read():
             yield cluster.env.timeout(3_000.0)
             for entry in table.entries:
-                table.set_permissions(entry.virt_start, PERM_WRITE)
+                entry.perms = PERM_WRITE
+            table.version += 1
 
         cluster.env.process(revoke_read())
         result = cluster.run_traversal(finder, 40)

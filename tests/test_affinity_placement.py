@@ -71,10 +71,10 @@ class TestTraversalArenas:
         addrs = [arena.alloc(64) for _ in range((extent_bytes // 64) + 2)]
         extents = {gm.allocator.arena_extent_of(a) for a in addrs}
         assert len(extents) == 2
-        assert len(gm.allocator.arena_extents()) == 2
+        assert len(list(gm.allocator._extent_spans)) == 2
         # Extent list is sorted by virtual start (the rebalancer and the
         # sharded replicas both rely on this order being deterministic).
-        starts = [s for s, _ in gm.allocator.arena_extents()]
+        starts = [s for s, _ in list(gm.allocator._extent_spans)]
         assert starts == sorted(starts)
 
     def test_preferred_node_pins_the_extent(self):
@@ -121,7 +121,7 @@ class TestTraversalArenas:
         gm = self.memory()
         chain = LinkedList(gm)
         chain.extend([(k, k) for k in range(16)])
-        assert gm.allocator.arena_extents(), \
+        assert list(gm.allocator._extent_spans), \
             "structure allocations no longer create arena extents"
 
 

@@ -33,7 +33,7 @@ class TestMixedSizeReuse:
         assert small == big  # best-fit reuses the freed block's head
         assert alloc.reuse_count == 1
         assert alloc.split_count == 1
-        assert alloc.fragmentation_bytes(0) == 1024 - 256
+        assert alloc._arenas[0].free_bytes == 1024 - 256
         assert tail != small
 
     def test_split_remainder_merges_back_on_free(self):
@@ -93,7 +93,7 @@ class TestMixedSizeReuse:
         assert alloc.allocated_bytes(0) == 104 + 200
         alloc.free(a)
         assert alloc.allocated_bytes(0) == 200
-        assert alloc.fragmentation_bytes(0) == 104
+        assert alloc._arenas[0].free_bytes == 104
         alloc.free(b)
         assert alloc.allocated_bytes(0) == 0
         assert b
@@ -132,8 +132,8 @@ class TestArenaApis:
         b = alloc.alloc(1024, preferred_node=0)
         alloc.free(a)
         alloc.transfer_ownership(a, b + 1024, 0, 1)
-        assert alloc.fragmentation_bytes(0) == 0
-        assert alloc.fragmentation_bytes(1) == 1024
+        assert alloc._arenas[0].free_bytes == 0
+        assert alloc._arenas[1].free_bytes == 1024
 
     def test_transfer_ownership_straddle_raises_without_mutation(self):
         alloc = make_allocator(nodes=2)
@@ -147,8 +147,8 @@ class TestArenaApis:
         # before any of them is touched.
         with pytest.raises(AllocationError):
             alloc.transfer_ownership(a, c + 512, 0, 1)
-        assert alloc.fragmentation_bytes(0) == 2048
-        assert alloc.fragmentation_bytes(1) == 0
+        assert alloc._arenas[0].free_bytes == 2048
+        assert alloc._arenas[1].free_bytes == 0
         assert alloc.allocated_bytes(0) == 1024
         assert alloc.allocated_bytes(1) == 0
         assert b in alloc.live_allocations

@@ -12,6 +12,8 @@ from repro.mem import GlobalMemory
 from repro.params import AcceleratorParams
 from repro.structures import AvlTree
 from repro.structures.base import StructureError
+from tests.helpers import (avl_height, check_avl_invariants, find_reference,
+                           run_functional)
 
 
 @pytest.fixture
@@ -24,16 +26,16 @@ class TestAvlBalancing:
         tree = AvlTree(memory)
         for key in range(512):
             tree.insert(key, key)
-        tree.check_invariants()
+        check_avl_invariants(tree)
         # A plain BST would be depth 512; AVL stays ~log2(512)+slack.
-        assert tree.height() <= 11
+        assert avl_height(tree) <= 11
 
     def test_reverse_inserts_stay_balanced(self, memory):
         tree = AvlTree(memory)
         for key in reversed(range(256)):
             tree.insert(key, key)
-        tree.check_invariants()
-        assert tree.height() <= 10
+        check_avl_invariants(tree)
+        assert avl_height(tree) <= 10
 
     def test_random_inserts_stay_balanced(self, memory):
         rng = random.Random(3)
@@ -41,16 +43,16 @@ class TestAvlBalancing:
         keys = rng.sample(range(100_000), 400)
         for key in keys:
             tree.insert(key, key * 2)
-        tree.check_invariants()
+        check_avl_invariants(tree)
         for key in keys[:30]:
-            assert tree.find_reference(key) == key * 2
+            assert find_reference(tree, key) == key * 2
 
     def test_overwrite_does_not_grow(self, memory):
         tree = AvlTree(memory)
         tree.insert(1, 10)
         tree.insert(1, 20)
         assert tree.size == 1
-        assert tree.find_reference(1) == 20
+        assert find_reference(tree, 1) == 20
 
     def test_all_four_rotation_cases(self, memory):
         # LL, RR, LR, RL insertion orders, each a 3-node seed.
@@ -58,8 +60,8 @@ class TestAvlBalancing:
             tree = AvlTree(memory)
             for key in order:
                 tree.insert(key, key)
-            tree.check_invariants()
-            assert tree.height() == 2
+            check_avl_invariants(tree)
+            assert avl_height(tree) == 2
 
 
 class TestAvlKernel:
@@ -71,8 +73,8 @@ class TestAvlKernel:
             tree.insert(key, key ^ 0x55)
         finder = tree.find_iterator()
         for key in keys[:25] + [50_001]:
-            assert (finder.run_functional(memory.read, key).value
-                    == tree.find_reference(key))
+            assert (run_functional(finder, memory.read, key).value
+                    == find_reference(tree, key))
 
     def test_iterations_logarithmic(self, memory):
         tree = AvlTree(memory)
@@ -80,9 +82,9 @@ class TestAvlKernel:
             tree.insert(key, key)
         finder = tree.find_iterator()
         worst = max(
-            finder.run_functional(memory.read, key).iterations
+            run_functional(finder, memory.read, key).iterations
             for key in (0, 511, 1023, 700))
-        assert worst <= tree.height()
+        assert worst <= avl_height(tree)
 
     def test_load_window_excludes_metadata(self):
         from repro.structures.avltree import AvlFind
@@ -124,7 +126,7 @@ class TestAvlProperties:
         tree = AvlTree(memory)
         for key in keys:
             tree.insert(key, key % 1009)
-        tree.check_invariants()
+        check_avl_invariants(tree)
         assert tree.size == len(keys)
         for key in keys[:10]:
-            assert tree.find_reference(key) == key % 1009
+            assert find_reference(tree, key) == key % 1009

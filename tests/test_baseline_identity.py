@@ -10,8 +10,9 @@ folded into one.  The figure benches only compare systems, so a moved
 baseline would otherwise show up as a slightly different table at
 best.
 
-Each cell is the bench harness's own ``run_cell`` (40 requests,
-concurrency 4).  The pulse rack runs with ``eta_max=0.01``, which the
+Each cell is the bench harness's own cell runner, ``_run_cell`` (what
+``run_cell`` calls, with the params it takes; 40 requests, concurrency
+4).  The pulse rack runs with ``eta_max=0.01``, which the
 offload engine rejects every kernel at, so each request takes the
 client fallback.
 """
@@ -21,7 +22,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.experiments import run_cell
+from repro.bench import experiments
+from repro.bench.driver import run_workload
 from repro.params import DEFAULT_PARAMS
 
 #: pinned at 5843b0a
@@ -54,8 +56,9 @@ def _digest(results) -> str:
 @pytest.mark.parametrize("system,workload,nodes", sorted(DIGESTS))
 def test_baseline_results_are_pinned(system, workload, nodes):
     params = FALLBACK_PARAMS if system == "pulse" else None
-    cell = run_cell(system, workload, nodes, requests=40, concurrency=4,
-                    params=params)
+    cell = experiments._run_cell(
+        lambda rack, ops: run_workload(rack, ops, concurrency=4),
+        system, workload, nodes, 40, 0, params, None, None)
     assert cell.stats.completed == 40
     assert _digest(cell.stats.results) == DIGESTS[(system, workload,
                                                    nodes)]

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
 from repro.baselines.cache import PageCache, cache_counters
 from repro.baselines.common import workers_to_saturate
+from repro.bench.driver import run_workload
 from repro.bench.experiments import build_workload, make_system
 from repro.core import PulseCluster
 from repro.obs.metrics import MetricsRegistry
@@ -87,7 +88,8 @@ class TestRpcSystem:
         lst = populate_list(rpc)
         node = rpc.memory.nodes[0]
         for entry in node.table.entries:
-            node.table.set_permissions(entry.virt_start, PERM_WRITE)
+            entry.perms = PERM_WRITE
+        node.table.version += 1
         result = run(rpc, lst.find_iterator(), 17)
         assert not result.ok
         assert "protection fault" in result.fault.reason
@@ -178,8 +180,8 @@ class TestCacheSystem:
         served-bytes counter resets with every other metric."""
         cache = make_system("cache")
         upc = build_workload(cache, "UPC", 1, requests=60)
-        stats = cache.run_workload(upc.operations, concurrency=4,
-                                   warmup=30)
+        run_workload(cache, upc.operations[:30], concurrency=4)
+        stats = run_workload(cache, upc.operations[30:], concurrency=4)
         fetched = stats.metrics["counters"]["client0.cache.pages_fetched"]
         assert fetched > 0
         expected = (fetched * cache.page_bytes / stats.duration_ns
@@ -203,12 +205,12 @@ class TestCacheSystem:
 
         def counted_begin():
             begin()
-            tally["measuring"] = True
+            tally.update({"measuring": True, True: 0, False: 0})
 
         cache.cache.access = counted_access
         cache.begin_measurement = counted_begin
-        stats = cache.run_workload(upc.operations, concurrency=4,
-                                   warmup=30)
+        run_workload(cache, upc.operations[:30], concurrency=4)
+        stats = run_workload(cache, upc.operations[30:], concurrency=4)
         hits, misses = tally[True], tally[False]
         assert hits and misses
         assert stats.metrics["gauges"]["client0.cache.hit_ratio"] == \

@@ -231,7 +231,7 @@ def build_world(seed=5, **rack_options):
         chain.append(key, key * 7)
     tree = BPlusTree(cluster.memory, fanout=8)
     tree.bulk_load([(k * 2, k * 11) for k in range(TREE_KEYS)])
-    skip = SkipList(cluster.memory, levels=4, seed=7)
+    skip = SkipList(cluster.memory, seed=7)
     for key in SKIP_KEYS:
         skip.insert(key, key * 5)
 

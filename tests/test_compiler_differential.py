@@ -26,11 +26,8 @@ from repro.isa import (
     assemble,
     compile_program,
 )
-from repro.isa.compiler import (
-    clear_compile_cache,
-    compile_cache_size,
-    interpreter_forced,
-)
+from repro.isa import compiler
+from repro.isa.compiler import interpreter_forced
 from repro.isa.instructions import ALU_OPCODES, JUMP_OPCODES, MASK64, Bank
 from repro.mem import GlobalMemory
 from repro.mem.translation import ProtectionFault, TranslationFault
@@ -60,13 +57,15 @@ def execute(program, cur_ptr, scratch, read_fn, write_fn=None,
     machine.reset(cur_ptr, scratch)
     fault = None
     steps = 0
+    instructions = 0
     while True:
         try:
-            done, _executed = read_and_step(machine, read_fn, write_fn)
+            done, executed = read_and_step(machine, read_fn, write_fn)
         except ExecutionFault as exc:
             fault = (type(exc).__name__, str(exc))
             break
         steps += 1
+        instructions += executed
         if done:
             break
         if steps >= max_iterations:
@@ -76,8 +75,7 @@ def execute(program, cur_ptr, scratch, read_fn, write_fn=None,
         "scratch": bytes(machine.scratch),
         "cur_ptr": machine.cur_ptr,
         "iterations": machine.iterations,
-        "instructions": machine.total_instructions,
-        "load_bytes": machine.total_load_bytes,
+        "instructions": instructions,
         "fault": fault,
     }
 
@@ -110,7 +108,7 @@ def build_world():
     for k in range(1, 64):
         avl.insert(k, k * 3)
 
-    skip = SkipList(memory, levels=4, seed=7)
+    skip = SkipList(memory, seed=7)
     for k in range(1, 80, 2):
         skip.insert(k, k * 5)
 
@@ -279,16 +277,16 @@ def test_store_on_read_only_substrate_parity():
 # -- compile tier plumbing ----------------------------------------------------
 
 def test_compile_cache_is_digest_keyed():
-    clear_compile_cache()
+    compiler._CACHE.clear()
     program = assemble("LOAD 0 16\nMOVE sp[0] data[0]\nRETURN")
     same = assemble("LOAD 0 16\nMOVE sp[0] data[0]\nRETURN")
     other = assemble("LOAD 0 16\nMOVE sp[8] data[0]\nRETURN")
     first = compile_program(program)
     assert compile_program(same) is first          # shared by content
     assert compile_program(other) is not first
-    assert compile_cache_size() == 2
-    clear_compile_cache()
-    assert compile_cache_size() == 0
+    assert len(compiler._CACHE) == 2
+    compiler._CACHE.clear()
+    assert not compiler._CACHE
 
 
 def test_pulse_interp_env_forces_interpreter(monkeypatch):
@@ -455,7 +453,6 @@ def trace_tier(program, cur_ptr, scratch, store_fault, compiled):
 
     def state():
         return (bytes(machine.scratch), machine.cur_ptr, machine.iterations,
-                machine.total_instructions, machine.total_load_bytes,
                 tuple(stores))
 
     trace = []

@@ -3,6 +3,7 @@ accelerator, switch routing, and the cluster assembly."""
 
 import pytest
 
+from repro.bench.driver import run_workload
 from repro.core import (
     KernelBuilder,
     OffloadEngine,
@@ -17,7 +18,7 @@ from repro.params import (
     SystemParams,
 )
 
-from tests.helpers import counter_value, lossy_cluster
+from tests.helpers import build_list, counter_value, lossy_cluster
 
 LIST_NODE = StructLayout("list_node", [
     Field("key", "u64"),
@@ -67,20 +68,6 @@ class ListFind(PulseIterator):
         if status != KEY_FOUND:
             return None
         return int.from_bytes(scratch[8:16], "little")
-
-
-def build_list(memory, pairs, node_for=None):
-    """Write a linked list; ``node_for(i)`` picks the memory node."""
-    addrs = [
-        memory.alloc(LIST_NODE.size,
-                     preferred_node=node_for(i) if node_for else None)
-        for i in range(len(pairs))
-    ]
-    for i, (key, value) in enumerate(pairs):
-        nxt = addrs[i + 1] if i + 1 < len(addrs) else 0
-        memory.write(addrs[i],
-                     LIST_NODE.pack(key=key, value=value, next=nxt))
-    return addrs
 
 
 class TestKernelBuilder:
@@ -335,7 +322,7 @@ class TestWorkloadDriver:
                            [(k, k * 2) for k in range(1, 33)])
         finder = ListFind(addrs[0])
         operations = [(finder, (k,)) for k in range(1, 33)]
-        stats = cluster.run_workload(operations, concurrency=4)
+        stats = run_workload(cluster, operations, concurrency=4)
         assert stats.completed == 32
         assert stats.faults == 0
         assert stats.throughput_per_s > 0
@@ -352,7 +339,7 @@ class TestWorkloadDriver:
                                [(k, k) for k in range(1, 65)])
             finder = ListFind(addrs[0])
             ops = [(finder, (64,))] * 64
-            return cluster.run_workload(
-                ops, concurrency=concurrency).throughput_per_s
+            return run_workload(cluster, ops,
+                                concurrency=concurrency).throughput_per_s
 
         assert run(8) > 2 * run(1)

@@ -41,7 +41,8 @@ def run(system, iterator, *args):
 def set_node_permissions(system, perms):
     table = system.memory.nodes[0].table
     for entry in table.entries:
-        table.set_permissions(entry.virt_start, perms)
+        entry.perms = perms
+    table.version += 1
 
 
 class TestProtectionFaults:

@@ -142,7 +142,7 @@ def test_peer_death_degrades_commit_instead_of_hanging_it():
 def test_kill_node_requires_durability():
     cluster = PulseCluster(node_count=2)
     with pytest.raises(DurabilityError):
-        cluster.kill_node(0)
+        cluster._kill_node_local(0)
 
 
 def test_acknowledged_writes_survive_the_acknowledging_node():
@@ -154,7 +154,7 @@ def test_acknowledged_writes_survive_the_acknowledging_node():
     assert all(r.ok for r in results), [r.fault for r in results
                                         if not r.ok]
 
-    cluster.kill_node(1)
+    cluster._kill_node_local(1)
     cluster.env.run(until=cluster.env.timeout(2_000_000.0))
     snap = cluster.metrics_snapshot()
     assert snap["counters"]["recovery.completed"] == 1
@@ -204,7 +204,7 @@ def test_scale_out_then_crash_recovers_onto_any_live_node():
     results = drain(cluster, pending)
     assert all(r.ok for r in results)
 
-    cluster.kill_node(1)
+    cluster._kill_node_local(1)
     cluster.env.run(until=cluster.env.timeout(2_000_000.0))
     for k in range(KEYS):
         expect = 7_000 + k if k % 3 == 0 else 1_000 + k
@@ -215,8 +215,8 @@ def test_scale_out_then_crash_recovers_onto_any_live_node():
 
 def test_kill_is_idempotent_and_counts_one_crash():
     cluster, _table = build_rack()
-    cluster.kill_node(1)
-    cluster.kill_node(1)
+    cluster._kill_node_local(1)
+    cluster._kill_node_local(1)
     cluster.env.run(until=cluster.env.timeout(2_000_000.0))
     snap = cluster.metrics_snapshot()["counters"]
     assert snap["recovery.crashes"] == 1

@@ -9,7 +9,6 @@ from repro.bench.experiments import (
     WORKLOAD_NAMES,
     format_table,
     make_system,
-    ratio,
     run_cell,
     saturating_workers,
     scaled_requests,
@@ -123,10 +122,6 @@ class TestHarness:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(len(line.rstrip()) for line in lines[1:2])) == 1
-
-    def test_ratio_guards_zero(self):
-        assert ratio(1.0, 0.0) == float("inf")
-        assert ratio(4.0, 2.0) == 2.0
 
 
 class TestWorkloadStats:

@@ -13,6 +13,8 @@ from repro.isa import IteratorMachine, Opcode, analyze
 from repro.mem import Field, GlobalMemory, StructLayout
 from repro.params import AcceleratorParams
 
+from tests.helpers import build_list
+
 NODE = StructLayout("node", [
     Field("key", "u64"),
     Field("value", "i64"),
@@ -35,14 +37,6 @@ def list_find(node, sp):
         sp.status = 0
         return RETURN
     return NEXT(node.next)
-
-
-def build_list(gm, pairs):
-    addrs = [gm.alloc(NODE.size) for _ in pairs]
-    for i, (key, value) in enumerate(pairs):
-        nxt = addrs[i + 1] if i + 1 < len(addrs) else 0
-        gm.write(addrs[i], NODE.pack(key=key, value=value, next=nxt))
-    return addrs
 
 
 class TestCompileListFind:
@@ -142,8 +136,7 @@ class TestLoopsAndArrays:
                   [(5, 50), (6, 60)],
                   [(7, 70), (8, 80), (9, 90)]]
         addrs = self._build_chain(gm, leaves)
-        program = compile_kernel(self.sum_leaves, self.LEAF, self.SP,
-                                 name="sum_leaves")
+        program = compile_kernel(self.sum_leaves, self.LEAF, self.SP)
         machine = IteratorMachine(program)
         machine.reset(addrs[0], self.SP.pack(target=3))
         out = machine.run(gm.read)

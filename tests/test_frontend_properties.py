@@ -1,6 +1,8 @@
 """Property-based tests for the Python-to-ISA compiler: generated
 arithmetic kernels must compute exactly what Python computes."""
 
+import linecache
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,10 +58,14 @@ class TestCompiledArithmetic:
             "    sp.aux = node.a\n"
             "    return RETURN\n"
         )
+        # Registered with linecache, exec'd source is what
+        # inspect.getsource (and so compile_kernel) reads back.
+        linecache.cache["<generated>"] = (len(source), None,
+                                          source.splitlines(True),
+                                          "<generated>")
         namespace = {"RETURN": RETURN}
         exec(compile(source, "<generated>", "exec"), namespace)
-        program = compile_kernel(namespace["kernel"], REC, SP,
-                                 name="generated", source=source)
+        program = compile_kernel(namespace["kernel"], REC, SP)
 
         gm = GlobalMemory(1, 1 << 16)
         addr = gm.alloc(REC.size)
@@ -95,7 +101,7 @@ class TestCompiledArithmetic:
             return NEXT(node.next)
 
         from repro.core.frontend import NEXT  # noqa: F401 (used above)
-        program = compile_kernel(pick, chain, SP, name="pick")
+        program = compile_kernel(pick, chain, SP)
 
         gm = GlobalMemory(1, 1 << 18)
         addrs = [gm.alloc(chain.size) for _ in values]

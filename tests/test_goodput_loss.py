@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.bench import report
 from repro.bench.report import write_snapshot
 from repro.core import PulseCluster
 from repro.core.client import RequestLost
@@ -113,7 +114,7 @@ class TestLossSweep:
         assert result.iterations == lossless.iterations
         assert result.hops == lossless.hops
 
-    def test_goodput_snapshot_artifact(self, tmp_path):
+    def test_goodput_snapshot_artifact(self, tmp_path, monkeypatch):
         """The goodput-vs-loss rows round-trip through the snapshot schema
         (the committed artifact is written by the ext_goodput_loss bench)."""
         rows = []
@@ -141,9 +142,9 @@ class TestLossSweep:
         assert all(r["ok"] for r in rows)
         # Latency should not explode across the sweep: bounded recovery.
         assert rows[-1]["latency_ns"] < 50 * rows[0]["latency_ns"]
+        monkeypatch.setattr(report, "REPO_ROOT", tmp_path)
         out = write_snapshot("goodput_loss",
                              params={"hops": self.HOPS},
-                             metrics={"rows": rows},
-                             results_dir=tmp_path)
+                             metrics={"rows": rows})
         assert out == tmp_path / "BENCH_goodput_loss.json"
         assert json.loads(out.read_text())["metrics"]["rows"]

@@ -6,11 +6,12 @@ from repro.isa import IteratorMachine, assemble
 from repro.isa.encoding import (
     EncodingError,
     MAX_DIRECT_OFFSET,
-    decode,
     encode,
 )
 from repro.mem import GlobalMemory
 from repro.structures import HashTable, BPlusTree
+
+from tests.helpers import decode
 
 
 def roundtrip(program):
@@ -26,6 +27,7 @@ def roundtrip(program):
 class TestRoundTrip:
     def test_simple_program(self):
         program = assemble("""
+            .scratch 16
             .name tiny
             .scratch 24
             LOAD 0 24
@@ -76,7 +78,7 @@ class TestRoundTrip:
             MOVE sp[0] #-123456789012345
             MOVE sp[8] #9007199254740993
             RETURN
-        """, scratch_bytes=16)
+        """)
         again = roundtrip(program)
         assert again.instructions[1].a.value == -123456789012345
         assert again.instructions[2].a.value == 9007199254740993
@@ -93,8 +95,7 @@ class TestRoundTrip:
 class TestEncodingLimits:
     def test_far_direct_offset_rejected(self):
         program = assemble(
-            f"LOAD 0 8\nMOVE sp[{MAX_DIRECT_OFFSET + 1}] #1\nRETURN",
-            scratch_bytes=4096)
+            f".scratch 4096\nLOAD 0 8\nMOVE sp[{MAX_DIRECT_OFFSET + 1}] #1\nRETURN")
         with pytest.raises(EncodingError, match="10-bit"):
             encode(program)
 

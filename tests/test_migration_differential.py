@@ -50,7 +50,7 @@ def test_arena_chain_storm_is_value_transparent():
     baseline = run(cluster, [lookups(chain)])
 
     cluster, chain = storm_rack("linkedlist")
-    extents = cluster.memory.allocator.arena_extents()
+    extents = list(cluster.memory.allocator._extent_spans)
     assert extents, "linked list no longer allocates through an arena"
     stormed = run(cluster, [lookups(chain)], schedule=(arena_storm,))
 
@@ -125,7 +125,7 @@ def test_acknowledged_stores_survive_migration_onto_the_replica_holder():
 
 def scale_out_then_drain(cluster):
     cluster.add_node()
-    yield cluster.drain_node(0)
+    yield cluster.env.process(cluster.migration.drain(0))
 
 
 def test_storm_with_drain_and_scale_out():

@@ -2,17 +2,11 @@
 
 import pytest
 
+from repro.bench.driver import run_workload
 from repro.core import PulseCluster
-from repro.structures import HashTable, LinkedList
+from repro.structures import LinkedList
 
-from tests.helpers import counter_value
-
-
-def build_table(cluster, n=500):
-    table = HashTable(cluster.memory, buckets=8, value_bytes=8)
-    for key in range(n):
-        table.insert(key, (key * 11).to_bytes(8, "little"))
-    return table
+from tests.helpers import build_table, counter_value
 
 
 class TestMultiClient:
@@ -25,10 +19,10 @@ class TestMultiClient:
 
     def test_responses_route_to_the_issuing_client(self):
         cluster = PulseCluster(node_count=2, client_count=3)
-        table = build_table(cluster)
+        table = build_table(cluster, n=500, multiplier=11)
         finder = table.find_iterator()
         operations = [(finder, (key,)) for key in range(60)]
-        stats = cluster.run_workload(operations, concurrency=6)
+        stats = run_workload(cluster, operations, concurrency=6)
         assert stats.completed == 60
         assert stats.faults == 0
         for index, result in enumerate(stats.results):
@@ -52,8 +46,8 @@ class TestMultiClient:
             lst.extend((k, k) for k in range(1, 9))
             finder = lst.find_iterator()
             ops = [(finder, (8,))] * 400
-            return cluster.run_workload(
-                ops, concurrency=96).throughput_per_s
+            return run_workload(cluster, ops,
+                                concurrency=96).throughput_per_s
 
         assert throughput(4) > 1.5 * throughput(1)
 

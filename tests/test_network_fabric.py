@@ -1,5 +1,7 @@
 """Unit tests for the network fabric model."""
 
+import sys
+
 import pytest
 
 from repro.params import NetworkParams
@@ -125,28 +127,34 @@ class TestFabricDelivery:
         message = Message("x", "a", "b", 64)
         fabric.send(message)
         env.run()
-        assert message.hops == 1
+        assert len(b.inbox) == 1
+
+
+def run_cli(monkeypatch, *args):
+    """``python -m repro.bench ARGS``, in process: its exit code."""
+    from repro.bench.__main__ import main
+    monkeypatch.setattr(sys, "argv", ["repro.bench", *args])
+    return main()
 
 
 class TestCli:
-    def test_list_command(self, capsys):
-        from repro.bench.__main__ import main
-        assert main(["list"]) == 0
+    def test_list_command(self, capsys, monkeypatch):
+        assert run_cli(monkeypatch, "list") == 0
         out = capsys.readouterr().out
         assert "pulse" in out and "UPC" in out
 
-    def test_compare_command(self, capsys):
-        from repro.bench.__main__ import main
-        code = main(["compare", "--workload", "UPC", "--requests", "8",
-                     "--systems", "pulse", "--concurrency", "2"])
+    def test_compare_command(self, capsys, monkeypatch):
+        code = run_cli(monkeypatch, "compare", "--workload", "UPC",
+                       "--requests", "8", "--systems", "pulse",
+                       "--concurrency", "2")
         assert code == 0
         out = capsys.readouterr().out
         assert "pulse" in out and "uJ/req" in out
 
-    def test_cell_command(self, capsys):
-        from repro.bench.__main__ import main
-        code = main(["cell", "--system", "pulse", "--workload", "UPC",
-                     "--requests", "6", "--concurrency", "2"])
+    def test_cell_command(self, capsys, monkeypatch):
+        code = run_cli(monkeypatch, "cell", "--system", "pulse",
+                       "--workload", "UPC", "--requests", "6",
+                       "--concurrency", "2")
         assert code == 0
         out = capsys.readouterr().out
         assert "completed requests   : 6" in out

@@ -5,7 +5,8 @@ A model value is one ``SystemParams`` field; a constructor takes wiring
 choices, never a second spelling of a field.  ``SIGNATURES`` pins the
 parameter names of every constructor a caller configures a rack through,
 ``FIELDS`` the fields of every ``*Params`` dataclass, and ``REMOVED``
-the spellings that were deleted -- each must now be a ``TypeError``.
+the spellings that were deleted -- each must now be a ``TypeError``
+(a keyword no caller outside ``tests/`` set is one too).
 ``SYSTEM_NAMES`` pins the keys of ``repro.bench.experiments.SYSTEMS``,
 the one place a system name means a rack; the name-dispatched power
 model and its aliases stay deleted.
@@ -22,17 +23,33 @@ import pytest
 import repro.energy
 import repro.params
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
-from repro.bench.experiments import SYSTEMS, make_system
+from repro.bench.__main__ import main as bench_main
+from repro.bench.driver import run_open_loop, run_workload
+from repro.bench.experiments import SYSTEMS, make_system, run_cell
+from repro.bench.report import main as report_main
+from repro.bench.report import write_snapshot
 from repro.core.accelerator import Accelerator
 from repro.core.client import DoorbellBatcher, PulseClient
 from repro.core.cluster import PulseCluster, Rack
+from repro.core.frontend import compile_kernel
+from repro.core.kernel import KernelBuilder
+from repro.core.offload import OffloadEngine
 from repro.core.switch import PulseSwitch
+from repro.index.directory import SplitIndexDirectory
+from repro.isa import IteratorMachine, Program, assemble
+from repro.isa.instructions import sp_ind
 from repro.mem.addrspace import AddressSpace
 from repro.mem.allocator import DisaggregatedAllocator
-from repro.mem.node import GlobalMemory
+from repro.mem.node import GlobalMemory, MemoryNode
+from repro.obs.metrics import EventLog, MetricsRegistry
 from repro.placement.hotness import HeatMap, HotnessTracker
-from repro.sim.engine import Environment
+from repro.placement.migration import MigrationEngine
+from repro.sim.engine import Environment, Timeout
+from repro.sim.resources import Store
+from repro.structures import SkipList
 from repro.transport import TransportSession
+from repro.workloads import (ZipfianKeyGenerator, build_tc, build_tsv,
+                             generate_upmu_trace, standard_workloads)
 
 SIGNATURES = {
     Rack: ("node_count", "params", "policy", "seed"),
@@ -53,8 +70,8 @@ SIGNATURES = {
                   "batch_size", "registry", "index"),
     DoorbellBatcher: ("client", "batch_size"),
     PulseSwitch: ("env", "fabric", "rangemap", "params", "bounce_to_client",
-                  "client_table_capacity", "registry"),
-    TransportSession: ("env", "fabric", "name", "params", "registry", "seed"),
+                  "registry"),
+    TransportSession: ("env", "fabric", "name", "params", "registry"),
     DisaggregatedAllocator: ("addrspace", "tables", "policy"),
     HotnessTracker: ("segment_bytes", "halflife_ns", "clock", "sample_period",
                      "stream"),
@@ -131,7 +148,7 @@ REMOVED = {
         CacheRpcSystem, "cache_bytes", "MemoryParams.cache_bytes"),
     "PulseCluster(client_table_capacity=)": (
         PulseCluster, "client_table_capacity",
-        "PulseSwitch(client_table_capacity=)"),
+        "repro.core.switch.CLIENT_TABLE_CAPACITY"),
     "TransportSession(default_segments=)": (
         TransportSession, "default_segments", "send(segments=)"),
     "PulseClient(stack_cores=)": (
@@ -168,6 +185,79 @@ REMOVED = {
     "HotnessTracker.hot_edges(top_n=)": (
         lambda **kw: _tracker().hot_edges(**kw), "top_n",
         "slicing the full list"),
+    # keywords no caller outside tests/ set (tests/test_surface.py)
+    "build_tc(record_bytes=)": (
+        build_tc, "record_bytes", "repro.workloads.apps.TC_RECORD_BYTES"),
+    "build_tsv(record_bytes=)": (
+        build_tsv, "record_bytes", "repro.workloads.apps.TSV_RECORD_BYTES"),
+    "generate_upmu_trace(start_us=)": (
+        generate_upmu_trace, "start_us", "a trace starting at 0"),
+    "ZipfianKeyGenerator(theta=)": (
+        ZipfianKeyGenerator, "theta", "repro.workloads.ycsb.THETA"),
+    "standard_workloads(tsv_windows=)": (
+        standard_workloads, "tsv_windows", "TSV_WINDOWS_S"),
+    "KernelBuilder.build(max_load_bytes=)": (
+        KernelBuilder.build, "max_load_bytes",
+        "repro.isa.program.MAX_LOAD_BYTES"),
+    "Program(max_load_bytes=)": (
+        Program, "max_load_bytes", "repro.isa.program.MAX_LOAD_BYTES"),
+    "OffloadEngine.make_request(issued_at_ns=)": (
+        OffloadEngine.make_request, "issued_at_ns", "no issue time on wire"),
+    "OffloadEngine.continuation(issued_at_ns=)": (
+        OffloadEngine.continuation, "issued_at_ns", "no issue time on wire"),
+    "run_workload(warmup=)": (
+        run_workload, "warmup", "an earlier run_workload call"),
+    "run_open_loop(warmup=)": (
+        run_open_loop, "warmup", "an earlier run"),
+    "run_cell(params=)": (run_cell, "params", "DEFAULT_PARAMS"),
+    "run_cell(system_kwargs=)": (run_cell, "system_kwargs", "the table"),
+    "repro.bench.__main__.main(argv=)": (
+        bench_main, "argv", "sys.argv"),
+    "repro.bench.report.main(argv=)": (report_main, "argv", "sys.argv"),
+    "write_snapshot(results_dir=)": (
+        write_snapshot, "results_dir", "repro.bench.report.REPO_ROOT"),
+    "compile_kernel(name=)": (compile_kernel, "name", "fn.__name__"),
+    "compile_kernel(source=)": (
+        compile_kernel, "source", "inspect.getsource"),
+    "KernelBuilder.field(signed=)": (
+        KernelBuilder.field, "signed", "a signed operand"),
+    "KernelBuilder.sp_at(width=)": (
+        KernelBuilder.sp_at, "width", "an 8-byte word"),
+    "KernelBuilder.sp_at(signed=)": (
+        KernelBuilder.sp_at, "signed", "a signed word"),
+    "sp_ind(width=)": (sp_ind, "width", "an 8-byte word"),
+    "sp_ind(signed=)": (sp_ind, "signed", "a signed word"),
+    "PulseSwitch(client_table_capacity=)": (
+        PulseSwitch, "client_table_capacity",
+        "repro.core.switch.CLIENT_TABLE_CAPACITY"),
+    "SplitIndexDirectory(capacity=)": (
+        SplitIndexDirectory, "capacity", "SplitIndexDirectory.capacity"),
+    "assemble(name=)": (assemble, "name", "the .name directive"),
+    "assemble(scratch_bytes=)": (
+        assemble, "scratch_bytes", "the .scratch directive"),
+    "IteratorMachine.run(write_fn=)": (
+        IteratorMachine.run, "write_fn", "IteratorMachine.step"),
+    "AddressSpace(base=)": (
+        AddressSpace, "base", "repro.mem.addrspace.DEFAULT_BASE"),
+    "MemoryNode.read_virt(access=)": (
+        MemoryNode.read_virt, "access", "PERM_READ"),
+    "EventLog(capacity=)": (
+        EventLog, "capacity", "repro.obs.metrics.EVENT_LOG_CAPACITY"),
+    "MetricsRegistry.names(prefix=)": (
+        MetricsRegistry.names, "prefix", "filtering the sorted names"),
+    "MigrationEngine.drain(targets=)": (
+        MigrationEngine.drain, "targets", "every allocatable node"),
+    "Environment.timeout(value=)": (
+        Environment.timeout, "value", "Event.succeed(value)"),
+    "Timeout(value=)": (Timeout, "value", "Event.succeed(value)"),
+    "Environment.schedule_at(priority=)": (
+        Environment.schedule_at, "priority", "NORMAL"),
+    "Environment.set_window_hook(window_end=)": (
+        Environment.set_window_hook, "window_end", "advance_window"),
+    "Store(capacity=)": (Store, "capacity", "an unbounded store"),
+    "SkipList(levels=)": (SkipList, "levels", "SkipList.levels"),
+    "TransportSession(seed=)": (
+        TransportSession, "seed", "the fabric's seed"),
 }
 
 

@@ -11,21 +11,19 @@ from hypothesis import strategies as st
 
 from repro.core import PulseCluster, RequestStatus
 from repro.core.messages import TraversalRequest
-from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace, AllocationError
-from repro.params import (DEFAULT_PARAMS, MS, US, NetworkParams,
-                          PlacementParams, SystemParams)
+from repro.params import (MS, US, NetworkParams, PlacementParams,
+                          SystemParams)
 from repro.placement import (HeatMap, HotnessTracker, PlacementError,
                              PlacementMap)
 from repro.placement.migration import MigrationError
 from repro.placement.rebalancer import Rebalancer
-from repro.sim import Environment
 from repro.sim.engine import Process
-from repro.sim.network import Fabric, Message
+from repro.sim.network import Message
 from repro.structures import HashTable, LinkedList
 
-from tests.helpers import counter_value, with_memory
+from tests.helpers import counter_value, make_switch, with_memory
 
 PROGRAM = assemble("LOAD 0 8\nRETURN")
 
@@ -358,16 +356,6 @@ class TestHeatMapOracle:
 # ---------------------------------------------------------------------------
 # Switch MOVED handling
 # ---------------------------------------------------------------------------
-def make_switch(node_count=2):
-    env = Environment()
-    fabric = Fabric(env, DEFAULT_PARAMS.network)
-    space = AddressSpace(node_count, 1 << 20)
-    switch = PulseSwitch(env, fabric, PlacementMap(space), DEFAULT_PARAMS)
-    client = fabric.register("client0")
-    nodes = [fabric.register(f"mem{i}") for i in range(node_count)]
-    return env, fabric, space, switch, client, nodes
-
-
 def send(env, fabric, src, req):
     fabric.send(Message("pulse", src, "switch", 128, req), segments=1)
     env.run()
@@ -565,8 +553,8 @@ class TestMigration:
         cluster.env.run(until=proc)
         assert cluster.memory.placement.node_of(a) == 1
         # The whole merged block followed the migration.
-        assert cluster.memory.allocator.fragmentation_bytes(1) == 8192
-        assert cluster.memory.allocator.fragmentation_bytes(0) == 0
+        assert cluster.memory.allocator._arenas[1].free_bytes == 8192
+        assert cluster.memory.allocator._arenas[0].free_bytes == 0
 
     def test_wild_pointer_into_drained_range_faults_not_livelocks(self):
         # After a drain, node 1 live-owns node 0's whole arithmetic
@@ -580,7 +568,7 @@ class TestMigration:
         wild = cluster.memory.addrspace.range_of(0)[1] - 8
         next_offset = lst.layout.offset("next")
         cluster.memory.write_u64(addrs[2] + next_offset, wild)
-        drain = cluster.drain_node(0)
+        drain = cluster.env.process(cluster.migration.drain(0))
         cluster.env.run(until=drain)
         pending = cluster.submit(lst.find_iterator(), 5)
         cluster.env.run(until=cluster.env.now + 10_000_000.0)
@@ -599,7 +587,7 @@ class TestMigration:
 
 
 # ---------------------------------------------------------------------------
-# Cluster membership: add_node / drain_node
+# Cluster membership: add_node / migration.drain
 # ---------------------------------------------------------------------------
 class TestMembership:
     def test_add_node_grows_rack(self):
@@ -631,7 +619,7 @@ class TestMembership:
             table.insert(k, bytes([k]) * 8)
         pending = [cluster.submit(table.find_iterator(), k)
                    for k in range(64)]
-        drain = cluster.drain_node(0)
+        drain = cluster.env.process(cluster.migration.drain(0))
         cluster.env.run(until=drain)
         assert cluster.memory.placement.rules_of(0) == []
         for p in pending:
@@ -645,7 +633,7 @@ class TestMembership:
 
     def test_drained_node_receives_no_new_allocations(self):
         cluster = PulseCluster(node_count=2)
-        drain = cluster.drain_node(0)
+        drain = cluster.env.process(cluster.migration.drain(0))
         cluster.env.run(until=drain)
         for _ in range(8):
             vaddr = cluster.memory.alloc(256)
@@ -654,7 +642,7 @@ class TestMembership:
     def test_drain_last_absorbing_node_raises(self):
         cluster = PulseCluster(node_count=1)
         cluster.memory.alloc(256)
-        drain = cluster.drain_node(0)
+        drain = cluster.env.process(cluster.migration.drain(0))
         with pytest.raises(MigrationError):
             cluster.env.run(until=drain)
 
@@ -733,10 +721,10 @@ class TestRebalancer:
             yield  # pragma: no cover -- keeps this a generator
 
         cluster.migration.migrate = boom
-        cluster.start_rebalancer()
+        cluster.rebalancer.start()
         interval = cluster.params.placement.rebalance_interval_ns
         cluster.env.run(until=cluster.env.now + 4 * interval)
-        cluster.stop_rebalancer()
+        cluster.rebalancer.stop()
         assert cluster.rebalancer.rounds >= 2
         assert calls["n"] >= 2
 
@@ -745,10 +733,10 @@ class TestRebalancer:
             node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
-        cluster.start_rebalancer()
+        cluster.rebalancer.start()
         cluster.env.run(until=cluster.env.now
                         + 4 * cluster.params.placement.rebalance_interval_ns)
-        cluster.stop_rebalancer()
+        cluster.rebalancer.stop()
         snap = cluster.metrics_snapshot()
         assert snap["counters"]["placement.migrations"] >= 1
 
@@ -758,10 +746,10 @@ class TestRebalancer:
         cluster = PulseCluster(node_count=2)
         rebalancer = cluster.rebalancer
         interval = cluster.params.placement.rebalance_interval_ns
-        cluster.start_rebalancer()
+        cluster.rebalancer.start()
         cluster.env.run(until=cluster.env.now + interval / 2)
-        cluster.stop_rebalancer()
-        cluster.start_rebalancer()
+        cluster.rebalancer.stop()
+        cluster.rebalancer.start()
         cluster.env.run(until=cluster.env.now + 4 * interval)
         loops = [obj for obj in gc.get_objects()
                  if isinstance(obj, Process) and obj.is_alive

@@ -18,6 +18,7 @@ from repro.mem import (
 from repro.mem.translation import RangeEntry
 from repro.sim import Environment
 from repro.structures import BPlusTree, HashTable, LinkedList, SkipList
+from tests.helpers import btree_items, find_reference, run_functional
 
 COMMON = settings(max_examples=40,
                   suppress_health_check=[HealthCheck.too_slow],
@@ -185,8 +186,8 @@ class TestKernelProperties:
         finder = lst.find_iterator()
         keys = [k for k, _ in pairs]
         target = probe if probe % 2 else keys[probe % len(keys)]
-        result = finder.run_functional(gm.read, target)
-        assert result.value == lst.find_reference(target)
+        result = run_functional(finder, gm.read, target)
+        assert result.value == find_reference(lst, target)
 
     @COMMON
     @given(values=st.lists(i64 .filter(lambda v: abs(v) < 1 << 40),
@@ -195,7 +196,7 @@ class TestKernelProperties:
         gm = GlobalMemory(1, 1 << 20)
         lst = LinkedList(gm)
         lst.extend(enumerate(values))
-        total, count = lst.sum_iterator().run_functional(gm.read).value
+        total, count = run_functional(lst.sum_iterator(), gm.read).value
         assert total == sum(values)
         assert count == len(values)
 
@@ -214,7 +215,7 @@ class TestStructureProperties:
             reference[key] = value
         finder = table.find_iterator()
         for probe in probes + keys[:5]:
-            got = finder.run_functional(gm.read, probe).value
+            got = run_functional(finder, gm.read, probe).value
             want = reference.get(probe)
             if want is None:
                 assert got is None
@@ -234,7 +235,7 @@ class TestStructureProperties:
         lookup = tree.lookup_iterator()
         reference = dict(pairs)
         for probe in probes + keys[:5]:
-            got = lookup.run_functional(gm.read, probe).value
+            got = run_functional(lookup, gm.read, probe).value
             assert got == reference.get(probe)
 
     @COMMON
@@ -245,7 +246,7 @@ class TestStructureProperties:
         tree = BPlusTree(gm, fanout=4)
         for key in keys:
             tree.insert(key, key + 1)
-        items = tree.items_reference()
+        items = btree_items(tree)
         assert items == sorted((k, k + 1) for k in keys)
 
     @COMMON
@@ -261,7 +262,7 @@ class TestStructureProperties:
         ordered = [k for k, _ in pairs]
         start_key = ordered[start_index % len(ordered)]
         scan = tree.scan_collect_iterator(limit=limit)
-        got = scan.run_functional(gm.read, start_key).value
+        got = run_functional(scan, gm.read, start_key).value
         expected = [k for k in ordered if k >= start_key][:limit]
         assert got == expected
 
@@ -270,16 +271,16 @@ class TestStructureProperties:
            seed=st.integers(0, 1000))
     def test_skiplist_matches_dict(self, keys, seed):
         gm = GlobalMemory(1, 1 << 22)
-        sl = SkipList(gm, levels=4, seed=seed)
+        sl = SkipList(gm, seed=seed)
         for key in keys:
             sl.insert(key, key % 997)
         finder = sl.find_iterator()
         for key in keys[:10]:
-            assert finder.run_functional(gm.read, key).value == key % 997
+            assert run_functional(finder, gm.read, key).value == key % 997
         absent = max(keys) - 1
         if absent not in keys and absent >= 0:
-            assert (finder.run_functional(gm.read, absent).value
-                    == sl.find_reference(absent))
+            assert (run_functional(finder, gm.read, absent).value
+                    == find_reference(sl, absent))
 
 
 class TestSimProperties:
@@ -339,11 +340,12 @@ class TestInterpreterWrapAround:
         from repro.isa import IteratorMachine, assemble
 
         program = assemble(f"""
+            .scratch 24
             LOAD 0 16
             {op} r0 sp[0] sp[8]
             MOVE sp[16] r0
             RETURN
-        """, scratch_bytes=24)
+        """)
         gm = GlobalMemory(1, 1 << 12)
         addr = gm.alloc(16)
         machine = IteratorMachine(program)
@@ -368,11 +370,12 @@ class TestInterpreterWrapAround:
         from repro.isa import IteratorMachine, assemble
 
         program = assemble("""
+            .scratch 24
             LOAD 0 16
             DIV r0 sp[0] sp[8]
             MOVE sp[16] r0
             RETURN
-        """, scratch_bytes=24)
+        """)
         gm = GlobalMemory(1, 1 << 12)
         addr = gm.alloc(16)
         machine = IteratorMachine(program)
@@ -395,6 +398,7 @@ class TestInterpreterWrapAround:
         from repro.isa import IteratorMachine, assemble
 
         program = assemble("""
+            .scratch 24
             LOAD 0 16
             COMPARE sp[0] sp[8]
             JUMP_LT less
@@ -403,7 +407,7 @@ class TestInterpreterWrapAround:
         less:
             MOVE sp[16] #1
             RETURN
-        """, scratch_bytes=24)
+        """)
         gm = GlobalMemory(1, 1 << 12)
         addr = gm.alloc(16)
         machine = IteratorMachine(program)

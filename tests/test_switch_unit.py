@@ -4,28 +4,12 @@ import pytest
 
 from repro.core import PulseCluster, RequestStatus
 from repro.core.messages import TraversalBatch, TraversalRequest
-from repro.core.switch import PulseSwitch
 from repro.isa import assemble
-from repro.mem import AddressSpace
-from repro.params import DEFAULT_PARAMS
-from repro.placement import PlacementMap
-from repro.sim import Environment
-from repro.sim.network import Fabric, Message
+from repro.sim.network import Message
 
-from tests.helpers import counter_value
+from tests.helpers import counter_value, make_switch
 
 PROGRAM = assemble("LOAD 0 8\nRETURN")
-
-
-def make_switch(node_count=2, bounce=False):
-    env = Environment()
-    fabric = Fabric(env, DEFAULT_PARAMS.network)
-    space = AddressSpace(node_count, 1 << 20)
-    switch = PulseSwitch(env, fabric, PlacementMap(space), DEFAULT_PARAMS,
-                         bounce_to_client=bounce)
-    client = fabric.register("client0")
-    nodes = [fabric.register(f"mem{i}") for i in range(node_count)]
-    return env, fabric, space, switch, client, nodes
 
 
 def request(cur_ptr, status=RequestStatus.RUNNING, request_id=(0, 1)):

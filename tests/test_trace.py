@@ -1,14 +1,14 @@
 """Tests for the registry-owned per-request event log."""
 
 from repro.core import PulseCluster
-from repro.obs import EventLog, MetricsRegistry
+from repro.obs import EventLog, MetricsRegistry, metrics
 from repro.sim import Environment
 from repro.structures import LinkedList
 
 
-def make_log(**kwargs):
+def make_log():
     env = Environment()
-    return env, EventLog(lambda: env.now, **kwargs)
+    return env, EventLog(lambda: env.now)
 
 
 class TestTracerUnit:
@@ -21,12 +21,12 @@ class TestTracerUnit:
         assert [e.event for e in events] == ["first", "second"]
         assert events[0].time_ns < events[1].time_ns
 
-    def test_capacity_drops_extras(self):
-        _, log = make_log(capacity=2)
+    def test_capacity_drops_extras(self, monkeypatch):
+        monkeypatch.setattr(metrics, "EVENT_LOG_CAPACITY", 2)
+        _, log = make_log()
         for i in range(5):
             log.record("x", "e", (0, i))
         assert len(log.events) == 2
-        assert log.dropped == 3
 
     def test_disabled_tracer_records_nothing(self):
         # Off is the absence of a log -- there is no null object.
@@ -62,7 +62,8 @@ class TestClusterTracing:
         assert events[-1] == "complete"
         # The span matches the measured latency to within the client's
         # final stack hold.
-        span = log.span_ns(request_id)
+        events = log.timeline(request_id)
+        span = events[-1].time_ns - events[0].time_ns
         assert span <= result.latency_ns
         assert span > 0.5 * result.latency_ns
         # The log rides beside the metrics, not inside the snapshot.

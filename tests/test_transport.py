@@ -54,7 +54,7 @@ class TestCutThrough:
 
     def test_never_mode_is_unarmed_even_on_lossy_links(self):
         env, fabric, a, b = make_pair(mode="never")
-        fabric.configure_link("a", "b", LinkProfile(drop_probability=0.5))
+        fabric._links[("a", "b")] = LinkProfile(drop_probability=0.5)
         assert not a.armed_to("b")
 
 
@@ -113,7 +113,7 @@ class TestReliableDelivery:
 
     def test_retransmits_recover_a_lossy_link(self):
         env, fabric, a, b = make_pair(mode="auto", net_seed=11)
-        fabric.configure_link("a", "b", LinkProfile(drop_probability=0.4))
+        fabric._links[("a", "b")] = LinkProfile(drop_probability=0.4)
         for i in range(20):
             a.send("b", "test", i, 128)
         env.run()
@@ -127,7 +127,7 @@ class TestReliableDelivery:
             tp_kwargs=dict(hop_timeout_ns=10.0 * US,
                            hop_backoff_cap_ns=15.0 * US,
                            max_hop_retries=3))
-        fabric.configure_link("a", "b", LinkProfile(drop_probability=1.0))
+        fabric._links[("a", "b")] = LinkProfile(drop_probability=1.0)
         a.send("b", "test", "doomed", 128)
         env.run()
         assert not b.inbox._items
@@ -140,8 +140,8 @@ class TestReliableDelivery:
     def test_ack_loss_causes_duplicate_not_double_delivery(self):
         env, fabric, a, b = make_pair(mode="auto", net_seed=3)
         # Forward link is clean-ish, the reverse (ACK) path is awful.
-        fabric.configure_link("a", "b", LinkProfile(drop_probability=0.1))
-        fabric.configure_link("b", "a", LinkProfile(drop_probability=0.8))
+        fabric._links[("a", "b")] = LinkProfile(drop_probability=0.1)
+        fabric._links[("b", "a")] = LinkProfile(drop_probability=0.8)
         for i in range(10):
             a.send("b", "test", i, 128)
         env.run()
@@ -209,7 +209,7 @@ class TestRetransmitTimer:
 
     def test_take_over_cancels_every_timer(self):
         env, fabric, a, _ = make_pair(mode="auto")
-        fabric.configure_link("a", "b", LinkProfile(drop_probability=1.0))
+        fabric._links[("a", "b")] = LinkProfile(drop_probability=1.0)
         for i in range(3):
             a.send("b", "test", i, 128)
         timers = [e.timer for e in a._tx["b"].outstanding.values()]
@@ -229,8 +229,8 @@ class TestMessageHandler:
         what b delivered upward and the first arrival time of each
         payload's data segment at b's NIC."""
         env, fabric, a, b = make_pair(mode="auto", net_seed=3)
-        fabric.configure_link("a", "b", LinkProfile(drop_probability=0.3))
-        fabric.configure_link("b", "a", LinkProfile(drop_probability=0.6))
+        fabric._links[("a", "b")] = LinkProfile(drop_probability=0.3)
+        fabric._links[("b", "a")] = LinkProfile(drop_probability=0.6)
         first_arrival = {}
         arrive = fabric._arrive
 
@@ -290,8 +290,7 @@ class TestDeterministicLinkRngs:
         results = []
         for _ in range(2):
             env, fabric, a, b = make_pair(mode="auto", net_seed=42)
-            fabric.configure_link(
-                "a", "b", LinkProfile(drop_probability=0.3))
+            fabric._links[("a", "b")] = LinkProfile(drop_probability=0.3)
             for i in range(30):
                 a.send("b", "test", i, 128)
             env.run()
@@ -323,7 +322,7 @@ class TestDeterministicLinkRngs:
 class TestJitterReordering:
     def test_jitter_delays_but_delivers(self):
         env, fabric, a, b = make_pair(mode="auto", net_seed=5)
-        fabric.configure_link("a", "b", LinkProfile(jitter_ns=50.0 * US))
+        fabric._links[("a", "b")] = LinkProfile(jitter_ns=50.0 * US)
         for i in range(10):
             a.send("b", "test", i, 128)
         env.run()
@@ -469,7 +468,7 @@ class TestScaleOutUnderLoss:
         assert new_session.armed_to("switch")
         # An explicit per-link entry still wins over the default ...
         quiet = LinkProfile(jitter_ns=5.0)
-        cluster.fabric.configure_link("switch", name, quiet)
+        cluster.fabric._links[("switch", name)] = quiet
         assert cluster.fabric.link_profile("switch", name) == quiet
         # ... and None clears the default for every link without one.
         cluster.fabric.configure_all_links(None)

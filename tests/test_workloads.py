@@ -5,6 +5,7 @@ import pytest
 from repro.isa import analyze
 from repro.mem import GlobalMemory
 from repro.params import AcceleratorParams
+from repro.structures.btree import LEAF_FLAG
 from repro.workloads import (
     TSV_WINDOWS_S,
     UniformKeyGenerator,
@@ -16,6 +17,27 @@ from repro.workloads import (
     standard_workloads,
 )
 from repro.workloads.upmu import NOMINAL_MICROVOLTS, UPMU_SAMPLE_HZ
+
+from tests.helpers import run_functional
+
+#: Table 2's static eta of each kernel
+TABLE2_ETA = {"UPC": 0.06, "TC": 0.79}
+
+
+def leaf_owners(memory, scan):
+    """The owning node of each leaf, in key order, of the B+Tree a
+    ``BTreeScanCount`` reads."""
+    layout = scan.layout
+    addr = scan._root_of()
+    node = layout.unpack(memory.read(addr, layout.size))
+    while not node["flags"] & LEAF_FLAG:
+        addr = node["ptrs"][0]
+        node = layout.unpack(memory.read(addr, layout.size))
+    owners = []
+    while addr:
+        owners.append(memory.addrspace.node_of(addr))
+        addr = layout.unpack(memory.read(addr, layout.size))["ptrs"][-1]
+    return owners
 
 
 @pytest.fixture
@@ -84,7 +106,7 @@ class TestUpcWorkload:
         upc = build_upc(memory, node_count=2, num_pairs=2_000,
                         chain_length=50, requests=20, seed=0)
         for index, (iterator, args) in enumerate(upc.operations[:5]):
-            result = iterator.run_functional(memory.read, *args)
+            result = run_functional(iterator, memory.read, *args)
             assert result.value == upc.expected[index]
 
     def test_average_iterations_near_half_chain(self, memory):
@@ -93,7 +115,7 @@ class TestUpcWorkload:
         iterations = []
         for iterator, args in upc.operations:
             iterations.append(
-                iterator.run_functional(memory.read, *args).iterations)
+                run_functional(iterator, memory.read, *args).iterations)
         mean = sum(iterations) / len(iterations)
         assert 35 <= mean <= 70  # ~half the chain plus the sentinel
 
@@ -102,14 +124,14 @@ class TestUpcWorkload:
                         chain_length=50, requests=1)
         analysis = analyze(upc.operations[0][0].program,
                            AcceleratorParams())
-        assert analysis.eta == pytest.approx(upc.table2_eta, abs=0.03)
+        assert analysis.eta == pytest.approx(TABLE2_ETA["UPC"], abs=0.03)
 
     def test_partitioned_across_nodes(self, memory):
         upc = build_upc(memory, node_count=2, num_pairs=1_000,
                         chain_length=50, requests=1)
-        table = upc.structure
-        nodes_used = {memory.addrspace.node_of(s)
-                      for s in table._sentinels}
+        finder = upc.operations[0][0]
+        nodes_used = {memory.addrspace.node_of(finder.init(key)[0])
+                      for key in range(1_000)}     # every bucket's head
         assert nodes_used == {0, 1}
 
 
@@ -118,7 +140,7 @@ class TestTcWorkload:
         tc = build_tc(memory, node_count=1, num_pairs=3_000,
                       scan_limit=60, requests=10, seed=0)
         for index, (iterator, args) in enumerate(tc.operations[:3]):
-            count, checksum = iterator.run_functional(
+            count, checksum = run_functional(iterator, 
                 memory.read, *args).value
             start = tc.expected[index]
             assert count >= 60
@@ -128,7 +150,7 @@ class TestTcWorkload:
         tc = build_tc(memory, node_count=1, num_pairs=20_000,
                       requests=15, seed=2)
         iterations = [
-            it.run_functional(memory.read, *args).iterations
+            run_functional(it, memory.read, *args).iterations
             for it, args in tc.operations
         ]
         mean = sum(iterations) / len(iterations)
@@ -139,18 +161,12 @@ class TestTcWorkload:
         tc = build_tc(memory, node_count=1, num_pairs=2_000, requests=1)
         analysis = analyze(tc.operations[0][0].program,
                            AcceleratorParams())
-        assert analysis.eta == pytest.approx(tc.table2_eta, abs=0.1)
+        assert analysis.eta == pytest.approx(TABLE2_ETA["TC"], abs=0.1)
 
     def test_interleaved_placement_crosses_nodes(self, memory):
         tc = build_tc(memory, node_count=2, num_pairs=4_000,
                       requests=1, seed=0)
-        tree = tc.structure
-        leaf = tree._leftmost_leaf()
-        owners = []
-        while leaf:
-            owners.append(memory.addrspace.node_of(leaf))
-            node = tree._read_node(leaf)
-            leaf = node["ptrs"][tree.fanout]
+        owners = leaf_owners(memory, tc.operations[0][0])
         crossings = sum(1 for a, b in zip(owners, owners[1:]) if a != b)
         fraction = crossings / max(1, len(owners) - 1)
         # Section 7.1: 30-40% of hops are inter-node on two nodes.
@@ -159,13 +175,7 @@ class TestTcWorkload:
     def test_partitioned_placement_rarely_crosses(self, memory):
         tc = build_tc(memory, node_count=2, num_pairs=4_000,
                       requests=1, seed=0, partitioned=True)
-        tree = tc.structure
-        leaf = tree._leftmost_leaf()
-        owners = []
-        while leaf:
-            owners.append(memory.addrspace.node_of(leaf))
-            node = tree._read_node(leaf)
-            leaf = node["ptrs"][tree.fanout]
+        owners = leaf_owners(memory, tc.operations[0][0])
         crossings = sum(1 for a, b in zip(owners, owners[1:]) if a != b)
         assert crossings <= 1
 
@@ -175,7 +185,7 @@ class TestTsvWorkload:
         tsv = build_tsv(memory, node_count=1, window_s=7.5,
                         duration_s=120, requests=12, seed=0)
         for index, (iterator, args) in enumerate(tsv.operations):
-            result = iterator.run_functional(memory.read, *args)
+            result = run_functional(iterator, memory.read, *args)
             expected = tsv.expected[index]
             if expected is None:
                 assert result.value is None
@@ -188,7 +198,7 @@ class TestTsvWorkload:
             tsv = build_tsv(memory, node_count=1, window_s=window,
                             duration_s=240, requests=8, seed=1)
             iterations = [
-                it.run_functional(memory.read, *args).iterations
+                run_functional(it, memory.read, *args).iterations
                 for it, args in tsv.operations
             ]
             means[window] = sum(iterations) / len(iterations)
@@ -199,7 +209,7 @@ class TestTsvWorkload:
         tsv = build_tsv(memory, node_count=1, window_s=7.5,
                         duration_s=120, requests=10, seed=3)
         iterations = [
-            it.run_functional(memory.read, *args).iterations
+            run_functional(it, memory.read, *args).iterations
             for it, args in tsv.operations
         ]
         mean = sum(iterations) / len(iterations)

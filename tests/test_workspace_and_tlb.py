@@ -19,8 +19,18 @@ from repro.params import AcceleratorParams, SystemParams
 from repro.structures import LinkedList
 
 
+class CountingTable(RangeTranslationTable):
+    """A range table that counts the walks a TLB sends it."""
+
+    lookups = 0
+
+    def lookup(self, vaddr, size=1):
+        self.lookups += 1
+        return super().lookup(vaddr, size)
+
+
 def make_table(ranges):
-    table = RangeTranslationTable()
+    table = CountingTable()
     for start, end, phys in ranges:
         table.insert(RangeEntry(start, end, phys))
     return table
@@ -83,7 +93,8 @@ class TestTranslationCache:
         table = make_table([(0x1000, 0x2000, 0x0)])
         tlb = TranslationCache(table, capacity=4)
         tlb.lookup(0x1100)
-        table.set_permissions(0x1000, PERM_READ)
+        table.entries[0].perms = PERM_READ
+        table.version += 1
         entry = tlb.lookup(0x1100)
         assert entry.perms == PERM_READ
         assert not entry.perms & PERM_WRITE
