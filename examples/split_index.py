@@ -12,11 +12,15 @@ directory from a hash table, and shows the three regimes:
    wrong: the old node NACKs the direct read, the traversal fallback
    returns the right bytes, and the entry is repaired in place.
 
+Then a B+Tree primes the same directory from its leaves: a key the
+directory lost is learned by its first traversal, and the next lookup
+is one direct READ of the leaf.
+
 Run:  python examples/split_index.py
 """
 
 from repro import PulseCluster
-from repro.structures import HashTable
+from repro.structures import BPlusTree, HashTable
 
 KEYS = 256
 
@@ -55,6 +59,18 @@ def main() -> None:
     show("stale hint (NACK+fallback)",
          cluster.run_traversal(finder, victim))
     show("hit (repaired)", cluster.run_traversal(finder, victim))
+
+    print("\na B+Tree's leaves prime the same directory")
+    tree = BPlusTree(cluster.memory, fanout=8)
+    for key in range(KEYS, 2 * KEYS):
+        tree.insert(key, key * 3)
+    print(f"primed {cluster.load_index(tree)} directory entries")
+    cluster.indexes[0].invalidate(KEYS + 7)
+    for label in ("miss (full traversal)", "hit (learned)"):
+        result = cluster.run_traversal(tree.lookup_iterator(), KEYS + 7)
+        print(f"  {label:<26} value={result.value}  "
+              f"iterations={result.iterations:<3} "
+              f"latency={result.latency_ns:8.1f} ns")
 
     counters = cluster.metrics_snapshot()["counters"]
     print("\ndirectory counters:")

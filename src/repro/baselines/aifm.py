@@ -64,10 +64,6 @@ class CacheRpcSystem(RpcSystem):
             allocated=self.registry.counter(
                 "client0.objcache.workspace.allocated"))
 
-    @property
-    def name(self) -> str:
-        return "Cache+RPC"
-
     def traverse(self, iterator: PulseIterator, *args):
         start = self.env.now
         cpu = self.params.cpu

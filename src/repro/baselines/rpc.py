@@ -185,10 +185,6 @@ class RpcSystem(Rack):
         self._counter = 0
         self.session.on_message = self._on_message
 
-    @property
-    def name(self) -> str:
-        return "RPC-W" if self.wimpy else "RPC"
-
     def serving_watts(self) -> float:
         """Every memory node's worker pool, wimpy or full cores."""
         power = self.params.power

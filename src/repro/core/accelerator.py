@@ -115,12 +115,11 @@ class Accelerator:
 
     def __init__(self, env: Environment, node: MemoryNode, fabric: Fabric,
                  params: SystemParams, placement_map: PlacementMap,
-                 hotness: HotnessTracker,
+                 hotness: HotnessTracker, registry: MetricsRegistry,
                  shared_interconnect: bool = True,
                  split_loads: bool = False,
                  scheduler_policy: str = "fifo",
-                 batch_lanes: int = 32,
-                 registry: Optional[MetricsRegistry] = None):
+                 batch_lanes: int = 32):
         self.env = env
         self.node = node
         self.fabric = fabric
@@ -170,8 +169,6 @@ class Accelerator:
         #: instead of the offload engine's single aggregated LOAD (§4.1)
         self.split_loads = split_loads
 
-        if registry is None:
-            registry = MetricsRegistry(clock=lambda: env.now)
         self.registry = registry
         self._events = registry.events
         prefix = f"{self.name}.acc"

@@ -114,16 +114,6 @@ class Rack:
         return [self.submit(iterator, *args)
                 for iterator, args in requests]
 
-    def run_traversal(self, iterator: PulseIterator,
-                      *args) -> TraversalResult:
-        """Convenience: run one traversal to completion synchronously."""
-        return self.env.run(
-            until=self.env.process(self.traverse(iterator, *args)))
-
-    def load_index(self, structure) -> int:
-        """Bulk-prime a client-resident split index; none here: 0."""
-        return 0
-
     def serving_watts(self) -> float:
         """Average power (W) of the serving hardware at saturation."""
         raise NotImplementedError
@@ -214,8 +204,8 @@ class PulseCluster(Rack):
                             registry=self.registry, seed=seed)
         self.migration = MigrationEngine(self.env, self.memory, placement,
                                          registry=self.registry)
-        self.rebalancer = Rebalancer(self.env, self.migration, self.heat,
-                                     placement, registry=self.registry)
+        self.rebalancer = Rebalancer(self.migration, self.heat, placement,
+                                     registry=self.registry)
         #: accelerator construction options, reused by :meth:`add_node`
         #: so late-joining nodes match the rest of the rack
         self._acc_options = dict(shared_interconnect=shared_interconnect,
@@ -324,8 +314,8 @@ class PulseCluster(Rack):
         accelerator, installs the node's (initially empty-of-data) range
         rule in the shared placement map, and makes the allocator and
         rebalancer aware of it.  Returns the new node id.  The node
-        starts cold; call :meth:`rebalance_once` (or leave the
-        rebalancer running) to shift load onto it.
+        starts cold; each :meth:`rebalance_once` round shifts load onto
+        it.
         """
         self._forbid_sharded("add_node")
         node = self.memory.add_node()

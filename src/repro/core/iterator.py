@@ -44,9 +44,6 @@ class FaultInfo:
     reason: str
     kind: str = "execution"
 
-    def __str__(self) -> str:
-        return self.reason
-
 
 class TraversalResult:
     """What the client hands back to the application.
@@ -89,13 +86,6 @@ class TraversalResult:
     def ok(self) -> bool:
         """True when the traversal completed without a fault."""
         return self.fault is None
-
-    def __repr__(self) -> str:
-        return (f"TraversalResult(value={self.value!r}, "
-                f"iterations={self.iterations}, "
-                f"latency_ns={self.latency_ns}, "
-                f"offloaded={self.offloaded}, hops={self.hops}, "
-                f"fault={self.fault!r})")
 
 
 class PulseIterator:

@@ -24,7 +24,7 @@ FRAME_BYTES = 64
 #: segments from a different version instead of misparsing them
 TRANSPORT_VERSION = 1
 #: on-wire size of :class:`TransportHeader` (version/flags 4B, seq 8B,
-#: ack 8B, hop-epoch 4B)
+#: ack 8B, padding 4B)
 TRANSPORT_HEADER_BYTES = 24
 
 #: flag bits in :attr:`TransportHeader.flags`
@@ -241,9 +241,6 @@ class TraversalBatch:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a traversal batch needs at least one request")
-
-    def __len__(self) -> int:
-        return len(self.requests)
 
     def __iter__(self) -> Iterator[TraversalRequest]:
         return iter(self.requests)

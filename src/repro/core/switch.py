@@ -116,16 +116,6 @@ class PulseSwitch:
             return 0.0
         return self._m_rerouted.value / returned
 
-    @property
-    def rule_count(self) -> int:
-        """Number of switch table rules.
-
-        One per memory node while placement matches the arithmetic
-        partition (section 6's invariant); migrations split rules, and
-        coalescing shrinks the count back as ownership re-compacts.
-        """
-        return self.rangemap.rule_count
-
     def _on_message(self, message: Message) -> None:
         # Non-pulse traffic never targets the switch endpoint;
         # baselines talk host-to-host through the fabric directly.

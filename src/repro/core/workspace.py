@@ -43,10 +43,6 @@ class MachinePool:
         self._reused = reused
         self._allocated = allocated
 
-    def __len__(self) -> int:
-        """Machines currently idle in the pool."""
-        return self._retained
-
     def acquire(self, program: Program) -> IteratorMachine:
         """An idle machine for ``program`` (reused when one is free).
 

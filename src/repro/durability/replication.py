@@ -56,9 +56,6 @@ class ReplicaStore:
         self._records: Dict[Tuple[int, int], Tuple[int, bytes]] = {}
         self._next_seq = 0
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def apply(self, vaddr: int, data: bytes) -> None:
         self._records[(vaddr, len(data))] = (self._next_seq, bytes(data))
         self._next_seq += 1

@@ -65,9 +65,6 @@ class SplitIndexDirectory:
         registry.gauge(f"{name}.index.entries",
                        fn=lambda: len(self._entries))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     # -- lookup / learn ------------------------------------------------------
     def lookup(self, key: int) -> Optional[IndexEntry]:
         entry = self._entries.get(key)

@@ -17,7 +17,6 @@ from repro.isa.instructions import (
     Opcode,
     Operand,
     cur_ptr,
-    data,
     imm,
     reg,
     sp,
@@ -53,7 +52,6 @@ __all__ = [
     "assemble",
     "compile_program",
     "cur_ptr",
-    "data",
     "disassemble",
     "get_batch_plan",
     "imm",

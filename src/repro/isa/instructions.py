@@ -3,8 +3,8 @@
 Operands name storage in the accelerator workspace (section 4.2.1):
 
 * ``cur_ptr()`` -- the single pointer register driving the traversal.
-* ``data(offset)`` -- the data register vector, filled by the iteration's
-  aggregated LOAD from ``[cur_ptr + window_offset, ...)``.
+* ``Operand(Bank.DATA, offset)`` -- the data register vector, filled by
+  the iteration's aggregated LOAD from ``[cur_ptr + window_offset, ...)``.
 * ``sp(offset)`` -- the scratch-pad register vector (iterator state and
   return value).
 * ``reg(i)`` -- a small general-purpose file for temporaries.
@@ -115,25 +115,10 @@ class Operand:
     def is_writable(self) -> bool:
         return self.bank is not Bank.IMM
 
-    def describe(self) -> str:
-        if self.bank is Bank.IMM:
-            return f"#{self.value}"
-        if self.bank is Bank.CUR_PTR:
-            return "cur_ptr"
-        if self.bank is Bank.REG:
-            return f"r{self.value}"
-        suffix = "" if self.width == 8 else f":{self.width}"
-        if self.bank is Bank.SP_IND:
-            return f"sp[r{self.value}]{suffix}"
-        return f"{self.bank.value}[{self.value}]{suffix}"
-
 
 def cur_ptr() -> Operand:
     return Operand(Bank.CUR_PTR, 0, 8, signed=False)
 
-
-def data(offset: int, width: int = 8, signed: bool = True) -> Operand:
-    return Operand(Bank.DATA, offset, width, signed)
 
 
 def sp(offset: int, width: int = 8, signed: bool = True) -> Operand:
@@ -223,25 +208,6 @@ class Instruction:
             pass
         else:  # pragma: no cover -- enum is closed
             raise IsaError(f"[{index}] unknown opcode {op!r}")
-
-    def describe(self) -> str:
-        op = self.opcode
-        if op is Opcode.LOAD:
-            return f"LOAD off={self.mem_offset} size={self.mem_size}"
-        if op is Opcode.STORE:
-            return f"STORE off={self.mem_offset} {self.a.describe()}"
-        if op in ALU_OPCODES:
-            parts = [self.dst.describe(), self.a.describe()]
-            if self.b is not None:
-                parts.append(self.b.describe())
-            return f"{op.value} " + " ".join(parts)
-        if op is Opcode.MOVE:
-            return f"MOVE {self.dst.describe()} {self.a.describe()}"
-        if op is Opcode.COMPARE:
-            return f"COMPARE {self.a.describe()} {self.b.describe()}"
-        if op in JUMP_OPCODES:
-            return f"{op.value} ->{self.target}"
-        return op.value
 
 
 def to_signed(value: int, width: int = 8) -> int:

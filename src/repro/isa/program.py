@@ -62,11 +62,6 @@ class Program:
         head = self.instructions[0]
         return head.mem_offset, head.mem_size
 
-    @property
-    def body(self) -> List[Instruction]:
-        """Logic-pipeline instructions (everything after the LOAD)."""
-        return self.instructions[1:]
-
     def wire_bytes(self) -> int:
         """Encoded size of the program when shipped in a request.
 
@@ -98,12 +93,6 @@ class Program:
             from repro.isa.encoding import encode
             self._digest = blake2b(encode(self), digest_size=16).digest()
         return self._digest
-
-    def describe(self) -> str:
-        lines = [f"; program {self.name} (scratch={self.scratch_bytes}B)"]
-        for i, instr in enumerate(self.instructions):
-            lines.append(f"{i:3d}: {instr.describe()}")
-        return "\n".join(lines)
 
     def _validate(self) -> None:
         instructions = self.instructions

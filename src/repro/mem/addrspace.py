@@ -49,14 +49,6 @@ class AddressSpace:
             return None
         return node_id
 
-    def to_physical(self, vaddr: int) -> Tuple[int, int]:
-        """(node_id, node-local physical address) for ``vaddr``."""
-        node_id = self.node_of(vaddr)
-        if node_id is None:
-            raise AddressSpaceError(f"unmapped virtual address {vaddr:#x}")
-        start, _ = self.range_of(node_id)
-        return node_id, vaddr - start
-
     def switch_rules(self) -> List[Tuple[int, int, int]]:
         """(range_start, range_end, node_id) rules -- one per node (§6)."""
         return [(*self.range_of(n), n) for n in range(self.node_count)]

@@ -504,7 +504,7 @@ class DisaggregatedAllocator:
         if self.owner_map is not None:
             node_id = self.owner_map.node_of(vaddr)
         else:
-            node_id, _ = self.addrspace.to_physical(vaddr)
+            node_id = self.addrspace.node_of(vaddr)
         if node_id is None:
             raise AllocationError(f"unowned virtual address {vaddr:#x}")
         return node_id

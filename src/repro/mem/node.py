@@ -47,10 +47,6 @@ class MemoryNode:
         self.table = RangeTranslationTable(capacity=tcam_capacity)
         self.virt_start, self.virt_end = addrspace.range_of(node_id)
 
-    def owns(self, vaddr: int) -> bool:
-        """True if ``vaddr`` falls in this node's partition of the rack."""
-        return self.virt_start <= vaddr < self.virt_end
-
     def read_virt(self, vaddr: int, size: int) -> bytes:
         """Translate + read; raises TranslationFault for foreign pointers."""
         phys = self.table.translate(vaddr, size, PERM_READ)

@@ -69,9 +69,3 @@ class PhysicalMemory:
         """Write ``data`` at physical ``addr``."""
         self._check(addr, len(data))
         self.mapping[addr:addr + len(data)] = data
-
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))

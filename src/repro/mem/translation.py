@@ -224,9 +224,6 @@ class TranslationCache:
         self.misses = miss_counter if miss_counter is not None else Counter(
             "tlb.misses")
 
-    def __len__(self) -> int:
-        return len(self.mru)
-
     def flush(self) -> None:
         self.mru.clear()
         self.version = self.table.version

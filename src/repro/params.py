@@ -32,7 +32,6 @@ exactly right only for 1e9 B/s; we use decimal GB throughout, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
 
 KB = 1024
 MB = 1024 * KB
@@ -194,7 +193,7 @@ class TransportParams:
     #: "auto" | "always" | "never" -- when per-hop reliability arms
     mode: str = "auto"
     #: versioned transport header prepended to armed DATA segments
-    #: (version, flags, seq, ack, hop-epoch + padding)
+    #: (version, flags, seq, ack, 4 B padding)
     header_bytes: int = 24
     #: wire size of a standalone ACK segment (Ethernet frame + header)
     ack_bytes: int = 88
@@ -250,8 +249,6 @@ class PlacementParams:
     migration_bandwidth_bytes_per_ns: float = 10.0
     #: chunk size for the phase-1 copy loop
     copy_chunk_bytes: int = 64 * KB
-    #: rebalancer control-loop period
-    rebalance_interval_ns: float = 250.0 * US
     #: fill-fraction gap between fullest and emptiest node that
     #: triggers capacity rebalancing
     fill_imbalance_threshold: float = 0.10
@@ -352,19 +349,3 @@ class SystemParams:
 
 
 DEFAULT_PARAMS = SystemParams()
-
-
-def describe(params: SystemParams) -> Dict[str, float]:
-    """Flat summary of the key constants, for experiment logs."""
-    acc = params.accelerator
-    return {
-        "netstack_ns": acc.netstack_ns,
-        "scheduler_dispatch_ns": acc.scheduler_dispatch_ns,
-        "t_d_256B_ns": acc.memory_access_ns(acc.max_load_bytes),
-        "fpga_instruction_ns": acc.instruction_ns,
-        "cpu_instruction_ns": params.cpu.instruction_ns(),
-        "wimpy_instruction_ns": params.wimpy.instruction_ns(),
-        "segment_ns": params.network.segment_ns,
-        "mem_bw_bytes_per_ns": params.memory.bandwidth_bytes_per_ns,
-        "link_bytes_per_ns": params.network.link_bytes_per_ns,
-    }

@@ -297,15 +297,6 @@ class HeatMap:
         """Rack-wide decayed count of the segment containing ``vaddr``."""
         return sum(tracker.heat_of(vaddr) for tracker in self.trackers)
 
-    def hot_segments(self) -> List[Tuple[int, float]]:
-        """(segment_start, decayed_count) pairs summed over the nodes,
-        hottest first, equal counts by ascending address."""
-        merged: Dict[int, float] = {}
-        for tracker in self.trackers:
-            for segment, heat in tracker.hot_segments():
-                merged[segment] = merged.get(segment, 0.0) + heat
-        return sorted(merged.items(), key=_hottest_first)
-
     def hot_edges(self) -> List[Tuple[int, int, float]]:
         """(seg_a, seg_b, decayed weight) triples summed over the nodes,
         heaviest first."""

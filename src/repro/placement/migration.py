@@ -21,13 +21,11 @@ the fence -- parked in its admission queue, or in flight when the rule
 changed -- misses there, and the accelerator answers ``MOVED`` because
 the live map names another owner; the switch retries it against the
 same map.  That holds for as long as a frame can race, with no window.
-
-A drain is just a loop of migrations until the node owns nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.mem.allocator import AllocationError
 from repro.mem.translation import RangeEntry
@@ -138,17 +136,14 @@ class MigrationEngine:
                        fn=lambda: self.in_flight)
 
     # -- public API ---------------------------------------------------------
-    def migrate(self, virt_start: int, virt_end: int, dst: int,
-                include_unmapped: bool = False):
+    def migrate(self, virt_start: int, virt_end: int, dst: int):
         """Simulation process: move [virt_start, virt_end) to node ``dst``.
 
         Returns (via StopIteration value) the number of mapped bytes
         moved.  The range is snapped outward to allocation boundaries so
-        no allocation ever straddles two owners, and -- unless
-        ``include_unmapped`` (a drain moving whole ownership rules) --
-        clamped inward to the mapped span, so a source that keeps
-        allocating never bump-allocates virtual addresses it no longer
-        owns.
+        no allocation ever straddles two owners, and clamped inward to
+        the mapped span, so a source that keeps allocating never
+        bump-allocates virtual addresses it no longer owns.
         """
         self.last_live_bytes = 0
         allocator = self.memory.allocator
@@ -172,11 +167,10 @@ class MigrationEngine:
         dst_node = self.memory.nodes[dst]
         pieces = mapped_pieces(src_node.table.entries, virt_start,
                                virt_end)
-        if not include_unmapped:
-            if not pieces:
-                return 0
-            virt_start = pieces[0][0]
-            virt_end = max(end for _start, end in pieces)
+        if not pieces:
+            return 0
+        virt_start = pieces[0][0]
+        virt_end = max(end for _start, end in pieces)
         total = sum(end - start for start, end in pieces)
         if total and allocator.phys_available(dst) < total:
             self._m_failed.inc()
@@ -236,32 +230,6 @@ class MigrationEngine:
                                 duration_ns=self.env.now - started)
         return total
 
-    def drain(self, node_id: int):
-        """Simulation process: migrate everything off ``node_id``.
-
-        Marks the node non-allocatable first (no new placements land on
-        it), then moves each owned rule to the least-filled candidate
-        until the placement map holds no rules for the node -- at which
-        point the switch will never route a new frame there, and only
-        stragglers remain (each answered MOVED from the live map).
-        Returns total bytes moved.
-        """
-        allocator = self.memory.allocator
-        allocator.set_allocatable(node_id, False)
-        moved = 0
-        while True:
-            owned = self.rangemap.rules_of(node_id)
-            if not owned:
-                break
-            start, end = owned[0]
-            dst = self._pick_target(node_id)
-            if dst is None:
-                raise MigrationError(
-                    f"no node can absorb node {node_id}'s data")
-            moved += yield from self.migrate(start, end, dst,
-                                             include_unmapped=True)
-        return moved
-
     # -- internals ----------------------------------------------------------
     def _fence(self, src: int, dst: int, virt_start: int,
                virt_end: int) -> Tuple[int, int]:
@@ -278,13 +246,3 @@ class MigrationEngine:
         total, live, _entries = switch_ownership(
             self.memory, src, dst, virt_start, virt_end)
         return total, live
-
-    def _pick_target(self, node_id: int) -> Optional[int]:
-        allocator = self.memory.allocator
-        candidates = [
-            n for n in range(self.memory.node_count)
-            if n != node_id and allocator.is_allocatable(n)
-        ]
-        fills = allocator.node_fill_fractions()
-        candidates.sort(key=lambda n: fills[n])
-        return candidates[0] if candidates else None

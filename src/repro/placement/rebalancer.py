@@ -1,7 +1,7 @@
 """The placement control loop: watch fill + heat, schedule migrations.
 
-A background simulation process wakes every ``rebalance_interval_ns``
-and asks three questions, in priority order:
+Each round (:meth:`Rebalancer.rebalance_once`, run by
+``cluster.rebalance_once()``) asks three questions, in priority order:
 
 1. **Fill imbalance** -- is the gap between the fullest and emptiest
    allocatable node's fill fraction above the threshold?  If so, shed
@@ -21,7 +21,7 @@ and asks three questions, in priority order:
    covering chain arena extent so a chain moves whole.  Guarded so a
    move never opens a fill gap the fill phase would immediately revert.
 
-All paths bound work per round (``migrations_per_round``) so the loop
+All paths bound work per round (``migrations_per_round``) so a round
 never floods the fabric with copies; convergence happens over rounds.
 This is also what makes ``cluster.add_node()`` useful: the new node
 starts empty and cold, so the very next rounds migrate data onto it.
@@ -31,15 +31,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.mem.allocator import AllocationError
-from repro.placement.migration import MigrationError
-
 
 class Rebalancer:
-    """Periodic fill/heat watcher driving the migration engine."""
+    """Fill/heat watcher driving the migration engine, one round at a
+    time."""
 
-    def __init__(self, env, engine, heat, params, registry):
-        self.env = env
+    def __init__(self, engine, heat, params, registry):
         self.engine = engine
         #: the rack-wide :class:`~repro.placement.hotness.HeatMap`
         self.heat = heat
@@ -49,43 +46,11 @@ class Rebalancer:
         self.rounds = 0
         self.migrations = 0
         self.cut_moves = 0
-        self._running = False
-        self._proc = None
         registry.gauge("placement.rebalance.rounds", fn=lambda: self.rounds)
         registry.gauge("placement.rebalance.migrations",
                        fn=lambda: self.migrations)
         registry.gauge("placement.rebalance.cut_moves",
                        fn=lambda: self.cut_moves)
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        """Run a round every ``rebalance_interval_ns``.  A loop stopped
-        less than one interval ago is still asleep in its timeout: it is
-        resumed rather than joined by a second loop."""
-        if self._running:
-            return
-        self._running = True
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.env.process(self._loop())
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _loop(self):
-        while self._running:
-            yield self.env.timeout(self.params.rebalance_interval_ns)
-            if not self._running:
-                return
-            try:
-                yield from self.rebalance_once()
-            except (MigrationError, AllocationError, ValueError):
-                # A target filled up mid-plan, or a fence-time check
-                # failed.  The engine normalizes its failures to
-                # MigrationError, but a rebalancer that dies silently
-                # disables itself for the rest of the run, so be
-                # defensive and also absorb raw allocator/TCAM errors;
-                # try again next round with fresh fill fractions.
-                continue
 
     # -- one round ----------------------------------------------------------
     def rebalance_once(self):

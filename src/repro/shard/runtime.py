@@ -273,14 +273,6 @@ class ShardedRuntime:
             self.cluster.env.clear_window_hook()
             self.cluster.fabric.shard_router = None
 
-    def __enter__(self) -> "ShardedRuntime":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     def __del__(self):
         # Forked workers inherit this object (later forks inherit the
         # Process handles of earlier ones); only the creating process

@@ -123,14 +123,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if self._ok is False and not self._defused:
-            raise self._value
-
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
@@ -194,10 +186,6 @@ class Process(Event):
         init._ok = True
         init._defused = False
         heappush(env._queue, (env._now, URGENT, next(env._sequence), init))
-
-    @property
-    def is_alive(self) -> bool:
-        return self._ok is None
 
     def _resume(self, event: Event) -> None:
         if self._ok is not None:
@@ -438,7 +426,8 @@ class Environment:
     def _drain(self, stop: Optional[Event], horizon: float) -> None:
         """The one pop/dispatch loop: every event at time <= ``horizon``
         and strictly before the window end, or up to and including
-        ``stop`` (``Event._process()`` inlined).  A dead entry is
+        ``stop``: each runs its callbacks, then re-raises its failure if
+        nothing defused it.  A dead entry is
         dropped without touching the clock.
 
         The window end is re-read per pop because an event may install

@@ -174,9 +174,6 @@ class Fabric:
         self._endpoints[name] = endpoint
         return endpoint
 
-    def endpoint(self, name: str) -> Endpoint:
-        return self._endpoints[name]
-
     def send(self, message: Message, segments: int = 2) -> None:
         """Start delivery of ``message``; returns immediately.
 

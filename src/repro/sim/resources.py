@@ -6,8 +6,9 @@ Two primitives cover everything pulse models:
   queue; used for pipelines, NIC processing units, and CPU workers.  A
   fixed-duration stage is one :meth:`Resource.hold` call; an
   open-ended critical section is the ``request``/``release`` pair.
-* :class:`Store` -- an unbounded (or bounded) buffer of items with
-  blocking ``get``; used for rx/tx queues and scheduler mailboxes.
+* :class:`Store` -- an unbounded buffer of items with blocking ``get``;
+  an endpoint's ``inbox``, which collects the messages of a session that
+  has no ``on_message`` handler.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class Resource:
         # Busy-time window (see begin_window / utilization).
         self._window_start = env.now
         self._window_busy_base = 0.0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
 
     def request(self) -> Event:
         req = Event(self.env)
@@ -272,9 +269,6 @@ class Store:
         self.env = env
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> None:
         self._items.append(item)

@@ -7,7 +7,7 @@ touching its :class:`~repro.sim.network.Endpoint` directly.  The session
 registers the endpoint, installs itself as its receive filter, and owns
 sequencing, per-hop ACKs, timeout-driven retransmission with capped
 exponential backoff + jitter, and duplicate suppression; it understands
-traversal frames well enough to stamp hop epochs and account checkpoint
+traversal frames well enough to flag hop checkpoints and account their
 retransmissions (resuming a dropped traversal from hop k instead of
 restarting it end-to-end).  A send is *armed* (reliable) when
 :class:`~repro.params.TransportParams` says so for that link; unarmed

@@ -32,8 +32,7 @@ The session understands just enough about traversal frames to make
 per-hop reliability meaningful: a :class:`~repro.core.messages.
 TraversalRequest` in flight between memory nodes carries the serialized
 (cur_ptr, scratch pad, iteration count) state -- a *checkpoint* -- so
-the session stamps its hop count into the transport header's hop-epoch
-field and flags in-progress RUNNING frames as checkpoints.  When such a
+the session flags in-progress RUNNING frames as checkpoints.  When such a
 frame is lost and retransmitted, the traversal resumes from hop k's
 checkpoint instead of restarting end-to-end from ``init()``; the
 client's ``PendingTraversal`` retry remains only as the last resort

@@ -16,7 +16,6 @@ from repro.workloads.apps import (
     build_tc,
     build_tsv,
     build_upc,
-    standard_workloads,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "build_tsv",
     "build_upc",
     "generate_upmu_trace",
-    "standard_workloads",
 ]

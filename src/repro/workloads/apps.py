@@ -244,16 +244,3 @@ def build_tsv(memory: GlobalMemory, node_count: int,
         expected=expected,
     )
 
-
-def standard_workloads(memory: GlobalMemory, node_count: int,
-                       requests: int = 200,
-                       seed: int = 0) -> List[Workload]:
-    """The paper's six workload columns: UPC, TC, TSV-{7.5,15,30,60}s."""
-    workloads = [
-        build_upc(memory, node_count, requests=requests, seed=seed),
-        build_tc(memory, node_count, requests=requests, seed=seed),
-    ]
-    for window in TSV_WINDOWS_S:
-        workloads.append(build_tsv(memory, node_count, window_s=window,
-                                   requests=requests, seed=seed))
-    return workloads

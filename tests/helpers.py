@@ -15,6 +15,7 @@ from repro.isa.instructions import JUMP_OPCODES, MASK64, Bank, Operand
 from repro.mem.addrspace import AddressSpace
 from repro.params import (DEFAULT_PARAMS, NetworkParams, SystemParams,
                           TransportParams)
+from repro.placement.migration import MigrationError, switch_ownership
 from repro.placement.rangemap import PlacementMap
 from repro.sim.engine import Environment, Process
 from repro.sim.network import Fabric, LinkProfile
@@ -29,6 +30,28 @@ from repro.structures.graph import VERTEX
 def counter_value(component, name):
     """One counter of ``component.registry``; unknown names raise."""
     return component.registry.snapshot()["counters"][name]
+
+
+def data(offset, width=8, signed=True):
+    """A data-register operand (the iteration's LOAD window)."""
+    return Operand(Bank.DATA, offset, width, signed)
+
+
+def run_traversal(system, iterator, *args):
+    """One traversal on any rack, run to completion (a baseline's
+    one-off; ``PulseCluster.run_traversal`` pins client0 instead)."""
+    return system.env.run(
+        until=system.env.process(system.traverse(iterator, *args)))
+
+
+def hot_segments(heat):
+    """A ``HeatMap``'s segment heat summed over its nodes, hottest
+    first, equal heats by ascending address."""
+    merged = {}
+    for tracker in heat.trackers:
+        for segment, value in tracker.hot_segments():
+            merged[segment] = merged.get(segment, 0.0) + value
+    return sorted(merged.items(), key=lambda item: (-item[1], item[0]))
 
 
 def with_memory(params=DEFAULT_PARAMS, **fields):
@@ -50,6 +73,36 @@ def lossy_cluster(drop, timeout_ns=40_000.0, **cluster_kwargs):
     cluster = PulseCluster(params=params, **cluster_kwargs)
     cluster.fabric.configure_all_links(LinkProfile(drop_probability=drop))
     return cluster
+
+
+def drain(cluster, node_id):
+    """Simulation process: move everything off ``node_id``; returns the
+    mapped bytes moved.
+
+    The node stops taking allocations first.  Then each rule it owns
+    goes to the least-filled allocatable node: its mapped span by live
+    migration, and what is left of the rule (unmapped address space) by
+    an ownership switch in the same instant.  Afterwards the placement
+    map gives the node nothing, so the switch never routes a new frame
+    there.
+    """
+    memory = cluster.memory
+    allocator, placement = memory.allocator, memory.placement
+    allocator.set_allocatable(node_id, False)
+    moved = 0
+    while placement.rules_of(node_id):
+        start, end = placement.rules_of(node_id)[0]
+        targets = [n for n in range(memory.node_count)
+                   if n != node_id and allocator.is_allocatable(n)]
+        if not targets:
+            raise MigrationError(f"no node can absorb node {node_id}'s data")
+        target = min(targets, key=allocator.node_fill_fractions().__getitem__)
+        moved += yield from cluster.migration.migrate(start, end, target)
+        for left_start, left_end in placement.rules_of(node_id):
+            if left_start < end and start < left_end:
+                switch_ownership(memory, node_id, target,
+                                 max(start, left_start), min(end, left_end))
+    return moved
 
 
 def reference_hold(env, resource, duration, then=None):

@@ -15,7 +15,7 @@ from repro.sim.engine import AllOf
 from repro.structures import LinkedList
 
 from tests.helpers import (count_process_starts, counter_value, find_reference,
-                           lossy_cluster)
+                           hot_segments, lossy_cluster)
 from tests.scenario import KEYS, build, lookups, run
 
 
@@ -156,7 +156,7 @@ class TestSwitchBehaviour:
     def test_one_rule_per_node(self):
         for nodes in (1, 3, 4):
             cluster = PulseCluster(node_count=nodes)
-            assert cluster.switch.rule_count == nodes
+            assert cluster.switch.rangemap.rule_count == nodes
 
     def test_unroutable_pointer_returns_fault(self):
         cluster, lst = make_list_cluster()
@@ -341,7 +341,7 @@ class TestLaneStepMemo:
             batch=batch)
         heat = cluster.heat
         state = (heat.samples, heat.edge_samples,
-                 heat.hot_segments(), heat.hot_edges())
+                 hot_segments(heat), heat.hot_edges())
         assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
 
 

@@ -174,11 +174,11 @@ class TestArenaApis:
         alloc.set_allocatable(0, False)
         for _ in range(4):
             vaddr = alloc.alloc(64)
-            node, _ = alloc.addrspace.to_physical(vaddr)
+            node = alloc.addrspace.node_of(vaddr)
             assert node == 1
         # Even an explicit preference for the draining node is diverted.
         vaddr = alloc.alloc(64, preferred_node=0)
-        node, _ = alloc.addrspace.to_physical(vaddr)
+        node = alloc.addrspace.node_of(vaddr)
         assert node == 1
 
 

@@ -25,6 +25,7 @@ from repro.isa import (
     Program,
     assemble,
     compile_program,
+    disassemble,
 )
 from repro.isa import compiler
 from repro.isa.compiler import interpreter_forced
@@ -486,7 +487,7 @@ def test_generated_program_differential():
         interp = trace_tier(program, cur_ptr, scratch, store_fault, False)
         comp = trace_tier(program, cur_ptr, scratch, store_fault, True)
         source = compile_program(program).source
-        assert interp == comp, (program.describe(), source)
+        assert interp == comp, (disassemble(program), source)
 
         body = program.instructions[1:]
         ops = [instr.opcode for instr in body]

@@ -9,7 +9,6 @@ from repro.params import (
     AcceleratorParams,
     CpuParams,
     NetworkParams,
-    describe,
     gBps_to_bytes_per_ns,
     gbps_to_bytes_per_ns,
 )
@@ -86,13 +85,6 @@ class TestParams:
         assert params.accelerator is DEFAULT_PARAMS.accelerator
         # The original is untouched.
         assert DEFAULT_PARAMS.network.segment_ns != 1.0
-
-    def test_describe_summarizes_key_constants(self):
-        summary = describe(DEFAULT_PARAMS)
-        assert summary["netstack_ns"] == 430.0
-        assert summary["t_d_256B_ns"] == pytest.approx(
-            DEFAULT_PARAMS.accelerator.memory_access_ns(256))
-        assert "cpu_instruction_ns" in summary
 
     def test_memory_access_monotone_in_size(self):
         acc = AcceleratorParams()

@@ -11,12 +11,14 @@ never faults.
 import pytest
 
 from repro.core import PulseCluster
-from repro.durability import (DurabilityError, RedoLog, elect_owner,
-                              replica_targets)
+from repro.core.messages import TraversalBatch
+from repro.durability import (CrashInjector, DurabilityError, RedoLog,
+                              elect_owner, replica_targets)
 from repro.params import DurabilityParams, SystemParams, TransportParams
 from repro.sim.engine import AllOf
 from repro.structures import HashTable
 
+from tests import scenario
 from tests.helpers import count_process_starts
 
 KEYS = 48
@@ -323,3 +325,58 @@ def test_replication_traffic_starts_no_accelerator_process(monkeypatch):
         result = cluster.run_traversal(table.find_iterator(), k)
         assert result.ok, (k, result.fault)
         assert int.from_bytes(result.value[:8], "little") == 7_000 + k
+
+
+def crash_under_a_doorbell_frame(node_id):
+    """Kill ``node_id`` the moment the switch holds an unacked doorbell
+    frame of two or more requests toward it (at 1 ms at the latest)."""
+    def factory(cluster):
+        flows = cluster.switch.session._tx
+        for _ in range(100_000):
+            if any(isinstance(entry.segment.payload, TraversalBatch)
+                   and len(entry.segment.payload.requests) >= 2
+                   for entry in getattr(flows.get(f"mem{node_id}"),
+                                        "outstanding", {}).values()):
+                break
+            yield cluster.env.timeout(10.0)
+        yield from CrashInjector(node_id, 0.0)(cluster)
+    return factory
+
+
+def test_failover_reinjects_a_doorbell_frame_in_flight():
+    """A multi-request frame lost with its node is taken over whole.
+
+    Doorbell bursts reach the switch as multi-request frames, and
+    ``mode="always"`` keeps each one the switch forwards until its
+    node acks it.  The node dies with such a frame unacked; recovery's
+    takeover re-injects every request of that frame at the range's new
+    owner.  Every request ends with its value, no acknowledged STORE is
+    lost, and the rack's invariants hold.
+    """
+    params = scenario.durable_params().with_overrides(
+        transport=TransportParams(mode="always"))
+    cluster, table = scenario.build("durable-hashtable", nodes=3,
+                                    params=params, batch_size=8)
+    taken = []
+    take_over = cluster.switch.session.take_over
+
+    def recording_take_over(dead):
+        payloads = take_over(dead)
+        taken.extend(payloads)
+        return payloads
+
+    cluster.switch.session.take_over = recording_take_over
+    results, snapshot, _end = scenario.run(
+        cluster, [scenario.updates(table, range(scenario.KEYS)),
+                  scenario.lookups(table)],
+        schedule=(crash_under_a_doorbell_frame(1),), batch=True)
+
+    assert any(isinstance(p, TraversalBatch) and len(p.requests) >= 2
+               for p in taken), taken
+    assert all(r.ok for r in results), [r.fault for r in results
+                                        if not r.ok]
+    assert [scenario.as_int(r) for r in results[scenario.KEYS:]] == \
+        [7_000 + k for k in range(scenario.KEYS)]
+    counters = snapshot["counters"]
+    assert counters["recovery.completed"] == 1
+    assert counters["switch.reinjected_frames"] >= 2

@@ -15,7 +15,6 @@ from repro.isa import (
     Program,
     analyze,
     assemble,
-    data,
     disassemble,
     imm,
     reg,
@@ -23,7 +22,7 @@ from repro.isa import (
 )
 from repro.mem import GlobalMemory
 from repro.params import AcceleratorParams
-from tests.helpers import build_list, reference_iteration_paths
+from tests.helpers import build_list, data, reference_iteration_paths
 
 # The paper's Listing 4: unordered_map::find() over a chained hash bucket.
 # Node layout: key @0 (u64), value @8 (u64 here), next @16 (ptr).
@@ -60,8 +59,7 @@ class TestAssembler:
     def test_round_trip_through_disassembler(self, hash_find):
         text = disassemble(hash_find)
         again = assemble(text)
-        assert [i.describe() for i in again.instructions] == \
-               [i.describe() for i in hash_find.instructions]
+        assert again.instructions == hash_find.instructions
 
     def test_unknown_opcode_rejected(self):
         with pytest.raises(IsaError, match="unknown opcode"):

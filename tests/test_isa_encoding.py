@@ -19,8 +19,7 @@ def roundtrip(program):
     assert again.name == program.name
     assert again.scratch_bytes == program.scratch_bytes
     assert len(again) == len(program)
-    assert [i.describe() for i in again.instructions] == \
-           [i.describe() for i in program.instructions]
+    assert again.instructions == program.instructions
     return again
 
 

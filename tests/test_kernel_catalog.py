@@ -73,8 +73,7 @@ def test_every_kernel_disassembles_and_reassembles(kernels):
         again = assemble(text)
         assert len(again) == len(program), name
         assert again.load_window == program.load_window, name
-        assert [i.describe() for i in again.instructions] == \
-               [i.describe() for i in program.instructions], name
+        assert again.instructions == program.instructions, name
 
 
 def test_every_kernel_is_offloadable(kernels):

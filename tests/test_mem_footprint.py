@@ -60,8 +60,9 @@ capacity = 1 << 30
 rack = GlobalMemory(node_count=4, node_capacity=capacity)
 for node in rack.nodes:
     for addr in (0, capacity - 8):
-        node.memory.write_u64(addr, 0xFEED0000 + node.node_id)
-        assert node.memory.read_u64(addr) == 0xFEED0000 + node.node_id
+        word = (0xFEED0000 + node.node_id).to_bytes(8, "little")
+        node.memory.write(addr, word)
+        assert node.memory.read(addr, 8) == word
 """
     # 8 touched regions: 32 KB of 4 KiB faults, up to 16 MB where the
     # host backs first touches with 2 MB transparent huge pages

@@ -7,7 +7,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.mem import Field, MemoryFault, PhysicalMemory, StructLayout
+from repro.mem import (Field, GlobalMemory, MemoryFault, PhysicalMemory,
+                        StructLayout)
 from repro.mem.layout import LayoutError
 
 
@@ -42,9 +43,12 @@ class TestPhysicalMemory:
             mem.read(0, -4)
 
     def test_u64_round_trip(self):
-        mem = PhysicalMemory(64)
-        mem.write_u64(8, 0xDEADBEEF_CAFEBABE)
-        assert mem.read_u64(8) == 0xDEADBEEF_CAFEBABE
+        rack = GlobalMemory(node_count=1, node_capacity=1 << 20)
+        vaddr = rack.alloc(16)
+        rack.write_u64(vaddr + 8, 0xDEADBEEF_CAFEBABE)
+        assert rack.read_u64(vaddr + 8) == 0xDEADBEEF_CAFEBABE
+        assert rack.read(vaddr + 8, 8) == \
+            (0xDEADBEEF_CAFEBABE).to_bytes(8, "little")
 
     def test_invalid_size_rejected(self):
         with pytest.raises(MemoryFault):
@@ -77,12 +81,6 @@ class _BytearrayMemory:
     def write(self, addr: int, data: bytes) -> None:
         self._check(addr, len(data))
         self._data[addr:addr + len(data)] = data
-
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
 
 
 def _outcome(fn, *args):
@@ -137,16 +135,6 @@ class PhysicalMemoryMatchesBytearray(RuleBasedStateMachine):
         assert (_outcome(self.mem.write, addr, data)
                 == _outcome(self.model.write, addr, data))
 
-    @rule(addr=_addrs)
-    def read_u64(self, addr):
-        assert (_outcome(self.mem.read_u64, addr)
-                == _outcome(self.model.read_u64, addr))
-
-    @rule(addr=_addrs, value=st.integers(-2**64, 2**65))
-    def write_u64(self, addr, value):
-        assert (_outcome(self.mem.write_u64, addr, value)
-                == _outcome(self.model.write_u64, addr, value))
-
     def teardown(self):
         assert (self.mem.read(0, MODEL_SIZE)
                 == self.model.read(0, MODEL_SIZE))
@@ -177,7 +165,7 @@ def test_fork_gives_the_child_a_private_copy():
         try:
             inherited = mem.read(100, 6)
             mem.write(100, b"child!")
-            mem.write_u64(PAGE, 0xC0FFEE)
+            mem.write(PAGE, (0xC0FFEE).to_bytes(8, "little"))
             os.write(child_wrote_w, b"c")
             os.read(parent_wrote_r, 1)
             os.write(report_w, inherited + mem.read(100, 6)
@@ -187,8 +175,8 @@ def test_fork_gives_the_child_a_private_copy():
     try:
         assert os.read(child_wrote_r, 1) == b"c"
         assert mem.read(100, 6) == b"before"
-        assert mem.read_u64(PAGE) == 0
-        mem.write_u64(2 * PAGE, 0xDAD)
+        assert mem.read(PAGE, 8) == bytes(8)
+        mem.write(2 * PAGE, (0xDAD).to_bytes(8, "little"))
         mem.write(100, b"parent")
     finally:
         # here, not after the asserts: the child is released and reaped

@@ -15,6 +15,7 @@ import pytest
 
 from repro.durability import CrashInjector
 
+from tests.helpers import drain
 from tests.scenario import (KEYS, arena_storm, as_int,
                             assert_values_identical, build, durable_params,
                             lookups, migration_storm, run, stored,
@@ -125,7 +126,7 @@ def test_acknowledged_stores_survive_migration_onto_the_replica_holder():
 
 def scale_out_then_drain(cluster):
     cluster.add_node()
-    yield cluster.env.process(cluster.migration.drain(0))
+    yield cluster.env.process(drain(cluster, 0))
 
 
 def test_storm_with_drain_and_scale_out():

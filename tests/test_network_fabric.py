@@ -24,7 +24,7 @@ class TestFabricDelivery:
         b = fabric.register("b")
         fabric.send(Message("x", "a", "b", size_bytes=1000))
         env.run()
-        assert len(b.inbox) == 1
+        assert len(b.inbox._items) == 1
         serialization = 1000 / params.link_bytes_per_ns
         expected = (serialization + 2 * params.segment_ns
                     + params.switch_process_ns)
@@ -100,7 +100,7 @@ class TestFabricDelivery:
         for _ in range(5):
             fabric.send(Message("x", "a", "b", 64))
         env.run()
-        assert len(b.inbox) == 0
+        assert len(b.inbox._items) == 0
         assert counter_value(fabric, "net.dropped_messages") == 5
 
     def test_unknown_endpoints_rejected(self):
@@ -127,7 +127,7 @@ class TestFabricDelivery:
         message = Message("x", "a", "b", 64)
         fabric.send(message)
         env.run()
-        assert len(b.inbox) == 1
+        assert len(b.inbox._items) == 1
 
 
 def run_cli(monkeypatch, *args):

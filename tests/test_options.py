@@ -42,6 +42,7 @@ from repro.mem.addrspace import AddressSpace
 from repro.mem.allocator import DisaggregatedAllocator
 from repro.mem.node import GlobalMemory, MemoryNode
 from repro.obs.metrics import EventLog, MetricsRegistry
+from repro.params import PlacementParams
 from repro.placement.hotness import HeatMap, HotnessTracker
 from repro.placement.migration import MigrationEngine
 from repro.sim.engine import Environment, Timeout
@@ -49,7 +50,7 @@ from repro.sim.resources import Store
 from repro.structures import SkipList
 from repro.transport import TransportSession
 from repro.workloads import (ZipfianKeyGenerator, build_tc, build_tsv,
-                             generate_upmu_trace, standard_workloads)
+                             generate_upmu_trace)
 
 SIGNATURES = {
     Rack: ("node_count", "params", "policy", "seed"),
@@ -64,8 +65,8 @@ SIGNATURES = {
     CacheRpcSystem: ("params", "seed", "kwargs"),
     Accelerator: (
         "env", "node", "fabric", "params", "placement_map", "hotness",
-        "shared_interconnect", "split_loads", "scheduler_policy",
-        "batch_lanes", "registry"),
+        "registry", "shared_interconnect", "split_loads", "scheduler_policy",
+        "batch_lanes"),
     PulseClient: ("env", "fabric", "params", "engine", "memory", "name",
                   "batch_size", "registry", "index"),
     DoorbellBatcher: ("client", "batch_size"),
@@ -104,7 +105,7 @@ FIELDS = {
     "PlacementParams": (
         "segment_bytes", "hot_halflife_ns", "sample_period",
         "migration_bandwidth_bytes_per_ns", "copy_chunk_bytes",
-        "rebalance_interval_ns", "fill_imbalance_threshold",
+        "fill_imbalance_threshold",
         "hot_skew_threshold", "migrations_per_round", "cut_edge_objective",
         "cut_min_gain"),
     "DurabilityParams": (
@@ -194,8 +195,6 @@ REMOVED = {
         generate_upmu_trace, "start_us", "a trace starting at 0"),
     "ZipfianKeyGenerator(theta=)": (
         ZipfianKeyGenerator, "theta", "repro.workloads.ycsb.THETA"),
-    "standard_workloads(tsv_windows=)": (
-        standard_workloads, "tsv_windows", "TSV_WINDOWS_S"),
     "KernelBuilder.build(max_load_bytes=)": (
         KernelBuilder.build, "max_load_bytes",
         "repro.isa.program.MAX_LOAD_BYTES"),
@@ -245,8 +244,11 @@ REMOVED = {
         EventLog, "capacity", "repro.obs.metrics.EVENT_LOG_CAPACITY"),
     "MetricsRegistry.names(prefix=)": (
         MetricsRegistry.names, "prefix", "filtering the sorted names"),
-    "MigrationEngine.drain(targets=)": (
-        MigrationEngine.drain, "targets", "every allocatable node"),
+    "MigrationEngine.migrate(include_unmapped=)": (
+        MigrationEngine.migrate, "include_unmapped",
+        "tests/helpers.py's drain, which switches the unmapped rest"),
+    "PlacementParams(rebalance_interval_ns=)": (
+        PlacementParams, "rebalance_interval_ns", "cluster.rebalance_once()"),
     "Environment.timeout(value=)": (
         Environment.timeout, "value", "Event.succeed(value)"),
     "Timeout(value=)": (Timeout, "value", "Event.succeed(value)"),

@@ -1,6 +1,5 @@
 """Unit tests for the elastic placement subsystem (repro.placement)."""
 
-import gc
 import math
 import random
 from types import SimpleNamespace
@@ -12,18 +11,17 @@ from hypothesis import strategies as st
 from repro.core import PulseCluster, RequestStatus
 from repro.core.messages import TraversalRequest
 from repro.isa import assemble
-from repro.mem import AddressSpace, AllocationError
+from repro.mem import AddressSpace
 from repro.params import (MS, US, NetworkParams, PlacementParams,
                           SystemParams)
 from repro.placement import (HeatMap, HotnessTracker, PlacementError,
                              PlacementMap)
 from repro.placement.migration import MigrationError
-from repro.placement.rebalancer import Rebalancer
-from repro.sim.engine import Process
 from repro.sim.network import Message
 from repro.structures import HashTable, LinkedList
 
-from tests.helpers import counter_value, make_switch, with_memory
+from tests.helpers import (counter_value, drain, hot_segments, make_switch,
+                           with_memory)
 
 PROGRAM = assemble("LOAD 0 8\nRETURN")
 
@@ -204,7 +202,7 @@ class TestHotnessTracker:
         rack = self.heat_map(nodes=2)
         for node, vaddr in ((0, 0x3000), (1, 0x1000)):
             rack.trackers[node].record(vaddr)
-        assert rack.hot_segments() == tracker.hot_segments()
+        assert hot_segments(rack) == tracker.hot_segments()
 
     def test_cold_segments_are_pruned(self):
         tracker = self.make()
@@ -315,7 +313,7 @@ class TestHeatMapOracle:
         clock.now += tail * HALFLIFE
         segments, edges = oracle_heat(seen, nodes, vaddr_of, clock.now)
 
-        assert heat.hot_segments() == sorted(
+        assert hot_segments(heat) == sorted(
             segments.items(), key=lambda item: (-item[1], item[0]))
         adjacency = {}
         for (a, b), weight in sorted(edges.items(),
@@ -372,14 +370,14 @@ class TestSwitchMoved:
         ptr = space.range_of(0)[0] + 0x100
         req = self.request(ptr)
         send(env, fabric, "client0", req)
-        assert len(nodes[0].inbox) == 1
+        assert len(nodes[0].inbox._items) == 1
         # Segment migrated 0 -> 1; the old owner bounces the straggler.
         switch.rangemap.move(space.range_of(0)[0],
                              space.range_of(0)[0] + 0x1000, 1)
         bounced = req.advanced(ptr, b"", 0, RequestStatus.MOVED)
         send(env, fabric, "mem0", bounced)
         assert counter_value(switch, "switch.moved_redirects") == 1
-        assert len(nodes[1].inbox) == 1
+        assert len(nodes[1].inbox._items) == 1
         delivered = nodes[1].inbox._items[0].payload
         assert delivered.status is RequestStatus.RUNNING
 
@@ -394,17 +392,17 @@ class TestSwitchMoved:
         bounced = req.advanced(ptr, b"", 0, RequestStatus.MOVED)
         send(env, fabric, "mem1", bounced)
         assert counter_value(switch, "switch.moved_redirects") == 0
-        assert len(client.inbox) == 1
+        assert len(client.inbox._items) == 1
         delivered = client.inbox._items[0].payload
         assert delivered.status is RequestStatus.FAULT
         assert "no live owner" in delivered.fault_reason
 
     def test_switch_rule_count_tracks_map(self):
         env, fabric, space, switch, client, nodes = make_switch()
-        assert switch.rule_count == 2
+        assert switch.rangemap.rule_count == 2
         start, _ = space.range_of(0)
         switch.rangemap.move(start, start + 0x1000, 1)
-        assert switch.rule_count == 3
+        assert switch.rangemap.rule_count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +566,8 @@ class TestMigration:
         wild = cluster.memory.addrspace.range_of(0)[1] - 8
         next_offset = lst.layout.offset("next")
         cluster.memory.write_u64(addrs[2] + next_offset, wild)
-        drain = cluster.env.process(cluster.migration.drain(0))
-        cluster.env.run(until=drain)
+        draining = cluster.env.process(drain(cluster, 0))
+        cluster.env.run(until=draining)
         pending = cluster.submit(lst.find_iterator(), 5)
         cluster.env.run(until=cluster.env.now + 10_000_000.0)
         assert pending.done
@@ -587,7 +585,7 @@ class TestMigration:
 
 
 # ---------------------------------------------------------------------------
-# Cluster membership: add_node / migration.drain
+# Cluster membership: add_node / drain
 # ---------------------------------------------------------------------------
 class TestMembership:
     def test_add_node_grows_rack(self):
@@ -596,7 +594,7 @@ class TestMembership:
         assert node_id == 2
         assert cluster.node_count == 3
         assert len(cluster.accelerators) == 3
-        assert cluster.switch.rule_count == 3
+        assert cluster.switch.rangemap.rule_count == 3
         assert cluster.memory.placement.node_of(
             cluster.memory.addrspace.range_of(2)[0]) == 2
 
@@ -619,8 +617,8 @@ class TestMembership:
             table.insert(k, bytes([k]) * 8)
         pending = [cluster.submit(table.find_iterator(), k)
                    for k in range(64)]
-        drain = cluster.env.process(cluster.migration.drain(0))
-        cluster.env.run(until=drain)
+        draining = cluster.env.process(drain(cluster, 0))
+        cluster.env.run(until=draining)
         assert cluster.memory.placement.rules_of(0) == []
         for p in pending:
             if not p.done:
@@ -633,8 +631,8 @@ class TestMembership:
 
     def test_drained_node_receives_no_new_allocations(self):
         cluster = PulseCluster(node_count=2)
-        drain = cluster.env.process(cluster.migration.drain(0))
-        cluster.env.run(until=drain)
+        draining = cluster.env.process(drain(cluster, 0))
+        cluster.env.run(until=draining)
         for _ in range(8):
             vaddr = cluster.memory.alloc(256)
             assert cluster.memory.placement.node_of(vaddr) == 1
@@ -642,9 +640,9 @@ class TestMembership:
     def test_drain_last_absorbing_node_raises(self):
         cluster = PulseCluster(node_count=1)
         cluster.memory.alloc(256)
-        drain = cluster.env.process(cluster.migration.drain(0))
+        draining = cluster.env.process(drain(cluster, 0))
         with pytest.raises(MigrationError):
-            cluster.env.run(until=drain)
+            cluster.env.run(until=draining)
 
 
 # ---------------------------------------------------------------------------
@@ -704,59 +702,6 @@ class TestRebalancer:
         cluster.env.run(until=proc)
         assert proc.value > 0
         assert cluster.memory.allocator.allocated_bytes(1) > 0
-
-    def test_rebalancer_loop_survives_allocator_errors(self):
-        # Fence-time failures can surface as raw AllocationError; a
-        # rebalancer that lets one escape dies silently for the rest of
-        # the simulation.
-        cluster = PulseCluster(
-            node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
-        for _ in range(8):
-            cluster.memory.alloc(64 * 1024, preferred_node=0)
-        calls = {"n": 0}
-
-        def boom(*args, **kwargs):
-            calls["n"] += 1
-            raise AllocationError("synthetic fence failure")
-            yield  # pragma: no cover -- keeps this a generator
-
-        cluster.migration.migrate = boom
-        cluster.rebalancer.start()
-        interval = cluster.params.placement.rebalance_interval_ns
-        cluster.env.run(until=cluster.env.now + 4 * interval)
-        cluster.rebalancer.stop()
-        assert cluster.rebalancer.rounds >= 2
-        assert calls["n"] >= 2
-
-    def test_background_rebalancer_runs_and_stops(self):
-        cluster = PulseCluster(
-            node_count=2, params=with_memory(node_capacity_bytes=1 << 20))
-        for _ in range(8):
-            cluster.memory.alloc(64 * 1024, preferred_node=0)
-        cluster.rebalancer.start()
-        cluster.env.run(until=cluster.env.now
-                        + 4 * cluster.params.placement.rebalance_interval_ns)
-        cluster.rebalancer.stop()
-        snap = cluster.metrics_snapshot()
-        assert snap["counters"]["placement.migrations"] >= 1
-
-    def test_a_restart_within_an_interval_keeps_one_loop(self):
-        """stop() then start() before the sleeping loop wakes resumes
-        that loop; a second loop would run every round twice."""
-        cluster = PulseCluster(node_count=2)
-        rebalancer = cluster.rebalancer
-        interval = cluster.params.placement.rebalance_interval_ns
-        cluster.rebalancer.start()
-        cluster.env.run(until=cluster.env.now + interval / 2)
-        cluster.rebalancer.stop()
-        cluster.rebalancer.start()
-        cluster.env.run(until=cluster.env.now + 4 * interval)
-        loops = [obj for obj in gc.get_objects()
-                 if isinstance(obj, Process) and obj.is_alive
-                 and obj._generator.gi_code is Rebalancer._loop.__code__
-                 and obj._generator.gi_frame.f_locals["self"] is rebalancer]
-        assert rebalancer.rounds == 4
-        assert loops == [rebalancer._proc]
 
     def test_hotness_fed_by_accelerator_loads(self):
         cluster = PulseCluster(node_count=1)

@@ -280,9 +280,9 @@ def test_process_is_alive_lifecycle():
         yield env.timeout(10)
 
     p = env.process(proc())
-    assert p.is_alive
+    assert not p.triggered
     env.run()
-    assert not p.is_alive
+    assert p.triggered
     assert p.ok
 
 

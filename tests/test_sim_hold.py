@@ -253,7 +253,7 @@ class TestOrderingRules:
             def holder():
                 yield from stage(shared, 1)
                 log.append(("holder resumed", len(shared._users),
-                            shared.queue_length))
+                            len(shared._waiting)))
                 yield from stage(other, 1)
                 log.append(("holder", env.now))
 
@@ -379,7 +379,7 @@ class TestHoldApi:
         env.process(section("s1", 3))
         env.process(holder("h2", 1))
         env.run(until=1)
-        assert len(resource._users) == 1 and resource.queue_length == 2
+        assert len(resource._users) == 1 and len(resource._waiting) == 2
         env.run()
         assert order == [("h1", 2), ("s1", 5), ("h2", 6)]
         assert resource.utilization() == 1.0
@@ -413,7 +413,7 @@ class TestHoldApi:
         resource = Resource(Environment())
         with pytest.raises(SimulationError):
             resource.hold(1.0, then=0.0, chain=(resource, 1.0, None))
-        assert len(resource._users) == 0 and resource.queue_length == 0
+        assert len(resource._users) == 0 and len(resource._waiting) == 0
 
     def test_chain_returns_the_second_stages_event(self):
         """Both stages queue FIFO on their own resource; the caller is
@@ -430,7 +430,7 @@ class TestHoldApi:
             env.process(holder(name))
         env.run(until=4.5)   # b's second stage waits behind a's
         assert (len(first._users), len(second._users)) == (0, 1)
-        assert second.queue_length == 1
+        assert len(second._waiting) == 1
         env.run()
         assert done == [("a", 6), ("b", 9)]
         assert first.utilization() == 4 / 9
@@ -475,7 +475,7 @@ class TestCallBudget:
             env.run()
         finally:
             sys.setprofile(None)
-        assert len(shared._users) == 0 and shared.queue_length == 0
+        assert len(shared._users) == 0 and len(shared._waiting) == 0
         return calls
 
     def test_uncontended_hold_is_two_calls(self):

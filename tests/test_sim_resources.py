@@ -90,7 +90,7 @@ class TestResource:
         resource.request()
         resource.request()
         assert len(resource._users) == 1
-        assert resource.queue_length == 2
+        assert len(resource._waiting) == 2
 
     def test_zero_capacity_rejected(self):
         env = Environment()
@@ -173,4 +173,4 @@ class TestStore:
         store = Store(env)
         store.put(1)
         store.put(2)
-        assert len(store) == 2
+        assert len(store._items) == 2

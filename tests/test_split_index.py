@@ -44,7 +44,7 @@ class TestSplitIndexDirectory:
         d = self.make(capacity=1)
         d.learn(1, 0, 0x1000, 1)
         d.learn(1, 1, 0x2000, 2)          # refresh in place
-        assert len(d) == 1
+        assert len(d._entries) == 1
         assert d.lookup(1).node_id == 1
         assert d.repairs.value == 1
         assert d.evictions.value == 0
@@ -54,7 +54,7 @@ class TestSplitIndexDirectory:
         d.learn(1, 0, 0x1000, 1)
         d.learn(2, 0, 0x2000, 1)
         d.learn(3, 0, 0x3000, 1)          # evicts key 1 (oldest)
-        assert len(d) == 2
+        assert len(d._entries) == 2
         assert d.lookup(1) is None
         assert d.lookup(3) is not None
         assert d.evictions.value == 1
@@ -164,7 +164,7 @@ class TestFastPath:
             "hashtable", client_count=2)
         cluster.load_index(structure)
         assert len(cluster.indexes) == 2
-        assert len(cluster.indexes[0]) == len(cluster.indexes[1]) > 0
+        assert len(cluster.indexes[0]._entries) == len(cluster.indexes[1]._entries) > 0
         # Both clients serve hits out of their own directory.
         for k in (3, 4):
             result = cluster.run_traversal(iterator, k)
@@ -206,11 +206,11 @@ class TestStaleness:
     def test_eager_invalidation_on_migration(self):
         cluster, structure, iterator, expect = build("hashtable")
         cluster.load_index(structure)
-        occupied_before = len(cluster.indexes[0])
+        occupied_before = len(cluster.indexes[0]._entries)
         self.migrate_all(cluster, 0, 1)
         snap = cluster.metrics_snapshot()["counters"]
         assert snap["index.invalidations"] >= 1
-        assert len(cluster.indexes[0]) < occupied_before
+        assert len(cluster.indexes[0]._entries) < occupied_before
         # Invalidated keys take the traversal path and re-learn.
         result = cluster.run_traversal(iterator, 2)
         assert result.ok and expect(result, 2)

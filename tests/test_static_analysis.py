@@ -22,7 +22,7 @@ from repro.isa import (
     Opcode,
     Program,
     analyze,
-    data,
+    disassemble,
     imm,
     reg,
 )
@@ -30,7 +30,8 @@ from repro.isa.encoding import encode
 from repro.mem import GlobalMemory
 from repro.params import AcceleratorParams
 from repro.structures import BPlusTree
-from tests.helpers import reference_iteration_paths, reference_naive_load_runs
+from tests.helpers import (data, reference_iteration_paths,
+                           reference_naive_load_runs)
 from tests.test_compiler_differential import _program_from, build_world
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -56,11 +57,11 @@ def assert_matches_enumeration(program):
             for opcode in (Opcode.NEXT_ITER, Opcode.RETURN)}
     analysis = analyze(program, PARAMS)
     assert analysis.recurring_instructions == max(
-        ends[Opcode.NEXT_ITER], default=0), program.describe()
+        ends[Opcode.NEXT_ITER], default=0), disassemble(program)
     assert terminal_instructions(program) == max(
-        ends[Opcode.RETURN], default=0), program.describe()
+        ends[Opcode.RETURN], default=0), disassemble(program)
     assert list(program.naive_load_runs()) == reference_naive_load_runs(
-        program), program.describe()
+        program), disassemble(program)
 
 
 def _btree_kernels():

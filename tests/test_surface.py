@@ -1,4 +1,5 @@
-"""Every name in ``src/`` has a reader outside ``tests/``.
+"""Every name in ``src/`` has a reader outside ``tests/``, and every
+``src/`` function runs outside tier-1.
 
 A definition, a keyword parameter, a dataclass field or a ``self.``
 attribute that only a test reaches is either a test oracle (it belongs
@@ -20,10 +21,24 @@ tree with :mod:`ast` and fails on each ``src/`` name that nothing in
 
 A definition, an import and an ``__all__`` entry are not readers.  A
 module-level def a package ``__init__`` lists in ``__all__`` is public
-API.  The scan goes by name, so a field that shares its name with a
-live one (a message's hop count beside ``TraversalResult.hops``)
-escapes it; such a field is found by reading, not here.  ``EXEMPT``
-holds the names kept on purpose, each with one of ``REASONS``.
+API.
+
+The scan goes by name, and names collide: a ``describe`` method is
+"read" by any ``describe`` attribute load, a ``name`` property by any
+``.name``, and a reader that never runs keeps its callee alive all the
+same.  The line gate behind it closes that blind spot.
+``tools/linecov.py`` traces the production command set (the examples,
+the benches, perfbench and the two CLIs) and tier-1, and writes which
+lines of each ``src/`` function each of them reaches to
+``BENCH_coverage.json``.  The gate fails when that file's function set
+is not the tree's (a def added, renamed or deleted without
+regenerating it), and on each function production never enters that
+has no ``EXEMPT`` row.  A row names the function (``Class.method``), a
+class it is in (``Class``) or its module (``core/frontend.py``).
+
+``EXEMPT`` holds the names kept on purpose, each with one of
+``REASONS``; an error path's row names the test that raises it
+(:func:`raised_by`).
 
 The same scan finds unused imports (ruff's F401, which CI runs) in
 ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``, with
@@ -32,6 +47,10 @@ marked ``# noqa: F401`` is left alone.
 """
 
 import ast
+import importlib.util
+import json
+import os
+import sys
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Set
@@ -39,17 +58,28 @@ from typing import Dict, List, NamedTuple, Optional, Set
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+COVERAGE = ROOT / "BENCH_coverage.json"
 READERS = ("src", "benchmarks", "examples", "perfbench")
 LINTED = ("src", "tests", "benchmarks", "examples")
 
-PAPER = "the paper's API (Supp Listings 7/8)"
+PAPER = "the paper's model, API or catalog (§3, Supp Listings 7/8, Table 3)"
 KERNEL = "the only way to construct a shipped kernel"
 DECIDED = "a ROADMAP Decided item"
 GETATTR = "a getattr read"
 PAYLOAD = "an exception's payload"
-REASONS = (PAPER, KERNEL, DECIDED, GETATTR, PAYLOAD)
+STUB = "an abstract stub that raises NotImplementedError"
+ERROR = "an error path"
+REASONS = (PAPER, KERNEL, DECIDED, GETATTR, PAYLOAD, STUB, ERROR)
 
-#: name as the scan prints it -> why it stays without a reader
+
+def raised_by(test: str) -> str:
+    """An error path's reason: ``ERROR`` and the test that raises it
+    (``tests/test_x.py::test_y``)."""
+    return f"{ERROR}, raised by {test}"
+
+
+#: name as the scan prints it, or a function, class or module as the
+#: line gate names it -> why it stays without a reader or a production run
 EXEMPT: Dict[str, str] = {
     "BinarySearchTree.lower_bound_iterator": PAPER,
     "LinkedList.sum_iterator": KERNEL,
@@ -58,9 +88,53 @@ EXEMPT: Dict[str, str] = {
     # the frontend's operator tables name them; getattr calls them
     "KernelBuilder.bit_and": GETATTR,
     "KernelBuilder.bit_or": GETATTR,
+    "KernelBuilder.div": GETATTR,
+    "KernelBuilder.mul": GETATTR,
     "KernelBuilder.jump_neq": GETATTR,
     "ProtectionFault.requested": PAYLOAD,
     "ProtectionFault.granted": PAYLOAD,
+    # -- the line gate: no production run enters these ----------------
+    # the Supp Table 3 catalog, and the frontend that compiles the
+    # paper's next() (it lowers ``~`` to bit_not)
+    "structures/avltree.py": PAPER,
+    "structures/bst.py": PAPER,
+    "structures/skiplist.py": PAPER,
+    "core/frontend.py": PAPER,
+    "KernelBuilder.bit_not": PAPER,
+    "ListSum": KERNEL,
+    "BTreeScanCollect": KERNEL,
+    "Rack.traverse": STUB,
+    "Rack.serving_watts": STUB,
+    "PulseIterator.init": STUB,
+    "PulseIterator.finalize": STUB,
+    "PulseIterator.index_key": STUB,
+    "PulseIterator.index_window": STUB,
+    "PulseIterator.index_locate": STUB,
+    "PulseIterator.index_decode": STUB,
+    "WorkspacePool._enqueue": STUB,
+    "WorkspacePool._dequeue": STUB,
+    "WorkspacePool.queue_length": STUB,
+    "_Condition._observe": STUB,
+    "_Condition._check_finalize": STUB,
+    "Event.fail": raised_by(
+        "tests/test_sim_engine.py::test_failed_event_raises_in_waiter"),
+    "PulseSwitch._fault": raised_by(
+        "tests/test_switch_unit.py::TestSwitchRouting::"
+        "test_unroutable_pointer_becomes_fault"),
+    "ProtectionFault.__init__": raised_by(
+        "tests/test_accelerator_internals.py::TestProtectionPath::"
+        "test_unreadable_range_faults_on_load"),
+    "TranslationFault.__init__": raised_by(
+        "tests/test_mem_addressing.py::TestRangeTranslation::"
+        "test_miss_raises_translation_fault"),
+    # a crash's takeover of a doorbell frame in flight
+    "TraversalBatch.__iter__": raised_by(
+        "tests/test_durability.py::"
+        "test_failover_reinjects_a_doorbell_frame_in_flight"),
+    # ROADMAP Decided (i): paths no production configuration selects
+    "DurabilityService.on_node_added": DECIDED,
+    "PulseSwitch._evict_one": DECIDED,
+    "IteratorMachine._indirect_slice": DECIDED,
 }
 
 
@@ -482,16 +556,74 @@ def test_no_unused_import():
     assert not found, "\n".join(map(str, found))
 
 
+def _linecov():
+    spec = importlib.util.spec_from_file_location(
+        "linecov", ROOT / "tools" / "linecov.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rows_covering(key: str, exempt=EXEMPT) -> List[str]:
+    """The ``exempt`` rows naming the function ``key``
+    (``src/repro/x.py::Class.method``): its qualname, a class it is in,
+    or its module path below the package (``core/frontend.py``)."""
+    path, qual = key.split("::")
+    parts = qual.split(".")
+    names = [".".join(parts[:i]) for i in range(len(parts), 0, -1)]
+    names.append(path.split("/", 2)[2])
+    return [name for name in names if name in exempt]
+
+
+def never_entered(recorded: dict, exempt=EXEMPT) -> List[str]:
+    """Each function of ``recorded`` (``BENCH_coverage.json``'s
+    ``functions``) production never enters and no row covers."""
+    return [key for key, row in recorded.items()
+            if row["entered"] != "production"
+            and not rows_covering(key, exempt)]
+
+
+@lru_cache(maxsize=None)
+def _recorded() -> dict:
+    return json.loads(COVERAGE.read_text())["functions"]
+
+
+def test_every_src_function_runs_outside_tier1_or_has_a_row():
+    recorded = set(_recorded())
+    tree = set(_linecov().functions(ROOT)[0])
+    assert recorded == tree, (
+        "BENCH_coverage.json is stale; regenerate it with "
+        "python tools/linecov.py\n  only in the tree: "
+        f"{sorted(tree - recorded)}\n  only in the file: "
+        f"{sorted(recorded - tree)}")
+    missing = never_entered(_recorded())
+    assert not missing, "production never enters:\n" + "\n".join(missing)
+
+
 @lru_cache(maxsize=None)
 def _unexempted() -> frozenset:
-    return frozenset(f.name for f in dead_surface(exempt={}))
+    covering = {name for key, row in _recorded().items()
+                if row["entered"] != "production"
+                for name in rows_covering(key)}
+    return frozenset(f.name for f in dead_surface(exempt={})) | covering
+
+
+def _reason_holds(reason: str) -> bool:
+    """One of ``REASONS``; an error path's names a test that exists."""
+    if reason.startswith(raised_by("")):
+        test = reason[len(raised_by("")):]
+        path = ROOT / test.split("::")[0]
+        return path.is_file() and \
+            f"def {test.rsplit('::', 1)[1]}(" in path.read_text()
+    return reason in REASONS and reason != ERROR
 
 
 @pytest.mark.parametrize("name", EXEMPT)
 def test_an_exemption_names_a_live_finding_and_a_reason(name):
-    assert EXEMPT[name] in REASONS
+    assert _reason_holds(EXEMPT[name]), EXEMPT[name]
     assert name in _unexempted(), (
-        f"{name} has a reader now (or is gone); drop its exemption")
+        f"{name} has a reader now, runs in production (or is gone); "
+        "drop its exemption")
 
 
 BROKEN_TREE = {
@@ -543,3 +675,59 @@ def test_the_gate_names_each_kind_of_dead_surface(tmp_path):
     assert dead_surface(tmp_path, exempt={"Widget.unused": PAPER,
                                           "Widget(color=)": PAPER,
                                           "Widget.spare": PAPER}) == []
+
+
+TRACED_TREE = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/mod.py": (
+        "import os\n"
+        "\n"
+        "\n"
+        "def entered():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def never():\n"
+        "    return 2\n"
+        "\n"
+        "\n"
+        "def in_child():\n"
+        "    return 3\n"
+        "\n"
+        "\n"
+        "def fork_child():\n"
+        "    pid = os.fork()\n"
+        "    if pid == 0:\n"
+        "        in_child()\n"
+        "        os._exit(0)\n"
+        "    os.waitpid(pid, 0)\n"),
+    "examples/run.py": (
+        "from pkg.mod import entered, fork_child\n"
+        "\n"
+        "entered()\n"
+        "fork_child()\n"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_the_tracer_sees_forked_children_and_names_the_never_entered(
+        tmp_path):
+    """One entered def, one never-entered def, and a def only a forked
+    child runs before it leaves through ``os._exit``: the tracer keeps
+    the child's hits, and the gate names exactly the never-entered def."""
+    for name, text in TRACED_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    report = _linecov().measure(tmp_path, groups={
+        "examples": [([sys.executable, "examples/run.py"], {})]})
+    rows = report["functions"]
+    assert {key: row["entered"] for key, row in rows.items()} == {
+        "src/pkg/mod.py::entered": "production",
+        "src/pkg/mod.py::never": "none",
+        "src/pkg/mod.py::in_child": "production",
+        "src/pkg/mod.py::fork_child": "production",
+    }
+    assert rows["src/pkg/mod.py::in_child"]["production"] == [13]
+    assert rows["src/pkg/mod.py::never"]["neither"] == [9]
+    assert never_entered(rows, exempt={}) == ["src/pkg/mod.py::never"]
+    assert never_entered(rows, exempt={"mod.py": PAPER}) == []

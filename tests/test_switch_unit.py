@@ -30,13 +30,13 @@ class TestSwitchRouting:
         fabric.send(Message("other", "client0", "switch", 128,
                             request(start1)), segments=1)
         env.run()
-        assert not nodes[1].inbox  # non-pulse traffic is ignored
+        assert not nodes[1].inbox._items  # non-pulse traffic is ignored
 
     def test_client_request_routed_by_cur_ptr(self):
         env, fabric, space, switch, client, nodes = make_switch()
         start1, _ = space.range_of(1)
         send(env, fabric, "client0", request(start1))
-        assert len(nodes[1].inbox) == 1
+        assert len(nodes[1].inbox._items) == 1
         assert counter_value(switch, "switch.routed_to_memory") == 1
 
     def test_memory_running_response_rerouted(self):
@@ -47,7 +47,7 @@ class TestSwitchRouting:
                                     RequestStatus.RUNNING)
         send(env, fabric, "mem0", continuation)
         assert counter_value(switch, "switch.rerouted_node_to_node") == 1
-        assert len(nodes[1].inbox) == 1
+        assert len(nodes[1].inbox._items) == 1
 
     def test_done_response_returns_to_issuing_client(self):
         env, fabric, space, switch, client, nodes = make_switch()
@@ -55,13 +55,13 @@ class TestSwitchRouting:
         send(env, fabric, "client0", req)
         done = req.advanced(req.cur_ptr, b"", 1, RequestStatus.DONE)
         send(env, fabric, "mem0", done)
-        assert len(client.inbox) == 1
+        assert len(client.inbox._items) == 1
         assert counter_value(switch, "switch.returned_to_client") == 1
 
     def test_unroutable_pointer_becomes_fault(self):
         env, fabric, space, switch, client, nodes = make_switch()
         send(env, fabric, "client0", request(0x10))  # below any range
-        assert len(client.inbox) == 1
+        assert len(client.inbox._items) == 1
         delivered = client.inbox._items[0].payload
         assert delivered.status is RequestStatus.FAULT
         assert "unroutable" in delivered.fault_reason
@@ -91,7 +91,7 @@ class TestSwitchRouting:
                                     RequestStatus.RUNNING)
         send(env, fabric, "mem0", continuation)
         assert counter_value(switch, "switch.rerouted_node_to_node") == 0
-        assert len(client.inbox) == 1
+        assert len(client.inbox._items) == 1
 
     def test_stale_terminal_response_dropped(self):
         env, fabric, space, switch, client, nodes = make_switch()
@@ -103,7 +103,7 @@ class TestSwitchRouting:
         # bounced around.
         send(env, fabric, "mem0", done)
         assert counter_value(switch, "switch.dropped_stale") == 1
-        assert len(client.inbox) == 1
+        assert len(client.inbox._items) == 1
 
     def test_mixed_batch_faults_first_then_one_frame_per_owner(self):
         env, fabric, space, switch, client, nodes = make_switch()

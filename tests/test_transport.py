@@ -1,6 +1,6 @@
 """The reliable-transport stack: seq/ack dedup, retransmission with
-capped backoff, deterministic per-link fault injection, hop-epoch stale
-suppression at the switch, and checkpoint-resume equivalence."""
+capped backoff, deterministic per-link fault injection, the switch's
+drop of hop frames its traversal has advanced past, and checkpoint-resume equivalence."""
 
 import random
 from heapq import heappop

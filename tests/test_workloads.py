@@ -1,7 +1,10 @@
 """Tests for workload generators and application builders (Table 2)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.bench.experiments import WORKLOAD_NAMES, build_workload
 from repro.isa import analyze
 from repro.mem import GlobalMemory
 from repro.params import AcceleratorParams
@@ -14,7 +17,6 @@ from repro.workloads import (
     build_tsv,
     build_upc,
     generate_upmu_trace,
-    standard_workloads,
 )
 from repro.workloads.upmu import NOMINAL_MICROVOLTS, UPMU_SAMPLE_HZ
 
@@ -224,8 +226,10 @@ class TestTsvWorkload:
 
 class TestStandardWorkloads:
     def test_six_columns(self):
-        memory = GlobalMemory(node_count=1, node_capacity=48 << 20)
-        workloads = standard_workloads(memory, node_count=1, requests=2)
+        system = SimpleNamespace(
+            memory=GlobalMemory(node_count=1, node_capacity=48 << 20))
+        workloads = [build_workload(system, name, 1, requests=2)
+                     for name in WORKLOAD_NAMES]
         names = [w.name for w in workloads]
         assert names == ["UPC", "TC", "TSV-7.5s", "TSV-15s",
                          "TSV-30s", "TSV-60s"]

@@ -60,7 +60,7 @@ class TestTranslationCache:
         assert tlb.lookup(0xDEAD0000) is None
         assert tlb.lookup(0xDEAD0000) is None
         assert tlb.misses.value == 2
-        assert len(tlb) == 0
+        assert len(tlb.mru) == 0
 
     def test_mru_eviction_at_capacity(self):
         # Physically scattered so the table cannot coalesce them.
@@ -72,7 +72,7 @@ class TestTranslationCache:
         tlb.lookup(0x2000)
         tlb.lookup(0x1000)          # refresh: 0x1000 is now MRU
         tlb.lookup(0x3000)          # evicts the LRU entry (0x2000's)
-        assert len(tlb) == 2
+        assert len(tlb.mru) == 2
         backing = table.lookups
         tlb.lookup(0x1000)          # still cached
         assert table.lookups == backing
@@ -146,7 +146,7 @@ class TestMachinePool:
         first, second = pool.acquire(program), pool.acquire(program)
         pool.release(first)
         pool.release(second)        # beyond capacity: dropped
-        assert len(pool) == 1
+        assert pool._retained == 1
         assert pool.acquire(program) is first
         assert pool.acquire(program) is not second
 
