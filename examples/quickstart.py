@@ -43,10 +43,9 @@ def main() -> None:
     for key in (7, 500, 999, 123_456):
         result = cluster.run_traversal(finder, key)
         value = result.value.rstrip(b"\0") if result.value else None
-        where = "offloaded" if result.offloaded else "at the CPU node"
         print(f"find({key:>6}) -> {str(value):24s} "
               f"{result.iterations:3d} iterations, "
-              f"{result.latency_ns / 1000:6.1f} us, {where}")
+              f"{result.latency_ns / 1000:6.1f} us")
 
     print()
     print("accelerator stats (node 0):")

@@ -27,12 +27,15 @@ The production command set (``commands``):
   ``python -m repro.bench list``, README's ``compare`` and ``cell``
   lines, and ``python -m repro.bench.report benchmarks/results``.
 
-Tier-1 is ``python -m pytest -q`` over ``tests/``.  A failing test or
-bench assert does not stop the run: its lines count all the same.
+Tier-1 is ``python -m pytest -q`` over ``tests/``.  A failing bench
+assert does not stop the run: its lines count all the same.  Any other
+non-zero exit -- an example, perfbench, a CLI or a tier-1 test --
+stops it before it writes the file.
 
-Everything runs on a copy of the tree in a temporary directory, because
-the benches rewrite ``benchmarks/results/`` and the root ``BENCH_*.json``.
-The command groups run side by side, one per CPU.
+Each command group runs on its own copy of the tree in a temporary
+directory, because the benches rewrite ``benchmarks/results/`` and the
+root ``BENCH_*.json``, which the CLIs and tier-1 read.  The groups run
+side by side, one per CPU.
 
 The tracer has to reach every Python process the commands start.  Two
 workarounds make it do so:
@@ -52,12 +55,13 @@ group are merged.  Loading this module in a traced process imports no
 ``hashlib`` (``tests/test_static_analysis.py`` checks that a traversal
 loads none).
 
-Wall readings on 2 CPUs (two groups at a time, ~7 min in all):
-examples ~50 s, perfbench ``--quick`` ~55 s, the CLIs ~10 s, benches
-~410 s, tier-1 ~225 s.
+Wall readings on 2 CPUs (two groups at a time, 7-9 min in all):
+examples 50-65 s, perfbench ``--quick`` 55-70 s, the CLIs 10-15 s,
+benches 410-560 s, tier-1 225-300 s.
 """
 
 import atexit
+import dis
 import json
 import os
 import shutil
@@ -95,14 +99,14 @@ def install() -> None:
     """Trace every frame of ``$LINECOV_SRC`` in this process and its
     forks; write the hits to ``$LINECOV_OUT`` at exit."""
     out, src = os.environ[OUT_VAR], os.environ[SRC_VAR]
-    hits = {}       # (filename, qualname, first line) -> lines reached
+    hits = {}       # (filename, first line, name) -> lines reached
     tracers = {}    # code -> its local tracer, or None outside src
 
     def tracer_for(code):
         if not code.co_filename.startswith(src):
             return None
-        add = hits.setdefault((code.co_filename, code.co_qualname,
-                               code.co_firstlineno), set()).add
+        add = hits.setdefault((code.co_filename, code.co_firstlineno,
+                               code.co_name), set()).add
 
         def local(frame, event, arg):
             add(frame.f_lineno)
@@ -139,39 +143,44 @@ def install() -> None:
 
 # -- the tree's functions ------------------------------------------------------
 def _code_lines(code) -> set:
-    return {line for _, _, line in code.co_lines() if line is not None}
+    return {line for _, line in dis.findlinestarts(code) if line is not None}
 
 
 def functions(root) -> tuple:
     """Every ``src/`` function of the tree at ``root``: ``(body lines by
-    function key, function key by code key)``.  A function key is
-    ``path::qualname``; a code key is ``(path, qualname, first line)``,
-    one per code object folded into the function, its own included."""
+    function key, (function key, own) by code key)``.  A function key is
+    ``path::qualname``; a code key is ``(path, first line, name)``, one
+    per code object folded into the function, its own included (``own``
+    true).  The qualname is built from the names of the enclosing class
+    bodies (``co_qualname`` is 3.11+)."""
     root = Path(root)
     lines, owners = {}, {}
 
-    def visit(code, rel, owner):
+    def visit(code, rel, prefix, owner):
         for const in code.co_consts:
-            if not hasattr(const, "co_lines"):
+            if not hasattr(const, "co_code"):
                 continue
+            qualname = prefix + const.co_name
+            own = False
             if owner is not None:
                 here = owner
                 lines[here].update(_code_lines(const))
             elif (const.co_flags & _CO_NEWLOCALS
                   and const.co_name not in FOLDED):
-                here = f"{rel}::{const.co_qualname}"
+                here, own = f"{rel}::{qualname}", True
                 lines.setdefault(here, set()).update(
                     _code_lines(const) - {const.co_firstlineno})
             else:       # a class body, or a lambda at module level
                 here = None
             if here is not None:
-                owners[(rel, const.co_qualname, const.co_firstlineno)] = here
-            visit(const, rel, here)
+                owners[(rel, const.co_firstlineno, const.co_name)] = \
+                    (here, own)
+            visit(const, rel, qualname + ".", here)
 
     for path in sorted((root / "src").rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         visit(compile(path.read_text(encoding="utf-8"), rel, "exec"),
-              rel, None)
+              rel, "", None)
     return lines, owners
 
 
@@ -204,25 +213,43 @@ def commands(root) -> dict:
     }
 
 
-def _run_group(copy, out, argvs, env) -> tuple:
-    """Run one group's commands traced, each process writing to the
-    directory ``out``; return (hits, wall s, failures)."""
-    os.mkdir(out)
+#: the exit status a group may end with besides 0: pytest's "a test
+#: failed", since some bench asserts fail at scale 0.25 (and at the
+#: parent alike) and their lines count all the same.  Any other non-zero
+#: exit stops the run before it writes a report.
+MAY_FAIL = {"benchmarks": 1}
+
+#: what is not copied into a group's tree
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                 ".benchmarks")
+
+
+def _run_group(root, scratch, group, argvs, env) -> tuple:
+    """Run one group's commands traced, in its own copy of ``root``
+    under ``scratch`` (the benches rewrite ``benchmarks/results/`` and
+    the root ``BENCH_*.json`` that the CLIs and tier-1 read); return
+    (hits by ``(path, first line, name)``, wall s, failures)."""
+    copy, out = scratch / group / "tree", scratch / group / "hits"
+    shutil.copytree(root, copy, ignore=IGNORED)
+    out.mkdir()
+    env = dict(env, **{SRC_VAR: str(copy / "src") + os.sep,
+                       OUT_VAR: str(out), "PYTHONPATH": str(copy / "src")})
     started, failures = time.monotonic(), []
     for argv, extra in argvs:
-        done = subprocess.run(argv, cwd=copy,
-                              env=dict(env, **extra, **{OUT_VAR: out}),
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
-        if done.returncode:
-            failures.append(f"{' '.join(argv[1:])} -> {done.returncode}")
+        done = subprocess.run(argv, cwd=copy, env=dict(env, **extra),
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if done.returncode not in (0, MAY_FAIL.get(group, 0)):
+            tail = "\n    ".join(done.stdout.splitlines()[-20:])
+            failures.append(f"{group}: {' '.join(argv[1:])} -> "
+                            f"{done.returncode}\n    {tail}")
     wall = time.monotonic() - started
     hits = {}
     for name in os.listdir(out):
-        with open(os.path.join(out, name)) as handle:
-            for filename, qualname, first, lines in json.load(handle):
-                hits.setdefault((filename, qualname, first), set()).update(
-                    lines)
+        with open(out / name) as handle:
+            for filename, first, code_name, lines in json.load(handle):
+                rel = Path(filename).relative_to(copy).as_posix()
+                hits.setdefault((rel, first, code_name), set()).update(lines)
     return hits, wall, failures
 
 
@@ -231,49 +258,47 @@ PRODUCTION = ("examples", "benchmarks", "perfbench", "cli")
 
 
 def measure(root, groups=None) -> dict:
-    """Trace ``groups`` (by default :func:`commands`) on a copy of
-    ``root``; the report."""
+    """Trace ``groups`` (by default :func:`commands`), each on its own
+    copy of ``root``; the report.  Raises ``RuntimeError`` when a
+    command exits non-zero beyond :data:`MAY_FAIL`."""
     root = Path(root).resolve()
     scratch = Path(tempfile.mkdtemp(prefix="linecov-")).resolve()
-    copy = scratch / "tree"
-    shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".pytest_cache", ".benchmarks"))
     site = scratch / "userbase" / "lib" / \
         f"python{sys.version_info[0]}.{sys.version_info[1]}" / "site-packages"
     site.mkdir(parents=True)
     (site / "usercustomize.py").write_text(HOOK)
-    src = str(copy / "src") + os.sep
     env = {key: value for key, value in os.environ.items()
            if not key.startswith(("PULSE_", "LINECOV_", "REPRO_"))}
-    env.update({"PYTHONUSERBASE": str(scratch / "userbase"), SRC_VAR: src,
-                TOOL_VAR: str(Path(__file__).resolve()),
-                "PYTHONPATH": str(copy / "src")})
+    env.update({"PYTHONUSERBASE": str(scratch / "userbase"),
+                TOOL_VAR: str(Path(__file__).resolve())})
     env.pop("PYTHONNOUSERSITE", None)
     groups = commands(root) if groups is None else groups
-    tree, owners = functions(copy)
+    tree, owners = functions(root)
     try:
         with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
             runs = dict(zip(groups, pool.map(
-                lambda group: _run_group(copy, scratch / f"hits-{group}",
+                lambda group: _run_group(root, scratch, group,
                                          groups[group], env),
                 groups)))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    for group, (_, wall, failures) in runs.items():
-        print(f"linecov: {group}: {wall:.0f} s"
-              + "".join(f"\n  failed: {f}" for f in failures), file=sys.stderr)
+    for group, (_, wall, _) in runs.items():
+        print(f"linecov: {group}: {wall:.0f} s", file=sys.stderr)
+    failures = [f for _, _, group_failures in runs.values()
+                for f in group_failures]
+    if failures:
+        raise RuntimeError("linecov: a command failed:\n"
+                           + "\n".join(failures))
 
     def reached(names):
         by_function, entered = {}, set()
         for group in set(names) & set(runs):
-            for (filename, qualname, first), lines in runs[group][0].items():
-                code = (Path(filename).relative_to(copy).as_posix(),
-                        qualname, first)
-                key = owners.get(code)
+            for code, lines in runs[group][0].items():
+                key, own = owners.get(code, (None, False))
                 if key is None:
                     continue
                 by_function.setdefault(key, set()).update(lines)
-                if code[1] == key.split("::", 1)[1]:
+                if own:
                     entered.add(key)
         return by_function, entered
 
