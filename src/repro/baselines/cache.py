@@ -25,7 +25,7 @@ from repro.core.iterator import PulseIterator, TraversalResult, walk
 from repro.core.workspace import MachinePool
 from repro.mem.translation import TranslationFault
 from repro.sim.network import Message
-from repro.sim.resources import Resource
+from repro.sim.stages import Stage, cache_stages
 
 PAGE_KIND = "page"
 
@@ -95,10 +95,11 @@ class CacheSystem(Rack):
         self.cache = PageCache(max(1, mem.cache_bytes // self.page_bytes))
         self.session = make_session(self, "client0")
         self.client = self.session.endpoint
-        self.fault_unit = Resource(self.env, capacity=self.workers_per_node)
-        self.cpu_unit = Resource(self.env, capacity=8)
+        stages = cache_stages(self.params, self.workers_per_node)
+        self.fault_unit = Stage(self.env, stages["fault_unit"])
+        self.cpu_unit = Stage(self.env, stages["cpu"])
         for node in self.memory.nodes:
-            _PagingServer(self, node)   # lives on as its session's handler
+            _PagingServer(self, node, stages["bandwidth_gate"])  # handler
         self._record_result = result_recorder(self.registry, "client0")
         self._m_pages_fetched = self.registry.counter(
             "client0.cache.pages_fetched")
@@ -122,15 +123,12 @@ class CacheSystem(Rack):
     def serving_watts(self) -> float:
         """The CPU node's fault handlers; the memory nodes are passive
         DRAM, so all the work is the paging path's."""
-        power = self.params.power
-        return (power.cpu_worker_watts * self.workers_per_node
-                + power.client_watts)
+        return self.params.power.cpu_worker_watts * self.workers_per_node
 
     # -- the traversal, executed at the CPU node ------------------------------
     def traverse(self, iterator: PulseIterator, *args):
         start = self.env.now
         window_size = iterator.program.load_window[1]
-        instruction_ns = self.params.cpu.instruction_ns()
 
         def fetch(address):
             # A wild pointer faults here, before any page moves.
@@ -149,8 +147,7 @@ class CacheSystem(Rack):
             machine.reset(cur_ptr, scratch)
             iterations, fault, _done = yield from walk(
                 machine, self.memory.read, self.memory.write, fetch,
-                lambda executed: self.cpu_unit.hold(
-                    executed * instruction_ns),
+                self.cpu_unit.visit,
                 budget=4 * self.params.accelerator.max_iterations)
             value = (None if fault is not None
                      else iterator.finalize(bytes(machine.scratch)))
@@ -202,28 +199,23 @@ class CacheSystem(Rack):
 class _PagingServer:
     """Memory node side of a page fetch: DRAM read + page send."""
 
-    def __init__(self, system: CacheSystem, node):
+    def __init__(self, system: CacheSystem, node, bandwidth_gate):
         self.system = system
         self.env = system.env
-        self.node = node
         self.session = make_session(system, node.name)
-        self.bandwidth_gate = Resource(self.env, capacity=1)
+        self.bandwidth_gate = Stage(self.env, bandwidth_gate)
         self._m_served = system.registry.counter(
             f"{node.name}.{system.served_bytes}")
         self.session.on_message = self._on_message
 
     def _on_message(self, message: Message) -> None:
         """One DRAM page read, then the page goes back."""
-        system = self.system
         waiter, _page = message.payload
-        page_bytes = system.page_bytes
-        bw = system.params.memory.bandwidth_bytes_per_ns
+        page_bytes = self.system.page_bytes
 
         def reply(_hold) -> None:
             self._m_served.inc(page_bytes)
             self.session.send("client0", PAGE_KIND, waiter,
                               page_bytes + 128)
 
-        self.bandwidth_gate.hold(
-            page_bytes / bw,
-            system.params.cpu.dram_access_ns).callbacks.append(reply)
+        self.bandwidth_gate.visit(page_bytes).callbacks.append(reply)

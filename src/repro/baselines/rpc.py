@@ -30,7 +30,7 @@ from repro.core.workspace import MachinePool
 from repro.isa.instructions import ExecutionFault
 from repro.mem.translation import PERM_READ
 from repro.sim.network import Message
-from repro.sim.resources import Resource
+from repro.sim.stages import Stage, rpc_stages
 
 RPC_KIND = "rpc"
 
@@ -38,17 +38,14 @@ RPC_KIND = "rpc"
 class _RpcServer:
     """One memory node's RPC service."""
 
-    def __init__(self, system: "RpcSystem", node, workers: int):
+    def __init__(self, system: "RpcSystem", node, stages: dict):
         self.system = system
         self.env = system.env
         self.node = node
         self.session = make_session(system, node.name)
-        self.workers = Resource(self.env, capacity=workers)
-        #: serialized DRAM bandwidth share (the RDT cap of section 7)
-        self.bandwidth_gate = Resource(self.env, capacity=1)
-        #: eRPC is run-to-completion: each worker core handles its own
-        #: rx/tx, so stack capacity scales with the worker pool
-        self.stack = Resource(self.env, capacity=workers)
+        self.workers = Stage(self.env, stages["workers"])
+        self.bandwidth_gate = Stage(self.env, stages["bandwidth_gate"])
+        self.stack = Stage(self.env, stages["stack"])
         registry = system.registry
         prefix = f"{node.name}.rpc"
         self._m_requests = registry.counter(f"{prefix}.requests")
@@ -59,7 +56,7 @@ class _RpcServer:
         # The worker cores reuse machine frames across requests, one
         # free frame per concurrent worker at most.
         self.machines = MachinePool(
-            capacity=workers,
+            capacity=self.workers.capacity,
             reused=registry.counter(f"{prefix}.workspace.reused"),
             allocated=registry.counter(f"{prefix}.workspace.allocated"))
         self.session.on_message = self._on_message
@@ -68,11 +65,9 @@ class _RpcServer:
         self.env.process(self._handle(message))
 
     def _handle(self, message: Message):
-        system = self.system
-        net = system.params.network
         request: TraversalRequest = message.payload
 
-        yield self.stack.hold(net.dpdk_stack_ns)
+        yield self.stack.visit()
         grant = self.workers.request()
         yield grant
         started = self.env.now
@@ -82,7 +77,7 @@ class _RpcServer:
         finally:
             self._m_busy.inc(self.env.now - started)
             self.workers.release(grant)
-        yield self.stack.hold(net.dpdk_stack_ns)
+        yield self.stack.visit()
         self.session.send(message.src, RPC_KIND, response,
                           response.wire_bytes())
 
@@ -104,9 +99,7 @@ class _RpcServer:
         is an invalid pointer.
         """
         system = self.system
-        cpu = system.cpu
-        bw = system.params.memory.bandwidth_bytes_per_ns
-        instruction_ns = cpu.instruction_ns()
+        instruction_ns = system.cpu.instruction_ns()
         node = self.node
         memory = node.memory
         window_size = request.program.load_window[1]
@@ -119,8 +112,7 @@ class _RpcServer:
                 missed = addr
                 return False
             # DRAM access through the shared bandwidth cap.
-            yield self.bandwidth_gate.hold(
-                window_size / bw, cpu.memory_access_ns(window_size))
+            yield self.bandwidth_gate.visit(window_size)
             return True
 
         def read(addr, size):
@@ -177,9 +169,10 @@ class RpcSystem(Rack):
         self.workers_per_node = workers
         self.session = make_session(self, "client0")
         self.client = self.session.endpoint
-        self.client_stack = Resource(self.env, capacity=8)
+        stages = rpc_stages(self.params, self.cpu, workers)
+        self.client_stack = Stage(self.env, stages["client_stack"])
         for node in self.memory.nodes:
-            _RpcServer(self, node, workers)   # lives on as its handler
+            _RpcServer(self, node, stages)   # lives on as its handler
         self._record_result = result_recorder(self.registry, "client0")
         self._waiters: Dict[tuple, object] = {}
         self._counter = 0
@@ -190,15 +183,13 @@ class RpcSystem(Rack):
         power = self.params.power
         worker_watts = (power.wimpy_worker_watts if self.wimpy
                         else power.cpu_worker_watts)
-        return (worker_watts * self.workers_per_node * self.node_count
-                + power.client_watts)
+        return worker_watts * self.workers_per_node * self.node_count
 
     # -- client ----------------------------------------------------------------
     def _on_message(self, message: Message) -> None:
         """One DPDK stack span, then the response wakes its waiter."""
-        self.client_stack.hold(
-            self.params.network.dpdk_stack_ns).callbacks.append(
-                lambda _hold: self._deliver(message))
+        self.client_stack.visit().callbacks.append(
+            lambda _hold: self._deliver(message))
 
     def _deliver(self, message: Message) -> None:
         response: TraversalRequest = message.payload
@@ -240,7 +231,7 @@ class RpcSystem(Rack):
                 f"client: unroutable pointer {request.cur_ptr:#x}")
         waiter = self.env.event()
         self._waiters[request.request_id] = waiter
-        yield self.client_stack.hold(self.params.network.dpdk_stack_ns)
+        yield self.client_stack.visit()
         self.session.send(f"mem{owner}", RPC_KIND, request,
                           request.wire_bytes())
         response = yield waiter

@@ -15,6 +15,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.params import DEFAULT_PARAMS
+from repro.sim.stages import pulse_stages
+
 #: file written by the benchmarks holding {system: registry.snapshot()}
 METRICS_SNAPSHOT_FILE = "metrics_snapshot.json"
 
@@ -25,8 +28,9 @@ SCHEMA_VERSION = 1
 #: repo root (this file lives at src/repro/bench/report.py)
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: accelerator span stages, in pipeline order (Fig 9's x-axis)
-SPAN_STAGES = ("netstack", "scheduler", "memory", "logic")
+#: Fig 9's stages in pipeline order: the span rows of pulse's stage table
+SPAN_STAGES = tuple(name for name, row in pulse_stages(DEFAULT_PARAMS).items()
+                    if row.span)
 
 #: figure order + captions; files are <key>.txt in the results dir
 SECTIONS: List[Tuple[str, str, str]] = [

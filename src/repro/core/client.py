@@ -34,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.params import SystemParams
 from repro.sim.engine import Environment, Event, Process
 from repro.sim.network import Fabric, Message
-from repro.sim.resources import Resource
+from repro.sim.stages import Stage, pulse_stages
 from repro.transport import TransportSession
 
 #: give up after this many retransmissions of one request
@@ -42,10 +42,6 @@ MAX_RETRIES = 16
 
 #: give up after this many consecutive admission-control NACKs
 MAX_ADMISSION_RETRIES = 32
-
-#: DPDK stack cores at a CPU node; every message send or receive
-#: occupies one for ``NetworkParams.dpdk_stack_ns``
-DPDK_CORES = 8
 
 
 class RequestLost(Exception):
@@ -169,8 +165,7 @@ class DoorbellBatcher:
         self._m_occupancy.record(len(batch))
         client = self.client
         # One doorbell write / stack span covers the whole batch.
-        yield client.stack_unit.hold(
-            client.params.network.dpdk_stack_ns)
+        yield client.stack_unit.visit()
         if len(batch) == 1:
             payload: object = batch[0]
             size = batch[0].wire_bytes()
@@ -190,7 +185,6 @@ class PulseClient:
                  registry: Optional[MetricsRegistry] = None,
                  index=None):
         self.env = env
-        self.fabric = fabric
         self.params = params
         self.engine = engine
         self.memory = memory
@@ -201,7 +195,7 @@ class PulseClient:
         self.session = TransportSession(env, fabric, name,
                                         params=params.transport,
                                         registry=registry)
-        self.stack_unit = Resource(env, capacity=DPDK_CORES)
+        self.stack_unit = Stage(env, pulse_stages(params)["dpdk_stack"])
         self._waiters: Dict[tuple, Event] = {}
         #: jitter source for retry backoff (deterministic per client name)
         self._rng = random.Random(name)
@@ -233,9 +227,8 @@ class PulseClient:
     # -- receive path ---------------------------------------------------------
     def _on_message(self, message: Message) -> None:
         """One DPDK stack span, then the response wakes its waiter."""
-        self.stack_unit.hold(
-            self.params.network.dpdk_stack_ns).callbacks.append(
-                lambda _hold: self._deliver(message))
+        self.stack_unit.visit().callbacks.append(
+            lambda _hold: self._deliver(message))
 
     def _deliver(self, message: Message) -> None:
         response: TraversalRequest = message.payload
@@ -393,7 +386,7 @@ class PulseClient:
             epoch=entry.epoch, reply_to=self.name)
         waiter = self.env.event()
         self._waiters[rid] = waiter
-        yield self.stack_unit.hold(self.params.network.dpdk_stack_ns)
+        yield self.stack_unit.visit()
         # Straight to the owning node: one RTT, no switch traversal.
         self.session.send(f"mem{entry.node_id}", DIRECT_READ_KIND,
                           request, request.wire_bytes(), segments=2)
@@ -474,24 +467,15 @@ class PulseClient:
         """Run a rejected program at the CPU node with remote reads.
 
         Every iteration's aggregated load becomes a one-sided remote read
-        (client stack + round trip + accelerator netstack and memory
-        pipeline); the logic runs at CPU speed.  No caching here -- the
-        Cache-based baseline models that separately.
+        (the DPDK stack row's round trip); the logic runs at CPU speed.
+        No caching here -- the Cache-based baseline models that.
         """
-        net = self.params.network
-        acc = self.params.accelerator
         instruction_ns = self.params.cpu.instruction_ns()
         window_size = iterator.program.load_window[1]
-        # Remote read round trip for one iteration's window.
-        round_trip = (4 * net.segment_ns
-                      + 2 * net.switch_process_ns
-                      + 2 * acc.netstack_ns
-                      + acc.memory_access_ns(window_size)
-                      + window_size / net.link_bytes_per_ns)
 
         def fetch(_addr):
-            yield self.stack_unit.hold(net.dpdk_stack_ns, round_trip)
-            yield self.stack_unit.hold(net.dpdk_stack_ns)
+            yield self.stack_unit.visit(window_size)
+            yield self.stack_unit.visit()
             return True
 
         cur_ptr, scratch = iterator.init(*args)
@@ -500,7 +484,7 @@ class PulseClient:
         iterations, fault, _done = yield from walk(
             machine, self.memory.read, self.memory.write, fetch,
             lambda executed: self.env.timeout(executed * instruction_ns),
-            budget=acc.max_iterations)
+            budget=self.params.accelerator.max_iterations)
         return TraversalResult(
             value=(None if fault is not None
                    else iterator.finalize(bytes(machine.scratch))),

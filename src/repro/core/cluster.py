@@ -267,8 +267,7 @@ class PulseCluster(Rack):
 
     def serving_watts(self) -> float:
         """One FPGA board per memory node, every rail of it."""
-        power = self.params.power
-        return power.fpga_watts * self.node_count + power.client_watts
+        return self.params.power.fpga_watts * self.node_count
 
     @property
     def sharded(self) -> bool:

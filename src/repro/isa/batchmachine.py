@@ -2,7 +2,7 @@
 
 The accelerator steps a doorbell batch as a *lane group*: up to
 ``batch_lanes`` workspace frames of one kernel sharing a gathered LOAD
-per step (``Accelerator._execute_group``).  :class:`BatchMachine` is that
+per step (``Accelerator._serve_group``).  :class:`BatchMachine` is that
 loop with the memory side handed in by the caller, for the differential
 tests and the perfbench probe.  A lane is an ordinary ``IteratorMachine``
 (compiled, or the oracle under ``PULSE_INTERP=1``), so a faulting lane

@@ -324,8 +324,6 @@ class PowerParams:
     #: worker still burns most of a full core's share -- the mechanism
     #: behind Fig 7's RPC-W-worse-than-RPC result
     wimpy_worker_watts: float = 15.0
-    #: client CPU share while driving requests (charged to all systems)
-    client_watts: float = 0.0
 
 
 @dataclass(frozen=True)

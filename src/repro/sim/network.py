@@ -2,8 +2,8 @@
 
 The rack in the paper is a star: every CPU node and memory node hangs off
 one programmable switch over 100 Gbps links.  The fabric models, per
-message: (i) serialization at the sender's NIC (size / link bandwidth,
-egress is a shared resource so concurrent sends queue), (ii) one-way wire
+message: (i) serialization at the sender's NIC (the ``egress`` stage:
+size / link bandwidth, concurrent sends queue), (ii) one-way wire
 propagation, and (iii) optional per-link drop/jitter injection
 (:class:`LinkProfile`, the only loss injector).  Software stack costs
 (DPDK, kernel paging, TCP) are charged by the *endpoints*, not the fabric,
@@ -26,7 +26,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.obs.metrics import MetricsRegistry
 from repro.params import NetworkParams
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
+from repro.sim.stages import Stage, egress
 
 
 @dataclass
@@ -83,15 +84,13 @@ class Endpoint:
     ``on_message`` handler (``inbox`` again, if nobody assigned one).
     """
 
-    def __init__(self, env: Environment, name: str,
-                 link_bytes_per_ns: float,
+    def __init__(self, env: Environment, name: str, egress_stage: Stage,
                  registry: Optional[MetricsRegistry] = None):
         self.env = env
         self.name = name
         self.inbox: Store = Store(env)
         self.receive: Callable[[Message], None] = self.inbox.put
-        self.egress = Resource(env, capacity=1)
-        self.link_bytes_per_ns = link_bytes_per_ns
+        self.egress = egress_stage
         if registry is None:
             registry = MetricsRegistry(clock=lambda: env.now)
         self.registry = registry
@@ -119,6 +118,7 @@ class Fabric:
         self.env = env
         self.params = params
         self.seed = seed
+        self._egress_row = egress(params)
         self._endpoints: Dict[str, Endpoint] = {}
         #: per-link fault injection: (src, dst) -> LinkProfile, with one
         #: deterministic RNG per link seeded from (link name, run seed)
@@ -168,8 +168,7 @@ class Fabric:
     def register(self, name: str) -> Endpoint:
         if name in self._endpoints:
             raise ValueError(f"endpoint {name!r} already registered")
-        endpoint = Endpoint(self.env, name,
-                            self.params.link_bytes_per_ns,
+        endpoint = Endpoint(self.env, name, Stage(self.env, self._egress_row),
                             registry=self.registry)
         self._endpoints[name] = endpoint
         return endpoint
@@ -189,7 +188,7 @@ class Fabric:
             raise ValueError(f"unknown destination endpoint {message.dst!r}")
         propagation = (self.params.segment_ns * segments
                        + self.params.switch_process_ns)
-        tx_end = src.egress.hold(message.size_bytes / src.link_bytes_per_ns)
+        tx_end = src.egress.visit(message.size_bytes)
         tx_end.callbacks.append(
             lambda _hold: self._transmitted(src, message, propagation))
 

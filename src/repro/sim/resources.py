@@ -58,11 +58,9 @@ class Resource:
         finally:
             resource.release(req)
 
-    It is kept on purpose, not pending conversion: the RPC server's
-    worker section spans per-iteration holds on a contended bandwidth
-    gate and the paging client's fault unit spans a network round trip,
-    so neither has a duration to hand to ``hold``.  Both kinds of waiter
-    share one FIFO queue.
+    Both kinds of waiter share one FIFO queue.  In a rack each resource
+    is a :class:`~repro.sim.stages.Stage` built from its stage table
+    (the ``one-stage-table`` row of ``tests/test_invariants.py``).
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -96,9 +94,9 @@ class Resource:
 
     def hold(self, duration: float, then: Optional[float] = None,
              chain: Optional[Tuple["Resource", float, Optional[float]]]
-             = None) -> Event:
+             = None, value: Any = None) -> Event:
         """Occupy one server FIFO for ``duration``; the returned event
-        fires ``then`` ns after the server is freed.
+        fires ``then`` ns after the server is freed, with ``value``.
 
         The timed-stage primitive: one FIFO server plus a delay, with no
         process resume in between.  ``chain=(resource, duration, then)``
@@ -168,9 +166,9 @@ class Resource:
             done = last.done = _new(Event)
             done.env = env
             done.callbacks = []
-            done._value = None
             done._ok = True
             done._defused = False
+        done._value = value
         users = self._users
         if len(users) < self.capacity:
             now = env._now

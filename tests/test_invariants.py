@@ -1,9 +1,9 @@
 """Every "one X" design rule of the code base, as one row of one table.
 
 A row names the rule, a regex that the mechanism it replaced matched,
-the paths whose ``*.py`` files must not match it, the one file allowed
-to match (which must then keep matching), and an ``example`` -- the
-removed spelling -- that the regex must still match.  A row also fails
+the paths whose ``*.py`` files must not match it, the files allowed to
+match (each must then keep matching), and an ``example`` -- the removed
+spelling -- that the regex must still match.  A row also fails
 when one of its paths no longer exists, so renaming a file cannot
 silently disarm the rule that scanned it.  This file is never scanned:
 it holds the examples.
@@ -15,7 +15,7 @@ A new rule is a new row here; a new count bar is a row in
 import re
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -28,7 +28,7 @@ class Rule(NamedTuple):
     forbidden: str
     paths: Tuple[str, ...]
     example: str
-    allowed: Optional[str] = None
+    allowed: Tuple[str, ...] = ()
 
 
 RULES = {
@@ -51,7 +51,7 @@ RULES = {
         r"def (storm_params|migration_storm|arena_storm|run_stream"
         r"|run_crash_stream|snapshot_delta)", ("tests",),
         "def run_stream(cluster, iterator, storm=False):",
-        allowed="tests/scenario.py"),
+        allowed=("tests/scenario.py",)),
     "execution-mode": Rule(
         "One spelling per execution mode: lane width is "
         "PulseCluster(batch_lanes=), "
@@ -98,7 +98,7 @@ RULES = {
     "busy-time-window": Rule(
         "The only other window is Resource's busy-time base.",
         r"def begin_window", ("src",), "def begin_window(self) -> None:",
-        allowed="src/repro/sim/resources.py"),
+        allowed=("src/repro/sim/resources.py",)),
     "demand-zero-node": Rule(
         "A memory node's RSS is its data, not its capacity: no "
         "capacity-sized bytearray behind a memory node.",
@@ -143,6 +143,13 @@ RULES = {
         r"""(==|!=|\bin)\s*[(\[{]?\s*["'](pulse|adpdm|cache|rpc)[\w+-]*["']"""
         r"""|["'](pulse|adpdm|cache|rpc)[\w+-]*["']\s*(==|!=|\bin\b)""",
         ("src",), 'if name in ("pulse", "adpdm", "pulse-acc"):'),
+    "one-stage-table": Rule(
+        "One stage table per rack: every Resource is a Stage built from a "
+        "row of repro.sim.stages, and a timed stage is a Stage visit, so "
+        "each duration is written once, in its row.",
+        r"Resource\(|\.hold\(", ("src",),
+        "yield self.scheduler_unit.hold(acc.scheduler_dispatch_ns)",
+        allowed=("src/repro/sim/stages.py", "src/repro/sim/resources.py")),
 }
 
 
@@ -157,29 +164,30 @@ def check(rule: Rule, root: Path = ROOT) -> None:
     if not re.search(rule.forbidden, rule.example):
         found.append(f"regex {rule.forbidden!r} does not match its "
                      f"example {rule.example!r}")
-    allowed = root / rule.allowed if rule.allowed else None
+    allowed = {root / name: name for name in rule.allowed}
     files = set()
-    for name in rule.paths + ((rule.allowed,) if rule.allowed else ()):
+    for name in rule.paths + rule.allowed:
         path = root / name
         if not path.exists():
             found.append(f"{name} does not exist")
         files.update(path.rglob("*.py") if path.is_dir() else [path])
-    allowed_matches = False
+    allowed_matches = set()
     regex = re.compile(rule.forbidden)
     for path in sorted(files - {THIS}):
         if not path.exists():
             continue
         text = _text(path)
         for match in regex.finditer(text):
-            if path == allowed:
-                allowed_matches = True
+            if path in allowed:
+                allowed_matches.add(path)
                 continue
             line = text.count("\n", 0, match.start()) + 1
             found.append(f"{path.relative_to(root)}:{line}: "
                          f"{text.splitlines()[line - 1].strip()}")
-    if allowed is not None and allowed.exists() and not allowed_matches:
-        found.append(f"{rule.allowed} no longer matches, so the allowance "
-                     "is stale")
+    for path, name in allowed.items():
+        if path.exists() and path not in allowed_matches:
+            found.append(f"{name} no longer matches, so the allowance is "
+                         "stale")
     if found:
         raise AssertionError("\n  ".join([rule.sentence, *found]))
 
@@ -199,7 +207,7 @@ def test_invariant_holds(rule):
      "src/runtime.py does not exist"),
     ({"src/a.py": "pass\n"},
      Rule("one definition, here", r"def begin_window", ("src",),
-          "def begin_window(", allowed="src/a.py"),
+          "def begin_window(", allowed=("src/a.py",)),
      "src/a.py no longer matches"),
     ({"src/a.py": "pass\n"},
      Rule("a regex that drifted from its example", r"run_iterations",

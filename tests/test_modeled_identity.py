@@ -1,11 +1,16 @@
 """Simulator-only changes leave every simulated statistic identical.
 
-Five small racks (three pulse, the RPC and Cache baselines) are driven with fixed seeds and the sha256 of ``repr`` of
-the per-request completion times (simulated ns, floats, in stream order)
-is compared with a digest pinned from the commit *before* the code it
-guards was touched (the parent of the ``Resource.hold`` PR; for the
-durable rack, the parent of the single-serve-path PR; for the
-baselines, the parent of the one-receive-path PR).  A change that
+Five small racks (three pulse, the RPC and Cache baselines) are driven
+with fixed seeds and two sha256 digests are compared with pinned ones:
+of ``repr`` of the per-request completion times (simulated ns, floats,
+in stream order), and of the rack's whole ``metrics_snapshot()`` after
+the drive (``json.dumps`` with sorted keys: every counter, gauge and
+span histogram, so a refactor that moves one metric but no completion
+time fails too).  A completion-time digest is pinned from the commit
+*before* the code it guards was touched (the parent of the
+``Resource.hold`` PR; for the durable rack, the parent of the
+single-serve-path PR; for the baselines, the parent of the
+one-receive-path PR).  A change that
 is meant only to speed the simulator up -- fewer heap entries, fewer
 generator resumes, a different container -- must keep every digest; a
 change that reorders two events at one timestamp, anywhere on the
@@ -20,6 +25,7 @@ that edits to ``repro.bench.driver`` cannot move what is pinned.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -48,6 +54,19 @@ RPC_DIGEST = (
     "06e7108e6fbd15b6c8511ee476bf73ae9b85a75a477e23854c24a08172646298")
 CACHE_DIGEST = (
     "372fda74f8e05f88931da6db6ed554191bc6830a0a244b794f448a1c22781d2b")
+#: the five racks' ``metrics_snapshot()`` digests, pinned at 4e0438b
+#: (the parent of the stage-table PR, which moved every Resource and
+#: hold of the racks into one table per rack)
+TC_SNAPSHOT = (
+    "00e78d301f0073c8c1c7bd3d9e62696ec49ad401dee6392b52715b9e62a560a8")
+MIX_SNAPSHOT = (
+    "2e8b98df7999bd9f6b528438b06ad712d2d8697cdc568ae8a7338015a315bc9e")
+KV_SNAPSHOT = (
+    "93b90e094212166fe00e3729be4150c634a3ea27cc0eb2bdf4882179c993da5f")
+RPC_SNAPSHOT = (
+    "fd081f88687e30461c64d2f32a8810160f204ffc4ea80e2f0dff39a85b268a1d")
+CACHE_SNAPSHOT = (
+    "69dc1b420bc4bf3009b6516498a38b4b26503a94eebc5e3e2ae66e5da11933d2")
 
 
 def _open_loop(rack, operations, rate_per_s, burst, rng):
@@ -106,6 +125,11 @@ def _digest(times) -> str:
     return hashlib.sha256(repr(times).encode()).hexdigest()
 
 
+def _snapshot_digest(rack) -> str:
+    snapshot = json.dumps(rack.metrics_snapshot(), sort_keys=True)
+    return hashlib.sha256(snapshot.encode()).hexdigest()
+
+
 def tc_completion_times():
     """4-node TC scans: 200 open loop at 500 kops, then 200 by 64 callers.
 
@@ -120,7 +144,7 @@ def tc_completion_times():
     ops = tc.operations
     times = _open_loop(rack, ops[:200], 500e3, 1, random.Random("1:tc"))
     times += _closed_loop(rack, ops[200:], 64)
-    return times
+    return times, rack
 
 
 def mix_completion_times():
@@ -148,7 +172,7 @@ def mix_completion_times():
                 for chain_find in is_chain]
     times = _open_loop(rack, ops[:1280], 3e6, 64, random.Random("3:g"))
     times += _closed_loop(rack, ops[1280:], 64)
-    return times
+    return times, rack
 
 
 def kv_durable_completion_times():
@@ -172,7 +196,7 @@ def kv_durable_completion_times():
            for _ in range(640)]
     times = _open_loop(rack, ops[:320], 3e6, 1, random.Random("4:g"))
     times += _closed_loop(rack, ops[320:], 64)
-    return times
+    return times, rack
 
 
 def _baseline_completion_times(system_cls, tag):
@@ -190,7 +214,7 @@ def _baseline_completion_times(system_cls, tag):
     times = _open_loop(rack, ops[:200], 200e3, 1,
                        random.Random(f"5:{tag}:g"))
     times += _closed_loop(rack, ops[200:], 64)
-    return times
+    return times, rack
 
 
 @pytest.fixture(autouse=True)
@@ -201,36 +225,42 @@ def default_tiers(monkeypatch):
         monkeypatch.delenv(knob, raising=False)
 
 
-def _assert_pinned(monkeypatch, completion_times, digest):
+def _assert_pinned(monkeypatch, drive, digest, snapshot_digest):
     """``PULSE_INTERP`` is read at run time and must move no time, so
     every digest is checked under both kernel tiers -- set, not
     cleared: compiled frames, then the interpreter."""
     for interp in ("", "1"):
         monkeypatch.setenv("PULSE_INTERP", interp)
-        assert _digest(completion_times()) == digest, (
-            f"PULSE_INTERP={interp!r}")
+        times, rack = drive()
+        assert _digest(times) == digest, f"PULSE_INTERP={interp!r}"
+        assert _snapshot_digest(rack) == snapshot_digest, (
+            f"metrics_snapshot, PULSE_INTERP={interp!r}")
 
 
 def test_tc_rack_completion_times_are_pinned(monkeypatch):
-    _assert_pinned(monkeypatch, tc_completion_times, TC_DIGEST)
+    _assert_pinned(monkeypatch, tc_completion_times, TC_DIGEST,
+                   TC_SNAPSHOT)
 
 
 def test_mix_batch_completion_times_are_pinned(monkeypatch):
-    _assert_pinned(monkeypatch, mix_completion_times, MIX_DIGEST)
+    _assert_pinned(monkeypatch, mix_completion_times, MIX_DIGEST,
+                   MIX_SNAPSHOT)
 
 
 def test_kv_durable_completion_times_are_pinned(monkeypatch):
-    _assert_pinned(monkeypatch, kv_durable_completion_times, KV_DIGEST)
+    _assert_pinned(monkeypatch, kv_durable_completion_times, KV_DIGEST,
+                   KV_SNAPSHOT)
 
 
 def test_rpc_completion_times_are_pinned(monkeypatch):
     _assert_pinned(
         monkeypatch,
-        lambda: _baseline_completion_times(RpcSystem, "rpc"), RPC_DIGEST)
+        lambda: _baseline_completion_times(RpcSystem, "rpc"), RPC_DIGEST,
+        RPC_SNAPSHOT)
 
 
 def test_cache_completion_times_are_pinned(monkeypatch):
     _assert_pinned(
         monkeypatch,
         lambda: _baseline_completion_times(CacheSystem, "cache"),
-        CACHE_DIGEST)
+        CACHE_DIGEST, CACHE_SNAPSHOT)

@@ -42,7 +42,7 @@ from repro.mem.addrspace import AddressSpace
 from repro.mem.allocator import DisaggregatedAllocator
 from repro.mem.node import GlobalMemory, MemoryNode
 from repro.obs.metrics import EventLog, MetricsRegistry
-from repro.params import PlacementParams
+from repro.params import PlacementParams, PowerParams
 from repro.placement.hotness import HeatMap, HotnessTracker
 from repro.placement.migration import MigrationEngine
 from repro.sim.engine import Environment, Timeout
@@ -113,8 +113,7 @@ FIELDS = {
         "group_commit_bytes", "log_bandwidth_bytes_per_ns",
         "record_header_bytes", "failure_detect_ns",
         "replay_bandwidth_bytes_per_ns", "replay_range_ns"),
-    "PowerParams": ("fpga_watts", "cpu_worker_watts", "wimpy_worker_watts",
-                    "client_watts"),
+    "PowerParams": ("fpga_watts", "cpu_worker_watts", "wimpy_worker_watts"),
     "SystemParams": ("accelerator", "cpu", "wimpy", "network", "transport",
                      "memory", "placement", "durability", "power"),
 }
@@ -153,7 +152,7 @@ REMOVED = {
     "TransportSession(default_segments=)": (
         TransportSession, "default_segments", "send(segments=)"),
     "PulseClient(stack_cores=)": (
-        PulseClient, "stack_cores", "repro.core.client.DPDK_CORES"),
+        PulseClient, "stack_cores", "repro.sim.stages.DPDK_CORES"),
     "PulseClient(switch_name=)": (
         PulseClient, "switch_name", "repro.core.messages.SWITCH"),
     "Accelerator(switch_name=)": (
@@ -249,6 +248,8 @@ REMOVED = {
         "tests/helpers.py's drain, which switches the unmapped rest"),
     "PlacementParams(rebalance_interval_ns=)": (
         PlacementParams, "rebalance_interval_ns", "cluster.rebalance_once()"),
+    "PowerParams(client_watts=)": (
+        PowerParams, "client_watts", "nothing: it was always 0.0"),
     "Environment.timeout(value=)": (
         Environment.timeout, "value", "Event.succeed(value)"),
     "Timeout(value=)": (Timeout, "value", "Event.succeed(value)"),

@@ -50,18 +50,24 @@ workarounds make it do so:
   handler, so the tracer wraps ``os._exit`` to write the worker's hits
   first.
 
+At a normal exit the hook collects garbage before it writes: objects
+left in reference cycles are otherwise finalized after every ``atexit``
+handler, so whether a ``__del__`` counted depended on whether an
+automatic collection had caught its object before the exit.
+
 Each process writes its hits to its own JSON file; the files of one
 group are merged.  Loading this module in a traced process imports no
 ``hashlib`` (``tests/test_static_analysis.py`` checks that a traversal
 loads none).
 
-Wall readings on 2 CPUs (two groups at a time, 7-9 min in all):
-examples 50-65 s, perfbench ``--quick`` 55-70 s, the CLIs 10-15 s,
-benches 410-560 s, tier-1 225-300 s.
+Wall readings on 2 CPUs (two groups at a time, 7-11 min in all):
+examples 50-80 s, perfbench ``--quick`` 55-90 s, the CLIs 10-15 s,
+benches 410-680 s, tier-1 225-375 s.
 """
 
 import atexit
 import dis
+import gc
 import json
 import os
 import shutil
@@ -129,6 +135,10 @@ def install() -> None:
         with open(path, "w") as handle:
             json.dump(rows, handle)
 
+    def collect_and_dump():
+        gc.collect()    # finalize cyclic garbage while traced (see above)
+        dump()
+
     real_exit = os._exit
 
     def exit_after_dump(status):
@@ -136,7 +146,7 @@ def install() -> None:
         real_exit(status)
 
     os._exit = exit_after_dump
-    atexit.register(dump)
+    atexit.register(collect_and_dump)
     threading.settrace(trace)
     sys.settrace(trace)
 
