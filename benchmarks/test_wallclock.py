@@ -28,9 +28,9 @@ Two further measurements ride on the batch cell:
   makes physical sense with one core per worker plus the coordinator,
   so it is enforced when the host grants >= 5 CPUs and recorded (with
   the reason) either way.
-* **Million-request run**: a large open-loop drive with
-  ``keep_results=False`` -- the driver completes in O(N) via a counting
-  done-event, so a million requests is a routine bench rather than an
+* **Million-request run**: a large open-loop drive -- the driver
+  aggregates instead of keeping results and completes in O(N) via a
+  counting done-event, so a million requests is a routine bench rather than an
   O(N^2) all-of stall.  Honors ``REPRO_BENCH_SCALE``.
 
 Results land in the repo-root ``BENCH_wallclock.json``.  The
@@ -146,7 +146,7 @@ def warm_up():
         machine.run(read, max_iterations=65)
     cluster, operations = build_batch_cell(BATCH_BURST * 2)
     run_open_loop(cluster, operations, BATCH_LOAD_PER_S, seed=7,
-                  burst=BATCH_BURST, keep_results=False)
+                  burst=BATCH_BURST)
 
 
 def build_batch_cell(requests: int, node_count: int = 1,
@@ -340,8 +340,7 @@ def measure_sharded_e2e_seconds(workers: int, requests: int) -> float:
     try:
         start = time.perf_counter()
         stats = run_open_loop(cluster, operations, BATCH_LOAD_PER_S,
-                              seed=7, burst=BATCH_BURST,
-                              keep_results=False)
+                              seed=7, burst=BATCH_BURST)
         elapsed = time.perf_counter() - start
     finally:
         cluster.shutdown()
@@ -396,7 +395,7 @@ def measure_open_loop_seconds(requests: int) -> float:
                                            batch_lanes=BATCH_LANES)
     start = time.perf_counter()
     stats = run_open_loop(cluster, operations, MILLION_LOAD_PER_S,
-                          seed=7, burst=BATCH_BURST, keep_results=False)
+                          seed=7, burst=BATCH_BURST)
     elapsed = time.perf_counter() - start
     assert stats.completed == requests
     assert stats.faults == 0
@@ -406,7 +405,7 @@ def measure_open_loop_seconds(requests: int) -> float:
 def test_million_request_open_loop():
     """A million-request drive is a routine bench, not an O(N^2) stall.
 
-    ``keep_results=False`` aggregates stats instead of retaining a
+    The open-loop driver aggregates stats instead of retaining a
     million ``TraversalResult`` objects, and the driver's counting
     done-event replaces the old all-of barrier whose observer list made
     completion quadratic.  The structural assertion is linearity: the

@@ -3,7 +3,11 @@
 
 Enables the registry's event log and prints the full timeline of one
 request that hops across two memory nodes -- the simulated counterpart
-of the measurements behind the paper's Fig 9.
+of the measurements behind the paper's Fig 9.  The log is written where
+frames cross each component's transport session: every line is one
+send or receive of the request, with its peer, status, inter-node hop
+count, iterations so far and ``cur_ptr``.  A switch reroute reads as a
+receive from one memory node followed by a send to the other.
 
 Run:  python examples/trace_timeline.py
 """
@@ -28,6 +32,13 @@ def main() -> None:
     request_id = (0, 1)
     print("timeline:")
     print(cluster.registry.events.render(request_id))
+
+    events = cluster.registry.events.timeline(request_id)
+    replies = sum(e.component.startswith("mem") and e.event == "send"
+                  for e in events)
+    print(f"\n{len(events)} events: {replies} accelerator replies, "
+          f"{events[-1].time_ns - events[0].time_ns:.0f} ns from the "
+          f"client's send to its receive")
 
     switch = cluster.metrics_snapshot()["counters"]
     print("\nswitch counters:",

@@ -121,8 +121,7 @@ def run_workload(system, operations: Sequence[Tuple[Any, tuple]],
 
 def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
                   offered_load_per_s: float, seed: int = 0,
-                  burst: int = 1,
-                  keep_results: bool = True) -> WorkloadStats:
+                  burst: int = 1) -> WorkloadStats:
     """Submit ``operations`` at a Poisson rate, without waiting.
 
     Arrivals are exponential with mean ``1 / offered_load_per_s``; each
@@ -137,12 +136,12 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
     (admission NACKs under overload, or losses) are counted in
     ``lost`` rather than aborting the run.
 
-    ``keep_results=False`` folds completions into running aggregates
-    (count, faults, hops, latencies) instead of retaining every
-    :class:`TraversalResult` -- the mode million-request runs use.
-    Termination is a counting done-event either way: each completion
-    decrements an outstanding counter, so a run with N requests costs
-    O(N), not the O(N^2) an all-of barrier over N collectors would.
+    Completions fold into running aggregates (count, faults, hops, and
+    latencies in submission order) instead of retaining every
+    :class:`TraversalResult`, so ``results`` stays empty.  Termination
+    is a counting done-event: each completion decrements an outstanding
+    counter, so a run with N requests costs O(N), not the O(N^2) an
+    all-of barrier over N collectors would.
     """
     if offered_load_per_s <= 0:
         raise ValueError("offered load must be positive")
@@ -151,12 +150,10 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
     env = system.env
     rate_per_ns = offered_load_per_s / 1e9
     rng = random.Random(seed)
-    results: List[Optional[TraversalResult]] = (
-        [None] * len(operations) if keep_results else [])
     state = {"lost": 0, "in_flight": 0, "max_in_flight": 0,
              "outstanding": 0, "gen_done": False}
     agg = {"completed": 0, "faults": 0, "hops": 0}
-    latencies: List[float] = []
+    latencies: List[Optional[float]] = [None] * len(operations)
     done = env.event()
 
     def collect(index, pending):
@@ -170,13 +167,10 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
             state["outstanding"] -= 1
             if state["outstanding"] == 0 and state["gen_done"]:
                 done.succeed()
-        if keep_results:
-            results[index] = result
-        else:
-            agg["completed"] += 1
-            agg["faults"] += 0 if result.ok else 1
-            agg["hops"] += result.hops
-            latencies.append(result.latency_ns)
+        agg["completed"] += 1
+        agg["faults"] += 0 if result.ok else 1
+        agg["hops"] += result.hops
+        latencies[index] = result.latency_ns
 
     def generator():
         for begin in range(0, len(operations), burst):
@@ -199,21 +193,12 @@ def run_open_loop(system, operations: Sequence[Tuple[Any, tuple]],
         done.succeed()
     env.run(until=done)
 
-    if keep_results:
-        measured = [r for r in results if r is not None]
-        agg = {"completed": len(measured),
-               "faults": sum(1 for r in measured if not r.ok),
-               "hops": sum(r.hops for r in measured)}
-        latencies = [r.latency_ns for r in measured]
-    else:
-        measured = []
     return WorkloadStats(
         completed=agg["completed"],
         duration_ns=system.registry.window_ns,
-        latencies_ns=latencies,
+        latencies_ns=[ns for ns in latencies if ns is not None],
         faults=agg["faults"],
         total_hops=agg["hops"],
-        results=measured,
         metrics=system.metrics_snapshot(),
         lost=state["lost"],
         max_in_flight=state["max_in_flight"],

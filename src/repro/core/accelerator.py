@@ -166,7 +166,6 @@ class Accelerator:
         self.split_loads = split_loads
 
         self.registry = registry
-        self._events = registry.events
         self._m_requests = registry.counter(f"{prefix}.requests")
         self._m_responses = registry.counter(f"{prefix}.responses")
         self._m_iterations = registry.counter(f"{prefix}.iterations")
@@ -233,32 +232,23 @@ class Accelerator:
             self.env.process(self._admit(payload))
 
     # -- processes ----------------------------------------------------------
-    def _admit(self, payload):
-        """Admission over one doorbell frame: a scheduler dispatch per
-        request, then lane groups out of whatever was admitted."""
+    def _admit(self, frame: TraversalBatch):
+        """Admission over one frame: a scheduler dispatch per request,
+        then lane groups out of whatever was admitted."""
         scheduler = self.scheduler_unit
-        if isinstance(payload, TraversalBatch):
-            requests = list(payload.requests)
+        requests = frame.requests
+        if len(requests) > 1:
             self._m_batches.inc()
             self._batch_size_hist.record(len(requests))
-        else:
-            requests = [payload]
 
         admitted: List[TraversalRequest] = []
         for request in requests:
             self._m_requests.inc()
             scheduler.span.record((yield scheduler.visit()))
-            if self._events is not None:
-                self._events.record(self.name, "rx", request.request_id,
-                                    cur_ptr=hex(request.cur_ptr))
             # Admission control: the queue of parked requests is bounded;
             # past the bound the scheduler NACKs instead of queueing.
             if self.workspaces.queue_length() >= self.admission_limit:
                 self._m_nacks.inc()
-                if self._events is not None:
-                    self._events.record(
-                        self.name, "nack", request.request_id,
-                        queue=self.workspaces.queue_length())
                 self._respond(request.advanced(
                     request.cur_ptr, request.scratch, 0,
                     RequestStatus.RETRY))
@@ -312,15 +302,10 @@ class Accelerator:
         self._m_direct_reads.inc()
         scheduler = self.scheduler_unit
         scheduler.span.record((yield scheduler.visit()))
-        if self._events is not None:
-            self._events.record(self.name, "direct_read",
-                                request.request_id,
-                                vaddr=hex(request.vaddr))
 
-        ok, data, reason = False, b"", ""
-        if self.placement_map.node_of(request.vaddr) != self.node.node_id:
-            reason = f"segment {request.vaddr:#x} migrated away"
-        else:
+        ok, data = False, b""
+        # A segment that migrated away NACKs before DRAM is touched.
+        if self.placement_map.node_of(request.vaddr) == self.node.node_id:
             core = self.cores[self._dr_core % len(self.cores)]
             self._dr_core += 1
             # One LOAD, one wait: a memory visit of one lane.
@@ -333,15 +318,14 @@ class Accelerator:
                 ok = True
                 self._m_bytes.inc(request.size)
                 self.hotness.sample(request.vaddr)
-            except (TranslationFault, ProtectionFault) as exc:
-                reason = str(exc)
+            except (TranslationFault, ProtectionFault):
+                pass    # unmapped or unreadable here: NACK
         if not ok:
             self._m_direct_nacks.inc()
 
         reply = DirectReadReply(
             request_id=request.request_id, vaddr=request.vaddr, ok=ok,
-            data=data, map_version=self.placement_map.version,
-            nack_reason=reason)
+            data=data, map_version=self.placement_map.version)
         # Straight back to the issuing client -- no switch traversal.
         self._transmit(request.reply_to, DIRECT_READ_KIND, reply,
                        segments=2)
@@ -527,7 +511,8 @@ class Accelerator:
                        segments=1)
 
     def _respond(self, response: TraversalRequest) -> None:
-        """Transmit one response (responses never batch)."""
+        """Transmit one response, a frame of its own (responses never
+        batch)."""
         if self.session.powered_off:
             # A powered-off node transmits nothing; in-flight serves
             # finish silently and the switch-side takeover resumes (or
@@ -535,8 +520,8 @@ class Accelerator:
             return
         # A RUNNING continuation here is a hop checkpoint: the session
         # flags it so a drop on the next leg resumes from this state.
-        self._transmit(SWITCH, PULSE_KIND, response, segments=1,
-                       sent=self._m_responses)
+        self._transmit(SWITCH, PULSE_KIND, TraversalBatch([response]),
+                       segments=1, sent=self._m_responses)
 
     def _transmit(self, dst: str, kind: str, payload, segments: int,
                   sent=None) -> None:
@@ -564,27 +549,15 @@ class Accelerator:
         core.workspace.release(lane.frame)
         if early:
             self._m_batch_demotions.inc()
-
-        def reply(_durable=None) -> None:
-            if self._events is not None:
-                request = lane.request
-                self._events.record(
-                    self.name, "execute", request.request_id,
-                    core=core.core_id,
-                    iterations=(response.iterations_done
-                                - request.iterations_done),
-                    status=response.status.value)
-            self._respond(response)
-
         # The response -- whatever its status -- must not acknowledge
         # STOREs that could still be lost with this node: park it until
         # the group commit replicates.
         wait = (self.durability.wait_durable(max(lane.dirty))
                 if lane.dirty else None)
         if wait is None:
-            reply()
+            self._respond(response)
         else:
-            wait.callbacks.append(reply)
+            wait.callbacks.append(lambda _durable: self._respond(response))
 
     def _miss_response(self, lane: "_Lane",
                        load_addr: int) -> TraversalRequest:

@@ -111,8 +111,8 @@ class DoorbellBatcher:
     reaches ``batch_size`` or when the ``NetworkParams.doorbell_flush_ns``
     timer rings with a partial batch (an empty ring is a no-op).  Each
     flush pays the DPDK stack span *once*, which is the per-message cost
-    the batching amortizes.  ``batch_size=1`` degenerates to the unbatched behaviour:
-    every request is flushed inline as a plain request message.
+    the batching amortizes.  ``batch_size=1`` degenerates to the unbatched
+    behaviour: every request is flushed inline as a frame of one.
     """
 
     def __init__(self, client: "PulseClient", batch_size: int = 1):
@@ -156,7 +156,7 @@ class DoorbellBatcher:
             self._m_empty_flushes.inc()
 
     def flush(self):
-        """Process: send whatever is pending as one message."""
+        """Process: send whatever is pending as one frame."""
         if not self._pending:
             self._m_empty_flushes.inc()
             return
@@ -166,13 +166,9 @@ class DoorbellBatcher:
         client = self.client
         # One doorbell write / stack span covers the whole batch.
         yield client.stack_unit.visit()
-        if len(batch) == 1:
-            payload: object = batch[0]
-            size = batch[0].wire_bytes()
-        else:
-            payload = TraversalBatch(batch)
-            size = payload.wire_bytes()
-        client.session.send(SWITCH, PULSE_KIND, payload, size, segments=1)
+        frame = TraversalBatch(batch)
+        client.session.send(SWITCH, PULSE_KIND, frame, frame.wire_bytes(),
+                            segments=1)
 
 
 class PulseClient:
@@ -202,7 +198,6 @@ class PulseClient:
         if registry is None:
             registry = fabric.registry
         self.registry = registry
-        self._events = registry.events
         prefix = f"{name}.client"
         self._m_retransmissions = registry.counter(
             f"{prefix}.retransmissions")
@@ -231,14 +226,17 @@ class PulseClient:
             lambda _hold: self._deliver(message))
 
     def _deliver(self, message: Message) -> None:
-        response: TraversalRequest = message.payload
-        waiter = self._waiters.pop(response.request_id, None)
-        if waiter is not None:
-            waiter.succeed(response)
-        else:
-            # Late duplicates (after a retransmission) find no waiter and
-            # are dropped, like any UDP duplicate.
-            self._m_duplicates.inc()
+        # A pulse frame carries the responses; a direct-read reply is bare.
+        payload = message.payload
+        for response in (payload.requests if message.kind == PULSE_KIND
+                         else (payload,)):
+            waiter = self._waiters.pop(response.request_id, None)
+            if waiter is not None:
+                waiter.succeed(response)
+            else:
+                # Late duplicates (after a retransmission) find no waiter
+                # and are dropped, like any UDP duplicate.
+                self._m_duplicates.inc()
 
     # -- submit path ------------------------------------------------------------
     def submit(self, iterator: PulseIterator,
@@ -300,9 +298,6 @@ class PulseClient:
                 return result
 
         request = self.engine.make_request(iterator, *args)
-        if self._events is not None:
-            self._events.record(self.name, "issue", request.request_id,
-                                program=request.program.name)
         net = self.params.network
         backoff = net.retry_backoff_ns
         retries = 0
@@ -327,9 +322,6 @@ class PulseClient:
                         f"request {request.request_id} rejected by "
                         f"admission control {retries} times")
                 self._m_admission_retries.inc()
-                if self._events is not None:
-                    self._events.record(self.name, "admission_retry",
-                                        request.request_id, attempt=retries)
                 yield self.env.timeout(
                     backoff * self._rng.uniform(0.5, 1.5))
                 backoff = min(backoff * 2.0, net.retry_backoff_cap_ns)
@@ -341,11 +333,6 @@ class PulseClient:
 
         result = TraversalResult.from_response(iterator, response,
                                                self.env.now - start)
-        if self._events is not None:
-            self._events.record(self.name, "complete", response.request_id,
-                                status=response.status.value,
-                                iterations=response.iterations_done,
-                                hops=response.node_hops)
         if (self.index is not None and iterator.indexable
                 and response.status is RequestStatus.DONE):
             self._learn_from_traversal(iterator, args, response)
@@ -402,9 +389,6 @@ class PulseClient:
         timer.cancel()
         reply = waiter.value
         if not reply.ok:
-            if self._events is not None:
-                self._events.record(self.name, "direct_read_nack", rid,
-                                    reason=reply.nack_reason)
             self.index.stale_nacks.inc()
             self.index.invalidate(key)
             return None
@@ -420,9 +404,6 @@ class PulseClient:
             # epoch; refresh the entry in place.
             self.index.learn(key, entry.node_id, entry.vaddr,
                              reply.map_version)
-        if self._events is not None:
-            self._events.record(self.name, "direct_read_hit", rid,
-                                vaddr=hex(entry.vaddr))
         return TraversalResult(
             value=value, iterations=1,
             latency_ns=self.env.now - start, offloaded=True, hops=0)
@@ -458,9 +439,6 @@ class PulseClient:
                     f"request {request.request_id} lost after "
                     f"{attempts} attempts")
             self._m_retransmissions.inc()
-            if self._events is not None:
-                self._events.record(self.name, "retransmit",
-                                    request.request_id, attempt=attempts)
 
     # -- local fallback -----------------------------------------------------------
     def _execute_local(self, iterator: PulseIterator, args, start: float):

@@ -4,14 +4,16 @@ pulse deliberately uses *one* format for requests and responses: a message
 carries the compiled program, cur_ptr, and the scratch pad.  That is what
 makes distributed continuation trivial -- when a traversal's next pointer
 lives on another memory node, the accelerator emits the very same message
-shape and the switch forwards it onward (section 5).
+shape and the switch forwards it onward (section 5).  On the wire every
+pulse message is a :class:`TraversalBatch`; a lone request is a batch of
+one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.program import Program
 
@@ -208,8 +210,9 @@ class DirectReadReply:
 
     ``map_version`` carries the node's view of the live placement-map
     version so the client can repair (or invalidate) its directory
-    entry; on a NACK (``ok=False``) ``nack_reason`` says why and the
-    client falls back to the normal offloaded traversal.
+    entry; on a NACK (``ok=False``: the segment migrated away, or the
+    address is unmapped or unreadable here) the client falls back to the
+    normal offloaded traversal.
     """
 
     request_id: Tuple[str, int]
@@ -217,7 +220,6 @@ class DirectReadReply:
     ok: bool
     data: bytes = b""
     map_version: int = 0
-    nack_reason: str = ""
 
     def wire_bytes(self) -> int:
         return FRAME_BYTES + HEADER_BYTES + 24 + len(self.data)
@@ -225,15 +227,18 @@ class DirectReadReply:
 
 @dataclass
 class TraversalBatch:
-    """Several traversal requests coalesced into one network message.
+    """A pulse frame: the traversal requests one network message carries.
 
-    The client's doorbell batcher packs up to ``batch_size`` requests
-    behind a single frame, so per-message costs (Ethernet framing, the
-    CPU node's DPDK stack span, the accelerator's netstack parse) are
-    paid once per *batch* instead of once per *request*.  The switch
-    splits a batch by owning memory node; the accelerator unpacks it
-    into its admission queues.  Responses always travel individually --
-    requests in one batch complete at different times.
+    Every pulse message is one -- a doorbell flush, the switch's forwards
+    and the accelerator's replies -- and a lone request is a batch of
+    one, on the wire exactly its request's size.  The client's doorbell
+    batcher packs up to ``batch_size`` requests behind a single frame,
+    so per-message costs (Ethernet framing, the CPU node's DPDK stack
+    span, the accelerator's netstack parse) are paid once per *frame*
+    instead of once per *request*.  The switch splits a frame by owning
+    memory node; the accelerator unpacks it into its admission queues.
+    Replies leave one request per frame -- requests in one frame
+    complete at different times.
     """
 
     requests: List[TraversalRequest]
@@ -242,10 +247,12 @@ class TraversalBatch:
         if not self.requests:
             raise ValueError("a traversal batch needs at least one request")
 
-    def __iter__(self) -> Iterator[TraversalRequest]:
-        return iter(self.requests)
-
     def wire_bytes(self) -> int:
-        """On-wire size: one shared frame + each request sans framing."""
-        return FRAME_BYTES + sum(r.wire_bytes() - FRAME_BYTES
-                                 for r in self.requests)
+        """On-wire size: one shared frame + each request sans framing.
+
+        A loop, not a generator: every reply and forward is sized here,
+        and a generator would cost two more calls per frame."""
+        size = FRAME_BYTES
+        for request in self.requests:
+            size += request.wire_bytes() - FRAME_BYTES
+        return size

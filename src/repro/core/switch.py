@@ -84,7 +84,6 @@ class PulseSwitch:
         if registry is None:
             registry = fabric.registry
         self.registry = registry
-        self._events = registry.events
         self._m_routed = registry.counter("switch.routed_to_memory")
         self._m_rerouted = registry.counter(
             "switch.rerouted_node_to_node")
@@ -123,25 +122,19 @@ class PulseSwitch:
             self._route(message)
 
     def _route(self, message: Message) -> None:
-        """Route every request a frame carries; a bare request is a frame
-        of one.
+        """Route every request a frame carries.
 
         A request bound for the client -- terminal, bounced (pulse-ACC)
-        or FAULTed -- leaves at once on its own.  The memory-bound rest
-        leave as one frame per owning node, in first-seen order: the
-        hardware analogue is a recirculating deparse that groups a
-        doorbell batch's requests by the range rule their ``cur_ptr``
-        matches.  A bare request leaves at the size it arrived with; the
-        frames a batch splits into are sized anew.
+        or FAULTed -- leaves at once in a frame of its own.  The
+        memory-bound rest leave as one frame per owning node, in
+        first-seen order: the hardware analogue is a recirculating
+        deparse that groups a doorbell batch's requests by the range
+        rule their ``cur_ptr`` matches.  Every frame is sized by what it
+        carries, so a frame of one leaves at the size it arrived with.
         """
-        payload = message.payload
-        if isinstance(payload, TraversalBatch):
+        requests = message.payload.requests
+        if len(requests) > 1:
             self._m_batches.inc()
-            requests = payload.requests
-            frame_bytes = 0
-        else:
-            requests = (payload,)
-            frame_bytes = message.size_bytes
         src = message.src
         from_memory = src.startswith("mem")
         per_owner: Dict[int, list] = {}
@@ -176,14 +169,10 @@ class PulseSwitch:
                     # migration race.
                     self._fault(request, f"switch: no live owner for "
                                 f"moved pointer {request.cur_ptr:#x}",
-                                client, frame_bytes)
+                                client)
                     continue
                 request.status = RequestStatus.RUNNING
                 self._m_moved.inc()
-                if self._events is not None:
-                    self._events.record(self.name, "moved_redirect",
-                                        request.request_id,
-                                        dst=f"mem{owner}")
             elif request.status is RequestStatus.RUNNING:
                 if from_memory and self._stale_epoch(request):
                     # A hop frame the traversal has already advanced past
@@ -196,26 +185,17 @@ class PulseSwitch:
                     # pulse-ACC: hand the continuation back to the CPU
                     # node.
                     self._m_returned.inc()
-                    self._send(request, client, frame_bytes)
+                    self._send([request], client)
                     continue
                 owner = self.rangemap.node_of(request.cur_ptr)
                 if owner is None:
                     self._fault(request, f"switch: unroutable pointer "
-                                f"{request.cur_ptr:#x}", client,
-                                frame_bytes)
+                                f"{request.cur_ptr:#x}", client)
                     continue
                 if from_memory:
                     self._m_rerouted.inc()
-                    if self._events is not None:
-                        self._events.record(self.name, "reroute",
-                                            request.request_id,
-                                            dst=f"mem{owner}")
                 else:
                     self._m_routed.inc()
-                    if self._events is not None:
-                        self._events.record(self.name, "route_to_memory",
-                                            request.request_id,
-                                            dst=f"mem{owner}")
             else:
                 # Terminal statuses go home.  A terminal response whose
                 # request id is unknown is a stale duplicate (its
@@ -225,21 +205,15 @@ class PulseSwitch:
                     self._m_dropped_stale.inc()
                     continue
                 self._m_returned.inc()
-                if self._events is not None:
-                    self._events.record(self.name, "return_to_client",
-                                        request.request_id, dst=client)
                 self._table.pop(request.request_id, None)
-                self._send(request, client, frame_bytes)
+                self._send([request], client)
                 continue
             per_owner.setdefault(owner, []).append(request)
 
         if len(per_owner) > 1:
             self._m_batch_splits.inc()
         for owner, routed in per_owner.items():
-            if len(routed) > 1:
-                self._send(TraversalBatch(routed), f"mem{owner}")
-            else:
-                self._send(routed[0], f"mem{owner}", frame_bytes)
+            self._send(routed, f"mem{owner}")
 
     def _learn_client(self, request: TraversalRequest, src: str) -> None:
         """Record the issuing client, evicting when the table is full.
@@ -314,14 +288,8 @@ class PulseSwitch:
         re-injected.
         """
         reinjected = 0
-        for payload in self.session.take_over(dead):
-            if isinstance(payload, TraversalBatch):
-                requests = list(payload)
-            else:
-                requests = [payload]
-            for request in requests:
-                if not isinstance(request, TraversalRequest):
-                    continue
+        for frame in self.session.take_over(dead):
+            for request in frame.requests:
                 if request.status is RequestStatus.MOVED:
                     # The frame was bounced by an old owner and the dead
                     # node was the redirect target; the re-resolution
@@ -341,25 +309,22 @@ class PulseSwitch:
                                 f"failover", entry.client)
                     continue
                 self._m_reinjected.inc()
-                if self._events is not None:
-                    self._events.record(self.name, "failover_reinject",
-                                        request.request_id, dst=f"mem{owner}")
-                self._send(request, f"mem{owner}")
+                self._send([request], f"mem{owner}")
                 reinjected += 1
         return reinjected
 
-    def _fault(self, request: TraversalRequest, reason: str, client: str,
-               frame_bytes: int = 0) -> None:
+    def _fault(self, request: TraversalRequest, reason: str,
+               client: str) -> None:
         """Turn ``request`` into a FAULT and send it to ``client``; its
         client-table entry goes with it."""
         request.status = RequestStatus.FAULT
         request.fault_reason = reason
         self._m_returned.inc()
         self._table.pop(request.request_id, None)
-        self._send(request, client, frame_bytes)
+        self._send([request], client)
 
-    def _send(self, payload, dst: str, size_bytes: int = 0) -> None:
-        """One frame out, ``size_bytes`` on the wire (0: the payload's
-        own wire size)."""
-        self.session.send(dst, PULSE_KIND, payload,
-                          size_bytes or payload.wire_bytes(), segments=1)
+    def _send(self, requests: list, dst: str) -> None:
+        """One frame of ``requests`` out, at its own wire size."""
+        frame = TraversalBatch(requests)
+        self.session.send(dst, PULSE_KIND, frame, frame.wire_bytes(),
+                          segments=1)

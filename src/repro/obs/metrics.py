@@ -21,17 +21,20 @@ Three metric kinds cover what the benchmarks report:
   samples equal) report exact values.
 
 The registry also owns the rack's per-request :class:`EventLog`, the
-kind of timeline Fig 9 was measured from::
+kind of timeline Fig 9 was measured from.  Each component's
+:class:`~repro.transport.TransportSession` writes it, one event per
+request of each frame the component sends or receives (a line per
+event; fields abridged here)::
 
-    t=     0.000us  client0    issue              req=(0, 1) program=list_find
-    t=     1.198us  switch     route_to_memory    req=(0, 1) dst=mem0
-    t=     2.130us  mem0       rx                 req=(0, 1) cur_ptr=0x10000000
-    t=     2.231us  mem0       execute            req=(0, 1) core=0 iterations=1
+    t=  0.700us  client0  send     req=(0, 1) peer=switch status=running ...
+    t=  1.198us  switch   receive  req=(0, 1) peer=client0 status=running ...
+    t=  1.198us  switch   send     req=(0, 1) peer=mem0 status=running ...
+    t=  2.661us  mem0     send     req=(0, 1) peer=switch status=running ...
 
-It is off by default -- ``registry.events`` is None, so a call site
-costs one attribute test -- and ``PulseCluster(trace=True)`` turns it on
-through :meth:`MetricsRegistry.enable_events`.  Events are not part of
-:meth:`MetricsRegistry.snapshot`.
+It is off by default -- ``registry.events`` is None, so a session costs
+one attribute test per frame -- and ``PulseCluster(trace=True)`` turns
+it on through :meth:`MetricsRegistry.enable_events`.  Events are not
+part of :meth:`MetricsRegistry.snapshot`.
 
 Time is supplied by a ``clock`` callable (usually ``lambda: env.now``)
 so the registry stays independent of the simulation kernel.
@@ -228,8 +231,12 @@ EVENT_LOG_CAPACITY = 100_000
 class EventLog:
     """Timestamped per-request events from every component of a rack.
 
-    Bounded: past ``EVENT_LOG_CAPACITY`` events, later ones are not
-    stored.
+    The transport sessions record each request of each frame a
+    component sends or receives (event ``send`` or ``receive``, with
+    the request's peer, status, ``node_hops``, ``iterations_done`` and
+    ``cur_ptr`` as detail); the migration engine records its placement
+    events.  Bounded: past ``EVENT_LOG_CAPACITY`` events, later ones
+    are not stored.
     """
 
     def __init__(self, clock: Callable[[], float]):
@@ -266,7 +273,7 @@ class MetricsRegistry:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._metrics: Dict[str, Any] = {}
         #: the per-request event log; None until :meth:`enable_events`.
-        #: Components read it once at construction, so enable it first.
+        #: Sessions read it once at construction, so enable it first.
         self.events: Optional[EventLog] = None
         #: when the measurement window opened (construction or the last
         #: :meth:`reset`)

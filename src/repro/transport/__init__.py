@@ -9,7 +9,9 @@ sequencing, per-hop ACKs, timeout-driven retransmission with capped
 exponential backoff + jitter, and duplicate suppression; it understands
 traversal frames well enough to flag hop checkpoints and account their
 retransmissions (resuming a dropped traversal from hop k instead of
-restarting it end-to-end).  A send is *armed* (reliable) when
+restarting it end-to-end), and it writes the rack's per-request event
+log, one entry per request of each frame a component sends or receives.
+A send is *armed* (reliable) when
 :class:`~repro.params.TransportParams` says so for that link; unarmed
 sends cut through with zero added cost or traffic.  :class:`Segment`
 and :class:`Ack` are the two wire records armed traffic travels as.

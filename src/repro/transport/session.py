@@ -29,25 +29,35 @@ fabric behaves exactly as it would without a transport.  In
 client's end-to-end retry as the only recovery and so exercises it.
 
 The session understands just enough about traversal frames to make
-per-hop reliability meaningful: a :class:`~repro.core.messages.
-TraversalRequest` in flight between memory nodes carries the serialized
-(cur_ptr, scratch pad, iteration count) state -- a *checkpoint* -- so
-the session flags in-progress RUNNING frames as checkpoints.  When such a
-frame is lost and retransmitted, the traversal resumes from hop k's
-checkpoint instead of restarting end-to-end from ``init()``; the
+per-hop reliability meaningful: a continuation in flight between memory
+nodes carries the serialized (cur_ptr, scratch pad, iteration count)
+state -- a *checkpoint* -- so the session flags a frame that carries
+exactly one in-progress RUNNING or MOVED request as a checkpoint.  When
+such a frame is lost and retransmitted, the traversal resumes from hop
+k's checkpoint instead of restarting end-to-end from ``init()``; the
 client's ``PendingTraversal`` retry remains only as the last resort
 when a hop exhausts its own retransmission budget.
+
+The session is also where the rack's per-request event log is written
+(``PulseCluster(trace=True)``): every component sends and receives
+only through its session, so each request of each frame a component
+hands to ``send``, or receives through ``on_message``, is one
+:class:`~repro.obs.metrics.TraceEvent` -- the component, ``send`` or
+``receive``, and the request's peer, status, ``node_hops``,
+``iterations_done`` and ``cur_ptr``.  Transport-internal traffic
+(retransmissions, ACKs, suppressed duplicates) is not recorded.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Sequence, Set
 
 from repro.core.messages import (TP_FLAG_ACK, TP_FLAG_CHECKPOINT,
                                  TRANSPORT_VERSION, RequestStatus,
-                                 TransportHeader, TraversalRequest)
+                                 TransportHeader, TraversalBatch,
+                                 TraversalRequest)
 from repro.obs.metrics import MetricsRegistry
 from repro.params import TransportParams
 from repro.sim.engine import Environment, Timeout
@@ -57,6 +67,19 @@ from repro.sim.resources import Store
 #: message kind of standalone ACK segments (never seen by components;
 #: the receive filter consumes them)
 TP_ACK_KIND = "tp.ack"
+
+#: statuses whose in-progress request carries resumable traversal state
+_RESUMABLE = (RequestStatus.RUNNING, RequestStatus.MOVED)
+
+
+def _frame_requests(payload: Any) -> Sequence[TraversalRequest]:
+    """The traversal requests ``payload`` carries: a pulse frame's, a
+    bare request's (the RPC baseline's wire format), or none."""
+    if isinstance(payload, TraversalBatch):
+        return payload.requests
+    if isinstance(payload, TraversalRequest):
+        return (payload,)
+    return ()
 
 
 @dataclass
@@ -134,6 +157,8 @@ class TransportSession:
         if registry is None:
             registry = fabric.registry
         self.registry = registry
+        #: the rack's event log, or None when tracing is off
+        self._events = registry.events
         prefix = f"{name}.tp"
         self._m_tx_segments = registry.counter(f"{prefix}.tx_segments")
         self._m_rx_segments = registry.counter(f"{prefix}.rx_segments")
@@ -176,21 +201,24 @@ class TransportSession:
 
         ``segments`` is how many wire segments the message crosses (a
         host-to-host message through the switch crosses two)."""
+        if self._events is not None:
+            self._trace("send", dst, payload)
         if not self.armed_to(dst):
             self._wire(dst, kind, payload, size_bytes, segments)
             return
         flags = 0
-        if isinstance(payload, TraversalRequest):
-            # An in-progress RUNNING frame carries resumable traversal
+        requests = _frame_requests(payload)
+        if len(requests) == 1:
+            # An in-progress RUNNING request carries resumable traversal
             # state; the initial client submission (no progress yet)
             # restarts identically either way, so it is not one.  MOVED
             # redirects carry the same resumable state (the traversal
             # continues at the segment's new owner), so they checkpoint
-            # identically.
-            if (payload.status in (RequestStatus.RUNNING,
-                                   RequestStatus.MOVED)
-                    and (payload.node_hops > 0
-                         or payload.iterations_done > 0)):
+            # identically.  A multi-request frame is never one.
+            request = requests[0]
+            if (request.status in _RESUMABLE
+                    and (request.node_hops > 0
+                         or request.iterations_done > 0)):
                 flags = TP_FLAG_CHECKPOINT
                 self._m_checkpoint_frames.inc()
         flow = self._tx.setdefault(dst, _TxFlow())
@@ -204,6 +232,15 @@ class TransportSession:
         self._m_tx_segments.inc()
         self._transmit(entry)
         self._arm(entry, self.params.hop_timeout_ns)
+
+    def _trace(self, direction: str, peer: str, payload: Any) -> None:
+        """One event-log entry per request ``payload`` carries."""
+        for request in _frame_requests(payload):
+            self._events.record(
+                self.name, direction, request.request_id, peer=peer,
+                status=request.status.value, node_hops=request.node_hops,
+                iterations_done=request.iterations_done,
+                cur_ptr=hex(request.cur_ptr))
 
     def _wire(self, dst: str, kind: str, payload: Any, size_bytes: int,
               segments: int) -> None:
@@ -287,6 +324,8 @@ class TransportSession:
             self._handle_data(message, payload)
         else:
             # Unarmed (cut-through) traffic goes straight up.
+            if self._events is not None:
+                self._trace("receive", message.src, payload)
             self.on_message(message)
 
     def _handle_ack(self, src: str, ack: Ack) -> None:
@@ -328,6 +367,8 @@ class TransportSession:
         while flow.floor + 1 in flow.seen:
             flow.floor += 1
             flow.seen.discard(flow.floor)
+        if self._events is not None:
+            self._trace("receive", message.src, segment.payload)
         self.on_message(Message(
             kind=segment.kind, src=message.src, dst=message.dst,
             size_bytes=segment.size_bytes, payload=segment.payload))

@@ -113,11 +113,11 @@ def _results_alive() -> int:
 
 @pytest.mark.parametrize("system_cls", (PulseCluster, CacheSystem))
 def test_open_loop_without_results_keeps_none(system_cls):
-    """``keep_results=False`` keeps no per-request result anywhere: not
-    in the driver, and not in the system that served them."""
+    """An open-loop run keeps no per-request result anywhere: not in
+    the driver, and not in the system that served them."""
     system = system_cls(node_count=1)
     finder = populate_list(system).find_iterator()
     ops = [(finder, (1 + index % 10,)) for index in range(400)]
-    stats = run_open_loop(system, ops, 200e3, keep_results=False)
+    stats = run_open_loop(system, ops, 200e3)
     assert stats.completed == 400
     assert _results_alive() < 50

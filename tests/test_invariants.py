@@ -150,6 +150,20 @@ RULES = {
         r"Resource\(|\.hold\(", ("src",),
         "yield self.scheduler_unit.hold(acc.scheduler_dispatch_ns)",
         allowed=("src/repro/sim/stages.py", "src/repro/sim/resources.py")),
+    "one-frame-type": Rule(
+        "One frame type: every pulse message is a TraversalBatch and a "
+        "lone request is a batch of one, so no core component branches "
+        "on a frame's type or forks on its size.",
+        r"isinstance\([^()]*Traversal(Batch|Request)\b|len\(batch\) == 1",
+        ("src/repro/core",), "if len(batch) == 1:"),
+    "one-trace-seam": Rule(
+        "One trace seam: the event log is written where frames cross a "
+        "component's TransportSession; only the migration engine's "
+        "placement events, which are not frames, are recorded elsewhere.",
+        r"events\.record\(", ("src",),
+        'self._events.record(self.name, "reroute", request.request_id)',
+        allowed=("src/repro/transport/session.py",
+                 "src/repro/placement/migration.py")),
 }
 
 

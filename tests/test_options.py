@@ -207,6 +207,8 @@ REMOVED = {
         run_workload, "warmup", "an earlier run_workload call"),
     "run_open_loop(warmup=)": (
         run_open_loop, "warmup", "an earlier run"),
+    "run_open_loop(keep_results=)": (
+        run_open_loop, "keep_results", "the aggregating path"),
     "run_cell(params=)": (run_cell, "params", "DEFAULT_PARAMS"),
     "run_cell(system_kwargs=)": (run_cell, "system_kwargs", "the table"),
     "repro.bench.__main__.main(argv=)": (

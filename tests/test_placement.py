@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PulseCluster, RequestStatus
-from repro.core.messages import TraversalRequest
+from repro.core.messages import TraversalBatch, TraversalRequest
 from repro.isa import assemble
 from repro.mem import AddressSpace
 from repro.params import (MS, US, NetworkParams, PlacementParams,
@@ -355,7 +355,10 @@ class TestHeatMapOracle:
 # Switch MOVED handling
 # ---------------------------------------------------------------------------
 def send(env, fabric, src, req):
-    fabric.send(Message("pulse", src, "switch", 128, req), segments=1)
+    """Hand the switch ``req`` in a pulse frame of one."""
+    frame = TraversalBatch([req])
+    fabric.send(Message("pulse", src, "switch", frame.wire_bytes(), frame),
+                segments=1)
     env.run()
 
 
@@ -378,7 +381,7 @@ class TestSwitchMoved:
         send(env, fabric, "mem0", bounced)
         assert counter_value(switch, "switch.moved_redirects") == 1
         assert len(nodes[1].inbox._items) == 1
-        delivered = nodes[1].inbox._items[0].payload
+        delivered, = nodes[1].inbox._items[0].payload.requests
         assert delivered.status is RequestStatus.RUNNING
 
     def test_moved_frame_with_no_live_owner_faults(self):
@@ -393,7 +396,7 @@ class TestSwitchMoved:
         send(env, fabric, "mem1", bounced)
         assert counter_value(switch, "switch.moved_redirects") == 0
         assert len(client.inbox._items) == 1
-        delivered = client.inbox._items[0].payload
+        delivered, = client.inbox._items[0].payload.requests
         assert delivered.status is RequestStatus.FAULT
         assert "no live owner" in delivered.fault_reason
 

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import PulseCluster
 from repro.core.client import MAX_RETRIES, RequestLost
-from repro.core.messages import RequestStatus, TraversalRequest
+from repro.core.messages import (RequestStatus, TraversalBatch,
+                                 TraversalRequest)
 from repro.isa import assemble
 from repro.params import DEFAULT_PARAMS
 from repro.sim import Environment
@@ -25,6 +26,12 @@ from repro.sim.resources import Resource
 from repro.structures import LinkedList
 
 from tests.helpers import counter_value, lossy_cluster, make_switch
+
+
+def to_switch(fabric, src, request):
+    """Send ``request`` from ``src`` to the switch, a pulse frame of one."""
+    fabric.send(Message("pulse", src, "switch", 128,
+                        TraversalBatch([request])), segments=1)
 
 
 class TestOffloadDigestKeying:
@@ -108,8 +115,7 @@ class TestSwitchClientTableBound:
         # pinned a table entry forever.
         env, fabric, space, switch = self.make_switch(capacity=8)
         for i in range(100):
-            fabric.send(Message("pulse", "client0", "switch", 128,
-                                self.request(space, (0, i))), segments=1)
+            to_switch(fabric, "client0", self.request(space, (0, i)))
         env.run()
         assert len(switch._table) <= 8
         assert counter_value(switch, "switch.evicted_entries") == 100 - 8
@@ -118,21 +124,18 @@ class TestSwitchClientTableBound:
     def test_eviction_is_oldest_first(self):
         env, fabric, space, switch = self.make_switch(capacity=2)
         for i in range(3):
-            fabric.send(Message("pulse", "client0", "switch", 128,
-                                self.request(space, (0, i))), segments=1)
+            to_switch(fabric, "client0", self.request(space, (0, i)))
         env.run()
         # (0, 0) was evicted; its terminal response is now stale.
         done = self.request(space, (0, 0)).advanced(
             space.range_of(0)[0], b"", 1, RequestStatus.DONE)
-        fabric.send(Message("pulse", "mem0", "switch", 128, done),
-                    segments=1)
+        to_switch(fabric, "mem0", done)
         env.run()
         assert counter_value(switch, "switch.dropped_stale") == 1
         # (0, 2) survived: its response still goes home.
         done2 = self.request(space, (0, 2)).advanced(
             space.range_of(0)[0], b"", 1, RequestStatus.DONE)
-        fabric.send(Message("pulse", "mem0", "switch", 128, done2),
-                    segments=1)
+        to_switch(fabric, "mem0", done2)
         env.run()
         assert counter_value(switch, "switch.returned_to_client") == 1
 
@@ -145,8 +148,7 @@ class TestSwitchClientTableBound:
         env, fabric, space, switch = self.make_switch(capacity=2)
         timeout = DEFAULT_PARAMS.network.retransmit_timeout_ns
         for i in (1, 2):
-            fabric.send(Message("pulse", "client0", "switch", 128,
-                                self.request(space, (0, i))), segments=1)
+            to_switch(fabric, "client0", self.request(space, (0, i)))
         env.run()
 
         # (0, 1) -- the *older* entry -- stays in flight: a RUNNING
@@ -154,15 +156,13 @@ class TestSwitchClientTableBound:
         env.run(until=0.75 * timeout)
         hop = self.request(space, (0, 1)).advanced(
             space.range_of(0)[0], b"", 1, RequestStatus.RUNNING)
-        fabric.send(Message("pulse", "mem0", "switch", 128, hop),
-                    segments=1)
+        to_switch(fabric, "mem0", hop)
         env.run()
 
         # (0, 3) arrives once (0, 2) has gone quiet for > timeout but
         # (0, 1)'s refresh is still fresh (0.75 * timeout old).
         env.run(until=1.5 * timeout)
-        fabric.send(Message("pulse", "client0", "switch", 128,
-                            self.request(space, (0, 3))), segments=1)
+        to_switch(fabric, "client0", self.request(space, (0, 3)))
         env.run()
         assert counter_value(
             switch, "switch.client_evict_inflight_avoided") == 1
@@ -172,14 +172,12 @@ class TestSwitchClientTableBound:
         # the evicted idle entry's does not.
         done1 = self.request(space, (0, 1)).advanced(
             space.range_of(0)[0], b"", 2, RequestStatus.DONE)
-        fabric.send(Message("pulse", "mem0", "switch", 128, done1),
-                    segments=1)
+        to_switch(fabric, "mem0", done1)
         env.run()
         assert counter_value(switch, "switch.returned_to_client") == 1
         done2 = self.request(space, (0, 2)).advanced(
             space.range_of(0)[0], b"", 1, RequestStatus.DONE)
-        fabric.send(Message("pulse", "mem0", "switch", 128, done2),
-                    segments=1)
+        to_switch(fabric, "mem0", done2)
         env.run()
         assert counter_value(switch, "switch.dropped_stale") == 1
 
@@ -189,8 +187,7 @@ class TestSwitchClientTableBound:
         # the "avoided" counter stays untouched (nothing was spared).
         env, fabric, space, switch = self.make_switch(capacity=2)
         for i in range(3):
-            fabric.send(Message("pulse", "client0", "switch", 128,
-                                self.request(space, (0, i))), segments=1)
+            to_switch(fabric, "client0", self.request(space, (0, i)))
         env.run()
         assert len(switch._table) == 2
         assert counter_value(switch, "switch.evicted_entries") == 1
@@ -201,8 +198,7 @@ class TestSwitchClientTableBound:
         # Re-learning an existing id must not consume capacity.
         env, fabric, space, switch = self.make_switch(capacity=2)
         for _ in range(5):
-            fabric.send(Message("pulse", "client0", "switch", 128,
-                                self.request(space, (0, 1))), segments=1)
+            to_switch(fabric, "client0", self.request(space, (0, 1)))
         env.run()
         assert len(switch._table) == 1
         assert counter_value(switch, "switch.evicted_entries") == 0

@@ -134,7 +134,6 @@ EXEMPT: Dict[str, str] = {
         "tests/test_mem_addressing.py::TestRangeTranslation::"
         "test_miss_raises_translation_fault"),
     # ROADMAP Decided (i): paths no production configuration selects
-    "TraversalBatch.__iter__": DECIDED,
     "DurabilityService.on_node_added": DECIDED,
     "PulseSwitch._evict_one": DECIDED,
     "IteratorMachine._indirect_slice": DECIDED,

@@ -1,6 +1,8 @@
 """Unit tests for switch routing logic and message lifecycle details."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import PulseCluster, RequestStatus
 from repro.core.messages import TraversalBatch, TraversalRequest
@@ -18,7 +20,10 @@ def request(cur_ptr, status=RequestStatus.RUNNING, request_id=(0, 1)):
 
 
 def send(env, fabric, src, req):
-    fabric.send(Message("pulse", src, "switch", 128, req), segments=1)
+    """Hand the switch ``req`` in a pulse frame of one."""
+    frame = TraversalBatch([req])
+    fabric.send(Message("pulse", src, "switch", frame.wire_bytes(), frame),
+                segments=1)
     env.run()
 
 
@@ -62,7 +67,7 @@ class TestSwitchRouting:
         env, fabric, space, switch, client, nodes = make_switch()
         send(env, fabric, "client0", request(0x10))  # below any range
         assert len(client.inbox._items) == 1
-        delivered = client.inbox._items[0].payload
+        delivered, = client.inbox._items[0].payload.requests
         assert delivered.status is RequestStatus.FAULT
         assert "unroutable" in delivered.fault_reason
 
@@ -129,10 +134,10 @@ class TestSwitchRouting:
 
         assert [m.dst for m in sent] == ["client0", "mem0", "mem1"]
         fault, to_mem0, to_mem1 = (m.payload for m in sent)
-        assert fault is lost and fault.status is RequestStatus.FAULT
-        assert isinstance(to_mem0, TraversalBatch)
+        assert fault.requests == [lost]
+        assert lost.status is RequestStatus.FAULT
         assert to_mem0.requests == [first, second]
-        assert to_mem1 is other
+        assert to_mem1.requests == [other]
         assert [m.size_bytes for m in sent] == [
             lost.wire_bytes(), to_mem0.wire_bytes(), other.wire_bytes()]
         assert [counter_value(switch, f"switch.{name}") for name in (
@@ -161,6 +166,17 @@ class TestMessageLifecycle:
         lst.extend([(1, 1)])
         req = cluster.engines[2].make_request(lst.find_iterator(), 1)
         assert req.tenant == 2
+
+    @given(code_on_wire=st.booleans(), scratch=st.integers(0, 256),
+           program=st.sampled_from([PROGRAM, assemble(
+               "LOAD 0 64\nADD sp[0] sp[0] #1\nMOVE sp[8] data[8]\n"
+               "NEXT_ITER")]))
+    def test_a_batch_of_one_is_its_request_on_the_wire(
+            self, code_on_wire, scratch, program):
+        req = TraversalRequest(request_id=(0, 1), program=program,
+                               cur_ptr=0x1000, scratch=bytes(scratch),
+                               code_on_wire=code_on_wire)
+        assert TraversalBatch([req]).wire_bytes() == req.wire_bytes()
 
     def test_code_handle_constant(self):
         assert TraversalRequest.CODE_HANDLE_BYTES == 16

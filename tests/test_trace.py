@@ -5,6 +5,8 @@ from repro.obs import EventLog, MetricsRegistry, metrics
 from repro.sim import Environment
 from repro.structures import LinkedList
 
+from tests.helpers import lossy_cluster
+
 
 def make_log():
     env = Environment()
@@ -44,6 +46,9 @@ class TestTracerUnit:
 
 
 class TestClusterTracing:
+    """The log is written where frames cross a component's transport
+    session: one event per request of each frame sent or received."""
+
     def test_full_request_timeline(self):
         cluster = PulseCluster(node_count=2, trace=True)
         lst = LinkedList(cluster.memory, placement=lambda o: o % 2)
@@ -53,22 +58,51 @@ class TestClusterTracing:
 
         request_id = (0, 1)
         log = cluster.registry.events
-        events = [e.event for e in log.timeline(request_id)]
-        assert events[0] == "issue"
-        assert "route_to_memory" in events
-        assert "reroute" in events          # crossed nodes 4 times
-        assert events.count("execute") == 5  # one per node visit
-        assert "return_to_client" in events
-        assert events[-1] == "complete"
-        # The span matches the measured latency to within the client's
-        # final stack hold.
         events = log.timeline(request_id)
+        seam = [(e.component, e.event, e.detail["peer"]) for e in events]
+        assert seam[0] == ("client0", "send", "switch")
+        # The switch reroutes between the two nodes: a continuation
+        # received from one memory node leaves for the other.
+        assert ("switch", "receive", "mem0") in seam
+        assert ("switch", "send", "mem1") in seam
+        reroutes = [e for e in events if e.component == "switch"
+                    and e.event == "send" and e.detail["peer"] != "client0"
+                    and e.detail["node_hops"] > 0]
+        assert len(reroutes) == 4          # crossed nodes 4 times
+        replies = [e for e in events
+                   if e.component.startswith("mem") and e.event == "send"]
+        assert len(replies) == 5           # one per node visit
+        assert [e.detail["status"] for e in replies] == \
+            ["running"] * 4 + ["done"]
+        assert seam[-1] == ("client0", "receive", "switch")
+        assert events[-1].detail["status"] == "done"
+        # The span matches the measured latency to within the client's
+        # stack holds around the wire.
         span = events[-1].time_ns - events[0].time_ns
         assert span <= result.latency_ns
         assert span > 0.5 * result.latency_ns
         # The log rides beside the metrics, not inside the snapshot.
         assert set(cluster.metrics_snapshot()) == {
             "now_ns", "counters", "gauges", "histograms"}
+
+    def test_an_end_to_end_retransmission_is_a_second_client_send(self):
+        # Per-hop reliability never arms, so every loss is recovered by
+        # the client resending the request after its end-to-end timeout.
+        cluster = lossy_cluster(0.3, timeout_ns=2_500.0, trace=True,
+                                node_count=1, seed=3)
+        lst = LinkedList(cluster.memory)
+        lst.extend((k, k) for k in range(1, 4))
+        result = cluster.run_traversal(lst.find_iterator(), 3)
+        assert result.value == 3
+
+        retransmissions = cluster.metrics_snapshot()["counters"][
+            "client0.client.retransmissions"]
+        assert retransmissions > 0
+        sends = [e for e in cluster.registry.events.timeline((0, 1))
+                 if e.component == "client0" and e.event == "send"]
+        assert len(sends) == 1 + retransmissions
+        assert all(e.detail["iterations_done"] == 0 for e in sends)
+        assert sends[0].time_ns < sends[1].time_ns
 
     def test_tracing_off_by_default(self):
         cluster = PulseCluster(node_count=1)

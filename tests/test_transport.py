@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import repro.sim.engine
 from repro.core import PulseCluster
 from repro.core.messages import (TP_FLAG_ACK, RequestStatus,
-                                 TransportHeader, TraversalRequest)
+                                 TransportHeader, TraversalBatch,
+                                 TraversalRequest)
+from repro.isa import assemble
 from repro.params import US, SystemParams, TransportParams
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, LinkProfile, Message
@@ -350,20 +352,23 @@ class TestSwitchHopEpoch:
             node_hops=node_hops,
         )
 
+    def _frame(self, lst, node_hops):
+        return TraversalBatch([self._running(lst, node_hops=node_hops)])
+
     def test_lower_epoch_from_memory_is_dropped(self):
         cluster, lst = self._cluster()
         switch = cluster.switch
         switch._route(Message(kind="pulse", src="client0", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=0)))
+                              payload=self._frame(lst, node_hops=0)))
         switch._route(Message(kind="pulse", src="mem0", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=2)))
+                              payload=self._frame(lst, node_hops=2)))
         assert counter_value(switch, "switch.stale_epoch_drops") == 0
         before = counter_value(switch, "switch.rerouted_node_to_node")
         switch._route(Message(kind="pulse", src="mem1", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=1)))
+                              payload=self._frame(lst, node_hops=1)))
         assert counter_value(switch, "switch.stale_epoch_drops") == 1
         assert counter_value(switch, "switch.rerouted_node_to_node") == before
 
@@ -372,10 +377,10 @@ class TestSwitchHopEpoch:
         switch = cluster.switch
         switch._route(Message(kind="pulse", src="mem0", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=3)))
+                              payload=self._frame(lst, node_hops=3)))
         switch._route(Message(kind="pulse", src="mem0", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=3)))
+                              payload=self._frame(lst, node_hops=3)))
         assert counter_value(switch, "switch.stale_epoch_drops") == 0
 
     def test_client_resubmission_resets_epoch(self):
@@ -383,13 +388,13 @@ class TestSwitchHopEpoch:
         switch = cluster.switch
         switch._route(Message(kind="pulse", src="mem0", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=4)))
+                              payload=self._frame(lst, node_hops=4)))
         # End-to-end retry restarts the chain at epoch 0 -- it must
         # route, not be treated as stale.
         before = counter_value(switch, "switch.routed_to_memory")
         switch._route(Message(kind="pulse", src="client0", dst="switch",
                               size_bytes=256,
-                              payload=self._running(lst, node_hops=0)))
+                              payload=self._frame(lst, node_hops=0)))
         assert counter_value(switch, "switch.routed_to_memory") == before + 1
         assert counter_value(switch, "switch.stale_epoch_drops") == 0
 
@@ -430,6 +435,49 @@ class TestCheckpointResume:
         # 16 inter-node hops, each crossing two armed legs
         # (mem -> switch -> mem); every leg carries the checkpoint.
         assert frames >= 32
+
+
+class TestCheckpointFlag:
+    """A frame is a hop checkpoint exactly when it carries one
+    in-progress RUNNING or MOVED request."""
+
+    PROGRAM = assemble("LOAD 0 8\nRETURN")
+
+    def _flagged(self, payload):
+        env, fabric, a, b = make_pair(mode="always")
+        a.send("b", "pulse", payload, 128)
+        entry, = a._tx["b"].outstanding.values()
+        assert entry.segment.header.is_checkpoint == bool(
+            counter(a, "checkpoint_frames"))
+        return entry.segment.header.is_checkpoint
+
+    def _request(self, status=RequestStatus.RUNNING, node_hops=0,
+                 iterations_done=0, request_id=(0, 1)):
+        return TraversalRequest(
+            request_id=request_id, program=self.PROGRAM, cur_ptr=0x1000,
+            scratch=b"", status=status, node_hops=node_hops,
+            iterations_done=iterations_done)
+
+    def test_a_continuation_in_a_frame_of_one_is_flagged(self):
+        assert self._flagged(TraversalBatch([self._request(node_hops=1)]))
+        assert self._flagged(TraversalBatch(
+            [self._request(RequestStatus.MOVED, iterations_done=3)]))
+
+    def test_a_bare_rpc_continuation_is_flagged(self):
+        assert self._flagged(self._request(iterations_done=2))
+
+    def test_a_fresh_or_finished_request_is_not(self):
+        assert not self._flagged(TraversalBatch([self._request()]))
+        assert not self._flagged(TraversalBatch(
+            [self._request(RequestStatus.DONE, node_hops=2)]))
+
+    def test_a_multi_request_frame_is_not(self):
+        assert not self._flagged(TraversalBatch(
+            [self._request(node_hops=1),
+             self._request(node_hops=1, request_id=(0, 2))]))
+
+    def test_a_frame_without_requests_is_not(self):
+        assert not self._flagged({"x": 1})
 
 
 class TestAckWireFormat:

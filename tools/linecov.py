@@ -27,7 +27,10 @@ The production command set (``commands``):
   ``python -m repro.bench list``, README's ``compare`` and ``cell``
   lines, and ``python -m repro.bench.report benchmarks/results``.
 
-Tier-1 is ``python -m pytest -q`` over ``tests/``.  A failing bench
+Tier-1 is ``python -m pytest -q`` over ``tests/``, less the two
+``tests/test_surface.py`` tests that read the file this run rewrites
+(``READS_REPORT``), so a def added or deleted since the last run does
+not stop the run that brings the file up to date.  A failing bench
 assert does not stop the run: its lines count all the same.  Any other
 non-zero exit -- an example, perfbench, a CLI or a tier-1 test --
 stops it before it writes the file.
@@ -195,6 +198,14 @@ def functions(root) -> tuple:
 
 
 # -- running ---------------------------------------------------------------------
+#: the tier-1 tests that read the committed ``BENCH_coverage.json``, the
+#: file this run rewrites: after a def is added or deleted they fail
+#: until it is rewritten, so the tier-1 group leaves them out (tier-1
+#: proper still runs them, against the file this tool wrote)
+READS_REPORT = ("test_every_src_function_runs_outside_tier1_or_has_a_row",
+                "test_an_exemption_names_a_live_finding_and_a_reason")
+
+
 def commands(root) -> dict:
     """group -> the commands it runs, each ``(argv, extra env)``."""
     root = Path(root)
@@ -218,8 +229,9 @@ def commands(root) -> dict:
                   "--workload", "TSV-7.5s", "--nodes", "2"], {}),
                 ([python, "-m", "repro.bench.report",
                   "benchmarks/results"], {})],
-        "tier-1": [([python, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                    {})],
+        "tier-1": [([python, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                     *(f"--deselect=tests/test_surface.py::{name}"
+                       for name in READS_REPORT)], {})],
     }
 
 
