@@ -13,15 +13,19 @@ Run with::
 
 Set ``REPRO_BENCH_SCALE`` (default 1.0) to trade fidelity for speed,
 e.g. ``REPRO_BENCH_SCALE=0.5`` halves request counts.
+
+Some asserts fail today; ``known_failures.json`` lists each, with the
+ROADMAP item that owns it and the scales it fails at, and the session
+hook below fails the run when the run and the ledger disagree.
 """
 
+import json
 import os
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments import THROUGHPUT_CONCURRENCY, run_cell
+from repro.bench.experiments import THROUGHPUT_CONCURRENCY, Cell
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -56,27 +60,52 @@ def once(benchmark):
 SATURATION_WORKLOADS = ("UPC", "TC", "TSV-7.5s")
 
 
-@lru_cache(maxsize=None)
-def saturation_grid():
-    """The saturation cells Figs 6 and 7 both read, run once per process.
-
-    Fig 6 reads pulse, RPC, RPC-W and Cache on every column; Fig 7
-    reads pulse, RPC, RPC-W and Cache+RPC, which runs UPC only (AIFM,
-    section 7.1).
-    """
-    cells = {}
-    for workload in SATURATION_WORKLOADS:
-        for system in ("pulse", "rpc", "rpc-w", "cache", "cache+rpc"):
-            if system == "cache+rpc" and workload != "UPC":
-                continue
-            cells[(system, workload)] = run_cell(
-                system, workload, 1,
-                requests=scale_requests(150),
+def saturation_cell(system: str, workload: str) -> Cell:
+    """A saturating one-node cell of Figs 6 and 7.  Both figures declare
+    the same keys, so a session that runs both runs each key once."""
+    return Cell(system, workload, 1, scale_requests(150),
                 concurrency=THROUGHPUT_CONCURRENCY)
-    return cells
 
 
-def saturation_cells(systems):
-    """The saturation grid's cells of ``systems``."""
-    return {key: cell for key, cell in saturation_grid().items()
-            if key[0] in systems}
+# -- the known-failures ledger ---------------------------------------------
+#: each failing bench test: its owning ROADMAP item and the scales it
+#: was seen failing at
+KNOWN_FAILURES = {
+    row["test"]: row for row in json.loads(
+        (Path(__file__).parent / "known_failures.json").read_text())["rows"]}
+
+#: the session's exit status when the run and the ledger disagree
+LEDGER_BROKEN = 6
+
+_outcomes = {}
+_problems = []
+
+
+def pytest_runtest_logreport(report):
+    if report.failed:
+        _outcomes[report.nodeid] = "failed"
+    elif report.when == "call":
+        _outcomes.setdefault(report.nodeid, "passed")
+
+
+def pytest_sessionfinish(session):
+    """Fail the session on a failure the ledger does not list at this
+    scale, and on a listed test that passed at a scale its row records.
+    A listed failure still reports FAILED."""
+    for test, outcome in sorted(_outcomes.items()):
+        listed = SCALE in KNOWN_FAILURES.get(test, {}).get("scales", ())
+        if outcome == "failed" and not listed:
+            _problems.append(f"{test} failed at scale {SCALE}, and no row "
+                             "of known_failures.json lists it there")
+        elif outcome == "passed" and listed:
+            _problems.append(f"{test} passed at scale {SCALE}: delete "
+                             "that scale from its known_failures.json row")
+    if _problems:
+        session.exitstatus = LEDGER_BROKEN
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_sep("-", "known_failures.json")
+    for line in _problems or ["every failure is listed, and no listed "
+                              "test passed"]:
+        terminalreporter.write_line(line)

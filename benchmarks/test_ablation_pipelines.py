@@ -15,33 +15,27 @@ from dataclasses import replace
 
 from conftest import save_table, scale_requests
 
-from repro.bench.driver import run_workload
-from repro.bench.experiments import format_table
-from repro.core import PulseCluster
+from repro.bench.experiments import Cell, format_table, run_cells
 from repro.params import DEFAULT_PARAMS
-from repro.workloads import build_upc
 
 
-def _throughput(workspaces: int, logic_pipelines: int) -> float:
+def _cell(workspaces: int, logic_pipelines: int) -> Cell:
     accel = replace(DEFAULT_PARAMS.accelerator,
                     workspaces_per_core=workspaces,
                     logic_pipelines_per_core=logic_pipelines)
-    params = DEFAULT_PARAMS.with_overrides(accelerator=accel)
-    cluster = PulseCluster(node_count=1, params=params)
-    upc = build_upc(cluster.memory, 1, num_pairs=10_000,
-                    requests=scale_requests(150), seed=0)
-    stats = run_workload(cluster, upc.operations, concurrency=64)
-    return stats.throughput_per_s
+    return Cell("pulse", "UPC", 1, scale_requests(150), concurrency=64,
+                params=DEFAULT_PARAMS.with_overrides(accelerator=accel),
+                workload_options={"num_pairs": 10_000})
 
 
 def _sweep():
-    results = {}
-    for workspaces in (1, 2, 4, 8):
-        results[("ws", workspaces)] = _throughput(workspaces, 1)
+    cells = {("ws", workspaces): _cell(workspaces, 1)
+             for workspaces in (1, 2, 4, 8)}
     # eta+1 logic pipelines with the same workspaces: no gain for a
     # memory-bound kernel.
-    results[("lp", 2)] = _throughput(8, 2)
-    return results
+    cells[("lp", 2)] = _cell(8, 2)
+    return {key: cell.stats.throughput_per_s
+            for key, cell in run_cells(cells).items()}
 
 
 def test_ablation_core_organization(once):

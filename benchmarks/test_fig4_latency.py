@@ -15,10 +15,10 @@ Paper claims reproduced here:
 from conftest import save_table, scale_requests
 
 from repro.bench.experiments import (
-    LATENCY_CONCURRENCY,
     WORKLOAD_NAMES,
+    Cell,
     format_table,
-    run_cell,
+    run_cells,
     scaled_requests,
 )
 
@@ -26,23 +26,21 @@ NODE_COUNTS = (1, 2, 4)
 SYSTEMS = ("pulse", "cache", "rpc", "rpc-w")
 
 
-def _grid():
+def _cells():
     cells = {}
     for workload in WORKLOAD_NAMES:
         base = scale_requests(scaled_requests(workload, 24))
         for nodes in NODE_COUNTS:
             for system in SYSTEMS:
-                cell = run_cell(system, workload, nodes, requests=base,
-                                concurrency=LATENCY_CONCURRENCY)
-                cells[(system, workload, nodes)] = cell
-        cells[("cache+rpc", "UPC", 1)] = run_cell(
-            "cache+rpc", "UPC", 1, requests=base,
-            concurrency=LATENCY_CONCURRENCY)
+                cells[(system, workload, nodes)] = Cell(system, workload,
+                                                        nodes, base)
+    # Cache+RPC (UPC on one node only) at the last column's requests
+    cells[("cache+rpc", "UPC", 1)] = Cell("cache+rpc", "UPC", 1, base)
     return cells
 
 
 def test_fig4_application_latency(once):
-    cells = once(_grid)
+    cells = once(run_cells, _cells())
 
     rows = []
     for (system, workload, nodes), cell in sorted(

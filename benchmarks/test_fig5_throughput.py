@@ -16,8 +16,9 @@ from conftest import save_table, scale_requests
 from repro.bench.experiments import (
     THROUGHPUT_CONCURRENCY,
     WORKLOAD_NAMES,
+    Cell,
     format_table,
-    run_cell,
+    run_cells,
     scaled_requests,
 )
 
@@ -25,7 +26,7 @@ NODE_COUNTS = (1, 2, 4)
 SYSTEMS = ("pulse", "cache", "rpc", "rpc-w")
 
 
-def _grid():
+def _cells():
     cells = {}
     for workload in WORKLOAD_NAMES:
         base = scale_requests(scaled_requests(workload, 120))
@@ -33,18 +34,17 @@ def _grid():
             for system in SYSTEMS:
                 # "Sufficient load" scales with the rack: more nodes
                 # need more outstanding requests to saturate.
-                cells[(system, workload, nodes)] = run_cell(
-                    system, workload, nodes,
-                    requests=min(2, nodes) * base,
+                cells[(system, workload, nodes)] = Cell(
+                    system, workload, nodes, min(2, nodes) * base,
                     concurrency=THROUGHPUT_CONCURRENCY * min(2, nodes))
-        cells[("cache+rpc", "UPC", 1)] = run_cell(
-            "cache+rpc", "UPC", 1, requests=base,
-            concurrency=THROUGHPUT_CONCURRENCY)
+    # Cache+RPC (UPC on one node only) at the last column's requests
+    cells[("cache+rpc", "UPC", 1)] = Cell(
+        "cache+rpc", "UPC", 1, base, concurrency=THROUGHPUT_CONCURRENCY)
     return cells
 
 
 def test_fig5_application_throughput(once):
-    cells = once(_grid)
+    cells = once(run_cells, _cells())
 
     rows = []
     for (system, workload, nodes), cell in sorted(

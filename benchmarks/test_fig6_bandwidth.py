@@ -10,15 +10,17 @@ Paper claims reproduced here:
   memory-bandwidth cap.
 """
 
-from conftest import SATURATION_WORKLOADS, save_table, saturation_cells
+from conftest import SATURATION_WORKLOADS, save_table, saturation_cell
 
-from repro.bench.experiments import format_table
+from repro.bench.experiments import format_table, run_cells
 
 SYSTEMS = ("pulse", "rpc", "rpc-w", "cache")
 
 
 def test_fig6_bandwidth_utilization(once):
-    cells = once(saturation_cells, SYSTEMS)
+    cells = once(run_cells, {
+        (system, workload): saturation_cell(system, workload)
+        for workload in SATURATION_WORKLOADS for system in SYSTEMS})
 
     rows = []
     for (system, workload), cell in sorted(cells.items(),

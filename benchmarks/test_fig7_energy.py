@@ -18,15 +18,19 @@ the minimum worker count that saturates memory bandwidth, and
 energy/request = average power / throughput.
 """
 
-from conftest import SATURATION_WORKLOADS, save_table, saturation_cells
+from conftest import SATURATION_WORKLOADS, save_table, saturation_cell
 
-from repro.bench.experiments import format_table
+from repro.bench.experiments import format_table, run_cells
 
 SYSTEMS = ("pulse", "rpc", "rpc-w", "cache+rpc")
 
 
 def test_fig7_energy_per_request(once):
-    cells = once(saturation_cells, SYSTEMS)
+    # Cache+RPC (AIFM) runs UPC only (section 7.1)
+    cells = once(run_cells, {
+        (system, workload): saturation_cell(system, workload)
+        for workload in SATURATION_WORKLOADS for system in SYSTEMS
+        if system != "cache+rpc" or workload == "UPC"})
 
     rows = []
     for (system, workload), cell in sorted(cells.items(),

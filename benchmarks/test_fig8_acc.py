@@ -14,40 +14,37 @@ system must do); pulse re-routes in-switch.  Paper claims:
 from conftest import save_table, scale_requests
 
 from repro.bench.experiments import (
-    LATENCY_CONCURRENCY,
     THROUGHPUT_CONCURRENCY,
+    Cell,
     format_table,
-    run_cell,
+    run_cells,
 )
 
 WORKLOADS = ("TC", "TSV-7.5s")
 
 
-def _grid():
+def _cells():
     cells = {}
     for workload in WORKLOADS:
         for nodes in (1, 2):
             for system in ("pulse", "pulse-acc"):
-                cells[(system, workload, nodes, "lat")] = run_cell(
-                    system, workload, nodes,
-                    requests=scale_requests(30),
-                    concurrency=LATENCY_CONCURRENCY)
+                cells[(system, workload, nodes, "lat")] = Cell(
+                    system, workload, nodes, scale_requests(30))
                 # Throughput under saturating load.  Fig 8b's parity
                 # claim presumes both configurations are *memory-
                 # bandwidth-bound*; with per-iteration node hopping the
                 # CPU node's stack, not memory, throttles pulse-ACC, so
                 # the throughput comparison uses the partitioned layout
                 # (occasional hops) where the premise holds.
-                cells[(system, workload, nodes, "tput")] = run_cell(
-                    system, workload, nodes,
-                    requests=scale_requests(120) * nodes,
+                cells[(system, workload, nodes, "tput")] = Cell(
+                    system, workload, nodes, scale_requests(120) * nodes,
                     concurrency=THROUGHPUT_CONCURRENCY * nodes,
-                    workload_kwargs={"partitioned": True})
+                    workload_options={"partitioned": True})
     return cells
 
 
 def test_fig8_distributed_traversal_impact(once):
-    cells = once(_grid)
+    cells = once(run_cells, _cells())
 
     rows = []
     for (system, workload, nodes, kind), cell in sorted(

@@ -11,18 +11,15 @@ import json
 
 from conftest import RESULTS_DIR, save_table, scale_requests
 
-from repro.bench.experiments import format_table, make_system
-from repro.bench.driver import run_workload
+from repro.bench.experiments import Cell, format_table, run_cells
 from repro.bench.report import span_breakdown
-from repro.workloads import build_upc
+
+CELL = Cell("pulse", "UPC", 1, scale_requests(40), concurrency=1,
+            workload_options={"num_pairs": 10_000, "chain_length": 200})
 
 
 def _measure():
-    system = make_system("pulse", node_count=1)
-    upc = build_upc(system.memory, 1, num_pairs=10_000,
-                    chain_length=200, requests=scale_requests(40),
-                    seed=0)
-    run = run_workload(system, upc.operations, concurrency=1)
+    run = run_cells({"fig9": CELL})["fig9"].stats
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "metrics_snapshot.json").write_text(
         json.dumps({"pulse": run.metrics}, indent=2) + "\n")

@@ -18,7 +18,7 @@ is the binding resource, as it is for small-op workloads in practice.
 
 from conftest import save_table, scale_requests
 
-from repro.bench.experiments import format_table, run_open_loop_cell
+from repro.bench.experiments import Cell, format_table, run_cells
 from repro.params import AcceleratorParams, SystemParams
 
 #: small ops: ~2-3 iterations per lookup, client-stack bound
@@ -32,39 +32,29 @@ SYSTEMS = ("pulse", "rpc", "rpc-w", "cache", "cache+rpc")
 BATCH_SIZES = (1, 8, 16)
 
 
-def _curve_cells():
+def _cells():
     cells = {}
     for name in SYSTEMS:
-        kwargs = {"batch_size": 8} if name == "pulse" else {}
+        options = {"batch_size": 8} if name == "pulse" else {}
         for load in OFFERED_LOADS:
-            cells[(name, load)] = run_open_loop_cell(
-                name, "UPC", load, node_count=1,
-                requests=scale_requests(240), seed=1,
-                system_kwargs=kwargs, workload_kwargs=UPC_KW)
-    return cells
-
-
-def _batch_cells():
-    cells = {}
+            cells[("curve", name, load)] = Cell(
+                name, "UPC", 1, scale_requests(240), seed=1,
+                offered_load_per_s=load, system_options=options,
+                workload_options=UPC_KW)
     for batch in BATCH_SIZES:
-        cells[batch] = run_open_loop_cell(
-            "pulse", "UPC", 32e6, node_count=1,
-            requests=scale_requests(400), seed=2,
-            system_kwargs={"batch_size": batch},
-            workload_kwargs=UPC_KW)
-    return cells
-
-
-def _backpressure_cell():
+        cells[("batch", batch)] = Cell(
+            "pulse", "UPC", 1, scale_requests(400), seed=2,
+            offered_load_per_s=32e6, system_options={"batch_size": batch},
+            workload_options=UPC_KW)
     # One core, one workspace, two-deep admission queue: a Poisson burst
     # must be absorbed by RETRY NACKs + client backoff.
-    params = SystemParams(accelerator=AcceleratorParams(
-        cores=1, workspaces_per_core=1, admission_queue_depth=2))
-    return run_open_loop_cell(
-        "pulse", "UPC", 8e6, node_count=1,
-        requests=scale_requests(120), seed=3, params=params,
-        system_kwargs={"batch_size": 4},
-        workload_kwargs=UPC_KW)
+    cells["backpressure"] = Cell(
+        "pulse", "UPC", 1, scale_requests(120), seed=3,
+        offered_load_per_s=8e6, params=SystemParams(
+            accelerator=AcceleratorParams(
+                cores=1, workspaces_per_core=1, admission_queue_depth=2)),
+        system_options={"batch_size": 4}, workload_options=UPC_KW)
+    return cells
 
 
 def _hist(cell, name):
@@ -76,8 +66,11 @@ def _counter(cell, name):
 
 
 def test_open_loop_offered_load_and_batching(once):
-    curve, batches, backpressure = once(
-        lambda: (_curve_cells(), _batch_cells(), _backpressure_cell()))
+    cells = once(run_cells, _cells())
+    curve = {key[1:]: cell for key, cell in cells.items()
+             if key[0] == "curve"}
+    batches = {key[1]: cell for key, cell in cells.items()
+               if key[0] == "batch"}
 
     curve_rows = []
     for name in SYSTEMS:
@@ -117,7 +110,7 @@ def test_open_loop_offered_load_and_batching(once):
          "acc_queue_mean", "acc_queue_max", "max_in_flight"],
         batch_rows)
 
-    bp = backpressure
+    bp = cells["backpressure"]
     bp_queue = _hist(bp, "mem0.acc.queue_depth")
     bp_table = format_table(
         ["admission_nacks", "client_retries", "queue_p50", "queue_max",

@@ -15,32 +15,32 @@ from dataclasses import replace
 
 from conftest import save_table, scale_requests
 
-from repro.bench.driver import run_workload
-from repro.bench.experiments import format_table, make_system
+from repro.baselines.common import workers_to_saturate
+from repro.bench.experiments import Cell, format_table, run_cells
 from repro.params import DEFAULT_PARAMS
-from repro.workloads import build_upc
 
 SEGMENT_NS = (200.0, 425.0, 1_000.0, 2_000.0)
 SYSTEMS = ("pulse", "rpc", "cache")
 
+#: RPC's own default pool, not the grid's per-workload one
+RPC_POOL = {"workers_per_node": workers_to_saturate(
+    DEFAULT_PARAMS.cpu, DEFAULT_PARAMS.memory.bandwidth_bytes_per_ns)}
 
-def _latency(system_name: str, segment_ns: float) -> float:
+
+def _cell(system: str, segment_ns: float) -> Cell:
     network = replace(DEFAULT_PARAMS.network, segment_ns=segment_ns)
-    params = DEFAULT_PARAMS.with_overrides(network=network)
-    system = make_system(system_name, node_count=1, params=params)
-    upc = build_upc(system.memory, 1, num_pairs=8_000, chain_length=100,
-                    requests=scale_requests(16), seed=0)
-    stats = run_workload(system, upc.operations, concurrency=2)
-    assert stats.faults == 0
-    return stats.avg_latency_ns
+    return Cell(system, "UPC", 1, scale_requests(16), concurrency=2,
+                params=DEFAULT_PARAMS.with_overrides(network=network),
+                system_options=RPC_POOL if system == "rpc" else {},
+                workload_options={"num_pairs": 8_000, "chain_length": 100})
 
 
 def test_sensitivity_network_latency(once):
-    results = once(lambda: {
-        (system, seg): _latency(system, seg)
-        for system in SYSTEMS
-        for seg in SEGMENT_NS
-    })
+    cells = once(run_cells, {(system, seg): _cell(system, seg)
+                             for system in SYSTEMS for seg in SEGMENT_NS})
+    assert all(cell.stats.faults == 0 for cell in cells.values())
+    results = {key: cell.stats.avg_latency_ns
+               for key, cell in cells.items()}
 
     rows = []
     for (system, seg), latency in sorted(results.items()):

@@ -9,34 +9,28 @@ almost none under partitioning.
 
 from conftest import save_table, scale_requests
 
-from repro.bench.experiments import (
-    LATENCY_CONCURRENCY,
-    format_table,
-    run_cell,
-)
+from repro.bench.experiments import Cell, format_table, run_cells
 
 WORKLOADS = ("TC", "TSV-7.5s")
 
 
-def _grid():
+def _cells():
     cells = {}
     for workload in WORKLOADS:
         for policy in ("uniform", "partitioned"):
-            kwargs = {"partitioned": policy == "partitioned"}
+            options = {"partitioned": policy == "partitioned"}
             if policy == "uniform":
                 # Pure per-allocation round-robin (glibc load-balanced),
                 # the worst case the supplementary material measures.
-                kwargs["interleave"] = 1
-            cells[(workload, policy)] = run_cell(
-                "pulse", workload, 2,
-                requests=scale_requests(30),
-                concurrency=LATENCY_CONCURRENCY,
-                workload_kwargs=kwargs)
+                options["interleave"] = 1
+            cells[(workload, policy)] = Cell(
+                "pulse", workload, 2, scale_requests(30),
+                workload_options=options)
     return cells
 
 
 def test_supp_fig2_allocation_policy(once):
-    cells = once(_grid)
+    cells = once(run_cells, _cells())
 
     rows = []
     for (workload, policy), cell in sorted(cells.items()):

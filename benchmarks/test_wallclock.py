@@ -54,7 +54,7 @@ from pathlib import Path
 from conftest import SCALE, scale_requests
 
 from repro.bench.driver import run_open_loop
-from repro.bench.experiments import run_open_loop_cell
+from repro.bench.experiments import Cell
 from repro.bench.report import REPO_ROOT, write_snapshot
 from repro.core import PulseCluster
 from repro.isa import IteratorMachine, assemble
@@ -228,10 +228,9 @@ def measure_e2e_seconds(interpreted: bool) -> float:
     os.environ["PULSE_INTERP"] = "1" if interpreted else "0"
     try:
         start = time.perf_counter()
-        cell = run_open_loop_cell(
-            "pulse", "UPC", 8e6, node_count=1,
-            requests=scale_requests(300), seed=11,
-            workload_kwargs=UPC_KW)
+        # in this process: the run is what is timed
+        cell = Cell("pulse", "UPC", 1, scale_requests(300), seed=11,
+                    offered_load_per_s=8e6, workload_options=UPC_KW).run()
         elapsed = time.perf_counter() - start
     finally:
         if previous is None:

@@ -21,8 +21,9 @@ import sys
 from repro.bench.experiments import (
     SYSTEMS,
     WORKLOAD_NAMES,
+    Cell,
     format_table,
-    run_cell,
+    run_cells,
 )
 
 
@@ -35,13 +36,16 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _cell(args, system: str) -> Cell:
+    return Cell(system, args.workload, args.nodes, args.requests,
+                args.seed, args.concurrency)
+
+
 def _cmd_compare(args) -> int:
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     rows = []
-    for system in systems:
-        cell = run_cell(system, args.workload, args.nodes,
-                        requests=args.requests,
-                        concurrency=args.concurrency, seed=args.seed)
+    cells = run_cells({system: _cell(args, system) for system in systems})
+    for system, cell in cells.items():
         rows.append((
             system,
             f"{cell.avg_latency_us:.1f}",
@@ -57,13 +61,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cell(args) -> int:
-    cell = run_cell(args.system, args.workload, args.nodes,
-                    requests=args.requests,
-                    concurrency=args.concurrency, seed=args.seed)
+    cell = run_cells({args.system: _cell(args, args.system)})[args.system]
     stats = cell.stats
-    print(f"system               : {cell.system}")
-    print(f"workload             : {cell.workload}")
-    print(f"memory nodes         : {cell.nodes}")
+    print(f"system               : {cell.cell.system}")
+    print(f"workload             : {cell.cell.workload}")
+    print(f"memory nodes         : {cell.cell.nodes}")
     print(f"completed requests   : {stats.completed}")
     print(f"faults               : {stats.faults}")
     print(f"avg latency          : {cell.avg_latency_us:.2f} us")

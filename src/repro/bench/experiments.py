@@ -1,10 +1,26 @@
 """One harness for every table and figure.
 
-A *cell* is (system, workload, node count) -> build the rack, build the
-workload against its memory, replay the operation stream, and collect
-latency/throughput/utilization/energy.  Every benchmark file under
-``benchmarks/`` is a thin wrapper that picks cells and prints the rows
-the corresponding figure plots.
+A :class:`Cell` is a frozen key -- system, workload, node count,
+requests, seed, drive, params and options -- and ``Cell.run()`` builds
+the rack, builds the workload against its memory, replays the
+operation stream, and collects latency/throughput/utilization/energy.
+:func:`run_cells` is the one runner: it computes each key once per
+process and fans the new ones out over forked workers.  Figs 4-9,
+Supp Fig 2, ``ablation_pipelines``, ``open_loop_submission``,
+``sensitivity_network``, the ``python -m repro.bench`` CLI and the
+harness tests are views over keys: they declare cells and read rows.
+
+The benches that are not one rack, one :func:`build_workload` stream
+and one drive keep their own loop: ``ablation_load_agg`` (two drives on
+one rack), ``ext_affinity`` (rebalancing between drives),
+``ext_goodput_loss`` (link loss), ``ext_locality`` (its own hash table
+and keys, and a warmup), ``ext_migration`` (a migration storm, an added
+node), ``ext_multitenancy`` (two tenants' lists), ``ext_recovery`` (a
+node crash), ``ext_split_index`` (a client directory),
+``sensitivity_params`` (the offload decision, and a TSV duration
+:func:`build_workload` does not build), ``supp_fig1`` (linked-list
+walks), ``table2_workloads`` (the programs' static eta) and
+``wallclock`` (times ``Cell.run()`` in its own process).
 
 Workload sizes are scaled down from the paper (see DESIGN.md) but the
 ratios the figures report are size-independent within wide margins:
@@ -13,9 +29,12 @@ traversal lengths, eta, and cache:data ratios are preserved.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
 from repro.baselines.common import workers_to_saturate
@@ -109,11 +128,9 @@ def saturating_workers(system_name: str, workload_name: str,
 
 @dataclass
 class CellResult:
-    """Everything measured for one (system, workload, nodes) cell."""
+    """Everything measured for one cell."""
 
-    system: str
-    workload: str
-    nodes: int
+    cell: "Cell"
     stats: WorkloadStats
     memory_utilization: float
     network_utilization: float
@@ -129,73 +146,85 @@ class CellResult:
         return self.stats.throughput_per_s / 1_000.0
 
 
-def _run_cell(drive, system_name: str, workload_name: str,
-              node_count: int, requests: int, seed: int,
-              params: Optional[SystemParams],
-              system_kwargs: Optional[dict],
-              workload_kwargs: Optional[dict]) -> CellResult:
-    """Build one cell, ``drive(system, operations)`` it, measure it."""
-    parameters = params if params is not None else DEFAULT_PARAMS
-    workload_family(workload_name)  # no rack is built for a bad name
-    system_kwargs = dict(system_kwargs or {})
-    rack, _options = _system(system_name)
-    if (issubclass(rack, RpcSystem)
-            and "workers_per_node" not in system_kwargs):
-        system_kwargs["workers_per_node"] = saturating_workers(
-            system_name, workload_name, parameters)
-    system = make_system(system_name, node_count, parameters, seed,
-                         **system_kwargs)
-    workload = build_workload(system, workload_name, node_count,
-                              requests, seed, **(workload_kwargs or {}))
-    stats = drive(system, workload.operations)
-    energy = measure_energy(system, stats.throughput_per_s)
-    return CellResult(
-        system=system_name,
-        workload=workload_name,
-        nodes=node_count,
-        stats=stats,
-        memory_utilization=system.memory_bandwidth_utilization(),
-        network_utilization=system.network_bandwidth_utilization(),
-        workers_per_node=system.workers_per_node,
-        energy=energy,
-    )
-
-
-def run_cell(system_name: str, workload_name: str, node_count: int = 1,
-             requests: int = 50, concurrency: int = 4, seed: int = 0,
-             workload_kwargs: Optional[dict] = None) -> CellResult:
-    """Run one experiment cell end to end."""
-    return _run_cell(
-        lambda system, ops: run_workload(system, ops,
-                                         concurrency=concurrency),
-        system_name, workload_name, node_count, requests, seed, None,
-        None, workload_kwargs)
-
-
-def run_open_loop_cell(system_name: str, workload_name: str,
-                       offered_load_per_s: float, node_count: int = 1,
-                       requests: int = 200, seed: int = 0,
-                       params: Optional[SystemParams] = None,
-                       system_kwargs: Optional[dict] = None,
-                       workload_kwargs: Optional[dict] = None) -> CellResult:
-    """One open-loop cell: Poisson arrivals at a configured offered load.
-
-    Same shape as :func:`run_cell` but driven by
-    :func:`~repro.bench.driver.run_open_loop` -- the system sees
-    ``offered_load_per_s`` regardless of its completion rate, so the
-    measured throughput saturates (and in-flight work piles up into the
-    doorbell batchers / admission queues) once the load exceeds capacity.
-    """
-    return _run_cell(
-        lambda system, ops: run_open_loop(system, ops, offered_load_per_s,
-                                          seed=seed),
-        system_name, workload_name, node_count, requests, seed, params,
-        system_kwargs, workload_kwargs)
-
-
 #: latency cells run lightly loaded; throughput cells run saturating
 LATENCY_CONCURRENCY = 4
 THROUGHPUT_CONCURRENCY = 96
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One grid key.  The drive is a closed loop of ``concurrency``
+    workers, or Poisson arrivals at ``offered_load_per_s`` when that is
+    set.  The rack's and the workload builder's keywords are given as
+    mappings and held as sorted item tuples, so equal cells hash equal;
+    an RPC rack without ``workers_per_node`` gets
+    :func:`saturating_workers`."""
+
+    system: str
+    workload: str
+    nodes: int = 1
+    requests: int = 50
+    seed: int = 0
+    concurrency: int = LATENCY_CONCURRENCY
+    offered_load_per_s: Optional[float] = None
+    params: SystemParams = DEFAULT_PARAMS
+    system_options: Tuple[Tuple[str, Any], ...] = ()
+    workload_options: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self):
+        for name in ("system_options", "workload_options"):
+            object.__setattr__(self, name, tuple(sorted(
+                dict(getattr(self, name)).items())))
+
+    def run(self) -> CellResult:
+        """Build the rack and the workload, drive it and measure it, in
+        this process."""
+        workload_family(self.workload)  # no rack is built for a bad name
+        system_options = dict(self.system_options)
+        if (issubclass(_system(self.system)[0], RpcSystem)
+                and "workers_per_node" not in system_options):
+            system_options["workers_per_node"] = saturating_workers(
+                self.system, self.workload, self.params)
+        system = make_system(self.system, self.nodes, self.params,
+                             self.seed, **system_options)
+        operations = build_workload(
+            system, self.workload, self.nodes, self.requests, self.seed,
+            **dict(self.workload_options)).operations
+        if self.offered_load_per_s is None:
+            stats = run_workload(system, operations,
+                                 concurrency=self.concurrency)
+        else:
+            stats = run_open_loop(system, operations,
+                                  self.offered_load_per_s, seed=self.seed)
+        return CellResult(
+            cell=self,
+            stats=stats,
+            memory_utilization=system.memory_bandwidth_utilization(),
+            network_utilization=system.network_bandwidth_utilization(),
+            workers_per_node=system.workers_per_node,
+            energy=measure_energy(system, stats.throughput_per_s),
+        )
+
+
+#: every cell this process has run or received from a worker
+_RESULTS: Dict[Cell, CellResult] = {}
+
+
+def run_cells(cells: Mapping[Hashable, Cell]) -> Dict[Hashable, CellResult]:
+    """The result of each labelled cell.
+
+    A process runs each key at most once: the keys it has not seen
+    fan out over ``min(os.cpu_count(), misses)`` workers forked from
+    the (single-threaded) caller, and every later call reads the memo.
+    """
+    misses = [cell for cell in dict.fromkeys(cells.values())
+              if cell not in _RESULTS]
+    if misses:
+        with ProcessPoolExecutor(
+                min(os.cpu_count() or 1, len(misses)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            _RESULTS.update(zip(misses, pool.map(Cell.run, misses)))
+    return {label: _RESULTS[cell] for label, cell in cells.items()}
 
 
 def scaled_requests(workload_name: str, base: int) -> int:

@@ -48,7 +48,7 @@ class Rack:
     observability surface, and the holder of the one measurement
     window), the ``fabric`` and the rack's
     :class:`~repro.mem.node.GlobalMemory` -- and is the contract the
-    bench drivers (``run_workload``, ``run_open_loop``, ``run_cell``)
+    bench drivers (``run_workload``, ``run_open_loop``, ``Cell.run``)
     drive every system through:
 
     * ``traverse(iterator, *args)`` -- a process running one traversal

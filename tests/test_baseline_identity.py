@@ -10,11 +10,11 @@ folded into one.  The figure benches only compare systems, so a moved
 baseline would otherwise show up as a slightly different table at
 best.
 
-Each cell is the bench harness's own cell runner, ``_run_cell`` (what
-``run_cell`` calls, with the params it takes; 40 requests, concurrency
-4).  The pulse rack runs with ``eta_max=0.01``, which the
-offload engine rejects every kernel at, so each request takes the
-client fallback.
+Each cell is a bench harness :class:`~repro.bench.experiments.Cell`
+(40 requests, concurrency 4), and the five run through the harness's
+one runner, ``run_cells``.  The pulse rack runs with ``eta_max=0.01``,
+which the offload engine rejects every kernel at, so each request takes
+the client fallback.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bench import experiments
-from repro.bench.driver import run_workload
+from repro.bench.experiments import Cell, run_cells
 from repro.params import DEFAULT_PARAMS
 
 #: pinned at 5843b0a
@@ -45,6 +45,11 @@ FALLBACK_PARAMS = DEFAULT_PARAMS.with_overrides(
     accelerator=replace(DEFAULT_PARAMS.accelerator, eta_max=0.01))
 
 
+CELLS = {key: Cell(*key, requests=40, params=FALLBACK_PARAMS
+                   if key[0] == "pulse" else DEFAULT_PARAMS)
+         for key in DIGESTS}
+
+
 def _digest(results) -> str:
     rows = [(repr(r.latency_ns), r.value, r.iterations,
              r.fault.kind if r.fault else None,
@@ -53,12 +58,18 @@ def _digest(results) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def results():
+    """The five cells, run once on a memo of their own: the process-wide
+    one would keep their results alive past this module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_RESULTS", {})
+        yield run_cells(CELLS)
+
+
 @pytest.mark.parametrize("system,workload,nodes", sorted(DIGESTS))
-def test_baseline_results_are_pinned(system, workload, nodes):
-    params = FALLBACK_PARAMS if system == "pulse" else None
-    cell = experiments._run_cell(
-        lambda rack, ops: run_workload(rack, ops, concurrency=4),
-        system, workload, nodes, 40, 0, params, None, None)
+def test_baseline_results_are_pinned(results, system, workload, nodes):
+    cell = results[(system, workload, nodes)]
     assert cell.stats.completed == 40
     assert _digest(cell.stats.results) == DIGESTS[(system, workload,
                                                    nodes)]

@@ -7,9 +7,10 @@ from repro.bench.driver import WorkloadStats
 from repro.bench.experiments import (
     SYSTEMS,
     WORKLOAD_NAMES,
+    Cell,
     format_table,
     make_system,
-    run_cell,
+    run_cells,
     saturating_workers,
     scaled_requests,
 )
@@ -17,6 +18,7 @@ from repro.core.cluster import Rack
 from repro.core.iterator import TraversalResult
 from repro.energy import energy_per_request_nj, measure_energy
 from repro.params import DEFAULT_PARAMS
+from tests.test_baseline_identity import _digest
 
 #: each system's serving watts on a one-node rack with its own default
 #: pool, exactly as the name-dispatched power model charged them
@@ -92,7 +94,7 @@ class TestHarness:
 
         monkeypatch.setattr(experiments, "make_system", build)
         with pytest.raises(ValueError, match="unknown workload"):
-            run_cell(system, "PageRank", requests=1)
+            Cell(system, "PageRank", requests=1).run()
 
     def test_scaled_requests_orders_workloads(self):
         values = [scaled_requests(name, 100) for name in WORKLOAD_NAMES]
@@ -108,9 +110,9 @@ class TestHarness:
             make_system("cache+rpc", node_count=2)
 
     def test_run_cell_end_to_end(self):
-        cell = run_cell("pulse", "UPC", 1, requests=10, concurrency=2,
-                        workload_kwargs={"num_pairs": 1_000,
-                                         "chain_length": 40})
+        cell = Cell("pulse", "UPC", 1, requests=10, concurrency=2,
+                    workload_options={"num_pairs": 1_000,
+                                      "chain_length": 40}).run()
         assert cell.stats.completed == 10
         assert cell.avg_latency_us > 0
         assert cell.energy.power_watts == \
@@ -122,6 +124,54 @@ class TestHarness:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(len(line.rstrip()) for line in lines[1:2])) == 1
+
+
+SMALL_UPC = {"num_pairs": 1_000, "chain_length": 40}
+
+
+class TestCellRunner:
+    """``run_cells`` fans the keys it has not seen out over forked
+    workers: a worker's result is the in-process run's, and a key runs
+    once per process."""
+
+    CELLS = {
+        "pulse": Cell("pulse", "UPC", 1, 12, workload_options=SMALL_UPC),
+        "rpc": Cell("rpc", "TC", 2, 6, workload_options={
+            "num_pairs": 2_000, "scan_limit": 40}),
+        "cache": Cell("cache", "UPC", 1, 6, workload_options=SMALL_UPC),
+        "open": Cell("pulse", "UPC", 1, 24, offered_load_per_s=8e6,
+                     system_options={"batch_size": 8},
+                     workload_options=SMALL_UPC),
+    }
+
+    def test_fanned_out_cells_equal_serial_runs(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_RESULTS", {})
+        fanned = run_cells(self.CELLS)
+        for label, cell in self.CELLS.items():
+            stats, serial = fanned[label].stats, cell.run().stats
+            assert stats.completed == serial.completed > 0, label
+            assert _digest(stats.results) == _digest(serial.results), label
+            assert stats.latencies_ns == serial.latencies_ns, label
+            assert stats.metrics == serial.metrics, label
+
+    def test_a_key_asked_for_twice_runs_once(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "_RESULTS", {})
+        runs, drive = tmp_path / "runs", experiments.run_workload
+
+        def logged(system, operations, concurrency):
+            with open(runs, "a") as log:   # workers are forked processes
+                log.write("run\n")
+            return drive(system, operations, concurrency=concurrency)
+
+        monkeypatch.setattr(experiments, "run_workload", logged)
+        cell = self.CELLS["pulse"]
+        same = Cell("pulse", "UPC", 1, 12, workload_options=dict(
+            reversed(list(SMALL_UPC.items()))))
+        assert same == cell and hash(same) == hash(cell)
+        first = run_cells({"a": cell, "b": same})
+        again = run_cells({"c": cell})
+        assert first["a"] is first["b"] is again["c"]
+        assert runs.read_text() == "run\n"
 
 
 class TestWorkloadStats:

@@ -164,6 +164,13 @@ RULES = {
         'self._events.record(self.name, "reroute", request.request_id)',
         allowed=("src/repro/transport/session.py",
                  "src/repro/placement/migration.py")),
+    "one-cell-runner": Rule(
+        "One cell runner: a grid cell is a frozen "
+        "repro.bench.experiments.Cell, run_cells computes each key once "
+        "per process, and every figure is a view over keys.",
+        r"run_cell\(|run_open_loop_cell\(|saturation_grid",
+        ("src", "benchmarks", "tests", "examples"),
+        "cell = run_cell(system, workload, nodes, requests=base)"),
 }
 
 

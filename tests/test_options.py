@@ -25,7 +25,7 @@ import repro.params
 from repro.baselines import CacheRpcSystem, CacheSystem, RpcSystem
 from repro.bench.__main__ import main as bench_main
 from repro.bench.driver import run_open_loop, run_workload
-from repro.bench.experiments import SYSTEMS, make_system, run_cell
+from repro.bench.experiments import SYSTEMS, Cell, make_system, run_cells
 from repro.bench.report import main as report_main
 from repro.bench.report import write_snapshot
 from repro.core.accelerator import Accelerator
@@ -63,6 +63,9 @@ SIGNATURES = {
     RpcSystem: ("node_count", "params", "wimpy", "workers_per_node", "seed",
                 "kwargs"),
     CacheRpcSystem: ("params", "seed", "kwargs"),
+    Cell: ("system", "workload", "nodes", "requests", "seed", "concurrency",
+           "offered_load_per_s", "params", "system_options",
+           "workload_options"),
     Accelerator: (
         "env", "node", "fabric", "params", "placement_map", "hotness",
         "registry", "shared_interconnect", "split_loads", "scheduler_policy",
@@ -209,8 +212,8 @@ REMOVED = {
         run_open_loop, "warmup", "an earlier run"),
     "run_open_loop(keep_results=)": (
         run_open_loop, "keep_results", "the aggregating path"),
-    "run_cell(params=)": (run_cell, "params", "DEFAULT_PARAMS"),
-    "run_cell(system_kwargs=)": (run_cell, "system_kwargs", "the table"),
+    "run_cells(params=)": (run_cells, "params", "Cell(params=)"),
+    "Cell(system_kwargs=)": (Cell, "system_kwargs", "Cell(system_options=)"),
     "repro.bench.__main__.main(argv=)": (
         bench_main, "argv", "sys.argv"),
     "repro.bench.report.main(argv=)": (report_main, "argv", "sys.argv"),

@@ -63,9 +63,10 @@ group are merged.  Loading this module in a traced process imports no
 ``hashlib`` (``tests/test_static_analysis.py`` checks that a traversal
 loads none).
 
-Wall readings on 2 CPUs (two groups at a time, 7-11 min in all):
-examples 50-80 s, perfbench ``--quick`` 55-90 s, the CLIs 10-15 s,
-benches 410-680 s, tier-1 225-375 s.
+Wall readings on 2 CPUs (two groups at a time, 7-13 min in all):
+examples 50-95 s, perfbench ``--quick`` 55-125 s, the CLIs 10-20 s,
+benches 410-680 s, tier-1 225-525 s.  The benches fork their cells over
+every CPU, so the group running beside them slows down.
 """
 
 import atexit
