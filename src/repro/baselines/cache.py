@@ -184,7 +184,7 @@ class CacheSystem(Rack):
                 return
             yield self.env.timeout(net.paging_stack_ns)
             address = page * self.page_bytes
-            owner = self.memory.addrspace.node_of(address)
+            owner = self.memory.placement.node_of(address)
             owner_name = f"mem{owner}" if owner is not None else "mem0"
             waiter = self.env.event()
             self.session.send(owner_name, PAGE_KIND, (waiter, page), 128)

@@ -94,9 +94,9 @@ class _RpcServer:
 
         ``fetch`` looks the window up in the node's TCAM and holds the
         DRAM bandwidth gate; the read goes through the entry it found.
-        A window outside the TCAM ends the walk: a pointer another node
-        owns is RUNNING there (the client continues it), anything else
-        is an invalid pointer.
+        A window outside the TCAM ends the walk: a pointer the live
+        placement map gives to another node is RUNNING there (the client
+        continues it), anything else is an invalid pointer.
         """
         system = self.system
         instruction_ns = system.cpu.instruction_ns()
@@ -143,7 +143,7 @@ class _RpcServer:
             if fault.kind == "budget":
                 return respond(RequestStatus.ITER_LIMIT)
             return respond(RequestStatus.FAULT, fault.reason)
-        owner = node.addrspace.node_of(missed)
+        owner = system.memory.placement.node_of(missed)
         if owner is not None and owner != node.node_id:
             response = respond(RequestStatus.RUNNING)
             response.node_hops = request.node_hops + 1
@@ -223,7 +223,7 @@ class RpcSystem(Rack):
         return result
 
     def _send_to_owner(self, request: TraversalRequest):
-        owner = self.memory.addrspace.node_of(request.cur_ptr)
+        owner = self.memory.placement.node_of(request.cur_ptr)
         if owner is None:
             return request.advanced(
                 request.cur_ptr, request.scratch, 0,

@@ -176,7 +176,7 @@ class Accelerator:
         self._m_batches = registry.counter(f"{prefix}.batches")
         self._batch_size_hist = registry.histogram(f"{prefix}.batch_size")
         #: multi-lane groups only: lanes stepped per lockstep step, lanes
-        #: that left early (miss, MOVED, fault), groups formed and steps
+        #: that left early (miss, fault), groups formed and steps
         self._batch_lanes_hist = registry.histogram(
             f"{prefix}.batch.lanes_active")
         self._m_batch_demotions = registry.counter(
@@ -184,7 +184,6 @@ class Accelerator:
         self._m_batch_groups = registry.counter(f"{prefix}.batch.groups")
         self._m_batch_steps = registry.counter(f"{prefix}.batch.steps")
         self._m_nacks = registry.counter(f"{prefix}.admission_nacks")
-        self._m_moved = registry.counter(f"{prefix}.moved_replies")
         self._m_direct_reads = registry.counter(f"{prefix}.direct_reads")
         self._m_direct_nacks = registry.counter(
             f"{prefix}.direct_read_nacks")
@@ -542,7 +541,7 @@ class Accelerator:
         lane's STOREs are durable.
 
         ``early`` marks a lane leaving a multi-lane group before RETURN
-        or the iteration budget (miss, MOVED, fault).  A commit-wait
+        or the iteration budget (miss, fault).  A commit-wait
         parks only the reply callback: the group steps on and its
         workspace token is released without it.
         """
@@ -561,37 +560,24 @@ class Accelerator:
 
     def _miss_response(self, lane: "_Lane",
                        load_addr: int) -> TraversalRequest:
-        """Translation miss: re-route, redirect (migrated), or fault.
+        """Translation miss: re-route or fault.
 
         The live placement map decides.  A pointer it gives to another
-        node leaves for the switch, which routes by the same map: as
-        RUNNING when the pointer is arithmetically foreign (the paper's
-        distributed hop, §5), as MOVED when it is arithmetically *ours*
-        and has migrated away -- however long ago.  A pointer the map
-        gives to nobody, or back to this node (an unmapped gap inside a
-        span that migrated in), faults: bouncing it would ping-pong
+        node leaves for the switch as RUNNING, which routes it by the
+        same map: the paper's distributed hop (§5), and equally a
+        straggler whose segment migrated away, however long ago.  A
+        pointer the map gives to nobody, or back to this node (an
+        unmapped gap), faults: bouncing it would ping-pong
         switch<->node forever, node_hops growing each leg so the
         stale-epoch filter never drops it.
         """
-        node_id = self.node.node_id
-        owner = self.node.addrspace.node_of(load_addr)
-        foreign = owner is not None and owner != node_id
-        live_owner = self.placement_map.node_of(load_addr)
-        if live_owner is not None and live_owner != node_id:
-            if foreign:
-                self._m_rerouted.inc()
-                response = lane.response(RequestStatus.RUNNING)
-            else:
-                self._m_moved.inc()
-                response = lane.response(RequestStatus.MOVED)
+        owner = self.placement_map.node_of(load_addr)
+        if owner is not None and owner != self.node.node_id:
+            self._m_rerouted.inc()
+            response = lane.response(RequestStatus.RUNNING)
             response.node_hops += 1
             return response
         self._m_faults.inc()
-        if foreign:
-            return lane.response(
-                RequestStatus.FAULT,
-                f"invalid pointer {load_addr:#x}: unmapped on its live "
-                f"owner")
         return lane.response(RequestStatus.FAULT,
                              f"invalid pointer {load_addr:#x}")
 

@@ -312,8 +312,6 @@ class PulseClient:
             # exponentially (with jitter, capped) and resubmit from the
             # state the NACK carried -- a rerouted continuation may have
             # made progress before being NACKed at the next node.
-            # MOVED never gets here: the switch re-routes a migration
-            # redirect to the live owner or FAULTs it.
             if response.status is RequestStatus.RETRY:
                 retries += 1
                 if retries > MAX_ADMISSION_RETRIES:

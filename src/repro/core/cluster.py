@@ -28,7 +28,6 @@ from repro.core.offload import OffloadEngine
 from repro.core.switch import PulseSwitch
 from repro.durability import DurabilityError, DurabilityService
 from repro.index import SplitIndexDirectory
-from repro.mem.allocator import PlacementPolicy
 from repro.mem.node import GlobalMemory
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.params import DEFAULT_PARAMS, SystemParams
@@ -83,7 +82,6 @@ class Rack:
 
     def __init__(self, node_count: int = 1,
                  params: Optional[SystemParams] = None,
-                 policy: PlacementPolicy = PlacementPolicy.UNIFORM,
                  seed: int = 0):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.env = Environment()
@@ -91,7 +89,7 @@ class Rack:
         self.fabric = Fabric(self.env, self.params.network, seed=seed,
                              registry=self.registry)
         self.memory = GlobalMemory(
-            node_count, self.params.memory.node_capacity_bytes, policy,
+            node_count, self.params.memory.node_capacity_bytes,
             self.tcam_capacity)
 
     @property
@@ -174,7 +172,6 @@ class PulseCluster(Rack):
 
     def __init__(self, node_count: int = 1,
                  params: Optional[SystemParams] = None,
-                 policy: PlacementPolicy = PlacementPolicy.UNIFORM,
                  bounce_to_client: bool = False,
                  shared_interconnect: bool = True,
                  split_loads: bool = False,
@@ -188,7 +185,7 @@ class PulseCluster(Rack):
                  split_index: bool = False,
                  split_index_invalidate: bool = True):
         self.tcam_capacity = tcam_capacity
-        super().__init__(node_count, params, policy, seed)
+        super().__init__(node_count, params, seed)
         if trace:
             self.registry.enable_events()
         self.memory.allocator.attach_metrics(self.registry)

@@ -63,9 +63,6 @@ class RequestStatus(enum.Enum):
     ITER_LIMIT = "iter_limit"  # MAX_ITER hit; client may continue it
     FAULT = "fault"            # translation/protection/execution fault
     RETRY = "retry"            # admission queue full; resubmit after backoff
-    MOVED = "moved"            # segment migrated away; switch re-resolves
-    #                            cur_ptr against the live placement map and
-    #                            retries the frame at the new owner
 
 
 @dataclass

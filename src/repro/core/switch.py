@@ -95,7 +95,6 @@ class PulseSwitch:
             "switch.client_evict_inflight_avoided")
         self._m_batches = registry.counter("switch.batches_routed")
         self._m_batch_splits = registry.counter("switch.batch_splits")
-        self._m_moved = registry.counter("switch.moved_redirects")
         self._m_reinjected = registry.counter("switch.reinjected_frames")
         registry.gauge("switch.client_table_occupancy",
                        fn=lambda: len(self._table))
@@ -152,28 +151,7 @@ class PulseSwitch:
                 entry.last_seen = self.env.now
             client = entry.client if entry is not None else src
 
-            if request.status is RequestStatus.MOVED:
-                # A straggler reached the *old* owner of a migrated
-                # segment (it was parked in an admission queue, or in
-                # flight when the rule changed); the node bounced it back
-                # tagged MOVED.  The traversal is alive -- re-resolve
-                # cur_ptr against the live rules and retry it at the
-                # current owner.
-                if self._stale_epoch(request):
-                    self._m_stale_epoch.inc()
-                    continue
-                owner = self.rangemap.node_of(request.cur_ptr)
-                if owner is None or f"mem{owner}" == src:
-                    # The live map agrees with the node that bounced it:
-                    # nobody serves this pointer.  A genuine fault, not a
-                    # migration race.
-                    self._fault(request, f"switch: no live owner for "
-                                f"moved pointer {request.cur_ptr:#x}",
-                                client)
-                    continue
-                request.status = RequestStatus.RUNNING
-                self._m_moved.inc()
-            elif request.status is RequestStatus.RUNNING:
+            if request.status is RequestStatus.RUNNING:
                 if from_memory and self._stale_epoch(request):
                     # A hop frame the traversal has already advanced past
                     # (e.g. a leftover of an earlier end-to-end attempt):
@@ -187,6 +165,9 @@ class PulseSwitch:
                     self._m_returned.inc()
                     self._send([request], client)
                     continue
+                # The live map alone names the next hop -- also for a
+                # straggler whose segment migrated, and back to the
+                # sender if the segment has since returned there.
                 owner = self.rangemap.node_of(request.cur_ptr)
                 if owner is None:
                     self._fault(request, f"switch: unroutable pointer "
@@ -290,11 +271,6 @@ class PulseSwitch:
         reinjected = 0
         for frame in self.session.take_over(dead):
             for request in frame.requests:
-                if request.status is RequestStatus.MOVED:
-                    # The frame was bounced by an old owner and the dead
-                    # node was the redirect target; the re-resolution
-                    # below *is* the redirect.
-                    request.status = RequestStatus.RUNNING
                 owner = self.rangemap.node_of(request.cur_ptr)
                 if owner is None or f"mem{owner}" == dead:
                     # Recovery did not retarget this pointer (it was

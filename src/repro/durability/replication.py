@@ -9,6 +9,14 @@ home segment is the first live node cyclically after the home.  When
 the writer *is* the arithmetic home -- the steady state -- the elected
 owner is exactly the first replica target, so the node that wins the
 election already holds the replicated content.
+
+This is the last reader of the arithmetic partition: every request path
+asks the live placement map who serves an address, and only the
+durability service and recovery still call ``addrspace.node_of`` to
+find a record's home.  A segment that migrates after an acknowledged
+STORE therefore strands its replicas; the ROADMAP item "Durability
+correctness: replicas follow placement" chooses replicas from the map
+and removes this reader.
 """
 
 from __future__ import annotations

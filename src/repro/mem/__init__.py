@@ -4,7 +4,7 @@ This package models the memory side of the rack: byte-addressable DRAM at
 each memory node (:mod:`~repro.mem.physical`), a global virtual address
 space range-partitioned across nodes (:mod:`~repro.mem.addrspace`),
 range-based translation with protection as held in the accelerator's TCAM
-(:mod:`~repro.mem.translation`), allocation policies
+(:mod:`~repro.mem.translation`), allocation
 (:mod:`~repro.mem.allocator`), and the memory node assembly
 (:mod:`~repro.mem.node`).  Linked data structures are laid out into this
 substrate with :mod:`~repro.mem.layout` and traversed by real pointer
@@ -12,11 +12,7 @@ values -- the same addresses the pulse ISA interpreter chases.
 """
 
 from repro.mem.addrspace import AddressSpace
-from repro.mem.allocator import (
-    AllocationError,
-    DisaggregatedAllocator,
-    PlacementPolicy,
-)
+from repro.mem.allocator import AllocationError, DisaggregatedAllocator
 from repro.mem.layout import Field, StructLayout
 from repro.mem.node import GlobalMemory, MemoryNode
 from repro.mem.physical import MemoryFault, PhysicalMemory
@@ -38,7 +34,6 @@ __all__ = [
     "MemoryNode",
     "PERM_READ",
     "PERM_WRITE",
-    "PlacementPolicy",
     "PhysicalMemory",
     "ProtectionFault",
     "RangeTranslationTable",

@@ -1,17 +1,13 @@
 """Allocation over disaggregated memory nodes.
 
 The paper does not innovate on allocation (section 2.2): it uses glibc
-with *load-balanced* placement across nodes, and the supplementary
-material's allocation-policy study (Supp Fig 2) compares that uniform
-placement against an application-directed *partitioned* placement that
-keeps whole subtrees on one node.  Both policies live here:
-
-* ``PlacementPolicy.UNIFORM`` -- each allocation goes to the node with the
-  least bytes allocated (ties broken round-robin), spreading a structure's
-  nodes across the rack.
-* ``PlacementPolicy.PARTITIONED`` -- allocations fill node 0, then node 1,
-  ...; structure code may also direct placement per-allocation with
-  ``preferred_node``.
+with *load-balanced* placement across nodes.  Here each allocation goes
+to the node with the least bytes allocated (ties broken round-robin),
+spreading a structure's nodes across the rack.  The supplementary
+material's allocation-policy study (Supp Fig 2) compares that against an
+application-directed *partitioned* placement that keeps whole subtrees
+on one node; structure code spells it per allocation with
+``preferred_node``.
 
 Within a node the allocator is a bump allocator with a best-fit free
 list (freed blocks are split and re-merged, so mixed-size churn reuses
@@ -41,7 +37,6 @@ crosses node boundaries ~d times once a structure spans the rack.
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -56,11 +51,6 @@ from repro.mem.translation import (
 
 class AllocationError(Exception):
     """Out of memory or malformed allocation request."""
-
-
-class PlacementPolicy(enum.Enum):
-    UNIFORM = "uniform"
-    PARTITIONED = "partitioned"
 
 
 @dataclass
@@ -119,7 +109,7 @@ class TraversalArena:
     bump-allocates inside the arena's current extent, so successive
     nodes of the chain are virtually contiguous.  When an extent fills,
     the arena reserves a fresh one -- preferring the same memory node
-    (affinity), falling back to the allocator's placement policy when
+    (affinity), falling back to the allocator's least-allocated node when
     that node is full or draining.  Objects larger than an extent
     degrade gracefully to the plain allocation path.
 
@@ -153,21 +143,23 @@ class DisaggregatedAllocator:
     """Allocates virtual addresses across the rack's memory nodes."""
 
     #: virtual reservation per arena extent.  Small enough that a large
-    #: structure still spreads across nodes (the UNIFORM policy operates
-    #: per extent), large enough to hold a useful run of chain nodes (16
+    #: structure still spreads across nodes (load balancing operates per
+    #: extent), large enough to hold a useful run of chain nodes (16
     #: of the paper's 256 B hash nodes per extent).
     ARENA_EXTENT_BYTES = 4096
     #: every allocation size is rounded up to this power of two
     ALIGNMENT = 8
 
     def __init__(self, addrspace: AddressSpace,
-                 tables: List[RangeTranslationTable],
-                 policy: PlacementPolicy = PlacementPolicy.UNIFORM):
+                 tables: List[RangeTranslationTable], placement):
         if len(tables) != addrspace.node_count:
             raise AllocationError(
                 "need one translation table per memory node")
         self.addrspace = addrspace
-        self.policy = policy
+        #: the live ownership map: free() and arena accounting credit a
+        #: block's *current* owner (its arithmetic home is wrong after a
+        #: migration)
+        self.placement = placement
         self._tables = tables
         self._arenas = [
             _NodeArena(*addrspace.range_of(n))
@@ -183,10 +175,6 @@ class DisaggregatedAllocator:
         self.extent_count = 0
         self.arena_fallback_allocs = 0
         self.live_allocations: dict = {}  # vaddr -> size
-        #: set by GlobalMemory once a placement map exists; free() then
-        #: resolves a block's *current* owner through it (the arithmetic
-        #: home is wrong after a migration)
-        self.owner_map = None
         # Reuse/fragmentation diagnostics (exported as gauges once
         # attach_metrics() is called).
         self.reuse_count = 0
@@ -205,7 +193,7 @@ class DisaggregatedAllocator:
             if not 0 <= preferred_node < len(self._arenas):
                 raise AllocationError(f"no such node: {preferred_node}")
             if not self._arenas[preferred_node].allocatable:
-                preferred_node = None  # draining: fall back to policy
+                preferred_node = None  # draining: load-balance
         node_id = (preferred_node if preferred_node is not None
                    else self._pick_node(size))
         vaddr = self._alloc_on(node_id, size)
@@ -237,7 +225,7 @@ class DisaggregatedAllocator:
         a hash bucket, a B+Tree level, a vertex community -- and may be
         any hashable.  ``preferred_node`` pins the arena's extents to
         one memory node (the partitioned-placement policies); None lets
-        each extent follow the allocator's placement policy, so a big
+        each extent go to the least-allocated node, so a big
         structure still spreads across the rack at extent granularity.
         """
         key = (structure_id, chain_hint, preferred_node)
@@ -501,10 +489,7 @@ class DisaggregatedAllocator:
                        fn=lambda: arena.free_bytes)
 
     def _owner_of(self, vaddr: int) -> int:
-        if self.owner_map is not None:
-            node_id = self.owner_map.node_of(vaddr)
-        else:
-            node_id = self.addrspace.node_of(vaddr)
+        node_id = self.placement.node_of(vaddr)
         if node_id is None:
             raise AllocationError(f"unowned virtual address {vaddr:#x}")
         return node_id
@@ -521,12 +506,7 @@ class DisaggregatedAllocator:
 
     def _pick_node(self, size: int) -> int:
         arenas = self._arenas
-        if self.policy is PlacementPolicy.PARTITIONED:
-            for node_id, arena in enumerate(arenas):
-                if arena.allocatable and self._can_alloc(arena, size):
-                    return node_id
-            raise AllocationError("all nodes full")
-        # UNIFORM: least-allocated node first, round-robin on ties.
+        # Least-allocated node first, round-robin on ties.
         order = sorted(
             range(len(arenas)),
             key=lambda n: (arenas[n].live_bytes,

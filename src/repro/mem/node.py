@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.mem.addrspace import AddressSpace
-from repro.mem.allocator import DisaggregatedAllocator, PlacementPolicy
+from repro.mem.allocator import DisaggregatedAllocator
 from repro.mem.physical import PhysicalMemory
 from repro.mem.translation import (
     PERM_READ,
@@ -61,7 +61,6 @@ class GlobalMemory:
     """The rack's memory: nodes + allocator + virtual-address access."""
 
     def __init__(self, node_count: int, node_capacity: int,
-                 policy: PlacementPolicy = PlacementPolicy.UNIFORM,
                  tcam_capacity: int = 1024):
         self.addrspace = AddressSpace(node_count, node_capacity)
         self._tcam_capacity = tcam_capacity
@@ -69,12 +68,12 @@ class GlobalMemory:
             MemoryNode(n, self.addrspace, tcam_capacity)
             for n in range(node_count)
         ]
-        self.allocator = DisaggregatedAllocator(
-            self.addrspace, [n.table for n in self.nodes], policy)
         #: the live ownership map (initially == the arithmetic partition);
-        #: shared with the switch and mutated only by the migration engine
+        #: shared with the switch and the allocator, mutated only by the
+        #: migration engine
         self.placement = PlacementMap(self.addrspace)
-        self.allocator.owner_map = self.placement
+        self.allocator = DisaggregatedAllocator(
+            self.addrspace, [n.table for n in self.nodes], self.placement)
         #: set by the cluster when durability is enabled; functional
         #: (zero-time) writes are captured into the bootstrap store so
         #: recovery can rebuild data that predates the redo log

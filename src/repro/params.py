@@ -19,9 +19,9 @@ here, calibrated against the numbers the paper reports:
 A model value is one field here and has no second spelling: a
 constructor takes wiring (the event loop, the fabric, the registry, the
 memory) and the rack's execution choices (node and client counts, seed,
-placement policy, batch size and lane width, tracing, the split index,
-the pulse-ACC bounce and the ablation switches), never a keyword that
-overrides a field of these dataclasses.
+batch size and lane width, tracing, the split index, the pulse-ACC
+bounce and the ablation switches), never a keyword that overrides a
+field of these dataclasses.
 
 Times are **nanoseconds**, sizes **bytes**, bandwidths **bytes/ns**
 (1 GB/s == 1e9 B/s == 1.0 B/ns is *not* true: 1 GB/s = 1 byte per ns is

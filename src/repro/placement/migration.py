@@ -18,9 +18,10 @@ primitives earlier PRs built, composed into two phases:
 
 Nothing is left behind on the old owner.  A straggler frame that raced
 the fence -- parked in its admission queue, or in flight when the rule
-changed -- misses there, and the accelerator answers ``MOVED`` because
-the live map names another owner; the switch retries it against the
-same map.  That holds for as long as a frame can race, with no window.
+changed -- misses there, and the accelerator answers ``RUNNING`` because
+the live map names another owner: one more inter-node hop, which the
+switch routes by the same map.  That holds for as long as a frame can
+race, with no window.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ The session understands just enough about traversal frames to make
 per-hop reliability meaningful: a continuation in flight between memory
 nodes carries the serialized (cur_ptr, scratch pad, iteration count)
 state -- a *checkpoint* -- so the session flags a frame that carries
-exactly one in-progress RUNNING or MOVED request as a checkpoint.  When
+exactly one in-progress RUNNING request as a checkpoint.  When
 such a frame is lost and retransmitted, the traversal resumes from hop
 k's checkpoint instead of restarting end-to-end from ``init()``; the
 client's ``PendingTraversal`` retry remains only as the last resort
@@ -67,10 +67,6 @@ from repro.sim.resources import Store
 #: message kind of standalone ACK segments (never seen by components;
 #: the receive filter consumes them)
 TP_ACK_KIND = "tp.ack"
-
-#: statuses whose in-progress request carries resumable traversal state
-_RESUMABLE = (RequestStatus.RUNNING, RequestStatus.MOVED)
-
 
 def _frame_requests(payload: Any) -> Sequence[TraversalRequest]:
     """The traversal requests ``payload`` carries: a pulse frame's, a
@@ -211,12 +207,10 @@ class TransportSession:
         if len(requests) == 1:
             # An in-progress RUNNING request carries resumable traversal
             # state; the initial client submission (no progress yet)
-            # restarts identically either way, so it is not one.  MOVED
-            # redirects carry the same resumable state (the traversal
-            # continues at the segment's new owner), so they checkpoint
-            # identically.  A multi-request frame is never one.
+            # restarts identically either way, so it is not one.  A
+            # multi-request frame is never one.
             request = requests[0]
-            if (request.status in _RESUMABLE
+            if (request.status is RequestStatus.RUNNING
                     and (request.node_hops > 0
                          or request.iterations_done > 0)):
                 flags = TP_FLAG_CHECKPOINT

@@ -321,7 +321,7 @@ class TestLaneStepMemo:
         assert result.latency_ns == 10983.06344827585
         counters = cluster.metrics_snapshot()["counters"]
         assert [counters[f"mem{home}.acc.{name}"] for name in (
-            "iterations", "moved_replies", "tlb.hits", "tlb.misses")] == \
+            "iterations", "rerouted", "tlb.hits", "tlb.misses")] == \
             [13, 1, 13, 1]
         assert [counters[f"mem{1 - home}.acc.{name}"] for name in (
             "iterations", "tlb.hits", "tlb.misses")] == [36, 35, 1]

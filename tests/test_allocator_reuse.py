@@ -10,17 +10,16 @@ migration engine depends on.
 import pytest
 
 from repro.mem import AddressSpace
-from repro.mem.allocator import (AllocationError, DisaggregatedAllocator,
-                                 PlacementPolicy)
+from repro.mem.allocator import AllocationError, DisaggregatedAllocator
 from repro.mem.translation import RangeTranslationTable
 from repro.obs.metrics import MetricsRegistry
+from repro.placement import PlacementMap
 
 
-def make_allocator(nodes=1, capacity=1 << 20,
-                   policy=PlacementPolicy.PARTITIONED):
+def make_allocator(nodes=1, capacity=1 << 20):
     space = AddressSpace(nodes, capacity)
     tables = [RangeTranslationTable(capacity=64) for _ in range(nodes)]
-    return DisaggregatedAllocator(space, tables, policy)
+    return DisaggregatedAllocator(space, tables, PlacementMap(space))
 
 
 class TestMixedSizeReuse:
@@ -170,7 +169,7 @@ class TestArenaApis:
         assert end == a + 1024
 
     def test_set_allocatable_diverts_placement(self):
-        alloc = make_allocator(nodes=2, policy=PlacementPolicy.UNIFORM)
+        alloc = make_allocator(nodes=2)
         alloc.set_allocatable(0, False)
         for _ in range(4):
             vaddr = alloc.alloc(64)

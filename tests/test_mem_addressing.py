@@ -9,13 +9,13 @@ from repro.mem import (
     GlobalMemory,
     PERM_READ,
     PERM_WRITE,
-    PlacementPolicy,
     ProtectionFault,
     RangeTranslationTable,
     TranslationFault,
 )
 from repro.mem.addrspace import AddressSpaceError, NULL_PTR
 from repro.mem.translation import RangeEntry
+from repro.placement import PlacementMap
 
 
 class TestAddressSpace:
@@ -124,28 +124,16 @@ class TestRangeTranslation:
 
 
 class TestAllocator:
-    def _make(self, nodes=2, capacity=4096,
-              policy=PlacementPolicy.UNIFORM):
+    def _make(self, nodes=2, capacity=4096):
         space = AddressSpace(nodes, capacity)
         tables = [RangeTranslationTable() for _ in range(nodes)]
-        return space, tables, DisaggregatedAllocator(space, tables, policy)
+        return space, tables, DisaggregatedAllocator(space, tables,
+                                                     PlacementMap(space))
 
     def test_uniform_spreads_across_nodes(self):
         space, _tables, alloc = self._make(nodes=4)
         owners = {space.node_of(alloc.alloc(64)) for _ in range(8)}
         assert owners == {0, 1, 2, 3}
-
-    def test_partitioned_fills_node_zero_first(self):
-        space, _tables, alloc = self._make(
-            nodes=2, policy=PlacementPolicy.PARTITIONED)
-        owners = [space.node_of(alloc.alloc(1024)) for _ in range(4)]
-        assert owners == [0, 0, 0, 0]
-
-    def test_partitioned_overflows_to_next_node(self):
-        space, _tables, alloc = self._make(
-            nodes=2, capacity=2048, policy=PlacementPolicy.PARTITIONED)
-        owners = [space.node_of(alloc.alloc(1024)) for _ in range(4)]
-        assert owners == [0, 0, 1, 1]
 
     def test_preferred_node_is_honored(self):
         space, _tables, alloc = self._make(nodes=3)

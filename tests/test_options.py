@@ -53,9 +53,9 @@ from repro.workloads import (ZipfianKeyGenerator, build_tc, build_tsv,
                              generate_upmu_trace)
 
 SIGNATURES = {
-    Rack: ("node_count", "params", "policy", "seed"),
+    Rack: ("node_count", "params", "seed"),
     PulseCluster: (
-        "node_count", "params", "policy", "bounce_to_client",
+        "node_count", "params", "bounce_to_client",
         "shared_interconnect", "split_loads", "scheduler_policy",
         "batch_lanes", "tcam_capacity", "client_count", "batch_size",
         "trace", "seed", "split_index", "split_index_invalidate"),
@@ -76,7 +76,8 @@ SIGNATURES = {
     PulseSwitch: ("env", "fabric", "rangemap", "params", "bounce_to_client",
                   "registry"),
     TransportSession: ("env", "fabric", "name", "params", "registry"),
-    DisaggregatedAllocator: ("addrspace", "tables", "policy"),
+    GlobalMemory: ("node_count", "node_capacity", "tcam_capacity"),
+    DisaggregatedAllocator: ("addrspace", "tables", "placement"),
     HotnessTracker: ("segment_bytes", "halflife_ns", "clock", "sample_period",
                      "stream"),
     HeatMap: ("params", "env", "placement_map", "registry", "seed"),
@@ -125,6 +126,10 @@ FIELDS = {
 def _tracker():
     return HotnessTracker(4096, 1.0, clock=lambda: 0.0)
 
+
+#: what replaced the allocator's PARTITIONED policy
+_PARTITIONED = ("alloc(preferred_node=), a structure's partition_nodes= or "
+                "key_placement=")
 
 #: removed spelling -> (a call taking it, the keyword, what replaces it)
 REMOVED = {
@@ -266,6 +271,11 @@ REMOVED = {
     "SkipList(levels=)": (SkipList, "levels", "SkipList.levels"),
     "TransportSession(seed=)": (
         TransportSession, "seed", "the fabric's seed"),
+    "Rack(policy=)": (Rack, "policy", _PARTITIONED),
+    "PulseCluster(policy=)": (PulseCluster, "policy", _PARTITIONED),
+    "GlobalMemory(policy=)": (GlobalMemory, "policy", _PARTITIONED),
+    "DisaggregatedAllocator(policy=)": (
+        DisaggregatedAllocator, "policy", _PARTITIONED),
 }
 
 

@@ -352,7 +352,7 @@ class TestHeatMapOracle:
 
 
 # ---------------------------------------------------------------------------
-# Switch MOVED handling
+# Switch routing of migrated-away misses
 # ---------------------------------------------------------------------------
 def send(env, fabric, src, req):
     """Hand the switch ``req`` in a pulse frame of one."""
@@ -363,6 +363,9 @@ def send(env, fabric, src, req):
 
 
 class TestSwitchMoved:
+    """A node that misses on a migrated-away pointer replies RUNNING; the
+    switch routes that from-memory frame by the live map alone."""
+
     def request(self, cur_ptr, status=RequestStatus.RUNNING):
         return TraversalRequest(request_id=(0, 1), program=PROGRAM,
                                 cur_ptr=cur_ptr, scratch=b"",
@@ -374,31 +377,35 @@ class TestSwitchMoved:
         req = self.request(ptr)
         send(env, fabric, "client0", req)
         assert len(nodes[0].inbox._items) == 1
-        # Segment migrated 0 -> 1; the old owner bounces the straggler.
+        # Segment migrated 0 -> 1; the old owner reroutes the straggler.
         switch.rangemap.move(space.range_of(0)[0],
                              space.range_of(0)[0] + 0x1000, 1)
-        bounced = req.advanced(ptr, b"", 0, RequestStatus.MOVED)
-        send(env, fabric, "mem0", bounced)
-        assert counter_value(switch, "switch.moved_redirects") == 1
+        rerouted = req.advanced(ptr, b"", 0, RequestStatus.RUNNING)
+        rerouted.node_hops += 1
+        send(env, fabric, "mem0", rerouted)
+        assert counter_value(switch, "switch.rerouted_node_to_node") == 1
         assert len(nodes[1].inbox._items) == 1
         delivered, = nodes[1].inbox._items[0].payload.requests
         assert delivered.status is RequestStatus.RUNNING
 
-    def test_moved_frame_with_no_live_owner_faults(self):
+    def test_moved_back_frame_returns_to_its_sender(self):
         env, fabric, space, switch, client, nodes = make_switch()
         ptr = space.range_of(1)[0] + 0x100
         req = self.request(ptr)
         send(env, fabric, "client0", req)
-        # mem1 claims the pointer moved, but the live map still says
-        # mem1 owns it: the map agrees with the bouncing node, so the
-        # pointer has no other home -- a genuine fault, not a race.
-        bounced = req.advanced(ptr, b"", 0, RequestStatus.MOVED)
-        send(env, fabric, "mem1", bounced)
-        assert counter_value(switch, "switch.moved_redirects") == 0
-        assert len(client.inbox._items) == 1
-        delivered, = client.inbox._items[0].payload.requests
-        assert delivered.status is RequestStatus.FAULT
-        assert "no live owner" in delivered.fault_reason
+        assert len(nodes[1].inbox._items) == 1
+        # mem1 rerouted the pointer while its segment was elsewhere;
+        # by the time the frame arrives the segment is back on mem1.
+        # The traversal is alive: it goes back to its sender.
+        rerouted = req.advanced(ptr, b"", 0, RequestStatus.RUNNING)
+        rerouted.node_hops += 1
+        send(env, fabric, "mem1", rerouted)
+        assert counter_value(switch, "switch.rerouted_node_to_node") == 1
+        assert len(nodes[1].inbox._items) == 2
+        assert not client.inbox._items
+        delivered, = nodes[1].inbox._items[1].payload.requests
+        assert delivered.status is RequestStatus.RUNNING
+        assert delivered.node_hops == 1
 
     def test_switch_rule_count_tracks_map(self):
         env, fabric, space, switch, client, nodes = make_switch()
@@ -456,13 +463,10 @@ class TestMigration:
         assert cluster.memory.placement.node_of(vaddr) == 1
         assert cluster.memory.read_u64(vaddr) == 0x2222
 
-    def test_straggler_long_after_the_fence_is_moved_by_the_map(self):
-        # The switch routes a lookup to node 0, where it parks behind a
-        # stalled receive pipeline while its bucket migrates to node 1.
-        # It is served ~20 ms after the fence (the client's end-to-end
-        # timer is lengthened so no retry overtakes it), and the live
-        # placement map alone turns it into one MOVED reply and one
-        # switch redirect.
+    def straggler_rack(self):
+        """A 2-node hash table whose bucket-0 head is on node 0, with the
+        client's end-to-end timer lengthened past any stall below:
+        (cluster, table, key, head, node 0's rule)."""
         params = SystemParams().with_overrides(network=NetworkParams(
             retransmit_timeout_ns=1_000 * MS))
         cluster = PulseCluster(node_count=2, params=params)
@@ -471,8 +475,17 @@ class TestMigration:
         for k in range(16):
             table.insert(k, bytes([k]) * 8)
         key = next(k for k in range(16) if table.bucket_index(k) == 0)
-        head = table.bucket_head(key)
-        start, end = cluster.memory.placement.rules_of(0)[0]
+        return (cluster, table, key, table.bucket_head(key),
+                cluster.memory.placement.rules_of(0)[0])
+
+    def test_straggler_long_after_the_fence_is_moved_by_the_map(self):
+        # The switch routes a lookup to node 0, where it parks behind a
+        # stalled receive pipeline while its bucket migrates to node 1.
+        # It is served ~20 ms after the fence (the client's end-to-end
+        # timer is lengthened so no retry overtakes it), and the live
+        # placement map alone turns it into one reroute at the node and
+        # one at the switch.
+        cluster, table, key, head, (start, end) = self.straggler_rack()
         assert start <= head < end
 
         stall = 20 * MS
@@ -487,7 +500,30 @@ class TestMigration:
         cluster.env.run(until=pending._process)
         assert pending.result.value == bytes([key]) * 8
         assert [counter_value(cluster, name) for name in (
-            "mem0.acc.moved_replies", "switch.moved_redirects")] == [1, 1]
+            "mem0.acc.rerouted", "switch.rerouted_node_to_node")] == [1, 1]
+
+    def test_reply_racing_a_return_migration_is_routed_back(self):
+        # The straggler above misses at node 0 and its reply waits out a
+        # stalled transmit pipeline while the segment migrates back to
+        # node 0.  When the reply reaches the switch the live map names
+        # its sender again: the traversal is alive and is routed back
+        # there, not faulted.
+        cluster, table, key, head, (start, end) = self.straggler_rack()
+        cluster.accelerators[0].rx_unit.hold(20 * MS)
+        cluster.accelerators[0].tx_unit.hold(60 * MS)
+        pending = cluster.submit(table.find_iterator(), key)
+        cluster.env.run(until=10 * US)      # parked at node 0
+        cluster.env.run(until=cluster.migrate(start, end, 1))
+        cluster.env.run(until=30 * MS)      # served; its reply is queued
+        back = next((s, e) for s, e in cluster.memory.placement.rules_of(1)
+                    if s <= head < e)
+        cluster.env.run(until=cluster.migrate(*back, 0))
+        assert cluster.memory.placement.node_of(head) == 0
+        assert cluster.env.now < 60 * MS
+
+        cluster.env.run(until=pending._process)
+        assert pending.result.fault is None
+        assert pending.result.value == bytes([key]) * 8
 
     def test_migrate_to_self_is_a_noop(self):
         cluster, _ = self.build()

@@ -11,11 +11,11 @@ from repro.mem import (
     DisaggregatedAllocator,
     Field,
     GlobalMemory,
-    PlacementPolicy,
     RangeTranslationTable,
     StructLayout,
 )
 from repro.mem.translation import RangeEntry
+from repro.placement import PlacementMap
 from repro.sim import Environment
 from repro.structures import BPlusTree, HashTable, LinkedList, SkipList
 from tests.helpers import btree_items, find_reference, run_functional
@@ -98,12 +98,11 @@ class TestAddressSpaceProperties:
 class TestAllocatorProperties:
     @COMMON
     @given(requests=st.lists(st.integers(1, 512), min_size=1,
-                             max_size=60),
-           policy=st.sampled_from(list(PlacementPolicy)))
-    def test_allocations_never_overlap(self, requests, policy):
+                             max_size=60))
+    def test_allocations_never_overlap(self, requests):
         space = AddressSpace(4, 1 << 16)
         tables = [RangeTranslationTable(capacity=4096) for _ in range(4)]
-        alloc = DisaggregatedAllocator(space, tables, policy)
+        alloc = DisaggregatedAllocator(space, tables, PlacementMap(space))
         spans = []
         for size in requests:
             addr = alloc.alloc(size)
@@ -117,7 +116,7 @@ class TestAllocatorProperties:
     def test_free_then_realloc_reuses_exactly(self, sizes):
         space = AddressSpace(1, 1 << 20)
         tables = [RangeTranslationTable(capacity=4096)]
-        alloc = DisaggregatedAllocator(space, tables)
+        alloc = DisaggregatedAllocator(space, tables, PlacementMap(space))
         aligned = [(s + 7) & ~7 for s in sizes]
         addrs = [alloc.alloc(s) for s in sizes]
         for addr in addrs:
@@ -132,8 +131,7 @@ class TestAllocatorProperties:
     def test_uniform_policy_balances(self, sizes):
         space = AddressSpace(2, 1 << 20)
         tables = [RangeTranslationTable(capacity=4096) for _ in range(2)]
-        alloc = DisaggregatedAllocator(space, tables,
-                                       PlacementPolicy.UNIFORM)
+        alloc = DisaggregatedAllocator(space, tables, PlacementMap(space))
         for size in sizes:
             alloc.alloc(size)
         a, b = alloc.allocated_bytes(0), alloc.allocated_bytes(1)

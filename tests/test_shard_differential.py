@@ -6,7 +6,7 @@ and (b) an identically built cluster split across worker processes via
 values (and fault messages), the simulation must end at the identical
 nanosecond, and the merged metrics snapshot must equal the in-process
 one -- including under a live-migration storm racing mid-batch lanes
-into ``RequestStatus.MOVED`` demotions.
+into reroute demotions.
 
 Each test is a parameter set over :mod:`tests.scenario`: in-process is
 ``workers=0`` of the same run.
@@ -87,23 +87,25 @@ def test_sharded_arena_storm_is_byte_identical(structure, workers):
 
 @pytest.mark.parametrize("workers", (2,))
 def test_batch_demotion_races_migration(workers):
-    """Mid-batch MOVED demotions resume bit-exact on the new owner.
+    """Mid-batch reroute demotions resume bit-exact on the new owner.
 
     Batched lanes execute in lockstep on the accelerator; a racing
-    migration flips ownership mid-batch, so lanes hit
-    ``RequestStatus.MOVED``, demote out of the batch, and retry at the
-    live owner.  The sharded run must take the identical demotion path.
+    migration flips ownership mid-batch, so lanes miss, demote out of
+    the batch as RUNNING, and retry at the live owner.  The sharded run
+    must take the identical demotion path.
     """
-    racing = dict(schedule=(migration_storm(),), batch=True, nodes=2,
-                  params=storm_params(), batch_lanes=16, batch_size=32)
+    rack = dict(batch=True, nodes=2, params=storm_params(),
+                batch_lanes=16, batch_size=32)
+    racing = dict(schedule=(migration_storm(),), **rack)
+    _c, quiet = stream("chain", **rack)
     _c, baseline = stream("chain", **racing)
     _c, sharded = stream("chain", workers=workers, **racing)
     snapshot = baseline[1]
     assert total(snapshot, ".acc.batch.demotions") > 0, \
         "storm never demoted a batch lane"
-    assert total(snapshot, ".acc.moved_replies") > 0, \
-        "storm never produced a MOVED reply"
-    assert snapshot["counters"].get("switch.moved_redirects", 0) > 0
+    for counter in (".acc.rerouted", "switch.rerouted_node_to_node"):
+        assert total(snapshot, counter) > total(quiet[1], counter), \
+            f"storm never rerouted a migrated-away miss ({counter})"
     assert_identical(baseline, sharded)
 
 

@@ -439,7 +439,7 @@ class TestCheckpointResume:
 
 class TestCheckpointFlag:
     """A frame is a hop checkpoint exactly when it carries one
-    in-progress RUNNING or MOVED request."""
+    in-progress RUNNING request."""
 
     PROGRAM = assemble("LOAD 0 8\nRETURN")
 
@@ -461,7 +461,7 @@ class TestCheckpointFlag:
     def test_a_continuation_in_a_frame_of_one_is_flagged(self):
         assert self._flagged(TraversalBatch([self._request(node_hops=1)]))
         assert self._flagged(TraversalBatch(
-            [self._request(RequestStatus.MOVED, iterations_done=3)]))
+            [self._request(iterations_done=3)]))
 
     def test_a_bare_rpc_continuation_is_flagged(self):
         assert self._flagged(self._request(iterations_done=2))
