@@ -130,8 +130,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:   # NaN too: it would break the heap order
+            raise SimulationError(f"negative or NaN timeout delay: {delay}")
         self.env = env
         self.callbacks = []
         self._value = None
@@ -345,12 +345,10 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL) -> None:
+    def schedule(self, event: Event, priority: int = NORMAL) -> None:
+        """Schedule ``event`` now (a delay is a :class:`Timeout`)."""
         heappush(
-            self._queue,
-            (self._now + delay, priority, next(self._sequence), event),
-        )
+            self._queue, (self._now, priority, next(self._sequence), event))
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Schedule ``event`` at an absolute time (sharded frame import).
@@ -359,7 +357,7 @@ class Environment:
         the event to an absolute timestamp -- the arrival time a remote
         shard computed when it exported the frame.
         """
-        if when < self._now:
+        if not when >= self._now:   # NaN too
             raise SimulationError(
                 f"schedule_at({when}) is in the past (now={self._now})")
         heappush(

@@ -14,35 +14,21 @@ Two primitives cover everything pulse models:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
+from heapq import heappush, heapreplace
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.sim.engine import NORMAL, Environment, Event, SimulationError
 
 #: allocation without a Python-level ``__init__``: ``Resource.hold``
-#: fills its ``Hold`` and ``done`` event field by field
+#: fills its events field by field
 _new = object.__new__
-
-
-class Hold(Event):
-    """One timed stage on a :class:`Resource`: its hold-end heap entry.
-
-    Scheduled when the hold *starts* (a server is free), ``duration``
-    ahead; processing it frees the server.  ``done`` is the follow-on
-    delay's own entry (None without one: the caller waits on the hold
-    end itself); ``chain`` is ``(resource, hold)``, the stage to enqueue
-    when this one ends.  Built field by field inside
-    :meth:`Resource.hold`, the only place that makes one.
-    """
-
-    __slots__ = ("duration", "then", "done", "chain")
 
 
 class Resource:
     """``capacity`` servers granted FIFO.
 
-    A stage of fixed length is one call, driven by heap callbacks rather
-    than process resumes::
+    A stage of fixed length is one call, and arithmetic rather than an
+    event of its own::
 
         yield resource.hold(duration)         # occupy, then continue
         yield resource.hold(occupancy, tail)  # ... then wait ``tail`` more
@@ -58,9 +44,10 @@ class Resource:
         finally:
             resource.release(req)
 
-    Both kinds of waiter share one FIFO queue.  In a rack each resource
-    is a :class:`~repro.sim.stages.Stage` built from its stage table
-    (the ``one-stage-table`` row of ``tests/test_invariants.py``).
+    A resource serves one kind or the other, whichever it sees first;
+    mixing them raises :class:`SimulationError`.  In a rack each
+    resource is a :class:`~repro.sim.stages.Stage` built from its stage
+    table (the ``one-stage-table`` row of ``tests/test_invariants.py``).
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -68,10 +55,14 @@ class Resource:
             raise SimulationError("resource capacity must be >= 1")
         self.env = env
         self.capacity = capacity
-        #: grant events (``request``) and :class:`Hold` s, one FIFO
-        self._users: List[Event] = []
+        #: holds: each server's free time, a heap (None until a hold)
+        self._free: Optional[List[float]] = None
+        #: requests: the granted events (None until a request) and the
+        #: queue behind them
+        self._users: Optional[List[Event]] = None
         self._waiting: Deque[Event] = deque()
-        # Utilization accounting.
+        #: busy time: booked in full when a hold is made; integrated up
+        #: to ``_last_change`` while requests are granted
         self._busy_time = 0.0
         self._last_change = env.now
         # Busy-time window (see begin_window / utilization).
@@ -79,18 +70,33 @@ class Resource:
         self._window_busy_base = 0.0
 
     def request(self) -> Event:
+        users = self._users
+        if users is None:
+            if self._free is not None:
+                raise SimulationError("request() on a resource that "
+                                      "serves holds")
+            users = self._users = []
         req = Event(self.env)
-        if len(self._users) < self.capacity:
-            self._start(req)
+        if len(users) < self.capacity:
+            self._account()
+            users.append(req)
+            req.succeed(req)
         else:
             self._waiting.append(req)
         return req
 
     def release(self, request: Event) -> None:
-        if request not in self._users:
+        users = self._users
+        if users is None or request not in users:
             raise SimulationError("releasing a request that does not hold "
                                   "this resource")
-        self._free(request)
+        self._account()
+        users.remove(request)
+        waiting = self._waiting
+        while waiting and len(users) < self.capacity:
+            waiter = waiting.popleft()
+            users.append(waiter)
+            waiter.succeed(waiter)
 
     def hold(self, duration: float, then: Optional[float] = None,
              chain: Optional[Tuple["Resource", float, Optional[float]]]
@@ -98,142 +104,112 @@ class Resource:
         """Occupy one server FIFO for ``duration``; the returned event
         fires ``then`` ns after the server is freed, with ``value``.
 
-        The timed-stage primitive: one FIFO server plus a delay, with no
-        process resume in between.  ``chain=(resource, duration, then)``
-        appends a second stage on another resource, again without a
-        resume: the returned event is the *second* stage's, and the
-        first takes no ``then`` of its own.  Four ordering rules make a
-        stage behave exactly like ``request -> yield grant -> yield
-        timeout(duration) -> release -> yield timeout(then)``, and a
-        chain like two of those back to back (events at equal timestamps
-        run in push order, so each rule is observable):
+        A FIFO server in closed form: the visit starts at ``max(now,
+        earliest free time of the servers)``, which it moves to its end,
+        and its completion is one heap entry, pushed now, at ``end``
+        (``end + then`` with a follow-on delay).  Nothing is queued and
+        nothing runs when the server frees; a hold is not a critical
+        section, so once made it runs to its end whatever becomes of the
+        process waiting on it.
 
-        1. the hold-end entry is pushed when the hold *starts* -- here if
-           a server is free, else while the predecessor's hold end is
-           processed -- never precomputed at arrival;
-        2. ``then`` is its own heap entry, pushed when the hold ends,
-           even when it is ``0.0``; ``None`` means no delay stage, and
-           the returned event *is* the hold-end entry;
-        3. at hold end the server is freed and the next waiter started
-           first, then the holder continues (resume, ``then`` entry, or
-           chained stage);
-        4. a chained stage joins its resource while the first stage's
-           hold end is processed, right after rule 3's hand-over -- the
-           slot in which the resumed holder would have called ``hold``
-           -- so it is ahead of everything pushed later in that instant.
+        ``chain=(resource, duration, then)`` appends a second stage on
+        another resource: the returned event is the *second* stage's,
+        and the first takes no ``then`` of its own.  The second stage's
+        start depends on who reaches its resource before the first ends,
+        so the chain pushes a join entry at the first stage's end, which
+        makes the same arithmetic on the follower and pushes the
+        completion.
 
-        A hold is not a critical section: once queued it runs to its
-        end whatever becomes of the process waiting on it.
+        One tie rule: completions at the same instant run in visit order
+        (the order of the ``hold`` calls, or of the joins for a chain's
+        second stage).
 
-        This and :meth:`_finish_hold` are the whole hold path, and
+        This and :meth:`_join` are the whole hold path, and
         straight-line on purpose (the call-budget test in
-        ``tests/test_sim_hold.py``): events are built field by field
-        and pushed onto ``env._queue`` directly, at the points and in
-        the order ``_start`` / ``Environment.schedule`` would.
+        ``tests/test_sim_hold.py``): events are built field by field and
+        pushed onto ``env._queue`` directly.  ``not x >= 0`` rejects NaN,
+        which would silently break the heap order.
         """
-        if duration < 0 or (then is not None and then < 0):
+        if not duration >= 0 or not (then is None or then >= 0):
             raise SimulationError(
-                f"negative hold: duration={duration}, then={then}")
-        env = self.env
-        first = last = _new(Hold)
-        first.env = env
-        first.callbacks = [self._finish_hold]
-        first._value = None
-        first._ok = True
-        first._defused = False
-        first.duration = duration
-        first.then = then
-        first.done = first.chain = None
+                f"negative or NaN hold: duration={duration}, then={then}")
         if chain is not None:
+            follower, chained, tail = chain
             if then is not None:
                 raise SimulationError("a chained hold takes no then")
-            follower, chained, then = chain
-            if chained < 0 or (then is not None and then < 0):
+            if not chained >= 0 or not (tail is None or tail >= 0):
                 raise SimulationError(
-                    f"negative hold: duration={chained}, then={then}")
-            last = _new(Hold)
-            last.env = env
-            last.callbacks = [follower._finish_hold]
-            last._value = None
-            last._ok = True
-            last._defused = False
-            last.duration = chained
-            last.then = then
-            last.done = last.chain = None
-            first.chain = (follower, last)
-        done: Event = last
-        if then is not None:
-            done = last.done = _new(Event)
-            done.env = env
-            done.callbacks = []
-            done._ok = True
-            done._defused = False
-        done._value = value
-        users = self._users
-        if len(users) < self.capacity:
-            now = env._now
-            self._busy_time += len(users) * (now - self._last_change)
-            self._last_change = now
-            users.append(first)
-            heappush(env._queue, (now + duration, NORMAL,
-                                  next(env._sequence), first))
-        else:
-            self._waiting.append(first)
-        return done
-
-    def _finish_hold(self, hold: Hold) -> None:
-        """Hold-end callback: free the server, start whoever is next,
-        then let the holder continue (rules 3 and 4)."""
+                    f"negative or NaN hold: duration={chained}, "
+                    f"then={tail}")
+            if follower._free is None:
+                follower._serve_holds()
+        free = self._free
+        if free is None:
+            free = self._serve_holds()
         env = self.env
         now = env._now
-        users = self._users
-        self._busy_time += len(users) * (now - self._last_change)
-        self._last_change = now
-        users.remove(hold)
-        waiting = self._waiting
-        while waiting and len(users) < self.capacity:
-            waiter = waiting.popleft()
-            if type(waiter) is Hold:
-                users.append(waiter)
-                heappush(env._queue, (now + waiter.duration, NORMAL,
-                                      next(env._sequence), waiter))
-            else:
-                self._start(waiter)
-        if hold.then is not None:
-            heappush(env._queue, (now + hold.then, NORMAL,
-                                  next(env._sequence), hold.done))
-        elif hold.chain is not None:
-            follower, chained = hold.chain
-            users = follower._users
-            if len(users) < follower.capacity:
-                follower._busy_time += len(users) * (
-                    now - follower._last_change)
-                follower._last_change = now
-                users.append(chained)
-                heappush(env._queue, (now + chained.duration, NORMAL,
-                                      next(env._sequence), chained))
-            else:
-                follower._waiting.append(chained)
+        start = free[0]
+        if start < now:
+            start = now
+        end = start + duration
+        heapreplace(free, end)
+        self._busy_time += duration
+        done = _new(Event)
+        done.env = env
+        done.callbacks = []
+        done._value = value
+        done._ok = True
+        done._defused = False
+        if chain is None:
+            heappush(env._queue, (end if then is None else end + then,
+                                  NORMAL, next(env._sequence), done))
+            return done
+        join = _new(Event)
+        join.env = env
+        join.callbacks = [follower._join]
+        join._value = (chained, tail, done)
+        join._ok = True
+        join._defused = False
+        heappush(env._queue, (end, NORMAL, next(env._sequence), join))
+        return done
 
-    def _start(self, waiter: Event) -> None:
-        """Give ``waiter`` a server (the caller checked one is free)."""
-        self._account()
-        self._users.append(waiter)
-        if type(waiter) is Hold:
-            self.env.schedule(waiter, waiter.duration)
-        else:
-            waiter.succeed(waiter)
+    def _join(self, join: Event) -> None:
+        """A chain's join entry: its second stage, as :meth:`hold`."""
+        duration, then, done = join._value
+        env = self.env
+        now = env._now
+        free = self._free
+        start = free[0]
+        if start < now:
+            start = now
+        end = start + duration
+        heapreplace(free, end)
+        self._busy_time += duration
+        heappush(env._queue, (end if then is None else end + then,
+                              NORMAL, next(env._sequence), done))
 
-    def _free(self, holder: Event) -> None:
-        self._account()
-        self._users.remove(holder)
-        while self._waiting and len(self._users) < self.capacity:
-            self._start(self._waiting.popleft())
+    def _serve_holds(self) -> List[float]:
+        """Make this a resource of holds: every server free now."""
+        if self._users is not None:
+            raise SimulationError("hold() on a resource that serves "
+                                  "requests")
+        self._free = [self.env._now] * self.capacity
+        return self._free
 
     def _account(self) -> None:
+        """Integrate the granted requests' busy time up to now."""
         now = self.env.now
         self._busy_time += len(self._users) * (now - self._last_change)
         self._last_change = now
+
+    def _busy(self) -> float:
+        """Busy time up to now: holds booked beyond it do not count."""
+        if self._users is not None:
+            self._account()
+            return self._busy_time
+        now = self.env.now
+        return self._busy_time - sum(
+            free - now for free in self._free or () if free > now)
 
     def begin_window(self) -> None:
         """Re-base the busy-time window at the current time.
@@ -244,18 +220,16 @@ class Resource:
         accumulates, and ``PulseCluster.begin_measurement`` re-bases it
         in the same instant the registry opens its window.
         """
-        self._account()
         self._window_start = self.env.now
-        self._window_busy_base = self._busy_time
+        self._window_busy_base = self._busy()
 
     def utilization(self) -> float:
         """Average fraction of capacity busy since construction or the
-        last :meth:`begin_window`."""
-        self._account()
+        last :meth:`begin_window`, up to now."""
         window = self.env.now - self._window_start
         if window <= 0:
             return 0.0
-        return (self._busy_time - self._window_busy_base) / (
+        return (self._busy() - self._window_busy_base) / (
             window * self.capacity)
 
 

@@ -14,11 +14,12 @@ one-receive-path PR).  A change that
 is meant only to speed the simulator up -- fewer heap entries, fewer
 generator resumes, a different container -- must keep every digest; a
 change that reorders two events at one timestamp, anywhere on the
-request path, moves them (checked when they were pinned: scheduling a
-queued hold's end at arrival instead of at its start moves the TC
-digest, skipping a zero-length follow-on entry moves the mix digest).
-A PR that changes the *model* on purpose re-pins the digests and says
-so.
+request path, can move them: the closed-form ``Resource.hold``, which
+pushes a stage's completion at its visit instead of when its server is
+granted, reorders same-instant completions on the TC rack's egress
+queues and memory -> interconnect chains and re-pinned its digest (the
+mix and durable racks' completion times did not move).  A PR that
+changes the *model* on purpose re-pins the digests and says so.
 
 The drivers are local (Poisson open loop, then closed-loop callers) so
 that edits to ``repro.bench.driver`` cannot move what is pinned.
@@ -38,9 +39,12 @@ from repro.workloads import build_tc
 
 RACK_SEED = 7
 
-#: pinned at 0d8758c (the parent of the Resource.hold PR)
+#: pinned at 0d8758c (the parent of the Resource.hold PR).  TC
+#: re-pinned at 986ac26 when the hold became a closed-form FIFO server:
+#: completions that fall in one instant now run in visit order, which
+#: moves 132 of the 400 completion times (at most by 2.2e-4 relative).
 TC_DIGEST = (
-    "482af2a66829eabefc9dd700c96bb04d2c52ce5e478466974e8efeac2096abee")
+    "4184dc461cc0e19d9d9d837accd73744d89c892341ab2e8d8080711306ff52ec")
 MIX_DIGEST = (
     "a87ec72ae5c913494bb41f2d8afa89d7e5f91bff8f1cbd60440beddc6831ded8")
 #: pinned at ece4534 (the parent of the single-serve-path PR, which moved
@@ -60,13 +64,20 @@ CACHE_DIGEST = (
 #: at 74b3eae when the MOVED status went: its two counters
 #: (``<node>.acc.moved_replies``, ``switch.moved_redirects``, zero on
 #: these racks) left the snapshot, and 74b3eae's snapshot with those
-#: keys deleted hashes to exactly these pins.
+#: keys deleted hashes to exactly these pins.  All three re-pinned at
+#: 986ac26 with the closed-form hold, which books a stage's busy time
+#: at its visit and subtracts what lies beyond ``now``: MIX and KV
+#: differ from 986ac26's snapshots only in their
+#: ``mem<i>.acc.memory_pipeline_utilization`` gauges, from the 12th
+#: digit on (the same busy time summed in another order); TC moves
+#: with its completion times (its rate gauges, hot-edge sampling and
+#: latency sum, by about 1e-4 relative).
 TC_SNAPSHOT = (
-    "be6891b8bb1aabeabf446b70fecc1a36013198a771a693ea805216435025f561")
+    "d627fca4cd1018b60f9d1c11b0e976062a069d3d97dccb1633cc1ddaa1fb8f5c")
 MIX_SNAPSHOT = (
-    "7b7b1e87a58a1842829b65199010abe9f97c2b1ea891cf3384c1c27e29d52b52")
+    "2f6f7f2190dd3ebd08e50ecad34e0727d8c7ecae0262d1dc380b2787d815d643")
 KV_SNAPSHOT = (
-    "602b590011008e04cbc73091d42e428c723f3a6b8d8e8b1f8fc8c2448b3c8a8a")
+    "2550700b1bbce64f5718cf7b710452ebb365a267d9cb14f17f9a1abc1e42cdca")
 RPC_SNAPSHOT = (
     "fd081f88687e30461c64d2f32a8810160f204ffc4ea80e2f0dff39a85b268a1d")
 CACHE_SNAPSHOT = (
@@ -156,7 +167,7 @@ def mix_completion_times():
     bursts of 64 at 3 Mops, then 1024 requests by 64 callers on
     timer-flushed doorbells.  Lane groups of every width retire lanes
     one by one, so the logic stage's follow-on delay is often exactly
-    0.0 -- dropping that zero-length heap entry moves this digest."""
+    0.0, and many completions fall in one instant."""
     rack = PulseCluster(node_count=1, batch_size=64, batch_lanes=32,
                         seed=RACK_SEED)
     chain = LinkedList(rack.memory)

@@ -263,6 +263,8 @@ REMOVED = {
     "Environment.timeout(value=)": (
         Environment.timeout, "value", "Event.succeed(value)"),
     "Timeout(value=)": (Timeout, "value", "Event.succeed(value)"),
+    "Environment.schedule(delay=)": (
+        Environment.schedule, "delay", "env.timeout(delay) or a hold"),
     "Environment.schedule_at(priority=)": (
         Environment.schedule_at, "priority", "NORMAL"),
     "Environment.set_window_hook(window_end=)": (

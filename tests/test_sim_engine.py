@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import math
 import random
 import weakref
 
@@ -43,6 +44,21 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+
+
+def test_nan_timeout_rejected():
+    """NaN passes ``< 0``; as a heap key it would break the order."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(math.nan)
+    assert env.peek() == math.inf
+
+
+def test_schedule_at_rejects_nan():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.schedule_at(env.event(), math.nan)
+    assert env.peek() == math.inf
 
 
 def test_events_fire_in_time_order():
