@@ -25,7 +25,8 @@ from repro.baselines.common import make_session, workers_to_saturate
 from repro.core.client import result_recorder
 from repro.core.cluster import Rack
 from repro.core.iterator import PulseIterator, TraversalResult, walk
-from repro.core.messages import RequestStatus, TraversalRequest
+from repro.core.messages import (RequestStatus, TraversalBatch,
+                                 TraversalRequest)
 from repro.core.workspace import MachinePool
 from repro.isa.instructions import ExecutionFault
 from repro.mem.translation import PERM_READ
@@ -65,7 +66,7 @@ class _RpcServer:
         self.env.process(self._handle(message))
 
     def _handle(self, message: Message):
-        request: TraversalRequest = message.payload
+        request, = message.payload.requests
 
         yield self.stack.visit()
         grant = self.workers.request()
@@ -78,8 +79,8 @@ class _RpcServer:
             self._m_busy.inc(self.env.now - started)
             self.workers.release(grant)
         yield self.stack.visit()
-        self.session.send(message.src, RPC_KIND, response,
-                          response.wire_bytes())
+        frame = TraversalBatch([response])
+        self.session.send(message.src, RPC_KIND, frame, frame.wire_bytes())
 
     def _execute(self, request: TraversalRequest):
         machine = self.machines.acquire(request.program)
@@ -170,7 +171,7 @@ class RpcSystem(Rack):
         self.session = make_session(self, "client0")
         self.client = self.session.endpoint
         stages = rpc_stages(self.params, self.cpu, workers)
-        self.client_stack = Stage(self.env, stages["client_stack"])
+        self.client_stack = Stage(self.env, stages["dpdk_stack"])
         for node in self.memory.nodes:
             _RpcServer(self, node, stages)   # lives on as its handler
         self._record_result = result_recorder(self.registry, "client0")
@@ -192,7 +193,7 @@ class RpcSystem(Rack):
             lambda _hold: self._deliver(message))
 
     def _deliver(self, message: Message) -> None:
-        response: TraversalRequest = message.payload
+        response, = message.payload.requests
         waiter = self._waiters.pop(response.request_id, None)
         if waiter is not None:
             waiter.succeed(response)
@@ -232,7 +233,7 @@ class RpcSystem(Rack):
         waiter = self.env.event()
         self._waiters[request.request_id] = waiter
         yield self.client_stack.visit()
-        self.session.send(f"mem{owner}", RPC_KIND, request,
-                          request.wire_bytes())
+        frame = TraversalBatch([request])
+        self.session.send(f"mem{owner}", RPC_KIND, frame, frame.wire_bytes())
         response = yield waiter
         return response

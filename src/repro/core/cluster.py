@@ -329,8 +329,8 @@ class PulseCluster(Rack):
         The node's accelerator stops receiving, its transmissions
         vanish at the NIC, and its DRAM contents are considered lost;
         the durability subsystem's :class:`~repro.durability.recovery.
-        RecoveryManager` then re-homes its ranges onto elected replica
-        owners and replays the redo log.  Requires
+        RecoveryManager` then re-homes its rules onto its first live
+        successor and replays the redo log.  Requires
         ``params.durability.enabled`` -- without replicated logs a crash
         would silently lose acknowledged writes, which this simulator
         refuses to model as a supported operation.

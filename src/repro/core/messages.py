@@ -145,8 +145,8 @@ DURABILITY_KIND = "durability"
 class ReplicateRecords:
     """One flush's redo-log records shipped to a replica peer.
 
-    ``src_node`` names the flushing home node (where the ack returns);
-    ``flush_id`` identifies the group commit so the home can match acks
+    ``src_node`` names the flushing writer (where the ack returns);
+    ``flush_id`` identifies the group commit so the writer can match acks
     to the flush they cover.  ``records`` are opaque to the transport --
     each exposes a ``wire_bytes`` size (header + payload) charged to the
     fabric like any other message.

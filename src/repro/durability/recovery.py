@@ -8,38 +8,36 @@ recovery schedule:
 1. **Detect** -- the failure detector (missed heartbeats at the switch)
    takes ``failure_detect_ns`` before recovery starts; new frames keep
    routing into the black hole meanwhile and are recovered later.
-2. **Replay** -- a timed phase charging the elected owners' log/extent
-   replay at ``replay_bandwidth_bytes_per_ns`` plus a fixed per-range
-   cursor cost, sized from the dead node's *mapped* TCAM coverage
-   (pure metadata, so every process in a sharded run charges the
-   identical time).
+2. **Replay** -- a timed phase charging the heir's log/extent replay at
+   ``replay_bandwidth_bytes_per_ns`` plus a fixed per-range cursor
+   cost, sized from the dead node's *mapped* TCAM coverage (pure
+   metadata, so every process in a sharded run charges the identical
+   time).
 3. **Fence** -- zero simulated time, the migration fence's own
    switch-over (:func:`~repro.placement.migration.switch_ownership`)
-   with a dead source: for each home-aligned segment the dead node
-   owned, the elected replica owner adopts physical memory and maps
-   the segment zero-filled, the allocator + placement map retarget the
-   range -- the switch-rule update -- and content is restored from the
-   bootstrap store plus the owner's replica store (never from the dead
-   DRAM).
+   with a dead source: each rule the dead node owned moves to its
+   *heir*, the dead node's first live successor -- its first replica
+   target, which holds exactly what it wrote.  The heir adopts
+   physical memory and maps the rule zero-filled, the allocator and
+   placement map retarget it (the switch-rule update), and content is
+   restored from the bootstrap store plus the heir's replica store
+   (never from the dead DRAM).  The heir's own targets then image its
+   bytes, so a later crash of the heir loses nothing either.
 4. **Resume** -- the switch reclaims every unacked frame it ever sent
    toward the dead node (checkpointed mid-traversal continuations *and*
    fresh submissions still retrying into the black hole), re-resolves
    each against the live map, and re-injects it at the new owner.
    Clients see elevated latency, not faults.
 
-Known limitations: a segment migrated *after* a STORE was acknowledged
-strands that record's replicas on the peers of its old home (asserted,
-as a strict xfail, by ``tests/test_migration_differential.py::
-test_acknowledged_stores_survive_migration_onto_the_replica_holder``);
-one crash at a time; crash schedules must not race migrations of the
-affected ranges.
+Known limitations: a crash during another's replay, two at once, and
+crashes racing migrations of the affected ranges are unsupported, as is
+a second crash of a sharded run; build-time writes replay first, so one
+made after the run started can be undone by an older image.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from repro.durability.replication import elect_owner
+from repro.durability.replication import replica_targets
 from repro.placement.migration import (MigrationError, mapped_pieces,
                                        switch_ownership)
 
@@ -49,7 +47,7 @@ class RecoveryError(Exception):
 
 
 class RecoveryManager:
-    """Re-homes a dead node's ranges onto elected replica owners."""
+    """Re-homes a dead node's rules onto its first live successor."""
 
     def __init__(self, service):
         self.service = service
@@ -69,11 +67,9 @@ class RecoveryManager:
         yield self.env.timeout(self.params.failure_detect_ns)
 
         dead_node = self.memory.nodes[dead]
-        segments = []
-        for start, end in self.memory.placement.rules_of(dead):
-            segments.extend(self._split_homes(start, end))
+        rules = self.memory.placement.rules_of(dead)
         pieces = []
-        for start, end in segments:
+        for start, end in rules:
             pieces.extend(mapped_pieces(dead_node.table.entries,
                                         start, end))
         replay_bytes = sum(end - start for start, end in pieces)
@@ -84,10 +80,13 @@ class RecoveryManager:
         self._m_bytes.inc(replay_bytes)
 
         # The fence: no simulated time passes below, so traversals can
-        # never observe a half-recovered segment.
-        for start, end in segments:
-            self._rehome(dead, start, end)
-            self._m_ranges.inc()
+        # never observe a half-recovered rule.
+        if rules:
+            heir = self._heir(dead)
+            for start, end in rules:
+                self._rehome(dead, heir, start, end)
+                self._m_ranges.inc()
+            self.service.on_range_adopted(heir)
 
         self._m_completed.inc()
         self._g_ttr.set(self.env.now - started)
@@ -95,44 +94,28 @@ class RecoveryManager:
             self.service.switch.reinject(dead_node.name)
 
     # -- internals ----------------------------------------------------------
-    def _split_homes(self, start: int, end: int) -> List[Tuple[int, int]]:
-        """Cut one ownership rule at arithmetic home boundaries.
-
-        Replica placement and owner election are keyed off a segment's
-        arithmetic home, so a rule that coalesced across node boundaries
-        recovers per home -- each sub-segment lands exactly where its
-        records were replicated.
-        """
-        addrspace = self.memory.addrspace
-        out = []
-        cursor = start
-        while cursor < end:
-            home = addrspace.node_of(cursor)
-            _home_start, home_end = addrspace.range_of(home)
-            cut = min(end, home_end)
-            out.append((cursor, cut))
-            cursor = cut
-        return out
-
-    def _rehome(self, dead: int, virt_start: int, virt_end: int) -> None:
-        """Adopt one home-aligned segment on the elected replica owner."""
-        memory = self.memory
-        home = memory.addrspace.node_of(virt_start)
-        owner = elect_owner(home, dead, memory.node_count,
-                            self.service.live)
-        if owner is None:
+    def _heir(self, dead: int) -> int:
+        """The dead node's first live successor, whatever ``k`` is."""
+        heirs = replica_targets(dead, self.memory.node_count,
+                                self.service.live, 2)
+        if not heirs:
             raise RecoveryError(
-                f"no live node can adopt [{virt_start:#x},{virt_end:#x}) "
-                f"from dead node {dead}")
+                f"no live node can adopt the rules of dead node {dead}")
+        return heirs[0]
+
+    def _rehome(self, dead: int, heir: int, virt_start: int,
+                virt_end: int) -> None:
+        """Adopt one of the dead node's rules on its heir."""
+        memory = self.memory
         # The dead DRAM is gone: the switch-over zero-fills the adopted
         # spans and content is rebuilt purely from the logged images.
         try:
             _total, _live, inserted = switch_ownership(
-                memory, dead, owner, virt_start, virt_end,
+                memory, dead, heir, virt_start, virt_end,
                 source_alive=False)
         except MigrationError as exc:
             raise RecoveryError(str(exc)) from exc
-        self._restore(memory.nodes[owner], owner, inserted, virt_start,
+        self._restore(memory.nodes[heir], heir, inserted, virt_start,
                       virt_end)
 
     def _restore(self, dst_node, owner: int, inserted, virt_start: int,

@@ -1,53 +1,32 @@
 """Replica placement and the replica byte store.
 
-Placement is purely arithmetic so every process in a sharded run (and
-recovery, later) derives the identical layout without coordination:
-a record's *home* is the arithmetic owner of its vaddr, its replica
-targets are the first ``k - 1`` live nodes cyclically after the home
-(skipping the writer itself), and the owner elected for a dead node's
-home segment is the first live node cyclically after the home.  When
-the writer *is* the arithmetic home -- the steady state -- the elected
-owner is exactly the first replica target, so the node that wins the
-election already holds the replicated content.
-
-This is the last reader of the arithmetic partition: every request path
-asks the live placement map who serves an address, and only the
-durability service and recovery still call ``addrspace.node_of`` to
-find a record's home.  A segment that migrates after an acknowledged
-STORE therefore strands its replicas; the ROADMAP item "Durability
-correctness: replicas follow placement" chooses replicas from the map
-and removes this reader.
+A record's replicas are the first ``k - 1`` live nodes cyclically after
+the node that wrote it.  The writer is always the record's owner in the
+live placement map, so a replica set is a function of ownership and
+membership alone: the owner's first live successor holds everything the
+owner wrote, and it is the node recovery elects when the owner dies.
+The durability service keeps that true across every change to either
+input by re-imaging the affected owner's mapped bytes into its new
+targets' stores at the instant of the change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
-def replica_targets(home: int, writer: int, node_count: int,
-                    live: Set[int], replication_factor: int
-                    ) -> Tuple[int, ...]:
-    """The ``k - 1`` live peers a record flushed by ``writer`` goes to."""
+def replica_targets(writer: int, node_count: int, live: Set[int],
+                    replication_factor: int) -> Tuple[int, ...]:
+    """The ``k - 1`` live successors a record flushed by ``writer``
+    goes to, first successor first."""
     targets: List[int] = []
-    candidate = (home + 1) % node_count
-    for _ in range(node_count):
+    for step in range(1, node_count):
         if len(targets) >= replication_factor - 1:
             break
-        if candidate in live and candidate != writer:
+        candidate = (writer + step) % node_count
+        if candidate in live:
             targets.append(candidate)
-        candidate = (candidate + 1) % node_count
     return tuple(targets)
-
-
-def elect_owner(home: int, dead: int, node_count: int,
-                live: Set[int]) -> Optional[int]:
-    """The live node adopting a dead node's segment homed at ``home``."""
-    candidate = (home + 1) % node_count
-    for _ in range(node_count):
-        if candidate in live and candidate != dead:
-            return candidate
-        candidate = (candidate + 1) % node_count
-    return None
 
 
 class ReplicaStore:

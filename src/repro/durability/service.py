@@ -15,6 +15,13 @@ once every live target acked (a dead target is discarded -- a degraded
 commit).  The accelerator's response path waits on ``wait_durable`` so
 a client never sees an acknowledgment for bytes that could still be
 lost with the node.
+
+Every ownership change (:meth:`DurabilityService.on_range_adopted`) or
+membership change re-images the affected owner into the replica targets
+it gained (see :mod:`~repro.durability.replication`).  Images write only
+replica stores, which no timing or metric reads; a sharded worker images
+a node it does not own from its own, possibly stale, bytes, which
+matters only to a second crash -- unsupported when sharded.
 """
 
 from __future__ import annotations
@@ -117,28 +124,17 @@ class NodeDurability:
 
     def _replicate(self, records):
         """Ship the flush to every replica target; returns when acked."""
-        addrspace = self.service.memory.addrspace
-        node_count = self.service.memory.node_count
-        per_target: Dict[int, list] = {}
-        for record in records:
-            home = addrspace.node_of(record.vaddr)
-            if home is None:
-                continue
-            for target in replica_targets(
-                    home, self.node_id, node_count, self.service.live,
-                    self.params.replication_factor):
-                per_target.setdefault(target, []).append(record)
-        if not per_target or self.accelerator is None:
+        targets = self.service.targets_of(self.node_id)
+        if not targets or self.accelerator is None:
             return
         flush_id = self._next_flush_id
         self._next_flush_id += 1
         done = Event(self.env)
-        self._pending = (flush_id, set(per_target), done)
-        for target, recs in sorted(per_target.items()):
-            message = ReplicateRecords(src_node=self.node_id,
-                                       flush_id=flush_id,
-                                       records=tuple(recs))
-            self._m_replica_tx.inc(len(recs))
+        self._pending = (flush_id, set(targets), done)
+        message = ReplicateRecords(src_node=self.node_id, flush_id=flush_id,
+                                   records=tuple(records))
+        for target in sorted(targets):
+            self._m_replica_tx.inc(len(records))
             self.accelerator.session.send(
                 f"mem{target}", DURABILITY_KIND, message,
                 message.wire_bytes(), segments=1)
@@ -229,14 +225,52 @@ class DurabilityService:
         state.accelerator = accelerator
         accelerator.durability = state
 
+    def targets_of(self, owner: int) -> Tuple[int, ...]:
+        """The nodes holding replicas of everything ``owner`` writes."""
+        return replica_targets(owner, self.memory.node_count, self.live,
+                               self.params.replication_factor)
+
+    def on_range_adopted(self, owner: int) -> None:
+        """``owner`` took over a range: its targets image it now."""
+        self._reimage(owner, self.targets_of(owner))
+
     def on_node_added(self, node_id: int) -> None:
+        before = self._all_targets()
         self.live.add(node_id)
         self.replicas[node_id] = ReplicaStore()
         self.nodes[node_id] = NodeDurability(self, node_id)
+        self._image_gained_targets(before)
 
     def on_node_dead(self, dead: int) -> None:
         """Propagate a crash: drop from the live set, unblock commits."""
+        before = self._all_targets()
         self.live.discard(dead)
+        self._image_gained_targets(before)
         self._m_crashes.inc()
         for state in self.nodes.values():
             state.on_node_dead(dead)
+
+    def _all_targets(self) -> Dict[int, Tuple[int, ...]]:
+        return {owner: self.targets_of(owner) for owner in self.live}
+
+    def _image_gained_targets(self, before) -> None:
+        """Image every live owner into each target gained since ``before``."""
+        for owner in sorted(self.live):
+            self._reimage(owner, [t for t in self.targets_of(owner)
+                                  if t not in before.get(owner, ())])
+
+    def _reimage(self, owner: int, targets) -> None:
+        """Copy ``owner``'s mapped bytes into each target's store, in
+        zero simulated time: replaying that store over ``owner``'s
+        ranges now reproduces them exactly."""
+        if not targets:
+            return
+        node = self.memory.nodes[owner]
+        images = [(entry.virt_start,
+                   node.memory.read(entry.phys_start,
+                                    entry.virt_end - entry.virt_start))
+                  for entry in node.table.entries]
+        for target in targets:
+            store = self.replicas[target]
+            for vaddr, data in images:
+                store.apply(vaddr, data)

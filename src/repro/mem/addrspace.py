@@ -9,7 +9,7 @@ at a non-zero base.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: the null pointer; kernels compare against this to detect list ends
 NULL_PTR = 0
@@ -39,15 +39,6 @@ class AddressSpace:
         self._check_node(node_id)
         start = self.base + node_id * self.node_capacity
         return start, start + self.node_capacity
-
-    def node_of(self, vaddr: int) -> Optional[int]:
-        """Node owning ``vaddr``, or None if unmapped (e.g. NULL)."""
-        if vaddr < self.base:
-            return None
-        node_id = (vaddr - self.base) // self.node_capacity
-        if node_id >= self.node_count:
-            return None
-        return node_id
 
     def switch_rules(self) -> List[Tuple[int, int, int]]:
         """(range_start, range_end, node_id) rules -- one per node (§6)."""

@@ -237,7 +237,9 @@ class MigrationEngine:
         """The switch-over; returns ``(mapped_bytes, live_bytes)``.
 
         No simulated time passes inside the fence, so every check
-        :func:`switch_ownership` re-runs holds for the whole of it.
+        :func:`switch_ownership` re-runs holds for the whole of it.  On
+        a durable rack the range's replicas now follow ``dst``, so
+        ``dst``'s replica targets image its bytes before the fence ends.
         """
         # Frees during the copy can merge blocks across the snapped
         # boundary; re-snap so nothing straddles the ownership edge
@@ -246,4 +248,6 @@ class MigrationEngine:
             src, virt_start, virt_end)
         total, live, _entries = switch_ownership(
             self.memory, src, dst, virt_start, virt_end)
+        if self.memory.durability is not None:
+            self.memory.durability.on_range_adopted(dst)
         return total, live

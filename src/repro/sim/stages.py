@@ -107,15 +107,16 @@ def pulse_stages(params: SystemParams,
 
 def rpc_stages(params: SystemParams, cpu: CpuParams,
                workers: int) -> Dict[str, Row]:
-    """The client's DPDK stack; per memory node a run-to-completion
-    worker pool (its stack scales with it) and §7's RDT bandwidth gate."""
+    """The client's DPDK stack (pulse's row); per memory node a
+    run-to-completion worker pool (its stack scales with it) and §7's
+    RDT bandwidth gate."""
     bandwidth = params.memory.bandwidth_bytes_per_ns
 
     def stack(stage: Stage):
         return stage.hold(params.network.dpdk_stack_ns)
 
     return {row.name: row for row in (
-        Row("client_stack", DPDK_CORES, stack),
+        pulse_stages(params)["dpdk_stack"],
         Row("stack", workers, stack),
         Row("workers", workers),
         Row("bandwidth_gate", 1, lambda stage, window_bytes: stage.hold(

@@ -69,12 +69,10 @@ from repro.sim.resources import Store
 TP_ACK_KIND = "tp.ack"
 
 def _frame_requests(payload: Any) -> Sequence[TraversalRequest]:
-    """The traversal requests ``payload`` carries: a pulse frame's, a
-    bare request's (the RPC baseline's wire format), or none."""
+    """The traversal requests ``payload`` carries: a traversal frame's
+    (pulse's and the RPC baselines' alike), or none."""
     if isinstance(payload, TraversalBatch):
         return payload.requests
-    if isinstance(payload, TraversalRequest):
-        return (payload,)
     return ()
 
 

@@ -54,6 +54,16 @@ def hot_segments(heat):
     return sorted(merged.items(), key=lambda item: (-item[1], item[0]))
 
 
+def home_of(space, vaddr):
+    """The node ``vaddr`` belongs to in the arithmetic partition of
+    ``space`` (an ``AddressSpace``), or None outside it; the live
+    ``PlacementMap`` starts as exactly this partition."""
+    if vaddr < space.base:
+        return None
+    node_id = (vaddr - space.base) // space.node_capacity
+    return node_id if node_id < space.node_count else None
+
+
 def with_memory(params=DEFAULT_PARAMS, **fields):
     """``params`` with the given ``MemoryParams`` fields replaced
     (``node_capacity_bytes``, ``cache_bytes``, ...)."""

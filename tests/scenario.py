@@ -224,6 +224,29 @@ def check_invariants(cluster, outcome):
         owned[owner] += size
     for node_id, live in owned.items():
         assert memory.allocator.allocated_bytes(node_id) == live, node_id
+    # On a durable rack, recovering any live node now restores its bytes.
+    # A sharded run is skipped: this process's copy of a worker's
+    # memory is stale.
+    durability = cluster.durability
+    if durability is not None and cluster.runtime is None:
+        for vaddr, size in memory.allocator.live_allocations.items():
+            owner = placement.node_of(vaddr)
+            heir = durability.targets_of(owner)[:1]
+            if heir:
+                assert replayed(durability, heir[0], vaddr, size) == \
+                    memory.nodes[owner].read_virt(vaddr, size), \
+                    f"{vaddr:#x} on mem{owner} unrecoverable from mem{heir[0]}"
+
+
+def replayed(durability, heir, vaddr, size):
+    """The bytes recovery would restore at ``[vaddr, vaddr + size)`` from
+    the bootstrap store and ``heir``'s replica store."""
+    image = bytearray(size)
+    for store in (durability.bootstrap, durability.replicas[heir]):
+        for _seq, start, data in store.overlapping(vaddr, vaddr + size):
+            lo, hi = max(start, vaddr), min(start + len(data), vaddr + size)
+            image[lo - vaddr:hi - vaddr] = data[lo - start:hi - start]
+    return bytes(image)
 
 
 # -- reading and comparing outcomes --------------------------------------------

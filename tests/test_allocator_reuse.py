@@ -15,6 +15,8 @@ from repro.mem.translation import RangeTranslationTable
 from repro.obs.metrics import MetricsRegistry
 from repro.placement import PlacementMap
 
+from tests.helpers import home_of
+
 
 def make_allocator(nodes=1, capacity=1 << 20):
     space = AddressSpace(nodes, capacity)
@@ -173,11 +175,11 @@ class TestArenaApis:
         alloc.set_allocatable(0, False)
         for _ in range(4):
             vaddr = alloc.alloc(64)
-            node = alloc.addrspace.node_of(vaddr)
+            node = home_of(alloc.addrspace, vaddr)
             assert node == 1
         # Even an explicit preference for the draining node is diverted.
         vaddr = alloc.alloc(64, preferred_node=0)
-        node = alloc.addrspace.node_of(vaddr)
+        node = home_of(alloc.addrspace, vaddr)
         assert node == 1
 
 

@@ -1,7 +1,7 @@
 """Durability subsystem: redo logging, replication, crash recovery.
 
-Three layers of coverage: pure-unit tests over the log and the
-arithmetic replica placement, white-box tests over one node's
+Three layers of coverage: pure-unit tests over the log and replica
+placement, white-box tests over one node's
 group-commit flusher, and whole-rack kill/recover scenarios asserting
 the headline guarantee -- an acknowledged write survives the crash of
 the node that acknowledged it, and clients observe elevated latency,
@@ -12,8 +12,8 @@ import pytest
 
 from repro.core import PulseCluster
 from repro.core.messages import TraversalBatch
-from repro.durability import (CrashInjector, DurabilityError, RedoLog,
-                              elect_owner, replica_targets)
+from repro.durability import (CrashInjector, DurabilityError, RecoveryError,
+                              RedoLog, replica_targets)
 from repro.params import DurabilityParams, SystemParams, TransportParams
 from repro.sim.engine import AllOf
 from repro.structures import HashTable
@@ -63,31 +63,39 @@ def test_redo_log_assigns_monotone_lsns_and_charges_headers():
     assert log.append(0x3000, b"x").lsn == 3
 
 
-# -- unit: arithmetic replica placement ------------------------------------
+# -- unit: replica placement ----------------------------------------------
 def test_replica_targets_skip_writer_and_dead_nodes():
     live = {0, 1, 2, 3}
-    # Steady state: the writer is the home, replicas go to the next peers.
-    assert replica_targets(1, 1, 4, live, 2) == (2,)
-    assert replica_targets(1, 1, 4, live, 3) == (2, 3)
-    # A write from a non-home node may land on the home's successor even
-    # when that successor is the writer -- it is skipped, never doubled.
-    assert replica_targets(1, 2, 4, live, 2) == (3,)
+    # A writer's replicas go to the next peers, wrapping around the rack
+    # and never to the writer itself.
+    assert replica_targets(1, 4, live, 2) == (2,)
+    assert replica_targets(1, 4, live, 3) == (2, 3)
+    assert replica_targets(3, 4, live, 3) == (0, 1)
+    assert replica_targets(1, 4, live, 9) == (2, 3, 0)
     # Dead nodes are not eligible targets.
-    assert replica_targets(1, 1, 4, {0, 1, 3}, 2) == (3,)
+    assert replica_targets(1, 4, {0, 1, 3}, 2) == (3,)
     # k=1 means no replication traffic at all.
-    assert replica_targets(1, 1, 4, live, 1) == ()
+    assert replica_targets(1, 4, live, 1) == ()
 
 
-def test_elect_owner_matches_first_replica_target():
-    live = {0, 2, 3}
-    # Node 1 died: its segments go to the first live successor -- which
-    # is exactly the first replica target of steady-state writes, so the
-    # winner already holds the replicated bytes.
-    assert elect_owner(1, 1, 4, live) == 2
-    assert elect_owner(1, 1, 4, {0, 3}) == 3
-    assert replica_targets(1, 1, 4, {0, 1, 2, 3}, 2) == (2,)
+def test_the_heir_is_the_dead_nodes_first_replica_target():
+    # Node 1 died: its rules go to its first live successor -- the first
+    # replica target of everything it wrote, whatever k is -- so the
+    # heir already holds the replicated bytes.
+    assert replica_targets(1, 4, {0, 1, 2, 3}, 3)[0] == 2
+    cluster, _table = build_rack(
+        params=durable_params(replication_factor=3))
+    cluster._kill_node_local(1)
+    cluster.env.run(until=cluster.env.timeout(2_000_000.0))
+    owners = {owner for _start, _end, owner in
+              cluster.memory.placement.rules()}
+    assert owners == {0, 2, 3}
+    assert cluster.memory.placement.rules_of(1) == []
+    assert cluster.durability.recovery._heir(1) == 2
     # Nobody left to elect.
-    assert elect_owner(0, 0, 1, set()) is None
+    cluster.durability.live.clear()
+    with pytest.raises(RecoveryError):
+        cluster.durability.recovery._heir(1)
 
 
 # -- white-box: one node's flusher -----------------------------------------
@@ -127,7 +135,7 @@ def test_peer_death_degrades_commit_instead_of_hanging_it():
     event = state.wait_durable(lsn)
 
     def schedule():
-        # Node 0's replica target (home 0 -> target 1) dies while the
+        # Node 0's replica target (its successor, node 1) dies while the
         # flush is in flight: the commit must degrade, not deadlock.
         yield cluster.env.timeout(state.params.group_commit_ns + 100.0)
         cluster._kill_node_local(1)
@@ -380,3 +388,34 @@ def test_failover_reinjects_a_doorbell_frame_in_flight():
     counters = snapshot["counters"]
     assert counters["recovery.completed"] == 1
     assert counters["switch.reinjected_frames"] >= 2
+
+
+def test_acknowledged_updates_survive_two_crashes_in_sequence():
+    """Node 1 crashes and node 2 adopts its rule; once that recovery has
+    completed, node 2 crashes too.  Node 3 now serves both rules, and
+    every acknowledged update reads back."""
+    cluster, table = scenario.build("durable-hashtable", nodes=4,
+                                    params=scenario.durable_params())
+    settle_ns = 200_000.0
+    heirs = []
+
+    def crash_1_then_2(cluster):
+        yield cluster.env.timeout(settle_ns)
+        starts = [start for start, _end in
+                  cluster.memory.placement.rules_of(1)]
+        yield from CrashInjector(1, 0.0)(cluster)
+        yield cluster.env.timeout(settle_ns)
+        heirs.append({cluster.memory.placement.node_of(s) for s in starts})
+        yield from CrashInjector(2, 0.0)(cluster)
+
+    results, snapshot, _end = scenario.run(
+        cluster, [scenario.updates(table, range(scenario.KEYS)),
+                  scenario.lookups(table)],
+        schedule=(crash_1_then_2,))
+    stores, reads = results[:scenario.KEYS], results[scenario.KEYS:]
+    assert heirs == [{2}]
+    assert all(r.ok and r.latency_ns < settle_ns for r in stores)
+    assert snapshot["counters"]["recovery.completed"] == 2
+    assert all(r.ok for r in reads), [r.fault for r in reads if not r.ok]
+    assert [scenario.as_int(r) for r in reads] == \
+        [7_000 + k for k in range(scenario.KEYS)]

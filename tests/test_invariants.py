@@ -73,12 +73,9 @@ RULES = {
     "one-ownership-authority": Rule(
         "One ownership authority: every request path asks the live "
         "PlacementMap who serves an address, and a migrated-away miss is "
-        "a RUNNING hop, not a status of its own.  Only replica placement "
-        "still walks from the arithmetic home.",
+        "a RUNNING hop, not a status of its own.",
         r"addrspace\.node_of\(|\.MOVED\b", ("src",),
-        "owner = node.addrspace.node_of(missed)",
-        allowed=("src/repro/durability/service.py",
-                 "src/repro/durability/recovery.py")),
+        "owner = node.addrspace.node_of(missed)"),
     "frame-call": Rule(
         "One frame call, one CPU-node walk: a host reads the window and "
         "calls IteratorMachine.step; the client fallback, Cache and "
@@ -162,11 +159,12 @@ RULES = {
         "yield self.scheduler_unit.hold(acc.scheduler_dispatch_ns)",
         allowed=("src/repro/sim/stages.py", "src/repro/sim/resources.py")),
     "one-frame-type": Rule(
-        "One frame type: every pulse message is a TraversalBatch and a "
-        "lone request is a batch of one, so no core component branches "
-        "on a frame's type or forks on its size.",
+        "One frame type: every traversal message, pulse's or an RPC "
+        "baseline's, is a TraversalBatch and a lone request is a batch of "
+        "one, so no component branches on a frame's type or forks on its "
+        "size.",
         r"isinstance\([^()]*Traversal(Batch|Request)\b|len\(batch\) == 1",
-        ("src/repro/core",), "if len(batch) == 1:"),
+        ("src/repro/core", "src/repro/baselines"), "if len(batch) == 1:"),
     "one-trace-seam": Rule(
         "One trace seam: the event log is written where frames cross a "
         "component's TransportSession; only the migration engine's "

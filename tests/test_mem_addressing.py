@@ -17,6 +17,8 @@ from repro.mem.addrspace import AddressSpaceError, NULL_PTR
 from repro.mem.translation import RangeEntry
 from repro.placement import PlacementMap
 
+from tests.helpers import home_of
+
 
 class TestAddressSpace:
     def test_ranges_are_disjoint_and_ordered(self):
@@ -32,18 +34,18 @@ class TestAddressSpace:
         space = AddressSpace(node_count=2, node_capacity=100)
         start0, end0 = space.range_of(0)
         start1, _ = space.range_of(1)
-        assert space.node_of(start0) == 0
-        assert space.node_of(end0 - 1) == 0
-        assert space.node_of(start1) == 1
+        assert home_of(space, start0) == 0
+        assert home_of(space, end0 - 1) == 0
+        assert home_of(space, start1) == 1
 
     def test_null_pointer_is_unmapped(self):
         space = AddressSpace(node_count=2, node_capacity=100)
-        assert space.node_of(NULL_PTR) is None
+        assert home_of(space, NULL_PTR) is None
 
     def test_beyond_last_node_is_unmapped(self):
         space = AddressSpace(node_count=2, node_capacity=100)
         _, end = space.range_of(1)
-        assert space.node_of(end) is None
+        assert home_of(space, end) is None
 
     def test_switch_rules_one_per_node(self):
         space = AddressSpace(node_count=3, node_capacity=64)
@@ -132,13 +134,13 @@ class TestAllocator:
 
     def test_uniform_spreads_across_nodes(self):
         space, _tables, alloc = self._make(nodes=4)
-        owners = {space.node_of(alloc.alloc(64)) for _ in range(8)}
+        owners = {home_of(space, alloc.alloc(64)) for _ in range(8)}
         assert owners == {0, 1, 2, 3}
 
     def test_preferred_node_is_honored(self):
         space, _tables, alloc = self._make(nodes=3)
         vaddr = alloc.alloc(64, preferred_node=2)
-        assert space.node_of(vaddr) == 2
+        assert home_of(space, vaddr) == 2
 
     def test_translation_entries_installed(self):
         _space, tables, alloc = self._make(nodes=1)
@@ -204,7 +206,7 @@ class TestGlobalMemory:
         gm = GlobalMemory(node_count=2, node_capacity=4096)
         a = gm.alloc(8, preferred_node=0)
         b = gm.alloc(8, preferred_node=1)
-        assert gm.addrspace.node_of(a) == 0 != gm.addrspace.node_of(b)
+        assert home_of(gm.addrspace, a) == 0 != home_of(gm.addrspace, b)
         # Node 1 has no translation for node 0's pointer: the fault that
         # triggers pulse's switch re-routing (section 5).
         with pytest.raises(TranslationFault):

@@ -95,10 +95,6 @@ def test_crash_recovery_schedule_is_value_transparent():
     assert counters["recovery.ranges_rehomed"] >= 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "replica_targets walks from the arithmetic home: a range that "
-    "migrates onto its own replica holder strands its redo records "
-    "(ROADMAP 'Durability correctness: replicas follow placement')"))
 def test_acknowledged_stores_survive_migration_onto_the_replica_holder():
     """Update every key and collect the acks; then node 0's rule moves
     to node 1 -- the node holding its replicated log -- and node 1
@@ -122,6 +118,28 @@ def test_acknowledged_stores_survive_migration_onto_the_replica_holder():
     assert snapshot["counters"]["recovery.completed"] == 1
     assert all(r.ok for r in reads)
     assert [as_int(r) for r in reads] == [7_000 + k for k in range(KEYS)]
+
+
+def test_every_owner_stays_recoverable_after_migrating_acked_stores():
+    """Update every key; then node 0's rule moves to node 1 and node 1
+    drains onto the others.  Nobody dies, but the scenario invariants
+    replay each owner's first replica target over its allocations: each
+    fence must image the moved range into the new owner's replica."""
+    cluster, table = durable_rack()
+
+    def migrate_then_drain(cluster):
+        yield cluster.env.timeout(200_000.0)
+        start, end = cluster.memory.placement.rules_of(0)[0]
+        yield cluster.env.process(
+            cluster.migration.migrate(start, end, 1))
+        yield cluster.env.process(drain(cluster, 1))
+
+    results, _snapshot, _end = run(
+        cluster, [updates(table, range(KEYS)), lookups(table)],
+        schedule=(migrate_then_drain,))
+    assert cluster.memory.placement.rules_of(1) == []
+    assert [as_int(r) for r in results[KEYS:]] == \
+        [7_000 + k for k in range(KEYS)]
 
 
 def scale_out_then_drain(cluster):

@@ -20,8 +20,8 @@ from repro.placement.migration import MigrationError
 from repro.sim.network import Message
 from repro.structures import HashTable, LinkedList
 
-from tests.helpers import (counter_value, drain, hot_segments, make_switch,
-                           with_memory)
+from tests.helpers import (counter_value, drain, home_of, hot_segments,
+                           make_switch, with_memory)
 
 PROGRAM = assemble("LOAD 0 8\nRETURN")
 
@@ -326,7 +326,7 @@ class TestHeatMapOracle:
                 heat.segment_of(vaddr_of(index)), 0.0)
         by_node = {}
         for segment, value in segments.items():
-            owner = space.node_of(segment)
+            owner = home_of(space, segment)
             by_node[owner] = by_node.get(owner, 0.0) + value
         assert heat.node_heat() == pytest.approx(by_node, rel=1e-12)
 

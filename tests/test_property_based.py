@@ -18,7 +18,7 @@ from repro.mem.translation import RangeEntry
 from repro.placement import PlacementMap
 from repro.sim import Environment
 from repro.structures import BPlusTree, HashTable, LinkedList, SkipList
-from tests.helpers import btree_items, find_reference, run_functional
+from tests.helpers import btree_items, find_reference, home_of, run_functional
 
 COMMON = settings(max_examples=40,
                   suppress_health_check=[HealthCheck.too_slow],
@@ -80,7 +80,7 @@ class TestAddressSpaceProperties:
         offset = offset % capacity
         for node in range(nodes):
             start, end = space.range_of(node)
-            assert space.node_of(start + offset) == node
+            assert home_of(space, start + offset) == node
             assert start + offset < end
 
     @COMMON

@@ -14,7 +14,7 @@ from repro.structures import (
 from repro.structures.base import MAX_KEY, StructureError
 from repro.structures.hashtable import hash_u64
 from tests.helpers import (btree_height, btree_items, chain_length,
-                           find_reference, run_functional)
+                           find_reference, home_of, run_functional)
 
 
 @pytest.fixture
@@ -132,7 +132,7 @@ class TestHashTable:
             addr = table._sentinels[bucket]
             next_offset = table.layout.offset("next")
             while addr:
-                assert memory.addrspace.node_of(addr) == expected_node
+                assert home_of(memory.addrspace, addr) == expected_node
                 addr = memory.read_u64(addr + next_offset)
 
     def test_update_kernel_writes_value(self, memory):

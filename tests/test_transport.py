@@ -463,9 +463,6 @@ class TestCheckpointFlag:
         assert self._flagged(TraversalBatch(
             [self._request(iterations_done=3)]))
 
-    def test_a_bare_rpc_continuation_is_flagged(self):
-        assert self._flagged(self._request(iterations_done=2))
-
     def test_a_fresh_or_finished_request_is_not(self):
         assert not self._flagged(TraversalBatch([self._request()]))
         assert not self._flagged(TraversalBatch(

@@ -20,7 +20,7 @@ from repro.workloads import (
 )
 from repro.workloads.upmu import NOMINAL_MICROVOLTS, UPMU_SAMPLE_HZ
 
-from tests.helpers import run_functional
+from tests.helpers import home_of, run_functional
 
 #: Table 2's static eta of each kernel
 TABLE2_ETA = {"UPC": 0.06, "TC": 0.79}
@@ -37,7 +37,7 @@ def leaf_owners(memory, scan):
         node = layout.unpack(memory.read(addr, layout.size))
     owners = []
     while addr:
-        owners.append(memory.addrspace.node_of(addr))
+        owners.append(home_of(memory.addrspace, addr))
         addr = layout.unpack(memory.read(addr, layout.size))["ptrs"][-1]
     return owners
 
@@ -132,7 +132,7 @@ class TestUpcWorkload:
         upc = build_upc(memory, node_count=2, num_pairs=1_000,
                         chain_length=50, requests=1)
         finder = upc.operations[0][0]
-        nodes_used = {memory.addrspace.node_of(finder.init(key)[0])
+        nodes_used = {home_of(memory.addrspace, finder.init(key)[0])
                       for key in range(1_000)}     # every bucket's head
         assert nodes_used == {0, 1}
 
